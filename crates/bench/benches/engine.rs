@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use mac::{Dcf, MacCommand, MacConfig, MacTimer, Priority};
 use mobility::{MobilityModel, Point, RandomWaypoint, WaypointConfig};
-use phy::{plan_arrivals, RadioConfig};
+use phy::{plan_arrivals_indexed_into, RadioConfig};
 use sim_core::{EventQueue, NodeId, RngFactory, SimDuration, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -65,16 +65,22 @@ fn bench_phy(c: &mut Criterion) {
     let cfg = WaypointConfig::paper(SimDuration::ZERO);
     let model = RandomWaypoint::generate(&cfg, RngFactory::new(1));
     let positions: Vec<Point> = model.snapshot(SimTime::from_secs(100.0));
+    let all: Vec<u16> = (0..positions.len() as u16).collect();
+    let mut arrivals = Vec::new();
     let mut group = c.benchmark_group("phy");
     group.bench_function("plan_arrivals_100_nodes", |b| {
         b.iter(|| {
-            black_box(plan_arrivals(
+            plan_arrivals_indexed_into(
                 NodeId::new(0),
+                &all,
                 &positions,
                 SimTime::from_secs(100.0),
                 SimDuration::from_millis(2.0),
                 &radio,
-            ))
+                |_| false,
+                &mut arrivals,
+            );
+            black_box(arrivals.len())
         })
     });
     group.finish();

@@ -1,14 +1,13 @@
 //! Criterion benchmarks isolating the medium's arrival-planning hot path:
-//! the linear full-position scan vs the spatial neighbor grid, and the
-//! allocating vs buffer-reusing planner variants, at the paper's 100-node
-//! density and at a 400-node scale where the linear scan's O(n) per
-//! transmission starts to dominate.
+//! the planner fed every node as a candidate vs fed the spatial neighbor
+//! grid's candidates, at the paper's 100-node density and at a 400-node
+//! scale where the full scan's O(n) per transmission starts to dominate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use mobility::{NeighborGrid, Point};
-use phy::{plan_arrivals, plan_arrivals_indexed_into, plan_arrivals_into, RadioConfig};
+use phy::{plan_arrivals_indexed_into, RadioConfig};
 use sim_core::{NodeId, SimDuration, SimTime};
 
 /// Deterministic pseudo-random positions (no RNG dependency, stable run
@@ -24,7 +23,7 @@ fn scattered_positions(n: usize) -> Vec<Point> {
     (0..n).map(|_| Point::new(next() * w, next() * h)).collect()
 }
 
-fn bench_plan_arrivals(c: &mut Criterion) {
+fn bench_planner(c: &mut Criterion) {
     let radio = RadioConfig::wavelan();
     let now = SimTime::from_secs(100.0);
     let airtime = SimDuration::from_millis(2.0);
@@ -34,55 +33,33 @@ fn bench_plan_arrivals(c: &mut Criterion) {
         grid.rebuild(&positions);
         let mut group = c.benchmark_group(format!("plan_arrivals_{n}_nodes"));
 
-        // The pre-existing allocating linear scan (the old hot path).
-        group.bench_function("linear_alloc", |b| {
-            let mut tx = 0u16;
-            b.iter(|| {
-                tx = (tx + 1) % n as u16;
-                black_box(plan_arrivals(NodeId::new(tx), &positions, now, airtime, &radio))
-            })
-        });
-
-        // Linear scan into a reused buffer (allocation removed).
-        group.bench_function("linear_reused_buffer", |b| {
-            let mut tx = 0u16;
-            let mut buf = Vec::new();
-            b.iter(|| {
-                tx = (tx + 1) % n as u16;
-                let suppressed = plan_arrivals_into(
-                    NodeId::new(tx),
-                    &positions,
-                    now,
-                    airtime,
-                    &radio,
-                    |_| false,
-                    &mut buf,
-                );
-                black_box((buf.len(), suppressed))
-            })
-        });
-
-        // Grid lookup + reused buffers (the driver's production path).
-        group.bench_function("grid_reused_buffer", |b| {
-            let mut tx = 0u16;
-            let mut buf = Vec::new();
-            let mut cands = Vec::new();
-            b.iter(|| {
-                tx = (tx + 1) % n as u16;
-                grid.candidates_into(positions[usize::from(tx)], &mut cands);
-                let suppressed = plan_arrivals_indexed_into(
-                    NodeId::new(tx),
-                    &cands,
-                    &positions,
-                    now,
-                    airtime,
-                    &radio,
-                    |_| false,
-                    &mut buf,
-                );
-                black_box((buf.len(), suppressed))
-            })
-        });
+        // Every node a candidate (the full scan) vs the grid's 3×3-cell
+        // candidates (the driver's production path, lookup included).
+        let all: Vec<u16> = (0..n as u16).collect();
+        for (name, use_grid) in [("all_candidates", false), ("grid_candidates", true)] {
+            group.bench_function(name, |b| {
+                let mut tx = 0u16;
+                let mut buf = Vec::new();
+                let mut cands = all.clone();
+                b.iter(|| {
+                    tx = (tx + 1) % n as u16;
+                    if use_grid {
+                        grid.candidates_into(positions[usize::from(tx)], &mut cands);
+                    }
+                    let suppressed = plan_arrivals_indexed_into(
+                        NodeId::new(tx),
+                        &cands,
+                        &positions,
+                        now,
+                        airtime,
+                        &radio,
+                        |_| false,
+                        &mut buf,
+                    );
+                    black_box((buf.len(), suppressed))
+                })
+            });
+        }
 
         // Grid rebuild cost, amortized over every position refresh.
         group.bench_function("grid_rebuild", |b| {
@@ -94,5 +71,5 @@ fn bench_plan_arrivals(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_plan_arrivals);
+criterion_group!(benches, bench_planner);
 criterion_main!(benches);

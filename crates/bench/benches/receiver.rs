@@ -1,7 +1,5 @@
-//! Criterion benchmarks isolating per-receiver arrival handling: the
-//! legacy paired start/end protocol (every sensed frame costs two
-//! receiver-state operations plus a MAC busy probe each) versus the fused
-//! lazy-envelope protocol (decodable frames cost a boundary + decode,
+//! Criterion benchmarks isolating per-receiver arrival handling through
+//! the lazy-envelope protocol (decodable frames cost a boundary + decode,
 //! sub-RX interference folds inside later probes), at the paper's
 //! 100-node density and at 400 nodes where most sensed frames are sub-RX.
 //!
@@ -13,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use mobility::Point;
-use phy::{plan_arrivals, PendingArrival, RadioConfig, ReceiverState, SEQ_MAX};
+use phy::{plan_arrivals_indexed_into, PendingArrival, RadioConfig, ReceiverState};
 use sim_core::{NodeId, SimDuration, SimTime};
 
 /// Deterministic pseudo-random positions (no RNG dependency, stable run
@@ -47,13 +45,25 @@ fn workload(n: usize, transmissions: usize) -> Vec<Vec<Planned>> {
     let positions = scattered_positions(n);
     let airtime = SimDuration::from_millis(2.0);
     let mut streams: Vec<Vec<Planned>> = vec![Vec::new(); n];
+    let all: Vec<u16> = (0..n as u16).collect();
+    let mut arrivals = Vec::new();
     let mut seq = 0u64;
     for k in 0..transmissions {
         let tx = NodeId::new((k % n) as u16);
         // 500 us stagger: frames overlap (2 ms airtime) without the
         // start order across transmissions ever inverting.
         let now = SimTime::from_nanos(500_000 * k as u64);
-        for a in plan_arrivals(tx, &positions, now, airtime, &radio) {
+        plan_arrivals_indexed_into(
+            tx,
+            &all,
+            &positions,
+            now,
+            airtime,
+            &radio,
+            |_| false,
+            &mut arrivals,
+        );
+        for a in &arrivals {
             streams[a.receiver.index()].push(Planned {
                 tx_id: k as u64,
                 power_w: a.power_w,
@@ -67,32 +77,7 @@ fn workload(n: usize, transmissions: usize) -> Vec<Vec<Planned>> {
     streams
 }
 
-/// Replays one receiver's stream through the eager paired protocol:
-/// two state operations and a busy probe per sensed frame, exactly what
-/// the legacy event queue dispatches. Returns the delivery count.
-fn drive_paired(cfg: &RadioConfig, stream: &[Planned]) -> u64 {
-    let mut state: ReceiverState = ReceiverState::new(cfg.clone());
-    // (time, is_end, index): the boundary order the event queue would pop.
-    let mut ops: Vec<(SimTime, bool, usize)> = Vec::with_capacity(stream.len() * 2);
-    for (i, p) in stream.iter().enumerate() {
-        ops.push((p.start, false, i));
-        ops.push((p.end, true, i));
-    }
-    ops.sort_unstable();
-    let mut delivered = 0u64;
-    for &(at, is_end, i) in &ops {
-        let p = &stream[i];
-        if is_end {
-            delivered += u64::from(state.arrival_end(p.tx_id, at));
-        } else {
-            state.arrival_start(p.tx_id, p.power_w, at, p.end);
-        }
-        black_box(state.busy_until(at, SEQ_MAX));
-    }
-    delivered
-}
-
-/// Replays the same stream through the fused envelope: all arrivals are
+/// Replays one receiver's stream through the envelope: all arrivals are
 /// planned up front, but only decodable frames get boundary + decode
 /// operations (with busy probes); sub-RX interference folds lazily inside
 /// those probes, never costing an operation of its own.
@@ -145,25 +130,8 @@ fn bench_receiver_paths(c: &mut Criterion) {
     for n in [100usize, 400] {
         let streams = workload(n, 64);
         let arrivals: usize = streams.iter().map(Vec::len).sum();
-        // The two protocols must agree on outcomes before their costs are
-        // worth comparing.
-        let check: (u64, u64) = streams
-            .iter()
-            .map(|s| (drive_paired(&radio, s), drive_fused(&radio, s)))
-            .fold((0, 0), |(a, b), (p, f)| (a + p, b + f));
-        assert_eq!(check.0, check.1, "paired and fused deliveries diverged at {n} nodes");
         let mut group = c.benchmark_group(format!("receiver_arrivals_{n}_nodes"));
         group.throughput(criterion::Throughput::Elements(arrivals as u64));
-
-        group.bench_function("paired_eager", |b| {
-            b.iter(|| {
-                let mut delivered = 0u64;
-                for s in &streams {
-                    delivered += drive_paired(&radio, s);
-                }
-                black_box(delivered)
-            })
-        });
 
         group.bench_function("fused_envelope", |b| {
             b.iter(|| {

@@ -162,9 +162,12 @@ mod tests {
 
     #[test]
     fn parses_cancellation_fields_when_present() {
+        // `paired_runs` is a retired field the committed baselines still
+        // carry: extra fields must not disturb the ones read.
         let json = bench_json(2.0).replace(
             "\"scheduled\": 1100000,",
-            "\"scheduled\": 1100000,\n  \"cancelled\": 100000,\n  \"cancel_ratio\": 0.0909,",
+            "\"scheduled\": 1100000,\n  \"cancelled\": 100000,\n  \"paired_runs\": 0,\n  \
+             \"cancel_ratio\": 0.0909,",
         );
         let s = BenchSummary::parse(&json).unwrap();
         assert_eq!(s.cancelled, Some(100_000));

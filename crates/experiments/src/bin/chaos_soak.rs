@@ -1,5 +1,4 @@
-//! **Chaos soak** — long randomized fault campaigns at full audit on the
-//! fused arrival path.
+//! **Chaos soak** — long randomized fault campaigns at full audit.
 //!
 //! Each campaign draws a fresh fault plan (every kind: crashes, churn,
 //! regional blackouts, duty-cycled radios, corruption windows, link
@@ -21,21 +20,17 @@
 //!
 //! Exit codes:
 //!
-//! - `0` — every campaign completed with zero conservation violations on
-//!   the fused path;
+//! - `0` — every campaign completed with zero conservation violations;
 //! - `1` — at least one run failed (audit violation, panic, watchdog);
 //!   forensics are under `results/forensics/`;
-//! - `2` — bad command line;
-//! - `3` — the soak silently ran on the legacy paired arrival path
-//!   (`DSR_PAIRED_ARRIVALS=1` leaked into the environment), so it never
-//!   exercised the fused fast path it exists to test.
+//! - `2` — bad command line.
 
 use std::time::Duration;
 
 use dsr::DsrConfig;
-use experiments::{pct, profile_rollup, run_point, variants, ExpArgs, ExpMode, Table};
+use experiments::{pct, run_point, variants, ExpArgs, ExpMode, Table};
 use mobility::Point;
-use runner::{AuditLevel, FaultPlan, MobilitySpec, Region, ScenarioConfig, Simulator, Zone};
+use runner::{AuditLevel, FaultPlan, MobilitySpec, Region, ScenarioConfig, Zone};
 use sim_core::{rng::uniform, NodeId, RngFactory, SimDuration, SimRng, SimTime};
 
 /// Campaigns per soak: enough distinct fault plans to cover every kind
@@ -227,25 +222,10 @@ fn main() {
     println!("\nChaos soak: randomized fault campaigns on the fused path\n");
     table.finish_or_exit();
 
-    // A soak that silently fell back to paired events never tested the
-    // fused fast path at all — that is its own failure mode, distinct
-    // from a conservation violation.
-    let paired_runs = profile_rollup().map_or(0, |p| p.paired_runs);
-    let paired_forced =
-        Simulator::new(ScenarioConfig::tiny(0.0, 1.0, DsrConfig::base(), 0)).paired_arrivals();
     if failed_runs > 0 {
         eprintln!(
             "chaos soak: {failed_runs} run(s) failed — repro artifacts under results/forensics/"
         );
-    }
-    if paired_forced || paired_runs > 0 {
-        eprintln!(
-            "chaos soak: legacy paired arrival path was forced ({paired_runs} instrumented \
-             run(s)); the fused path was never exercised"
-        );
-        std::process::exit(3);
-    }
-    if failed_runs > 0 {
         std::process::exit(1);
     }
     println!("chaos soak clean: zero conservation violations across {campaigns} campaigns.");

@@ -43,7 +43,6 @@ fn main() -> ExitCode {
     println!("label:     {}", artifact.label);
     println!("seed:      {}", artifact.config.seed);
     println!("faults:    {}", artifact.config.faults.events.len());
-    println!("arrivals:  {}", if artifact.paired_arrivals { "paired" } else { "fused" });
     println!("error:     {}", artifact.error);
     if !artifact.trace.is_empty() {
         println!("trace tail ({} events):", artifact.trace.len());
@@ -60,11 +59,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    println!(
-        "\nreplaying on the {} arrival path with the conservation audit at full...",
-        if artifact.paired_arrivals { "paired" } else { "fused" }
-    );
-    match replay_run(&artifact.config, AuditLevel::Full, artifact.paired_arrivals) {
+    println!("\nreplaying with the conservation audit at full...");
+    match replay_run(&artifact.config, AuditLevel::Full) {
         Err(error) if error == artifact.error => {
             println!("reproduced: {error}");
             ExitCode::SUCCESS

@@ -22,17 +22,21 @@ impl FrameKind {
     pub fn is_control(self) -> bool {
         !matches!(self, FrameKind::Data)
     }
-}
 
-impl fmt::Display for FrameKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The frame type's trace spelling.
+    pub const fn name(self) -> &'static str {
+        match self {
             FrameKind::Rts => "RTS",
             FrameKind::Cts => "CTS",
             FrameKind::Data => "DATA",
             FrameKind::Ack => "ACK",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for FrameKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -69,11 +69,6 @@ pub struct Profile {
     /// queue remainder at the horizon) — the re-arm churn future PRs can
     /// attack.
     pub cancelled: u64,
-    /// Runs that executed on the paired arrival path (explicit opt-out of
-    /// the fused envelope, via `DSR_PAIRED_ARRIVALS=1` or a direct
-    /// `set_paired_arrivals(true)`). Zero on healthy campaigns — CI gates
-    /// on it so a silent fallback cannot satisfy the fused-share check.
-    pub paired_runs: u64,
     /// Per-event-kind dispatch counts and wall time.
     pub kinds: Vec<Tally>,
     /// Per-drop-reason occurrence counts.
@@ -111,7 +106,6 @@ impl Profile {
         self.dispatched += other.dispatched;
         self.scheduled += other.scheduled;
         self.cancelled += other.cancelled;
-        self.paired_runs += other.paired_runs;
         merge_tallies(&mut self.kinds, &other.kinds);
         merge_tallies(&mut self.drops, &other.drops);
         merge_tallies(&mut self.traces, &other.traces);
@@ -149,7 +143,6 @@ impl Profile {
         block.push("dispatched", self.dispatched.to_string());
         block.push("scheduled", self.scheduled.to_string());
         block.push("cancelled", self.cancelled.to_string());
-        block.push("paired_runs", self.paired_runs.to_string());
         for (prefix, tallies) in
             [("kind", &self.kinds), ("drop", &self.drops), ("trace", &self.traces)]
         {
@@ -225,9 +218,6 @@ impl Profile {
             dispatched: opt_u64("dispatched", events)?,
             scheduled,
             cancelled: opt_u64("cancelled", scheduled.saturating_sub(events))?,
-            // Pre-fault-injection profiles had no fallback counter; absence
-            // means no run ever opted out of the fused path.
-            paired_runs: opt_u64("paired_runs", 0)?,
             kinds: parse_tallies("kind", true)?,
             drops: parse_tallies("drop", false)?,
             traces: parse_tallies("trace", false)?,
@@ -273,7 +263,6 @@ impl Profile {
              \"runs_failed\": {failed},\n  \"sim_seconds\": {sim},\n  \"wall_seconds\": {wall},\n  \
              \"events\": {events},\n  \"dispatched\": {dispatched},\n  \
              \"scheduled\": {scheduled},\n  \"cancelled\": {cancelled},\n  \
-             \"paired_runs\": {paired_runs},\n  \
              \"cancel_ratio\": {cancel_ratio},\n  \
              \"events_per_wall_second\": {rate},\n  \"kinds\": {kinds},\n  \"drops\": {drops},\n  \
              \"traces\": {traces}\n}}\n",
@@ -287,7 +276,6 @@ impl Profile {
             dispatched = self.dispatched,
             scheduled = self.scheduled,
             cancelled = self.cancelled,
-            paired_runs = self.paired_runs,
             cancel_ratio = fmt_f64(self.cancel_ratio()),
             rate = fmt_f64(self.events_per_wall_second()),
             kinds = tally_array(&self.kinds, true),
@@ -344,7 +332,6 @@ mod tests {
             dispatched: 990,
             scheduled: 1100,
             cancelled: 104,
-            paired_runs: 0,
             kinds: vec![
                 Tally { name: "mac_timer".into(), count: 600, wall_ns: 900_000 },
                 Tally { name: "agent_timer".into(), count: 400, wall_ns: 600_000 },
@@ -365,6 +352,12 @@ mod tests {
         assert_eq!(parsed.kinds.len(), 2);
         assert_eq!(parsed.kinds[0].name, "agent_timer");
         assert_eq!(parsed.kinds[0].wall_ns, 600_000);
+        // Profiles written while a second arrival engine existed carry a
+        // `paired_runs` counter (the committed `results/*.profile` do);
+        // they must load to the same profile.
+        let legacy = text.replace("cancelled = 104\n", "cancelled = 104\npaired_runs = 0\n");
+        assert!(legacy.contains("paired_runs = 0"));
+        assert_eq!(Profile::parse(&legacy).unwrap(), parsed);
     }
 
     #[test]
@@ -406,29 +399,6 @@ mod tests {
         let parsed = Profile::parse(&legacy).unwrap();
         assert_eq!(parsed.dispatched, 1000);
         assert_eq!(parsed.cancelled, 100);
-    }
-
-    #[test]
-    fn paired_runs_defaults_merges_and_round_trips() {
-        // Pre-fault-injection profiles carry no fallback counter.
-        let legacy = one_run()
-            .render()
-            .lines()
-            .filter(|l| !l.starts_with("paired_runs ="))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_eq!(Profile::parse(&legacy).unwrap().paired_runs, 0);
-
-        let mut total = Profile::default();
-        let mut pinned = one_run();
-        pinned.paired_runs = 1;
-        total.merge(&pinned);
-        total.merge(&one_run());
-        assert_eq!(total.paired_runs, 1, "merge sums fallback runs");
-
-        let reparsed = Profile::parse(&total.render()).unwrap();
-        assert_eq!(reparsed.paired_runs, 1);
-        assert!(total.to_bench_json("x").contains("\"paired_runs\": 1"));
     }
 
     #[test]

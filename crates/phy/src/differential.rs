@@ -1,15 +1,17 @@
-//! Differential driver: fused-envelope vs eager paired arrival handling.
+//! The receiver-level reference model: lazy envelope vs eager receiver.
 //!
 //! Replays one receiver's arrival history through both [`ReceiverState`]
-//! APIs — the eager `arrival_start`/`arrival_end` pair the legacy event
-//! queue dispatches, and the lazy `add_pending`/`settle_start`/`decode`
-//! protocol the fused runner uses — and asserts byte-identical outcomes:
-//! the same frames deliver, and the sensed-busy horizon agrees at every
-//! boundary instant.
+//! APIs — the crate-private eager `arrival_start`/`arrival_end` pair,
+//! which folds every boundary at the instant it happens (one call per
+//! boundary, the textbook ns-2 receiver), and the lazy
+//! `add_pending`/`settle_start`/`decode` protocol the runner drives — and
+//! asserts byte-identical outcomes: the same frames deliver, and the
+//! sensed-busy horizon agrees at every boundary instant. The eager side is
+//! the oracle; nothing outside this crate's tests calls it.
 //!
 //! The harness mirrors the runner's seq discipline: every boundary gets a
 //! key `(time, seq)` with seqs assigned in global event order, so
-//! same-instant boundaries fold in the same order on both paths. Property
+//! same-instant boundaries fold in the same order on both sides. Property
 //! tests (`tests/properties.rs`) drive it with random arrival storms;
 //! the unit tests below pin a few known-treacherous shapes so the harness
 //! itself stays verified in registry-free environments.
@@ -22,7 +24,7 @@ use crate::receiver::{PendingArrival, ReceiverState, TxId};
 /// One planned arrival at the receiver under test: start/duration in
 /// nanoseconds plus received power in watts. Powers below the
 /// carrier-sense threshold are the driver's job to filter and must not be
-/// passed here (they are invisible to the node on both paths).
+/// passed here (they are invisible to the node on both sides).
 #[derive(Debug, Clone, Copy)]
 pub struct DiffArrival {
     /// Arrival start, nanoseconds.
@@ -31,17 +33,16 @@ pub struct DiffArrival {
     pub dur_ns: u64,
     /// Received power, watts.
     pub power_w: f64,
-    /// Fault injection corrupted this copy at planning time (the paired
-    /// driver gates delivery externally; the fused driver bakes the flag
-    /// into the pending entry).
+    /// Fault injection corrupted this copy at planning time (the
+    /// reference gates delivery externally; the runner bakes the flag into
+    /// the pending entry).
     pub corrupted: bool,
-    /// The receiver is down/blacked-out at the start boundary: the paired
-    /// driver's start event returns early (never reaching
-    /// `arrival_start`), and the fused driver removes the pending entry
-    /// via [`ReceiverState::suppress_pending`] at that same dispatch
-    /// instant.
+    /// The receiver is down/blacked-out at the start boundary: the
+    /// reference never sees the arrival, and the runner removes the
+    /// pending entry via [`ReceiverState::suppress_pending`] at that same
+    /// dispatch instant.
     pub suppress_start: bool,
-    /// The receiver is down/blacked-out at the end boundary: both paths
+    /// The receiver is down/blacked-out at the end boundary: both sides
     /// settle the decode but discard the delivered frame.
     pub suppress_end: bool,
 }
@@ -72,12 +73,12 @@ enum Op {
 }
 
 /// Replays `arrivals` (plus an optional own transmission) through both
-/// paths and panics with a description on the first divergence. Returns
+/// receivers and panics with a description on the first divergence. Returns
 /// the per-arrival delivery outcomes for further assertions.
 ///
 /// # Panics
 ///
-/// Panics when the fused envelope and the eager paired path disagree on
+/// Panics when the lazy envelope and the eager reference disagree on
 /// any delivery or on the busy horizon at any boundary instant — that is
 /// the point.
 pub fn assert_fused_matches_eager(
@@ -89,7 +90,7 @@ pub fn assert_fused_matches_eager(
     let t = |ns: u64| SimTime::from_nanos(ns);
 
     // Global event order: time-sorted, ties broken by a fixed op rank.
-    // Both paths replay this exact order, and fused seqs are assigned
+    // Both sides replay this exact order, and fused seqs are assigned
     // from it, so the tie-break is identical by construction.
     let mut ops: Vec<(SimTime, Op)> = Vec::new();
     for (i, a) in arrivals.iter().enumerate() {
@@ -143,9 +144,8 @@ pub fn assert_fused_matches_eager(
             Op::Start(i) => {
                 let a = &arrivals[i];
                 if a.suppress_start {
-                    // Paired: the start event returns early, never touching
-                    // the receiver (and never scheduling the end event).
-                    // Fused: the entry is removed at the same dispatch
+                    // Reference: the arrival never reaches the receiver.
+                    // Envelope: the entry is removed at the same dispatch
                     // instant, before any commit could fold it.
                     assert!(
                         fused.suppress_pending(seq),
@@ -170,10 +170,10 @@ pub fn assert_fused_matches_eager(
             Op::End(i) => {
                 let a = &arrivals[i];
                 if a.suppress_start {
-                    // Neither path scheduled an end boundary.
+                    // Neither side has an end boundary.
                 } else {
-                    // Corruption is external on the paired path: the runner
-                    // settles the decode, then gates delivery.
+                    // Corruption is external to the reference: settle the
+                    // decode, then gate delivery.
                     let intact = eager.arrival_end(i as TxId, at);
                     delivered_eager[i] = intact && !a.corrupted && !a.suppress_end;
                     if a.power_w >= rx_threshold {
@@ -288,7 +288,7 @@ mod tests {
     fn corrupted_capture_winner_kills_both_frames() {
         // A corrupted strong frame must still capture the medium away from
         // the clean weak lock (corruption is invisible to the verdict
-        // machine on both paths), so neither delivers.
+        // machine), so neither delivers.
         let delivered = assert_fused_matches_eager(
             &cfg(),
             &[a(0, 4000, RX), corrupt(1000, 1000, STRONG)],
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn suppressed_start_removes_frame_and_its_energy() {
         // Node down at the start boundary: the frame never lands, so the
-        // later clean frame decodes free of interference on both paths.
+        // later clean frame decodes free of interference.
         let suppressed =
             DiffArrival { suppress_start: true, ..DiffArrival::clean(0, 4000, STRONG) };
         let delivered = assert_fused_matches_eager(&cfg(), &[suppressed, a(1000, 1000, RX)], None);
@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn suppressed_sub_rx_interferer_cannot_collide() {
         // The interferer would collide with the weak lock if it landed;
-        // suppressing its start boundary must spare the lock on both paths.
+        // suppressing its start boundary must spare the lock.
         let weak_lock = 4e-10;
         let interferer =
             DiffArrival { suppress_start: true, ..DiffArrival::clean(1000, 2000, 1e-10) };

@@ -7,8 +7,11 @@
 //!   capture ratio 10);
 //! - [`ReceiverState`] — per-node reception state machine handling
 //!   collisions, capture, and half-duplex constraints;
-//! - [`plan_arrivals`] — computes who senses a transmission, at what
-//!   power, and when.
+//! - [`plan_arrivals_indexed_into`] — computes who senses a transmission,
+//!   at what power, and when;
+//! - [`differential`] — the receiver-level reference model: replays one
+//!   arrival stream through the lazy envelope and through an eager
+//!   fold-at-every-boundary receiver and demands identical outcomes.
 //!
 //! # Example
 //!
@@ -27,9 +30,6 @@ pub mod propagation;
 pub mod receiver;
 
 pub use differential::{assert_fused_matches_eager, DiffArrival};
-pub use medium::{
-    plan_arrivals, plan_arrivals_indexed_into, plan_arrivals_into, plan_arrivals_masked, Arrival,
-    PlannedArrivals, TxIdSource,
-};
+pub use medium::{plan_arrivals_indexed_into, Arrival, TxIdSource};
 pub use propagation::{RadioConfig, SPEED_OF_LIGHT};
 pub use receiver::{ArrivalVerdict, PendingArrival, ReceiverState, TxId, SEQ_MAX};

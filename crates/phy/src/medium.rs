@@ -2,8 +2,8 @@
 //!
 //! Given a transmitter and the node positions at transmission time, compute
 //! which nodes sense the frame, at what power, and when its first and last
-//! bits arrive. The driver turns each [`Arrival`] into a pair of
-//! `arrival_start` / `arrival_end` calls on the receiver's
+//! bits arrive. The driver queues each [`Arrival`] as a
+//! [`PendingArrival`](crate::PendingArrival) on the receiver's
 //! [`ReceiverState`](crate::ReceiverState).
 //!
 //! Positions are sampled once at transmission start: frames last well under
@@ -30,84 +30,25 @@ pub struct Arrival {
 }
 
 /// Plans the arrivals of a transmission starting at `now` and lasting
-/// `duration`, from node `tx` located per `positions`.
+/// `duration`, from node `tx` located per `positions`, considering only
+/// the node indices in `candidates`. Arrivals are pushed into `out`
+/// (cleared first) so the driver reuses one buffer across the run; the
+/// return value counts the in-range receivers `suppress` silenced.
 ///
 /// Only nodes sensing the frame above the carrier-sense threshold appear;
 /// everyone else is physically unaware of the transmission. The transmitter
-/// itself is excluded (its radio is busy transmitting).
-pub fn plan_arrivals(
-    tx: NodeId,
-    positions: &[Point],
-    now: SimTime,
-    duration: SimDuration,
-    cfg: &RadioConfig,
-) -> Vec<Arrival> {
-    plan_arrivals_masked(tx, positions, now, duration, cfg, |_| false).arrivals
-}
-
-/// The outcome of [`plan_arrivals_masked`]: the surviving arrivals plus the
-/// count of receivers that would have sensed the frame but were suppressed
-/// by the mask (fault injection bookkeeping).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlannedArrivals {
-    /// Arrivals at receivers the mask let through.
-    pub arrivals: Vec<Arrival>,
-    /// In-range receivers the mask silenced.
-    pub suppressed: u64,
-}
-
-/// Like [`plan_arrivals`], but receivers for which `suppress` returns
-/// `true` never sense the frame at all — no signal energy, no carrier, no
-/// capture. This models crashed nodes and regional link blackouts: the
-/// medium simply does not exist for them.
-pub fn plan_arrivals_masked(
-    tx: NodeId,
-    positions: &[Point],
-    now: SimTime,
-    duration: SimDuration,
-    cfg: &RadioConfig,
-    suppress: impl FnMut(NodeId) -> bool,
-) -> PlannedArrivals {
-    let mut arrivals = Vec::new();
-    let suppressed = plan_arrivals_into(tx, positions, now, duration, cfg, suppress, &mut arrivals);
-    PlannedArrivals { arrivals, suppressed }
-}
-
-/// Allocation-free variant of [`plan_arrivals_masked`]: pushes arrivals
-/// into `out` (cleared first) and returns the suppressed count, so the
-/// driver can reuse one buffer across the entire run.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_arrivals_into(
-    tx: NodeId,
-    positions: &[Point],
-    now: SimTime,
-    duration: SimDuration,
-    cfg: &RadioConfig,
-    mut suppress: impl FnMut(NodeId) -> bool,
-    out: &mut Vec<Arrival>,
-) -> u64 {
-    out.clear();
-    let tx_pos = positions[tx.index()];
-    let mut suppressed = 0u64;
-    for (i, &pos) in positions.iter().enumerate() {
-        if i == tx.index() {
-            continue;
-        }
-        consider(tx_pos, i, pos, now, duration, cfg, &mut suppress, &mut suppressed, out);
-    }
-    suppressed
-}
-
-/// Grid-indexed variant of [`plan_arrivals_into`]: instead of scanning all
-/// of `positions`, only the node indices in `candidates` are considered.
+/// itself is skipped (its radio is busy transmitting). Receivers for which
+/// `suppress` returns `true` never sense the frame at all — no signal
+/// energy, no carrier, no capture: crashed nodes and regional blackouts,
+/// for which the medium simply does not exist.
 ///
 /// `candidates` must be sorted ascending and must cover every node within
-/// carrier-sense range of the transmitter (a 3×3 neighborhood query on a
+/// carrier-sense range of the transmitter. A 3×3 neighborhood query on a
 /// `mobility::NeighborGrid` with cell size ≥ the carrier-sense range
-/// guarantees both — see that type's docs). Under those conditions the
-/// result is exactly the linear scan's: same arrivals, same order, same
-/// suppressed count. Candidates outside range (or the transmitter itself,
-/// which is skipped) are harmless.
+/// guarantees both (see that type's docs), and so does `0..n` — the full
+/// scan, which is what the tests use as the reference. Any two covering
+/// candidate lists give the same arrivals in the same order with the same
+/// suppressed count: candidates out of range are harmless.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_arrivals_indexed_into(
     tx: NodeId,
@@ -128,40 +69,21 @@ pub fn plan_arrivals_indexed_into(
         if i == tx.index() {
             continue;
         }
-        consider(tx_pos, i, positions[i], now, duration, cfg, &mut suppress, &mut suppressed, out);
+        let dist = tx_pos.distance(positions[i]);
+        let power = cfg.rx_power_w(dist);
+        if power < cfg.cs_threshold_w {
+            continue;
+        }
+        let receiver = NodeId::new(i as u16);
+        if suppress(receiver) {
+            suppressed += 1;
+            continue;
+        }
+        let delay = SimDuration::from_secs(cfg.propagation_delay_s(dist));
+        let start = now + delay;
+        out.push(Arrival { receiver, power_w: power, start, end: start + duration });
     }
     suppressed
-}
-
-/// The shared per-receiver decision: threshold the received power, apply
-/// the suppression mask, emit the arrival. Kept in one place so the linear
-/// and grid-indexed planners cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn consider(
-    tx_pos: Point,
-    i: usize,
-    pos: Point,
-    now: SimTime,
-    duration: SimDuration,
-    cfg: &RadioConfig,
-    suppress: &mut impl FnMut(NodeId) -> bool,
-    suppressed: &mut u64,
-    out: &mut Vec<Arrival>,
-) {
-    let dist = tx_pos.distance(pos);
-    let power = cfg.rx_power_w(dist);
-    if power < cfg.cs_threshold_w {
-        return;
-    }
-    let receiver = NodeId::new(i as u16);
-    if suppress(receiver) {
-        *suppressed += 1;
-        return;
-    }
-    let delay = SimDuration::from_secs(cfg.propagation_delay_s(dist));
-    let start = now + delay;
-    out.push(Arrival { receiver, power_w: power, start, end: start + duration });
 }
 
 /// Monotonically increasing transmission-id source.
@@ -185,17 +107,45 @@ impl TxIdSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobility::NeighborGrid;
+    use sim_core::rng::uniform;
+    use sim_core::RngFactory;
 
     fn line_positions(n: usize, spacing: f64) -> Vec<Point> {
         (0..n).map(|i| Point::new(i as f64 * spacing, 0.0)).collect()
     }
 
+    /// Plans a 1 ms frame from `tx` at time zero over `candidates`.
+    fn plan(
+        tx: u16,
+        candidates: &[u16],
+        positions: &[Point],
+        suppress: impl FnMut(NodeId) -> bool,
+    ) -> (Vec<Arrival>, u64) {
+        let mut out = Vec::new();
+        let suppressed = plan_arrivals_indexed_into(
+            NodeId::new(tx),
+            candidates,
+            positions,
+            SimTime::ZERO,
+            SimDuration::from_millis(1.0),
+            &RadioConfig::wavelan(),
+            suppress,
+            &mut out,
+        );
+        (out, suppressed)
+    }
+
+    /// The full scan: every node is a candidate, nothing is masked.
+    fn plan_unmasked(tx: u16, positions: &[Point]) -> Vec<Arrival> {
+        let all: Vec<u16> = (0..positions.len() as u16).collect();
+        plan(tx, &all, positions, |_| false).0
+    }
+
     #[test]
     fn neighbors_in_rx_range_hear_loudly() {
         let cfg = RadioConfig::wavelan();
-        let pos = line_positions(4, 200.0);
-        let arrivals =
-            plan_arrivals(NodeId::new(0), &pos, SimTime::ZERO, SimDuration::from_millis(1.0), &cfg);
+        let arrivals = plan_unmasked(0, &line_positions(4, 200.0));
         // 200 m: decodable; 400 m: carrier only; 600 m: silent.
         assert_eq!(arrivals.len(), 2);
         assert_eq!(arrivals[0].receiver, NodeId::new(1));
@@ -207,20 +157,14 @@ mod tests {
 
     #[test]
     fn transmitter_not_among_arrivals() {
-        let cfg = RadioConfig::wavelan();
-        let pos = line_positions(3, 100.0);
-        let arrivals =
-            plan_arrivals(NodeId::new(1), &pos, SimTime::ZERO, SimDuration::from_millis(1.0), &cfg);
+        let arrivals = plan_unmasked(1, &line_positions(3, 100.0));
         assert!(arrivals.iter().all(|a| a.receiver != NodeId::new(1)));
         assert_eq!(arrivals.len(), 2);
     }
 
     #[test]
     fn propagation_delay_orders_arrivals() {
-        let cfg = RadioConfig::wavelan();
-        let pos = line_positions(3, 150.0);
-        let arrivals =
-            plan_arrivals(NodeId::new(0), &pos, SimTime::ZERO, SimDuration::from_millis(1.0), &cfg);
+        let arrivals = plan_unmasked(0, &line_positions(3, 150.0));
         assert!(arrivals[0].start < arrivals[1].start, "nearer node hears first");
         for a in &arrivals {
             assert_eq!(a.end - a.start, SimDuration::from_millis(1.0));
@@ -230,49 +174,19 @@ mod tests {
 
     #[test]
     fn isolated_node_produces_no_arrivals() {
-        let cfg = RadioConfig::wavelan();
         let pos = vec![Point::new(0.0, 0.0), Point::new(10_000.0, 0.0)];
-        let arrivals =
-            plan_arrivals(NodeId::new(0), &pos, SimTime::ZERO, SimDuration::from_millis(1.0), &cfg);
-        assert!(arrivals.is_empty());
+        assert!(plan_unmasked(0, &pos).is_empty());
     }
 
     #[test]
     fn mask_silences_receivers_and_counts_them() {
-        let cfg = RadioConfig::wavelan();
-        let pos = line_positions(4, 200.0);
         let dead = NodeId::new(1);
-        let planned = plan_arrivals_masked(
-            NodeId::new(0),
-            &pos,
-            SimTime::ZERO,
-            SimDuration::from_millis(1.0),
-            &cfg,
-            |rx| rx == dead,
-        );
-        assert_eq!(planned.suppressed, 1);
-        assert!(planned.arrivals.iter().all(|a| a.receiver != dead));
+        let (arrivals, suppressed) =
+            plan(0, &[0, 1, 2, 3], &line_positions(4, 200.0), |rx| rx == dead);
+        assert_eq!(suppressed, 1);
         // Node 2 (carrier-only range) still senses the frame.
-        assert_eq!(planned.arrivals.len(), 1);
-        assert_eq!(planned.arrivals[0].receiver, NodeId::new(2));
-    }
-
-    #[test]
-    fn empty_mask_matches_plan_arrivals() {
-        let cfg = RadioConfig::wavelan();
-        let pos = line_positions(5, 180.0);
-        let plain =
-            plan_arrivals(NodeId::new(2), &pos, SimTime::ZERO, SimDuration::from_millis(1.0), &cfg);
-        let masked = plan_arrivals_masked(
-            NodeId::new(2),
-            &pos,
-            SimTime::ZERO,
-            SimDuration::from_millis(1.0),
-            &cfg,
-            |_| false,
-        );
-        assert_eq!(masked.arrivals, plain);
-        assert_eq!(masked.suppressed, 0);
+        assert_eq!(arrivals.len(), 1);
+        assert_eq!(arrivals[0].receiver, NodeId::new(2));
     }
 
     #[test]
@@ -284,89 +198,68 @@ mod tests {
     }
 
     #[test]
-    fn into_variant_reuses_buffer_and_matches() {
-        let cfg = RadioConfig::wavelan();
-        let pos = line_positions(5, 180.0);
-        let reference = plan_arrivals_masked(
-            NodeId::new(2),
-            &pos,
-            SimTime::ZERO,
-            SimDuration::from_millis(1.0),
-            &cfg,
-            |rx| rx == NodeId::new(3),
-        );
-        let mut buf = vec![
-            // Pre-existing garbage must be cleared, not appended to.
-            Arrival {
-                receiver: NodeId::new(9),
-                power_w: 0.0,
-                start: SimTime::ZERO,
-                end: SimTime::ZERO,
-            };
-            7
-        ];
-        let suppressed = plan_arrivals_into(
-            NodeId::new(2),
-            &pos,
-            SimTime::ZERO,
-            SimDuration::from_millis(1.0),
-            &cfg,
-            |rx| rx == NodeId::new(3),
-            &mut buf,
-        );
-        assert_eq!(buf, reference.arrivals);
-        assert_eq!(suppressed, reference.suppressed);
-    }
-
-    #[test]
-    fn indexed_variant_matches_linear_given_superset_candidates() {
-        let cfg = RadioConfig::wavelan();
-        let pos = line_positions(8, 190.0);
-        let tx = NodeId::new(3);
-        let mask = |rx: NodeId| rx == NodeId::new(4);
-        let reference = plan_arrivals_masked(
-            tx,
-            &pos,
-            SimTime::ZERO,
-            SimDuration::from_millis(1.0),
-            &cfg,
-            mask,
-        );
-        // All node indices (ascending, including tx and out-of-range ones)
-        // form a valid candidate superset.
-        let candidates: Vec<u16> = (0..pos.len() as u16).collect();
-        let mut buf = Vec::new();
-        let suppressed = plan_arrivals_indexed_into(
-            tx,
-            &candidates,
-            &pos,
-            SimTime::ZERO,
-            SimDuration::from_millis(1.0),
-            &cfg,
-            mask,
-            &mut buf,
-        );
-        assert_eq!(buf, reference.arrivals);
-        assert_eq!(suppressed, reference.suppressed);
-    }
-
-    #[test]
-    fn indexed_variant_skips_out_of_candidate_nodes() {
-        let cfg = RadioConfig::wavelan();
-        let pos = line_positions(3, 100.0);
+    fn only_candidates_are_considered() {
         // Only node 2 offered: node 1 (also in range) must not appear.
-        let mut buf = Vec::new();
-        plan_arrivals_indexed_into(
-            NodeId::new(0),
-            &[2],
-            &pos,
-            SimTime::ZERO,
-            SimDuration::from_millis(1.0),
-            &cfg,
-            |_| false,
-            &mut buf,
-        );
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf[0].receiver, NodeId::new(2));
+        let (arrivals, _) = plan(0, &[2], &line_positions(3, 100.0), |_| false);
+        assert_eq!(arrivals.len(), 1);
+        assert_eq!(arrivals[0].receiver, NodeId::new(2));
+    }
+
+    /// The grid is a pure index: planning from its 3×3-cell candidates
+    /// gives the full scan's arrivals — same values, same order, same
+    /// suppressed count — for any placement and any mask. The driver draws
+    /// corruption RNG and reserves queue seqs in arrival order, so this is
+    /// what keeps a run independent of the grid's cell geometry.
+    #[test]
+    fn grid_candidates_plan_exactly_what_the_full_scan_plans() {
+        let radio = RadioConfig::wavelan();
+        let airtime = SimDuration::from_millis(1.5);
+        let mut grid = NeighborGrid::new(radio.carrier_sense_range_m() * 1.001);
+        let (mut cands, mut all) = (Vec::new(), Vec::new());
+        // Both output buffers live across cases: a planner that appended
+        // instead of clearing would fail on the second one.
+        let (mut indexed, mut scanned) = (Vec::new(), Vec::new());
+        let mut pruned_cases = 0;
+        for case in 0..240u64 {
+            let mut rng = RngFactory::new(0x6d65_6469).stream("placement", case);
+            let n = 2 + (uniform(&mut rng, 0.0, 62.0) as usize);
+            let positions: Vec<Point> = if case % 3 == 0 {
+                // A line with uneven spacing, several cells long.
+                let mut x = 0.0;
+                (0..n)
+                    .map(|_| {
+                        x += uniform(&mut rng, 20.0, 400.0);
+                        Point::new(x, 0.0)
+                    })
+                    .collect()
+            } else {
+                // The paper's mobile field.
+                (0..n)
+                    .map(|_| {
+                        Point::new(uniform(&mut rng, 0.0, 2200.0), uniform(&mut rng, 0.0, 600.0))
+                    })
+                    .collect()
+            };
+            let tx = NodeId::new(uniform(&mut rng, 0.0, n as f64) as u16);
+            let mask: Vec<bool> = (0..n).map(|_| uniform(&mut rng, 0.0, 1.0) < 0.3).collect();
+            let now = SimTime::from_secs(uniform(&mut rng, 0.0, 100.0));
+
+            grid.rebuild(&positions);
+            grid.candidates_into(positions[tx.index()], &mut cands);
+            all.clear();
+            all.extend(0..n as u16);
+            pruned_cases += usize::from(cands.len() < n);
+            let plan = |candidates: &[u16], out: &mut Vec<Arrival>| {
+                let suppress = |rx: NodeId| mask[rx.index()];
+                plan_arrivals_indexed_into(
+                    tx, candidates, &positions, now, airtime, &radio, suppress, out,
+                )
+            };
+            let suppressed_indexed = plan(&cands, &mut indexed);
+            let suppressed_scanned = plan(&all, &mut scanned);
+            assert_eq!(indexed, scanned, "case {case}: arrivals differ");
+            assert_eq!(suppressed_indexed, suppressed_scanned, "case {case}: suppressed count");
+        }
+        assert!(pruned_cases > 100, "the grid must actually prune: {pruned_cases} of 240");
     }
 }

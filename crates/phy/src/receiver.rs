@@ -54,10 +54,10 @@
 //! whose key precedes it — the same set an eager queue would already have
 //! dispatched.
 //!
-//! The eager API ([`ReceiverState::arrival_start`] /
-//! [`ReceiverState::arrival_end`]) is retained and shares the same fold
-//! logic, so a paired-event driver and an envelope driver are equivalent
-//! by construction.
+//! A crate-private eager pair (`arrival_start` / `arrival_end`: fold
+//! every boundary at the instant it happens) shares the same verdict
+//! machine and serves as the reference that [`crate::differential`] and
+//! the unit tests below replay the lazy protocol against.
 //!
 //! The state machine is pure: it never schedules events itself. The driver
 //! feeds it arrivals and reacts to the returned verdicts, keeping this
@@ -121,8 +121,7 @@ pub struct PendingArrival<P> {
     pub start_evented: bool,
     /// Fault injection destroyed this copy of the frame at planning time:
     /// it still locks and occupies the medium like any arrival, but it can
-    /// never decode intact (and a lazily-expired lock credits no NAV) —
-    /// the same outcome the paired path's external delivery gate produces.
+    /// never decode intact (and a lazily-expired lock credits no NAV).
     pub corrupted: bool,
     /// Deliverable frame, retained only for decodable arrivals
     /// (power ≥ RX threshold).
@@ -168,8 +167,7 @@ pub struct ReceiverState<P = ()> {
     /// the per-MAC-input materialize pass skip its scan in O(1).
     unsensed: usize,
     /// Receive power of the most recent intact decode (Preemptive-DSR
-    /// signal hook). Shared by the eager and fused paths, which both
-    /// complete frames through [`ReceiverState::finish`].
+    /// signal hook), set where frames complete: [`ReceiverState::finish`].
     last_intact_power_w: f64,
 }
 
@@ -213,14 +211,15 @@ impl<P> ReceiverState<P> {
         self.tx_until.is_some_and(|until| until > now)
     }
 
-    /// A frame begins arriving with the given received power, ending at
-    /// `end`. Returns what the receiver did with it (eager driver path;
-    /// both boundaries are backed by driver events, so the envelope takes
-    /// no responsibility for the frame's side effects).
+    /// Reference model, start boundary: a frame begins arriving with the
+    /// given received power, ending at `end`, and is folded immediately.
+    /// Returns what the receiver did with it. The caller owns both
+    /// boundaries, so the envelope takes no responsibility for the frame's
+    /// side effects.
     ///
     /// Arrivals below the carrier-sense threshold must be filtered out by
-    /// the driver (they are invisible to this node).
-    pub fn arrival_start(
+    /// the caller (they are invisible to this node).
+    pub(crate) fn arrival_start(
         &mut self,
         tx_id: TxId,
         power_w: f64,
@@ -245,9 +244,9 @@ impl<P> ReceiverState<P> {
         )
     }
 
-    /// The arrival `tx_id` finished (eager driver path). Returns `true` if
-    /// the frame was received intact and should be delivered to the MAC.
-    pub fn arrival_end(&mut self, tx_id: TxId, now: SimTime) -> bool {
+    /// Reference model, end boundary: the arrival `tx_id` finished.
+    /// Returns `true` if the frame was received intact.
+    pub(crate) fn arrival_end(&mut self, tx_id: TxId, now: SimTime) -> bool {
         self.finish(tx_id, now, SEQ_MAX).is_some()
     }
 
@@ -294,8 +293,8 @@ impl<P> ReceiverState<P> {
     /// the lock's end boundary is unsettled (`end_seq == SEQ_MAX`), which
     /// keeps [`ReceiverState::take_unevented_lock`] from handing it out
     /// mid-boundary — the driver notifies the MAC of the carrier *between*
-    /// the two calls, exactly like the paired start event, so the end
-    /// boundary's seq is reserved after any timers that notification arms.
+    /// the two calls, so the end boundary's seq is reserved after any
+    /// timers that notification arms.
     pub fn settle_start(&mut self, tx_id: TxId, now: SimTime, seq: u64) -> bool {
         self.commit(now, seq);
         self.locked.as_ref().is_some_and(|l| l.tx_id == tx_id)
@@ -327,14 +326,14 @@ impl<P> ReceiverState<P> {
 
     /// Completes the decode of `tx_id` at its end time: returns the frame
     /// payload if the receiver still holds its lock, uncorrupted, with the
-    /// transmitter off. (The eager path's `arrival_end` wraps the same
-    /// logic but carries no payload.)
+    /// transmitter off.
     pub fn decode(&mut self, tx_id: TxId, now: SimTime, seq: u64) -> Option<P> {
         self.finish(tx_id, now, seq).flatten()
     }
 
-    /// `Some(payload)` if the frame delivered intact (payload may itself be
-    /// absent on the eager path, which never stores one), `None` otherwise.
+    /// `Some(payload)` if the frame delivered intact (the payload itself is
+    /// absent for reference-model arrivals, which never store one), `None`
+    /// otherwise.
     fn finish(&mut self, tx_id: TxId, now: SimTime, seq: u64) -> Option<Option<P>> {
         self.commit(now, seq);
         if self.locked.as_ref().is_some_and(|l| l.tx_id == tx_id) {
@@ -349,9 +348,8 @@ impl<P> ReceiverState<P> {
 
     /// Receive power (watts) of the most recent intact decode, `0.0`
     /// before any frame has decoded. Valid immediately after
-    /// [`ReceiverState::arrival_end`] / [`ReceiverState::decode`] report
-    /// an intact frame; the driver reads it to feed the routing agent's
-    /// signal-strength hook.
+    /// [`ReceiverState::decode`] reports an intact frame; the driver reads
+    /// it to feed the routing agent's signal-strength hook.
     pub fn last_intact_power_w(&self) -> f64 {
         self.last_intact_power_w
     }
@@ -430,8 +428,7 @@ impl<P> ReceiverState<P> {
     /// `start_seq`, returning whether an entry was removed. Called by the
     /// driver at the dispatch instant of that boundary's queue event when a
     /// fault (node down, blackout) suppresses the arrival: the entry must
-    /// vanish *before* any commit folds it, exactly as the paired path's
-    /// suppressed start event never reaches `arrival_start`.
+    /// vanish *before* any commit folds it, so its energy never lands.
     ///
     /// Safe at dispatch time of the event keyed `(start, start_seq)`: no
     /// earlier-keyed commit can have folded the entry (queue order), and
@@ -449,9 +446,8 @@ impl<P> ReceiverState<P> {
     /// Node crash: wipes live radio state (own transmission, held lock,
     /// noise and NAV watermarks) after settling every boundary due at the
     /// crash instant `(now, seq)`. Pending *future* arrivals are kept —
-    /// their energy is already in flight toward this node and the paired
-    /// path keeps their queue events too; the driver gates their delivery
-    /// on the node being up at decode time.
+    /// their energy is already in flight toward this node; the driver
+    /// gates their delivery on the node being up at decode time.
     pub fn crash_reset(&mut self, now: SimTime, seq: u64) {
         // Settle first so due-but-unfolded entries cannot resurrect
         // pre-crash noise or locks after the wipe.
@@ -464,7 +460,7 @@ impl<P> ReceiverState<P> {
 
     /// Frame payloads still held by the envelope (the in-flight lock plus
     /// queued future arrivals) — conservation audits treat these as in
-    /// flight, exactly like undispatched arrival events on the eager path.
+    /// flight.
     pub fn payloads(&self) -> impl Iterator<Item = &P> {
         self.locked
             .iter()
@@ -498,12 +494,11 @@ impl<P> ReceiverState<P> {
         }
     }
 
-    /// The verdict machine: identical branch structure to the original
-    /// eager `arrival_start`, with noise pushes replaced by watermark
-    /// updates (noise power is never read, only its latest end).
+    /// The verdict machine. Noise is a watermark, not a list: its power is
+    /// never read, only its latest end.
     ///
-    /// `evented` marks locks whose end boundary the driver already owns
-    /// (the eager path; lazy folds start un-evented until
+    /// `evented` marks locks whose end boundary the caller already owns
+    /// (the reference model; lazy folds start un-evented until
     /// [`ReceiverState::finalize_lock`] settles them).
     fn fold(&mut self, p: PendingArrival<P>, evented: bool) -> ArrivalVerdict {
         if self.transmitting(p.start) {
@@ -916,8 +911,7 @@ mod tests {
     #[test]
     fn corrupted_pending_locks_but_never_decodes() {
         // Plan-time corruption: the frame still locks and occupies the
-        // medium, but decode fails — mirroring the paired path's external
-        // delivery gate.
+        // medium, but decode fails.
         let mut rx = rx();
         let mut p = decodable(1, MEDIUM, t(0.0), t(0.002));
         p.corrupted = true;
@@ -942,8 +936,8 @@ mod tests {
     fn corrupted_pending_still_wins_capture_contests() {
         // Corruption must not change verdict-machine outcomes: a corrupted
         // strong frame still captures the receiver away from a clean weak
-        // one, so *neither* delivers (same as paired, where corruption is
-        // invisible to the verdict machine).
+        // one, so *neither* delivers (corruption is invisible to the
+        // verdict machine).
         let mut rx = rx();
         rx.add_pending(decodable(1, MEDIUM, t(0.0), t(0.005)));
         let mut p = decodable(2, STRONG, t(0.001), t(0.002));

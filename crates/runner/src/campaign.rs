@@ -407,21 +407,12 @@ where
 /// binary's entry point for replaying forensic artifacts; the scenario's
 /// own seed is used, and no retry, journaling, or artifact capture
 /// applies.
-/// `paired_arrivals` pins the arrival path: artifacts record which path
-/// the failing run executed on, and a faithful replay must use the same
-/// one (the paths are byte-identical by contract, but the artifact may
-/// exist precisely because that contract broke).
-pub fn replay_run(
-    cfg: &ScenarioConfig,
-    audit: AuditLevel,
-    paired_arrivals: bool,
-) -> Result<Report, RunError> {
+pub fn replay_run(cfg: &ScenarioConfig, audit: AuditLevel) -> Result<Report, RunError> {
     let dsr = cfg.dsr.clone();
     let label = dsr.label();
     let campaign = CampaignConfig { audit, ..CampaignConfig::default() };
     let make_agent = move |node, rng| DsrNode::new(node, dsr.clone(), rng);
-    let hooks = AttemptHooks { paired: Some(paired_arrivals), ..AttemptHooks::default() };
-    attempt_one(cfg.clone(), &label, &make_agent, &campaign, hooks).0
+    attempt_one(cfg.clone(), &label, &make_agent, &campaign, AttemptHooks::default()).0
 }
 
 /// Preserved pre-campaign API: runs the same DSR scenario under several
@@ -453,12 +444,6 @@ pub(crate) struct AttemptHooks {
     pub heartbeat: Option<HeartbeatSink>,
     /// Deadline-cancellation token checked between events.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// When set, pins the arrival path (`true` = legacy paired events)
-    /// regardless of the `DSR_PAIRED_ARRIVALS` environment override;
-    /// `None` leaves the simulator's own default in place. Used by
-    /// [`replay_run`] to reproduce a forensic artifact under its recorded
-    /// mode.
-    pub paired: Option<bool>,
 }
 
 /// One isolated run: builds the simulator, applies the watchdog limits
@@ -491,7 +476,7 @@ where
 {
     let seed = cfg.seed;
     let fingerprint = crate::forensics::config_fingerprint(&cfg);
-    let AttemptHooks { capture_trace, heartbeat, cancel, paired } = hooks;
+    let AttemptHooks { capture_trace, heartbeat, cancel } = hooks;
     let ring: Option<Arc<Mutex<VecDeque<TraceEvent>>>> =
         capture_trace.then(|| Arc::new(Mutex::new(VecDeque::new())));
     let sink_ring = ring.as_ref().map(Arc::clone);
@@ -513,9 +498,6 @@ where
         let mut sim = Simulator::with_agents(cfg, label, make_agent);
         sim.set_limits(limits);
         sim.set_audit(audit);
-        if let Some(paired) = paired {
-            sim.set_paired_arrivals(paired);
-        }
         if let Some(sink_ring) = sink_ring {
             sim.set_trace(Box::new(move |ev| {
                 let mut ring = sink_ring.lock().expect("trace ring poisoned");

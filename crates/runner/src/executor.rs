@@ -412,7 +412,6 @@ fn run_pool<A, F>(
             capture_trace: campaign.forensics_dir.is_some(),
             heartbeat,
             cancel: Some(cancel),
-            paired: None,
         };
         let (result, trace, observation, cachetrace) =
             attempt_one(job.clone(), label, make_agent, campaign, hooks);
@@ -654,11 +653,6 @@ fn supervise(ctx: SuperviseCtx<'_>) {
                             let artifact = ForensicArtifact {
                                 label: label.to_string(),
                                 replayable,
-                                // Campaign runs never override the arrival
-                                // path per-attempt, so the process-wide
-                                // environment pin is the mode this run
-                                // actually executed on.
-                                paired_arrivals: crate::sim::paired_arrivals_forced(),
                                 config: jobs[index].clone(),
                                 error: failure.error.clone(),
                                 trace,

@@ -41,10 +41,11 @@ use crate::config::{FaultEvent, FaultPlan, MobilitySpec, Region, ScenarioConfig,
 /// First line of every artifact; bump the version on format changes.
 ///
 /// v2 added the three churn-era fault kinds (`node_churn`,
-/// `region_blackout`, `radio_duty_cycle`) and the artifact-level
-/// `paired_arrivals` key recording which arrival path the failing run
-/// executed on. v1 artifacts still parse: the mode key defaults to the
-/// historical auto-pin rule (paired iff the plan had faults).
+/// `region_blackout`, `radio_duty_cycle`). v1 artifacts are a subset and
+/// parse through the same code. Artifacts written while the simulator
+/// still had a second arrival engine carry one more key, naming the engine
+/// the failing run used; there is one engine now, and like any unknown key
+/// it is ignored.
 pub const FORMAT_HEADER: &str = "dsr-forensics v2";
 
 /// The previous format version, still accepted by [`ForensicArtifact::parse`].
@@ -804,11 +805,6 @@ pub struct ForensicArtifact {
     /// (true for DSR campaigns; false when the campaign supplied a custom
     /// agent factory the artifact cannot capture).
     pub replayable: bool,
-    /// Which arrival path the failing run executed on: `true` for the
-    /// paired `ArrivalStart`/`ArrivalEnd` event path, `false` for the
-    /// fused envelope (the default). `repro` replays under the recorded
-    /// mode so path-sensitive failures reproduce.
-    pub paired_arrivals: bool,
     /// The failing run's complete configuration (seed and faults
     /// included).
     pub config: ScenarioConfig,
@@ -826,10 +822,6 @@ impl ForensicArtifact {
         kv.push("format", FORMAT_HEADER);
         kv.push("label", escape(&self.label));
         kv.push("replayable", self.replayable);
-        // Artifact-level, deliberately outside the scenario block so
-        // `config_fingerprint` (which hashes `push_scenario` output only)
-        // is unaffected by the arrival-path mode.
-        kv.push("paired_arrivals", self.paired_arrivals);
         push_scenario(&mut kv, &self.config);
         push_error(&mut kv, &self.error);
         kv.push("trace.count", self.trace.len());
@@ -853,18 +845,10 @@ impl ForensicArtifact {
         for i in 0..trace_count {
             trace.push(kv.get_string(&format!("trace.{i}"))?);
         }
-        let config = parse_scenario(&kv)?;
-        // v1 artifacts predate the key; at that time faulted runs were
-        // auto-pinned to the paired path, so the plan tells us the mode.
-        let paired_arrivals = match kv.map.get("paired_arrivals") {
-            Some(_) => kv.get_parsed("paired_arrivals")?,
-            None => !config.faults.events.is_empty(),
-        };
         Ok(ForensicArtifact {
             label: kv.get_string("label")?,
             replayable: kv.get_parsed("replayable")?,
-            paired_arrivals,
-            config,
+            config: parse_scenario(&kv)?,
             error: parse_error(&kv)?,
             trace,
         })
@@ -932,7 +916,6 @@ mod tests {
         ForensicArtifact {
             label: cfg.dsr.label(),
             replayable: true,
-            paired_arrivals: false,
             error: RunError::Panicked { seed: cfg.seed, payload: "boom at t=1".to_string() },
             config: cfg,
             trace: vec![
@@ -1008,37 +991,39 @@ mod tests {
                 SimTime::from_secs(3.0),
             );
         for cfg in configs {
-            for paired in [false, true] {
-                let mut a = artifact(cfg.clone());
-                a.paired_arrivals = paired;
-                let round = ForensicArtifact::parse(&a.render()).expect("parse back");
-                assert_eq!(round, a);
-            }
+            let a = artifact(cfg);
+            let round = ForensicArtifact::parse(&a.render()).expect("parse back");
+            assert_eq!(round, a);
         }
     }
 
     #[test]
-    fn v1_artifacts_parse_with_the_historical_pin_rule() {
-        // A v2 render downgraded to v1 (old header, mode key removed) must
-        // still load, inferring the arrival path the way v1-era campaigns
-        // chose it: paired iff the plan carried faults.
-        let mut faulted_cfg = ScenarioConfig::static_line(3, 200.0, 2.0, DsrConfig::base(), 7);
-        faulted_cfg.faults = FaultPlan::none().node_down(
+    fn artifacts_from_the_two_engine_era_still_load_and_replay() {
+        // Artifacts on disk outlive the code that wrote them: a v1 header,
+        // and a v2 text still carrying the `paired_arrivals` key, must
+        // both parse to the artifact a current render describes, replay,
+        // and re-render without the key.
+        let mut cfg = ScenarioConfig::static_line(3, 200.0, 2.0, DsrConfig::base(), 7);
+        cfg.duration = SimDuration::from_secs(5.0);
+        cfg.faults = FaultPlan::none().node_down(
             NodeId::new(1),
             SimTime::from_secs(1.0),
             SimDuration::from_secs(1.0),
         );
-        let clean_cfg = ScenarioConfig::static_line(3, 200.0, 2.0, DsrConfig::base(), 7);
-        for (cfg, expect_paired) in [(faulted_cfg, true), (clean_cfg, false)] {
-            let v1 = artifact(cfg)
-                .render()
-                .replace(FORMAT_HEADER, FORMAT_HEADER_V1)
-                .lines()
-                .filter(|l| !l.starts_with("paired_arrivals ="))
-                .map(|l| format!("{l}\n"))
-                .collect::<String>();
-            let parsed = ForensicArtifact::parse(&v1).expect("v1 artifact parses");
-            assert_eq!(parsed.paired_arrivals, expect_paired);
+        let current = artifact(cfg);
+        let rendered = current.render();
+        assert!(!rendered.contains("paired_arrivals"));
+        let legacy_v2 =
+            rendered.replace("replayable = true\n", "replayable = true\npaired_arrivals = true\n");
+        assert!(legacy_v2.contains("paired_arrivals = true"));
+        let legacy_v1 = rendered.replace(FORMAT_HEADER, FORMAT_HEADER_V1);
+        let expected = crate::replay_run(&current.config, crate::AuditLevel::Full);
+        assert!(expected.is_ok(), "a clean scenario replays cleanly: {expected:?}");
+        for text in [legacy_v2, legacy_v1] {
+            let parsed = ForensicArtifact::parse(&text).expect("legacy artifact parses");
+            assert_eq!(parsed, current);
+            assert_eq!(parsed.render(), rendered);
+            assert_eq!(crate::replay_run(&parsed.config, crate::AuditLevel::Full), expected);
         }
     }
 

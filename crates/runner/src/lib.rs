@@ -17,11 +17,14 @@
 //! ```
 
 pub mod audit;
+mod cachestamp;
 pub mod campaign;
 pub mod config;
 pub mod executor;
+mod faults;
 pub mod forensics;
 pub mod journal;
+mod observers;
 pub mod proto;
 pub mod sim;
 pub mod trace;

@@ -5,7 +5,7 @@
 //! collector, and shuttles commands between them:
 //!
 //! ```text
-//! traffic event ──> agent ──Send──> Dcf ──StartTx──> channel (plan_arrivals)
+//! traffic event ──> agent ──Send──> Dcf ──StartTx──> channel (plan_arrivals_indexed_into)
 //!                     ▲                ▲                     │
 //!                     │ Deliver/Snoop/ │ timers, carrier     │ ArrivalBoundary ─> Arrival
 //!                     │ TxFailed       │ updates             │ CarrierSense
@@ -15,17 +15,19 @@
 //! Arrival scheduling is lazy (DESIGN.md §11): `StartTx` plans every
 //! sensed arrival into the receivers' pending sets, but only decodable
 //! frames get an `ArrivalBoundary` event (whose dispatch settles the lock
-//! and schedules the fused `Arrival` at frame end) and only
+//! and schedules the `Arrival` decode at frame end) and only
 //! reactive-receiver sub-RX frames get a `CarrierSense` nudge. Everything
 //! else folds into the interference envelope inside later receiver
-//! probes, never entering the queue. Fault plans run on the fused path
-//! too: corruption is drawn at plan time into the pending entries, and
+//! probes, never entering the queue. Fault plans run on the same path:
+//! corruption is drawn at plan time into the pending entries, and
 //! suppression windows (node down, blackouts, radio sleep) force every
 //! affected boundary to be backed by a real event so it can be gated at
-//! dispatch time. The legacy eager path (`ArrivalStart`/`ArrivalEnd` per
-//! sensed frame) remains behind `set_paired_arrivals(true)` and the
-//! `DSR_PAIRED_ARRIVALS=1` knob — and produces byte-identical results,
-//! faults included.
+//! dispatch time.
+//!
+//! The driver is split along the seams that need no access to it:
+//! `faults.rs` keeps the fault-window bookkeeping, and `observers.rs` is
+//! the single seam through which the trace sink, obs sampler, auditor,
+//! cache-decision stamper (`cachestamp.rs`) and heartbeat watch a run.
 //!
 //! The driver is generic over the routing protocol via [`RoutingAgent`]
 //! (DSR by default; AODV in the `aodv` crate). Everything is deterministic
@@ -40,42 +42,28 @@ use dsr::DsrNode;
 use mac::{Dcf, MacCommand, MacFrame, MacTimer, Priority};
 use metrics::{Metrics, Report};
 use mobility::{LinkOracle, MobilityModel, NeighborGrid, Point, RandomWaypoint, StaticPositions};
-use packet::{CacheDecision, NetPacket, ProtocolEvent, Route};
-use phy::{
-    plan_arrivals_indexed_into, plan_arrivals_into, Arrival, PendingArrival, ReceiverState, TxId,
-    TxIdSource,
-};
+use obs::{Profile, Sampler};
+use packet::{NetPacket, ProtocolEvent};
+use phy::{plan_arrivals_indexed_into, Arrival, PendingArrival, ReceiverState, TxId, TxIdSource};
 use sim_core::{EventId, EventQueue, NodeId, RngFactory, SimDuration, SimRng, SimTime};
 use traffic::{generate_flows, CbrFlow};
 
-use obs::{CacheRow, HeartbeatTick, Profile, RunObservation, SampleRow, Sampler, Tally, TallyMap};
-
 use crate::audit::{AuditLevel, Auditor};
+use crate::cachestamp::CacheStamper;
+pub use crate::cachestamp::{CacheTraceBuf, CACHETRACE_MAX_ROWS};
 use crate::campaign::{RunError, RunLimits};
 use crate::config::{FaultEvent, MobilitySpec, ScenarioConfig};
+use crate::faults::FaultState;
+pub use crate::observers::{HeartbeatSink, ObsSink};
+use crate::observers::{ObsState, Observers};
 use crate::proto::{AgentCommand, RoutingAgent};
-use crate::trace::{TraceEvent, TraceKind, TraceSink};
-
-/// Receives the completed [`RunObservation`] of a successful instrumented
-/// run (campaigns use this to write the time-series file and merge the
-/// profile across the panic-isolation boundary).
-pub type ObsSink = Box<dyn FnMut(RunObservation) + Send>;
-
-/// Receives throttled progress pulses from inside the event loop (the
-/// campaign heartbeat).
-pub type HeartbeatSink = Box<dyn FnMut(HeartbeatTick) + Send>;
-
-/// How many dispatched events between heartbeat pulses. Coarse on purpose:
-/// the per-event cost when a heartbeat is installed is one counter mask.
-const HEARTBEAT_EVERY: u64 = 8192;
+use crate::trace::TraceSink;
 
 /// Profiler names for [`Ev`] variants, indexed by [`ev_kind_index`].
-const EV_KIND_NAMES: [&str; 11] = [
+pub(crate) const EV_KIND_NAMES: [&str; 9] = [
     "mac_timer",
     "agent_timer",
     "agent_send",
-    "arrival_start",
-    "arrival_end",
     "traffic",
     "fault_start",
     "fault_end",
@@ -89,82 +77,13 @@ fn ev_kind_index<P, T>(ev: &Ev<P, T>) -> usize {
         Ev::MacTimer { .. } => 0,
         Ev::AgentTimer { .. } => 1,
         Ev::AgentSend { .. } => 2,
-        Ev::ArrivalStart { .. } => 3,
-        Ev::ArrivalEnd { .. } => 4,
-        Ev::Traffic { .. } => 5,
-        Ev::FaultStart { .. } => 6,
-        Ev::FaultEnd { .. } => 7,
-        Ev::Arrival { .. } => 8,
-        Ev::CarrierSense { .. } => 9,
-        Ev::ArrivalBoundary { .. } => 10,
+        Ev::Traffic { .. } => 3,
+        Ev::FaultStart { .. } => 4,
+        Ev::FaultEnd { .. } => 5,
+        Ev::Arrival { .. } => 6,
+        Ev::CarrierSense { .. } => 7,
+        Ev::ArrivalBoundary { .. } => 8,
     }
-}
-
-/// In-flight instrumentation state; present only when obs is enabled, so
-/// the uninstrumented hot path pays a single `Option` check per event.
-struct ObsState {
-    sampler: Sampler,
-    sink: ObsSink,
-    kind_count: [u64; EV_KIND_NAMES.len()],
-    kind_wall_ns: [u64; EV_KIND_NAMES.len()],
-    drops: TallyMap,
-    traces: TallyMap,
-}
-
-/// Rows a cache-decision recorder appends into, shared with the campaign
-/// layer across the panic-isolation boundary (the supervisor recovers the
-/// buffer even when the run dies, so failed campaigns keep their traces).
-#[derive(Debug, Default)]
-pub struct CacheTraceBuf {
-    /// Decisions in event-dispatch order.
-    pub rows: Vec<CacheRow>,
-    /// Rows discarded after [`CACHETRACE_MAX_ROWS`] filled.
-    pub dropped: u64,
-}
-
-/// Deterministic per-run row cap for cache-decision traces. Overflow is
-/// counted (never silently hidden) in [`CacheTraceBuf::dropped`]; the cap
-/// itself is a constant so identical runs truncate identically.
-pub const CACHETRACE_MAX_ROWS: usize = 1_000_000;
-
-/// Backward step the staleness scan takes when hunting for the last
-/// instant a purged link was still up.
-const STALE_SCAN_STEP_MS: f64 = 250.0;
-
-/// Maximum backward steps before the scan gives up and attributes the
-/// staleness to the whole probed window (a deterministic lower bound).
-const STALE_SCAN_MAX_STEPS: u32 = 256;
-
-/// In-flight cache-decision recorder state; present only when tracing is
-/// enabled, so the untraced hot path pays a single `Option` check per
-/// agent event. Recording is pure observation: it reads the mobility
-/// oracle at past instants, schedules nothing, and draws no RNG.
-struct CacheTraceState {
-    /// Destination buffer (shared with the campaign supervisor).
-    buf: Arc<Mutex<CacheTraceBuf>>,
-    /// Most recent instant each link was *observed* up by a traced
-    /// decision (valid insert, lookup hit, or refresh), keyed by the
-    /// normalized endpoint pair. Floors the staleness scan so it never
-    /// walks past ground the oracle already vouched for.
-    last_up: HashMap<(u16, u16), SimTime>,
-}
-
-/// Normalized (undirected) memo key for a link's endpoints.
-fn link_key(a: NodeId, b: NodeId) -> (u16, u16) {
-    let (a, b) = (a.index() as u16, b.index() as u16);
-    (a.min(b), a.max(b))
-}
-
-/// Renders a route as `0-1-2` for a trace row.
-fn route_str(route: &Route) -> String {
-    let mut out = String::new();
-    for (i, n) in route.nodes().iter().enumerate() {
-        if i > 0 {
-            out.push('-');
-        }
-        out.push_str(&n.index().to_string());
-    }
-    out
 }
 
 /// Global simulation events.
@@ -183,45 +102,25 @@ enum Ev<P, T> {
         packet: P,
         next_hop: NodeId,
     },
-    ArrivalStart {
-        rx: u16,
-        tx_id: TxId,
-        power_w: f64,
-        end: SimTime,
-        /// Shared between every receiver's arrival pair: one broadcast
-        /// reaches up to n-1 nodes, and cloning the frame (payload routes
-        /// and all) per copy dominated the profiler's arrival cost.
-        frame: Arc<MacFrame<P>>,
-        /// A fault-injection window destroyed this copy in flight: its
-        /// energy still occupies the medium, but it never decodes.
-        corrupted: bool,
-    },
-    ArrivalEnd {
-        rx: u16,
-        tx_id: TxId,
-        frame: Arc<MacFrame<P>>,
-        corrupted: bool,
-    },
-    /// Fused-envelope path: the start boundary of a *decodable* arrival
-    /// (power ≥ RX threshold). One event replaces the paired start/end
-    /// pair: it folds the boundary, notifies the MAC of the carrier, and
-    /// schedules the decode ([`Ev::Arrival`]) only if the frame actually
-    /// locked and someone cares about its end. The arrival's data lives in
-    /// the envelope's pending entry, so the event is two words.
+    /// The start boundary of a *decodable* arrival (power ≥ RX threshold):
+    /// folds the boundary, notifies the MAC of the carrier, and schedules
+    /// the decode ([`Ev::Arrival`]) only if the frame actually locked and
+    /// someone cares about its end. The arrival's data lives in the
+    /// envelope's pending entry, so the event is two words.
     ArrivalBoundary {
         rx: u16,
         tx_id: TxId,
     },
-    /// Fused-envelope path: the decode boundary of a locked frame,
-    /// scheduled at the seq the paired path's end event would have had.
+    /// The decode boundary of a locked frame, scheduled at the seq its
+    /// start boundary reserved for it.
     Arrival {
         rx: u16,
         tx_id: TxId,
     },
-    /// Fused-envelope path: a sub-RX carrier boundary materialized because
-    /// the receiver's MAC was in a carrier-reactive state (freeze/recheck
-    /// transitions need a real notification, not a lazy merge). Scheduled
-    /// at the start boundary's reserved seq.
+    /// A sub-RX carrier boundary materialized because the receiver's MAC
+    /// was in a carrier-reactive state (freeze/recheck transitions need a
+    /// real notification, not a lazy merge) or a suppression window was
+    /// open. Scheduled at the start boundary's reserved seq.
     CarrierSense {
         rx: u16,
     },
@@ -229,7 +128,7 @@ enum Ev<P, T> {
         flow: usize,
         k: u64,
     },
-    /// Scheduled fault `idx` of the scenario's [`FaultPlan`] activates.
+    /// Scheduled fault `idx` of the scenario's fault plan activates.
     FaultStart {
         idx: usize,
     },
@@ -266,13 +165,6 @@ pub struct Simulator<A: RoutingAgent = DsrNode> {
     /// Spatial index over `positions`, rebuilt on every refresh; restricts
     /// arrival planning to the transmitter's 3×3 cell neighborhood.
     grid: NeighborGrid,
-    /// Test/benchmark knob: `false` forces the linear full-scan planner
-    /// (results must be byte-identical either way).
-    grid_enabled: bool,
-    /// `true` runs the legacy two-events-per-arrival path instead of the
-    /// fused envelope (results must be byte-identical either way, fault
-    /// plans included).
-    paired_arrivals: bool,
     /// Scratch: candidate node ids from the grid (reused per transmission).
     cand_buf: Vec<u16>,
     /// Scratch: planned arrivals (reused per transmission).
@@ -283,55 +175,24 @@ pub struct Simulator<A: RoutingAgent = DsrNode> {
     /// Seq of the event currently being dispatched — with `now`, the
     /// dispatch frontier bounding every lazy envelope fold.
     cur_seq: u64,
-    /// Arrivals planned on the fused path (each stands for the two events
-    /// the paired path would have dispatched).
+    /// Arrivals planned (each has two boundaries, a start and an end).
     arrivals_planned: u64,
-    /// Boundary events the fused path actually scheduled
-    /// (`ArrivalBoundary`, `CarrierSense`, `Arrival`); the shortfall
-    /// against `2 * arrivals_planned` is the envelope's inline work.
+    /// Boundary events actually scheduled (`ArrivalBoundary`,
+    /// `CarrierSense`, `Arrival`); the shortfall against
+    /// `2 * arrivals_planned` is the envelope's inline work.
     boundary_scheduled: u64,
     /// Pool of MAC command buffers. MAC inputs fire on every arrival and
     /// timer event; pooling removes one heap allocation per input. A pool
     /// (not a single buffer) because command application re-enters the MAC
     /// (deliver → route → enqueue) while outer buffers are still draining.
     mac_cmd_pool: Vec<Vec<MacCommand<A::Packet>>>,
-    trace: Option<TraceSink>,
     /// Watchdog limits enforced by [`Simulator::try_run`].
     limits: RunLimits,
-    /// Per-node crash/sleep flag ([`FaultEvent::NodeDown`],
-    /// [`FaultEvent::NodeChurn`], [`FaultEvent::RadioDutyCycle`]).
-    node_down: Vec<bool>,
-    /// Number of `true` entries in `node_down` — with `region_active`,
-    /// the O(1) "is any suppression window open?" probe the fused planner
-    /// consults per transmission.
-    down_count: u32,
-    /// When each crashed node comes back up (meaningful while down).
-    node_up_at: Vec<SimTime>,
-    /// A [`FaultEvent::NodeChurn`] owes this node a protocol-state reset
-    /// at whichever wake-up actually revives it (overlapping crashes can
-    /// extend the outage past the churn's own end event).
-    churn_reset_pending: Vec<bool>,
-    /// Number of currently active regional suppression windows
-    /// ([`FaultEvent::LinkBlackout`], [`FaultEvent::RegionBlackout`]).
-    region_active: u32,
-    /// Whether fault `idx` of the plan is currently active (windows).
-    fault_active: Vec<bool>,
-    /// Whether fault `idx` was already counted in the metrics.
-    fault_fired: Vec<bool>,
-    /// Dedicated RNG stream for corruption draws, independent of every
-    /// protocol stream so adding faults never perturbs protocol behaviour.
-    fault_rng: SimRng,
-    /// Packet-conservation ledger (see [`crate::audit`]); off by default.
-    audit: Auditor,
-    /// Time-series sampler + event-loop profiler (see [`obs`]); off by
-    /// default and provably inert when off.
-    obs: Option<Box<ObsState>>,
-    /// Cache-decision recorder (see [`obs::cachetrace`]); off by default
-    /// and provably inert when off — enabling it must leave the `Report`
-    /// byte-identical.
-    cachetrace: Option<Box<CacheTraceState>>,
-    /// Campaign heartbeat sink; off by default.
-    heartbeat: Option<HeartbeatSink>,
+    /// Which nodes are down and which fault windows are open.
+    faults: FaultState,
+    /// Trace sink, obs sampler, auditor, cache-decision stamper and
+    /// heartbeat: all off by default, and inert when off.
+    observers: Observers,
     /// Supervisor cancellation token: when set and raised, the run stops
     /// at the next event boundary with [`RunError::DeadlineExceeded`].
     cancel: Option<Arc<AtomicBool>>,
@@ -391,7 +252,6 @@ impl<A: RoutingAgent> Simulator<A> {
         let mut grid = NeighborGrid::new(cfg.radio.carrier_sense_range_m() * 1.001);
         grid.rebuild(&positions);
         let end = SimTime::ZERO + cfg.duration;
-        let num_faults = cfg.faults.events.len();
         Simulator {
             label: label.into(),
             queue: EventQueue::new(),
@@ -410,18 +270,6 @@ impl<A: RoutingAgent> Simulator<A> {
             positions,
             positions_at: SimTime::ZERO,
             grid,
-            grid_enabled: true,
-            // `DSR_PAIRED_ARRIVALS=1` forces the legacy paired path for
-            // differential benchmarking; the two paths are byte-identical
-            // in outcome (see tests/fused_equivalence.rs), so the knob can
-            // never change a result — only its speed.
-            paired_arrivals: {
-                let forced = paired_arrivals_forced();
-                if forced {
-                    warn_paired_forced("DSR_PAIRED_ARRIVALS=1");
-                }
-                forced
-            },
             cand_buf: Vec::new(),
             arrival_buf: Vec::new(),
             cs_buf: Vec::new(),
@@ -429,20 +277,9 @@ impl<A: RoutingAgent> Simulator<A> {
             arrivals_planned: 0,
             boundary_scheduled: 0,
             mac_cmd_pool: Vec::new(),
-            trace: None,
             limits: RunLimits::default(),
-            node_down: vec![false; n],
-            down_count: 0,
-            node_up_at: vec![SimTime::ZERO; n],
-            churn_reset_pending: vec![false; n],
-            region_active: 0,
-            fault_active: vec![false; num_faults],
-            fault_fired: vec![false; num_faults],
-            fault_rng: factory.stream("fault", 0),
-            audit: Auditor::default(),
-            obs: None,
-            cachetrace: None,
-            heartbeat: None,
+            faults: FaultState::new(n, cfg.faults.events.len(), factory.stream("fault", 0)),
+            observers: Observers::default(),
             cancel: None,
             cfg,
         }
@@ -451,35 +288,6 @@ impl<A: RoutingAgent> Simulator<A> {
     /// Overrides the watchdog limits enforced by [`Simulator::try_run`].
     pub fn set_limits(&mut self, limits: RunLimits) {
         self.limits = limits;
-    }
-
-    /// Forces the legacy paired start/end arrival events instead of the
-    /// fused-envelope path. The two paths are required to produce
-    /// byte-identical `Report`s (same verdicts, same deliveries, same RNG
-    /// draws) — fault plans included; this knob exists so tests and
-    /// benchmarks can prove it.
-    pub fn set_paired_arrivals(&mut self, paired: bool) {
-        if paired {
-            warn_paired_forced("set_paired_arrivals");
-        }
-        self.paired_arrivals = paired;
-    }
-
-    /// Whether this run uses the legacy paired arrival events (tests).
-    pub fn paired_arrivals(&self) -> bool {
-        self.paired_arrivals
-    }
-
-    /// Forces the linear full-position-scan medium planner instead of the
-    /// spatial grid index. The two planners are required to produce
-    /// byte-identical results (same arrivals, same order, same RNG draws);
-    /// this knob exists so tests and benchmarks can prove it.
-    pub fn set_linear_medium(&mut self, linear: bool) {
-        self.grid_enabled = !linear;
-        if self.grid_enabled {
-            // Rebuilds are skipped while the grid is off; catch up.
-            self.grid.rebuild(&self.positions);
-        }
     }
 
     /// Enables conservation auditing at `level`. A requested
@@ -494,13 +302,13 @@ impl<A: RoutingAgent> Simulator<A> {
         } else {
             level
         };
-        self.audit = Auditor::new(effective);
+        self.observers.audit = Auditor::new(effective);
     }
 
     /// The level the conservation auditor actually runs at (after any
     /// protocol-capability downgrade).
     pub fn audit_level(&self) -> AuditLevel {
-        self.audit.level()
+        self.observers.audit.level()
     }
 
     /// The ground-truth oracle (for external validation and tests).
@@ -518,10 +326,10 @@ impl<A: RoutingAgent> Simulator<A> {
         &self.agents[node.index()]
     }
 
-    /// Registers a packet-trace sink receiving a [`TraceEvent`] per MAC
+    /// Registers a packet-trace sink receiving a [`crate::TraceEvent`] per MAC
     /// transmission, delivery, drop, link break, and discovery round.
     pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = Some(sink);
+        self.observers.trace = Some(sink);
     }
 
     /// Enables the delivery-over-time series on the metrics collector.
@@ -533,23 +341,17 @@ impl<A: RoutingAgent> Simulator<A> {
     /// sampled inline at every `interval` boundary of simulated time — no
     /// events are scheduled and no RNG is drawn, so the `Report` of an
     /// instrumented run is byte-identical to an uninstrumented one. `sink`
-    /// receives the completed [`RunObservation`] when the run succeeds.
+    /// receives the completed [`obs::RunObservation`] when the run succeeds.
     pub fn set_obs(&mut self, interval: SimDuration, sink: ObsSink) {
         let fingerprint = crate::forensics::config_fingerprint(&self.cfg);
-        self.obs = Some(Box::new(ObsState {
-            sampler: Sampler::new(self.label.clone(), self.cfg.seed, fingerprint, interval),
-            sink,
-            kind_count: [0; EV_KIND_NAMES.len()],
-            kind_wall_ns: [0; EV_KIND_NAMES.len()],
-            drops: TallyMap::new(),
-            traces: TallyMap::new(),
-        }));
+        let sampler = Sampler::new(self.label.clone(), self.cfg.seed, fingerprint, interval);
+        self.observers.obs = Some(ObsState::new(sampler, sink));
     }
 
-    /// Registers a heartbeat sink pulsed every `HEARTBEAT_EVERY` (8192)
-    /// dispatched events (live campaign progress).
+    /// Registers a heartbeat sink pulsed every 8192 dispatched events
+    /// (live campaign progress).
     pub fn set_heartbeat(&mut self, sink: HeartbeatSink) {
-        self.heartbeat = Some(sink);
+        self.observers.heartbeat = Some(sink);
     }
 
     /// Arms a cancellation token. The executor's supervisor raises it when
@@ -562,7 +364,7 @@ impl<A: RoutingAgent> Simulator<A> {
     }
 
     /// Enables cache-decision tracing: every agent starts emitting
-    /// [`CacheDecision`] events, and the driver stamps each one with the
+    /// [`packet::CacheDecision`] events, and the driver stamps each one with the
     /// mobility oracle's verdict before appending it to `buf`. Pure
     /// observation — no events are scheduled and no RNG is drawn, so the
     /// `Report` of a traced run is byte-identical to an untraced one, and
@@ -572,48 +374,7 @@ impl<A: RoutingAgent> Simulator<A> {
         for agent in &mut self.agents {
             agent.set_decision_trace(true);
         }
-        self.cachetrace = Some(Box::new(CacheTraceState { buf, last_up: HashMap::new() }));
-    }
-
-    /// Collects the per-layer gauges for a sample boundary at `t`. Pure
-    /// observation: agents report through `RoutingAgent::observe`, route
-    /// validity is judged by the mobility oracle at `t`, and only
-    /// node-order-independent aggregate counts are kept.
-    fn collect_gauges(&self, t: SimTime) -> SampleRow {
-        let mut row = SampleRow { events: self.queue.popped(), ..SampleRow::default() };
-        for agent in &self.agents {
-            if let Some(ob) = agent.observe(t) {
-                row.cache_entries += ob.routes.len() as u64;
-                row.cache_valid +=
-                    ob.routes.iter().filter(|r| self.oracle.route_valid(r.nodes(), t)).count()
-                        as u64;
-                row.negative_entries += ob.negative_entries as u64;
-                row.send_buffer += ob.send_buffer as u64;
-                row.discoveries += ob.discoveries as u64;
-            }
-        }
-        for mac in &self.macs {
-            let (control, data) = mac.queue_depths();
-            row.ifq_control += control as u64;
-            row.ifq_data += data as u64;
-        }
-        row
-    }
-
-    /// Samples every boundary due at or before `at` (several can elapse in
-    /// one idle gap; each gets a row with the then-current gauges).
-    fn sample_due(&mut self, at: SimTime) {
-        while self.obs.as_ref().is_some_and(|o| o.sampler.due(at)) {
-            let t = self.obs.as_ref().expect("checked above").sampler.boundary();
-            let row = self.collect_gauges(t);
-            self.obs.as_mut().expect("checked above").sampler.push(row);
-        }
-    }
-
-    fn emit_trace(&mut self, node: u16, kind: TraceKind) {
-        if let Some(sink) = &mut self.trace {
-            sink(&TraceEvent { at: self.now, node: NodeId::new(node), kind });
-        }
+        self.observers.cachetrace = Some(CacheStamper::new(buf));
     }
 
     /// Runs the simulation to completion and returns the metrics report,
@@ -670,9 +431,6 @@ impl<A: RoutingAgent> Simulator<A> {
             if at < self.now {
                 return Err(RunError::TimeRegression { seed, now: self.now, event_at: at });
             }
-            if self.audit.enabled() {
-                self.audit.observe_event_time(at);
-            }
             if let Some(budget) = self.limits.max_events_per_sim_second {
                 if at.saturating_since(window_start) >= one_second {
                     window_start = at;
@@ -693,93 +451,46 @@ impl<A: RoutingAgent> Simulator<A> {
                     return Err(RunError::DeadlineExceeded { seed, at });
                 }
             }
-            if self.obs.is_some() {
-                // Sample every boundary the clock is about to step over,
-                // *before* dispatching the event at `at` — rows carry the
-                // boundary time, never the event time, so identical
-                // (config, seed) pairs produce byte-identical files.
-                self.sample_due(at);
-            }
-            if self.heartbeat.is_some() && self.queue.popped().is_multiple_of(HEARTBEAT_EVERY) {
-                let tick = HeartbeatTick { now: at, end: self.end, events: self.queue.popped() };
-                if let Some(hb) = &mut self.heartbeat {
-                    hb(tick);
-                }
-            }
-            let profiled_at = self.obs.as_ref().map(|_| std::time::Instant::now());
-            let kind = if profiled_at.is_some() { ev_kind_index(&ev) } else { 0 };
+            let popped = self.queue.popped();
+            self.observers.sample_due(at, popped, &self.agents, &self.macs, &self.oracle);
+            let started = self.observers.begin_event(at, self.end, popped);
+            let kind = ev_kind_index(&ev);
             self.now = at;
             // The dispatch frontier `(now, cur_seq)`: lazy envelope
-            // boundaries fold up to exactly this key, reproducing the
-            // same-instant FIFO order of the paired event path.
+            // boundaries fold up to exactly this key, so same-instant
+            // boundaries settle in the queue's FIFO order.
             self.cur_seq = seq;
             self.dispatch(ev);
-            if let Some(started) = profiled_at {
-                // Wall time flows only *out* of the simulation, never back
-                // into simulated time, so profiling cannot perturb results.
-                let elapsed = started.elapsed().as_nanos() as u64;
-                if let Some(o) = self.obs.as_mut() {
-                    o.kind_count[kind] += 1;
-                    o.kind_wall_ns[kind] += elapsed;
-                }
-            }
+            self.observers.end_event(started, kind);
         }
         // Flush the sampler to the horizon and freeze the dispatch count
         // before the audit drains the queue (draining bumps `popped`).
-        if self.obs.is_some() {
-            self.sample_due(self.end);
-        }
-        let events_dispatched = self.queue.popped();
-        // Arrival boundaries the envelopes absorbed without a queue event:
-        // added to the logical event count so the figure stays
-        // workload-comparable with the paired path, which dispatches two
-        // events per planned arrival. (Boundaries past the horizon are
-        // counted either way — the same planned-work denominator the
-        // paired path's `scheduled` figure carries.)
-        let inline_boundaries: u64 =
-            (2 * self.arrivals_planned).saturating_sub(self.boundary_scheduled);
-        if self.audit.enabled() {
+        let dispatched = self.queue.popped();
+        self.observers.sample_due(self.end, dispatched, &self.agents, &self.macs, &self.oracle);
+        if self.observers.audit.enabled() {
             if let Some(v) = self.close_audit(cutoff) {
                 return Err(RunError::ConservationViolation { seed, uid: v.uid, detail: v.detail });
             }
         }
-        let duration = self.cfg.duration.as_secs();
-        let report = self.metrics.report(self.label.clone(), duration);
-        if let Some(obs_state) = self.obs.take() {
-            let ObsState { sampler, mut sink, kind_count, kind_wall_ns, drops, traces } =
-                *obs_state;
-            let mut kinds = Vec::new();
-            for (i, name) in EV_KIND_NAMES.iter().enumerate() {
-                if kind_count[i] > 0 {
-                    kinds.push(Tally {
-                        name: (*name).to_string(),
-                        count: kind_count[i],
-                        wall_ns: kind_wall_ns[i],
-                    });
-                }
-            }
-            // Inline boundaries count on both sides of the ledger: they
-            // are planned (scheduled) work the envelope settled without a
-            // queue event (dispatched as part of another input), so the
-            // `scheduled >= events >= dispatched` invariant holds on both
-            // arrival paths and `cancelled` stays a pure queue figure.
-            let scheduled = self.queue.scheduled() + inline_boundaries;
-            let profile = Profile {
-                runs: 1,
-                runs_failed: 0,
-                paired_runs: u64::from(self.paired_arrivals),
-                sim_seconds: duration,
-                wall_seconds: wall_started.elapsed().as_secs_f64(),
-                events: events_dispatched + inline_boundaries,
-                dispatched: events_dispatched,
-                scheduled,
-                cancelled: self.queue.scheduled().saturating_sub(events_dispatched),
-                kinds,
-                drops: drops.into_tallies(),
-                traces: traces.into_tallies(),
-            };
-            sink(RunObservation { timeseries: sampler.finish(), profile });
-        }
+        let sim_seconds = self.cfg.duration.as_secs();
+        let report = self.metrics.report(self.label.clone(), sim_seconds);
+        // Arrival boundaries the envelopes settled without a queue event
+        // (past the horizon included: planned work is the denominator).
+        // They count on both sides of the ledger — scheduled work that was
+        // dispatched as part of another input — so
+        // `scheduled >= events >= dispatched` holds and `cancelled` stays
+        // a pure queue figure.
+        let inline = (2 * self.arrivals_planned).saturating_sub(self.boundary_scheduled);
+        self.observers.finish(Profile {
+            runs: 1,
+            sim_seconds,
+            wall_seconds: wall_started.elapsed().as_secs_f64(),
+            events: dispatched + inline,
+            dispatched,
+            scheduled: self.queue.scheduled() + inline,
+            cancelled: self.queue.scheduled().saturating_sub(dispatched),
+            ..Profile::default()
+        });
         Ok(report)
     }
 
@@ -791,12 +502,14 @@ impl<A: RoutingAgent> Simulator<A> {
         &mut self,
         cutoff: Option<Ev<A::Packet, A::Timer>>,
     ) -> Option<crate::audit::Violation> {
-        let mut in_flight: HashSet<u64> = HashSet::new();
-        if let Some(ev) = cutoff {
-            collect_ev_uid(&ev, &mut in_flight);
-        }
+        // Only a jittered send still carries its packet inside the event.
+        let uid = |ev: &Ev<A::Packet, A::Timer>| match ev {
+            Ev::AgentSend { packet, .. } => Some(packet.uid()),
+            _ => None,
+        };
+        let mut in_flight: HashSet<u64> = cutoff.as_ref().and_then(uid).into_iter().collect();
         while let Some((_, ev)) = self.queue.pop() {
-            collect_ev_uid(&ev, &mut in_flight);
+            in_flight.extend(uid(&ev));
         }
         for agent in &self.agents {
             in_flight.extend(agent.buffered_uids());
@@ -804,9 +517,8 @@ impl<A: RoutingAgent> Simulator<A> {
         for mac in &self.macs {
             in_flight.extend(mac.pending_payloads().map(|p| p.uid()));
         }
-        // Envelope path: frames the receivers still hold (locked or queued
-        // pending) are in flight, exactly like undispatched arrival events
-        // on the paired path.
+        // Frames the receivers still hold (locked or queued pending) are
+        // in flight.
         for state in &self.rx_states {
             for frame in state.payloads() {
                 if let Some(p) = &frame.payload {
@@ -814,23 +526,22 @@ impl<A: RoutingAgent> Simulator<A> {
                 }
             }
         }
-        if self.audit.level() == AuditLevel::Full {
-            for agent in &self.agents {
-                if let Some(detail) = agent.invariant_violation(self.now) {
-                    self.audit.on_invariant_violation(detail);
-                    break;
-                }
+        let audit = &mut self.observers.audit;
+        if audit.level() == AuditLevel::Full {
+            let broken = self.agents.iter().find_map(|a| a.invariant_violation(self.now));
+            if let Some(detail) = broken {
+                audit.on_invariant_violation(detail);
             }
         }
-        self.audit.finish(&in_flight)
+        audit.finish(&in_flight)
     }
 
     fn dispatch(&mut self, ev: Ev<A::Packet, A::Timer>) {
         match ev {
             Ev::MacTimer { node, timer } => {
-                if self.node_down[node as usize] {
+                if self.faults.is_down(node as usize) {
                     // Suspended while the node is down: fires on wake-up.
-                    let at = self.node_up_at[node as usize];
+                    let at = self.faults.up_at(node as usize);
                     let id = self.queue.schedule(at, Ev::MacTimer { node, timer });
                     self.mac_timers[node as usize][timer.index()] = Some(id);
                     return;
@@ -840,8 +551,8 @@ impl<A: RoutingAgent> Simulator<A> {
                 self.mac_input(node, |mac, cmds| mac.on_timer_into(timer, now, cmds));
             }
             Ev::AgentTimer { node, timer } => {
-                if self.node_down[node as usize] {
-                    let at = self.node_up_at[node as usize];
+                if self.faults.is_down(node as usize) {
+                    let at = self.faults.up_at(node as usize);
                     let id = self.queue.schedule(at, Ev::AgentTimer { node, timer });
                     self.agent_timers[node as usize].insert(timer, id);
                     return;
@@ -851,54 +562,22 @@ impl<A: RoutingAgent> Simulator<A> {
                 self.apply_agent(node, cmds);
             }
             Ev::AgentSend { node, packet, next_hop } => {
-                if self.node_down[node as usize] {
-                    let at = self.node_up_at[node as usize];
+                if self.faults.is_down(node as usize) {
+                    let at = self.faults.up_at(node as usize);
                     self.queue.schedule(at, Ev::AgentSend { node, packet, next_hop });
                     return;
                 }
                 self.hand_to_mac(node, packet, next_hop);
             }
-            Ev::ArrivalStart { rx, tx_id, power_w, end, frame, corrupted } => {
-                if self.node_down[rx as usize] || self.in_blackout(rx) {
-                    // The fault activated after this arrival was planned;
-                    // the receiver never senses it.
-                    self.metrics.record_arrivals_suppressed(1);
-                    return;
-                }
-                let state = &mut self.rx_states[rx as usize];
-                state.arrival_start(tx_id, power_w, self.now, end);
-                if let Some(horizon) = state.busy_until(self.now, self.cur_seq) {
-                    let now = self.now;
-                    self.mac_input(rx, |mac, cmds| mac.on_channel_busy_into(now, horizon, cmds));
-                }
-                self.queue.schedule(end, Ev::ArrivalEnd { rx, tx_id, frame, corrupted });
-            }
-            Ev::ArrivalEnd { rx, tx_id, frame, corrupted } => {
-                // Always settle the receiver state machine (the frame's
-                // energy leaves the air) — but a corrupted copy, a crashed
-                // receiver, or an active blackout suppress the decode.
-                let intact = self.rx_states[rx as usize].arrival_end(tx_id, self.now);
-                if intact && !corrupted && !self.node_down[rx as usize] && !self.in_blackout(rx) {
-                    // Most arrival pairs are the frame's last copy by the
-                    // time the end event fires, so the unwrap usually
-                    // avoids the clone entirely.
-                    let frame = Arc::try_unwrap(frame).unwrap_or_else(|shared| (*shared).clone());
-                    let now = self.now;
-                    self.mac_input(rx, |mac, cmds| mac.on_receive_into(frame, now, cmds));
-                }
-            }
             Ev::ArrivalBoundary { rx, tx_id } => {
-                // Fused start boundary of a decodable arrival. Mirrors the
-                // paired start event statement for statement — fold, then
-                // carrier notification, then the end boundary's seq
-                // reservation — so every seq this arm consumes lands at
-                // the exact program point the paired path consumed one,
-                // keeping same-instant tie-breaks identical.
-                if self.node_down[rx as usize] || self.in_blackout(rx) {
+                // Start boundary of a decodable arrival: fold, then carrier
+                // notification, then the end boundary's seq reservation —
+                // in that order, so the decode's seq comes after any timer
+                // the notification arms at this instant.
+                if self.rx_suppressed(rx) {
                     // Suppressed at the start boundary: the entry must
-                    // vanish before any commit folds it — the paired
-                    // path's start event returns before touching the
-                    // receiver, so this copy's energy never lands.
+                    // vanish before any commit folds it, so this copy's
+                    // energy never lands.
                     let removed = self.rx_states[rx as usize].suppress_pending(self.cur_seq);
                     debug_assert!(removed, "boundary event with no pending entry");
                     if removed {
@@ -909,12 +588,7 @@ impl<A: RoutingAgent> Simulator<A> {
                 let reactive = self.macs[rx as usize].carrier_reactive();
                 let locked =
                     self.rx_states[rx as usize].settle_start(tx_id, self.now, self.cur_seq);
-                if let Some(horizon) =
-                    self.rx_states[rx as usize].busy_until(self.now, self.cur_seq)
-                {
-                    let now = self.now;
-                    self.mac_input(rx, |mac, cmds| mac.on_channel_busy_into(now, horizon, cmds));
-                }
+                self.notify_busy(rx);
                 if locked {
                     let end_seq = self.queue.reserve_seq();
                     // While any suppression window is open the lock must
@@ -922,7 +596,7 @@ impl<A: RoutingAgent> Simulator<A> {
                     // NAV unconditionally, but the end boundary may need
                     // gating (the node can crash, fall asleep, or drift
                     // into a blackout region before the frame ends).
-                    let evented = reactive || self.suppression_active();
+                    let evented = reactive || self.faults.suppression_active();
                     if let Some(end) =
                         self.rx_states[rx as usize].finalize_lock(tx_id, end_seq, evented)
                     {
@@ -932,17 +606,18 @@ impl<A: RoutingAgent> Simulator<A> {
                 }
             }
             Ev::Arrival { rx, tx_id } => {
-                // Fused decode boundary: settle the envelope at the frame's
-                // end (its energy leaves the air either way) and deliver if
-                // it survived (still locked, never corrupted, transmitter
-                // off) — unless a fault suppresses the receiver at this
-                // instant, mirroring the paired end event's delivery gate.
+                // Decode boundary: settle the envelope at the frame's end
+                // (its energy leaves the air either way) and deliver if it
+                // survived (still locked, never corrupted, transmitter
+                // off) — unless a fault suppresses the receiver right now.
                 if let Some(frame) =
                     self.rx_states[rx as usize].decode(tx_id, self.now, self.cur_seq)
                 {
-                    if self.node_down[rx as usize] || self.in_blackout(rx) {
+                    if self.rx_suppressed(rx) {
                         return;
                     }
+                    // Usually the frame's last copy by now, so the unwrap
+                    // avoids the clone.
                     let frame = Arc::try_unwrap(frame).unwrap_or_else(|shared| (*shared).clone());
                     let now = self.now;
                     self.mac_input(rx, |mac, cmds| mac.on_receive_into(frame, now, cmds));
@@ -952,31 +627,24 @@ impl<A: RoutingAgent> Simulator<A> {
                 // Materialized carrier boundary: fold everything due
                 // (including this event's own sub-RX start, keyed exactly
                 // at the frontier) and notify the MAC so its
-                // freeze/recheck transitions fire at the same instant the
-                // paired path would have fired them.
-                if self.node_down[rx as usize] || self.in_blackout(rx) {
+                // freeze/recheck transitions fire at the boundary instant.
+                if self.rx_suppressed(rx) {
                     // Suppressed sub-RX start: remove the entry before any
-                    // fold — its energy never lands, exactly like the
-                    // paired path's suppressed start event. (Every entry
-                    // inside a suppression window is evented, so the
-                    // removal always finds it.)
+                    // fold, so its energy never lands. (Every entry inside
+                    // a suppression window is evented, so the removal
+                    // always finds it.)
                     if self.rx_states[rx as usize].suppress_pending(self.cur_seq) {
                         self.metrics.record_arrivals_suppressed(1);
                     }
                     return;
                 }
-                if let Some(horizon) =
-                    self.rx_states[rx as usize].busy_until(self.now, self.cur_seq)
-                {
-                    let now = self.now;
-                    self.mac_input(rx, |mac, cmds| mac.on_channel_busy_into(now, horizon, cmds));
-                }
+                self.notify_busy(rx);
             }
             Ev::Traffic { flow, k } => {
                 let f = self.flows[flow];
                 // A crashed source's application is down with it: the
                 // packet is never originated (but the flow resumes later).
-                if !self.node_down[f.src.index()] {
+                if !self.faults.is_down(f.src.index()) {
                     self.metrics.record_origination(self.now);
                     let cmds =
                         self.agents[f.src.index()].originate(f.dst, f.packet_bytes, k, self.now);
@@ -992,73 +660,31 @@ impl<A: RoutingAgent> Simulator<A> {
         }
     }
 
+    /// Tells `rx`'s MAC the medium is busy, if the receiver senses it so
+    /// at the dispatch frontier.
+    #[inline]
+    fn notify_busy(&mut self, rx: u16) {
+        if let Some(horizon) = self.rx_states[rx as usize].busy_until(self.now, self.cur_seq) {
+            let now = self.now;
+            self.mac_input(rx, |mac, cmds| mac.on_channel_busy_into(now, horizon, cmds));
+        }
+    }
+
     // ------------------------------------------------------------------
     // Fault injection
     // ------------------------------------------------------------------
 
-    /// Whether node `rx` currently sits inside an active blackout region.
-    fn in_blackout(&self, rx: u16) -> bool {
-        if self.region_active == 0 {
-            return false;
-        }
-        let p = self.positions[rx as usize];
-        self.cfg.faults.events.iter().enumerate().any(|(idx, f)| {
-            self.fault_active[idx]
-                && match f {
-                    FaultEvent::LinkBlackout { region, .. } => region.contains(p),
-                    FaultEvent::RegionBlackout { zone, .. } => zone.contains(p),
-                    _ => false,
-                }
-        })
+    /// Whether a fault keeps `rx` from sensing anything right now: the
+    /// node is down, or sits inside an open blackout region.
+    #[inline]
+    fn rx_suppressed(&self, rx: u16) -> bool {
+        self.faults.is_down(rx as usize)
+            || self.faults.in_blackout(&self.cfg.faults.events, self.positions[rx as usize])
     }
 
-    /// Whether any suppression window is currently open anywhere — the
-    /// fused planner's cue to back every boundary with a real event so it
-    /// can be gated at dispatch time.
-    fn suppression_active(&self) -> bool {
-        self.down_count > 0 || self.region_active > 0
-    }
-
-    /// Marks node `i` down, maintaining `down_count` (idempotent).
-    fn set_node_down(&mut self, i: usize) {
-        if !self.node_down[i] {
-            self.node_down[i] = true;
-            self.down_count += 1;
-        }
-    }
-
-    /// Marks node `i` up, maintaining `down_count`, and applies any owed
-    /// churn revival reset (idempotent).
-    fn set_node_up(&mut self, i: usize) {
-        if self.node_down[i] {
-            self.node_down[i] = false;
-            self.down_count -= 1;
-            if self.churn_reset_pending[i] {
-                self.churn_reset_pending[i] = false;
-                self.revive_node(i as u16);
-            }
-        }
-    }
-
-    /// Per-arrival corruption probability right now: the union of all
-    /// active [`FaultEvent::FrameCorruption`] windows.
-    fn corruption_prob(&self) -> f64 {
-        let mut p_ok = 1.0f64;
-        for (idx, f) in self.cfg.faults.events.iter().enumerate() {
-            if let FaultEvent::FrameCorruption { prob, .. } = f {
-                if self.fault_active[idx] {
-                    p_ok *= 1.0 - prob.clamp(0.0, 1.0);
-                }
-            }
-        }
-        1.0 - p_ok
-    }
-
-    /// Counts fault `idx` in the metrics once, no matter how often its
-    /// activation event fires (an [`FaultEvent::EventStorm`] re-fires).
+    /// Counts fault `idx` in the metrics the first time it fires.
     fn count_fault_once(&mut self, idx: usize) {
-        if !self.fault_fired[idx] {
-            self.fault_fired[idx] = true;
+        if self.faults.count_once(idx) {
             self.metrics.record_fault_injected();
         }
     }
@@ -1069,23 +695,17 @@ impl<A: RoutingAgent> Simulator<A> {
     /// resets, but arrivals still propagating toward the node stay pending
     /// (their delivery is gated on the node being up when they land).
     fn crash_node(&mut self, i: usize, down_for: SimDuration) {
-        self.set_node_down(i);
-        let up = self.now + down_for;
-        if up > self.node_up_at[i] {
-            self.node_up_at[i] = up;
-        }
+        self.faults.take_down(i, self.now + down_for);
         let (now, seq) = (self.now, self.cur_seq);
         self.rx_states[i].crash_reset(now, seq);
-        if !self.paired_arrivals {
-            self.event_pending_boundaries(i as u16);
-        }
+        self.event_pending_boundaries(i as u16);
     }
 
-    /// Fused path: when a suppression window opens over `node`, every
-    /// pending arrival boundary there must be backed by a real queue event
-    /// — a lazy fold has no hook to consult `node_down`/`in_blackout`.
-    /// Commits to the current frontier first so the reserved keys being
-    /// materialized are never in the past.
+    /// When a suppression window opens over `node`, every pending arrival
+    /// boundary there must be backed by a real queue event — a lazy fold
+    /// has no hook to consult the fault state. Commits to the current
+    /// frontier first so the reserved keys being materialized are never in
+    /// the past.
     fn materialize_suppressed(&mut self, node: u16) {
         let (now, seq) = (self.now, self.cur_seq);
         self.rx_states[node as usize].commit(now, seq);
@@ -1093,59 +713,46 @@ impl<A: RoutingAgent> Simulator<A> {
     }
 
     fn fault_start(&mut self, idx: usize) {
-        match self.cfg.faults.events[idx].clone() {
-            FaultEvent::NodeDown { node, down_for, .. } => {
+        let nodes = self.macs.len();
+        let fault = self.cfg.faults.events[idx].clone();
+        match fault {
+            FaultEvent::NodeDown { node, down_for, .. }
+            | FaultEvent::NodeChurn { node, down_for, .. } => {
                 let i = node.index();
-                if i >= self.node_down.len() {
+                if i >= nodes {
                     return; // fault targets a node outside the scenario
                 }
                 self.count_fault_once(idx);
                 self.crash_node(i, down_for);
-                self.queue.schedule(self.node_up_at[i], Ev::FaultEnd { idx });
-            }
-            FaultEvent::NodeChurn { node, down_for, .. } => {
-                let i = node.index();
-                if i >= self.node_down.len() {
-                    return;
+                if matches!(fault, FaultEvent::NodeChurn { .. }) {
+                    // The reset runs at whichever wake-up actually revives
+                    // the node — an overlapping crash can extend the outage
+                    // past this churn's own end event.
+                    self.faults.owe_churn_reset(i);
                 }
-                self.count_fault_once(idx);
-                self.crash_node(i, down_for);
-                // The reset runs at whichever wake-up actually revives the
-                // node — an overlapping crash can extend the outage past
-                // this churn's own end event.
-                self.churn_reset_pending[i] = true;
-                self.queue.schedule(self.node_up_at[i], Ev::FaultEnd { idx });
+                self.queue.schedule(self.faults.up_at(i), Ev::FaultEnd { idx });
             }
             FaultEvent::RadioDutyCycle { node, off_for, until, .. } => {
                 let i = node.index();
-                if i >= self.node_down.len() || self.now >= until {
+                if i >= nodes || self.now >= until {
                     return;
                 }
                 self.count_fault_once(idx);
-                self.set_node_down(i);
-                let up = self.now + off_for;
-                if up > self.node_up_at[i] {
-                    self.node_up_at[i] = up;
-                }
+                self.faults.take_down(i, self.now + off_for);
                 // Sleep, not a crash: radio and protocol state survive —
-                // but in-window boundaries must still be gated, so the
-                // fused path events them.
-                if !self.paired_arrivals {
-                    self.materialize_suppressed(i as u16);
-                }
-                self.queue.schedule(self.node_up_at[i], Ev::FaultEnd { idx });
+                // but in-window boundaries must still be gated, so they
+                // get evented.
+                self.materialize_suppressed(i as u16);
+                self.queue.schedule(self.faults.up_at(i), Ev::FaultEnd { idx });
             }
             FaultEvent::LinkBlackout { down_for, .. }
             | FaultEvent::RegionBlackout { down_for, .. } => {
                 self.count_fault_once(idx);
-                self.fault_active[idx] = true;
-                self.region_active += 1;
-                if !self.paired_arrivals {
-                    // Any node can sit in (or drift into) the region, so
-                    // every receiver's boundaries get evented.
-                    for node in 0..self.rx_states.len() {
-                        self.materialize_suppressed(node as u16);
-                    }
+                self.faults.open_window(idx, true);
+                // Any node can sit in (or drift into) the region, so every
+                // receiver's boundaries get evented.
+                for node in 0..nodes {
+                    self.materialize_suppressed(node as u16);
                 }
                 self.queue.schedule(self.now + down_for, Ev::FaultEnd { idx });
             }
@@ -1154,7 +761,7 @@ impl<A: RoutingAgent> Simulator<A> {
                     return; // empty window
                 }
                 self.count_fault_once(idx);
-                self.fault_active[idx] = true;
+                self.faults.open_window(idx, false);
                 self.queue.schedule(until, Ev::FaultEnd { idx });
             }
             FaultEvent::Panic { only_seed, .. } => {
@@ -1180,19 +787,10 @@ impl<A: RoutingAgent> Simulator<A> {
     fn fault_end(&mut self, idx: usize) {
         match self.cfg.faults.events[idx] {
             FaultEvent::NodeDown { node, .. } | FaultEvent::NodeChurn { node, .. } => {
-                // Overlapping crashes extend `node_up_at`; only the last
-                // scheduled wake-up actually revives the node (running any
-                // owed churn reset at that instant).
-                let i = node.index();
-                if i < self.node_down.len() && self.now >= self.node_up_at[i] {
-                    self.set_node_up(i);
-                }
+                self.wake_node(node);
             }
             FaultEvent::RadioDutyCycle { node, on_for, until, .. } => {
-                let i = node.index();
-                if i < self.node_down.len() && self.now >= self.node_up_at[i] {
-                    self.set_node_up(i);
-                }
+                self.wake_node(node);
                 // Re-arm the next sleep window; the cycle self-schedules
                 // with no RNG draws, so the plan stays deterministic.
                 let next = self.now + on_for;
@@ -1201,13 +799,20 @@ impl<A: RoutingAgent> Simulator<A> {
                 }
             }
             FaultEvent::LinkBlackout { .. } | FaultEvent::RegionBlackout { .. } => {
-                self.fault_active[idx] = false;
-                self.region_active -= 1;
+                self.faults.close_window(idx, true);
             }
-            FaultEvent::FrameCorruption { .. } => {
-                self.fault_active[idx] = false;
-            }
+            FaultEvent::FrameCorruption { .. } => self.faults.close_window(idx, false),
             FaultEvent::Panic { .. } | FaultEvent::EventStorm { .. } => {}
+        }
+    }
+
+    /// A wake-up event for `node` fired. Overlapping outages extend the
+    /// wake-up, so only the last one scheduled actually revives the node
+    /// (running any owed churn reset at that instant).
+    fn wake_node(&mut self, node: NodeId) {
+        let i = node.index();
+        if i < self.macs.len() && self.faults.wake(i, self.now) {
+            self.revive_node(i as u16);
         }
     }
 
@@ -1236,16 +841,7 @@ impl<A: RoutingAgent> Simulator<A> {
             let uid = payload.uid();
             let reason = packet::DropReason::NodeReset;
             self.metrics.record_drop(reason);
-            if self.audit.enabled() {
-                self.audit.on_dropped(uid, reason);
-            }
-            if let Some(o) = self.obs.as_mut() {
-                o.drops.record(reason.name(), 0);
-                o.traces.record("drop", 0);
-            }
-            if self.trace.is_some() {
-                self.emit_trace(node, TraceKind::Drop { uid, reason });
-            }
+            self.observers.on_drop(self.now, node, uid, reason);
         }
         let cmds = self.agents[i].on_revival(self.now);
         self.apply_agent(node, cmds);
@@ -1265,43 +861,33 @@ impl<A: RoutingAgent> Simulator<A> {
         node: u16,
         fill: impl FnOnce(&mut Dcf<A::Packet>, &mut Vec<MacCommand<A::Packet>>),
     ) {
-        if !self.paired_arrivals {
-            self.sync_carrier(node);
-        }
+        self.sync_carrier(node);
         let mut cmds = self.mac_cmd_pool.pop().unwrap_or_default();
         fill(&mut self.macs[node as usize], &mut cmds);
         self.apply_mac(node, &mut cmds);
         debug_assert!(cmds.is_empty(), "apply_mac drains the buffer");
         self.mac_cmd_pool.push(cmds);
-        if !self.paired_arrivals {
-            self.materialize_carrier(node);
+        // If the input left the MAC carrier-reactive (Deferring/WaitIdle),
+        // lazy boundaries are no longer equivalent to notified ones: its
+        // freeze/recheck transitions must fire at the boundary instant.
+        // Entries that *lock* at their materialized carrier-sense event are
+        // caught by that `on_channel_busy` input's own pass here, closing
+        // the loop.
+        if self.macs[node as usize].carrier_reactive() {
+            self.event_pending_boundaries(node);
         }
     }
 
-    /// Envelope path: settle the node's receiver at `now` and quietly merge
-    /// its carrier horizons into the MAC, so every MAC input observes
-    /// exactly the busy state the paired path's eager notifications would
-    /// have accumulated by this instant.
+    /// Settles the node's receiver at the dispatch frontier and quietly
+    /// merges its carrier horizons into the MAC, so every MAC input
+    /// observes exactly the busy state that notifying it at every boundary
+    /// would have accumulated by this instant.
     fn sync_carrier(&mut self, node: u16) {
         let state = &mut self.rx_states[node as usize];
         state.commit(self.now, self.cur_seq);
         let phys = state.phys_horizon();
         let nav = state.nav_horizon();
         self.macs[node as usize].observe_carrier(phys, nav);
-    }
-
-    /// Envelope path: after a MAC input, if the MAC landed in a
-    /// carrier-reactive state (Deferring/WaitIdle), lazy boundaries are no
-    /// longer equivalent to eager ones — freeze/recheck transitions must
-    /// fire at the boundary instant. Back the in-flight lock's decode and
-    /// every unsensed pending start with real queue events. Entries that
-    /// *lock* at their materialized carrier-sense event are caught by the
-    /// `on_channel_busy` input's own materialize pass, closing the loop.
-    fn materialize_carrier(&mut self, node: u16) {
-        if !self.macs[node as usize].carrier_reactive() {
-            return;
-        }
-        self.event_pending_boundaries(node);
     }
 
     /// Backs the node's lazily-held lock decode and every unsensed pending
@@ -1317,9 +903,9 @@ impl<A: RoutingAgent> Simulator<A> {
         self.rx_states[node as usize].unsensed_pending_starts_into(&mut starts);
         for (at, seq) in starts.drain(..) {
             // Re-use the seq reserved when the arrival was planned: the
-            // materialized boundary lands at the exact queue position the
-            // eager path's event would have occupied, so same-instant
-            // ties against timers resolve identically.
+            // materialized boundary lands at the queue position an
+            // up-front event would have occupied, so same-instant ties
+            // against timers resolve the same however late it is evented.
             self.queue.schedule_at_seq(at, seq, Ev::CarrierSense { rx: node });
             self.boundary_scheduled += 1;
         }
@@ -1330,166 +916,100 @@ impl<A: RoutingAgent> Simulator<A> {
         for cmd in cmds.drain(..) {
             match cmd {
                 MacCommand::StartTx { frame, duration } => {
-                    if self.node_down[node as usize] {
+                    if self.faults.is_down(node as usize) {
                         // Defensive: a crashed node's radio never powers up.
                         continue;
                     }
                     let routing = frame.payload.as_ref().map(|p| p.is_routing_overhead());
                     self.metrics.record_mac_tx(frame.kind, routing);
-                    if let Some(o) = self.obs.as_mut() {
-                        o.traces.record("mac_send", 0);
-                    }
-                    if self.trace.is_some() {
-                        self.emit_trace(
-                            node,
-                            TraceKind::MacSend {
-                                frame: frame_name(frame.kind),
-                                payload: frame.payload.as_ref().map(|p| p.kind_str()),
-                                bytes: frame.bytes,
-                                dst: frame.dst,
-                                uid: frame.payload.as_ref().map(|p| p.uid()),
-                            },
-                        );
-                    }
+                    self.observers.on_mac_send(self.now, node, &frame);
                     let until = self.now + duration;
                     self.rx_states[node as usize].begin_tx(self.now, until, self.cur_seq);
                     self.refresh_positions();
                     let tx_id = self.tx_ids.next_id();
-                    let p_corrupt = self.corruption_prob();
-                    // The scratch buffers are moved out of `self` so the
-                    // suppression closure can borrow the fault state while
-                    // the planner fills them.
+                    let plan = &self.cfg.faults.events;
+                    let p_corrupt = self.faults.corruption_prob(plan);
                     let mut arrivals = std::mem::take(&mut self.arrival_buf);
-                    let mut cands = std::mem::take(&mut self.cand_buf);
-                    let suppress = |rx: NodeId| {
-                        self.node_down[rx.index()] || self.in_blackout(rx.index() as u16)
-                    };
-                    let suppressed = if self.grid_enabled {
-                        self.grid.candidates_into(self.positions[node as usize], &mut cands);
-                        plan_arrivals_indexed_into(
-                            NodeId::new(node),
-                            &cands,
-                            &self.positions,
-                            self.now,
-                            duration,
-                            &self.cfg.radio,
-                            suppress,
-                            &mut arrivals,
-                        )
-                    } else {
-                        plan_arrivals_into(
-                            NodeId::new(node),
-                            &self.positions,
-                            self.now,
-                            duration,
-                            &self.cfg.radio,
-                            suppress,
-                            &mut arrivals,
-                        )
-                    };
+                    self.grid.candidates_into(self.positions[node as usize], &mut self.cand_buf);
+                    let (faults, positions) = (&self.faults, &self.positions);
+                    let suppressed = plan_arrivals_indexed_into(
+                        NodeId::new(node),
+                        &self.cand_buf,
+                        positions,
+                        self.now,
+                        duration,
+                        &self.cfg.radio,
+                        |rx| {
+                            faults.is_down(rx.index())
+                                || faults.in_blackout(plan, positions[rx.index()])
+                        },
+                        &mut arrivals,
+                    );
                     if suppressed > 0 {
                         self.metrics.record_arrivals_suppressed(suppressed);
                     }
                     let frame = Arc::new(frame);
-                    if self.paired_arrivals {
-                        for a in arrivals.drain(..) {
-                            // Drawing only inside corruption windows keeps
-                            // fault-free runs byte-identical to the legacy
-                            // path.
-                            let corrupted = p_corrupt > 0.0
-                                && sim_core::rng::uniform(&mut self.fault_rng, 0.0, 1.0)
-                                    < p_corrupt;
-                            if corrupted {
-                                self.metrics.record_frame_corrupted();
-                            }
-                            self.queue.schedule(
+                    let rx_threshold_w = self.cfg.radio.rx_threshold_w;
+                    // While a suppression window is open anywhere, every
+                    // boundary must be backed by a real event so the window
+                    // can gate it at dispatch time.
+                    let windows_active = self.faults.suppression_active();
+                    for a in arrivals.drain(..) {
+                        let rx = a.receiver.index() as u16;
+                        self.arrivals_planned += 1;
+                        let corrupted = self.faults.draw_corrupted(p_corrupt);
+                        if corrupted {
+                            self.metrics.record_frame_corrupted();
+                        }
+                        let decodable = a.power_w >= rx_threshold_w;
+                        // Every arrival reserves exactly one seq here, at
+                        // plan time and in arrival order, whether or not
+                        // its start boundary is evented now: a boundary
+                        // materialized later lands at this queue position.
+                        let start_seq = self.queue.reserve_seq();
+                        let (start_evented, needs_decode, payload) = if decodable {
+                            self.queue.schedule_at_seq(
                                 a.start,
-                                Ev::ArrivalStart {
-                                    rx: a.receiver.index() as u16,
-                                    tx_id,
-                                    power_w: a.power_w,
-                                    end: a.end,
-                                    frame: Arc::clone(&frame),
-                                    corrupted,
-                                },
-                            );
-                        }
-                    } else {
-                        let rx_threshold_w = self.cfg.radio.rx_threshold_w;
-                        // While a suppression window is open anywhere,
-                        // every boundary must be backed by a real event so
-                        // the window can gate it at dispatch time.
-                        let windows_active = self.suppression_active();
-                        for a in arrivals.drain(..) {
-                            let rx = a.receiver.index() as u16;
-                            self.arrivals_planned += 1;
-                            // Same corruption draw, at the same program
-                            // point and in the same drain order, as the
-                            // paired branch — the fault RNG stream
-                            // advances identically on both paths.
-                            let corrupted = p_corrupt > 0.0
-                                && sim_core::rng::uniform(&mut self.fault_rng, 0.0, 1.0)
-                                    < p_corrupt;
-                            if corrupted {
-                                self.metrics.record_frame_corrupted();
-                            }
-                            let decodable = a.power_w >= rx_threshold_w;
-                            // Every arrival reserves exactly one seq here
-                            // — mirroring the paired path's ArrivalStart
-                            // schedule — so both paths assign seqs at the
-                            // same program points and same-instant ties
-                            // resolve in the same order.
-                            let start_seq = self.queue.reserve_seq();
-                            let (start_evented, needs_decode, payload) = if decodable {
-                                self.queue.schedule_at_seq(
-                                    a.start,
-                                    start_seq,
-                                    Ev::ArrivalBoundary { rx, tx_id },
-                                );
-                                self.boundary_scheduled += 1;
-                                // Data frames must decode at every receiver
-                                // that can lock them (bystanders snoop in
-                                // promiscuous mode); control frames only at
-                                // their addressee — a bystander's NAV
-                                // update is a quiet merge the envelope
-                                // credits on lazy expiry.
-                                let needs =
-                                    frame.payload.is_some() || frame.addressed_to(a.receiver);
-                                (true, needs, Some(Arc::clone(&frame)))
-                            } else if self.macs[rx as usize].carrier_reactive() || windows_active {
-                                // Sub-RX energy matters now: the MAC's
-                                // freeze/recheck must fire at the start —
-                                // or an open suppression window may need
-                                // to gate this boundary at dispatch time.
-                                self.queue.schedule_at_seq(
-                                    a.start,
-                                    start_seq,
-                                    Ev::CarrierSense { rx },
-                                );
-                                self.boundary_scheduled += 1;
-                                (true, false, None)
-                            } else {
-                                // Quiet sub-RX interference: no event at
-                                // all — the envelope folds it on the next
-                                // MAC input at this node.
-                                (false, false, None)
-                            };
-                            self.rx_states[rx as usize].add_pending(PendingArrival {
-                                tx_id,
-                                power_w: a.power_w,
-                                start: a.start,
                                 start_seq,
-                                end: a.end,
-                                nav: frame.nav,
-                                needs_decode,
-                                start_evented,
-                                corrupted,
-                                payload,
-                            });
-                        }
+                                Ev::ArrivalBoundary { rx, tx_id },
+                            );
+                            self.boundary_scheduled += 1;
+                            // Data frames must decode at every receiver
+                            // that can lock them (bystanders snoop in
+                            // promiscuous mode); control frames only at
+                            // their addressee — a bystander's NAV update
+                            // is a quiet merge the envelope credits on
+                            // lazy expiry.
+                            let needs = frame.payload.is_some() || frame.addressed_to(a.receiver);
+                            (true, needs, Some(Arc::clone(&frame)))
+                        } else if self.macs[rx as usize].carrier_reactive() || windows_active {
+                            // Sub-RX energy matters now: the MAC's
+                            // freeze/recheck must fire at the start — or an
+                            // open suppression window may need to gate this
+                            // boundary at dispatch time.
+                            self.queue.schedule_at_seq(a.start, start_seq, Ev::CarrierSense { rx });
+                            self.boundary_scheduled += 1;
+                            (true, false, None)
+                        } else {
+                            // Quiet sub-RX interference: no event at all —
+                            // the envelope folds it on the next MAC input
+                            // at this node.
+                            (false, false, None)
+                        };
+                        self.rx_states[rx as usize].add_pending(PendingArrival {
+                            tx_id,
+                            power_w: a.power_w,
+                            start: a.start,
+                            start_seq,
+                            end: a.end,
+                            nav: frame.nav,
+                            needs_decode,
+                            start_evented,
+                            corrupted,
+                            payload,
+                        });
                     }
                     self.arrival_buf = arrivals;
-                    self.cand_buf = cands;
                 }
                 MacCommand::SetTimer { timer, at } => {
                     let id = self.queue.schedule(at, Ev::MacTimer { node, timer });
@@ -1505,9 +1025,7 @@ impl<A: RoutingAgent> Simulator<A> {
                 MacCommand::Deliver { from, payload } => {
                     // Signal-strength hook (Preemptive-DSR): the receive
                     // power of the frame that carried this payload, read
-                    // from the receiver that just decoded it. One program
-                    // point serves both the paired and fused arrival paths,
-                    // so their event orders stay statement-mirrored.
+                    // from the receiver that just decoded it.
                     let power_w = self.rx_states[node as usize].last_intact_power_w();
                     let cmds = self.agents[node as usize].on_signal(from, power_w, self.now);
                     self.apply_agent(node, cmds);
@@ -1528,12 +1046,7 @@ impl<A: RoutingAgent> Simulator<A> {
                 MacCommand::TxOk { .. } => {}
                 MacCommand::QueueDrop { payload } => {
                     self.metrics.record_ifq_drop();
-                    if let Some(o) = self.obs.as_mut() {
-                        o.drops.record("IfqOverflow", 0);
-                    }
-                    if self.audit.enabled() {
-                        self.audit.on_ifq_dropped(payload.uid(), payload.is_routing_overhead());
-                    }
+                    self.observers.on_ifq_drop(payload.uid(), payload.is_routing_overhead());
                 }
             }
         }
@@ -1552,15 +1065,7 @@ impl<A: RoutingAgent> Simulator<A> {
                 }
                 AgentCommand::Deliver { uid, src, sent_at, bytes, hops } => {
                     let fresh = self.metrics.record_delivery(uid, sent_at, bytes, hops, self.now);
-                    if self.audit.enabled() {
-                        self.audit.on_delivered(uid, fresh);
-                    }
-                    if let Some(o) = self.obs.as_mut() {
-                        o.traces.record("deliver", 0);
-                    }
-                    if self.trace.is_some() {
-                        self.emit_trace(node, TraceKind::Deliver { uid, bytes, src });
-                    }
+                    self.observers.on_deliver(self.now, node, uid, src, bytes, fresh);
                 }
                 AgentCommand::SetTimer { timer, at } => {
                     let id = self.queue.schedule(at, Ev::AgentTimer { node, timer });
@@ -1575,16 +1080,7 @@ impl<A: RoutingAgent> Simulator<A> {
                 }
                 AgentCommand::Drop { uid, reason } => {
                     self.metrics.record_drop(reason);
-                    if self.audit.enabled() {
-                        self.audit.on_dropped(uid, reason);
-                    }
-                    if let Some(o) = self.obs.as_mut() {
-                        o.drops.record(reason.name(), 0);
-                        o.traces.record("drop", 0);
-                    }
-                    if self.trace.is_some() {
-                        self.emit_trace(node, TraceKind::Drop { uid, reason });
-                    }
+                    self.observers.on_drop(self.now, node, uid, reason);
                 }
                 AgentCommand::Event { event } => self.apply_event(node, event),
             }
@@ -1593,19 +1089,10 @@ impl<A: RoutingAgent> Simulator<A> {
 
     fn apply_event(&mut self, node: u16, event: ProtocolEvent) {
         match event {
-            ProtocolEvent::DataOriginated { uid } => {
-                if self.audit.enabled() {
-                    self.audit.on_originated(uid);
-                }
-            }
+            ProtocolEvent::DataOriginated { uid } => self.observers.on_originated(uid),
             ProtocolEvent::DiscoveryStarted { flood, target } => {
                 self.metrics.record_discovery(flood);
-                if let Some(o) = self.obs.as_mut() {
-                    o.traces.record("discovery", 0);
-                }
-                if self.trace.is_some() {
-                    self.emit_trace(node, TraceKind::Discovery { target, flood });
-                }
+                self.observers.on_discovery(self.now, node, target, flood);
             }
             ProtocolEvent::ReplyOriginated { from_cache } => {
                 self.metrics.record_reply_originated(from_cache)
@@ -1626,231 +1113,21 @@ impl<A: RoutingAgent> Simulator<A> {
             ProtocolEvent::RouteErrorRebroadcast => self.metrics.record_error(true),
             ProtocolEvent::LinkBreakDetected { link } => {
                 self.metrics.record_link_break();
-                if let Some(o) = self.obs.as_mut() {
-                    o.traces.record("link_break", 0);
-                }
-                if self.trace.is_some() {
-                    self.emit_trace(node, TraceKind::LinkBreak { to: link.to });
-                }
+                self.observers.on_link_break(self.now, node, link.to);
             }
             ProtocolEvent::PreemptiveRepair { .. } => {
                 self.metrics.record_preemptive_repair();
-                if let Some(o) = self.obs.as_mut() {
-                    o.traces.record("preemptive_repair", 0);
-                }
+                self.observers.on_preemptive_repair();
             }
             ProtocolEvent::SuppressedInsert => self.metrics.record_suppressed_insert(),
             ProtocolEvent::Failover { .. } => {
                 self.metrics.record_failover();
-                if let Some(o) = self.obs.as_mut() {
-                    o.traces.record("failover", 0);
-                }
+                self.observers.on_failover();
             }
             ProtocolEvent::CacheDecision { decision } => {
-                self.record_cache_decision(node, decision);
+                self.observers.on_cache_decision(&self.oracle, self.now, node, decision);
             }
         }
-    }
-
-    /// Stamps one agent cache decision with the oracle's verdict and
-    /// appends it to the trace buffer. Observation only: reads the
-    /// mobility oracle (at the current and past instants), touches no
-    /// metrics, schedules nothing, draws no RNG.
-    fn record_cache_decision(&mut self, node: u16, decision: CacheDecision) {
-        // Agents only emit decisions while tracing is on, but an event can
-        // outlive the recorder in principle; dropping it is always safe.
-        let Some(mut state) = self.cachetrace.take() else { return };
-        let now = self.now;
-        let dash = || "-".to_string();
-        let row = match decision {
-            CacheDecision::Insert { route, provenance, changed: _ } => {
-                let valid = self.oracle.route_valid(route.nodes(), now);
-                if valid {
-                    self.memo_route_up(&mut state, &route, now);
-                }
-                CacheRow {
-                    t_ns: now.as_nanos(),
-                    node: node as u64,
-                    op: "insert".to_string(),
-                    kind: provenance.name().to_string(),
-                    dst: dash(),
-                    route: route_str(&route),
-                    valid: Some(valid),
-                    stale_ns: None,
-                }
-            }
-            CacheDecision::Lookup { dst, purpose, route } => {
-                let valid = route.as_ref().map(|r| self.oracle.route_valid(r.nodes(), now));
-                if valid == Some(true) {
-                    let r = route.as_ref().expect("hit checked above");
-                    self.memo_route_up(&mut state, r, now);
-                }
-                CacheRow {
-                    t_ns: now.as_nanos(),
-                    node: node as u64,
-                    op: "lookup".to_string(),
-                    kind: purpose.name().to_string(),
-                    dst: dst.index().to_string(),
-                    route: route.as_ref().map_or_else(dash, route_str),
-                    valid,
-                    stale_ns: None,
-                }
-            }
-            CacheDecision::RemoveLink { link, cause, contained: _ } => {
-                let up = self.oracle.link_up(link.from, link.to, now);
-                let stale_ns = if up {
-                    // Premature purge: the link is physically fine — the
-                    // cache threw away working state. Zero latency by
-                    // definition, and the memo learns the link is up.
-                    state.last_up.insert(link_key(link.from, link.to), now);
-                    0
-                } else {
-                    self.staleness_ns(&state, link.from, link.to, now)
-                };
-                CacheRow {
-                    t_ns: now.as_nanos(),
-                    node: node as u64,
-                    op: "remove".to_string(),
-                    kind: cause.name().to_string(),
-                    dst: dash(),
-                    route: format!("{}>{}", link.from.index(), link.to.index()),
-                    valid: Some(up),
-                    stale_ns: Some(stale_ns),
-                }
-            }
-            CacheDecision::Expire { route } => CacheRow {
-                t_ns: now.as_nanos(),
-                node: node as u64,
-                op: "expire".to_string(),
-                kind: dash(),
-                dst: dash(),
-                route: route_str(&route),
-                valid: Some(self.oracle.route_valid(route.nodes(), now)),
-                stale_ns: None,
-            },
-            CacheDecision::Evict { route } => CacheRow {
-                t_ns: now.as_nanos(),
-                node: node as u64,
-                op: "evict".to_string(),
-                kind: dash(),
-                dst: dash(),
-                route: route_str(&route),
-                valid: Some(self.oracle.route_valid(route.nodes(), now)),
-                stale_ns: None,
-            },
-            CacheDecision::Refresh { route } => {
-                let valid = self.oracle.route_valid(route.nodes(), now);
-                if valid {
-                    self.memo_route_up(&mut state, &route, now);
-                }
-                CacheRow {
-                    t_ns: now.as_nanos(),
-                    node: node as u64,
-                    op: "refresh".to_string(),
-                    kind: dash(),
-                    dst: dash(),
-                    route: route_str(&route),
-                    valid: Some(valid),
-                    stale_ns: None,
-                }
-            }
-            CacheDecision::Suppress { route, action } => {
-                // The oracle verdict answers the strategy's key question:
-                // how often does suppression discard a route that was in
-                // fact physically usable?
-                let valid = self.oracle.route_valid(route.nodes(), now);
-                if valid {
-                    self.memo_route_up(&mut state, &route, now);
-                }
-                CacheRow {
-                    t_ns: now.as_nanos(),
-                    node: node as u64,
-                    op: "suppress".to_string(),
-                    kind: action.name().to_string(),
-                    dst: route.destination().index().to_string(),
-                    route: route_str(&route),
-                    valid: Some(valid),
-                    stale_ns: None,
-                }
-            }
-            CacheDecision::Failover { dst, route } => {
-                // `route` is the surviving alternate the cache failed over
-                // to; the verdict says whether the failover actually saved
-                // a rediscovery.
-                let valid = self.oracle.route_valid(route.nodes(), now);
-                if valid {
-                    self.memo_route_up(&mut state, &route, now);
-                }
-                CacheRow {
-                    t_ns: now.as_nanos(),
-                    node: node as u64,
-                    op: "failover".to_string(),
-                    kind: dash(),
-                    dst: dst.index().to_string(),
-                    route: route_str(&route),
-                    valid: Some(valid),
-                    stale_ns: None,
-                }
-            }
-        };
-        {
-            let mut buf = state.buf.lock().unwrap_or_else(|p| p.into_inner());
-            if buf.rows.len() < CACHETRACE_MAX_ROWS {
-                buf.rows.push(row);
-            } else {
-                buf.dropped += 1;
-            }
-        }
-        self.cachetrace = Some(state);
-    }
-
-    /// Memoizes "every link of `route` was up at `t`" for the staleness
-    /// scan's floor.
-    fn memo_route_up(&self, state: &mut CacheTraceState, route: &Route, t: SimTime) {
-        for w in route.nodes().windows(2) {
-            state.last_up.insert(link_key(w[0], w[1]), t);
-        }
-    }
-
-    /// How long the cache kept a genuinely broken link past its physical
-    /// break, in nanoseconds: walks backward from `now` (known down) in
-    /// [`STALE_SCAN_STEP_MS`] steps until the oracle says the link was up
-    /// — flooring at the last instant a traced decision already observed
-    /// it up — then bisects the bracket to ~1 ms. If the scan exhausts its
-    /// step budget without finding an up instant, the probed window is
-    /// returned as a deterministic lower bound.
-    fn staleness_ns(&self, state: &CacheTraceState, a: NodeId, b: NodeId, now: SimTime) -> u64 {
-        let floor = state.last_up.get(&link_key(a, b)).copied().unwrap_or(SimTime::ZERO);
-        let step = SimDuration::from_millis(STALE_SCAN_STEP_MS);
-        let mut down = now;
-        let mut up = None;
-        for _ in 0..STALE_SCAN_MAX_STEPS {
-            let probe = if down.saturating_since(floor) > step { down - step } else { floor };
-            if self.oracle.link_up(a, b, probe) {
-                up = Some(probe);
-                break;
-            }
-            down = probe;
-            if probe == floor {
-                break;
-            }
-        }
-        let Some(up) = up else {
-            return now.saturating_since(down).as_nanos();
-        };
-        let tol = SimDuration::from_millis(1.0);
-        let (mut lo, mut hi) = (up, down);
-        while hi.saturating_since(lo) > tol {
-            let mid = lo + hi.saturating_since(lo) / 2;
-            if self.oracle.link_up(a, b, mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        // `hi` is the earliest known-down instant of the bracket: the
-        // break time to ~1 ms.
-        now.saturating_since(hi).as_nanos()
     }
 
     fn hand_to_mac(&mut self, node: u16, packet: A::Packet, next_hop: NodeId) {
@@ -1868,56 +1145,8 @@ impl<A: RoutingAgent> Simulator<A> {
         {
             self.mobility.snapshot_into(self.now, &mut self.positions);
             self.positions_at = self.now;
-            if self.grid_enabled {
-                self.grid.rebuild(&self.positions);
-            }
+            self.grid.rebuild(&self.positions);
         }
-    }
-}
-
-/// Whether `DSR_PAIRED_ARRIVALS=1` is forcing the legacy paired arrival
-/// path for every simulator built in this process. The executor consults
-/// this when stamping forensic artifacts with the arrival-path mode.
-pub(crate) fn paired_arrivals_forced() -> bool {
-    std::env::var_os("DSR_PAIRED_ARRIVALS").is_some_and(|v| v == "1")
-}
-
-/// One-line, once-per-process stderr notice that the legacy paired
-/// arrival path was forced on. A silent pin here would let the perf
-/// gate's fused-share check pass vacuously, so forcing the slow path is
-/// always loud (and counted in the profile's `paired_runs`).
-fn warn_paired_forced(source: &str) {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        eprintln!(
-            "warning: legacy paired arrival path forced via {source}; \
-             the fused fast path is disabled for these runs"
-        );
-    });
-}
-
-fn frame_name(kind: mac::FrameKind) -> &'static str {
-    match kind {
-        mac::FrameKind::Rts => "RTS",
-        mac::FrameKind::Cts => "CTS",
-        mac::FrameKind::Data => "DATA",
-        mac::FrameKind::Ack => "ACK",
-    }
-}
-
-/// The uid of any network packet an undispatched event still carries
-/// (conservation audits treat these as in flight, not lost).
-fn collect_ev_uid<P: NetPacket, T>(ev: &Ev<P, T>, out: &mut HashSet<u64>) {
-    match ev {
-        Ev::AgentSend { packet, .. } => {
-            out.insert(packet.uid());
-        }
-        Ev::ArrivalStart { frame, .. } | Ev::ArrivalEnd { frame, .. } => {
-            if let Some(p) = &frame.payload {
-                out.insert(p.uid());
-            }
-        }
-        _ => {}
     }
 }
 

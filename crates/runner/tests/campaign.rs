@@ -254,7 +254,7 @@ fn panic_artifact_replays_to_the_identical_error() {
     assert!(artifact.replayable);
     assert_eq!(artifact.error, recorded_error);
     assert_eq!(artifact.config.seed, 2);
-    let replayed = replay_run(&artifact.config, AuditLevel::Full, artifact.paired_arrivals);
+    let replayed = replay_run(&artifact.config, AuditLevel::Full);
     assert_eq!(replayed, Err(recorded_error), "the artifact must reproduce the failure");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -274,7 +274,6 @@ fn forensic_config_round_trip_reruns_to_the_identical_report() {
         config: cfg.clone(),
         error: RunError::Panicked { seed: 13, payload: "synthetic".into() },
         trace: Vec::new(),
-        paired_arrivals: false,
     };
     let parsed = ForensicArtifact::parse(&artifact.render()).expect("round trip");
     assert_eq!(parsed.config, cfg);

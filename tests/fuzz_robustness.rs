@@ -302,7 +302,6 @@ proptest! {
         let artifact = ForensicArtifact {
             label: cfg.dsr.label(),
             replayable: true,
-            paired_arrivals: false,
             config: cfg,
             error: RunError::Panicked { seed, payload: "fuzz payload with spaces\nand lines".into() },
             trace: vec!["s 1.000000 _n0_ MAC RTS 20B".into()],

@@ -9,8 +9,7 @@ use dsr_caching::mobility::{
 };
 use dsr_caching::packet::{Link, Route};
 use dsr_caching::phy::{
-    assert_fused_matches_eager, plan_arrivals_indexed_into, plan_arrivals_masked, DiffArrival,
-    RadioConfig,
+    assert_fused_matches_eager, plan_arrivals_indexed_into, DiffArrival, RadioConfig,
 };
 use dsr_caching::runner::{run_campaign, AuditLevel, CampaignConfig, FaultPlan, ScenarioConfig};
 use dsr_caching::sim_core::{EventQueue, NodeId, RngFactory, SimDuration, SimTime};
@@ -291,12 +290,12 @@ proptest! {
 
     /// The spatial neighbor grid must be a pure index: planning arrivals
     /// from its 3x3-cell candidate set yields exactly the same arrivals
-    /// (same order, same values) and the same suppressed count as the
-    /// linear full-position scan, for any positions and any suppress mask.
-    /// This is what keeps the grid-accelerated simulator byte-identical
-    /// to the linear one.
+    /// (same order, same values) and the same suppressed count as planning
+    /// with every node as a candidate, for any positions and any suppress
+    /// mask. This is what keeps a run independent of the grid's cell
+    /// geometry.
     #[test]
-    fn grid_indexed_planning_matches_linear_scan(
+    fn grid_indexed_planning_matches_all_candidates(
         coords in proptest::collection::vec((0.0f64..2200.0, 0.0f64..600.0), 2..48),
         tx_pick in 0usize..1024,
         mask in proptest::collection::vec(any::<bool>(), 2..48),
@@ -310,7 +309,11 @@ proptest! {
         let suppress =
             |rx: NodeId| mask[rx.index() % mask.len()];
 
-        let linear = plan_arrivals_masked(tx, &positions, now, airtime, &radio, suppress);
+        let all: Vec<u16> = (0..positions.len() as u16).collect();
+        let mut scanned = Vec::new();
+        let suppressed_scanned = plan_arrivals_indexed_into(
+            tx, &all, &positions, now, airtime, &radio, suppress, &mut scanned,
+        );
 
         let mut grid = NeighborGrid::new(radio.carrier_sense_range_m() * 1.001);
         grid.rebuild(&positions);
@@ -321,12 +324,12 @@ proptest! {
             tx, &cands, &positions, now, airtime, &radio, suppress, &mut indexed,
         );
 
-        prop_assert_eq!(indexed, linear.arrivals);
-        prop_assert_eq!(suppressed, linear.suppressed);
+        prop_assert_eq!(indexed, scanned);
+        prop_assert_eq!(suppressed, suppressed_scanned);
     }
 
     // ------------------------------------------------------------------
-    // Receiver invariants: fused envelope == eager paired arrivals
+    // Receiver invariants: lazy envelope == eager reference receiver
     // ------------------------------------------------------------------
 
     /// The lazy interference envelope is a pure acceleration structure:
@@ -334,10 +337,10 @@ proptest! {
     /// carrier-sense and reception thresholds, capture contests,
     /// same-instant start ties, an optional half-duplex own transmission —
     /// must produce exactly the deliveries and busy horizons of the eager
-    /// paired start/end path. Divergence panics inside the harness (see
-    /// `phy::differential`).
+    /// reference receiver, which folds every boundary as it happens.
+    /// Divergence panics inside the harness (see `phy::differential`).
     #[test]
-    fn fused_envelope_matches_eager_paired_arrivals(
+    fn fused_envelope_matches_eager_reference(
         raw in proptest::collection::vec(
             // (start, duration, power class). Starts cluster in a window
             // comparable to the durations so frames genuinely overlap;
@@ -367,8 +370,8 @@ proptest! {
     /// Fault injection rides the same equivalence contract: random
     /// corruption and suppression flags (plan-time corruption, start
     /// suppression = the arrival never enters either receiver, end
-    /// suppression = delivery gated after decode) must leave the fused
-    /// and eager paths in lockstep on every delivery and busy horizon.
+    /// suppression = delivery gated after decode) must leave the envelope
+    /// and the reference in lockstep on every delivery and busy horizon.
     #[test]
     fn fused_envelope_matches_eager_under_random_fault_plans(
         raw in proptest::collection::vec(
