@@ -13,11 +13,13 @@ fn n(i: u16) -> NodeId {
     NodeId::new(i)
 }
 
-/// A deterministic set of loop-free routes rooted at node 0.
-fn synthetic_routes(count: usize, max_hops: usize) -> Vec<Route> {
+/// A deterministic set of loop-free routes rooted at node 0, of 3 to
+/// `2 + hop_spread` hops — with 64 routes and a spread of 6, the full
+/// cache of 3–8 hop paths a busy node of the paper's scenarios holds.
+fn synthetic_routes(count: usize, hop_spread: usize) -> Vec<Route> {
     let mut routes = Vec::with_capacity(count);
     for i in 0..count {
-        let hops = 2 + (i % max_hops.max(1));
+        let hops = 3 + (i % hop_spread.max(1));
         let mut nodes = vec![n(0)];
         for h in 0..hops {
             // Spread across a 200-node id space, avoiding duplicates.
@@ -56,7 +58,11 @@ fn bench_path_cache(c: &mut Criterion) {
         )
     });
 
-    let cache = filled_path_cache(&routes);
+    // What a bystander's cache is asked per packet: every overheard data
+    // frame re-inserts routes it already holds and refreshes timestamps,
+    // and most overheard route errors name a link it never cached.
+    let now = SimTime::from_secs(1.0);
+    let mut cache = filled_path_cache(&routes);
     group.bench_function("find_hit", |b| {
         let dst = routes[0].destination();
         b.iter(|| black_box(&cache).find(black_box(dst), SimTime::ZERO))
@@ -64,21 +70,26 @@ fn bench_path_cache(c: &mut Criterion) {
     group.bench_function("find_miss", |b| {
         b.iter(|| black_box(&cache).find(black_box(n(250)), SimTime::ZERO))
     });
-
-    group.bench_function("remove_link", |b| {
-        let link = routes[0].link(0);
-        b.iter_batched(
-            || filled_path_cache(&routes),
-            |mut cache| cache.remove_link(link, SimTime::from_secs(1.0)),
-            BatchSize::SmallInput,
-        )
+    group.bench_function("insert_refresh", |b| {
+        let known = &routes[5].nodes()[..3];
+        b.iter(|| cache.insert_slice(black_box(known), now))
     });
-
     group.bench_function("mark_used", |b| {
-        let seen = routes[1].clone();
+        // Shares two links with a cached path, as a snooped route does.
+        let mut nodes = vec![n(251), n(252)];
+        nodes.extend_from_slice(&routes[1].nodes()[1..4]);
+        let seen = Route::new(nodes).expect("loop-free");
+        b.iter(|| cache.mark_used(black_box(&seen), now))
+    });
+    group.bench_function("remove_link_miss", |b| {
+        let link = Link::new(n(250), n(251));
+        b.iter(|| cache.remove_link(black_box(link), now))
+    });
+    group.bench_function("remove_link_hit", |b| {
+        let link = routes[0].link(1);
         b.iter_batched(
-            || filled_path_cache(&routes),
-            |mut cache| cache.mark_used(&seen, SimTime::from_secs(1.0)),
+            || cache.clone(),
+            |mut cache| cache.remove_link(link, now),
             BatchSize::SmallInput,
         )
     });

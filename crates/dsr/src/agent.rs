@@ -156,6 +156,9 @@ pub struct DsrNode {
     trace_decisions: bool,
     /// Scratch buffer for draining the cache's internal event log.
     cache_event_buf: Vec<CacheEvent>,
+    /// Scratch for the candidate routes [`Self::learn_from_route`] has to
+    /// assemble (reversals, routes through an overheard transmitter).
+    route_buf: Vec<NodeId>,
 }
 
 impl std::fmt::Debug for DsrNode {
@@ -189,6 +192,7 @@ impl DsrNode {
             rng,
             trace_decisions: false,
             cache_event_buf: Vec::new(),
+            route_buf: Vec::new(),
             cfg,
         }
     }
@@ -709,7 +713,8 @@ impl DsrNode {
         let mut forward_nodes = req.path.clone();
         forward_nodes.push(self.id);
         if let Ok(forward) = Route::new(forward_nodes.clone()) {
-            self.insert_route(forward.reversed(), CacheInsertProvenance::Overheard, now, cmds);
+            let back = forward.reversed();
+            self.insert_route(back.nodes(), CacheInsertProvenance::Overheard, now, cmds);
         }
 
         if req.target == self.id {
@@ -851,7 +856,7 @@ impl DsrNode {
                 } else {
                     CacheInsertProvenance::Reply
                 };
-                self.insert_route(rep.discovered.clone(), provenance, now, cmds);
+                self.insert_route(rep.discovered.nodes(), provenance, now, cmds);
             }
             if self.requests.finish(target) {
                 cmds.push(DsrCommand::CancelTimer { timer: DsrTimer::RequestTimeout(target) });
@@ -1212,6 +1217,11 @@ impl DsrNode {
     /// from us onward, the reversed prefix back to the route's source, or —
     /// when we are not on the route but overheard `transmitter` — routes
     /// through the transmitter.
+    ///
+    /// Runs on every data frame a node forwards or overhears, nearly always
+    /// to re-learn what it knows: candidates are slices of `route` or are
+    /// assembled in one reused buffer, so nothing is allocated unless the
+    /// cache really adds an entry.
     fn learn_from_route(
         &mut self,
         route: &Route,
@@ -1219,83 +1229,64 @@ impl DsrNode {
         now: SimTime,
         cmds: &mut Vec<DsrCommand>,
     ) {
-        if route.contains(self.id) {
-            if let Some(sfx) = route.suffix_from(self.id) {
-                self.insert_route(sfx, CacheInsertProvenance::Overheard, now, cmds);
-            }
-            if let Some(pfx) = route.prefix_through(self.id) {
-                self.insert_route(pfx.reversed(), CacheInsertProvenance::Overheard, now, cmds);
-            }
-        } else if let Some(tx) = transmitter {
+        let nodes = route.nodes();
+        let provenance = CacheInsertProvenance::Overheard;
+        let mut buf = std::mem::take(&mut self.route_buf);
+        if let Some(at) = route.position(self.id) {
+            self.insert_route(&nodes[at..], provenance, now, cmds);
+            buf.clear();
+            buf.extend(nodes[..=at].iter().rev());
+            self.insert_route(&buf, provenance, now, cmds);
+        } else if let Some(pos) = transmitter.and_then(|tx| route.position(tx)) {
             // We overheard `tx` transmitting: the link self->tx exists.
-            if let Some(pos) = route.position(tx) {
-                let mut via_fwd = vec![self.id];
-                via_fwd.extend_from_slice(&route.nodes()[pos..]);
-                if let Ok(r) = Route::new(via_fwd) {
-                    self.insert_route(r, CacheInsertProvenance::Overheard, now, cmds);
-                }
-                let mut via_back = vec![self.id];
-                via_back.extend(route.nodes()[..=pos].iter().rev());
-                if let Ok(r) = Route::new(via_back) {
-                    self.insert_route(r, CacheInsertProvenance::Overheard, now, cmds);
-                }
-            }
+            buf.clear();
+            buf.push(self.id);
+            buf.extend_from_slice(&nodes[pos..]);
+            self.insert_route(&buf, provenance, now, cmds);
+            buf.truncate(1);
+            buf.extend(nodes[..=pos].iter().rev());
+            self.insert_route(&buf, provenance, now, cmds);
         }
+        self.route_buf = buf;
     }
 
-    /// Inserts `route` into the path cache, honoring negative-cache mutual
-    /// exclusion (the route is truncated before any blacklisted link), and
-    /// flushes any send-buffered packets the new route can serve.
+    /// Inserts the loop-free node sequence `route` into the route cache,
+    /// honoring negative-cache mutual exclusion (the route is truncated
+    /// before any blacklisted link), and flushes any send-buffered packets
+    /// the new route can serve.
     fn insert_route(
         &mut self,
-        route: Route,
+        route: &[NodeId],
         provenance: CacheInsertProvenance,
         now: SimTime,
         cmds: &mut Vec<DsrCommand>,
     ) {
-        let mut vetoed: Option<Link> = None;
-        let filtered = match &self.negative {
-            Some(neg) => {
-                let mut cut = route.len();
-                for (i, link) in route.links().enumerate() {
-                    if neg.contains(link, now) {
-                        vetoed = Some(link);
-                        cut = i + 1;
-                        break;
-                    }
-                }
-                if cut >= route.len() {
-                    route
-                } else if cut >= 2 {
-                    Route::new(route.nodes()[..cut].to_vec()).expect("prefix of loop-free route")
-                } else {
-                    if let Some(link) = vetoed {
-                        self.trace_remove(link, CacheRemovalCause::NegativeVeto, false, cmds);
-                    }
-                    return;
-                }
+        let mut filtered = route;
+        if let Some(neg) = &self.negative {
+            let vetoed = Link::along(route).enumerate().find(|&(_, l)| neg.contains(l, now));
+            if let Some((i, vetoed)) = vetoed {
+                self.trace_remove(vetoed, CacheRemovalCause::NegativeVeto, false, cmds);
+                filtered = &route[..=i];
             }
-            None => route,
-        };
-        if let Some(link) = vetoed {
-            self.trace_remove(link, CacheRemovalCause::NegativeVeto, false, cmds);
         }
-        if filtered.hops() == 0 {
+        if filtered.len() < 2 {
             return;
         }
+        let as_route = |nodes: &[NodeId]| Route::new(nodes.to_vec()).expect("loop-free route");
         // Non-optimal route suppression (DSR-NORS), insert side: veto
         // routes more than `stretch` times the best cached path to the
         // same destination. The `find` is a pure read (no trace row — it
         // is bookkeeping, not a routing decision).
         if let Some(sup) = self.cfg.suppression {
-            if let Some(best) = self.cache.find(filtered.destination(), now) {
-                if (filtered.hops() as f64) > sup.stretch * (best.hops() as f64) {
+            let hops = filtered.len() - 1;
+            if let Some(best) = self.cache.find(filtered[hops], now) {
+                if (hops as f64) > sup.stretch * (best.hops() as f64) {
                     cmds.push(DsrCommand::Event { event: DsrEvent::SuppressedInsert });
                     if self.trace_decisions {
                         cmds.push(DsrCommand::Event {
                             event: DsrEvent::CacheDecision {
                                 decision: CacheDecision::Suppress {
-                                    route: filtered,
+                                    route: as_route(filtered),
                                     action: SuppressedAction::Insert,
                                 },
                             },
@@ -1305,14 +1296,16 @@ impl DsrNode {
                 }
             }
         }
-        // Clone only under tracing: the off path moves the route into the
-        // cache exactly as before.
-        let traced = if self.trace_decisions { Some(filtered.clone()) } else { None };
-        let changed = self.cache.insert(filtered, now);
-        if let Some(route) = traced {
+        let changed = self.cache.insert_slice(filtered, now);
+        // Only tracing needs the candidate as an owned route.
+        if self.trace_decisions {
             cmds.push(DsrCommand::Event {
                 event: DsrEvent::CacheDecision {
-                    decision: CacheDecision::Insert { route, provenance, changed },
+                    decision: CacheDecision::Insert {
+                        route: as_route(filtered),
+                        provenance,
+                        changed,
+                    },
                 },
             });
         }

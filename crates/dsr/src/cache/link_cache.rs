@@ -116,9 +116,9 @@ impl LinkCache {
 }
 
 impl RouteCache for LinkCache {
-    fn insert(&mut self, route: Route, now: SimTime) -> bool {
+    fn insert_slice(&mut self, nodes: &[NodeId], now: SimTime) -> bool {
         let mut changed = false;
-        for link in route.links() {
+        for link in Link::along(nodes) {
             match self.links.get_mut(&link) {
                 Some(data) => {
                     data.added_at = now;

@@ -41,7 +41,15 @@ pub enum CacheEvent {
 pub trait RouteCache: Send {
     /// Inserts a route starting at the owner; returns whether the cache
     /// changed.
-    fn insert(&mut self, route: Route, now: SimTime) -> bool;
+    fn insert(&mut self, route: Route, now: SimTime) -> bool {
+        self.insert_slice(route.nodes(), now)
+    }
+
+    /// [`RouteCache::insert`] for a borrowed, loop-free node sequence — the
+    /// form the agent uses on every overheard packet, where the candidate
+    /// is a piece of the packet's own source route and is usually cached
+    /// already: nothing is allocated unless an entry is really added.
+    fn insert_slice(&mut self, nodes: &[NodeId], now: SimTime) -> bool;
 
     /// Shortest known route from the owner to `dst`, if any.
     fn find(&self, dst: NodeId, now: SimTime) -> Option<Route>;

@@ -16,14 +16,27 @@
 //! - a **used-for-forwarding flag** — wider error notification re-broadcasts
 //!   an error only at nodes that both cache the broken link *and* used such
 //!   a route in traffic they forwarded.
+//!
+//! # Ordering invariants
+//!
+//! The order of `entries` is behaviour, not an implementation detail:
+//! [`PathCache::find`] breaks full ties by position, an insert refreshes
+//! the *first* entry it is a prefix of, and LRU eviction is a
+//! `swap_remove`. Every operation therefore edits the `Vec` in place and
+//! keeps survivors in order; `path_cache/reference.rs` holds the naive
+//! drain-and-rebuild bodies the cache started with, as a test-only oracle
+//! that a seeded differential test drives in lock-step with this code.
 
 use packet::{Link, Route};
 use sim_core::{NodeId, SimDuration, SimTime};
 
 use crate::cache::CacheEvent;
 
+#[cfg(test)]
+mod reference;
+
 /// One cached path with its bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathEntry {
     path: Route,
     entered_at: SimTime,
@@ -112,6 +125,16 @@ pub struct PathCache {
     /// destination and report failovers from [`PathCache::remove_link`].
     /// `None` = classic single-best-path behaviour.
     multipath_k: Option<usize>,
+    /// Set when [`PathCache::expire`] truncated an entry: truncation can
+    /// turn two entries into exact repeats, and only the dedup pass of
+    /// [`PathCache::remove_link`] merges them — so while this is set, even
+    /// a purge for a link the cache does not hold must run that pass.
+    may_hold_repeats: bool,
+    /// Scratch for [`PathCache::mark_used`] / [`PathCache::mark_forwarded`]:
+    /// `succ[a] == b` while the observed route traverses `a -> b`, and the
+    /// broadcast address (never a node on a route) otherwise. Grown on
+    /// first use to the largest node index seen, reset after every call.
+    succ: Vec<NodeId>,
 }
 
 impl PathCache {
@@ -130,6 +153,8 @@ impl PathCache {
             read_expiry: None,
             log: None,
             multipath_k: None,
+            may_hold_repeats: false,
+            succ: Vec::new(),
         }
     }
 
@@ -208,30 +233,44 @@ impl PathCache {
     ///
     /// Panics if `path` does not start at the owner.
     pub fn insert(&mut self, path: Route, now: SimTime) -> bool {
-        assert_eq!(path.source(), self.owner, "cached paths start at the owner");
-        if path.hops() == 0 {
+        self.insert_slice(path.nodes(), now)
+    }
+
+    /// [`PathCache::insert`] for a borrowed node sequence: the agent learns
+    /// routes from sub-slices of the packets it sees, and the common case —
+    /// a refresh of a path already cached — allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `path` is empty or does not start at the owner, or if an
+    /// entry has to be added and `path` visits a node twice.
+    pub fn insert_slice(&mut self, path: &[NodeId], now: SimTime) -> bool {
+        assert_eq!(path.first(), Some(&self.owner), "cached paths start at the owner");
+        if path.len() < 2 {
             return false;
         }
         // Refresh if `path` is a prefix of (or equal to) an existing entry.
         for entry in &mut self.entries {
-            if entry.path.len() >= path.len() && entry.path.nodes()[..path.len()] == *path.nodes() {
-                for ts in entry.last_used[..path.len()].iter_mut() {
-                    *ts = now;
-                }
+            if entry.path.nodes().starts_with(path) {
+                entry.last_used[..path.len()].fill(now);
                 entry.entered_at = now;
                 return true;
             }
         }
+        // Not a refresh: from here on the cache changes shape.
+        let path = Route::new(path.to_vec()).expect("cached paths are loop-free");
         // Replace any existing entries that are prefixes of the new path.
-        self.entries.retain(|e| e.path.nodes() != &path.nodes()[..e.path.len().min(path.len())]);
+        self.entries.retain(|e| !path.nodes().starts_with(e.path.nodes()));
         if let Some(k) = self.multipath_k {
-            if !self.admit_multipath(&path, k, now) {
+            if !self.admit_multipath(&path, k) {
                 return false;
             }
         }
         if self.entries.len() >= self.capacity {
             self.evict_lru();
         }
+        // One slot at a time, not doubling: see `release_dropped`.
+        self.entries.reserve_exact(1);
         self.entries.push(PathEntry::new(path, now));
         true
     }
@@ -249,43 +288,45 @@ impl PathCache {
     ///
     /// Returns whether `path` may be inserted (displaced entries are
     /// already removed and logged as evictions).
-    fn admit_multipath(&mut self, path: &Route, k: usize, _now: SimTime) -> bool {
-        let dst = path.destination();
-        let same_dst: Vec<usize> = (0..self.entries.len())
-            .filter(|&i| self.entries[i].path.destination() == dst)
-            .collect();
-        let overlapping: Vec<usize> = same_dst
-            .iter()
-            .copied()
-            .filter(|&i| self.entries[i].path.links().any(|l| path.contains_link(l)))
-            .collect();
-        if !overlapping.is_empty() {
-            if overlapping.iter().any(|&i| self.entries[i].path.hops() <= path.hops()) {
+    fn admit_multipath(&mut self, path: &Route, k: usize) -> bool {
+        let (dst, hops) = (path.destination(), path.hops());
+        let same_dst = |e: &PathEntry| e.path.destination() == dst;
+        let overlaps = |e: &PathEntry| same_dst(e) && e.path.links().any(|l| path.contains_link(l));
+        if self.entries.iter().any(overlaps) {
+            if self.entries.iter().any(|e| overlaps(e) && e.path.hops() <= hops) {
                 return false;
             }
-            for &i in overlapping.iter().rev() {
-                let entry = self.entries.remove(i);
-                if let Some(log) = &mut self.log {
-                    log.push(CacheEvent::Evicted { route: entry.path });
+            for i in (0..self.entries.len()).rev() {
+                if overlaps(&self.entries[i]) {
+                    self.displace(i);
                 }
             }
             return true;
         }
-        if same_dst.len() < k {
+        if self.entries.iter().filter(|e| same_dst(e)).count() < k {
             return true;
         }
-        let longest = same_dst
-            .into_iter()
-            .max_by_key(|&i| (self.entries[i].path.hops(), self.entries[i].path.nodes().to_vec()))
+        // Longest, then greatest node sequence; the last of equals (exact
+        // repeats left by an expiry sweep).
+        let (longest, _) = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| same_dst(e))
+            .max_by_key(|(_, e)| (e.path.hops(), e.path.nodes()))
             .expect("k > 0 entries");
-        if self.entries[longest].path.hops() <= path.hops() {
+        if self.entries[longest].path.hops() <= hops {
             return false;
         }
-        let entry = self.entries.remove(longest);
-        if let Some(log) = &mut self.log {
-            log.push(CacheEvent::Evicted { route: entry.path });
-        }
+        self.displace(longest);
         true
+    }
+
+    /// Removes entry `i`, keeping the others in order, to make room for a
+    /// better alternate.
+    fn displace(&mut self, i: usize) {
+        let entry = self.entries.remove(i);
+        self.log_evicted(entry);
     }
 
     fn evict_lru(&mut self) {
@@ -293,45 +334,54 @@ impl PathCache {
             self.entries.iter().enumerate().min_by_key(|(_, e)| e.most_recent_use())
         {
             let entry = self.entries.swap_remove(idx);
-            if let Some(log) = &mut self.log {
-                log.push(CacheEvent::Evicted { route: entry.path });
-            }
+            self.log_evicted(entry);
+        }
+    }
+
+    fn log_evicted(&mut self, entry: PathEntry) {
+        if let Some(log) = &mut self.log {
+            log.push(CacheEvent::Evicted { route: entry.path });
         }
     }
 
     /// Shortest cached route from the owner to `dst` (paths may be used up
-    /// to any intermediate node). Ties favor the most recently entered.
+    /// to any intermediate node). Ties favor the most recently entered,
+    /// then the earliest entry in cache order.
     ///
     /// When a read-time expiry timeout is installed
     /// ([`PathCache::set_read_expiry`]), the stale suffix of every path —
     /// by the exact criterion the [`PathCache::expire`] sweep applies — is
     /// invisible to the lookup, so a just-expired route is never returned
     /// between sweeps.
+    ///
+    /// A miss allocates nothing; a hit allocates the one returned route.
     pub fn find(&self, dst: NodeId, now: SimTime) -> Option<Route> {
-        let mut best: Option<(usize, SimTime, Route)> = None;
-        for entry in &self.entries {
-            let usable = match self.read_expiry {
-                Some(timeout) => Self::stale_cut(entry, now, timeout),
-                None => entry.path.len(),
+        // (hops, entered_at, entry index) of the best candidate so far.
+        let mut best: Option<(usize, SimTime, usize)> = None;
+        for (i, entry) in self.entries.iter().enumerate() {
+            let Some(hops) = entry.path.position(dst) else {
+                continue;
             };
-            if let Some(prefix) = entry.path.prefix_through(dst) {
-                if prefix.hops() == 0 || prefix.len() > usable {
+            if hops == 0 {
+                continue;
+            }
+            if let Some(timeout) = self.read_expiry {
+                // `dst` lies beyond the stale cut: invisible to the lookup.
+                if entry.last_used[1..=hops].iter().any(|&used| used + timeout < now) {
                     continue;
                 }
-                let candidate = (prefix.hops(), entry.entered_at, prefix);
-                best = match best {
-                    None => Some(candidate),
-                    Some(b) => {
-                        if candidate.0 < b.0 || (candidate.0 == b.0 && candidate.1 > b.1) {
-                            Some(candidate)
-                        } else {
-                            Some(b)
-                        }
-                    }
-                };
+            }
+            let better = match best {
+                None => true,
+                Some((b_hops, b_entered, _)) => {
+                    hops < b_hops || (hops == b_hops && entry.entered_at > b_entered)
+                }
+            };
+            if better {
+                best = Some((hops, entry.entered_at, i));
             }
         }
-        best.map(|(_, _, route)| route)
+        best.and_then(|(_, _, i)| self.entries[i].path.prefix_through(dst))
     }
 
     /// Whether any cached path uses `link`.
@@ -341,47 +391,90 @@ impl PathCache {
 
     /// Truncates every path containing `link` at the point of failure
     /// (paths reduced below one hop are dropped) and reports what was
-    /// affected.
+    /// affected. Truncation can create exact repeats; only the first of
+    /// each is kept.
+    ///
+    /// A purge for a link the cache does not hold — what most overheard
+    /// route errors are — returns before touching (or allocating) anything,
+    /// unless an expiry sweep may have left repeats to merge.
     pub fn remove_link(&mut self, link: Link, now: SimTime) -> RemovedLink {
         let mut outcome = RemovedLink::default();
+        if !self.may_hold_repeats && !self.contains_link(link) {
+            return outcome;
+        }
+        let multipath = self.multipath_k.is_some();
         let mut lost_dsts: Vec<NodeId> = Vec::new();
-        let mut kept = Vec::with_capacity(self.entries.len());
-        for mut entry in self.entries.drain(..) {
-            if let Some(truncated) = entry.path.truncate_before_link(link) {
-                outcome.contained = true;
-                outcome.was_used_for_forwarding |= entry.used_for_forwarding;
-                outcome.route_lifetimes.push(now.saturating_since(entry.entered_at));
-                let dst = entry.path.destination();
-                if !lost_dsts.contains(&dst) {
-                    lost_dsts.push(dst);
-                }
-                if truncated.hops() >= 1 {
-                    entry.last_used.truncate(truncated.len());
-                    entry.path = truncated;
-                    kept.push(entry);
-                }
-            } else {
-                kept.push(entry);
+        for entry in &mut self.entries {
+            let Some(cut) = entry.path.links().position(|l| l == link) else {
+                continue;
+            };
+            outcome.contained = true;
+            outcome.was_used_for_forwarding |= entry.used_for_forwarding;
+            outcome.route_lifetimes.push(now.saturating_since(entry.entered_at));
+            let dst = entry.path.destination();
+            if multipath && !lost_dsts.contains(&dst) {
+                lost_dsts.push(dst);
+            }
+            // Keep the nodes up to and including `link.from`. A path cut
+            // down to the owner alone is dropped by the pass below.
+            entry.path.truncate(cut + 1);
+            entry.last_used.truncate(cut + 1);
+        }
+        // Stable in-place compaction: drop hop-less paths and exact repeats
+        // of an earlier survivor.
+        let (before, mut kept) = (self.entries.len(), 0);
+        for i in 0..before {
+            let path = &self.entries[i].path;
+            if path.hops() >= 1 && !self.entries[..kept].iter().any(|e| e.path == *path) {
+                self.entries.swap(kept, i);
+                kept += 1;
             }
         }
-        // Truncation can create duplicates; drop exact repeats.
-        let mut deduped: Vec<PathEntry> = Vec::with_capacity(kept.len());
-        for entry in kept {
-            if !deduped.iter().any(|e| e.path == entry.path) {
-                deduped.push(entry);
-            }
-        }
-        self.entries = deduped;
-        if self.multipath_k.is_some() {
-            // A destination whose path was cut but that a surviving entry
-            // still reaches fails over without a fresh discovery.
-            for dst in lost_dsts {
-                if let Some(route) = self.find(dst, now) {
-                    outcome.failovers.push((dst, route));
-                }
+        self.entries.truncate(kept);
+        self.release_dropped(before);
+        self.may_hold_repeats = false;
+        // A destination whose path was cut but that a surviving entry
+        // still reaches fails over without a fresh discovery.
+        for dst in lost_dsts {
+            if let Some(route) = self.find(dst, now) {
+                outcome.failovers.push((dst, route));
             }
         }
         outcome
+    }
+
+    /// After a sweep that left fewer than `before` entries, gives the freed
+    /// slots back: a cache that fills up and thins out again (every expiry
+    /// policy does this to it) would otherwise sit on its high-water mark
+    /// for the rest of the run, and 100 nodes' worth of that shows in the
+    /// peak heap.
+    fn release_dropped(&mut self, before: usize) {
+        if self.entries.len() < before {
+            self.entries.shrink_to_fit();
+        }
+    }
+
+    /// Runs `visit` over the entries with the successor table describing
+    /// `seen` (see the `succ` field), then resets the table.
+    fn with_links_of(&mut self, seen: &Route, mut visit: impl FnMut(&mut PathEntry, &[NodeId])) {
+        let nodes = seen.nodes();
+        let max = nodes.iter().map(|n| n.index()).max().expect("routes are non-empty");
+        let mut succ = std::mem::take(&mut self.succ);
+        if succ.len() <= max {
+            // Exactly as long as the ids seen so far need, not doubled.
+            succ.reserve_exact(max + 1 - succ.len());
+            succ.resize(max + 1, NodeId::BROADCAST);
+        }
+        for w in nodes.windows(2) {
+            succ[w[0].index()] = w[1];
+        }
+        for entry in &mut self.entries {
+            visit(entry, &succ);
+        }
+        for n in nodes {
+            succ[n.index()] = NodeId::BROADCAST;
+        }
+        self.succ = succ;
     }
 
     /// Records that the links of `seen` were observed in a unicast packet
@@ -389,53 +482,57 @@ impl PathCache {
     /// last-used timestamp refreshed. This is the paper's expiry-timestamp
     /// update rule.
     pub fn mark_used(&mut self, seen: &Route, now: SimTime) {
-        for entry in &mut self.entries {
-            for j in 1..entry.path.len() {
-                let l = entry.path.link(j - 1);
-                if seen.contains_link(l) {
+        self.with_links_of(seen, |entry, succ| {
+            let nodes = entry.path.nodes();
+            for j in 1..nodes.len() {
+                if succ.get(nodes[j - 1].index()) == Some(&nodes[j]) {
                     entry.last_used[j - 1] = now;
                     entry.last_used[j] = now;
                 }
             }
-        }
+        });
     }
 
     /// Records that the owner *forwarded* a packet along `seen`: cached
     /// paths sharing a link with it are flagged, enabling the wider-error
     /// re-broadcast predicate.
     pub fn mark_forwarded(&mut self, seen: &Route) {
-        for entry in &mut self.entries {
-            if entry.path.links().any(|l| seen.contains_link(l)) {
+        self.with_links_of(seen, |entry, succ| {
+            if entry.path.links().any(|l| succ.get(l.from.index()) == Some(&l.to)) {
                 entry.used_for_forwarding = true;
             }
-        }
+        });
     }
 
     /// Timer-based expiry: prunes the portion of every path unused for
     /// longer than `timeout` (truncating at the first stale node); paths
     /// reduced below one hop are dropped. Returns how many entries were
     /// affected.
+    ///
+    /// Unlike [`PathCache::remove_link`] the sweep does not merge entries
+    /// its truncation makes identical; they stay until the next purge.
     pub fn expire(&mut self, now: SimTime, timeout: SimDuration) -> usize {
         let mut affected = 0;
-        let mut kept = Vec::with_capacity(self.entries.len());
-        for mut entry in self.entries.drain(..) {
-            let cut = Self::stale_cut(&entry, now, timeout);
+        let before = self.entries.len();
+        let (log, may_hold_repeats) = (&mut self.log, &mut self.may_hold_repeats);
+        self.entries.retain_mut(|entry| {
+            let cut = Self::stale_cut(entry, now, timeout);
             if cut == entry.path.len() {
-                kept.push(entry);
-                continue;
+                return true;
             }
             affected += 1;
-            if let Some(log) = &mut self.log {
+            if let Some(log) = log {
                 log.push(CacheEvent::Expired { route: entry.path.clone() });
             }
-            if cut >= 2 {
-                let nodes = entry.path.nodes()[..cut].to_vec();
-                entry.path = Route::new(nodes).expect("prefix of a loop-free route");
-                entry.last_used.truncate(cut);
-                kept.push(entry);
+            if cut < 2 {
+                return false;
             }
-        }
-        self.entries = kept;
+            entry.path.truncate(cut);
+            entry.last_used.truncate(cut);
+            *may_hold_repeats = true;
+            true
+        });
+        self.release_dropped(before);
         affected
     }
 
@@ -446,8 +543,8 @@ impl PathCache {
 }
 
 impl crate::cache::RouteCache for PathCache {
-    fn insert(&mut self, path: Route, now: SimTime) -> bool {
-        PathCache::insert(self, path, now)
+    fn insert_slice(&mut self, nodes: &[NodeId], now: SimTime) -> bool {
+        PathCache::insert_slice(self, nodes, now)
     }
 
     fn find(&self, dst: NodeId, now: SimTime) -> Option<Route> {
@@ -817,5 +914,28 @@ mod tests {
         c.remove_link(Link::new(n(2), n(3)), t(1.0));
         c.remove_link(Link::new(n(2), n(4)), t(1.0));
         assert_eq!(c.len(), 1, "identical truncated prefixes must merge");
+    }
+
+    #[test]
+    fn expiry_repeats_survive_until_the_next_purge_of_any_link() {
+        let mut c = PathCache::new(n(0), 8);
+        c.insert(route(&[0, 1, 2, 3]), t(0.0));
+        c.insert(route(&[0, 1, 2, 4]), t(0.0));
+        // Only 0-1-2 stays in use: the sweep cuts both tails and, unlike
+        // `remove_link`, leaves the two now identical entries side by side.
+        c.mark_used(&route(&[0, 1, 2]), t(9.0));
+        assert_eq!(c.expire(t(10.0), SimDuration::from_secs(5.0)), 2);
+        let paths = |c: &PathCache| c.iter().map(|e| e.path().clone()).collect::<Vec<_>>();
+        assert_eq!(paths(&c), vec![route(&[0, 1, 2]), route(&[0, 1, 2])]);
+        // A lookup or a refresh does not merge them...
+        assert!(c.find(n(2), t(10.0)).is_some());
+        assert!(c.insert(route(&[0, 1, 2]), t(10.0)));
+        assert_eq!(c.len(), 2);
+        // ...the next purge does, even for a link the cache does not hold
+        // (the one case its miss fast path must not skip).
+        assert!(!c.remove_link(Link::new(n(7), n(8)), t(10.0)).contained);
+        assert_eq!(paths(&c), vec![route(&[0, 1, 2])]);
+        // The refreshed first entry is the survivor.
+        assert_eq!(c.iter().next().unwrap().entered_at(), t(10.0));
     }
 }

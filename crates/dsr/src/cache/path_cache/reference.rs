@@ -1,0 +1,317 @@
+//! Test-only reference model of [`PathCache`]: the method bodies the cache
+//! had before its hot half was rebuilt to work in place — the
+//! drain-and-rebuild `remove_link` that dedupes on every call, the `find`
+//! that materializes a prefix per matching entry, the triple-loop
+//! `mark_used`, the collecting `admit_multipath`. Slow and allocation-happy
+//! on purpose: obviously right, and the oracle the seeded differential
+//! test below drives in lock-step with the shipped cache (the same pattern
+//! as `phy::differential`).
+
+use packet::{Link, Route};
+use rand::Rng;
+use sim_core::{NodeId, RngFactory, SimDuration, SimRng, SimTime};
+
+use super::{PathCache, PathEntry, RemovedLink};
+use crate::cache::CacheEvent;
+
+#[derive(Debug)]
+struct ReferenceCache {
+    owner: NodeId,
+    capacity: usize,
+    entries: Vec<PathEntry>,
+    read_expiry: Option<SimDuration>,
+    log: Vec<CacheEvent>,
+    multipath_k: Option<usize>,
+}
+
+impl ReferenceCache {
+    fn new(owner: NodeId, capacity: usize, multipath_k: Option<usize>) -> Self {
+        ReferenceCache {
+            owner,
+            capacity,
+            entries: Vec::new(),
+            read_expiry: None,
+            log: Vec::new(),
+            multipath_k,
+        }
+    }
+
+    fn insert(&mut self, path: Route, now: SimTime) -> bool {
+        assert_eq!(path.source(), self.owner, "cached paths start at the owner");
+        if path.hops() == 0 {
+            return false;
+        }
+        for entry in &mut self.entries {
+            if entry.path.len() >= path.len() && entry.path.nodes()[..path.len()] == *path.nodes() {
+                for ts in entry.last_used[..path.len()].iter_mut() {
+                    *ts = now;
+                }
+                entry.entered_at = now;
+                return true;
+            }
+        }
+        self.entries.retain(|e| e.path.nodes() != &path.nodes()[..e.path.len().min(path.len())]);
+        if let Some(k) = self.multipath_k {
+            if !self.admit_multipath(&path, k) {
+                return false;
+            }
+        }
+        if self.entries.len() >= self.capacity {
+            if let Some((idx, _)) =
+                self.entries.iter().enumerate().min_by_key(|(_, e)| e.most_recent_use())
+            {
+                let entry = self.entries.swap_remove(idx);
+                self.log.push(CacheEvent::Evicted { route: entry.path });
+            }
+        }
+        self.entries.push(PathEntry::new(path, now));
+        true
+    }
+
+    fn admit_multipath(&mut self, path: &Route, k: usize) -> bool {
+        let dst = path.destination();
+        let same_dst: Vec<usize> = (0..self.entries.len())
+            .filter(|&i| self.entries[i].path.destination() == dst)
+            .collect();
+        let overlapping: Vec<usize> = same_dst
+            .iter()
+            .copied()
+            .filter(|&i| self.entries[i].path.links().any(|l| path.contains_link(l)))
+            .collect();
+        if !overlapping.is_empty() {
+            if overlapping.iter().any(|&i| self.entries[i].path.hops() <= path.hops()) {
+                return false;
+            }
+            for &i in overlapping.iter().rev() {
+                let entry = self.entries.remove(i);
+                self.log.push(CacheEvent::Evicted { route: entry.path });
+            }
+            return true;
+        }
+        if same_dst.len() < k {
+            return true;
+        }
+        let longest = same_dst
+            .into_iter()
+            .max_by_key(|&i| (self.entries[i].path.hops(), self.entries[i].path.nodes().to_vec()))
+            .expect("k > 0 entries");
+        if self.entries[longest].path.hops() <= path.hops() {
+            return false;
+        }
+        let entry = self.entries.remove(longest);
+        self.log.push(CacheEvent::Evicted { route: entry.path });
+        true
+    }
+
+    fn find(&self, dst: NodeId, now: SimTime) -> Option<Route> {
+        let mut best: Option<(usize, SimTime, Route)> = None;
+        for entry in &self.entries {
+            let usable = match self.read_expiry {
+                Some(timeout) => PathCache::stale_cut(entry, now, timeout),
+                None => entry.path.len(),
+            };
+            if let Some(prefix) = entry.path.prefix_through(dst) {
+                if prefix.hops() == 0 || prefix.len() > usable {
+                    continue;
+                }
+                let candidate = (prefix.hops(), entry.entered_at, prefix);
+                best = match best {
+                    None => Some(candidate),
+                    Some(b) => {
+                        if candidate.0 < b.0 || (candidate.0 == b.0 && candidate.1 > b.1) {
+                            Some(candidate)
+                        } else {
+                            Some(b)
+                        }
+                    }
+                };
+            }
+        }
+        best.map(|(_, _, route)| route)
+    }
+
+    fn remove_link(&mut self, link: Link, now: SimTime) -> RemovedLink {
+        let mut outcome = RemovedLink::default();
+        let mut lost_dsts: Vec<NodeId> = Vec::new();
+        let mut kept = Vec::with_capacity(self.entries.len());
+        for mut entry in self.entries.drain(..) {
+            if let Some(truncated) = entry.path.truncate_before_link(link) {
+                outcome.contained = true;
+                outcome.was_used_for_forwarding |= entry.used_for_forwarding;
+                outcome.route_lifetimes.push(now.saturating_since(entry.entered_at));
+                let dst = entry.path.destination();
+                if !lost_dsts.contains(&dst) {
+                    lost_dsts.push(dst);
+                }
+                if truncated.hops() >= 1 {
+                    entry.last_used.truncate(truncated.len());
+                    entry.path = truncated;
+                    kept.push(entry);
+                }
+            } else {
+                kept.push(entry);
+            }
+        }
+        let mut deduped: Vec<PathEntry> = Vec::with_capacity(kept.len());
+        for entry in kept {
+            if !deduped.iter().any(|e| e.path == entry.path) {
+                deduped.push(entry);
+            }
+        }
+        self.entries = deduped;
+        if self.multipath_k.is_some() {
+            for dst in lost_dsts {
+                if let Some(route) = self.find(dst, now) {
+                    outcome.failovers.push((dst, route));
+                }
+            }
+        }
+        outcome
+    }
+
+    fn mark_used(&mut self, seen: &Route, now: SimTime) {
+        for entry in &mut self.entries {
+            for j in 1..entry.path.len() {
+                let l = entry.path.link(j - 1);
+                if seen.contains_link(l) {
+                    entry.last_used[j - 1] = now;
+                    entry.last_used[j] = now;
+                }
+            }
+        }
+    }
+
+    fn mark_forwarded(&mut self, seen: &Route) {
+        for entry in &mut self.entries {
+            if entry.path.links().any(|l| seen.contains_link(l)) {
+                entry.used_for_forwarding = true;
+            }
+        }
+    }
+
+    fn expire(&mut self, now: SimTime, timeout: SimDuration) -> usize {
+        let mut affected = 0;
+        let mut kept = Vec::with_capacity(self.entries.len());
+        for mut entry in self.entries.drain(..) {
+            let cut = PathCache::stale_cut(&entry, now, timeout);
+            if cut == entry.path.len() {
+                kept.push(entry);
+                continue;
+            }
+            affected += 1;
+            self.log.push(CacheEvent::Expired { route: entry.path.clone() });
+            if cut >= 2 {
+                let nodes = entry.path.nodes()[..cut].to_vec();
+                entry.path = Route::new(nodes).expect("prefix of a loop-free route");
+                entry.last_used.truncate(cut);
+                kept.push(entry);
+            }
+        }
+        self.entries = kept;
+        affected
+    }
+}
+
+/// Node ids the generated routes draw from: few enough that routes share
+/// links, prefixes and destinations all the time.
+const NODES: u16 = 10;
+
+/// A loop-free node sequence of 2–6 nodes; `rooted` ones start at node 0
+/// (the cache owner), the others anywhere (observed packets).
+fn random_route(rng: &mut SimRng, rooted: bool) -> Route {
+    let mut pool: Vec<u16> = (u16::from(rooted)..NODES).collect();
+    let mut nodes = if rooted { vec![NodeId::new(0)] } else { Vec::new() };
+    let len = rng.random_range(2..=6usize);
+    while nodes.len() < len {
+        let pick = rng.random_range(0..pool.len());
+        nodes.push(NodeId::new(pool.swap_remove(pick)));
+    }
+    Route::new(nodes).expect("drawn without replacement")
+}
+
+fn random_link(rng: &mut SimRng) -> Link {
+    let from = rng.random_range(0..NODES);
+    let to = (from + rng.random_range(1..NODES)) % NODES;
+    Link::new(NodeId::new(from), NodeId::new(to))
+}
+
+/// One seeded op sequence against both caches, every observable compared
+/// after every op.
+fn run_case(seed: u64) {
+    let mut rng = RngFactory::new(seed).stream("path-cache-differential", 0);
+    let capacity = rng.random_range(2..=8usize);
+    let multipath_k = (rng.random_range(0..3u32) == 0).then_some(2);
+    let owner = NodeId::new(0);
+    let mut cache = PathCache::new(owner, capacity);
+    cache.set_event_log(true);
+    if let Some(k) = multipath_k {
+        cache.set_multipath(k);
+    }
+    let mut model = ReferenceCache::new(owner, capacity, multipath_k);
+    let mut events = Vec::new();
+    let mut now = SimTime::ZERO;
+    for step in 0..400 {
+        now += SimDuration::from_millis(rng.random_range(0..1500u32).into());
+        let at = format!("seed {seed} step {step}");
+        match rng.random_range(0..16u32) {
+            0..=4 => {
+                let route = random_route(&mut rng, true);
+                let expected = model.insert(route.clone(), now);
+                // Owned and slice form are one path; alternate the entry.
+                let got = if step % 2 == 0 {
+                    cache.insert_slice(route.nodes(), now)
+                } else {
+                    cache.insert(route, now)
+                };
+                assert_eq!(got, expected, "{at}: insert");
+            }
+            5..=6 => {
+                let dst = NodeId::new(rng.random_range(0..NODES));
+                assert_eq!(cache.find(dst, now), model.find(dst, now), "{at}: find {dst}");
+            }
+            7..=9 => {
+                let rooted = rng.random_range(0..2u32) == 0;
+                let seen = random_route(&mut rng, rooted);
+                cache.mark_used(&seen, now);
+                model.mark_used(&seen, now);
+            }
+            10 => {
+                let seen = random_route(&mut rng, false);
+                cache.mark_forwarded(&seen);
+                model.mark_forwarded(&seen);
+            }
+            11..=13 => {
+                let link = random_link(&mut rng);
+                let got = cache.remove_link(link, now);
+                assert_eq!(got, model.remove_link(link, now), "{at}: remove_link {link}");
+            }
+            14 => {
+                let timeout = SimDuration::from_secs(rng.random_range(1..8u32).into());
+                assert_eq!(cache.expire(now, timeout), model.expire(now, timeout), "{at}: expire");
+            }
+            _ => {
+                let timeout = (rng.random_range(0..3u32) > 0)
+                    .then(|| SimDuration::from_secs(rng.random_range(1..8u32).into()));
+                cache.set_read_expiry(timeout);
+                model.read_expiry = timeout;
+            }
+        }
+        // Order, paths, `entered_at`, `last_used` and forwarding flags.
+        assert_eq!(cache.entries, model.entries, "{at}: entries");
+        cache.drain_events(&mut events);
+        assert_eq!(events, model.log, "{at}: logged events");
+        events.clear();
+        model.log.clear();
+    }
+}
+
+#[test]
+fn shipped_cache_matches_reference_model_op_for_op() {
+    const CASES: u64 = 300;
+    for seed in 0..CASES {
+        if let Err(panic) = std::panic::catch_unwind(|| run_case(seed)) {
+            eprintln!("path-cache differential failed; replay with run_case({seed})");
+            std::panic::resume_unwind(panic);
+        }
+    }
+}

@@ -1,0 +1,137 @@
+//! Pins the allocation behaviour of the route cache's steady state: once a
+//! node knows the routes flowing past it, overhearing one more data packet,
+//! refreshing timestamps, purging a link it does not hold and missing a
+//! lookup must not touch the heap at all, and a lookup hit must allocate
+//! exactly the route it returns. These are the operations every decoded
+//! data frame and every overheard route error runs at every bystander, so
+//! an allocation creeping back in here is the whole simulator slowing down.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dsr::{DsrConfig, DsrNode, PathCache};
+use packet::{DataPacket, Link, Packet, Route};
+use sim_core::{NodeId, RngFactory, SimTime};
+
+/// Forwards to the system allocator, counting calls per thread (libtest
+/// runs sibling tests on other threads).
+struct Counting;
+
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `try_with`: the allocator still runs while a thread's locals are torn
+/// down, and a count missed there is outside every measurement.
+fn count() {
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping touches only a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (CALLS.with(Cell::get) - before, out)
+}
+
+fn n(i: u16) -> NodeId {
+    NodeId::new(i)
+}
+
+fn t(s: f64) -> SimTime {
+    SimTime::from_secs(s)
+}
+
+fn route(ids: &[u16]) -> Route {
+    Route::new(ids.iter().map(|&i| n(i)).collect()).expect("valid route")
+}
+
+fn data_on(ids: &[u16], uid: u64) -> Packet {
+    let r = route(ids);
+    Packet::Data(DataPacket {
+        uid,
+        src: r.source(),
+        dst: r.destination(),
+        seq: uid,
+        payload_bytes: 512,
+        sent_at: SimTime::ZERO,
+        route: r,
+        hop: 0,
+        salvage_count: 0,
+    })
+}
+
+#[test]
+fn snooping_a_known_route_allocates_nothing() {
+    for cfg in [DsrConfig::base(), DsrConfig::combined()] {
+        let label = cfg.label();
+        let mut node = DsrNode::new(n(5), cfg, RngFactory::new(1).stream("alloc-free", 5));
+        // Off the route (learning through the overheard transmitter) and on
+        // it (learning the suffix and the reversed prefix).
+        let overheard = data_on(&[0, 1, 2, 3], 1);
+        let through_us = data_on(&[0, 1, 5, 3], 2);
+        // Warm-up: the first sight adds cache entries and sizes the scratch.
+        node.on_snoop(n(1), &overheard, t(0.0));
+        node.on_snoop(n(1), &through_us, t(0.0));
+        for (packet, what) in [(&overheard, "off-route"), (&through_us, "on-route")] {
+            let (allocs, cmds) = allocations(|| node.on_snoop(n(1), packet, t(0.1)));
+            assert!(cmds.is_empty(), "{label}, {what}: a refresh commands nothing: {cmds:?}");
+            assert_eq!(allocs, 0, "{label}, {what}: on_snoop of an already cached route");
+        }
+    }
+}
+
+#[test]
+fn cache_steady_state_allocates_only_the_route_a_hit_returns() {
+    let mut cache = PathCache::new(n(0), 16);
+    for path in [&[0u16, 1, 2, 3][..], &[0, 4, 3], &[0, 5, 6, 7, 8]] {
+        cache.insert(route(path), t(0.0));
+    }
+    let seen = route(&[9, 1, 2, 10]);
+    cache.mark_used(&seen, t(0.5)); // warm-up: sizes the successor table
+
+    let (allocs, ()) = allocations(|| cache.mark_used(&seen, t(1.0)));
+    assert_eq!(allocs, 0, "mark_used");
+    let (allocs, ()) = allocations(|| cache.mark_forwarded(&seen));
+    assert_eq!(allocs, 0, "mark_forwarded");
+    let prefix = [n(0), n(1), n(2)];
+    let (allocs, changed) = allocations(|| cache.insert_slice(&prefix, t(1.0)));
+    assert!(changed);
+    assert_eq!(allocs, 0, "insert_slice refreshing a cached prefix");
+    let (allocs, removed) = allocations(|| cache.remove_link(Link::new(n(3), n(0)), t(1.0)));
+    assert!(!removed.contained);
+    assert_eq!(allocs, 0, "remove_link for a link not in the cache");
+    let (allocs, found) = allocations(|| cache.find(n(42), t(1.0)));
+    assert!(found.is_none());
+    assert_eq!(allocs, 0, "find miss");
+    let (allocs, found) = allocations(|| cache.find(n(3), t(1.0)));
+    assert_eq!(found, Some(route(&[0, 4, 3])));
+    assert_eq!(allocs, 1, "find hit: the returned route and nothing else");
+}

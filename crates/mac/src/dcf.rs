@@ -28,6 +28,7 @@
 //! fresh packets are resolved by the retry backoff).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rand::Rng;
 use sim_core::{NodeId, SimDuration, SimRng, SimTime};
@@ -108,8 +109,9 @@ pub enum MacCommand<P> {
     },
     /// Promiscuous tap: a data frame addressed to someone else was decoded.
     Snoop {
-        /// The overheard frame (payload included).
-        frame: MacFrame<P>,
+        /// The overheard frame (payload included), shared with the other
+        /// receivers of the transmission: a bystander only reads it.
+        frame: Arc<MacFrame<P>>,
     },
     /// Link-layer failure feedback: `payload` could not be delivered to
     /// `dst` within the retry limits. DSR treats this as a broken link.
@@ -396,25 +398,60 @@ impl<P: Clone> Dcf<P> {
         cmds: &mut Vec<MacCommand<P>>,
     ) {
         if frame.addressed_to(self.node) {
-            match frame.kind {
-                FrameKind::Data => self.receive_data(frame, now, cmds),
-                FrameKind::Rts => self.receive_rts(frame, now, cmds),
-                FrameKind::Cts => self.receive_cts(frame, now, cmds),
-                FrameKind::Ack => self.receive_ack(frame, now, cmds),
-            }
+            self.receive_addressed(frame, now, cmds);
         } else {
-            // Virtual carrier sense; `frame.nav` reserves the medium beyond
-            // the frame's own end (which is `now`).
-            self.nav_until = self.nav_until.max(now + frame.nav);
-            if self.state == MainState::Deferring {
-                self.freeze_backoff(now, cmds);
-                self.wait_for_idle(now, cmds);
-            } else if self.state == MainState::WaitIdle {
-                self.wait_for_idle(now, cmds);
-            }
-            if frame.kind == FrameKind::Data {
-                cmds.push(MacCommand::Snoop { frame });
-            }
+            self.overhear(Arc::new(frame), now, cmds);
+        }
+    }
+
+    /// [`Dcf::on_receive_into`] for a frame still shared between the
+    /// receivers of one transmission. Only the addressee needs the frame
+    /// (and its payload) by value; a bystander reads the duration field
+    /// and passes the shared frame on in [`MacCommand::Snoop`], so
+    /// overhearing a data frame copies nothing.
+    pub fn on_receive_shared_into(
+        &mut self,
+        frame: Arc<MacFrame<P>>,
+        now: SimTime,
+        cmds: &mut Vec<MacCommand<P>>,
+    ) {
+        if frame.addressed_to(self.node) {
+            // Often the frame's last copy by now, so the unwrap avoids the
+            // clone.
+            let frame = Arc::try_unwrap(frame).unwrap_or_else(|shared| (*shared).clone());
+            self.receive_addressed(frame, now, cmds);
+        } else {
+            self.overhear(frame, now, cmds);
+        }
+    }
+
+    fn receive_addressed(
+        &mut self,
+        frame: MacFrame<P>,
+        now: SimTime,
+        cmds: &mut Vec<MacCommand<P>>,
+    ) {
+        match frame.kind {
+            FrameKind::Data => self.receive_data(frame, now, cmds),
+            FrameKind::Rts => self.receive_rts(frame, now, cmds),
+            FrameKind::Cts => self.receive_cts(frame, now, cmds),
+            FrameKind::Ack => self.receive_ack(frame, now, cmds),
+        }
+    }
+
+    /// A frame addressed to someone else was decoded.
+    fn overhear(&mut self, frame: Arc<MacFrame<P>>, now: SimTime, cmds: &mut Vec<MacCommand<P>>) {
+        // Virtual carrier sense; `frame.nav` reserves the medium beyond
+        // the frame's own end (which is `now`).
+        self.nav_until = self.nav_until.max(now + frame.nav);
+        if self.state == MainState::Deferring {
+            self.freeze_backoff(now, cmds);
+            self.wait_for_idle(now, cmds);
+        } else if self.state == MainState::WaitIdle {
+            self.wait_for_idle(now, cmds);
+        }
+        if frame.kind == FrameKind::Data {
+            cmds.push(MacCommand::Snoop { frame });
         }
     }
 
@@ -1104,6 +1141,32 @@ mod tests {
         let cmds = mac.on_receive(data, t(0.0));
         assert!(cmds.iter().any(|c| matches!(c, MacCommand::Snoop { .. })));
         assert!(!cmds.iter().any(|c| matches!(c, MacCommand::Deliver { .. })));
+    }
+
+    #[test]
+    fn shared_receive_snoops_without_copying_and_matches_owned_receive() {
+        let data = MacFrame {
+            kind: FrameKind::Data,
+            src: NodeId::new(0),
+            dst: NodeId::new(1),
+            bytes: 100,
+            nav: SimDuration::from_micros_u64(500),
+            seq: 0,
+            payload: Some(13),
+        };
+        let shared = Arc::new(data.clone());
+        // Bystander and addressee, each fed both ways: same commands.
+        for node in [9, 1] {
+            let mut cmds = Vec::new();
+            mk(node).on_receive_shared_into(Arc::clone(&shared), t(0.0), &mut cmds);
+            assert_eq!(cmds, mk(node).on_receive(data.clone(), t(0.0)), "node {node}");
+            // The bystander's tap is the transmission's own frame.
+            if let Some(MacCommand::Snoop { frame }) = cmds.last() {
+                assert!(Arc::ptr_eq(frame, &shared));
+            } else {
+                assert_eq!(node, 1, "only the addressee does not snoop");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,12 @@ impl Link {
     pub const fn new(from: NodeId, to: NodeId) -> Self {
         Link { from, to }
     }
+
+    /// The directed links a node sequence traverses, in order — for callers
+    /// holding a borrowed piece of a route rather than a [`Route`].
+    pub fn along(nodes: &[NodeId]) -> impl Iterator<Item = Link> + '_ {
+        nodes.windows(2).map(|w| Link::new(w[0], w[1]))
+    }
 }
 
 impl fmt::Display for Link {
@@ -155,7 +161,7 @@ impl Route {
 
     /// Iterates over the directed links of the route in order.
     pub fn links(&self) -> impl Iterator<Item = Link> + '_ {
-        self.nodes.windows(2).map(|w| Link::new(w[0], w[1]))
+        Link::along(&self.nodes)
     }
 
     /// The next hop after `node`, if `node` is on the route and not the
@@ -197,6 +203,19 @@ impl Route {
     pub fn truncate_before_link(&self, link: Link) -> Option<Route> {
         let i = self.nodes.windows(2).position(|w| w[0] == link.from && w[1] == link.to)?;
         Some(Route { nodes: self.nodes[..=i].to_vec() })
+    }
+
+    /// Shortens the route in place to its first `len` nodes (a no-op when it
+    /// is already that short) — the allocation-free form of
+    /// [`Route::truncate_before_link`] for callers that own the route. A
+    /// prefix of a loop-free route is loop-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero: routes are never empty.
+    pub fn truncate(&mut self, len: usize) {
+        assert!(len > 0, "routes are never empty");
+        self.nodes.truncate(len);
     }
 
     /// Concatenates `self` (ending at some node) with `rest` (starting at
@@ -307,6 +326,21 @@ mod tests {
         assert_eq!(route.truncate_before_link(broken), Some(r(&[0, 1, 2])));
         let elsewhere = Link::new(NodeId::new(3), NodeId::new(2));
         assert_eq!(route.truncate_before_link(elsewhere), None);
+    }
+
+    #[test]
+    fn in_place_truncate_keeps_a_prefix() {
+        let mut route = r(&[0, 1, 2, 3]);
+        route.truncate(9);
+        assert_eq!(route, r(&[0, 1, 2, 3]), "longer than the route: no-op");
+        route.truncate(2);
+        assert_eq!(route, r(&[0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "never empty")]
+    fn in_place_truncate_refuses_to_empty_the_route() {
+        r(&[0, 1]).truncate(0);
     }
 
     #[test]

@@ -616,11 +616,10 @@ impl<A: RoutingAgent> Simulator<A> {
                     if self.rx_suppressed(rx) {
                         return;
                     }
-                    // Usually the frame's last copy by now, so the unwrap
-                    // avoids the clone.
-                    let frame = Arc::try_unwrap(frame).unwrap_or_else(|shared| (*shared).clone());
+                    // The frame stays shared: a bystander snoops it as is,
+                    // and only the addressee takes it by value.
                     let now = self.now;
-                    self.mac_input(rx, |mac, cmds| mac.on_receive_into(frame, now, cmds));
+                    self.mac_input(rx, |mac, cmds| mac.on_receive_shared_into(frame, now, cmds));
                 }
             }
             Ev::CarrierSense { rx } => {
@@ -1033,9 +1032,9 @@ impl<A: RoutingAgent> Simulator<A> {
                     self.apply_agent(node, cmds);
                 }
                 MacCommand::Snoop { frame } => {
-                    if let Some(payload) = frame.payload {
+                    if let Some(payload) = &frame.payload {
                         let cmds =
-                            self.agents[node as usize].on_snoop(frame.src, &payload, self.now);
+                            self.agents[node as usize].on_snoop(frame.src, payload, self.now);
                         self.apply_agent(node, cmds);
                     }
                 }

@@ -5,9 +5,9 @@
 # fails at dependency resolution before compiling a single line. This
 # script reproduces tier-1 verification with bare `rustc`: it compiles a
 # stub `rand` (tools/offline/rand_stub.rs), builds every workspace crate
-# in dependency order, runs every crate's unit tests, the runner's
-# integration tests, and the non-proptest root integration tests, and
-# builds the experiment binaries.
+# in dependency order, runs every crate's unit tests, the dsr crate's and
+# the runner's integration tests, and the non-proptest root integration
+# tests, and builds the experiment binaries.
 #
 # Usage: tools/offline_check.sh [--quick]
 #   --quick  build + unit tests only (skip integration tests and binaries)
@@ -126,6 +126,12 @@ if [[ $quick -eq 1 ]]; then
 fi
 
 # --- integration tests -----------------------------------------------------
+# The dsr crate's own: the hand-driven agent flows and the allocation pin
+# (its counting global allocator needs a test binary of its own).
+for t in crates/dsr/tests/*.rs; do
+  integration_test "dsr_$(basename "$t" .rs)" "$t" sim-core packet rand dsr
+done
+
 runner_deps=(sim-core mobility phy packet mac dsr traffic metrics obs runner)
 for t in crates/runner/tests/*.rs; do
   integration_test "runner_$(basename "$t" .rs)" "$t" "${runner_deps[@]}"
