@@ -29,6 +29,11 @@ pub struct BenchSummary {
     pub cancelled: Option<u64>,
     /// `cancelled` as a fraction of scheduled queue events.
     pub cancel_ratio: Option<f64>,
+    /// Timer re-arms the queue absorbed in place. `None` for baselines
+    /// written before the queue counted them.
+    pub postponed: Option<u64>,
+    /// Stale keys the queue re-filed for those re-arms; `None` likewise.
+    pub rekeyed: Option<u64>,
 }
 
 /// Extracts the first top-level `"key": <number>` field.
@@ -69,16 +74,22 @@ impl BenchSummary {
             events_per_wall_second: number("events_per_wall_second")?,
             cancelled: number_field(json, "cancelled").map(|v| v as u64),
             cancel_ratio: number_field(json, "cancel_ratio"),
+            postponed: number_field(json, "postponed").map(|v| v as u64),
+            rekeyed: number_field(json, "rekeyed").map(|v| v as u64),
         })
     }
 
     /// Human-readable cancellation figure for gate output, e.g.
-    /// `"40371469 cancelled (12.1%)"`, or a placeholder for baselines
-    /// that predate the field.
+    /// `"40371469 cancelled (12.1%), 6070000 postponed, 2070000 re-keyed"`,
+    /// with a placeholder for whatever a baseline predates.
     pub fn cancel_summary(&self) -> String {
-        match (self.cancelled, self.cancel_ratio) {
+        let cancelled = match (self.cancelled, self.cancel_ratio) {
             (Some(n), Some(r)) => format!("{n} cancelled ({:.1}%)", r * 100.0),
             _ => "cancelled: n/a".to_string(),
+        };
+        match (self.postponed, self.rekeyed) {
+            (Some(p), Some(k)) => format!("{cancelled}, {p} postponed, {k} re-keyed"),
+            _ => format!("{cancelled}, postponed: n/a"),
         }
     }
 }
@@ -157,7 +168,8 @@ mod tests {
         // absent rather than fabricated.
         assert_eq!(s.cancelled, None);
         assert_eq!(s.cancel_ratio, None);
-        assert_eq!(s.cancel_summary(), "cancelled: n/a");
+        assert_eq!((s.postponed, s.rekeyed), (None, None));
+        assert_eq!(s.cancel_summary(), "cancelled: n/a, postponed: n/a");
     }
 
     #[test]
@@ -169,10 +181,18 @@ mod tests {
             "\"scheduled\": 1100000,\n  \"cancelled\": 100000,\n  \"paired_runs\": 0,\n  \
              \"cancel_ratio\": 0.0909,",
         );
+        // A baseline from before the queue could postpone says so.
+        let older = BenchSummary::parse(&json).unwrap();
+        assert_eq!(older.cancel_summary(), "100000 cancelled (9.1%), postponed: n/a");
+        let json = json.replace(
+            "\"cancel_ratio\": 0.0909,",
+            "\"cancel_ratio\": 0.0909,\n  \"postponed\": 60000,\n  \"rekeyed\": 20000,",
+        );
         let s = BenchSummary::parse(&json).unwrap();
         assert_eq!(s.cancelled, Some(100_000));
         assert_eq!(s.cancel_ratio, Some(0.0909));
-        assert_eq!(s.cancel_summary(), "100000 cancelled (9.1%)");
+        assert_eq!((s.postponed, s.rekeyed), (Some(60_000), Some(20_000)));
+        assert_eq!(s.cancel_summary(), "100000 cancelled (9.1%), 60000 postponed, 20000 re-keyed");
     }
 
     #[test]

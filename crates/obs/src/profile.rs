@@ -15,6 +15,8 @@
 //! dispatched = 18433204
 //! scheduled = 19001771
 //! cancelled = 568567
+//! postponed = 1204113
+//! rekeyed = 433020
 //! kinds = 2
 //! kind.0 = agent_timer 9120411 21930114312
 //! kind.1 = mac_timer 8101233 1801238971
@@ -69,6 +71,13 @@ pub struct Profile {
     /// queue remainder at the horizon) — the re-arm churn future PRs can
     /// attack.
     pub cancelled: u64,
+    /// Timer re-arms the queue absorbed in place (sum of
+    /// `EventQueue::postponed`): each would have been one more `scheduled`
+    /// and one more `cancelled`.
+    pub postponed: u64,
+    /// Stale keys the queue re-filed on the way (sum of
+    /// `EventQueue::rekeyed`) — what the postpones cost; not dispatches.
+    pub rekeyed: u64,
     /// Per-event-kind dispatch counts and wall time.
     pub kinds: Vec<Tally>,
     /// Per-drop-reason occurrence counts.
@@ -106,6 +115,8 @@ impl Profile {
         self.dispatched += other.dispatched;
         self.scheduled += other.scheduled;
         self.cancelled += other.cancelled;
+        self.postponed += other.postponed;
+        self.rekeyed += other.rekeyed;
         merge_tallies(&mut self.kinds, &other.kinds);
         merge_tallies(&mut self.drops, &other.drops);
         merge_tallies(&mut self.traces, &other.traces);
@@ -143,6 +154,8 @@ impl Profile {
         block.push("dispatched", self.dispatched.to_string());
         block.push("scheduled", self.scheduled.to_string());
         block.push("cancelled", self.cancelled.to_string());
+        block.push("postponed", self.postponed.to_string());
+        block.push("rekeyed", self.rekeyed.to_string());
         for (prefix, tallies) in
             [("kind", &self.kinds), ("drop", &self.drops), ("trace", &self.traces)]
         {
@@ -199,7 +212,8 @@ impl Profile {
         let scheduled: u64 = block.require_parsed("scheduled")?;
         // Optional with backwards-compatible defaults: profiles written
         // before the envelope planner had no inline boundaries (dispatched
-        // == events) and every schedule/dispatch gap was cancellation.
+        // == events) and every schedule/dispatch gap was cancellation;
+        // ones written before the queue could postpone postponed nothing.
         let opt_u64 = |key: &'static str, default: u64| -> Result<u64, ObsError> {
             match block.get(key) {
                 Some(raw) => raw.parse().map_err(|_| ObsError::BadValue {
@@ -218,6 +232,8 @@ impl Profile {
             dispatched: opt_u64("dispatched", events)?,
             scheduled,
             cancelled: opt_u64("cancelled", scheduled.saturating_sub(events))?,
+            postponed: opt_u64("postponed", 0)?,
+            rekeyed: opt_u64("rekeyed", 0)?,
             kinds: parse_tallies("kind", true)?,
             drops: parse_tallies("drop", false)?,
             traces: parse_tallies("trace", false)?,
@@ -264,6 +280,7 @@ impl Profile {
              \"events\": {events},\n  \"dispatched\": {dispatched},\n  \
              \"scheduled\": {scheduled},\n  \"cancelled\": {cancelled},\n  \
              \"cancel_ratio\": {cancel_ratio},\n  \
+             \"postponed\": {postponed},\n  \"rekeyed\": {rekeyed},\n  \
              \"events_per_wall_second\": {rate},\n  \"kinds\": {kinds},\n  \"drops\": {drops},\n  \
              \"traces\": {traces}\n}}\n",
             schema = FORMAT_HEADER,
@@ -277,6 +294,8 @@ impl Profile {
             scheduled = self.scheduled,
             cancelled = self.cancelled,
             cancel_ratio = fmt_f64(self.cancel_ratio()),
+            postponed = self.postponed,
+            rekeyed = self.rekeyed,
             rate = fmt_f64(self.events_per_wall_second()),
             kinds = tally_array(&self.kinds, true),
             drops = tally_array(&self.drops, false),
@@ -332,6 +351,8 @@ mod tests {
             dispatched: 990,
             scheduled: 1100,
             cancelled: 104,
+            postponed: 40,
+            rekeyed: 12,
             kinds: vec![
                 Tally { name: "mac_timer".into(), count: 600, wall_ns: 900_000 },
                 Tally { name: "agent_timer".into(), count: 400, wall_ns: 600_000 },
@@ -369,6 +390,7 @@ mod tests {
         total.merge(&second);
         assert_eq!(total.runs, 2);
         assert_eq!(total.events, 2000);
+        assert_eq!((total.postponed, total.rekeyed), (80, 24));
         assert_eq!(total.kinds.iter().find(|t| t.name == "mac_timer").unwrap().count, 1200);
         assert_eq!(total.drops.len(), 2);
     }
@@ -389,16 +411,19 @@ mod tests {
     fn parse_defaults_pre_envelope_profiles() {
         // Profiles written before `dispatched`/`cancelled` existed must
         // still load, with every dispatch attributed to the queue and the
-        // whole schedule gap to cancellation.
+        // whole schedule gap to cancellation; likewise ones from before
+        // the queue counted `postponed`/`rekeyed`, with none of either.
+        let optional = ["dispatched =", "cancelled =", "postponed =", "rekeyed ="];
         let mut legacy = one_run().render();
         legacy = legacy
             .lines()
-            .filter(|l| !l.starts_with("dispatched =") && !l.starts_with("cancelled ="))
+            .filter(|l| !optional.iter().any(|key| l.starts_with(key)))
             .collect::<Vec<_>>()
             .join("\n");
         let parsed = Profile::parse(&legacy).unwrap();
         assert_eq!(parsed.dispatched, 1000);
         assert_eq!(parsed.cancelled, 100);
+        assert_eq!((parsed.postponed, parsed.rekeyed), (0, 0));
     }
 
     #[test]

@@ -59,6 +59,9 @@ use crate::observers::{ObsState, Observers};
 use crate::proto::{AgentCommand, RoutingAgent};
 use crate::trace::TraceSink;
 
+#[cfg(test)]
+mod timer_faults;
+
 /// Profiler names for [`Ev`] variants, indexed by [`ev_kind_index`].
 pub(crate) const EV_KIND_NAMES: [&str; 9] = [
     "mac_timer",
@@ -136,6 +139,28 @@ enum Ev<P, T> {
     FaultEnd {
         idx: usize,
     },
+}
+
+/// Arms a timer for `at`, replacing the pending arm `old` of the same
+/// timer if there is one. A re-arm to a later (or the same) instant — what
+/// the DCF does to `Recheck` on every extension of the busy horizon —
+/// moves the queued event in place; anything else is cancel + schedule.
+/// Both consume exactly one seq, here, so the choice never shows in the
+/// dispatch order. `ev` is the payload a fresh event gets; a moved one
+/// keeps its own, which names the same node and timer.
+fn rearm<P, T>(
+    queue: &mut EventQueue<Ev<P, T>>,
+    old: Option<EventId>,
+    at: SimTime,
+    ev: Ev<P, T>,
+) -> EventId {
+    if let Some(old) = old {
+        if let Some(moved) = queue.postpone(old, at) {
+            return moved;
+        }
+        queue.cancel(old);
+    }
+    queue.schedule(at, ev)
 }
 
 /// One fully assembled simulation run over routing protocol `A`
@@ -489,6 +514,8 @@ impl<A: RoutingAgent> Simulator<A> {
             dispatched,
             scheduled: self.queue.scheduled() + inline,
             cancelled: self.queue.scheduled().saturating_sub(dispatched),
+            postponed: self.queue.postponed(),
+            rekeyed: self.queue.rekeyed(),
             ..Profile::default()
         });
         Ok(report)
@@ -967,7 +994,9 @@ impl<A: RoutingAgent> Simulator<A> {
                         // materialized later lands at this queue position.
                         let start_seq = self.queue.reserve_seq();
                         let (start_evented, needs_decode, payload) = if decodable {
-                            self.queue.schedule_at_seq(
+                            // At most a propagation delay ahead: due
+                            // before nearly everything queued.
+                            self.queue.schedule_near(
                                 a.start,
                                 start_seq,
                                 Ev::ArrivalBoundary { rx, tx_id },
@@ -986,7 +1015,7 @@ impl<A: RoutingAgent> Simulator<A> {
                             // freeze/recheck must fire at the start — or an
                             // open suppression window may need to gate this
                             // boundary at dispatch time.
-                            self.queue.schedule_at_seq(a.start, start_seq, Ev::CarrierSense { rx });
+                            self.queue.schedule_near(a.start, start_seq, Ev::CarrierSense { rx });
                             self.boundary_scheduled += 1;
                             (true, false, None)
                         } else {
@@ -1011,10 +1040,8 @@ impl<A: RoutingAgent> Simulator<A> {
                     self.arrival_buf = arrivals;
                 }
                 MacCommand::SetTimer { timer, at } => {
-                    let id = self.queue.schedule(at, Ev::MacTimer { node, timer });
-                    if let Some(old) = self.mac_timers[node as usize][timer.index()].replace(id) {
-                        self.queue.cancel(old);
-                    }
+                    let slot = &mut self.mac_timers[node as usize][timer.index()];
+                    *slot = Some(rearm(&mut self.queue, *slot, at, Ev::MacTimer { node, timer }));
                 }
                 MacCommand::CancelTimer { timer } => {
                     if let Some(old) = self.mac_timers[node as usize][timer.index()].take() {
@@ -1067,10 +1094,10 @@ impl<A: RoutingAgent> Simulator<A> {
                     self.observers.on_deliver(self.now, node, uid, src, bytes, fresh);
                 }
                 AgentCommand::SetTimer { timer, at } => {
-                    let id = self.queue.schedule(at, Ev::AgentTimer { node, timer });
-                    if let Some(old) = self.agent_timers[node as usize].insert(timer, id) {
-                        self.queue.cancel(old);
-                    }
+                    let timers = &mut self.agent_timers[node as usize];
+                    let old = timers.get(&timer).copied();
+                    let id = rearm(&mut self.queue, old, at, Ev::AgentTimer { node, timer });
+                    timers.insert(timer, id);
                 }
                 AgentCommand::CancelTimer { timer } => {
                     if let Some(old) = self.agent_timers[node as usize].remove(&timer) {

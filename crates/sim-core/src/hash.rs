@@ -1,11 +1,11 @@
 //! A fast, non-cryptographic hasher for small integer keys.
 //!
-//! The event queue touches its `pending`/`cancelled` sets on every
-//! schedule, pop, and cancel — several hundred million times in a full
+//! The metrics collector touches its uid set and its per-reason tallies
+//! on every delivery, drop and cache hit — millions of times in a full
 //! campaign — and the standard library's default SipHash shows up as a
-//! fixed per-event tax in the profiler. Event ids (and packet uids) are
-//! dense sequential integers under the caller's control, not attacker
-//! input, so HashDoS resistance buys nothing here. [`U64Hasher`] replaces
+//! fixed per-call tax in the profiler. Packet uids are dense sequential
+//! integers under the caller's control, not attacker input, so HashDoS
+//! resistance buys nothing here. [`U64Hasher`] replaces
 //! SipHash with a single Fibonacci multiply, which mixes low-entropy
 //! sequential keys into the high bits that hashbrown's control bytes and
 //! bucket index are derived from.
@@ -17,7 +17,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 ///
 /// Correct for any `Hash` type (the byte path folds with an FNV-style
 /// prime) but designed for keys that hash via a single `write_u64` /
-/// `write_u32` / `write_u16` call, e.g. `EventId` or packet uids.
+/// `write_u32` / `write_u16` call, e.g. packet uids.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct U64Hasher(u64);
 
