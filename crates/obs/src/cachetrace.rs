@@ -46,6 +46,7 @@
 //! any worker count.
 
 use crate::text::{escape, sanitize, unescape, KvBlock, ObsError};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// First line of every cache-decision trace file.
@@ -57,6 +58,11 @@ pub const COLUMNS: &[&str] = &["t_ns", "node", "op", "kind", "dst", "route", "va
 /// The `op` column's vocabulary.
 pub const OPS: &[&str] =
     &["insert", "lookup", "remove", "expire", "evict", "refresh", "suppress", "failover"];
+
+/// What [`CacheTrace::render`] reserves per row: a 100-node paper-scale row
+/// (`t_ns` of 10–12 digits, a 3–5 hop route of two-digit ids) renders to
+/// 40–55 bytes with its newline.
+const TYPICAL_ROW_BYTES: usize = 56;
 
 /// One recorded cache decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,48 +86,54 @@ pub struct CacheRow {
 }
 
 impl CacheRow {
-    fn render(&self) -> String {
-        let valid = match self.valid {
-            Some(true) => "1".to_string(),
-            Some(false) => "0".to_string(),
-            None => "-".to_string(),
-        };
-        let stale = match self.stale_ns {
-            Some(ns) => ns.to_string(),
-            None => "-".to_string(),
-        };
-        format!(
-            "{} {} {} {} {} {} {valid} {stale}",
-            self.t_ns, self.node, self.op, self.kind, self.dst, self.route
-        )
+    /// Appends the row's text (no newline) to `out`, allocating nothing
+    /// beyond what `out` needs to grow.
+    fn render_into(&self, out: &mut String) {
+        const INFALLIBLE: &str = "writing to a String cannot fail";
+        let CacheRow { t_ns, node, op, kind, dst, route, valid, stale_ns } = self;
+        write!(out, "{t_ns} {node} {op} {kind} {dst} {route} ").expect(INFALLIBLE);
+        out.push_str(match valid {
+            Some(true) => "1 ",
+            Some(false) => "0 ",
+            None => "- ",
+        });
+        match stale_ns {
+            Some(ns) => write!(out, "{ns}").expect(INFALLIBLE),
+            None => out.push('-'),
+        }
     }
 
     fn parse(line_no: usize, line: &str) -> Result<CacheRow, ObsError> {
         let bad = || ObsError::BadRow { line_no, line: line.to_string() };
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != COLUMNS.len() {
+        let mut fields = line.split_whitespace();
+        let mut field = || fields.next().ok_or_else(bad);
+        let t_ns = field()?.parse().map_err(|_| bad())?;
+        let node = field()?.parse().map_err(|_| bad())?;
+        let op = field()?;
+        if !OPS.contains(&op) {
             return Err(bad());
         }
-        if !OPS.contains(&fields[2]) {
-            return Err(bad());
-        }
-        let valid = match fields[6] {
+        let (kind, dst, route) = (field()?, field()?, field()?);
+        let valid = match field()? {
             "1" => Some(true),
             "0" => Some(false),
             "-" => None,
             _ => return Err(bad()),
         };
-        let stale_ns = match fields[7] {
+        let stale_ns = match field()? {
             "-" => None,
             raw => Some(raw.parse().map_err(|_| bad())?),
         };
+        if fields.next().is_some() {
+            return Err(bad());
+        }
         Ok(CacheRow {
-            t_ns: fields[0].parse().map_err(|_| bad())?,
-            node: fields[1].parse().map_err(|_| bad())?,
-            op: fields[2].to_string(),
-            kind: fields[3].to_string(),
-            dst: fields[4].to_string(),
-            route: fields[5].to_string(),
+            t_ns,
+            node,
+            op: op.to_string(),
+            kind: kind.to_string(),
+            dst: dst.to_string(),
+            route: route.to_string(),
             valid,
             stale_ns,
         })
@@ -157,8 +169,9 @@ impl CacheTrace {
         block.push("dropped", self.dropped.to_string());
         block.push("rows", self.rows.len().to_string());
         let mut out = block.render();
+        out.reserve(self.rows.len() * TYPICAL_ROW_BYTES);
         for row in &self.rows {
-            out.push_str(&row.render());
+            row.render_into(&mut out);
             out.push('\n');
         }
         out
@@ -426,6 +439,78 @@ mod tests {
         assert!(CacheTrace::parse(&text).is_err());
         let text = trace.render().replacen(" 1 -\n", " 2 -\n", 1);
         assert!(CacheTrace::parse(&text).is_err());
+        // Each malformed shape of the first row (line 8, after the seven
+        // header lines) is refused as that row, quoted whole.
+        let good = "1000000 5 insert overheard - 5-3-2 1 -";
+        for bad in [
+            "1000000 5 insert overheard - 5-3-2 1",     // 7 fields
+            "1000000 5 insert overheard - 5-3-2 1 - -", // 9 fields
+            "1000000 5 implode overheard - 5-3-2 1 -",  // unknown op
+            "1000000 5 insert overheard - 5-3-2 yes -", // bad valid cell
+            "1000000 5 insert overheard - 5-3-2 1 1.5", // bad stale_ns cell
+            "1e6 5 insert overheard - 5-3-2 1 -",       // bad t_ns cell
+        ] {
+            let text = trace.render().replacen(good, bad, 1);
+            match CacheTrace::parse(&text) {
+                Err(ObsError::BadRow { line_no: 8, line }) => assert_eq!(line, bad),
+                other => panic!("`{bad}` parsed to {other:?}"),
+            }
+        }
+    }
+
+    /// The expression `CacheRow::render` was before it wrote straight into
+    /// the file buffer: three temporaries and a `format!` per row.
+    fn render_with_format(row: &CacheRow) -> String {
+        let valid = match row.valid {
+            Some(true) => "1".to_string(),
+            Some(false) => "0".to_string(),
+            None => "-".to_string(),
+        };
+        let stale = match row.stale_ns {
+            Some(ns) => ns.to_string(),
+            None => "-".to_string(),
+        };
+        format!(
+            "{} {} {} {} {} {} {valid} {stale}",
+            row.t_ns, row.node, row.op, row.kind, row.dst, row.route
+        )
+    }
+
+    #[test]
+    fn rows_render_byte_identically_to_the_format_expression() {
+        let mut rng = sim_core::RngFactory::new(17).stream("cachetrace-render", 0);
+        let mut below = |n: u64| sim_core::rng::uniform(&mut rng, 0.0, n as f64) as u64;
+        let kinds = ["-", "overheard", "origination", "neg-veto", "reply"];
+        let mut rows = Vec::new();
+        for _ in 0..2_000 {
+            let hops: Vec<String> = (0..1 + below(9)).map(|_| below(1_000).to_string()).collect();
+            // Timestamps and latencies of every width from 1 digit to 20.
+            let (t_shift, stale_shift) = (below(64), below(64));
+            let (t_ns, stale_ns) = (below(u64::MAX >> t_shift), below(u64::MAX >> stale_shift));
+            rows.push(CacheRow {
+                t_ns,
+                node: below(100),
+                op: OPS[below(OPS.len() as u64) as usize].to_string(),
+                kind: kinds[below(kinds.len() as u64) as usize].to_string(),
+                dst: if below(2) == 0 { "-".to_string() } else { below(100).to_string() },
+                route: hops.join(if below(4) == 0 { ">" } else { "-" }),
+                valid: [None, Some(false), Some(true)][below(3) as usize],
+                stale_ns: (below(2) == 0).then_some(stale_ns),
+            });
+        }
+        let mut expected = String::new();
+        for row in &rows {
+            let mut line = String::new();
+            row.render_into(&mut line);
+            assert_eq!(line, render_with_format(row));
+            expected.push_str(&line);
+            expected.push('\n');
+        }
+        // The file body is those lines and nothing else, and it parses back.
+        let trace = CacheTrace { rows, ..sample_trace() };
+        let text = trace.render();
+        assert!(text.ends_with(&format!("rows = 2000\n{expected}")));
+        assert_eq!(CacheTrace::parse(&text).unwrap(), trace);
     }
 
     #[test]

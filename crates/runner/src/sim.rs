@@ -399,7 +399,7 @@ impl<A: RoutingAgent> Simulator<A> {
         for agent in &mut self.agents {
             agent.set_decision_trace(true);
         }
-        self.observers.cachetrace = Some(CacheStamper::new(buf));
+        self.observers.cachetrace = Some(CacheStamper::new(buf, self.agents.len()));
     }
 
     /// Runs the simulation to completion and returns the metrics report,

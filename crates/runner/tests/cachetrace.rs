@@ -6,10 +6,15 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use dsr::DsrConfig;
+use mobility::Point;
 use obs::{CacheTrace, OPS};
-use runner::{run_campaign, CampaignConfig, FaultEvent, FaultPlan, ScenarioConfig};
+use runner::{
+    config_fingerprint, run_campaign, CacheTraceBuf, CampaignConfig, FaultEvent, FaultPlan,
+    ScenarioConfig, Simulator, Zone,
+};
 use sim_core::{SimDuration, SimTime};
 
 /// A unique scratch path, cleaned up by each test.
@@ -176,4 +181,97 @@ fn recorded_rows_obey_the_format_vocabulary() {
     }
     assert!(trace.rows.iter().any(|r| r.op == "lookup"), "traffic must trigger lookups");
     assert!(trace.rows.iter().any(|r| r.op == "insert"), "discovery must trigger inserts");
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Runs `cfg` with a cache-decision recorder installed and assembles the
+/// trace the way the campaign supervisor does.
+fn traced(cfg: ScenarioConfig) -> CacheTrace {
+    let label = cfg.dsr.label();
+    let (seed, fingerprint) = (cfg.seed, config_fingerprint(&cfg));
+    let buf: Arc<Mutex<CacheTraceBuf>> = Arc::default();
+    let mut sim = Simulator::new(cfg);
+    sim.set_cachetrace(Arc::clone(&buf));
+    sim.try_run().expect("tiny scenario runs clean");
+    let buf = std::mem::take(&mut *buf.lock().expect("recorder lock"));
+    CacheTrace { label, seed, fingerprint, rows: buf.rows, dropped: buf.dropped }
+}
+
+/// Trace *content* pinned across commits: digests of the rendered file for
+/// three tiny scenarios, recorded at the last commit whose stamper built
+/// every row with `to_string()` per hop and a `HashMap` link memo. A change
+/// to the stamper, the row text or the file renderer that moves a single
+/// byte moves a digest. Re-pin only in a change that means to alter the
+/// trace format or the oracle's verdicts, and say so in that change.
+#[test]
+fn rendered_traces_match_the_pinned_digests() {
+    let secs = SimTime::from_secs;
+    let dur = SimDuration::from_secs;
+    let n = sim_core::NodeId::new;
+    let blackout = Zone::Disc { center: Point::new(150.0, 150.0), radius_m: 120.0 };
+    // Churn wipes two caches mid-run and the blackout breaks links the
+    // oracle still calls up, so removals carry both premature and non-zero
+    // staleness verdicts and the rebooted caches refill, expire and evict.
+    let faults = FaultPlan::none()
+        .node_churn(n(2), secs(6.0), dur(4.0))
+        .node_churn(n(9), secs(14.0), dur(5.0))
+        .region_blackout(blackout, secs(10.0), dur(6.0));
+    let combined = ScenarioConfig::tiny(0.0, 2.0, DsrConfig::combined(), 3);
+    // A six-route cache overflows, so the faulted file carries `evict` rows.
+    let mut faulted = ScenarioConfig { faults, ..combined.clone() };
+    faulted.dsr.cache_capacity = 6;
+    let cases: [(&str, ScenarioConfig, u64, &[&str]); 3] = [
+        (
+            "combined_clean",
+            combined,
+            0x2ee9_1be8_b92b_e508,
+            &["insert", "lookup", "remove", "expire", "refresh"],
+        ),
+        (
+            "base_clean",
+            ScenarioConfig::tiny(0.0, 2.0, DsrConfig::base(), 1),
+            0x1821_2671_87bb_6298,
+            &["insert", "lookup", "remove", "refresh"],
+        ),
+        (
+            "combined_churn_blackout",
+            faulted,
+            0xcdff_80ed_15e5_49eb,
+            &["insert", "lookup", "remove", "expire", "evict", "refresh"],
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, cfg, pinned, ops) in cases {
+        let trace = traced(cfg);
+        assert_eq!(trace.dropped, 0, "{name}: a tiny run stays under the cap");
+        for op in ops {
+            let rows = trace.rows.iter().filter(|r| r.op == *op).count();
+            assert!(rows > 0, "{name}: no `{op}` rows");
+        }
+        if name == "combined_churn_blackout" {
+            let late = |r: &&obs::CacheRow| r.node == 2 && r.t_ns > secs(10.0).as_nanos();
+            for op in ["expire", "evict"] {
+                let rows = trace.rows.iter().filter(late).filter(|r| r.op == op).count();
+                assert!(rows > 0, "{name}: no `{op}` at node 2 after its reboot");
+            }
+            let removes = || trace.rows.iter().filter(|r| r.op == "remove");
+            assert!(removes().any(|r| r.stale_ns > Some(0)), "{name}: no stale purge");
+            assert!(removes().any(|r| r.valid == Some(true)), "{name}: no premature purge");
+        }
+        let got = fnv1a(trace.render().as_bytes());
+        if got != pinned {
+            let mut hist = BTreeMap::new();
+            for r in &trace.rows {
+                *hist.entry(r.op.as_str()).or_insert(0u64) += 1;
+            }
+            mismatches.push(format!("{name}: digest {got:#018x}, pinned {pinned:#018x} {hist:?}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
