@@ -26,6 +26,16 @@
 //! keeps survivors in order; `path_cache/reference.rs` holds the naive
 //! drain-and-rebuild bodies the cache started with, as a test-only oracle
 //! that a seeded differential test drives in lock-step with this code.
+//!
+//! # Summary fields
+//!
+//! Every scan below visits all entries but wants a handful. Each entry
+//! therefore carries two values derived from the rest of it — a node
+//! signature ([`Sig`]) and its LRU stamp — and a scan decides from those
+//! alone whether the entry can matter before following its `path` and
+//! `last_used` pointers to the heap. They filter, they do not index: a
+//! scan that passes the filter runs the very test it always ran, so entry
+//! order, tie-breaks and first-match refresh are untouched.
 
 use packet::{Link, Route};
 use sim_core::{NodeId, SimDuration, SimTime};
@@ -35,20 +45,84 @@ use crate::cache::CacheEvent;
 #[cfg(test)]
 mod reference;
 
+/// A node signature: bit `index % Sig::BITS` is set for every node of a
+/// node sequence. Two different nodes can *fold* onto one bit, so a
+/// signature can only rule things out: a node whose bit is clear is not on
+/// the path; a node whose bit is set may be.
+type Sig = u32;
+
+fn sig_bit(node: NodeId) -> Sig {
+    1 << (node.index() % Sig::BITS as usize)
+}
+
+fn sig_of(nodes: &[NodeId]) -> Sig {
+    nodes.iter().fold(0, |sig, &n| sig | sig_bit(n))
+}
+
+/// The signature of a link's two endpoints (one bit when they fold).
+fn sig_of_link(link: Link) -> Sig {
+    sig_bit(link.from) | sig_bit(link.to)
+}
+
+/// Whether every bit of `sub` is set in `sup`: necessary for `sub`'s nodes
+/// to all be among `sup`'s.
+fn sig_within(sub: Sig, sup: Sig) -> bool {
+    sub & !sup == 0
+}
+
 /// One cached path with its bookkeeping.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PathEntry {
     path: Route,
     entered_at: SimTime,
-    /// Parallel to `path.nodes()`: when each node was last seen in use.
-    last_used: Vec<SimTime>,
+    /// When each node was last seen in use. Allocated once, at the length
+    /// the path was entered with; truncation shortens `path` only, so the
+    /// live part is `last_used[..path.len()]` ([`PathEntry::live_used`]).
+    last_used: Box<[SimTime]>,
+    /// The LRU stamp: the latest of the live `last_used`. Written by
+    /// whoever writes those — simulated time never runs backwards, so a
+    /// refresh at `now` makes it `now`; [`PathEntry::truncate`] recomputes
+    /// it.
+    mru: SimTime,
+    /// [`sig_of`] the path; recomputed by [`PathEntry::truncate`], the only
+    /// edit a stored path sees.
+    sig: Sig,
     used_for_forwarding: bool,
+}
+
+/// The summary fields follow from the others and stay out of it, as does
+/// whatever `last_used` holds beyond the live part.
+impl PartialEq for PathEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.path == other.path
+            && self.entered_at == other.entered_at
+            && self.live_used() == other.live_used()
+            && self.used_for_forwarding == other.used_for_forwarding
+    }
 }
 
 impl PathEntry {
     fn new(path: Route, now: SimTime) -> Self {
-        let n = path.len();
-        PathEntry { path, entered_at: now, last_used: vec![now; n], used_for_forwarding: false }
+        PathEntry {
+            entered_at: now,
+            last_used: vec![now; path.len()].into_boxed_slice(),
+            mru: now,
+            sig: sig_of(path.nodes()),
+            used_for_forwarding: false,
+            path,
+        }
+    }
+
+    fn live_used(&self) -> &[SimTime] {
+        &self.last_used[..self.path.len()]
+    }
+
+    /// Cuts the path down to its first `len` nodes (at least one, at most
+    /// all of them) and brings the summary fields in line.
+    fn truncate(&mut self, len: usize) {
+        self.path.truncate(len);
+        self.sig = sig_of(self.path.nodes());
+        self.mru = self.live_used().iter().copied().max().expect("paths keep their owner");
     }
 
     /// The stored path (starts at the cache owner).
@@ -64,10 +138,6 @@ impl PathEntry {
     /// Whether this path was observed in packets the owner forwarded.
     pub fn used_for_forwarding(&self) -> bool {
         self.used_for_forwarding
-    }
-
-    fn most_recent_use(&self) -> SimTime {
-        self.last_used.iter().copied().max().unwrap_or(self.entered_at)
     }
 }
 
@@ -249,10 +319,12 @@ impl PathCache {
         if path.len() < 2 {
             return false;
         }
+        let sig = sig_of(path);
         // Refresh if `path` is a prefix of (or equal to) an existing entry.
         for entry in &mut self.entries {
-            if entry.path.nodes().starts_with(path) {
+            if sig_within(sig, entry.sig) && entry.path.nodes().starts_with(path) {
                 entry.last_used[..path.len()].fill(now);
+                entry.mru = entry.mru.max(now);
                 entry.entered_at = now;
                 return true;
             }
@@ -260,7 +332,8 @@ impl PathCache {
         // Not a refresh: from here on the cache changes shape.
         let path = Route::new(path.to_vec()).expect("cached paths are loop-free");
         // Replace any existing entries that are prefixes of the new path.
-        self.entries.retain(|e| !path.nodes().starts_with(e.path.nodes()));
+        self.entries
+            .retain(|e| !(sig_within(e.sig, sig) && path.nodes().starts_with(e.path.nodes())));
         if let Some(k) = self.multipath_k {
             if !self.admit_multipath(&path, k) {
                 return false;
@@ -330,9 +403,7 @@ impl PathCache {
     }
 
     fn evict_lru(&mut self) {
-        if let Some((idx, _)) =
-            self.entries.iter().enumerate().min_by_key(|(_, e)| e.most_recent_use())
-        {
+        if let Some((idx, _)) = self.entries.iter().enumerate().min_by_key(|(_, e)| e.mru) {
             let entry = self.entries.swap_remove(idx);
             self.log_evicted(entry);
         }
@@ -358,7 +429,11 @@ impl PathCache {
     pub fn find(&self, dst: NodeId, now: SimTime) -> Option<Route> {
         // (hops, entered_at, entry index) of the best candidate so far.
         let mut best: Option<(usize, SimTime, usize)> = None;
+        let dst_bit = sig_bit(dst);
         for (i, entry) in self.entries.iter().enumerate() {
+            if entry.sig & dst_bit == 0 {
+                continue;
+            }
             let Some(hops) = entry.path.position(dst) else {
                 continue;
             };
@@ -386,7 +461,8 @@ impl PathCache {
 
     /// Whether any cached path uses `link`.
     pub fn contains_link(&self, link: Link) -> bool {
-        self.entries.iter().any(|e| e.path.contains_link(link))
+        let ends = sig_of_link(link);
+        self.entries.iter().any(|e| sig_within(ends, e.sig) && e.path.contains_link(link))
     }
 
     /// Truncates every path containing `link` at the point of failure
@@ -404,7 +480,11 @@ impl PathCache {
         }
         let multipath = self.multipath_k.is_some();
         let mut lost_dsts: Vec<NodeId> = Vec::new();
+        let ends = sig_of_link(link);
         for entry in &mut self.entries {
+            if !sig_within(ends, entry.sig) {
+                continue;
+            }
             let Some(cut) = entry.path.links().position(|l| l == link) else {
                 continue;
             };
@@ -417,15 +497,15 @@ impl PathCache {
             }
             // Keep the nodes up to and including `link.from`. A path cut
             // down to the owner alone is dropped by the pass below.
-            entry.path.truncate(cut + 1);
-            entry.last_used.truncate(cut + 1);
+            entry.truncate(cut + 1);
         }
         // Stable in-place compaction: drop hop-less paths and exact repeats
         // of an earlier survivor.
         let (before, mut kept) = (self.entries.len(), 0);
         for i in 0..before {
-            let path = &self.entries[i].path;
-            if path.hops() >= 1 && !self.entries[..kept].iter().any(|e| e.path == *path) {
+            let PathEntry { path, sig, .. } = &self.entries[i];
+            let repeats = |e: &PathEntry| e.sig == *sig && e.path == *path;
+            if path.hops() >= 1 && !self.entries[..kept].iter().any(repeats) {
                 self.entries.swap(kept, i);
                 kept += 1;
             }
@@ -454,8 +534,14 @@ impl PathCache {
         }
     }
 
-    /// Runs `visit` over the entries with the successor table describing
-    /// `seen` (see the `succ` field), then resets the table.
+    /// Runs `visit` over the entries that may share a link with `seen`,
+    /// with the successor table describing `seen` (see the `succ` field),
+    /// then resets the table.
+    ///
+    /// An entry holding a link of `seen` holds both of its ends, so the two
+    /// signatures have two bits in common — or one, when the link's ends
+    /// fold onto one bit. Only if `seen` has such a link does one common bit
+    /// let an entry through.
     fn with_links_of(&mut self, seen: &Route, mut visit: impl FnMut(&mut PathEntry, &[NodeId])) {
         let nodes = seen.nodes();
         let max = nodes.iter().map(|n| n.index()).max().expect("routes are non-empty");
@@ -465,11 +551,18 @@ impl PathCache {
             succ.reserve_exact(max + 1 - succ.len());
             succ.resize(max + 1, NodeId::BROADCAST);
         }
+        let mut folded_link = false;
         for w in nodes.windows(2) {
             succ[w[0].index()] = w[1];
+            folded_link |= sig_bit(w[0]) == sig_bit(w[1]);
         }
+        let seen_sig = sig_of(nodes);
         for entry in &mut self.entries {
-            visit(entry, &succ);
+            let common = entry.sig & seen_sig;
+            // `x & (x - 1)` clears the lowest set bit: non-zero iff two are set.
+            if common != 0 && (folded_link || common & (common - 1) != 0) {
+                visit(entry, &succ);
+            }
         }
         for n in nodes {
             succ[n.index()] = NodeId::BROADCAST;
@@ -488,6 +581,7 @@ impl PathCache {
                 if succ.get(nodes[j - 1].index()) == Some(&nodes[j]) {
                     entry.last_used[j - 1] = now;
                     entry.last_used[j] = now;
+                    entry.mru = entry.mru.max(now);
                 }
             }
         });
@@ -527,8 +621,7 @@ impl PathCache {
             if cut < 2 {
                 return false;
             }
-            entry.path.truncate(cut);
-            entry.last_used.truncate(cut);
+            entry.truncate(cut);
             *may_hold_repeats = true;
             true
         });
@@ -740,6 +833,75 @@ mod tests {
         c.mark_used(&route(&[2, 1, 0]), t(9.0));
         assert_eq!(c.expire(t(10.0), SimDuration::from_secs(5.0)), 1);
         assert!(c.is_empty());
+    }
+
+    /// Owner 0 caching `0-32-64-5`: nodes 0, 32 and 64 fold onto one bit of
+    /// any signature up to 32 bits wide, so a packet seen on `7-32-64-9`
+    /// shares a single signature bit with the entry although it shares the
+    /// link 32→64. A filter asking for two common bits regardless skips it.
+    fn folded_cache() -> PathCache {
+        let mut c = PathCache::new(n(0), 4);
+        c.insert(route(&[0, 32, 64, 5]), t(0.0));
+        c
+    }
+
+    #[test]
+    fn mark_used_sees_a_link_whose_ends_fold_onto_one_bit() {
+        let mut c = folded_cache();
+        c.mark_used(&route(&[7, 32, 64, 9]), t(9.0));
+        // Hops 32 and 64 refreshed at t=9 survive the sweep; 5 does not.
+        assert_eq!(c.expire(t(10.0), SimDuration::from_secs(5.0)), 1);
+        assert_eq!(c.find(n(64), t(10.0)).unwrap(), route(&[0, 32, 64]));
+        assert!(c.find(n(5), t(10.0)).is_none());
+        // Nodes that fold with the entry's without sharing a link change nothing.
+        let mut c = folded_cache();
+        c.mark_used(&route(&[96, 128]), t(9.0));
+        c.expire(t(10.0), SimDuration::from_secs(5.0));
+        assert!(c.is_empty());
+    }
+
+    #[test]
+    fn mark_forwarded_sees_a_link_whose_ends_fold_onto_one_bit() {
+        let mut c = folded_cache();
+        c.mark_forwarded(&route(&[7, 32, 64, 9]));
+        assert!(c.iter().next().unwrap().used_for_forwarding());
+    }
+
+    #[test]
+    fn remove_link_truncates_at_a_link_whose_ends_fold_onto_one_bit() {
+        let mut c = folded_cache();
+        assert!(!c.contains_link(Link::new(n(64), n(32))));
+        assert!(!c.remove_link(Link::new(n(32), n(96)), t(1.0)).contained);
+        assert!(c.contains_link(Link::new(n(32), n(64))));
+        assert!(c.remove_link(Link::new(n(32), n(64)), t(1.0)).contained);
+        assert_eq!(c.iter().next().unwrap().path(), &route(&[0, 32]));
+        // The cut path's summary is its own again: 64 is gone from it, and
+        // its extension replaces it instead of sitting beside it.
+        assert!(c.find(n(64), t(1.0)).is_none());
+        assert!(c.insert(route(&[0, 32, 7]), t(2.0)));
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn lru_stamp_follows_refreshes_and_truncation() {
+        let mut c = PathCache::new(n(0), 2);
+        c.insert(route(&[0, 1, 2, 3]), t(0.0));
+        c.insert(route(&[0, 4]), t(1.0));
+        // Only the tail of the first entry is used late; cutting that tail
+        // off makes the entry the least recently used again.
+        c.mark_used(&route(&[2, 3]), t(5.0));
+        c.remove_link(Link::new(n(1), n(2)), t(6.0));
+        c.insert(route(&[0, 5]), t(7.0));
+        assert!(c.find(n(1), t(7.0)).is_none(), "entry last used at t=0 evicted");
+        assert!(c.find(n(4), t(7.0)).is_some());
+    }
+
+    #[test]
+    fn entry_stays_one_cache_line() {
+        // At the benchmark's peak the 100 caches are full: 100 x 64 entries
+        // x 8 bytes = 50 KiB, +1 % of the ~5 MiB `peak_heap_mib` — the whole
+        // of that metric's bound — for every 8 bytes an entry grows by.
+        assert!(std::mem::size_of::<PathEntry>() <= 64);
     }
 
     #[test]

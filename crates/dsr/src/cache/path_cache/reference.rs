@@ -6,12 +6,18 @@
 //! on purpose: obviously right, and the oracle the seeded differential
 //! test below drives in lock-step with the shipped cache (the same pattern
 //! as `phy::differential`).
+//!
+//! The model shares [`PathEntry`] with the cache but not its summary
+//! fields: it never reads `sig` or `mru` and lets them go stale (entry
+//! equality leaves them out), picks its LRU victim from the timestamps
+//! themselves, and the test checks the shipped entries' summaries against
+//! their definitions after every op.
 
 use packet::{Link, Route};
 use rand::Rng;
 use sim_core::{NodeId, RngFactory, SimDuration, SimRng, SimTime};
 
-use super::{PathCache, PathEntry, RemovedLink};
+use super::{sig_of, PathCache, PathEntry, RemovedLink};
 use crate::cache::CacheEvent;
 
 #[derive(Debug)]
@@ -58,7 +64,7 @@ impl ReferenceCache {
         }
         if self.entries.len() >= self.capacity {
             if let Some((idx, _)) =
-                self.entries.iter().enumerate().min_by_key(|(_, e)| e.most_recent_use())
+                self.entries.iter().enumerate().min_by_key(|(_, e)| e.live_used().iter().max())
             {
                 let entry = self.entries.swap_remove(idx);
                 self.log.push(CacheEvent::Evicted { route: entry.path });
@@ -144,7 +150,6 @@ impl ReferenceCache {
                     lost_dsts.push(dst);
                 }
                 if truncated.hops() >= 1 {
-                    entry.last_used.truncate(truncated.len());
                     entry.path = truncated;
                     kept.push(entry);
                 }
@@ -203,7 +208,6 @@ impl ReferenceCache {
             if cut >= 2 {
                 let nodes = entry.path.nodes()[..cut].to_vec();
                 entry.path = Route::new(nodes).expect("prefix of a loop-free route");
-                entry.last_used.truncate(cut);
                 kept.push(entry);
             }
         }
@@ -212,27 +216,37 @@ impl ReferenceCache {
     }
 }
 
-/// Node ids the generated routes draw from: few enough that routes share
-/// links, prefixes and destinations all the time.
+/// Logical nodes the generated routes draw from: few enough that routes
+/// share links, prefixes and destinations all the time.
 const NODES: u16 = 10;
 
-/// A loop-free node sequence of 2–6 nodes; `rooted` ones start at node 0
-/// (the cache owner), the others anywhere (observed packets).
-fn random_route(rng: &mut SimRng, rooted: bool) -> Route {
+/// The id logical node `i` carries in a case of fold width `width`: the
+/// upper five sit exactly `width` above the lower five, so `i` and `i + 5`
+/// land on one bit of any node signature up to `width` bits wide while
+/// staying different nodes (the owner, logical 0, folds with logical 5).
+/// Ids `0..10` never collide in a signature, and a filter that is only
+/// right without collisions would pass.
+fn node(i: u16, width: u16) -> NodeId {
+    NodeId::new(i % 5 + width * (i / 5))
+}
+
+/// A loop-free node sequence of 2–6 nodes; `rooted` ones start at logical
+/// node 0 (the cache owner), the others anywhere (observed packets).
+fn random_route(rng: &mut SimRng, rooted: bool, width: u16) -> Route {
     let mut pool: Vec<u16> = (u16::from(rooted)..NODES).collect();
-    let mut nodes = if rooted { vec![NodeId::new(0)] } else { Vec::new() };
+    let mut nodes = if rooted { vec![node(0, width)] } else { Vec::new() };
     let len = rng.random_range(2..=6usize);
     while nodes.len() < len {
         let pick = rng.random_range(0..pool.len());
-        nodes.push(NodeId::new(pool.swap_remove(pick)));
+        nodes.push(node(pool.swap_remove(pick), width));
     }
     Route::new(nodes).expect("drawn without replacement")
 }
 
-fn random_link(rng: &mut SimRng) -> Link {
+fn random_link(rng: &mut SimRng, width: u16) -> Link {
     let from = rng.random_range(0..NODES);
     let to = (from + rng.random_range(1..NODES)) % NODES;
-    Link::new(NodeId::new(from), NodeId::new(to))
+    Link::new(node(from, width), node(to, width))
 }
 
 /// One seeded op sequence against both caches, every observable compared
@@ -241,7 +255,8 @@ fn run_case(seed: u64) {
     let mut rng = RngFactory::new(seed).stream("path-cache-differential", 0);
     let capacity = rng.random_range(2..=8usize);
     let multipath_k = (rng.random_range(0..3u32) == 0).then_some(2);
-    let owner = NodeId::new(0);
+    let width = [32, 64, 128][rng.random_range(0..3usize)];
+    let owner = node(0, width);
     let mut cache = PathCache::new(owner, capacity);
     cache.set_event_log(true);
     if let Some(k) = multipath_k {
@@ -255,7 +270,7 @@ fn run_case(seed: u64) {
         let at = format!("seed {seed} step {step}");
         match rng.random_range(0..16u32) {
             0..=4 => {
-                let route = random_route(&mut rng, true);
+                let route = random_route(&mut rng, true, width);
                 let expected = model.insert(route.clone(), now);
                 // Owned and slice form are one path; alternate the entry.
                 let got = if step % 2 == 0 {
@@ -266,22 +281,22 @@ fn run_case(seed: u64) {
                 assert_eq!(got, expected, "{at}: insert");
             }
             5..=6 => {
-                let dst = NodeId::new(rng.random_range(0..NODES));
+                let dst = node(rng.random_range(0..NODES), width);
                 assert_eq!(cache.find(dst, now), model.find(dst, now), "{at}: find {dst}");
             }
             7..=9 => {
                 let rooted = rng.random_range(0..2u32) == 0;
-                let seen = random_route(&mut rng, rooted);
+                let seen = random_route(&mut rng, rooted, width);
                 cache.mark_used(&seen, now);
                 model.mark_used(&seen, now);
             }
             10 => {
-                let seen = random_route(&mut rng, false);
+                let seen = random_route(&mut rng, false, width);
                 cache.mark_forwarded(&seen);
                 model.mark_forwarded(&seen);
             }
             11..=13 => {
-                let link = random_link(&mut rng);
+                let link = random_link(&mut rng, width);
                 let got = cache.remove_link(link, now);
                 assert_eq!(got, model.remove_link(link, now), "{at}: remove_link {link}");
             }
@@ -296,8 +311,13 @@ fn run_case(seed: u64) {
                 model.read_expiry = timeout;
             }
         }
-        // Order, paths, `entered_at`, `last_used` and forwarding flags.
+        // Order, paths, `entered_at`, live `last_used` and forwarding flags.
         assert_eq!(cache.entries, model.entries, "{at}: entries");
+        // The summary fields entry equality leaves out.
+        for e in &cache.entries {
+            assert_eq!(e.sig, sig_of(e.path.nodes()), "{at}: signature of {}", e.path);
+            assert_eq!(Some(&e.mru), e.live_used().iter().max(), "{at}: LRU stamp of {}", e.path);
+        }
         cache.drain_events(&mut events);
         assert_eq!(events, model.log, "{at}: logged events");
         events.clear();

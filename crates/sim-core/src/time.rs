@@ -29,6 +29,21 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+/// `x.round() as u64` for finite `x >= 0`, in integer steps: `f64::round`
+/// is a libm call that is never inlined, and the arrival planner converts
+/// a delay per receiver in range. The cast truncates (and saturates);
+/// below 2^52 the fraction `x - trunc(x)` is exact, above it is zero, so
+/// "half or more rounds away from zero" is one comparison.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 && t < u64::MAX {
+        t + 1
+    } else {
+        t
+    }
+}
+
 impl SimTime {
     /// The beginning of the simulation.
     pub const ZERO: SimTime = SimTime(0);
@@ -50,9 +65,10 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `secs` is negative or not finite.
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid simulation time {secs}");
-        SimTime((secs * 1e9).round() as u64)
+        SimTime(round_to_u64(secs * 1e9))
     }
 
     /// Raw nanoseconds since the start of the run.
@@ -98,9 +114,10 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `us` is negative or not finite.
+    #[inline]
     pub fn from_micros(us: f64) -> Self {
         assert!(us.is_finite() && us >= 0.0, "invalid duration {us}us");
-        SimDuration((us * 1e3).round() as u64)
+        SimDuration(round_to_u64(us * 1e3))
     }
 
     /// Creates a duration from (possibly fractional) milliseconds.
@@ -108,9 +125,10 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `ms` is negative or not finite.
+    #[inline]
     pub fn from_millis(ms: f64) -> Self {
         assert!(ms.is_finite() && ms >= 0.0, "invalid duration {ms}ms");
-        SimDuration((ms * 1e6).round() as u64)
+        SimDuration(round_to_u64(ms * 1e6))
     }
 
     /// Creates a duration from (possibly fractional) seconds.
@@ -118,9 +136,10 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative or not finite.
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid duration {secs}s");
-        SimDuration((secs * 1e9).round() as u64)
+        SimDuration(round_to_u64(secs * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -149,9 +168,10 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(factor.is_finite() && factor >= 0.0, "invalid factor {factor}");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 }
 
@@ -279,6 +299,42 @@ mod tests {
         let d = SimDuration::from_nanos(3);
         assert_eq!(d.mul_f64(0.5), SimDuration::from_nanos(2)); // 1.5 rounds to 2
         assert_eq!(d.mul_f64(2.0), SimDuration::from_nanos(6));
+    }
+
+    #[test]
+    fn integer_rounding_equals_libm_round() {
+        use rand::Rng;
+        let same =
+            |x: f64| assert_eq!(round_to_u64(x), x.round() as u64, "{x:e} ({:#x})", x.to_bits());
+        let pow2 = |e: i32| 2f64.powi(e);
+        let edges = [0.0, f64::MIN_POSITIVE, 0.49999999999999994, 0.5, 1.5, 2.5];
+        let huge = [pow2(52) - 0.5, pow2(52), pow2(53), pow2(63), pow2(64) - 2048.0, pow2(64)];
+        for x in edges.into_iter().chain(huge).chain([1e300, f64::MAX]) {
+            same(x);
+        }
+        let mut rng = crate::RngFactory::new(20).stream("round-to-u64", 0);
+        for _ in 0..5_000_000 {
+            let bits: u64 = rng.random();
+            // Any finite non-negative double: sign cleared, NaN/inf skipped.
+            let raw = f64::from_bits(bits >> 1);
+            if raw.is_finite() {
+                same(raw);
+            }
+            // Ties, at every magnitude where a double still has a half.
+            let k = (bits >> rng.random_range(11..64u32)) as f64;
+            same(k + 0.5);
+            same((k + 0.5).next_down());
+            same((k + 0.5).next_up());
+            // Dyadic fractions k / 2^j, which land on and around ties.
+            same(k / pow2(rng.random_range(1..40i32)));
+            // What the simulator feeds it: a draw read as seconds, ms, us and
+            // as metres of propagation, each scaled to nanoseconds.
+            let draw = rng.random_range(0.0..2000.0);
+            same(draw * 1e9);
+            same(draw * 1e6);
+            same(draw * 1e3);
+            same(draw / 299_792_458.0 * 1e9);
+        }
     }
 
     #[test]
