@@ -64,8 +64,9 @@ pub struct Profile {
     pub events: u64,
     /// Events actually popped from the queue (sum of `EventQueue::popped`).
     pub dispatched: u64,
-    /// Events scheduled (sum of `EventQueue::scheduled`), including ones
-    /// later cancelled.
+    /// Events scheduled, including ones later cancelled: the sum of
+    /// `EventQueue::scheduled`, with each transmission front — one queue
+    /// key for a run of arrival boundaries — counted as its members.
     pub scheduled: u64,
     /// Scheduled events that never dispatched (cancelled timers plus the
     /// queue remainder at the horizon) — the re-arm churn future PRs can

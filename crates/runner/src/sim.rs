@@ -18,7 +18,10 @@
 //! and schedules the `Arrival` decode at frame end) and only
 //! reactive-receiver sub-RX frames get a `CarrierSense` nudge. Everything
 //! else folds into the interference envelope inside later receiver
-//! probes, never entering the queue. Fault plans run on the same path:
+//! probes, never entering the queue. What one transmission does ask of
+//! the queue travels under one key, as a *front* (`sim/fronts.rs`,
+//! DESIGN.md §9): the run loop delivers its boundaries one by one, each
+//! exactly when the queue would have. Fault plans run on the same path:
 //! corruption is drawn at plan time into the pending entries, and
 //! suppression windows (node down, blackouts, radio sleep) force every
 //! affected boundary to be backed by a real event so it can be gated at
@@ -37,6 +40,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use dsr::DsrNode;
 use mac::{Dcf, MacCommand, MacFrame, MacTimer, Priority};
@@ -59,6 +63,11 @@ use crate::observers::{ObsState, Observers};
 use crate::proto::{AgentCommand, RoutingAgent};
 use crate::trace::TraceSink;
 
+use fronts::{Fronts, MemberKind};
+
+#[cfg(test)]
+mod dispatch_order;
+mod fronts;
 #[cfg(test)]
 mod timer_faults;
 
@@ -86,6 +95,7 @@ fn ev_kind_index<P, T>(ev: &Ev<P, T>) -> usize {
         Ev::Arrival { .. } => 6,
         Ev::CarrierSense { .. } => 7,
         Ev::ArrivalBoundary { .. } => 8,
+        Ev::Front { .. } => unreachable!("a front is dispatched as its members, under their kinds"),
     }
 }
 
@@ -109,10 +119,12 @@ enum Ev<P, T> {
     /// folds the boundary, notifies the MAC of the carrier, and schedules
     /// the decode ([`Ev::Arrival`]) only if the frame actually locked and
     /// someone cares about its end. The arrival's data lives in the
-    /// envelope's pending entry, so the event is two words.
+    /// envelope's pending entry. Only ever a member of front `front`,
+    /// which is also where the decode goes.
     ArrivalBoundary {
         rx: u16,
         tx_id: TxId,
+        front: u32,
     },
     /// The decode boundary of a locked frame, scheduled at the seq its
     /// start boundary reserved for it.
@@ -139,6 +151,22 @@ enum Ev<P, T> {
     FaultEnd {
         idx: usize,
     },
+    /// The evented boundaries of one transmission, in block `idx` of the
+    /// front slab, queued under the key of the next of them. Never
+    /// dispatched as such: [`Simulator::run_front`] dispatches the members.
+    Front {
+        idx: u32,
+    },
+}
+
+/// What [`Simulator::try_run`] carries from one dispatch to the next to
+/// enforce its [`RunLimits`].
+struct Watch {
+    wall_started: Instant,
+    /// Event-budget window: when the current simulated second began, and
+    /// `popped()` at that instant.
+    window_start: SimTime,
+    window_base: u64,
 }
 
 /// Arms a timer for `at`, replacing the pending arm `old` of the same
@@ -203,9 +231,17 @@ pub struct Simulator<A: RoutingAgent = DsrNode> {
     /// Arrivals planned (each has two boundaries, a start and an end).
     arrivals_planned: u64,
     /// Boundary events actually scheduled (`ArrivalBoundary`,
-    /// `CarrierSense`, `Arrival`); the shortfall against
-    /// `2 * arrivals_planned` is the envelope's inline work.
+    /// `CarrierSense`, `Arrival`), as front members or by themselves; the
+    /// shortfall against `2 * arrivals_planned` is the envelope's inline
+    /// work.
     boundary_scheduled: u64,
+    /// One block per transmission with evented boundaries in flight.
+    fronts: Fronts,
+    /// Boundaries booked into a front — starts at plan time, decodes when
+    /// their frame locks — and queue keys filed for fronts: see
+    /// [`Simulator::events_scheduled`].
+    front_members: u64,
+    front_keys: u64,
     /// Pool of MAC command buffers. MAC inputs fire on every arrival and
     /// timer event; pooling removes one heap allocation per input. A pool
     /// (not a single buffer) because command application re-enters the MAC
@@ -301,6 +337,9 @@ impl<A: RoutingAgent> Simulator<A> {
             cur_seq: 0,
             arrivals_planned: 0,
             boundary_scheduled: 0,
+            fronts: Fronts::new(n),
+            front_members: 0,
+            front_keys: 0,
             mac_cmd_pool: Vec::new(),
             limits: RunLimits::default(),
             faults: FaultState::new(n, cfg.faults.events.len(), factory.stream("fault", 0)),
@@ -439,12 +478,11 @@ impl<A: RoutingAgent> Simulator<A> {
                 self.queue.schedule(at, Ev::FaultStart { idx });
             }
         }
-        let wall_started = std::time::Instant::now();
-        let one_second = SimDuration::from_secs(1.0);
-        // Event-budget window: `popped()` at the instant the current
-        // simulated second began.
-        let mut window_start = SimTime::ZERO;
-        let mut window_base = self.queue.popped();
+        let mut watch = Watch {
+            wall_started: Instant::now(),
+            window_start: SimTime::ZERO,
+            window_base: self.queue.popped(),
+        };
         // The event that overruns the horizon is not dispatched, but any
         // packet it carries is still in flight for conservation purposes.
         let mut cutoff: Option<Ev<A::Packet, A::Timer>> = None;
@@ -453,40 +491,10 @@ impl<A: RoutingAgent> Simulator<A> {
                 cutoff = Some(ev);
                 break;
             }
-            if at < self.now {
-                return Err(RunError::TimeRegression { seed, now: self.now, event_at: at });
+            match ev {
+                Ev::Front { idx } => self.run_front(idx, &mut watch)?,
+                ev => self.step(at, seq, ev, &mut watch)?,
             }
-            if let Some(budget) = self.limits.max_events_per_sim_second {
-                if at.saturating_since(window_start) >= one_second {
-                    window_start = at;
-                    window_base = self.queue.popped();
-                }
-                let in_window = self.queue.popped() - window_base;
-                if in_window > budget {
-                    return Err(RunError::EventBudgetExhausted { seed, at, events: in_window });
-                }
-            }
-            if let Some(limit) = self.limits.wall_clock {
-                if wall_started.elapsed() >= limit {
-                    return Err(RunError::WatchdogTimeout { seed, at });
-                }
-            }
-            if let Some(cancel) = &self.cancel {
-                if cancel.load(Ordering::Relaxed) {
-                    return Err(RunError::DeadlineExceeded { seed, at });
-                }
-            }
-            let popped = self.queue.popped();
-            self.observers.sample_due(at, popped, &self.agents, &self.macs, &self.oracle);
-            let started = self.observers.begin_event(at, self.end, popped);
-            let kind = ev_kind_index(&ev);
-            self.now = at;
-            // The dispatch frontier `(now, cur_seq)`: lazy envelope
-            // boundaries fold up to exactly this key, so same-instant
-            // boundaries settle in the queue's FIFO order.
-            self.cur_seq = seq;
-            self.dispatch(ev);
-            self.observers.end_event(started, kind);
         }
         // Flush the sampler to the horizon and freeze the dispatch count
         // before the audit drains the queue (draining bumps `popped`).
@@ -497,6 +505,9 @@ impl<A: RoutingAgent> Simulator<A> {
                 return Err(RunError::ConservationViolation { seed, uid: v.uid, detail: v.detail });
             }
         }
+        let scheduled = self.events_scheduled();
+        #[cfg(test)]
+        dispatch_order::note_totals(dispatched, scheduled, self.queue.postponed());
         let sim_seconds = self.cfg.duration.as_secs();
         let report = self.metrics.report(self.label.clone(), sim_seconds);
         // Arrival boundaries the envelopes settled without a queue event
@@ -509,16 +520,116 @@ impl<A: RoutingAgent> Simulator<A> {
         self.observers.finish(Profile {
             runs: 1,
             sim_seconds,
-            wall_seconds: wall_started.elapsed().as_secs_f64(),
+            wall_seconds: watch.wall_started.elapsed().as_secs_f64(),
             events: dispatched + inline,
             dispatched,
-            scheduled: self.queue.scheduled() + inline,
-            cancelled: self.queue.scheduled().saturating_sub(dispatched),
+            scheduled: scheduled + inline,
+            cancelled: scheduled.saturating_sub(dispatched),
             postponed: self.queue.postponed(),
             rekeyed: self.queue.rekeyed(),
             ..Profile::default()
         });
         Ok(report)
+    }
+
+    /// Events handed to the queue so far, a front counted as its members:
+    /// every start boundary booked when it was planned and every decode
+    /// when its frame locked, so a front the horizon cuts short still
+    /// counts in full and "scheduled − dispatched" stays "armed, never
+    /// fired". The queue itself counts keys, and a front is one key plus
+    /// one per interruption.
+    fn events_scheduled(&self) -> u64 {
+        self.queue.scheduled() + self.front_members - self.front_keys
+    }
+
+    /// Dispatches the event keyed `(at, seq)` — popped from the queue or
+    /// taken from a front, which must make no difference — after the
+    /// watchdog checks: simulated time never regresses, the event budget
+    /// of the current simulated second, the wall clock, the supervisor's
+    /// cancellation token.
+    #[inline]
+    fn step(
+        &mut self,
+        at: SimTime,
+        seq: u64,
+        ev: Ev<A::Packet, A::Timer>,
+        watch: &mut Watch,
+    ) -> Result<(), RunError> {
+        let seed = self.cfg.seed;
+        if at < self.now {
+            return Err(RunError::TimeRegression { seed, now: self.now, event_at: at });
+        }
+        if let Some(budget) = self.limits.max_events_per_sim_second {
+            if at.saturating_since(watch.window_start) >= SimDuration::from_secs(1.0) {
+                watch.window_start = at;
+                watch.window_base = self.queue.popped();
+            }
+            let in_window = self.queue.popped() - watch.window_base;
+            if in_window > budget {
+                return Err(RunError::EventBudgetExhausted { seed, at, events: in_window });
+            }
+        }
+        if let Some(limit) = self.limits.wall_clock {
+            if watch.wall_started.elapsed() >= limit {
+                return Err(RunError::WatchdogTimeout { seed, at });
+            }
+        }
+        if let Some(cancel) = &self.cancel {
+            if cancel.load(Ordering::Relaxed) {
+                return Err(RunError::DeadlineExceeded { seed, at });
+            }
+        }
+        let popped = self.queue.popped();
+        self.observers.sample_due(at, popped, &self.agents, &self.macs, &self.oracle);
+        let started = self.observers.begin_event(at, self.end, popped);
+        let kind = ev_kind_index(&ev);
+        self.now = at;
+        // The dispatch frontier `(now, cur_seq)`: lazy envelope
+        // boundaries fold up to exactly this key, so same-instant
+        // boundaries settle in the queue's FIFO order.
+        self.cur_seq = seq;
+        #[cfg(test)]
+        dispatch_order::note(at, seq, kind, dispatch_order::ev_node(&ev));
+        self.dispatch(ev);
+        self.observers.end_event(started, kind);
+        Ok(())
+    }
+
+    /// Front `idx` surfaced, under the key of its next member: delivers
+    /// that member, and then each further one for as long as the queue has
+    /// nothing due before it — the pops the queue would have made, had
+    /// every member been queued by itself, in the same order, each booked
+    /// so that `popped()` reads the same at every dispatch. The moment
+    /// something else is due first (or the horizon comes first) the front
+    /// goes back into the queue under the key of the member it stopped at.
+    fn run_front(&mut self, idx: u32, watch: &mut Watch) -> Result<(), RunError> {
+        loop {
+            let due = self.fronts.take(idx);
+            let (rx, tx_id) = (due.rx, due.tx_id);
+            let ev = match due.kind {
+                MemberKind::Boundary => Ev::ArrivalBoundary { rx, tx_id, front: idx },
+                MemberKind::CarrierSense => Ev::CarrierSense { rx },
+                MemberKind::Decode => Ev::Arrival { rx, tx_id },
+            };
+            self.step(due.at, due.seq, ev, watch)?;
+            let Some((at, seq, near)) = self.fronts.next_key(idx) else { return Ok(()) };
+            if at > self.end || self.queue.due_before(at, seq) {
+                self.file_front(idx, at, seq, near);
+                return Ok(());
+            }
+            self.queue.book_delivery();
+        }
+    }
+
+    /// Queues front `idx` under `(at, seq)`, its next member's key: in the
+    /// lane when that is `near`, in the heap when it is an airtime away.
+    fn file_front(&mut self, idx: u32, at: SimTime, seq: u64, near: bool) {
+        if near {
+            self.queue.schedule_near(at, seq, Ev::Front { idx });
+        } else {
+            self.queue.schedule_at_seq(at, seq, Ev::Front { idx });
+        }
+        self.front_keys += 1;
     }
 
     /// Closes the conservation ledger: collects every uid still buffered
@@ -596,7 +707,7 @@ impl<A: RoutingAgent> Simulator<A> {
                 }
                 self.hand_to_mac(node, packet, next_hop);
             }
-            Ev::ArrivalBoundary { rx, tx_id } => {
+            Ev::ArrivalBoundary { rx, tx_id, front } => {
                 // Start boundary of a decodable arrival: fold, then carrier
                 // notification, then the end boundary's seq reservation —
                 // in that order, so the decode's seq comes after any timer
@@ -627,8 +738,16 @@ impl<A: RoutingAgent> Simulator<A> {
                     if let Some(end) =
                         self.rx_states[rx as usize].finalize_lock(tx_id, end_seq, evented)
                     {
-                        self.queue.schedule_at_seq(end, end_seq, Ev::Arrival { rx, tx_id });
                         self.boundary_scheduled += 1;
+                        if self.fronts.push_decode(front, end, end_seq, rx) {
+                            self.front_members += 1;
+                        } else {
+                            // Due before a start the front still holds:
+                            // this one travels by itself.
+                            #[cfg(test)]
+                            dispatch_order::note_loose_decode();
+                            self.queue.schedule_at_seq(end, end_seq, Ev::Arrival { rx, tx_id });
+                        }
                     }
                 }
             }
@@ -683,6 +802,7 @@ impl<A: RoutingAgent> Simulator<A> {
             }
             Ev::FaultStart { idx } => self.fault_start(idx),
             Ev::FaultEnd { idx } => self.fault_end(idx),
+            Ev::Front { .. } => unreachable!("the run loop hands fronts to run_front"),
         }
     }
 
@@ -980,6 +1100,7 @@ impl<A: RoutingAgent> Simulator<A> {
                     // boundary must be backed by a real event so the window
                     // can gate it at dispatch time.
                     let windows_active = self.faults.suppression_active();
+                    let now = self.now;
                     for a in arrivals.drain(..) {
                         let rx = a.receiver.index() as u16;
                         self.arrivals_planned += 1;
@@ -994,14 +1115,7 @@ impl<A: RoutingAgent> Simulator<A> {
                         // materialized later lands at this queue position.
                         let start_seq = self.queue.reserve_seq();
                         let (start_evented, needs_decode, payload) = if decodable {
-                            // At most a propagation delay ahead: due
-                            // before nearly everything queued.
-                            self.queue.schedule_near(
-                                a.start,
-                                start_seq,
-                                Ev::ArrivalBoundary { rx, tx_id },
-                            );
-                            self.boundary_scheduled += 1;
+                            self.fronts.stage(a.start - now, start_seq, rx, MemberKind::Boundary);
                             // Data frames must decode at every receiver
                             // that can lock them (bystanders snoop in
                             // promiscuous mode); control frames only at
@@ -1015,8 +1129,12 @@ impl<A: RoutingAgent> Simulator<A> {
                             // freeze/recheck must fire at the start — or an
                             // open suppression window may need to gate this
                             // boundary at dispatch time.
-                            self.queue.schedule_near(a.start, start_seq, Ev::CarrierSense { rx });
-                            self.boundary_scheduled += 1;
+                            self.fronts.stage(
+                                a.start - now,
+                                start_seq,
+                                rx,
+                                MemberKind::CarrierSense,
+                            );
                             (true, false, None)
                         } else {
                             // Quiet sub-RX interference: no event at all —
@@ -1036,8 +1154,17 @@ impl<A: RoutingAgent> Simulator<A> {
                             corrupted,
                             payload,
                         });
+                        self.boundary_scheduled += u64::from(start_evented);
+                        self.front_members += u64::from(start_evented);
                     }
                     self.arrival_buf = arrivals;
+                    // Every boundary evented above is a member of one front,
+                    // queued once, under its earliest member's key: at most
+                    // a propagation delay ahead, due before nearly
+                    // everything queued.
+                    if let Some((front, at, seq)) = self.fronts.seal(now, tx_id) {
+                        self.file_front(front, at, seq, true);
+                    }
                 }
                 MacCommand::SetTimer { timer, at } => {
                     let slot = &mut self.mac_timers[node as usize][timer.index()];

@@ -288,17 +288,72 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::reserve_seq`]) can bound their catch-up work by the
     /// dispatch frontier `(time, seq)`.
     pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
+        let (key, from_lane) = self.surface(None)?;
+        self.discard(from_lane);
+        let Slot::Live { at, seq, payload } = self.vacate(key.slot) else {
+            unreachable!("surface stops at a live slot");
+        };
+        self.live -= 1;
+        self.popped += 1;
+        Some((at, seq, payload))
+    }
+
+    /// Whether any pending event is due before `(at, seq)` — what a caller
+    /// that delivers a sorted run of its own events from *one* queued key
+    /// (the driver's transmission fronts) asks before each next member: if
+    /// nothing is, [`EventQueue::pop`] would have handed that member over
+    /// next had it been queued by itself, and the caller may deliver it
+    /// and say so with [`EventQueue::book_delivery`].
+    ///
+    /// Usually two compares, against the lane's front and the heap's top.
+    /// Only when one of those keys sorts earlier is it examined, and then
+    /// exactly as `pop` would: a tombstone is discarded, a stale key is
+    /// re-filed under its slot's real key, and the answer is taken from
+    /// what surfaces next — so the question costs a later `pop` nothing it
+    /// would not have done itself, and never reorders anything. `(at,
+    /// seq)` must not be a queued key; seqs are unique, so a reserved seq
+    /// the caller holds never is.
+    pub fn due_before(&mut self, at: SimTime, seq: u64) -> bool {
+        self.surface(Some((at, seq))).is_some()
+    }
+
+    /// Counts one delivery the caller made itself on the strength of
+    /// [`EventQueue::due_before`] answering `false`, so that
+    /// [`EventQueue::popped`] stays the number of events delivered,
+    /// whichever way they travelled.
+    pub fn book_delivery(&mut self) {
+        self.popped += 1;
+    }
+
+    /// The earliest key in flight and whether it sits in the lane.
+    fn earliest(&self) -> Option<(Key, bool)> {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(&near), Some(top)) if near.due() < top.due() => Some((near, true)),
+            (Some(&near), None) => Some((near, true)),
+            (_, Some(&top)) => Some((top, false)),
+            (None, None) => None,
+        }
+    }
+
+    /// Removes the earliest key in flight, found by [`EventQueue::earliest`].
+    fn discard(&mut self, from_lane: bool) {
+        if from_lane {
+            self.lane.pop_front();
+        } else {
+            self.heap.pop();
+        }
+    }
+
+    /// Clears tombstones and stale keys off the front of the queue until
+    /// the earliest key in flight is the key of a pending event, and
+    /// returns it, still filed — or `None` once nothing is left, or, given
+    /// a `bound`, once the earliest key is not due before it (keys at or
+    /// past the bound are left unexamined).
+    fn surface(&mut self, bound: Option<(SimTime, u64)>) -> Option<(Key, bool)> {
         loop {
-            let (key, from_lane) = match (self.lane.front(), self.heap.peek()) {
-                (Some(&near), Some(top)) if near.due() < top.due() => (near, true),
-                (Some(&near), None) => (near, true),
-                (_, Some(&top)) => (top, false),
-                (None, None) => return None,
-            };
-            // A key leaves the lane whatever it turns out to be; the heap's
-            // top stays put until it is known whether to pop or re-key it.
-            if from_lane {
-                self.lane.pop_front();
+            let (key, from_lane) = self.earliest()?;
+            if bound.is_some_and(|bound| key.due() > bound) {
+                return None;
             }
             match self.slots[key.slot as usize] {
                 Slot::Live { at, seq, .. } if seq != key.seq => {
@@ -308,6 +363,7 @@ impl<E> EventQueue<E> {
                     let fresh = Key { at, seq, slot: key.slot };
                     debug_assert!(fresh.due() > key.due(), "a postponed key only moves later");
                     if from_lane {
+                        self.lane.pop_front();
                         self.heap.push(fresh);
                     } else if let Some(mut top) = self.heap.peek_mut() {
                         // In place: one sift down, not a pop and a push.
@@ -315,20 +371,12 @@ impl<E> EventQueue<E> {
                     }
                     self.rekeyed += 1;
                 }
-                _ => {
-                    if !from_lane {
-                        self.heap.pop();
-                    }
-                    match self.vacate(key.slot) {
-                        Slot::Live { at, seq, payload } => {
-                            self.live -= 1;
-                            self.popped += 1;
-                            return Some((at, seq, payload));
-                        }
-                        Slot::Dead => {}
-                        Slot::Free { .. } => unreachable!("a key in flight names a held slot"),
-                    }
+                Slot::Live { .. } => return Some((key, from_lane)),
+                Slot::Dead => {
+                    self.discard(from_lane);
+                    self.vacate(key.slot);
                 }
+                Slot::Free { .. } => unreachable!("a key in flight names a held slot"),
             }
         }
     }
@@ -343,9 +391,10 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// Total number of events delivered by [`EventQueue::pop`] over the
-    /// queue's lifetime (cancelled entries and re-keyed stale keys are not
-    /// counted).
+    /// Total number of events delivered over the queue's lifetime: by
+    /// [`EventQueue::pop`], or by the caller itself and booked with
+    /// [`EventQueue::book_delivery`] (cancelled entries and re-keyed stale
+    /// keys are not counted).
     ///
     /// Watchdogs use this to detect event storms: if the count grows
     /// without simulated time advancing, the run is livelocked.
@@ -355,9 +404,13 @@ impl<E> EventQueue<E> {
 
     /// Total number of keys ever filed by a `schedule*` call, including
     /// ones later cancelled but excluding bare [`EventQueue::reserve_seq`]
-    /// reservations, postpones and re-keys. The profiler reports
-    /// `scheduled - popped` pressure (timers armed but never fired)
-    /// alongside dispatch counts.
+    /// reservations, postpones and re-keys. A key is not always an event:
+    /// a caller that carries a run of its own events under one key (see
+    /// [`EventQueue::due_before`]) files once per run and once more each
+    /// time the run is interrupted, and owes its ledger the difference —
+    /// the driver's `Simulator::events_scheduled` is that sum. The
+    /// profiler reports `scheduled - popped` pressure (timers armed but
+    /// never fired) alongside dispatch counts.
     pub fn scheduled(&self) -> u64 {
         self.scheduled
     }
