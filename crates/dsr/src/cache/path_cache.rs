@@ -31,7 +31,7 @@
 //!
 //! Every scan below visits all entries but wants a handful. Each entry
 //! therefore carries two values derived from the rest of it — a node
-//! signature ([`Sig`]) and its LRU stamp — and a scan decides from those
+//! signature (`Sig`) and its LRU stamp — and a scan decides from those
 //! alone whether the entry can matter before following its `path` and
 //! `last_used` pointers to the heap. They filter, they do not index: a
 //! scan that passes the filter runs the very test it always ran, so entry

@@ -14,8 +14,7 @@
 //! their definitions after every op.
 
 use packet::{Link, Route};
-use rand::Rng;
-use sim_core::{NodeId, RngFactory, SimDuration, SimRng, SimTime};
+use sim_core::{NodeId, SimDuration, SimRng, SimTime};
 
 use super::{sig_of, PathCache, PathEntry, RemovedLink};
 use crate::cache::CacheEvent;
@@ -251,8 +250,7 @@ fn random_link(rng: &mut SimRng, width: u16) -> Link {
 
 /// One seeded op sequence against both caches, every observable compared
 /// after every op.
-fn run_case(seed: u64) {
-    let mut rng = RngFactory::new(seed).stream("path-cache-differential", 0);
+fn run_case(seed: u64, rng: &mut SimRng) {
     let capacity = rng.random_range(2..=8usize);
     let multipath_k = (rng.random_range(0..3u32) == 0).then_some(2);
     let width = [32, 64, 128][rng.random_range(0..3usize)];
@@ -270,7 +268,7 @@ fn run_case(seed: u64) {
         let at = format!("seed {seed} step {step}");
         match rng.random_range(0..16u32) {
             0..=4 => {
-                let route = random_route(&mut rng, true, width);
+                let route = random_route(rng, true, width);
                 let expected = model.insert(route.clone(), now);
                 // Owned and slice form are one path; alternate the entry.
                 let got = if step % 2 == 0 {
@@ -286,17 +284,17 @@ fn run_case(seed: u64) {
             }
             7..=9 => {
                 let rooted = rng.random_range(0..2u32) == 0;
-                let seen = random_route(&mut rng, rooted, width);
+                let seen = random_route(rng, rooted, width);
                 cache.mark_used(&seen, now);
                 model.mark_used(&seen, now);
             }
             10 => {
-                let seen = random_route(&mut rng, false, width);
+                let seen = random_route(rng, false, width);
                 cache.mark_forwarded(&seen);
                 model.mark_forwarded(&seen);
             }
             11..=13 => {
-                let link = random_link(&mut rng, width);
+                let link = random_link(rng, width);
                 let got = cache.remove_link(link, now);
                 assert_eq!(got, model.remove_link(link, now), "{at}: remove_link {link}");
             }
@@ -327,11 +325,5 @@ fn run_case(seed: u64) {
 
 #[test]
 fn shipped_cache_matches_reference_model_op_for_op() {
-    const CASES: u64 = 300;
-    for seed in 0..CASES {
-        if let Err(panic) = std::panic::catch_unwind(|| run_case(seed)) {
-            eprintln!("path-cache differential failed; replay with run_case({seed})");
-            std::panic::resume_unwind(panic);
-        }
-    }
+    sim_core::testkit::cases("path-cache-differential", 0..300, run_case);
 }

@@ -654,7 +654,7 @@ fn reboot_resets_volatile_state_and_accounts_for_buffered_packets() {
         gratuitous: false,
     };
     a.on_receive(n(1), Packet::Reply(reply), now);
-    assert!(a.cache().len() > 0, "route learned");
+    assert!(!a.cache().is_empty(), "route learned");
     a.originate(n(7), 512, 0, now);
     assert_eq!(a.buffered(), 1, "packet buffered awaiting a route to 7");
     assert_eq!(a.discoveries_in_flight(), 1);

@@ -289,7 +289,7 @@ mod tests {
         trace("DSR", 2).write_to(&dir).unwrap();
         trace("DSR-C", 1).write_to(&dir).unwrap();
 
-        let files = trace_files(&[dir.clone()]).unwrap();
+        let files = trace_files(std::slice::from_ref(&dir)).unwrap();
         assert_eq!(files.len(), 3);
 
         let all = load_rollups(&files, None).unwrap();
@@ -307,7 +307,7 @@ mod tests {
         assert!(none.is_empty(), "no match exits 1");
 
         std::fs::write(dir.join("bad.cachetrace"), "not a trace\n").unwrap();
-        let files = trace_files(&[dir.clone()]).unwrap();
+        let files = trace_files(std::slice::from_ref(&dir)).unwrap();
         assert!(load_rollups(&files, None).is_err(), "malformed exits 2");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -120,19 +120,20 @@ fn run(query: &Query, text: &str) -> Result<usize, obs::ObsError> {
 }
 
 fn query_cachetrace(query: &Query, trace: &obs::CacheTrace) -> usize {
-    let rows: Vec<_> = trace
-        .rows
-        .iter()
-        .filter(|r| {
-            let t_s = r.t_ns as f64 / 1e9;
-            query.filter.node.map_or(true, |n| r.node == n)
-                && query.filter.kind.as_deref().map_or(true, |k| {
-                    r.op.eq_ignore_ascii_case(k) || r.kind.eq_ignore_ascii_case(k)
-                })
-                && query.filter.from.map_or(true, |from| t_s >= from)
-                && query.filter.to.map_or(true, |to| t_s <= to)
-        })
-        .collect();
+    let rows: Vec<_> =
+        trace
+            .rows
+            .iter()
+            .filter(|r| {
+                let t_s = r.t_ns as f64 / 1e9;
+                query.filter.node.is_none_or(|n| r.node == n)
+                    && query.filter.kind.as_deref().is_none_or(|k| {
+                        r.op.eq_ignore_ascii_case(k) || r.kind.eq_ignore_ascii_case(k)
+                    })
+                    && query.filter.from.is_none_or(|from| t_s >= from)
+                    && query.filter.to.is_none_or(|to| t_s <= to)
+            })
+            .collect();
     if query.summary || rows.is_empty() {
         println!(
             "{} seed {} ({} of {} cache decisions match; {} dropped)",

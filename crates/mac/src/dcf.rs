@@ -30,7 +30,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use rand::Rng;
 use sim_core::{NodeId, SimDuration, SimRng, SimTime};
 
 use crate::config::MacConfig;
@@ -378,7 +377,7 @@ impl<P: Clone> Dcf<P> {
     /// Whether the MAC currently *reacts* to carrier transitions (backoff
     /// countdown that must freeze, or an idle-wait whose recheck horizon
     /// must extend), as opposed to merely reading the horizons the next
-    /// time it consults [`Dcf::busy_until`].
+    /// time it consults its private `busy_until`.
     pub fn carrier_reactive(&self) -> bool {
         matches!(self.state, MainState::Deferring | MainState::WaitIdle)
     }

@@ -13,9 +13,8 @@
 //! [`crate::model::MobilityModel`]) and identical across protocol
 //! variants, as the evaluation methodology requires.
 
-use rand::Rng;
 use sim_core::rng::uniform;
-use sim_core::{NodeId, RngFactory, SimDuration, SimTime};
+use sim_core::{NodeId, RngFactory, SimDuration, SimRng, SimTime};
 
 use crate::geom::{Field, Point};
 use crate::model::MobilityModel;
@@ -140,7 +139,7 @@ impl RandomWaypoint {
         RandomWaypoint { legs, field: config.field }
     }
 
-    fn itinerary(config: &WaypointConfig, horizon: SimTime, rng: &mut impl Rng) -> Vec<Leg> {
+    fn itinerary(config: &WaypointConfig, horizon: SimTime, rng: &mut SimRng) -> Vec<Leg> {
         let mut legs = Vec::new();
         let mut now = SimTime::ZERO;
         let mut here = random_point(config.field, rng);
@@ -158,7 +157,7 @@ impl RandomWaypoint {
     }
 }
 
-fn random_point(field: Field, rng: &mut impl Rng) -> Point {
+fn random_point(field: Field, rng: &mut SimRng) -> Point {
     Point::new(uniform(rng, 0.0, field.width), uniform(rng, 0.0, field.height))
 }
 

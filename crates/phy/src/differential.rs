@@ -11,10 +11,10 @@
 //!
 //! The harness mirrors the runner's seq discipline: every boundary gets a
 //! key `(time, seq)` with seqs assigned in global event order, so
-//! same-instant boundaries fold in the same order on both sides. Property
-//! tests (`tests/properties.rs`) drive it with random arrival storms;
-//! the unit tests below pin a few known-treacherous shapes so the harness
-//! itself stays verified in registry-free environments.
+//! same-instant boundaries fold in the same order on both sides. The two
+//! seeded properties at the bottom drive it with random arrival storms; the
+//! unit tests above them pin a few known-treacherous shapes so the harness
+//! itself stays verified.
 
 use sim_core::{SimDuration, SimTime};
 
@@ -26,30 +26,30 @@ use crate::receiver::{PendingArrival, ReceiverState, TxId};
 /// carrier-sense threshold are the driver's job to filter and must not be
 /// passed here (they are invisible to the node on both sides).
 #[derive(Debug, Clone, Copy)]
-pub struct DiffArrival {
+struct DiffArrival {
     /// Arrival start, nanoseconds.
-    pub start_ns: u64,
+    start_ns: u64,
     /// Airtime, nanoseconds (must be > 0).
-    pub dur_ns: u64,
+    dur_ns: u64,
     /// Received power, watts.
-    pub power_w: f64,
+    power_w: f64,
     /// Fault injection corrupted this copy at planning time (the
     /// reference gates delivery externally; the runner bakes the flag into
     /// the pending entry).
-    pub corrupted: bool,
+    corrupted: bool,
     /// The receiver is down/blacked-out at the start boundary: the
     /// reference never sees the arrival, and the runner removes the
     /// pending entry via [`ReceiverState::suppress_pending`] at that same
     /// dispatch instant.
-    pub suppress_start: bool,
+    suppress_start: bool,
     /// The receiver is down/blacked-out at the end boundary: both sides
     /// settle the decode but discard the delivered frame.
-    pub suppress_end: bool,
+    suppress_end: bool,
 }
 
 impl DiffArrival {
     /// A fault-free arrival.
-    pub fn clean(start_ns: u64, dur_ns: u64, power_w: f64) -> Self {
+    fn clean(start_ns: u64, dur_ns: u64, power_w: f64) -> Self {
         DiffArrival {
             start_ns,
             dur_ns,
@@ -81,7 +81,7 @@ enum Op {
 /// Panics when the lazy envelope and the eager reference disagree on
 /// any delivery or on the busy horizon at any boundary instant — that is
 /// the point.
-pub fn assert_fused_matches_eager(
+fn assert_fused_matches_eager(
     cfg: &RadioConfig,
     arrivals: &[DiffArrival],
     own_tx: Option<(u64, u64)>,
@@ -206,6 +206,9 @@ pub fn assert_fused_matches_eager(
 
 #[cfg(test)]
 mod tests {
+    use sim_core::testkit::cases;
+    use sim_core::SimRng;
+
     use super::*;
 
     fn cfg() -> RadioConfig {
@@ -348,5 +351,58 @@ mod tests {
             arrivals.push(a);
         }
         assert_fused_matches_eager(&cfg(), &arrivals, Some((3000, 1500)));
+    }
+
+    // ------------------------------------------------------------------
+    // Seeded properties: lazy envelope == eager reference receiver
+    // ------------------------------------------------------------------
+
+    /// 1–23 arrivals whose starts cluster in a window comparable to their
+    /// durations, so frames genuinely overlap, in four power classes — sub-RX
+    /// (envelope-folded), barely decodable, decodable, and strong enough to
+    /// win capture — plus, half the time, a half-duplex own transmission.
+    fn storm(rng: &mut SimRng, faults: bool) -> (Vec<DiffArrival>, Option<(u64, u64)>) {
+        let arrivals = (0..rng.random_range(1..24usize))
+            .map(|_| {
+                let start_ns = rng.random_range(0..2_000_000u64);
+                let dur_ns = rng.random_range(1..1_500_000u64);
+                let power_w = [SUB_RX, 5e-10, RX, STRONG][rng.random_range(0..4usize)];
+                DiffArrival {
+                    corrupted: faults && rng.random_bool(0.5),
+                    suppress_start: faults && rng.random_bool(0.5),
+                    suppress_end: faults && rng.random_bool(0.5),
+                    ..DiffArrival::clean(start_ns, dur_ns, power_w)
+                }
+            })
+            .collect();
+        let own_tx = rng
+            .random_bool(0.5)
+            .then(|| (rng.random_range(0..2_000_000u64), rng.random_range(1..500_000u64)));
+        (arrivals, own_tx)
+    }
+
+    /// The lazy interference envelope is a pure acceleration structure:
+    /// random overlapping arrival storms — powers straddling the
+    /// carrier-sense and reception thresholds, capture contests, an optional
+    /// half-duplex own transmission — must produce exactly the deliveries
+    /// and busy horizons of the eager reference receiver.
+    #[test]
+    fn fused_envelope_matches_eager_reference() {
+        cases("fused_envelope_matches_eager_reference", 0..256, |_, rng| {
+            let (arrivals, own_tx) = storm(rng, false);
+            assert_fused_matches_eager(&cfg(), &arrivals, own_tx);
+        });
+    }
+
+    /// Fault injection rides the same equivalence contract: random
+    /// plan-time corruption, start suppression (the arrival never enters
+    /// either receiver) and end suppression (delivery gated after decode)
+    /// must leave the envelope and the reference in lockstep.
+    #[test]
+    fn fused_envelope_matches_eager_under_random_fault_plans() {
+        cases("fused_envelope_matches_eager_under_random_fault_plans", 0..256, |_, rng| {
+            let (arrivals, own_tx) = storm(rng, true);
+            assert_fused_matches_eager(&cfg(), &arrivals, own_tx);
+        });
     }
 }

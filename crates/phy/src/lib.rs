@@ -8,10 +8,12 @@
 //! - [`ReceiverState`] — per-node reception state machine handling
 //!   collisions, capture, and half-duplex constraints;
 //! - [`plan_arrivals_indexed_into`] — computes who senses a transmission,
-//!   at what power, and when;
-//! - [`differential`] — the receiver-level reference model: replays one
-//!   arrival stream through the lazy envelope and through an eager
-//!   fold-at-every-boundary receiver and demands identical outcomes.
+//!   at what power, and when.
+//!
+//! The crate's tests carry the receiver-level reference model
+//! (`differential.rs`): one arrival stream replayed through the lazy envelope
+//! and through an eager fold-at-every-boundary receiver, identical outcomes
+//! demanded.
 //!
 //! # Example
 //!
@@ -24,12 +26,12 @@
 //! assert!(radio.in_cs_range(500.0)); // sensed, but not decodable
 //! ```
 
-pub mod differential;
+#[cfg(test)]
+mod differential;
 pub mod medium;
 pub mod propagation;
 pub mod receiver;
 
-pub use differential::{assert_fused_matches_eager, DiffArrival};
 pub use medium::{plan_arrivals_indexed_into, Arrival, TxIdSource};
 pub use propagation::{RadioConfig, SPEED_OF_LIGHT};
 pub use receiver::{ArrivalVerdict, PendingArrival, ReceiverState, TxId, SEQ_MAX};

@@ -54,10 +54,10 @@
 //! whose key precedes it — the same set an eager queue would already have
 //! dispatched.
 //!
-//! A crate-private eager pair (`arrival_start` / `arrival_end`: fold
-//! every boundary at the instant it happens) shares the same verdict
-//! machine and serves as the reference that [`crate::differential`] and
-//! the unit tests below replay the lazy protocol against.
+//! A test-only eager pair (`arrival_start` / `arrival_end`: fold every
+//! boundary at the instant it happens) shares the same verdict machine and
+//! serves as the reference that `differential.rs` and the unit tests below
+//! replay the lazy protocol against.
 //!
 //! The state machine is pure: it never schedules events itself. The driver
 //! feeds it arrivals and reacts to the returned verdicts, keeping this
@@ -219,6 +219,7 @@ impl<P> ReceiverState<P> {
     ///
     /// Arrivals below the carrier-sense threshold must be filtered out by
     /// the caller (they are invisible to this node).
+    #[cfg(test)]
     pub(crate) fn arrival_start(
         &mut self,
         tx_id: TxId,
@@ -246,6 +247,7 @@ impl<P> ReceiverState<P> {
 
     /// Reference model, end boundary: the arrival `tx_id` finished.
     /// Returns `true` if the frame was received intact.
+    #[cfg(test)]
     pub(crate) fn arrival_end(&mut self, tx_id: TxId, now: SimTime) -> bool {
         self.finish(tx_id, now, SEQ_MAX).is_some()
     }
@@ -1014,7 +1016,7 @@ mod tests {
     fn lock_expiry_respects_same_instant_seq_order() {
         // A lazily-held lock ending at exactly `now`: its NAV credit lands
         // only for frontier seqs after the reserved end boundary.
-        let mut make = |end_seq: u64| {
+        let make = |end_seq: u64| {
             let mut rx = ReceiverState::<()>::new(cfg());
             let mut p = lazy(1, MEDIUM, t(0.0), t(0.001));
             p.nav = SimDuration::from_secs(0.004);

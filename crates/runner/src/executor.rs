@@ -234,14 +234,22 @@ struct WorkerSlot {
 /// trace rides along on both arms: failures keep their partial trace as
 /// forensic material.
 enum Outcome {
-    Success { report: Report, observation: Option<RunObservation>, cachetrace: Option<CacheTrace> },
-    Failure { failure: RunFailure, trace: Vec<String>, cachetrace: Option<CacheTrace> },
+    Success {
+        report: Box<Report>,
+        observation: Option<RunObservation>,
+        cachetrace: Option<CacheTrace>,
+    },
+    Failure {
+        failure: RunFailure,
+        trace: Vec<String>,
+        cachetrace: Option<CacheTrace>,
+    },
 }
 
 enum Msg {
     /// Seed `index` reached a final outcome (retries exhausted or not
     /// applicable).
-    Done { index: usize, outcome: Outcome },
+    Done { index: usize, outcome: Box<Outcome> },
     /// Worker `worker` panicked outside the per-run isolation; `task` is
     /// what it was running (if anything).
     WorkerDead { worker: usize, task: Option<Task>, payload: String },
@@ -423,7 +431,11 @@ fn run_pool<A, F>(
             Ok(report) => {
                 let _ = tx.send(Msg::Done {
                     index: task.index,
-                    outcome: Outcome::Success { report, observation, cachetrace },
+                    outcome: Box::new(Outcome::Success {
+                        report: Box::new(report),
+                        observation,
+                        cachetrace,
+                    }),
                 });
             }
             Err(error) => {
@@ -443,7 +455,7 @@ fn run_pool<A, F>(
                 let failure = RunFailure { seed, error, retried: task.retry > 0 };
                 let _ = tx.send(Msg::Done {
                     index: task.index,
-                    outcome: Outcome::Failure { failure, trace, cachetrace },
+                    outcome: Box::new(Outcome::Failure { failure, trace, cachetrace }),
                 });
             }
         }
@@ -601,7 +613,7 @@ fn supervise(ctx: SuperviseCtx<'_>) {
         match msg {
             Msg::Done { index, outcome } => {
                 remaining -= 1;
-                match outcome {
+                match *outcome {
                     Outcome::Success { report, observation, cachetrace } => {
                         let events = observation.as_ref().map_or(0, |o| o.profile.events);
                         if let (Some(obs), Some(dir)) = (&observation, &campaign.obs.timeseries_dir)
@@ -626,7 +638,7 @@ fn supervise(ctx: SuperviseCtx<'_>) {
                             }
                         }
                         observations[index] = observation;
-                        outcomes[index] = Some(Ok(report));
+                        outcomes[index] = Some(Ok(*report));
                         if let Some(p) = progress {
                             p.run_finished(true, events);
                         }

@@ -13,8 +13,6 @@
 //! order, and the two shipped copies must end with the same counters: the
 //! question may not cost, or save, a single re-key.
 
-use rand::Rng;
-
 use super::{EventId, EventQueue};
 use crate::rng::{RngFactory, SimRng};
 use crate::time::{SimDuration, SimTime};

@@ -10,7 +10,9 @@
 //!   with deterministic FIFO tie-breaking;
 //! - [`rng`] — seeded, labelled random-number streams so that independent
 //!   model components (mobility, traffic, MAC backoff, ...) draw from
-//!   decoupled sequences derived from a single scenario seed.
+//!   decoupled sequences derived from a single scenario seed;
+//! - [`testkit`] — the seeded case loop the workspace's property tests and
+//!   reference-model differentials run on.
 //!
 //! # Example
 //!
@@ -31,6 +33,7 @@ pub mod event;
 pub mod hash;
 pub mod node;
 pub mod rng;
+pub mod testkit;
 pub mod time;
 
 pub use event::{EventId, EventQueue};

@@ -303,7 +303,6 @@ mod tests {
 
     #[test]
     fn integer_rounding_equals_libm_round() {
-        use rand::Rng;
         let same =
             |x: f64| assert_eq!(round_to_u64(x), x.round() as u64, "{x:e} ({:#x})", x.to_bits());
         let pow2 = |e: i32| 2f64.powi(e);

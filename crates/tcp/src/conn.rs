@@ -375,10 +375,8 @@ mod tests {
         for i in 0..50 {
             s.app_write(t(0.001 * f64::from(i)));
         }
-        let mut ack = 1;
-        for i in 0..30 {
-            s.on_ack(ack, t(1.0 + 0.05 * f64::from(i)));
-            ack += 1;
+        for i in 0..30u32 {
+            s.on_ack(u64::from(i) + 1, t(1.0 + 0.05 * f64::from(i)));
         }
         assert!(s.cwnd() <= 4.0);
         assert!(s.inflight() <= 4);

@@ -5,7 +5,6 @@
 //! sessions starting at random times near the beginning of the run and
 //! staying active until the end.
 
-use rand::Rng;
 use sim_core::rng::uniform;
 use sim_core::{NodeId, RngFactory, SimDuration, SimTime};
 

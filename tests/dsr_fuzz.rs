@@ -2,32 +2,25 @@
 //! packet sequences must never panic it, never make it emit malformed
 //! routes, and never violate the negative-cache exclusion invariant.
 
-use proptest::prelude::*;
-
 use dsr_caching::dsr::{DsrCommand, DsrConfig, DsrNode, DsrTimer};
 use dsr_caching::packet::{
     DataPacket, ErrorDelivery, Link, Packet, Route, RouteErrorPkt, RouteReply, RouteRequest,
 };
-use dsr_caching::sim_core::{NodeId, RngFactory, SimTime};
+use dsr_caching::sim_core::testkit::{cases, Step};
+use dsr_caching::sim_core::{NodeId, RngFactory, SimDuration, SimRng, SimTime};
 
 const ME: u16 = 0;
 
-fn arb_nodes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<NodeId>> {
-    proptest::collection::vec(0u16..10, len).prop_filter_map("loop-free", |ids| {
-        let nodes: Vec<NodeId> = ids.into_iter().map(NodeId::new).collect();
-        let mut seen = Vec::new();
-        for n in &nodes {
-            if seen.contains(n) {
-                return None;
-            }
-            seen.push(*n);
-        }
-        Some(nodes)
-    })
+/// `len` distinct nodes (drawn from the given range) out of 0..10.
+fn nodes(rng: &mut SimRng, len: std::ops::Range<usize>) -> Vec<NodeId> {
+    let mut pool: Vec<u16> = (0..10).collect();
+    (0..rng.random_range(len))
+        .map(|_| NodeId::new(pool.swap_remove(rng.random_range(0..pool.len()))))
+        .collect()
 }
 
-fn arb_route() -> impl Strategy<Value = Route> {
-    arb_nodes(2..6).prop_map(|nodes| Route::new(nodes).expect("pre-filtered loop-free"))
+fn route(rng: &mut SimRng) -> Route {
+    Route::new(nodes(rng, 2..6)).expect("drawn without replacement")
 }
 
 #[derive(Debug, Clone)]
@@ -44,24 +37,33 @@ enum Input {
     RequestTimeout { target: u16 },
 }
 
-fn arb_input() -> impl Strategy<Value = Input> {
-    prop_oneof![
-        (1u16..10).prop_map(|dst| Input::Originate { dst }),
-        (arb_route(), 0usize..6).prop_map(|(route, hop_guess)| Input::Data { route, hop_guess }),
-        (1u16..10, 0u16..10, arb_nodes(1..4), 1u8..40, 0u64..6).prop_map(
-            |(origin, target, path, ttl, id)| Input::Request { origin, target, path, ttl, id }
-        ),
-        (arb_route(), arb_route()).prop_map(|(discovered, back)| Input::Reply { discovered, back }),
-        ((0u16..10, 0u16..10), arb_route())
-            .prop_map(|(broken, back)| Input::ErrorUnicast { broken, back }),
-        ((0u16..10, 0u16..10), 0u64..50)
-            .prop_map(|(broken, uid)| Input::ErrorBroadcast { broken, uid }),
-        (arb_route(), 1u16..10).prop_map(|(route, next_hop)| Input::TxFailed { route, next_hop }),
-        (arb_route(), 0u16..10)
-            .prop_map(|(route, transmitter)| Input::Snoop { route, transmitter }),
-        Just(Input::Tick),
-        (1u16..10).prop_map(|target| Input::RequestTimeout { target }),
-    ]
+/// A node id in `from..10`.
+fn id(rng: &mut SimRng, from: u16) -> u16 {
+    rng.random_range(from..10u16)
+}
+
+fn input(rng: &mut SimRng) -> Input {
+    match rng.random_range(0..10u32) {
+        0 => Input::Originate { dst: id(rng, 1) },
+        1 => Input::Data { route: route(rng), hop_guess: rng.random_range(0..6usize) },
+        2 => Input::Request {
+            origin: id(rng, 1),
+            target: id(rng, 0),
+            path: nodes(rng, 1..4),
+            ttl: rng.random_range(1..40u16) as u8,
+            id: rng.random_range(0..6u64),
+        },
+        3 => Input::Reply { discovered: route(rng), back: route(rng) },
+        4 => Input::ErrorUnicast { broken: (id(rng, 0), id(rng, 0)), back: route(rng) },
+        5 => Input::ErrorBroadcast {
+            broken: (id(rng, 0), id(rng, 0)),
+            uid: rng.random_range(0..50u64),
+        },
+        6 => Input::TxFailed { route: route(rng), next_hop: id(rng, 1) },
+        7 => Input::Snoop { route: route(rng), transmitter: id(rng, 0) },
+        8 => Input::Tick,
+        _ => Input::RequestTimeout { target: id(rng, 1) },
+    }
 }
 
 fn mk_data(route: Route, hop_guess: usize) -> DataPacket {
@@ -79,117 +81,140 @@ fn mk_data(route: Route, hop_guess: usize) -> DataPacket {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn dsr_agent_never_panics_and_keeps_invariants(
-        inputs in proptest::collection::vec(arb_input(), 1..80),
-        variant in 0usize..3,
-    ) {
-        let cfg = match variant {
-            0 => DsrConfig::base(),
-            1 => DsrConfig::combined(),
-            _ => DsrConfig::combined().with_link_cache(),
-        };
-        let me = NodeId::new(ME);
-        let mut agent = DsrNode::new(me, cfg, RngFactory::new(7).stream("fuzz", 0));
-        let mut now = SimTime::from_secs(1.0);
-        for (i, input) in inputs.into_iter().enumerate() {
-            now = now + dsr_caching::sim_core::SimDuration::from_millis(37.0);
-            let cmds = match input {
-                Input::Originate { dst } => {
-                    if NodeId::new(dst) == me { continue; }
-                    agent.originate(NodeId::new(dst), 512, i as u64, now)
+/// Feeds `inputs` to a fresh agent of the given variant, checking every
+/// emitted command and the negative-cache exclusion after every step.
+fn drive(variant: usize, inputs: Vec<Input>) {
+    let cfg = match variant {
+        0 => DsrConfig::base(),
+        1 => DsrConfig::combined(),
+        _ => DsrConfig::combined().with_link_cache(),
+    };
+    let me = NodeId::new(ME);
+    let mut agent = DsrNode::new(me, cfg, RngFactory::new(7).stream("fuzz", 0));
+    let mut now = SimTime::from_secs(1.0);
+    for (i, input) in inputs.into_iter().enumerate() {
+        let _at = Step(i);
+        now += SimDuration::from_millis(37.0);
+        let cmds = match input {
+            Input::Originate { dst } => {
+                if NodeId::new(dst) == me {
+                    continue;
                 }
-                Input::Data { route, hop_guess } => {
-                    agent.on_receive(NodeId::new(1), Packet::Data(mk_data(route, hop_guess)), now)
+                agent.originate(NodeId::new(dst), 512, i as u64, now)
+            }
+            Input::Data { route, hop_guess } => {
+                agent.on_receive(NodeId::new(1), Packet::Data(mk_data(route, hop_guess)), now)
+            }
+            Input::Request { origin, target, path, ttl, id } => {
+                let req = RouteRequest {
+                    uid: i as u64,
+                    origin: NodeId::new(origin),
+                    target: NodeId::new(target),
+                    request_id: id,
+                    path,
+                    ttl,
+                    piggyback_error: None,
+                };
+                agent.on_receive(NodeId::new(origin), Packet::Request(req), now)
+            }
+            Input::Reply { discovered, back } => {
+                let rep = RouteReply {
+                    uid: i as u64,
+                    discovered,
+                    from_cache: false,
+                    hop: 0,
+                    route: back,
+                    gratuitous: false,
+                };
+                agent.on_receive(NodeId::new(1), Packet::Reply(rep), now)
+            }
+            Input::ErrorUnicast { broken: (a, b), back } => {
+                if a == b {
+                    continue;
                 }
-                Input::Request { origin, target, path, ttl, id } => {
-                    let req = RouteRequest {
-                        uid: i as u64,
-                        origin: NodeId::new(origin),
-                        target: NodeId::new(target),
-                        request_id: id,
-                        path,
-                        ttl,
-                        piggyback_error: None,
-                    };
-                    agent.on_receive(NodeId::new(origin), Packet::Request(req), now)
-                }
-                Input::Reply { discovered, back } => {
-                    let rep = RouteReply {
-                        uid: i as u64,
-                        discovered,
-                        from_cache: false,
-                        hop: 0,
+                let err = RouteErrorPkt {
+                    uid: i as u64,
+                    broken: Link::new(NodeId::new(a), NodeId::new(b)),
+                    detector: NodeId::new(a),
+                    delivery: ErrorDelivery::Unicast {
+                        to: back.destination(),
                         route: back,
-                        gratuitous: false,
-                    };
-                    agent.on_receive(NodeId::new(1), Packet::Reply(rep), now)
+                        hop: 0,
+                    },
+                };
+                agent.on_receive(NodeId::new(1), Packet::Error(err), now)
+            }
+            Input::ErrorBroadcast { broken: (a, b), uid } => {
+                if a == b {
+                    continue;
                 }
-                Input::ErrorUnicast { broken: (a, b), back } => {
-                    if a == b { continue; }
-                    let err = RouteErrorPkt {
-                        uid: i as u64,
-                        broken: Link::new(NodeId::new(a), NodeId::new(b)),
-                        detector: NodeId::new(a),
-                        delivery: ErrorDelivery::Unicast {
-                            to: back.destination(),
-                            route: back,
-                            hop: 0,
-                        },
-                    };
-                    agent.on_receive(NodeId::new(1), Packet::Error(err), now)
+                let err = RouteErrorPkt {
+                    uid,
+                    broken: Link::new(NodeId::new(a), NodeId::new(b)),
+                    detector: NodeId::new(a),
+                    delivery: ErrorDelivery::Broadcast,
+                };
+                agent.on_receive(NodeId::new(1), Packet::Error(err), now)
+            }
+            Input::TxFailed { route, next_hop } => {
+                if NodeId::new(next_hop) == me {
+                    continue;
                 }
-                Input::ErrorBroadcast { broken: (a, b), uid } => {
-                    if a == b { continue; }
-                    let err = RouteErrorPkt {
-                        uid,
-                        broken: Link::new(NodeId::new(a), NodeId::new(b)),
-                        detector: NodeId::new(a),
-                        delivery: ErrorDelivery::Broadcast,
-                    };
-                    agent.on_receive(NodeId::new(1), Packet::Error(err), now)
-                }
-                Input::TxFailed { route, next_hop } => {
-                    if NodeId::new(next_hop) == me { continue; }
-                    agent.on_tx_failed(Packet::Data(mk_data(route, 0)), NodeId::new(next_hop), now)
-                }
-                Input::Snoop { route, transmitter } => {
-                    let pkt = Packet::Data(mk_data(route, 0));
-                    agent.on_snoop(NodeId::new(transmitter), &pkt, now)
-                }
-                Input::Tick => agent.on_timer(DsrTimer::Tick, now),
-                Input::RequestTimeout { target } => {
-                    agent.on_timer(DsrTimer::RequestTimeout(NodeId::new(target)), now)
-                }
-            };
-            // Invariants on everything the agent emits.
-            for cmd in &cmds {
-                if let DsrCommand::Send { packet, next_hop, .. } = cmd {
-                    prop_assert!(*next_hop != me, "agent sent to itself: {packet:?}");
-                    if let Packet::Data(d) = packet {
-                        prop_assert!(d.route.len() >= 2);
-                        prop_assert!(d.route.position(me).is_some(), "we forward only on-route");
-                    }
+                agent.on_tx_failed(Packet::Data(mk_data(route, 0)), NodeId::new(next_hop), now)
+            }
+            Input::Snoop { route, transmitter } => {
+                let pkt = Packet::Data(mk_data(route, 0));
+                agent.on_snoop(NodeId::new(transmitter), &pkt, now)
+            }
+            Input::Tick => agent.on_timer(DsrTimer::Tick, now),
+            Input::RequestTimeout { target } => {
+                agent.on_timer(DsrTimer::RequestTimeout(NodeId::new(target)), now)
+            }
+        };
+        // Invariants on everything the agent emits.
+        for cmd in &cmds {
+            if let DsrCommand::Send { packet, next_hop, .. } = cmd {
+                assert!(*next_hop != me, "agent sent to itself: {packet:?}");
+                if let Packet::Data(d) = packet {
+                    assert!(d.route.len() >= 2);
+                    assert!(d.route.position(me).is_some(), "we forward only on-route");
                 }
             }
-            // Negative-cache mutual exclusion, continuously.
-            if let Some(neg) = agent.negative_cache() {
-                for a in 0..10u16 {
-                    for b in 0..10u16 {
-                        if a == b { continue; }
-                        let link = Link::new(NodeId::new(a), NodeId::new(b));
-                        if neg.contains(link, now) {
-                            prop_assert!(
-                                !agent.cache().contains_link(link),
-                                "blacklisted {link} present in route cache"
-                            );
-                        }
+        }
+        // Negative-cache mutual exclusion, continuously.
+        if let Some(neg) = agent.negative_cache() {
+            for a in 0..10u16 {
+                for b in 0..10u16 {
+                    if a == b {
+                        continue;
+                    }
+                    let link = Link::new(NodeId::new(a), NodeId::new(b));
+                    if neg.contains(link, now) {
+                        assert!(
+                            !agent.cache().contains_link(link),
+                            "blacklisted {link} present in route cache"
+                        );
                     }
                 }
             }
         }
     }
+}
+
+#[test]
+fn dsr_agent_never_panics_and_keeps_invariants() {
+    cases("dsr_agent_never_panics_and_keeps_invariants", 0..48, |_, rng| {
+        let variant = rng.random_range(0..3usize);
+        let inputs = (0..rng.random_range(1..80usize)).map(|_| input(rng)).collect();
+        drive(variant, inputs);
+    });
+}
+
+/// The one case proptest ever stored for the property above (shrunk): a
+/// base-DSR agent handed a reply whose discovered route and return route
+/// both start at a neighbour rather than at itself.
+#[test]
+fn reply_discovered_and_routed_from_a_neighbour_is_survived() {
+    let route = |ids: [u16; 2]| Route::new(ids.map(NodeId::new).to_vec()).expect("loop-free");
+    drive(0, vec![Input::Reply { discovered: route([1, 2]), back: route([1, 0]) }]);
 }

@@ -1,99 +1,143 @@
-//! Property-based tests on the core data structures and invariants,
-//! spanning the workspace crates.
-
-use proptest::prelude::*;
+//! Seeded properties on the core data structures and invariants, spanning
+//! the workspace crates. Each runs on `sim_core::testkit::cases`: generators
+//! are plain functions drawing from the case's stream, and a failure names
+//! the case to replay.
+//!
+//! Two former properties are not here. `event_queue_pops_sorted` and
+//! `event_queue_cancellation_is_exact` are subsumed by
+//! `sim_core::event::model::queue_matches_the_sorted_vec_model`, which checks
+//! every pop (order included) and every cancel against a sorted-`Vec` oracle
+//! over 300 seeds x 800 mixed ops. The two lazy-envelope properties live
+//! beside the reference receiver they drive, in `crates/phy/src/differential.rs`.
 
 use dsr_caching::dsr::{DsrConfig, NegativeCache, NegativeCacheConfig, PathCache};
 use dsr_caching::mobility::{
     Field, MobilityModel, NeighborGrid, Point, RandomWaypoint, WaypointConfig,
 };
 use dsr_caching::packet::{Link, Route};
-use dsr_caching::phy::{
-    assert_fused_matches_eager, plan_arrivals_indexed_into, DiffArrival, RadioConfig,
-};
+use dsr_caching::phy::{plan_arrivals_indexed_into, RadioConfig};
 use dsr_caching::runner::{run_campaign, AuditLevel, CampaignConfig, FaultPlan, ScenarioConfig};
-use dsr_caching::sim_core::{EventQueue, NodeId, RngFactory, SimDuration, SimTime};
+use dsr_caching::sim_core::rng::uniform;
+use dsr_caching::sim_core::testkit::cases;
+use dsr_caching::sim_core::{NodeId, RngFactory, SimDuration, SimRng, SimTime};
 
-/// Strategy: a loop-free node sequence of 2..=8 nodes drawn from 0..16.
-fn arb_route() -> impl Strategy<Value = Route> {
-    proptest::collection::vec(0u16..16, 2..=8).prop_filter_map("must be loop-free", |ids| {
-        let nodes: Vec<NodeId> = ids.into_iter().map(NodeId::new).collect();
-        Route::new(nodes).ok()
-    })
+/// A loop-free node sequence of 2..=8 nodes drawn from 0..16.
+fn route(rng: &mut SimRng) -> Route {
+    let mut pool: Vec<u16> = (0..16).collect();
+    let nodes = (0..rng.random_range(2..=8usize))
+        .map(|_| NodeId::new(pool.swap_remove(rng.random_range(0..pool.len()))))
+        .collect();
+    Route::new(nodes).expect("drawn without replacement")
 }
 
-fn arb_link() -> impl Strategy<Value = Link> {
-    (0u16..16, 0u16..16)
-        .prop_filter("distinct endpoints", |(a, b)| a != b)
-        .prop_map(|(a, b)| Link::new(NodeId::new(a), NodeId::new(b)))
+/// `len` routes (drawn from the given range).
+fn routes(rng: &mut SimRng, len: std::ops::Range<usize>) -> Vec<Route> {
+    (0..rng.random_range(len)).map(|_| route(rng)).collect()
 }
 
-proptest! {
-    // ------------------------------------------------------------------
-    // Route invariants
-    // ------------------------------------------------------------------
+/// A link between two distinct nodes of 0..16.
+fn link(rng: &mut SimRng) -> Link {
+    let from = rng.random_range(0..16u16);
+    let to = (from + rng.random_range(1..16u16)) % 16;
+    Link::new(NodeId::new(from), NodeId::new(to))
+}
 
-    #[test]
-    fn route_never_contains_duplicates(route in arb_route()) {
+/// One random fault — a crash, a corruption window or a crash-and-rejoin —
+/// on the 20-node tiny scenario.
+fn single_fault(rng: &mut SimRng) -> FaultPlan {
+    let kind = rng.random_range(0..3u32);
+    let victim = NodeId::new(rng.random_range(0..20u16));
+    let at_s = uniform(rng, 1.0, 8.0);
+    let dur_s = uniform(rng, 0.5, 4.0);
+    let corruption = uniform(rng, 0.01, 0.4);
+    let (at, dur) = (SimTime::from_secs(at_s), SimDuration::from_secs(dur_s));
+    match kind {
+        0 => FaultPlan::none().node_down(victim, at, dur),
+        1 => FaultPlan::none().frame_corruption(corruption, at, SimTime::from_secs(at_s + dur_s)),
+        _ => FaultPlan::none().node_churn(victim, at, dur),
+    }
+}
+
+// ----------------------------------------------------------------------
+// Route invariants
+// ----------------------------------------------------------------------
+
+#[test]
+fn route_never_contains_duplicates() {
+    cases("route_never_contains_duplicates", 0..256, |_, rng| {
+        let route = route(rng);
         let nodes = route.nodes();
         for (i, n) in nodes.iter().enumerate() {
-            prop_assert!(!nodes[..i].contains(n), "route {route} repeats {n}");
+            assert!(!nodes[..i].contains(n), "route {route} repeats {n}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn route_reversal_is_involutive(route in arb_route()) {
-        prop_assert_eq!(route.reversed().reversed(), route);
-    }
+#[test]
+fn route_reversal_is_involutive() {
+    cases("route_reversal_is_involutive", 0..256, |_, rng| {
+        let route = route(rng);
+        assert_eq!(route.reversed().reversed(), route);
+    });
+}
 
-    #[test]
-    fn route_prefix_suffix_partition(route in arb_route(), idx in 0usize..8) {
-        let nodes = route.nodes();
-        let node = nodes[idx % nodes.len()];
+#[test]
+fn route_prefix_suffix_partition() {
+    cases("route_prefix_suffix_partition", 0..256, |_, rng| {
+        let route = route(rng);
+        let node = route.nodes()[rng.random_range(0..route.len())];
         let prefix = route.prefix_through(node).expect("node is on route");
         let suffix = route.suffix_from(node).expect("node is on route");
-        prop_assert_eq!(prefix.destination(), node);
-        prop_assert_eq!(suffix.source(), node);
-        prop_assert_eq!(prefix.len() + suffix.len(), route.len() + 1);
+        assert_eq!(prefix.destination(), node);
+        assert_eq!(suffix.source(), node);
+        assert_eq!(prefix.len() + suffix.len(), route.len() + 1);
         // Rejoining reproduces the original route.
-        prop_assert_eq!(prefix.join(&suffix).expect("partition is loop-free"), route.clone());
-    }
+        assert_eq!(prefix.join(&suffix).expect("partition is loop-free"), route);
+    });
+}
 
-    #[test]
-    fn route_truncation_removes_the_link(route in arb_route()) {
-        for link in route.links().collect::<Vec<_>>() {
+#[test]
+fn route_truncation_removes_the_link() {
+    cases("route_truncation_removes_the_link", 0..256, |_, rng| {
+        let route = route(rng);
+        for link in route.links() {
             let truncated = route.truncate_before_link(link).expect("link is on route");
-            prop_assert!(!truncated.contains_link(link));
-            prop_assert_eq!(truncated.destination(), link.from);
-            prop_assert_eq!(truncated.source(), route.source());
+            assert!(!truncated.contains_link(link));
+            assert_eq!(truncated.destination(), link.from);
+            assert_eq!(truncated.source(), route.source());
         }
-    }
+    });
+}
 
-    #[test]
-    fn forwarding_follows_route_order(route in arb_route()) {
+#[test]
+fn forwarding_follows_route_order() {
+    cases("forwarding_follows_route_order", 0..256, |_, rng| {
         // Walking next_hop_after from the source visits nodes in order and
         // terminates — the "source routing never loops" guarantee.
+        let route = route(rng);
         let mut current = route.source();
         let mut visited = vec![current];
         while let Some(next) = route.next_hop_after(current) {
-            prop_assert!(!visited.contains(&next), "forwarding revisited {next}");
+            assert!(!visited.contains(&next), "forwarding revisited {next}");
             visited.push(next);
             current = next;
         }
-        prop_assert_eq!(current, route.destination());
-        prop_assert_eq!(visited.len(), route.len());
-    }
+        assert_eq!(current, route.destination());
+        assert_eq!(visited.len(), route.len());
+    });
+}
 
-    // ------------------------------------------------------------------
-    // Path cache invariants
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Path cache invariants
+// ----------------------------------------------------------------------
 
-    #[test]
-    fn cache_find_returns_valid_routes(routes in proptest::collection::vec(arb_route(), 1..12)) {
+#[test]
+fn cache_find_returns_valid_routes() {
+    cases("cache_find_returns_valid_routes", 0..256, |_, rng| {
         let owner = NodeId::new(0);
         let mut cache = PathCache::new(owner, 8);
         let now = SimTime::ZERO;
-        for r in routes {
+        for r in routes(rng, 1..12) {
             // Only routes rooted at the owner are insertable; reroot by
             // prefixing the owner when absent.
             if r.source() == owner {
@@ -108,63 +152,64 @@ proptest! {
         }
         for dst in (1..16).map(NodeId::new) {
             if let Some(found) = cache.find(dst, now) {
-                prop_assert_eq!(found.source(), owner);
-                prop_assert_eq!(found.destination(), dst);
-                prop_assert!(found.hops() >= 1);
+                assert_eq!(found.source(), owner);
+                assert_eq!(found.destination(), dst);
+                assert!(found.hops() >= 1);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn cache_remove_link_leaves_no_trace(
-        routes in proptest::collection::vec(arb_route(), 1..10),
-        link in arb_link(),
-    ) {
+#[test]
+fn cache_remove_link_leaves_no_trace() {
+    cases("cache_remove_link_leaves_no_trace", 0..256, |_, rng| {
         let owner = NodeId::new(0);
         let mut cache = PathCache::new(owner, 16);
         let now = SimTime::ZERO;
-        for r in routes {
+        for r in routes(rng, 1..10) {
             if r.source() == owner {
                 cache.insert(r, now);
             }
         }
+        let link = link(rng);
         cache.remove_link(link, now);
-        prop_assert!(!cache.contains_link(link));
+        assert!(!cache.contains_link(link));
         for entry in cache.iter() {
-            prop_assert!(entry.path().hops() >= 1);
+            assert!(entry.path().hops() >= 1);
         }
-    }
+    });
+}
 
-    #[test]
-    fn cache_expiry_is_monotone(
-        routes in proptest::collection::vec(arb_route(), 1..8),
-        timeout_s in 1.0f64..20.0,
-    ) {
+#[test]
+fn cache_expiry_is_monotone() {
+    cases("cache_expiry_is_monotone", 0..256, |_, rng| {
         let owner = NodeId::new(0);
         let mut cache = PathCache::new(owner, 16);
-        for r in routes {
+        for r in routes(rng, 1..8) {
             if r.source() == owner {
                 cache.insert(r, SimTime::ZERO);
             }
         }
+        let timeout_s = uniform(rng, 1.0, 20.0);
         let before = cache.len();
         // Expiring well past the timeout clears everything; expiring at
         // time zero clears nothing.
         let mut young = cache.clone();
         young.expire(SimTime::ZERO, SimDuration::from_secs(timeout_s));
-        prop_assert_eq!(young.len(), before, "nothing is stale at t=0");
+        assert_eq!(young.len(), before, "nothing is stale at t=0");
         cache.expire(SimTime::from_secs(timeout_s + 100.0), SimDuration::from_secs(timeout_s));
-        prop_assert_eq!(cache.len(), 0, "everything is stale far in the future");
-    }
+        assert_eq!(cache.len(), 0, "everything is stale far in the future");
+    });
+}
 
-    // ------------------------------------------------------------------
-    // Negative cache / route cache mutual exclusion
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Negative cache / route cache mutual exclusion
+// ----------------------------------------------------------------------
 
-    #[test]
-    fn negative_cache_mutual_exclusion(
-        links in proptest::collection::vec(arb_link(), 1..20),
-    ) {
+#[test]
+fn negative_cache_mutual_exclusion() {
+    cases("negative_cache_mutual_exclusion", 0..256, |_, rng| {
+        let links: Vec<Link> = (0..rng.random_range(1..20usize)).map(|_| link(rng)).collect();
         let mut neg = NegativeCache::new(NegativeCacheConfig::default());
         let owner = NodeId::new(0);
         let mut cache = PathCache::new(owner, 16);
@@ -205,114 +250,70 @@ proptest! {
         // Invariant: no blacklisted link is present in the route cache.
         for link in &links {
             if neg.contains(*link, now) {
-                prop_assert!(!cache.contains_link(*link),
-                    "link {link} is in both caches");
+                assert!(!cache.contains_link(*link), "link {link} is in both caches");
             }
         }
-    }
+    });
+}
 
-    // ------------------------------------------------------------------
-    // Event queue is a total order
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Mobility invariants
+// ----------------------------------------------------------------------
 
-    #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((at, _)) = q.pop() {
-            prop_assert!(at >= last, "events out of order");
-            last = at;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-    }
-
-    #[test]
-    fn event_queue_cancellation_is_exact(
-        times in proptest::collection::vec(0u64..1_000, 1..60),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 60),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule(SimTime::from_nanos(t), i))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if cancel_mask[i % cancel_mask.len()] {
-                q.cancel(*id);
-            } else {
-                expected.push(i);
-            }
-        }
-        let mut popped: Vec<usize> = Vec::new();
-        while let Some((_, i)) = q.pop() {
-            popped.push(i);
-        }
-        popped.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(popped, expected);
-    }
-
-    // ------------------------------------------------------------------
-    // Mobility invariants
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn waypoint_positions_always_in_field(
-        seed in 0u64..1_000,
-        pause_s in 0.0f64..30.0,
-        query_s in 0.0f64..100.0,
-    ) {
+#[test]
+fn waypoint_positions_always_in_field() {
+    cases("waypoint_positions_always_in_field", 0..256, |_, rng| {
         let cfg = WaypointConfig {
             num_nodes: 8,
             field: Field::new(800.0, 300.0),
             min_speed: 0.1,
             max_speed: 20.0,
-            pause_time: SimDuration::from_secs(pause_s),
+            pause_time: SimDuration::from_secs(uniform(rng, 0.0, 30.0)),
             duration: SimDuration::from_secs(60.0),
         };
-        let m = RandomWaypoint::generate(&cfg, RngFactory::new(seed));
+        let m = RandomWaypoint::generate(&cfg, RngFactory::new(rng.random_range(0..1_000u64)));
+        let query = SimTime::from_secs(uniform(rng, 0.0, 100.0));
         for node in 0..8u16 {
-            let p = m.position(NodeId::new(node), SimTime::from_secs(query_s));
-            prop_assert!(cfg.field.contains(p), "node {node} at {p} left {}", cfg.field);
+            let p = m.position(NodeId::new(node), query);
+            assert!(cfg.field.contains(p), "node {node} at {p} left {}", cfg.field);
         }
-    }
+    });
+}
 
-    // ------------------------------------------------------------------
-    // Medium invariants: grid-indexed planning == linear scan
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Medium invariants: grid-indexed planning == linear scan
+// ----------------------------------------------------------------------
 
-    /// The spatial neighbor grid must be a pure index: planning arrivals
-    /// from its 3x3-cell candidate set yields exactly the same arrivals
-    /// (same order, same values) and the same suppressed count as planning
-    /// with every node as a candidate, for any positions and any suppress
-    /// mask. This is what keeps a run independent of the grid's cell
-    /// geometry.
-    #[test]
-    fn grid_indexed_planning_matches_all_candidates(
-        coords in proptest::collection::vec((0.0f64..2200.0, 0.0f64..600.0), 2..48),
-        tx_pick in 0usize..1024,
-        mask in proptest::collection::vec(any::<bool>(), 2..48),
-    ) {
-        let positions: Vec<Point> =
-            coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let tx = NodeId::new((tx_pick % positions.len()) as u16);
+/// The spatial neighbor grid must be a pure index: planning arrivals
+/// from its 3x3-cell candidate set yields exactly the same arrivals
+/// (same order, same values) and the same suppressed count as planning
+/// with every node as a candidate, for any positions and any suppress
+/// mask. This is what keeps a run independent of the grid's cell
+/// geometry.
+#[test]
+fn grid_indexed_planning_matches_all_candidates() {
+    cases("grid_indexed_planning_matches_all_candidates", 0..256, |_, rng| {
+        let positions: Vec<Point> = (0..rng.random_range(2..48usize))
+            .map(|_| Point::new(uniform(rng, 0.0, 2200.0), uniform(rng, 0.0, 600.0)))
+            .collect();
+        let mask: Vec<bool> = positions.iter().map(|_| rng.random_bool(0.5)).collect();
+        let tx = NodeId::new(rng.random_range(0..positions.len()) as u16);
         let radio = RadioConfig::wavelan();
         let now = SimTime::from_secs(10.0);
         let airtime = SimDuration::from_millis(1.5);
-        let suppress =
-            |rx: NodeId| mask[rx.index() % mask.len()];
+        let suppress = |rx: NodeId| mask[rx.index()];
 
         let all: Vec<u16> = (0..positions.len() as u16).collect();
         let mut scanned = Vec::new();
         let suppressed_scanned = plan_arrivals_indexed_into(
-            tx, &all, &positions, now, airtime, &radio, suppress, &mut scanned,
+            tx,
+            &all,
+            &positions,
+            now,
+            airtime,
+            &radio,
+            suppress,
+            &mut scanned,
         );
 
         let mut grid = NeighborGrid::new(radio.carrier_sense_range_m() * 1.001);
@@ -321,133 +322,44 @@ proptest! {
         grid.candidates_into(positions[tx.index()], &mut cands);
         let mut indexed = Vec::new();
         let suppressed = plan_arrivals_indexed_into(
-            tx, &cands, &positions, now, airtime, &radio, suppress, &mut indexed,
+            tx,
+            &cands,
+            &positions,
+            now,
+            airtime,
+            &radio,
+            suppress,
+            &mut indexed,
         );
 
-        prop_assert_eq!(indexed, scanned);
-        prop_assert_eq!(suppressed, suppressed_scanned);
-    }
-
-    // ------------------------------------------------------------------
-    // Receiver invariants: lazy envelope == eager reference receiver
-    // ------------------------------------------------------------------
-
-    /// The lazy interference envelope is a pure acceleration structure:
-    /// random overlapping arrival storms — powers straddling the
-    /// carrier-sense and reception thresholds, capture contests,
-    /// same-instant start ties, an optional half-duplex own transmission —
-    /// must produce exactly the deliveries and busy horizons of the eager
-    /// reference receiver, which folds every boundary as it happens.
-    /// Divergence panics inside the harness (see `phy::differential`).
-    #[test]
-    fn fused_envelope_matches_eager_reference(
-        raw in proptest::collection::vec(
-            // (start, duration, power class). Starts cluster in a window
-            // comparable to the durations so frames genuinely overlap;
-            // the 0-mod-4 class is sub-RX (envelope-folded), the rest
-            // decodable, with class 3 strong enough to win capture.
-            (0u64..2_000_000, 1u64..1_500_000, 0u8..4),
-            1..24,
-        ),
-        own_tx in proptest::option::of((0u64..2_000_000, 1u64..500_000)),
-    ) {
-        let arrivals: Vec<DiffArrival> = raw
-            .iter()
-            .map(|&(start_ns, dur_ns, class)| DiffArrival::clean(
-                start_ns,
-                dur_ns,
-                match class {
-                    0 => 1e-10, // sub-RX, above carrier sense
-                    1 => 5e-10, // barely decodable
-                    2 => 1e-9,
-                    _ => 1e-7,  // > 10x: capture winner
-                },
-            ))
-            .collect();
-        assert_fused_matches_eager(&RadioConfig::wavelan(), &arrivals, own_tx);
-    }
-
-    /// Fault injection rides the same equivalence contract: random
-    /// corruption and suppression flags (plan-time corruption, start
-    /// suppression = the arrival never enters either receiver, end
-    /// suppression = delivery gated after decode) must leave the envelope
-    /// and the reference in lockstep on every delivery and busy horizon.
-    #[test]
-    fn fused_envelope_matches_eager_under_random_fault_plans(
-        raw in proptest::collection::vec(
-            // (start, duration, power class, corrupted, s_start, s_end)
-            (0u64..2_000_000, 1u64..1_500_000, 0u8..4,
-             proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
-            1..24,
-        ),
-        own_tx in proptest::option::of((0u64..2_000_000, 1u64..500_000)),
-    ) {
-        let arrivals: Vec<DiffArrival> = raw
-            .iter()
-            .map(|&(start_ns, dur_ns, class, corrupted, suppress_start, suppress_end)| {
-                DiffArrival {
-                    corrupted,
-                    suppress_start,
-                    suppress_end,
-                    ..DiffArrival::clean(
-                        start_ns,
-                        dur_ns,
-                        match class {
-                            0 => 1e-10,
-                            1 => 5e-10,
-                            2 => 1e-9,
-                            _ => 1e-7,
-                        },
-                    )
-                }
-            })
-            .collect();
-        assert_fused_matches_eager(&RadioConfig::wavelan(), &arrivals, own_tx);
-    }
+        assert_eq!(indexed, scanned);
+        assert_eq!(suppressed, suppressed_scanned);
+    });
 }
 
 // ----------------------------------------------------------------------
 // Cache-decision tracing invariants (ISSUE 9)
 // ----------------------------------------------------------------------
-//
-// Each case runs full campaigns, so this block caps its case count to keep
-// CI within budget; the seed/fault space is still sampled fresh every run.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Tracing is pure observation and supervisor-serialized: for a random
-    /// fault plan, (a) a cachetrace-on campaign produces byte-for-byte the
-    /// same reports and failures as a cachetrace-off one, and (b) the
-    /// trace files themselves are byte-identical at `--jobs 1` and
-    /// `--jobs 4`.
-    #[test]
-    fn cachetrace_is_pure_and_job_count_invariant(
-        scenario_seed in 0u64..1_000,
-        fault_kind in 0u8..3,
-        victim in 0u16..20,
-        at_s in 1.0f64..8.0,
-        dur_s in 0.5f64..4.0,
-        corruption in 0.01f64..0.4,
-    ) {
+/// Tracing is pure observation and supervisor-serialized: for a random
+/// fault plan, (a) a cachetrace-on campaign produces byte-for-byte the
+/// same reports and failures as a cachetrace-off one, and (b) the
+/// trace files themselves are byte-identical at `--jobs 1` and
+/// `--jobs 4`. Each case runs three full campaigns, hence ten of them.
+#[test]
+fn cachetrace_is_pure_and_job_count_invariant() {
+    cases("cachetrace_is_pure_and_job_count_invariant", 0..10, |case, rng| {
+        let scenario_seed = rng.random_range(0..1_000u64);
         let mut cfg = ScenarioConfig::tiny(0.0, 2.0, DsrConfig::combined(), scenario_seed);
         cfg.duration = SimDuration::from_secs(10.0);
-        let at = SimTime::from_secs(at_s);
-        let dur = SimDuration::from_secs(dur_s);
-        cfg.faults = match fault_kind {
-            0 => FaultPlan::none().node_down(NodeId::new(victim), at, dur),
-            1 => FaultPlan::none().frame_corruption(
-                corruption, at, SimTime::from_secs(at_s + dur_s)),
-            _ => FaultPlan::none().node_churn(NodeId::new(victim), at, dur),
-        };
+        cfg.faults = single_fault(rng);
         let seeds = [1, 2];
 
         let off = run_campaign(&cfg, &seeds, &CampaignConfig::default());
 
-        let traced = |jobs: usize, tag: &str| {
-            let dir = std::env::temp_dir().join(format!(
-                "ct-prop-{tag}-{}-{scenario_seed}-{fault_kind}-{victim}",
-                std::process::id(),
-            ));
+        let traced = |jobs: usize| {
+            let dir =
+                std::env::temp_dir().join(format!("ct-prop-j{jobs}-{}-{case}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let mut campaign = CampaignConfig { jobs, ..CampaignConfig::default() };
             campaign.obs.cachetrace_dir = Some(dir.clone());
@@ -465,41 +377,30 @@ proptest! {
             let _ = std::fs::remove_dir_all(&dir);
             (result, files)
         };
-        let (on_seq, traces_seq) = traced(1, "j1");
-        let (on_par, traces_par) = traced(4, "j4");
+        let (on_seq, traces_seq) = traced(1);
+        let (on_par, traces_par) = traced(4);
 
-        prop_assert_eq!(&on_seq, &off, "tracing must not perturb the campaign");
-        prop_assert_eq!(&on_par, &off, "jobs must not perturb the campaign");
-        prop_assert_eq!(traces_seq.len(), seeds.len(), "one trace per seed");
-        prop_assert_eq!(traces_seq, traces_par, "trace bytes must not depend on job count");
-    }
+        assert_eq!(on_seq, off, "tracing must not perturb the campaign");
+        assert_eq!(on_par, off, "jobs must not perturb the campaign");
+        assert_eq!(traces_seq.len(), seeds.len(), "one trace per seed");
+        assert!(traces_seq == traces_par, "trace bytes must not depend on job count");
+    });
 }
 
 // ----------------------------------------------------------------------
 // Strategy-matrix invariants (ISSUE 10)
 // ----------------------------------------------------------------------
-//
-// Full campaigns again, so the case count stays small; the strategy ×
-// fault-plan space is sampled fresh every run.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The three new strategies (preemptive repair, route suppression,
-    /// multipath caching) — alone and stacked — stay conservation-clean
-    /// at `--audit full` under random fault plans, and their campaigns
-    /// are byte-identical at `--jobs 1` and `--jobs 4`.
-    #[test]
-    fn strategy_campaigns_are_conservation_clean_and_job_invariant(
-        strategy in 0u8..4,
-        scenario_seed in 0u64..1_000,
-        fault_kind in 0u8..3,
-        victim in 0u16..20,
-        at_s in 1.0f64..8.0,
-        dur_s in 0.5f64..4.0,
-        corruption in 0.01f64..0.4,
-    ) {
-        use dsr_caching::dsr::{MultipathConfig, PreemptiveConfig, SuppressionConfig};
-        let dsr = match strategy {
+/// The three new strategies (preemptive repair, route suppression,
+/// multipath caching) — alone and stacked — stay conservation-clean
+/// at `--audit full` under random fault plans, and their campaigns
+/// are byte-identical at `--jobs 1` and `--jobs 4`. Full campaigns again,
+/// so eight cases.
+#[test]
+fn strategy_campaigns_are_conservation_clean_and_job_invariant() {
+    use dsr_caching::dsr::{MultipathConfig, PreemptiveConfig, SuppressionConfig};
+    cases("strategy_campaigns_are_conservation_clean_and_job_invariant", 0..8, |_, rng| {
+        let dsr = match rng.random_range(0..4u32) {
             0 => DsrConfig::preemptive(),
             1 => DsrConfig::suppression(),
             2 => DsrConfig::multipath(),
@@ -510,32 +411,22 @@ proptest! {
                 ..DsrConfig::base()
             },
         };
+        let scenario_seed = rng.random_range(0..1_000u64);
         let mut cfg = ScenarioConfig::tiny(0.0, 2.0, dsr, scenario_seed);
         cfg.duration = SimDuration::from_secs(10.0);
-        let at = SimTime::from_secs(at_s);
-        let dur = SimDuration::from_secs(dur_s);
-        cfg.faults = match fault_kind {
-            0 => FaultPlan::none().node_down(NodeId::new(victim), at, dur),
-            1 => FaultPlan::none().frame_corruption(
-                corruption, at, SimTime::from_secs(at_s + dur_s)),
-            _ => FaultPlan::none().node_churn(NodeId::new(victim), at, dur),
-        };
+        cfg.faults = single_fault(rng);
         let seeds = [1, 2];
         let campaign = CampaignConfig { audit: AuditLevel::Full, ..CampaignConfig::default() };
 
         let seq = run_campaign(&cfg, &seeds, &campaign);
-        prop_assert!(
+        assert!(
             seq.all_ok(),
             "strategy {} campaign failed under faults: {}",
             cfg.dsr.label(),
             seq.failure_summary()
         );
 
-        let par = run_campaign(
-            &cfg,
-            &seeds,
-            &CampaignConfig { jobs: 4, ..campaign },
-        );
-        prop_assert_eq!(&seq, &par, "reports must not depend on job count");
-    }
+        let par = run_campaign(&cfg, &seeds, &CampaignConfig { jobs: 4, ..campaign });
+        assert_eq!(seq, par, "reports must not depend on job count");
+    });
 }
