@@ -38,7 +38,8 @@ pub struct Metrics {
     delivered: u64,
     bytes_delivered: u64,
     delays: Distribution,
-    hops: Distribution,
+    /// Links traversed, summed over `delivered`: only the mean is reported.
+    hops: u64,
     series: Option<DeliverySeries>,
 
     rts_tx: u64,
@@ -115,7 +116,7 @@ impl Metrics {
         self.delivered += 1;
         self.bytes_delivered += bytes as u64;
         self.delays.record(now.saturating_since(sent_at).as_secs());
-        self.hops.record(hops as f64);
+        self.hops += hops as u64;
         if let Some(series) = &mut self.series {
             series.record_delivery(now);
         }
@@ -272,7 +273,11 @@ impl Metrics {
             delay_p95_s: self.delays.quantile(0.95).unwrap_or(0.0),
             delay_p99_s: self.delays.quantile(0.99).unwrap_or(0.0),
             delay_jitter_s: self.delays.mean_abs_delta().unwrap_or(0.0),
-            avg_hops: self.hops.mean().unwrap_or(0.0),
+            avg_hops: if self.delivered == 0 {
+                0.0
+            } else {
+                self.hops as f64 / self.delivered as f64
+            },
             normalized_overhead: if self.delivered == 0 {
                 f64::INFINITY
             } else {
@@ -544,6 +549,25 @@ mod tests {
         assert!((r.avg_hops - 4.0).abs() < 1e-12);
         assert!((r.delay_p95_s - 1.5).abs() < 1e-12);
         assert!((r.throughput_kbps - 2.0 * 512.0 * 8.0 / 1_000.0 / 100.0).abs() < 1e-12);
+    }
+
+    /// `avg_hops` comes from an integer sum; it must be the mean a
+    /// `Distribution` of the same samples reports, to the last bit (a sum of
+    /// integer-valued doubles is exact below 2^53).
+    #[test]
+    fn avg_hops_is_the_mean_of_the_samples_bit_for_bit() {
+        assert_eq!(Metrics::new().report("DSR", 1.0).avg_hops.to_bits(), 0.0f64.to_bits());
+        let mut rng = sim_core::RngFactory::new(0x686f_7073).stream("hops", 0);
+        let (mut m, mut samples) = (Metrics::new(), Distribution::new());
+        for uid in 0..10_007u64 {
+            let hops = rng.random_range(0..12usize);
+            assert!(m.record_delivery(uid, t(0.0), 512, hops, t(1.0)));
+            samples.record(hops as f64);
+            // A duplicate delivery counts for nothing.
+            assert!(!m.record_delivery(uid, t(0.0), 512, 40, t(2.0)));
+        }
+        let mean = samples.mean().expect("not empty");
+        assert_eq!(m.report("DSR", 1.0).avg_hops.to_bits(), mean.to_bits(), "{mean}");
     }
 
     #[test]

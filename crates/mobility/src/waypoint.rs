@@ -243,6 +243,25 @@ mod tests {
         }
     }
 
+    /// What the driver's link plans rest on at the static end of the
+    /// paper's pause-time axis: with the pause as long as the run, every
+    /// snapshot the driver takes (one per 50 ms `position_refresh`) is the
+    /// first one to the last bit — not merely within a rounding error of it.
+    #[test]
+    fn a_full_run_pause_gives_bit_identical_snapshots_at_every_refresh() {
+        let cfg = WaypointConfig::paper(SimDuration::from_secs(500.0));
+        let m = RandomWaypoint::generate(&cfg, RngFactory::new(1));
+        let bits = |snap: &[Point]| -> Vec<(u64, u64)> {
+            snap.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+        };
+        let first = bits(&m.snapshot(SimTime::ZERO));
+        let mut snap = Vec::new();
+        for refresh in 1..=10_000u64 {
+            m.snapshot_into(SimTime::from_nanos(refresh * 50_000_000), &mut snap);
+            assert_eq!(bits(&snap), first, "refresh {refresh}");
+        }
+    }
+
     #[test]
     fn zero_pause_moves_immediately() {
         let mut cfg = small_config();

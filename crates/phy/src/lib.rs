@@ -7,8 +7,9 @@
 //!   capture ratio 10);
 //! - [`ReceiverState`] — per-node reception state machine handling
 //!   collisions, capture, and half-duplex constraints;
-//! - [`plan_arrivals_indexed_into`] — computes who senses a transmission,
-//!   at what power, and when.
+//! - [`for_each_link`] — who senses a transmitter, at what power and after
+//!   what delay; [`plan_arrivals_indexed_into`] — the same per frame, as
+//!   start and end instants.
 //!
 //! The crate's tests carry the receiver-level reference model
 //! (`differential.rs`): one arrival stream replayed through the lazy envelope
@@ -32,6 +33,6 @@ pub mod medium;
 pub mod propagation;
 pub mod receiver;
 
-pub use medium::{plan_arrivals_indexed_into, Arrival, TxIdSource};
+pub use medium::{for_each_link, plan_arrivals_indexed_into, Arrival, TxIdSource};
 pub use propagation::{RadioConfig, SPEED_OF_LIGHT};
 pub use receiver::{ArrivalVerdict, PendingArrival, ReceiverState, TxId, SEQ_MAX};

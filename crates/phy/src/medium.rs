@@ -1,14 +1,18 @@
 //! Transmission planning over the shared medium.
 //!
-//! Given a transmitter and the node positions at transmission time, compute
-//! which nodes sense the frame, at what power, and when its first and last
-//! bits arrive. The driver queues each [`Arrival`] as a
+//! Given a transmitter and the node positions, compute which nodes sense
+//! its frames, at what power, and how long after the transmission begins
+//! the first bit arrives ([`for_each_link`]) — all a function of the
+//! positions alone — and from that, for one frame, when its first and last
+//! bits arrive at each receiver ([`plan_arrivals_indexed_into`]). The
+//! driver queues each arrival as a
 //! [`PendingArrival`](crate::PendingArrival) on the receiver's
 //! [`ReceiverState`](crate::ReceiverState).
 //!
-//! Positions are sampled once at transmission start: frames last well under
-//! 10 ms, during which a 20 m/s node moves at most 0.2 m — negligible
-//! against a 250 m radio range.
+//! The positions are the driver's snapshot, at most `position_refresh`
+//! (50 ms) old, not a sample taken at transmission start: a 20 m/s node
+//! moves at most 1 m between snapshots — negligible against a 250 m radio
+//! range — and a frame lasts well under 10 ms.
 
 use mobility::Point;
 use sim_core::{NodeId, SimDuration, SimTime};
@@ -29,26 +33,53 @@ pub struct Arrival {
     pub end: SimTime,
 }
 
-/// Plans the arrivals of a transmission starting at `now` and lasting
-/// `duration`, from node `tx` located per `positions`, considering only
-/// the node indices in `candidates`. Arrivals are pushed into `out`
-/// (cleared first) so the driver reuses one buffer across the run; the
-/// return value counts the in-range receivers `suppress` silenced.
-///
-/// Only nodes sensing the frame above the carrier-sense threshold appear;
-/// everyone else is physically unaware of the transmission. The transmitter
-/// itself is skipped (its radio is busy transmitting). Receivers for which
-/// `suppress` returns `true` never sense the frame at all — no signal
-/// energy, no carrier, no capture: crashed nodes and regional blackouts,
-/// for which the medium simply does not exist.
+/// Visits the links of a transmission from node `tx` located per
+/// `positions`, considering only the node indices in `candidates`: for each
+/// node that senses `tx` above the carrier-sense threshold, in candidate
+/// order, `visit(receiver, power_w, delay)` with the received power in
+/// watts and the propagation delay. Everyone else is physically unaware of
+/// the transmission, and the transmitter itself is skipped (its radio is
+/// busy transmitting).
 ///
 /// `candidates` must be sorted ascending and must cover every node within
 /// carrier-sense range of the transmitter. A 3×3 neighborhood query on a
 /// `mobility::NeighborGrid` with cell size ≥ the carrier-sense range
 /// guarantees both (see that type's docs), and so does `0..n` — the full
 /// scan, which is what the tests use as the reference. Any two covering
-/// candidate lists give the same arrivals in the same order with the same
-/// suppressed count: candidates out of range are harmless.
+/// candidate lists give the same links in the same order: candidates out of
+/// range are harmless.
+#[inline]
+pub fn for_each_link(
+    tx: NodeId,
+    candidates: &[u16],
+    positions: &[Point],
+    cfg: &RadioConfig,
+    mut visit: impl FnMut(NodeId, f64, SimDuration),
+) {
+    debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "candidates must be ascending");
+    let tx_pos = positions[tx.index()];
+    for &i in candidates {
+        if usize::from(i) == tx.index() {
+            continue;
+        }
+        let dist = tx_pos.distance(positions[usize::from(i)]);
+        let power = cfg.rx_power_w(dist);
+        if power < cfg.cs_threshold_w {
+            continue;
+        }
+        visit(NodeId::new(i), power, SimDuration::from_secs(cfg.propagation_delay_s(dist)));
+    }
+}
+
+/// Plans the arrivals of one frame: a transmission starting at `now` and
+/// lasting `duration` over the links [`for_each_link`] visits (see there
+/// for what `candidates` must be). Arrivals are pushed into `out` (cleared
+/// first); the return value counts the in-range receivers `suppress`
+/// silenced.
+///
+/// Receivers for which `suppress` returns `true` never sense the frame at
+/// all — no signal energy, no carrier, no capture: crashed nodes and
+/// regional blackouts, for which the medium simply does not exist.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_arrivals_indexed_into(
     tx: NodeId,
@@ -61,28 +92,15 @@ pub fn plan_arrivals_indexed_into(
     out: &mut Vec<Arrival>,
 ) -> u64 {
     out.clear();
-    debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "candidates must be ascending");
-    let tx_pos = positions[tx.index()];
     let mut suppressed = 0u64;
-    for &i in candidates {
-        let i = usize::from(i);
-        if i == tx.index() {
-            continue;
-        }
-        let dist = tx_pos.distance(positions[i]);
-        let power = cfg.rx_power_w(dist);
-        if power < cfg.cs_threshold_w {
-            continue;
-        }
-        let receiver = NodeId::new(i as u16);
+    for_each_link(tx, candidates, positions, cfg, |receiver, power_w, delay| {
         if suppress(receiver) {
             suppressed += 1;
-            continue;
+            return;
         }
-        let delay = SimDuration::from_secs(cfg.propagation_delay_s(dist));
         let start = now + delay;
-        out.push(Arrival { receiver, power_w: power, start, end: start + duration });
-    }
+        out.push(Arrival { receiver, power_w, start, end: start + duration });
+    });
     suppressed
 }
 

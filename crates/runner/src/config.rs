@@ -286,7 +286,10 @@ pub struct ScenarioConfig {
     pub duration: SimDuration,
     /// Node-position snapshot granularity for the radio channel. 50 ms at
     /// 20 m/s is at most one meter of error against a 250 m radio range,
-    /// and caps position interpolation cost.
+    /// and caps position interpolation cost. It also bounds how long a
+    /// link plan lives: who senses a sender, how loudly and how late is
+    /// computed once per sender and snapshot, and kept until a snapshot
+    /// differs (for the whole run, if nobody moves).
     pub position_refresh: SimDuration,
     /// Scheduled deterministic faults (none by default).
     pub faults: FaultPlan,

@@ -5,12 +5,17 @@
 //! collector, and shuttles commands between them:
 //!
 //! ```text
-//! traffic event ──> agent ──Send──> Dcf ──StartTx──> channel (plan_arrivals_indexed_into)
+//! traffic event ──> agent ──Send──> Dcf ──StartTx──> channel (the sender's link plan)
 //!                     ▲                ▲                     │
 //!                     │ Deliver/Snoop/ │ timers, carrier     │ ArrivalBoundary ─> Arrival
 //!                     │ TxFailed       │ updates             │ CarrierSense
 //!                     └──────────────  Dcf <── ReceiverState ┘
 //! ```
+//!
+//! Who senses a sender, how loudly and how late depends on the positions
+//! alone, so `StartTx` reads it from the sender's *link plan*
+//! (`sim/plans.rs`, DESIGN.md §9), built once per position snapshot, and
+//! adds only what differs per frame.
 //!
 //! Arrival scheduling is lazy (DESIGN.md §11): `StartTx` plans every
 //! sensed arrival into the receivers' pending sets, but only decodable
@@ -45,10 +50,10 @@ use std::time::Instant;
 use dsr::DsrNode;
 use mac::{Dcf, MacCommand, MacFrame, MacTimer, Priority};
 use metrics::{Metrics, Report};
-use mobility::{LinkOracle, MobilityModel, NeighborGrid, Point, RandomWaypoint, StaticPositions};
+use mobility::{LinkOracle, MobilityModel, Point, RandomWaypoint, StaticPositions};
 use obs::{Profile, Sampler};
 use packet::{NetPacket, ProtocolEvent};
-use phy::{plan_arrivals_indexed_into, Arrival, PendingArrival, ReceiverState, TxId, TxIdSource};
+use phy::{PendingArrival, ReceiverState, TxId, TxIdSource};
 use sim_core::{EventId, EventQueue, NodeId, RngFactory, SimDuration, SimRng, SimTime};
 use traffic::{generate_flows, CbrFlow};
 
@@ -64,10 +69,12 @@ use crate::proto::{AgentCommand, RoutingAgent};
 use crate::trace::TraceSink;
 
 use fronts::{Fronts, MemberKind};
+use plans::LinkPlans;
 
 #[cfg(test)]
 mod dispatch_order;
 mod fronts;
+mod plans;
 #[cfg(test)]
 mod timer_faults;
 
@@ -212,16 +219,14 @@ pub struct Simulator<A: RoutingAgent = DsrNode> {
     agent_timers: Vec<HashMap<A::Timer, EventId>>,
     tx_ids: TxIdSource,
     flows: Vec<CbrFlow>,
-    /// Cached node positions (refreshed every `position_refresh`).
+    /// Snapshot of the node positions, re-taken every `position_refresh`
+    /// and replaced when the new one differs.
     positions: Vec<Point>,
     positions_at: SimTime,
-    /// Spatial index over `positions`, rebuilt on every refresh; restricts
-    /// arrival planning to the transmitter's 3×3 cell neighborhood.
-    grid: NeighborGrid,
-    /// Scratch: candidate node ids from the grid (reused per transmission).
-    cand_buf: Vec<u16>,
-    /// Scratch: planned arrivals (reused per transmission).
-    arrival_buf: Vec<Arrival>,
+    /// Scratch: the snapshot just taken, until it is compared.
+    fresh_positions: Vec<Point>,
+    /// The neighbor grid and the link plans over `positions`.
+    plans: LinkPlans,
     /// Scratch: materialized carrier-sense boundary keys (reused per
     /// input).
     cs_buf: Vec<(SimTime, u64)>,
@@ -306,12 +311,7 @@ impl<A: RoutingAgent> Simulator<A> {
             .collect();
         let flows = generate_flows(n, &cfg.traffic, factory);
         let positions = mobility.snapshot(SimTime::ZERO);
-        // Cell size must be at least the carrier-sense range for the 3×3
-        // neighborhood to cover every possible receiver (see
-        // `NeighborGrid`); the 0.1% margin absorbs the range solver's
-        // bisection tolerance at zero practical cost.
-        let mut grid = NeighborGrid::new(cfg.radio.carrier_sense_range_m() * 1.001);
-        grid.rebuild(&positions);
+        let plans = LinkPlans::new(&cfg.radio, &positions);
         let end = SimTime::ZERO + cfg.duration;
         Simulator {
             label: label.into(),
@@ -330,9 +330,8 @@ impl<A: RoutingAgent> Simulator<A> {
             flows,
             positions,
             positions_at: SimTime::ZERO,
-            grid,
-            cand_buf: Vec::new(),
-            arrival_buf: Vec::new(),
+            fresh_positions: Vec::with_capacity(n),
+            plans,
             cs_buf: Vec::new(),
             cur_seq: 0,
             arrivals_planned: 0,
@@ -1073,27 +1072,8 @@ impl<A: RoutingAgent> Simulator<A> {
                     self.rx_states[node as usize].begin_tx(self.now, until, self.cur_seq);
                     self.refresh_positions();
                     let tx_id = self.tx_ids.next_id();
-                    let plan = &self.cfg.faults.events;
-                    let p_corrupt = self.faults.corruption_prob(plan);
-                    let mut arrivals = std::mem::take(&mut self.arrival_buf);
-                    self.grid.candidates_into(self.positions[node as usize], &mut self.cand_buf);
-                    let (faults, positions) = (&self.faults, &self.positions);
-                    let suppressed = plan_arrivals_indexed_into(
-                        NodeId::new(node),
-                        &self.cand_buf,
-                        positions,
-                        self.now,
-                        duration,
-                        &self.cfg.radio,
-                        |rx| {
-                            faults.is_down(rx.index())
-                                || faults.in_blackout(plan, positions[rx.index()])
-                        },
-                        &mut arrivals,
-                    );
-                    if suppressed > 0 {
-                        self.metrics.record_arrivals_suppressed(suppressed);
-                    }
+                    let fault_plan = &self.cfg.faults.events;
+                    let p_corrupt = self.faults.corruption_prob(fault_plan);
                     let frame = Arc::new(frame);
                     let rx_threshold_w = self.cfg.radio.rx_threshold_w;
                     // While a suppression window is open anywhere, every
@@ -1101,36 +1081,53 @@ impl<A: RoutingAgent> Simulator<A> {
                     // can gate it at dispatch time.
                     let windows_active = self.faults.suppression_active();
                     let now = self.now;
-                    for a in arrivals.drain(..) {
-                        let rx = a.receiver.index() as u16;
+                    let mut suppressed = 0u64;
+                    // The plan holds what the positions decide; the rest of
+                    // the loop is what this frame, at this instant, adds.
+                    let links =
+                        self.plans.links_of(NodeId::new(node), &self.positions, &self.cfg.radio);
+                    for &link in links {
+                        let rx = link.rx();
+                        // Never part of a plan: a fault window can open or
+                        // close between two frames of one epoch.
+                        if self.faults.is_down(usize::from(rx))
+                            || self.faults.in_blackout(fault_plan, self.positions[usize::from(rx)])
+                        {
+                            suppressed += 1;
+                            continue;
+                        }
+                        let power_w = link.power_w();
+                        let start = now + link.delay();
+                        let end = start + duration;
                         self.arrivals_planned += 1;
                         let corrupted = self.faults.draw_corrupted(p_corrupt);
                         if corrupted {
                             self.metrics.record_frame_corrupted();
                         }
-                        let decodable = a.power_w >= rx_threshold_w;
+                        let decodable = power_w >= rx_threshold_w;
                         // Every arrival reserves exactly one seq here, at
                         // plan time and in arrival order, whether or not
                         // its start boundary is evented now: a boundary
                         // materialized later lands at this queue position.
                         let start_seq = self.queue.reserve_seq();
                         let (start_evented, needs_decode, payload) = if decodable {
-                            self.fronts.stage(a.start - now, start_seq, rx, MemberKind::Boundary);
+                            self.fronts.stage(link.delay(), start_seq, rx, MemberKind::Boundary);
                             // Data frames must decode at every receiver
                             // that can lock them (bystanders snoop in
                             // promiscuous mode); control frames only at
                             // their addressee — a bystander's NAV update
                             // is a quiet merge the envelope credits on
                             // lazy expiry.
-                            let needs = frame.payload.is_some() || frame.addressed_to(a.receiver);
+                            let needs =
+                                frame.payload.is_some() || frame.addressed_to(NodeId::new(rx));
                             (true, needs, Some(Arc::clone(&frame)))
-                        } else if self.macs[rx as usize].carrier_reactive() || windows_active {
+                        } else if self.macs[usize::from(rx)].carrier_reactive() || windows_active {
                             // Sub-RX energy matters now: the MAC's
                             // freeze/recheck must fire at the start — or an
                             // open suppression window may need to gate this
                             // boundary at dispatch time.
                             self.fronts.stage(
-                                a.start - now,
+                                link.delay(),
                                 start_seq,
                                 rx,
                                 MemberKind::CarrierSense,
@@ -1142,12 +1139,12 @@ impl<A: RoutingAgent> Simulator<A> {
                             // at this node.
                             (false, false, None)
                         };
-                        self.rx_states[rx as usize].add_pending(PendingArrival {
+                        self.rx_states[usize::from(rx)].add_pending(PendingArrival {
                             tx_id,
-                            power_w: a.power_w,
-                            start: a.start,
+                            power_w,
+                            start,
                             start_seq,
-                            end: a.end,
+                            end,
                             nav: frame.nav,
                             needs_decode,
                             start_evented,
@@ -1157,7 +1154,9 @@ impl<A: RoutingAgent> Simulator<A> {
                         self.boundary_scheduled += u64::from(start_evented);
                         self.front_members += u64::from(start_evented);
                     }
-                    self.arrival_buf = arrivals;
+                    if suppressed > 0 {
+                        self.metrics.record_arrivals_suppressed(suppressed);
+                    }
                     // Every boundary evented above is a member of one front,
                     // queued once, under its earliest member's key: at most
                     // a propagation delay ahead, due before nearly
@@ -1292,13 +1291,20 @@ impl<A: RoutingAgent> Simulator<A> {
         });
     }
 
+    /// Re-takes the position snapshot if the one held is `position_refresh`
+    /// old (or is still the one taken at construction).
     fn refresh_positions(&mut self) {
         if self.now.saturating_since(self.positions_at) >= self.cfg.position_refresh
             || self.positions_at == SimTime::ZERO && self.now > SimTime::ZERO
         {
-            self.mobility.snapshot_into(self.now, &mut self.positions);
+            self.mobility.snapshot_into(self.now, &mut self.fresh_positions);
             self.positions_at = self.now;
-            self.grid.rebuild(&self.positions);
+            // A new epoch only if a node moved: a paused network keeps its
+            // grid and its link plans.
+            if !plans::same_bits(&self.positions, &self.fresh_positions) {
+                std::mem::swap(&mut self.positions, &mut self.fresh_positions);
+                self.plans.rebuild(&self.positions);
+            }
         }
     }
 }

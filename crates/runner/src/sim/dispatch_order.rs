@@ -11,6 +11,11 @@
 //! `tests/aodv_stack.rs`, on the heartbeat, trace and profile hooks: the
 //! `aodv` crate sits above this one.
 //!
+//! `paused_then_moving` and the fault-window scenario were recorded later,
+//! at the last commit that planned every frame's arrivals afresh, before
+//! link plans (DESIGN §9) existed. The tape also counts the link plans
+//! built and the grid rebuilds of a run; those are not part of a digest.
+//!
 //! Re-pin a digest only in a change that means to alter simulated
 //! behaviour, and say so in that change.
 
@@ -19,8 +24,10 @@ use std::cell::RefCell;
 use dsr::DsrConfig;
 use mobility::Point;
 
+use super::plans::same_bits;
 use super::*;
 use crate::config::{FaultPlan, Zone};
+use crate::trace::TraceKind;
 
 /// One dispatch as the run loop saw it.
 pub(super) type Dispatch = (SimTime, u64, usize, u16);
@@ -33,6 +40,10 @@ pub(super) struct Tape {
     pub dispatches: u64,
     /// Decodes that could not ride in their transmission's front.
     pub loose_decodes: u64,
+    /// Link plans built, and neighbor-grid rebuilds (the one at
+    /// construction included).
+    pub plans_built: u64,
+    pub grid_rebuilds: u64,
     /// The dispatches themselves, when asked for.
     pub log: Option<Vec<Dispatch>>,
 }
@@ -98,6 +109,16 @@ pub(super) fn note_loose_decode() {
     with_tape(|tape| tape.loose_decodes += 1);
 }
 
+/// A transmitter had no link plan in the current epoch and built one.
+pub(super) fn note_plan_built() {
+    with_tape(|tape| tape.plans_built += 1);
+}
+
+/// The driver's snapshot changed (or was first taken): grid rebuilt.
+pub(super) fn note_grid_rebuilt() {
+    with_tape(|tape| tape.grid_rebuilds += 1);
+}
+
 /// Runs `run` with a tape in place and returns both.
 pub(super) fn taped<R>(keep_log: bool, run: impl FnOnce() -> R) -> (R, Tape) {
     let fresh = Tape { digest: FNV_OFFSET, log: keep_log.then(Vec::new), ..Tape::default() };
@@ -125,8 +146,11 @@ pub(super) fn short_airtime(seed: u64) -> ScenarioConfig {
     cfg
 }
 
+fn n(node: u16) -> NodeId {
+    NodeId::new(node)
+}
+
 fn scenarios() -> Vec<(&'static str, ScenarioConfig, u64)> {
-    let n = NodeId::new;
     let storm = FaultPlan::none()
         .node_churn(n(6), secs(6.0), dur(4.0))
         .region_blackout(
@@ -157,7 +181,188 @@ fn scenarios() -> Vec<(&'static str, ScenarioConfig, u64)> {
             0x79a3_0b8e_a05a_6fb5,
         ),
         ("short_airtime", short_airtime(5), 0x3ac5_9316_694e_7eb5),
+        ("paused_then_moving", paused_then_moving(), 0x72e4_f963_bdff_5cc3),
     ]
+}
+
+/// Everybody pauses for the first 10 s, then leaves at a speed of its own:
+/// the snapshot does not change, then changes at every refresh, with the
+/// odd node pausing again at its first waypoint. (`static_base_8pps` is the
+/// paper's "pause = run length"; tiny runs last 30 s.)
+fn paused_then_moving() -> ScenarioConfig {
+    ScenarioConfig::tiny(10.0, 4.0, DsrConfig::combined(), 4)
+}
+
+/// Runs `cfg` taped and traced: the report, the tape and `(at, node)` of
+/// every frame put on the air, in order.
+fn transmissions(cfg: ScenarioConfig) -> (Report, Tape, Vec<(SimTime, u16)>) {
+    let txs = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&txs);
+    let (report, tape) = taped(false, || {
+        let mut sim = Simulator::new(cfg);
+        sim.set_trace(Box::new(move |ev| {
+            if let TraceKind::MacSend { .. } = ev.kind {
+                sink.lock().expect("no panic under the lock").push((ev.at, ev.node.index() as u16));
+            }
+        }));
+        sim.run()
+    });
+    let txs = std::mem::take(&mut *txs.lock().expect("the run is over"));
+    (report, tape, txs)
+}
+
+/// What the snapshot rule makes of a run's transmissions, modelled apart
+/// from the driver: the snapshot is re-taken by the first transmission
+/// after time zero and then by each first one `position_refresh` or more
+/// after the last; an epoch ends when the new snapshot differs by a bit;
+/// a node plans once per epoch it transmits in.
+struct Epochs {
+    /// The instants the snapshot was re-taken at.
+    refreshes: Vec<SimTime>,
+    /// Of those, how many changed it.
+    changed: u64,
+    plans: u64,
+}
+
+/// The itinerary `Simulator::with_agents` generates for `cfg`.
+fn itinerary(cfg: &ScenarioConfig) -> RandomWaypoint {
+    let MobilitySpec::Waypoint(waypoint) = &cfg.mobility else { panic!("a waypoint scenario") };
+    RandomWaypoint::generate(waypoint, RngFactory::new(cfg.seed))
+}
+
+fn epochs(cfg: &ScenarioConfig, txs: &[(SimTime, u16)]) -> Epochs {
+    let model = itinerary(cfg);
+    let mut out = Epochs { refreshes: Vec::new(), changed: 0, plans: 0 };
+    let (mut held, mut held_at) = (model.snapshot(SimTime::ZERO), SimTime::ZERO);
+    let mut planned = vec![false; cfg.num_nodes()];
+    for &(at, node) in txs {
+        if at - held_at >= cfg.position_refresh || held_at == SimTime::ZERO && at > held_at {
+            held_at = at;
+            out.refreshes.push(at);
+            let next = model.snapshot(at);
+            if !same_bits(&held, &next) {
+                held = next;
+                out.changed += 1;
+                planned.fill(false);
+            }
+        }
+        out.plans += u64::from(!std::mem::replace(&mut planned[usize::from(node)], true));
+    }
+    out
+}
+
+/// The premise of link plans, and their effect: a network that does not
+/// move keeps one epoch for the whole run and plans once per node that
+/// ever transmits; one that moves part of the time rebuilds the grid only
+/// for the snapshots that changed.
+#[test]
+fn plans_and_the_grid_are_rebuilt_only_when_a_node_moved() {
+    let cfg = ScenarioConfig::tiny(30.0, 8.0, DsrConfig::base(), 2);
+    let (_, tape, txs) = transmissions(cfg.clone());
+    let model = epochs(&cfg, &txs);
+    assert!(model.refreshes.len() > 400 && model.changed == 0, "{}", model.refreshes.len());
+    let mut transmitters: Vec<u16> = txs.iter().map(|&(_, node)| node).collect();
+    transmitters.sort_unstable();
+    transmitters.dedup();
+    assert!(transmitters.len() > 10 && txs.len() > 10_000);
+    assert_eq!(tape.plans_built, transmitters.len() as u64, "one plan per transmitter");
+    assert_eq!(tape.grid_rebuilds, 1, "the one at construction");
+
+    let cfg = paused_then_moving();
+    let (_, tape, txs) = transmissions(cfg.clone());
+    let model = epochs(&cfg, &txs);
+    let refreshes = model.refreshes.len() as u64;
+    assert!(
+        model.changed > 100 && refreshes > model.changed + 50,
+        "{} of {refreshes}",
+        model.changed
+    );
+    assert_eq!(tape.grid_rebuilds, 1 + model.changed);
+    assert_eq!(tape.plans_built, model.plans);
+    assert!(model.plans < txs.len() as u64 / 2, "{} plans, {} frames", model.plans, txs.len());
+}
+
+/// A `node_down`, a `region_blackout` and a `frame_corruption` window that
+/// each open and close inside one refresh interval, around a transmission
+/// of a node that also transmits earlier and later in that interval: what
+/// a fault silences is decided per frame, whatever the age of the
+/// positions the frame is planned over.
+#[test]
+fn fault_windows_shorter_than_a_refresh_interval_gate_the_frames_inside_them() {
+    let clean = ScenarioConfig::tiny(0.0, 8.0, DsrConfig::base(), 7);
+    let (_, _, txs) = transmissions(clean.clone());
+    let refreshes = epochs(&clean, &txs).refreshes;
+    let model = itinerary(&clean);
+
+    // A node with a burst of frames strictly inside one interval in the
+    // middle of the run, and the two bystanders nearest to it — nodes that
+    // sense it and send nothing in that interval, so that silencing them
+    // leaves the burst going: one to take down, one to black out alone.
+    let (x, t, victim, zone) = refreshes
+        .windows(2)
+        .filter(|w| w[0] > secs(12.0))
+        .find_map(|w| {
+            let sent: Vec<(SimTime, u16)> =
+                txs.iter().copied().filter(|&(at, _)| w[0] < at && at < w[1]).collect();
+            let frames_of = |node: u16| sent.iter().filter(move |d| d.1 == node).map(|d| d.0);
+            let x = (0..clean.num_nodes() as u16).max_by_key(|&node| frames_of(node).count())?;
+            let mine: Vec<SimTime> = frames_of(x).collect();
+            if mine.len() < 9 {
+                return None;
+            }
+            let t = [mine[0], mine[mine.len() / 3], mine[2 * mine.len() / 3]];
+            let at = model.snapshot(w[0]);
+            let by_distance = |from: usize, silent: bool| {
+                let mut nodes: Vec<usize> = (0..at.len())
+                    .filter(|&i| i != from && (frames_of(i as u16).count() == 0) == silent)
+                    .collect();
+                nodes.sort_by(|&a, &b| {
+                    at[from].distance(at[a]).total_cmp(&at[from].distance(at[b]))
+                });
+                nodes
+            };
+            let bystanders = by_distance(usize::from(x), true);
+            let (&victim, &dark) = (bystanders.first()?, bystanders.get(1)?);
+            let nearest_sender = *by_distance(dark, false).first()?;
+            let radius_m =
+                at[dark].distance(at[nearest_sender]).min(at[dark].distance(at[victim])) / 2.0;
+            let senses_x = |i: usize| at[usize::from(x)].distance(at[i]) < 500.0;
+            (senses_x(victim) && senses_x(dark)).then_some((
+                x,
+                t,
+                victim,
+                Zone::Disc { center: at[dark], radius_m },
+            ))
+        })
+        .expect("a burst to aim at");
+    let part =
+        |a: SimTime, b: SimTime, k: u64| a + SimDuration::from_nanos((b - a).as_nanos() * k / 4);
+    let windows = [1, 2, 3].map(|k| (part(t[0], t[1], k), part(t[1], t[2], k)));
+    let [down, dark, noisy] = windows;
+    let mut cfg = clean;
+    cfg.faults = FaultPlan::none()
+        .node_down(n(victim as u16), down.0, down.1 - down.0)
+        .region_blackout(zone, dark.0, dark.1 - dark.0)
+        .frame_corruption(0.5, noisy.0, noisy.1);
+
+    let (report, tape, txs) = transmissions(cfg.clone());
+    assert_eq!(report.faults_injected, 3);
+    assert!(report.arrivals_suppressed > 0 && report.frames_corrupted > 0, "{report:?}");
+    // In the run as it went with the faults in: the node planned before
+    // the first window opened, sent inside every window, and sent again
+    // after the last one closed — all in one refresh interval.
+    let refreshes = epochs(&cfg, &txs).refreshes;
+    let k = refreshes.partition_point(|&r| r <= down.0);
+    let (from, to) = (refreshes[k - 1], refreshes[k]);
+    let sends_in =
+        |a: SimTime, b: SimTime| txs.iter().any(|&(at, node)| node == x && a < at && at < b);
+    assert!(noisy.1 < to, "the interval outlasts the windows");
+    assert!(txs.iter().any(|&(at, node)| node == x && from <= at && at < down.0));
+    for (open, close) in windows {
+        assert!(sends_in(open, close), "{open}..{close}");
+    }
+    assert!(sends_in(noisy.1, to), "and again with every window closed");
+    assert_eq!(tape.digest, 0x44c6_ee6a_a0c1_7ad6, "{} dispatches", tape.dispatches);
 }
 
 #[test]
