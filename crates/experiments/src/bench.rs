@@ -203,6 +203,7 @@ mod tests {
             wall_seconds: 10.0,
             events: 5_000_000,
             scheduled: 6_000_000,
+            timing_stride: 64,
             ..obs::Profile::default()
         };
         let s = BenchSummary::parse(&p.to_bench_json("smoke")).unwrap();

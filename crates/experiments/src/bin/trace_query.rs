@@ -200,15 +200,21 @@ fn query_timeseries(query: &Query, series: &TimeSeries) -> usize {
     rows.len()
 }
 
+/// The `--summary` line of a profile.
+fn profile_summary(profile: &Profile) -> String {
+    format!(
+        "{} run(s), {} events in {:.3}s wall ({:.0} events/s), 1 dispatch in {} timed per kind",
+        profile.runs,
+        profile.events,
+        profile.wall_seconds,
+        profile.events_per_wall_second(),
+        profile.timing_stride,
+    )
+}
+
 fn query_profile(query: &Query, profile: &Profile) -> usize {
     if query.summary {
-        println!(
-            "{} run(s), {} events in {:.3}s wall ({:.0} events/s)",
-            profile.runs,
-            profile.events,
-            profile.wall_seconds,
-            profile.events_per_wall_second(),
-        );
+        println!("{}", profile_summary(profile));
     } else {
         print!("{}", profile.render());
     }
@@ -292,5 +298,14 @@ D 2.000000 _n3_ RTR NoRouteToSalvage uid 7
         let missing = Query { follow: Some(999), ..q(&["-"]).unwrap() };
         assert_eq!(run(&missing, SAMPLE).unwrap(), 0, "no match exits 1");
         assert!(run(&base, "garbage that is not a trace\n").is_err(), "malformed exits 2");
+    }
+
+    #[test]
+    fn profile_summary_states_the_timing_stride() {
+        let profile = Profile { runs: 2, events: 10, timing_stride: 64, ..Profile::default() };
+        assert!(profile_summary(&profile).ends_with(", 1 dispatch in 64 timed per kind"));
+        let older = profile.render().replace("timing_stride = 64\n", "");
+        let older = Profile::parse(&older).expect("parses");
+        assert!(profile_summary(&older).ends_with(", 1 dispatch in 1 timed per kind"));
     }
 }

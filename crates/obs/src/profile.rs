@@ -17,6 +17,7 @@
 //! cancelled = 568567
 //! postponed = 1204113
 //! rekeyed = 433020
+//! timing_stride = 64
 //! kinds = 2
 //! kind.0 = agent_timer 9120411 21930114312
 //! kind.1 = mac_timer 8101233 1801238971
@@ -27,7 +28,10 @@
 //! ```
 //!
 //! `kind.N` lines are `name count wall_ns`; `drop.N`/`trace.N` are
-//! `name count`. All three lists are sorted by name at render time so the
+//! `name count`. A kind's `wall_ns` is an estimate: the runner times one
+//! dispatch in `timing_stride` of each kind (the first always among them)
+//! and scales the sum up to all of them; a file without the line timed
+//! every dispatch. All three lists are sorted by name at render time so the
 //! summary is independent of merge order across campaign threads.
 
 use crate::text::{fmt_f64, json_escape, KvBlock, ObsError};
@@ -79,6 +83,10 @@ pub struct Profile {
     /// Stale keys the queue re-filed on the way (sum of
     /// `EventQueue::rekeyed`) — what the postpones cost; not dispatches.
     pub rekeyed: u64,
+    /// One dispatch in this many of each kind was timed to estimate the
+    /// kinds' `wall_ns` (1: every one). Merging keeps the larger; the
+    /// default profile, which merged nothing yet, carries 0.
+    pub timing_stride: u64,
     /// Per-event-kind dispatch counts and wall time.
     pub kinds: Vec<Tally>,
     /// Per-drop-reason occurrence counts.
@@ -118,6 +126,7 @@ impl Profile {
         self.cancelled += other.cancelled;
         self.postponed += other.postponed;
         self.rekeyed += other.rekeyed;
+        self.timing_stride = self.timing_stride.max(other.timing_stride);
         merge_tallies(&mut self.kinds, &other.kinds);
         merge_tallies(&mut self.drops, &other.drops);
         merge_tallies(&mut self.traces, &other.traces);
@@ -157,6 +166,7 @@ impl Profile {
         block.push("cancelled", self.cancelled.to_string());
         block.push("postponed", self.postponed.to_string());
         block.push("rekeyed", self.rekeyed.to_string());
+        block.push("timing_stride", self.timing_stride.to_string());
         for (prefix, tallies) in
             [("kind", &self.kinds), ("drop", &self.drops), ("trace", &self.traces)]
         {
@@ -214,7 +224,8 @@ impl Profile {
         // Optional with backwards-compatible defaults: profiles written
         // before the envelope planner had no inline boundaries (dispatched
         // == events) and every schedule/dispatch gap was cancellation;
-        // ones written before the queue could postpone postponed nothing.
+        // ones written before the queue could postpone postponed nothing;
+        // ones written before the profiler strided timed every dispatch.
         let opt_u64 = |key: &'static str, default: u64| -> Result<u64, ObsError> {
             match block.get(key) {
                 Some(raw) => raw.parse().map_err(|_| ObsError::BadValue {
@@ -235,6 +246,7 @@ impl Profile {
             cancelled: opt_u64("cancelled", scheduled.saturating_sub(events))?,
             postponed: opt_u64("postponed", 0)?,
             rekeyed: opt_u64("rekeyed", 0)?,
+            timing_stride: opt_u64("timing_stride", 1)?,
             kinds: parse_tallies("kind", true)?,
             drops: parse_tallies("drop", false)?,
             traces: parse_tallies("trace", false)?,
@@ -354,6 +366,7 @@ mod tests {
             cancelled: 104,
             postponed: 40,
             rekeyed: 12,
+            timing_stride: 64,
             kinds: vec![
                 Tally { name: "mac_timer".into(), count: 600, wall_ns: 900_000 },
                 Tally { name: "agent_timer".into(), count: 400, wall_ns: 600_000 },
@@ -371,6 +384,8 @@ mod tests {
         // Lists are name-sorted by render, so compare re-rendered forms.
         assert_eq!(parsed.render(), text);
         assert_eq!(parsed.events, 1000);
+        assert!(text.contains("\ntiming_stride = 64\n"));
+        assert_eq!(parsed.timing_stride, 64);
         assert_eq!(parsed.kinds.len(), 2);
         assert_eq!(parsed.kinds[0].name, "agent_timer");
         assert_eq!(parsed.kinds[0].wall_ns, 600_000);
@@ -394,6 +409,9 @@ mod tests {
         assert_eq!((total.postponed, total.rekeyed), (80, 24));
         assert_eq!(total.kinds.iter().find(|t| t.name == "mac_timer").unwrap().count, 1200);
         assert_eq!(total.drops.len(), 2);
+        assert_eq!(total.timing_stride, 64, "a stride is not a sum");
+        total.merge(&Profile { timing_stride: 1, ..one_run() });
+        assert_eq!(total.timing_stride, 64, "the larger stride");
     }
 
     #[test]
@@ -413,8 +431,10 @@ mod tests {
         // Profiles written before `dispatched`/`cancelled` existed must
         // still load, with every dispatch attributed to the queue and the
         // whole schedule gap to cancellation; likewise ones from before
-        // the queue counted `postponed`/`rekeyed`, with none of either.
-        let optional = ["dispatched =", "cancelled =", "postponed =", "rekeyed ="];
+        // the queue counted `postponed`/`rekeyed`, with none of either,
+        // and ones from before the profiler strided, timing every dispatch.
+        let optional =
+            ["dispatched =", "cancelled =", "postponed =", "rekeyed =", "timing_stride ="];
         let mut legacy = one_run().render();
         legacy = legacy
             .lines()
@@ -425,6 +445,19 @@ mod tests {
         assert_eq!(parsed.dispatched, 1000);
         assert_eq!(parsed.cancelled, 100);
         assert_eq!((parsed.postponed, parsed.rekeyed), (0, 0));
+        assert_eq!(parsed.timing_stride, 1);
+    }
+
+    #[test]
+    fn the_committed_profile_still_parses() {
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/table3_cache_quick.profile");
+        let text = std::fs::read_to_string(&path).expect("committed");
+        let profile = Profile::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(profile.runs > 0 && !profile.kinds.is_empty());
+        // Committed before the profiler strided; a `--obs sample` rerun
+        // rewrites it with the line.
+        assert_eq!(profile.timing_stride == 1, !text.contains("timing_stride"));
     }
 
     #[test]

@@ -50,8 +50,9 @@ use crate::trace::TraceEvent;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunLimits {
     /// Abort the run once it has consumed this much wall-clock time
-    /// (checked between events; a single stuck event cannot be preempted).
-    /// `None` disables the timeout.
+    /// (checked before the first dispatch and every 64th after it, so a run
+    /// overshoots by at most 63 events; a single stuck event cannot be
+    /// preempted). `None` disables the timeout.
     pub wall_clock: Option<Duration>,
     /// Abort once one simulated second costs more than this many events —
     /// the signature of a zero-progress event storm. `None` disables the

@@ -38,12 +38,52 @@ pub type HeartbeatSink = Box<dyn FnMut(HeartbeatTick) + Send>;
 /// the per-event cost when a heartbeat is installed is one counter mask.
 const HEARTBEAT_EVERY: u64 = 8192;
 
+/// The profiler times one dispatch in this many of each kind — the first
+/// of the kind and every `TIMING_STRIDE`-th after it — and the wall-clock
+/// watchdog looks at the clock on the same cadence of all dispatches.
+pub(crate) const TIMING_STRIDE: u64 = 64;
+
+/// Whether the dispatch that follows `before` others is one the profiler
+/// times (of its kind) or the watchdog checks (of all).
+#[inline]
+pub(crate) fn on_stride(before: u64) -> bool {
+    before.is_multiple_of(TIMING_STRIDE)
+}
+
+/// The wall time of all `count` dispatches of a kind, from the
+/// `sampled_ns` its `⌈count / TIMING_STRIDE⌉` timed ones took (in `u128`:
+/// the product outgrows a `u64` long before the estimate does).
+fn estimate_wall_ns(sampled_ns: u64, count: u64) -> u64 {
+    let timed = count.div_ceil(TIMING_STRIDE);
+    if timed == 0 {
+        return 0;
+    }
+    let scaled = u128::from(sampled_ns) * u128::from(count) / u128::from(timed);
+    u64::try_from(scaled).unwrap_or(u64::MAX)
+}
+
+/// What an empty timed interval costs: the least of 64 back-to-back
+/// `Instant::now()`/`elapsed()` pairs.
+fn clock_overhead_ns() -> u64 {
+    (0..64)
+        .map(|_| {
+            let started = Instant::now();
+            started.elapsed().as_nanos() as u64
+        })
+        .min()
+        .unwrap_or(0)
+}
+
 /// Sampler plus profile tallies; present only when obs is enabled.
 pub(crate) struct ObsState {
     sampler: Sampler,
     sink: ObsSink,
+    /// Every dispatch, per kind.
     kind_count: [u64; EV_KIND_NAMES.len()],
+    /// The timed dispatches' corrected wall time, per kind.
     kind_wall_ns: [u64; EV_KIND_NAMES.len()],
+    /// Calibrated once, here: [`clock_overhead_ns`].
+    overhead_ns: u64,
     drops: TallyMap,
     traces: TallyMap,
 }
@@ -55,6 +95,7 @@ impl ObsState {
             sink,
             kind_count: [0; EV_KIND_NAMES.len()],
             kind_wall_ns: [0; EV_KIND_NAMES.len()],
+            overhead_ns: clock_overhead_ns(),
             drops: TallyMap::new(),
             traces: TallyMap::new(),
         })
@@ -130,10 +171,18 @@ impl Observers {
     // The event loop
     // ------------------------------------------------------------------
 
-    /// The event at `at` is about to be dispatched, `popped` events into
-    /// the run. Returns the profiler's start instant when profiling.
+    /// The event at `at`, of kind `kind` (an index into
+    /// [`EV_KIND_NAMES`]), is about to be dispatched, `popped` events into
+    /// the run. Returns the profiler's start instant when this dispatch is
+    /// one it times.
     #[inline]
-    pub fn begin_event(&mut self, at: SimTime, end: SimTime, popped: u64) -> Option<Instant> {
+    pub fn begin_event(
+        &mut self,
+        at: SimTime,
+        end: SimTime,
+        popped: u64,
+        kind: usize,
+    ) -> Option<Instant> {
         if self.audit.enabled() {
             self.audit.observe_event_time(at);
         }
@@ -142,16 +191,28 @@ impl Observers {
                 hb(HeartbeatTick { now: at, end, events: popped });
             }
         }
-        self.obs.as_ref().map(|_| Instant::now())
+        match &self.obs {
+            Some(o) if on_stride(o.kind_count[kind]) => {
+                #[cfg(test)]
+                crate::sim::dispatch_order::note_clock_read(kind);
+                Some(Instant::now())
+            }
+            _ => None,
+        }
     }
 
-    /// The dispatch `begin_event` announced has returned; `kind` indexes
-    /// [`EV_KIND_NAMES`].
+    /// The dispatch `begin_event` announced has returned.
     #[inline]
     pub fn end_event(&mut self, started: Option<Instant>, kind: usize) {
-        if let (Some(started), Some(o)) = (started, self.obs.as_mut()) {
+        if let Some(o) = self.obs.as_mut() {
             o.kind_count[kind] += 1;
-            o.kind_wall_ns[kind] += started.elapsed().as_nanos() as u64;
+            if let Some(started) = started {
+                #[cfg(test)]
+                crate::sim::dispatch_order::note_clock_read(kind);
+                // What the clock measured less what measuring costs.
+                let elapsed_ns = started.elapsed().as_nanos() as u64;
+                o.kind_wall_ns[kind] += elapsed_ns.saturating_sub(o.overhead_ns);
+            }
         }
     }
 
@@ -176,20 +237,23 @@ impl Observers {
     }
 
     /// The run completed: fills `profile` (whose totals the driver has
-    /// set) with the tallies and hands the finished observation to the obs
+    /// set) with the tallies, each kind's wall time scaled up from its
+    /// timed dispatches, and hands the finished observation to the obs
     /// sink.
     pub fn finish(&mut self, mut profile: Profile) {
         let Some(obs_state) = self.obs.take() else { return };
-        let ObsState { sampler, mut sink, kind_count, kind_wall_ns, drops, traces } = *obs_state;
+        let ObsState { sampler, mut sink, kind_count, kind_wall_ns, drops, traces, .. } =
+            *obs_state;
         for (i, name) in EV_KIND_NAMES.iter().enumerate() {
             if kind_count[i] > 0 {
                 profile.kinds.push(Tally {
                     name: (*name).to_string(),
                     count: kind_count[i],
-                    wall_ns: kind_wall_ns[i],
+                    wall_ns: estimate_wall_ns(kind_wall_ns[i], kind_count[i]),
                 });
             }
         }
+        profile.timing_stride = TIMING_STRIDE;
         profile.drops = drops.into_tallies();
         profile.traces = traces.into_tallies();
         sink(RunObservation { timeseries: sampler.finish(), profile });
@@ -300,5 +364,99 @@ impl Observers {
         if let Some(stamper) = self.cachetrace.as_mut() {
             stamper.stamp(oracle, at, node, decision);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use sim_core::SimDuration;
+
+    use super::*;
+
+    type Seen = Arc<Mutex<Option<RunObservation>>>;
+
+    /// Observers with only the profiler installed, and where its
+    /// observation lands.
+    fn profiling() -> (Observers, Seen) {
+        let seen: Seen = Arc::default();
+        let slot = Arc::clone(&seen);
+        let sampler = Sampler::new("profiled", 1, 0, SimDuration::from_secs(1.0));
+        let sink: ObsSink = Box::new(move |o| *slot.lock().expect("obs slot") = Some(o));
+        (Observers { obs: Some(ObsState::new(sampler, sink)), ..Observers::default() }, seen)
+    }
+
+    /// Three kinds at three rates through the real hooks: the common one,
+    /// one every 97th dispatch (so never where the global count is on the
+    /// stride until the 64th of them) and one that comes once, off it.
+    #[test]
+    fn each_kind_is_timed_on_its_own_stride_from_its_first_dispatch() {
+        let (mut observers, _) = profiling();
+        let mut count = [0u64; EV_KIND_NAMES.len()];
+        let mut timed = [0u64; EV_KIND_NAMES.len()];
+        for popped in 1..=10_000u64 {
+            let kind = match popped {
+                1000 => 4,
+                p if p % 97 == 0 => 1,
+                _ => 0,
+            };
+            let started = observers.begin_event(SimTime::ZERO, SimTime::ZERO, popped, kind);
+            if count[kind] == 0 {
+                assert!(started.is_some(), "the first {} is timed", EV_KIND_NAMES[kind]);
+            }
+            count[kind] += 1;
+            timed[kind] += u64::from(started.is_some());
+            observers.end_event(started, kind);
+        }
+        assert_eq!((count[0], count[1], count[4]), (9896, 103, 1));
+        for (kind, &c) in count.iter().enumerate() {
+            assert_eq!(timed[kind], c.div_ceil(TIMING_STRIDE), "{}", EV_KIND_NAMES[kind]);
+        }
+        let o = observers.obs.as_ref().expect("installed");
+        assert_eq!(o.kind_count, count, "every dispatch counts, timed or not");
+    }
+
+    /// With a clock that costs more than any interval, every timed
+    /// dispatch corrects to nothing, not below it.
+    #[test]
+    fn every_sample_pays_for_its_clock_reads() {
+        let (mut observers, _) = profiling();
+        observers.obs.as_mut().expect("installed").overhead_ns = u64::MAX;
+        for popped in 1..=1000 {
+            let started = observers.begin_event(SimTime::ZERO, SimTime::ZERO, popped, 6);
+            std::hint::black_box(&started);
+            observers.end_event(started, 6);
+        }
+        let o = observers.obs.as_ref().expect("installed");
+        assert_eq!((o.kind_count[6], o.kind_wall_ns[6]), (1000, 0));
+    }
+
+    #[test]
+    fn finish_scales_each_kind_from_its_timed_dispatches() {
+        let (mut observers, seen) = profiling();
+        let o = observers.obs.as_mut().expect("installed");
+        // 640 mac timers, 10 of them timed at 1 µs each; one arrival.
+        (o.kind_count[0], o.kind_wall_ns[0]) = (640, 10_000);
+        (o.kind_count[6], o.kind_wall_ns[6]) = (1, 300);
+        observers.finish(Profile { runs: 1, ..Profile::default() });
+        let seen = seen.lock().expect("obs slot").take().expect("handed over");
+        let kinds: Vec<(&str, u64, u64)> =
+            seen.profile.kinds.iter().map(|t| (t.name.as_str(), t.count, t.wall_ns)).collect();
+        assert_eq!(kinds, [("mac_timer", 640, 640_000), ("arrival", 1, 300)]);
+        assert_eq!(seen.profile.timing_stride, TIMING_STRIDE);
+    }
+
+    #[test]
+    fn the_estimate_scales_in_u128_and_saturates() {
+        assert_eq!(estimate_wall_ns(0, 0), 0);
+        assert_eq!(estimate_wall_ns(500, 1), 500);
+        assert_eq!(estimate_wall_ns(500, 64), 500 * 64, "one timed of 64");
+        assert_eq!(estimate_wall_ns(1000, 65), 1000 * 65 / 2, "two timed of 65");
+        // The product outgrows a u64; the estimate does not.
+        let sampled = u64::MAX / 100;
+        assert_eq!(estimate_wall_ns(sampled, 6400), sampled * 64);
+        assert_eq!(estimate_wall_ns(u64::MAX - 1, 1), u64::MAX - 1);
+        assert_eq!(estimate_wall_ns(u64::MAX / 2, 128), u64::MAX);
     }
 }

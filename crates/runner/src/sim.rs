@@ -63,8 +63,8 @@ pub use crate::cachestamp::{CacheTraceBuf, CACHETRACE_MAX_ROWS};
 use crate::campaign::{RunError, RunLimits};
 use crate::config::{FaultEvent, MobilitySpec, ScenarioConfig};
 use crate::faults::FaultState;
+use crate::observers::{on_stride, ObsState, Observers};
 pub use crate::observers::{HeartbeatSink, ObsSink};
-use crate::observers::{ObsState, Observers};
 use crate::proto::{AgentCommand, RoutingAgent};
 use crate::trace::TraceSink;
 
@@ -72,7 +72,7 @@ use fronts::{Fronts, MemberKind};
 use plans::LinkPlans;
 
 #[cfg(test)]
-mod dispatch_order;
+pub(crate) mod dispatch_order;
 mod fronts;
 mod plans;
 #[cfg(test)]
@@ -403,8 +403,10 @@ impl<A: RoutingAgent> Simulator<A> {
     /// Enables the time-series sampler and event-loop profiler. Gauges are
     /// sampled inline at every `interval` boundary of simulated time — no
     /// events are scheduled and no RNG is drawn, so the `Report` of an
-    /// instrumented run is byte-identical to an uninstrumented one. `sink`
-    /// receives the completed [`obs::RunObservation`] when the run succeeds.
+    /// instrumented run is byte-identical to an uninstrumented one. The
+    /// profiler counts every dispatch and times one in 64 of each kind; it
+    /// calibrates its clock's cost here, before the run. `sink` receives
+    /// the completed [`obs::RunObservation`] when the run succeeds.
     pub fn set_obs(&mut self, interval: SimDuration, sink: ObsSink) {
         let fingerprint = crate::forensics::config_fingerprint(&self.cfg);
         let sampler = Sampler::new(self.label.clone(), self.cfg.seed, fingerprint, interval);
@@ -558,18 +560,20 @@ impl<A: RoutingAgent> Simulator<A> {
         if at < self.now {
             return Err(RunError::TimeRegression { seed, now: self.now, event_at: at });
         }
+        // This dispatch included: the queue counts a delivery before it.
+        let popped = self.queue.popped();
         if let Some(budget) = self.limits.max_events_per_sim_second {
             if at.saturating_since(watch.window_start) >= SimDuration::from_secs(1.0) {
                 watch.window_start = at;
-                watch.window_base = self.queue.popped();
+                watch.window_base = popped;
             }
-            let in_window = self.queue.popped() - watch.window_base;
+            let in_window = popped - watch.window_base;
             if in_window > budget {
                 return Err(RunError::EventBudgetExhausted { seed, at, events: in_window });
             }
         }
         if let Some(limit) = self.limits.wall_clock {
-            if watch.wall_started.elapsed() >= limit {
+            if on_stride(popped - 1) && watch.wall_started.elapsed() >= limit {
                 return Err(RunError::WatchdogTimeout { seed, at });
             }
         }
@@ -578,10 +582,9 @@ impl<A: RoutingAgent> Simulator<A> {
                 return Err(RunError::DeadlineExceeded { seed, at });
             }
         }
-        let popped = self.queue.popped();
         self.observers.sample_due(at, popped, &self.agents, &self.macs, &self.oracle);
-        let started = self.observers.begin_event(at, self.end, popped);
         let kind = ev_kind_index(&ev);
+        let started = self.observers.begin_event(at, self.end, popped, kind);
         self.now = at;
         // The dispatch frontier `(now, cur_seq)`: lazy envelope
         // boundaries fold up to exactly this key, so same-instant

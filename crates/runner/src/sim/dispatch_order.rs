@@ -15,6 +15,9 @@
 //! at the last commit that planned every frame's arrivals afresh, before
 //! link plans (DESIGN §9) existed. The tape also counts the link plans
 //! built and the grid rebuilds of a run; those are not part of a digest.
+//! Nor are the profiler's clock reads it counts; the time series of the
+//! profiled scenario was pinned at the last commit that timed every
+//! dispatch.
 //!
 //! Re-pin a digest only in a change that means to alter simulated
 //! behaviour, and say so in that change.
@@ -27,6 +30,7 @@ use mobility::Point;
 use super::plans::same_bits;
 use super::*;
 use crate::config::{FaultPlan, Zone};
+use crate::observers::TIMING_STRIDE;
 use crate::trace::TraceKind;
 
 /// One dispatch as the run loop saw it.
@@ -44,6 +48,8 @@ pub(super) struct Tape {
     /// construction included).
     pub plans_built: u64,
     pub grid_rebuilds: u64,
+    /// The profiler's clock reads, by the kind of the dispatch timed.
+    pub clock_reads: [u64; EV_KIND_NAMES.len()],
     /// The dispatches themselves, when asked for.
     pub log: Option<Vec<Dispatch>>,
 }
@@ -102,6 +108,11 @@ pub(super) fn note_totals(popped: u64, scheduled: u64, postponed: u64) {
             tape.digest = fold(tape.digest, &word.to_le_bytes());
         }
     });
+}
+
+/// The profiler read the clock around a dispatch of kind `kind`.
+pub(crate) fn note_clock_read(kind: usize) {
+    with_tape(|tape| tape.clock_reads[kind] += 1);
 }
 
 /// A decode was filed as a plain event because its front could not hold it.
@@ -363,6 +374,50 @@ fn fault_windows_shorter_than_a_refresh_interval_gate_the_frames_inside_them() {
     }
     assert!(sends_in(noisy.1, to), "and again with every window closed");
     assert_eq!(tape.digest, 0x44c6_ee6a_a0c1_7ad6, "{} dispatches", tape.dispatches);
+}
+
+/// The event-loop profiler watches without touching: a profiled run makes
+/// the obs-off run's dispatches in its order, reports what it reports, and
+/// counts every dispatch of every kind — the rare kinds of a fault plan
+/// among them — while it reads the clock around only the first dispatch
+/// of each kind and every `TIMING_STRIDE`-th after it.
+#[test]
+fn the_profiler_counts_every_dispatch_times_one_in_a_stride_and_moves_none() {
+    let mut cfg = ScenarioConfig::tiny(0.0, 4.0, DsrConfig::combined(), 9);
+    let churn = FaultPlan::none().node_churn(n(3), secs(5.0), dur(2.0));
+    cfg.faults = churn.frame_corruption(0.1, secs(8.0), secs(12.0));
+    let (plain, off) = taped(true, || Simulator::new(cfg.clone()).run());
+    let seen = Arc::new(Mutex::new(None));
+    let slot = Arc::clone(&seen);
+    let (report, on) = taped(false, || {
+        let mut sim = Simulator::new(cfg);
+        sim.set_obs(dur(1.0), Box::new(move |o| *slot.lock().expect("obs slot") = Some(o)));
+        sim.run()
+    });
+    let seen = seen.lock().expect("the run is over").take().expect("a clean run reports");
+    assert_eq!(report, plain, "obs on vs off");
+    assert_eq!(on.digest, off.digest, "the same dispatches in the same order");
+
+    let mut counts = [0u64; EV_KIND_NAMES.len()];
+    for &(_, _, kind, _) in off.log.as_deref().expect("logged") {
+        counts[kind] += 1;
+    }
+    assert!((1..64).contains(&counts[4]), "a rare kind: {} fault starts", counts[4]);
+    let expected: Vec<(&str, u64)> =
+        EV_KIND_NAMES.iter().copied().zip(counts).filter(|&(_, c)| c > 0).collect();
+    let profiled: Vec<(&str, u64)> =
+        seen.profile.kinds.iter().map(|t| (t.name.as_str(), t.count)).collect();
+    assert_eq!(profiled, expected);
+    assert_eq!(off.clock_reads, [0; EV_KIND_NAMES.len()], "obs off reads no clock");
+    for (kind, count) in counts.into_iter().enumerate() {
+        let reads = on.clock_reads[kind];
+        assert_eq!(reads, 2 * count.div_ceil(TIMING_STRIDE), "{}", EV_KIND_NAMES[kind]);
+        assert_eq!(count > 0, reads > 0, "{} dispatched {count} times", EV_KIND_NAMES[kind]);
+    }
+    let reads: u64 = on.clock_reads.iter().sum();
+    assert!(reads * 16 < on.dispatches, "{reads} reads for {} dispatches", on.dispatches);
+    let series = fold(FNV_OFFSET, seen.timeseries.render().as_bytes());
+    assert_eq!(series, 0x79ed_ebb6_38b5_469c, "time series of {} rows", seen.timeseries.rows.len());
 }
 
 #[test]
