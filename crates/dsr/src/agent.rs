@@ -19,7 +19,7 @@
 //!   [`DsrConfig`]: wider error notification, timer-based route expiry
 //!   (static or adaptive), and negative caches.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use packet::{
     CacheDecision, CacheHitKind, CacheInsertProvenance, CacheRemovalCause, DataPacket, DropReason,
@@ -28,7 +28,7 @@ use packet::{
 };
 
 use sim_core::rng::uniform;
-use sim_core::{NodeId, SimDuration, SimRng, SimTime};
+use sim_core::{NodeId, SimDuration, SimRng, SimTime, U64HashMap, U64HashSet};
 
 use crate::adaptive::AdaptiveTimeout;
 use crate::cache::link_cache::LinkCache;
@@ -139,12 +139,12 @@ pub struct DsrNode {
     /// Wider-error uids already processed (re-broadcast suppression):
     /// FIFO order for bounded eviction plus a set for O(1) membership.
     seen_errors: VecDeque<u64>,
-    seen_errors_set: HashSet<u64>,
+    seen_errors_set: U64HashSet<u64>,
     /// Recently sent gratuitous replies: `((source, destination), when)`.
     grat_replies: VecDeque<((NodeId, NodeId), SimTime)>,
     /// Preemptive-DSR: per-neighbor receive-power state (keyed access
     /// only, so map iteration order never leaks into behaviour).
-    signal: HashMap<NodeId, NeighborSignal>,
+    signal: U64HashMap<NodeId, NeighborSignal>,
     /// Suppression: best hop count already answered per
     /// `(origin, request_id)`, FIFO-bounded.
     answered_requests: VecDeque<((NodeId, u64), usize)>,
@@ -184,9 +184,9 @@ impl DsrNode {
             requests: RequestTable::default(),
             pending_error: None,
             seen_errors: VecDeque::new(),
-            seen_errors_set: HashSet::new(),
+            seen_errors_set: U64HashSet::default(),
             grat_replies: VecDeque::new(),
-            signal: HashMap::new(),
+            signal: U64HashMap::default(),
             answered_requests: VecDeque::new(),
             uid_counter: 0,
             rng,

@@ -1,8 +1,8 @@
 //! Route-request state: discovery retry backoff and duplicate suppression.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use sim_core::{NodeId, SimDuration};
+use sim_core::{NodeId, SimDuration, U64HashMap};
 
 /// Phase of an in-flight route discovery for one target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +29,7 @@ pub struct Discovery {
 #[derive(Debug)]
 pub struct RequestTable {
     next_request_id: u64,
-    in_flight: HashMap<NodeId, Discovery>,
+    in_flight: U64HashMap<NodeId, Discovery>,
     seen: VecDeque<(NodeId, u64)>,
     seen_capacity: usize,
 }
@@ -45,7 +45,7 @@ impl RequestTable {
         assert!(seen_capacity > 0, "seen capacity must be positive");
         RequestTable {
             next_request_id: 0,
-            in_flight: HashMap::new(),
+            in_flight: U64HashMap::default(),
             seen: VecDeque::new(),
             seen_capacity,
         }
