@@ -27,17 +27,29 @@
 //! drain-and-rebuild bodies the cache started with, as a test-only oracle
 //! that a seeded differential test drives in lock-step with this code.
 //!
+//! # Layout
+//!
+//! Every path's nodes and last-used stamps live in two flat arenas per
+//! cache, `nodes` and `used`; an entry is a `Slot` header naming its piece
+//! of both. A slot is as long as its path was when it was entered, and
+//! truncation shortens only the live length. Removing an entry closes its
+//! slot: the later bytes of both arenas shift down over it and every offset
+//! above it drops by its length, so the slots always tile the arenas. Arena
+//! order is not entry order (eviction moves a header, not its slot); only
+//! entry order is behaviour. A new path is appended, so it allocates only
+//! when an arena has to grow.
+//!
 //! # Summary fields
 //!
-//! Every scan below visits all entries but wants a handful. Each entry
-//! therefore carries two values derived from the rest of it — a node
-//! signature (`Sig`) and its LRU stamp — and a scan decides from those
-//! alone whether the entry can matter before following its `path` and
-//! `last_used` pointers to the heap. They filter, they do not index: a
-//! scan that passes the filter runs the very test it always ran, so entry
-//! order, tie-breaks and first-match refresh are untouched.
+//! Every scan below visits all entries but wants a handful. Each slot
+//! therefore carries two values derived from its path — a node signature
+//! (`Sig`) and its LRU stamp — and a scan decides from those alone whether
+//! the entry can matter before it reads the path's nodes and stamps. They
+//! filter, they do not index: a scan that passes the filter runs the very
+//! test it always ran, so entry order, tie-breaks and first-match refresh
+//! are untouched.
 
-use packet::{Link, Route};
+use packet::{InvalidRoute, Link, Route};
 use sim_core::{NodeId, SimDuration, SimTime};
 
 use crate::cache::CacheEvent;
@@ -70,64 +82,82 @@ fn sig_within(sub: Sig, sup: Sig) -> bool {
     sub & !sup == 0
 }
 
-/// One cached path with its bookkeeping.
-#[derive(Debug, Clone)]
-pub struct PathEntry {
-    path: Route,
+/// Index of the first node whose last-used stamp in `used` (a path's live
+/// stamps) has outlived `timeout` at `now` — the shared criterion of the
+/// expiry sweep and the read-time filter (node 0 is the owner itself, so
+/// staleness starts at index 1). Equal to the path length when nothing is
+/// stale.
+fn stale_cut(used: &[SimTime], now: SimTime, timeout: SimDuration) -> usize {
+    (1..used.len()).find(|&j| used[j] + timeout < now).unwrap_or(used.len())
+}
+
+/// A stored path as an owned [`Route`]: what a lookup hit returns, a
+/// snapshot lists and a logged event carries.
+fn route_of(nodes: &[NodeId]) -> Route {
+    Route::new(nodes.to_vec()).expect("cached paths are loop-free")
+}
+
+/// One cached path's header. The path is `nodes[at..at + len]` of the
+/// cache's node arena, its last-used stamps the same range of the stamp
+/// arena.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Where the slot starts in both arenas.
+    at: u32,
+    /// The live length: how many nodes the stored path has.
+    len: u16,
+    /// The slot's length: the path's length when it was entered.
+    /// Truncation leaves it alone; closing the slot frees this much.
+    cap: u16,
     entered_at: SimTime,
-    /// When each node was last seen in use. Allocated once, at the length
-    /// the path was entered with; truncation shortens `path` only, so the
-    /// live part is `last_used[..path.len()]` ([`PathEntry::live_used`]).
-    last_used: Box<[SimTime]>,
-    /// The LRU stamp: the latest of the live `last_used`. Written by
-    /// whoever writes those — simulated time never runs backwards, so a
-    /// refresh at `now` makes it `now`; [`PathEntry::truncate`] recomputes
-    /// it.
+    /// The LRU stamp: the latest of the live stamps. Written by whoever
+    /// writes those — simulated time never runs backwards, so a refresh at
+    /// `now` makes it `now`; [`Slot::truncate`] recomputes it.
     mru: SimTime,
-    /// [`sig_of`] the path; recomputed by [`PathEntry::truncate`], the only
+    /// [`sig_of`] the live path; recomputed by [`Slot::truncate`], the only
     /// edit a stored path sees.
     sig: Sig,
     used_for_forwarding: bool,
 }
 
-/// The summary fields follow from the others and stay out of it, as does
-/// whatever `last_used` holds beyond the live part.
-impl PartialEq for PathEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.path == other.path
-            && self.entered_at == other.entered_at
-            && self.live_used() == other.live_used()
-            && self.used_for_forwarding == other.used_for_forwarding
-    }
-}
-
-impl PathEntry {
-    fn new(path: Route, now: SimTime) -> Self {
-        PathEntry {
-            entered_at: now,
-            last_used: vec![now; path.len()].into_boxed_slice(),
-            mru: now,
-            sig: sig_of(path.nodes()),
-            used_for_forwarding: false,
-            path,
-        }
+impl Slot {
+    /// The live part of this slot in `arena` (the node or the stamp arena).
+    fn live<'a, T>(&self, arena: &'a [T]) -> &'a [T] {
+        &arena[self.at as usize..][..usize::from(self.len)]
     }
 
-    fn live_used(&self) -> &[SimTime] {
-        &self.last_used[..self.path.len()]
+    fn live_mut<'a, T>(&self, arena: &'a mut [T]) -> &'a mut [T] {
+        &mut arena[self.at as usize..][..usize::from(self.len)]
     }
 
     /// Cuts the path down to its first `len` nodes (at least one, at most
     /// all of them) and brings the summary fields in line.
-    fn truncate(&mut self, len: usize) {
-        self.path.truncate(len);
-        self.sig = sig_of(self.path.nodes());
-        self.mru = self.live_used().iter().copied().max().expect("paths keep their owner");
+    fn truncate(&mut self, len: usize, nodes: &[NodeId], used: &[SimTime]) {
+        self.len = u16::try_from(len).expect("a cut never lengthens a path");
+        self.sig = sig_of(self.live(nodes));
+        self.mru = self.live(used).iter().copied().max().expect("paths keep their owner");
+    }
+}
+
+/// One cached path with its bookkeeping, borrowed from the cache
+/// ([`PathCache::iter`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PathEntry<'a> {
+    nodes: &'a [NodeId],
+    last_used: &'a [SimTime],
+    entered_at: SimTime,
+    used_for_forwarding: bool,
+}
+
+impl<'a> PathEntry<'a> {
+    /// The stored path's nodes (the first is the cache owner).
+    pub fn nodes(&self) -> &'a [NodeId] {
+        self.nodes
     }
 
-    /// The stored path (starts at the cache owner).
-    pub fn path(&self) -> &Route {
-        &self.path
+    /// When each node of the path was last seen in use, one stamp a node.
+    pub fn last_used(&self) -> &'a [SimTime] {
+        self.last_used
     }
 
     /// When this path was last (re-)entered into the cache.
@@ -183,7 +213,13 @@ pub struct RemovedLink {
 pub struct PathCache {
     owner: NodeId,
     capacity: usize,
-    entries: Vec<PathEntry>,
+    /// One header per cached path, in entry order.
+    entries: Vec<Slot>,
+    /// The node arena: every entry's slot of path nodes.
+    nodes: Vec<NodeId>,
+    /// The stamp arena, parallel to `nodes`: when each node was last seen
+    /// in use.
+    used: Vec<SimTime>,
     /// Timeout applied by [`PathCache::find`] at read time (the same
     /// criterion the [`PathCache::expire`] sweep uses), so a just-expired
     /// route is never returned between sweeps. `None` = no expiry policy.
@@ -220,6 +256,8 @@ impl PathCache {
             owner,
             capacity,
             entries: Vec::new(),
+            nodes: Vec::new(),
+            used: Vec::new(),
             read_expiry: None,
             log: None,
             multipath_k: None,
@@ -258,17 +296,6 @@ impl PathCache {
         }
     }
 
-    /// Index of the first node of `entry` whose last-used timestamp has
-    /// outlived `timeout` at `now` — the shared criterion of the expiry
-    /// sweep and the read-time filter (node 0 is the owner itself, so
-    /// staleness starts at index 1). Equal to the path length when nothing
-    /// is stale.
-    fn stale_cut(entry: &PathEntry, now: SimTime, timeout: SimDuration) -> usize {
-        (1..entry.path.len())
-            .find(|&j| entry.last_used[j] + timeout < now)
-            .unwrap_or(entry.path.len())
-    }
-
     /// The owning node.
     pub fn owner(&self) -> NodeId {
         self.owner
@@ -284,9 +311,14 @@ impl PathCache {
         self.entries.is_empty()
     }
 
-    /// Iterates over cached entries (inspection/testing).
-    pub fn iter(&self) -> impl Iterator<Item = &PathEntry> {
-        self.entries.iter()
+    /// Iterates over cached entries in cache order (inspection/testing).
+    pub fn iter(&self) -> impl Iterator<Item = PathEntry<'_>> {
+        self.entries.iter().map(|slot| PathEntry {
+            nodes: slot.live(&self.nodes),
+            last_used: slot.live(&self.used),
+            entered_at: slot.entered_at,
+            used_for_forwarding: slot.used_for_forwarding,
+        })
     }
 
     /// Inserts `path` (which must start at the owner and have at least one
@@ -307,8 +339,9 @@ impl PathCache {
     }
 
     /// [`PathCache::insert`] for a borrowed node sequence: the agent learns
-    /// routes from sub-slices of the packets it sees, and the common case —
-    /// a refresh of a path already cached — allocates nothing.
+    /// routes from sub-slices of the packets it sees. A refresh of a path
+    /// already cached — the common case — allocates nothing, and neither
+    /// does a new entry while the arenas have room for it.
     ///
     /// # Panics
     ///
@@ -321,31 +354,54 @@ impl PathCache {
         }
         let sig = sig_of(path);
         // Refresh if `path` is a prefix of (or equal to) an existing entry.
-        for entry in &mut self.entries {
-            if sig_within(sig, entry.sig) && entry.path.nodes().starts_with(path) {
-                entry.last_used[..path.len()].fill(now);
-                entry.mru = entry.mru.max(now);
-                entry.entered_at = now;
+        for slot in &mut self.entries {
+            if sig_within(sig, slot.sig) && slot.live(&self.nodes).starts_with(path) {
+                slot.live_mut(&mut self.used)[..path.len()].fill(now);
+                slot.mru = slot.mru.max(now);
+                slot.entered_at = now;
                 return true;
             }
         }
         // Not a refresh: from here on the cache changes shape.
-        let path = Route::new(path.to_vec()).expect("cached paths are loop-free");
+        if let Some(i) = (1..path.len()).find(|&i| path[..i].contains(&path[i])) {
+            panic!("cached paths are loop-free: {:?}", InvalidRoute::Loop(path[i]));
+        }
         // Replace any existing entries that are prefixes of the new path.
-        self.entries
-            .retain(|e| !(sig_within(e.sig, sig) && path.nodes().starts_with(e.path.nodes())));
+        self.retain_slots(|_, slot, nodes, _| {
+            !(sig_within(slot.sig, sig) && path.starts_with(slot.live(nodes)))
+        });
         if let Some(k) = self.multipath_k {
-            if !self.admit_multipath(&path, k) {
+            if !self.admit_multipath(path, k) {
                 return false;
             }
         }
         if self.entries.len() >= self.capacity {
             self.evict_lru();
         }
-        // One slot at a time, not doubling: see `release_dropped`.
-        self.entries.reserve_exact(1);
-        self.entries.push(PathEntry::new(path, now));
+        self.push(path, sig, now);
         true
+    }
+
+    /// Appends an entry for the loop-free `path` (signature `sig`) at
+    /// `now`. Each of the three vectors grows by exactly what it lacks, not
+    /// by doubling: see `release_dropped`.
+    fn push(&mut self, path: &[NodeId], sig: Sig, now: SimTime) {
+        let at = u32::try_from(self.nodes.len()).expect("an arena index fits a u32");
+        let len = u16::try_from(path.len()).expect("a path fits a slot");
+        self.nodes.reserve_exact(path.len());
+        self.nodes.extend_from_slice(path);
+        self.used.reserve_exact(path.len());
+        self.used.resize(self.used.len() + path.len(), now);
+        self.entries.reserve_exact(1);
+        self.entries.push(Slot {
+            at,
+            len,
+            cap: len,
+            entered_at: now,
+            mru: now,
+            sig,
+            used_for_forwarding: false,
+        });
     }
 
     /// Multipath admission for `path` against the entries sharing its
@@ -361,22 +417,26 @@ impl PathCache {
     ///
     /// Returns whether `path` may be inserted (displaced entries are
     /// already removed and logged as evictions).
-    fn admit_multipath(&mut self, path: &Route, k: usize) -> bool {
-        let (dst, hops) = (path.destination(), path.hops());
-        let same_dst = |e: &PathEntry| e.path.destination() == dst;
-        let overlaps = |e: &PathEntry| same_dst(e) && e.path.links().any(|l| path.contains_link(l));
-        if self.entries.iter().any(overlaps) {
-            if self.entries.iter().any(|e| overlaps(e) && e.path.hops() <= hops) {
+    fn admit_multipath(&mut self, path: &[NodeId], k: usize) -> bool {
+        let dst = path[path.len() - 1];
+        let same_dst = |slot: &Slot, nodes: &[NodeId]| slot.live(nodes).last() == Some(&dst);
+        let overlaps = |slot: &Slot, nodes: &[NodeId]| {
+            same_dst(slot, nodes)
+                && Link::along(slot.live(nodes)).any(|l| Link::along(path).any(|m| m == l))
+        };
+        let no_shorter = |slot: &Slot| usize::from(slot.len) <= path.len();
+        if self.entries.iter().any(|s| overlaps(s, &self.nodes)) {
+            if self.entries.iter().any(|s| overlaps(s, &self.nodes) && no_shorter(s)) {
                 return false;
             }
             for i in (0..self.entries.len()).rev() {
-                if overlaps(&self.entries[i]) {
+                if overlaps(&self.entries[i], &self.nodes) {
                     self.displace(i);
                 }
             }
             return true;
         }
-        if self.entries.iter().filter(|e| same_dst(e)).count() < k {
+        if self.entries.iter().filter(|s| same_dst(s, &self.nodes)).count() < k {
             return true;
         }
         // Longest, then greatest node sequence; the last of equals (exact
@@ -385,10 +445,10 @@ impl PathCache {
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| same_dst(e))
-            .max_by_key(|(_, e)| (e.path.hops(), e.path.nodes()))
+            .filter(|(_, s)| same_dst(s, &self.nodes))
+            .max_by_key(|(_, s)| (s.len, s.live(&self.nodes)))
             .expect("k > 0 entries");
-        if self.entries[longest].path.hops() <= hops {
+        if no_shorter(&self.entries[longest]) {
             return false;
         }
         self.displace(longest);
@@ -398,20 +458,59 @@ impl PathCache {
     /// Removes entry `i`, keeping the others in order, to make room for a
     /// better alternate.
     fn displace(&mut self, i: usize) {
-        let entry = self.entries.remove(i);
-        self.log_evicted(entry);
+        let slot = self.entries.remove(i);
+        self.log_evicted(&slot);
+        self.close(slot);
     }
 
     fn evict_lru(&mut self) {
-        if let Some((idx, _)) = self.entries.iter().enumerate().min_by_key(|(_, e)| e.mru) {
-            let entry = self.entries.swap_remove(idx);
-            self.log_evicted(entry);
+        if let Some((idx, _)) = self.entries.iter().enumerate().min_by_key(|(_, s)| s.mru) {
+            let slot = self.entries.swap_remove(idx);
+            self.log_evicted(&slot);
+            self.close(slot);
         }
     }
 
-    fn log_evicted(&mut self, entry: PathEntry) {
+    /// Logs an eviction of `slot`, which must not be closed yet.
+    fn log_evicted(&mut self, slot: &Slot) {
         if let Some(log) = &mut self.log {
-            log.push(CacheEvent::Evicted { route: entry.path });
+            log.push(CacheEvent::Evicted { route: route_of(slot.live(&self.nodes)) });
+        }
+    }
+
+    /// Closes the slot of an entry just taken out of `entries`: the later
+    /// bytes of both arenas shift down over it, and every remaining offset
+    /// above it drops by its length.
+    fn close(&mut self, slot: Slot) {
+        let (at, cap) = (slot.at as usize, usize::from(slot.cap));
+        self.nodes.drain(at..at + cap);
+        self.used.drain(at..at + cap);
+        for s in self.entries.iter_mut().filter(|s| s.at > slot.at) {
+            s.at -= u32::from(slot.cap);
+        }
+    }
+
+    /// Keeps the entries `keep` accepts, in order, and removes the others.
+    /// `keep` sees the survivors so far, the entry — which it may truncate —
+    /// and the two arenas; entries are offered in cache order.
+    fn retain_slots(
+        &mut self,
+        mut keep: impl FnMut(&[Slot], &mut Slot, &[NodeId], &[SimTime]) -> bool,
+    ) {
+        let mut kept = 0;
+        for i in 0..self.entries.len() {
+            let (survivors, rest) = self.entries.split_at_mut(i);
+            if keep(&survivors[..kept], &mut rest[0], &self.nodes, &self.used) {
+                self.entries.swap(kept, i);
+                kept += 1;
+            }
+        }
+        // Highest slot first: closing one moves nothing below it, so the
+        // offsets of those still to close stay right.
+        self.entries[kept..].sort_unstable_by_key(|s| s.at);
+        while self.entries.len() > kept {
+            let slot = self.entries.pop().expect("more entries than kept");
+            self.close(slot);
         }
     }
 
@@ -430,11 +529,11 @@ impl PathCache {
         // (hops, entered_at, entry index) of the best candidate so far.
         let mut best: Option<(usize, SimTime, usize)> = None;
         let dst_bit = sig_bit(dst);
-        for (i, entry) in self.entries.iter().enumerate() {
-            if entry.sig & dst_bit == 0 {
+        for (i, slot) in self.entries.iter().enumerate() {
+            if slot.sig & dst_bit == 0 {
                 continue;
             }
-            let Some(hops) = entry.path.position(dst) else {
+            let Some(hops) = slot.live(&self.nodes).iter().position(|&n| n == dst) else {
                 continue;
             };
             if hops == 0 {
@@ -442,27 +541,29 @@ impl PathCache {
             }
             if let Some(timeout) = self.read_expiry {
                 // `dst` lies beyond the stale cut: invisible to the lookup.
-                if entry.last_used[1..=hops].iter().any(|&used| used + timeout < now) {
+                if slot.live(&self.used)[1..=hops].iter().any(|&used| used + timeout < now) {
                     continue;
                 }
             }
             let better = match best {
                 None => true,
                 Some((b_hops, b_entered, _)) => {
-                    hops < b_hops || (hops == b_hops && entry.entered_at > b_entered)
+                    hops < b_hops || (hops == b_hops && slot.entered_at > b_entered)
                 }
             };
             if better {
-                best = Some((hops, entry.entered_at, i));
+                best = Some((hops, slot.entered_at, i));
             }
         }
-        best.and_then(|(_, _, i)| self.entries[i].path.prefix_through(dst))
+        best.map(|(hops, _, i)| route_of(&self.entries[i].live(&self.nodes)[..=hops]))
     }
 
     /// Whether any cached path uses `link`.
     pub fn contains_link(&self, link: Link) -> bool {
         let ends = sig_of_link(link);
-        self.entries.iter().any(|e| sig_within(ends, e.sig) && e.path.contains_link(link))
+        self.entries
+            .iter()
+            .any(|s| sig_within(ends, s.sig) && Link::along(s.live(&self.nodes)).any(|l| l == link))
     }
 
     /// Truncates every path containing `link` at the point of failure
@@ -481,36 +582,32 @@ impl PathCache {
         let multipath = self.multipath_k.is_some();
         let mut lost_dsts: Vec<NodeId> = Vec::new();
         let ends = sig_of_link(link);
-        for entry in &mut self.entries {
-            if !sig_within(ends, entry.sig) {
+        for slot in &mut self.entries {
+            if !sig_within(ends, slot.sig) {
                 continue;
             }
-            let Some(cut) = entry.path.links().position(|l| l == link) else {
+            let nodes = slot.live(&self.nodes);
+            let Some(cut) = Link::along(nodes).position(|l| l == link) else {
                 continue;
             };
             outcome.contained = true;
-            outcome.was_used_for_forwarding |= entry.used_for_forwarding;
-            outcome.route_lifetimes.push(now.saturating_since(entry.entered_at));
-            let dst = entry.path.destination();
+            outcome.was_used_for_forwarding |= slot.used_for_forwarding;
+            outcome.route_lifetimes.push(now.saturating_since(slot.entered_at));
+            let dst = nodes[nodes.len() - 1];
             if multipath && !lost_dsts.contains(&dst) {
                 lost_dsts.push(dst);
             }
             // Keep the nodes up to and including `link.from`. A path cut
             // down to the owner alone is dropped by the pass below.
-            entry.truncate(cut + 1);
+            slot.truncate(cut + 1, &self.nodes, &self.used);
         }
         // Stable in-place compaction: drop hop-less paths and exact repeats
         // of an earlier survivor.
-        let (before, mut kept) = (self.entries.len(), 0);
-        for i in 0..before {
-            let PathEntry { path, sig, .. } = &self.entries[i];
-            let repeats = |e: &PathEntry| e.sig == *sig && e.path == *path;
-            if path.hops() >= 1 && !self.entries[..kept].iter().any(repeats) {
-                self.entries.swap(kept, i);
-                kept += 1;
-            }
-        }
-        self.entries.truncate(kept);
+        let before = self.entries.len();
+        self.retain_slots(|survivors, slot, nodes, _| {
+            let path = slot.live(nodes);
+            slot.len >= 2 && !survivors.iter().any(|s| s.sig == slot.sig && s.live(nodes) == path)
+        });
         self.release_dropped(before);
         self.may_hold_repeats = false;
         // A destination whose path was cut but that a surviving entry
@@ -524,25 +621,31 @@ impl PathCache {
     }
 
     /// After a sweep that left fewer than `before` entries, gives the freed
-    /// slots back: a cache that fills up and thins out again (every expiry
-    /// policy does this to it) would otherwise sit on its high-water mark
-    /// for the rest of the run, and 100 nodes' worth of that shows in the
-    /// peak heap.
+    /// headers and slots back: a cache that fills up and thins out again
+    /// (every expiry policy does this to it) would otherwise sit on its
+    /// high-water mark for the rest of the run, and 100 nodes' worth of
+    /// that shows in the peak heap.
     fn release_dropped(&mut self, before: usize) {
         if self.entries.len() < before {
             self.entries.shrink_to_fit();
+            self.nodes.shrink_to_fit();
+            self.used.shrink_to_fit();
         }
     }
 
-    /// Runs `visit` over the entries that may share a link with `seen`,
-    /// with the successor table describing `seen` (see the `succ` field),
-    /// then resets the table.
+    /// Runs `visit` over the entries that may share a link with `seen` —
+    /// each with its live nodes and stamps, and the successor table
+    /// describing `seen` (see the `succ` field) — then resets the table.
     ///
     /// An entry holding a link of `seen` holds both of its ends, so the two
     /// signatures have two bits in common — or one, when the link's ends
     /// fold onto one bit. Only if `seen` has such a link does one common bit
     /// let an entry through.
-    fn with_links_of(&mut self, seen: &Route, mut visit: impl FnMut(&mut PathEntry, &[NodeId])) {
+    fn with_links_of(
+        &mut self,
+        seen: &Route,
+        mut visit: impl FnMut(&mut Slot, &[NodeId], &mut [SimTime], &[NodeId]),
+    ) {
         let nodes = seen.nodes();
         let max = nodes.iter().map(|n| n.index()).max().expect("routes are non-empty");
         let mut succ = std::mem::take(&mut self.succ);
@@ -557,11 +660,12 @@ impl PathCache {
             folded_link |= sig_bit(w[0]) == sig_bit(w[1]);
         }
         let seen_sig = sig_of(nodes);
-        for entry in &mut self.entries {
-            let common = entry.sig & seen_sig;
+        for slot in &mut self.entries {
+            let common = slot.sig & seen_sig;
             // `x & (x - 1)` clears the lowest set bit: non-zero iff two are set.
             if common != 0 && (folded_link || common & (common - 1) != 0) {
-                visit(entry, &succ);
+                let (path, used) = (slot.live(&self.nodes), slot.live_mut(&mut self.used));
+                visit(slot, path, used, &succ);
             }
         }
         for n in nodes {
@@ -575,13 +679,12 @@ impl PathCache {
     /// last-used timestamp refreshed. This is the paper's expiry-timestamp
     /// update rule.
     pub fn mark_used(&mut self, seen: &Route, now: SimTime) {
-        self.with_links_of(seen, |entry, succ| {
-            let nodes = entry.path.nodes();
-            for j in 1..nodes.len() {
-                if succ.get(nodes[j - 1].index()) == Some(&nodes[j]) {
-                    entry.last_used[j - 1] = now;
-                    entry.last_used[j] = now;
-                    entry.mru = entry.mru.max(now);
+        self.with_links_of(seen, |slot, path, used, succ| {
+            for j in 1..path.len() {
+                if succ.get(path[j - 1].index()) == Some(&path[j]) {
+                    used[j - 1] = now;
+                    used[j] = now;
+                    slot.mru = slot.mru.max(now);
                 }
             }
         });
@@ -591,9 +694,9 @@ impl PathCache {
     /// paths sharing a link with it are flagged, enabling the wider-error
     /// re-broadcast predicate.
     pub fn mark_forwarded(&mut self, seen: &Route) {
-        self.with_links_of(seen, |entry, succ| {
-            if entry.path.links().any(|l| succ.get(l.from.index()) == Some(&l.to)) {
-                entry.used_for_forwarding = true;
+        self.with_links_of(seen, |slot, path, _, succ| {
+            if Link::along(path).any(|l| succ.get(l.from.index()) == Some(&l.to)) {
+                slot.used_for_forwarding = true;
             }
         });
     }
@@ -608,23 +711,25 @@ impl PathCache {
     pub fn expire(&mut self, now: SimTime, timeout: SimDuration) -> usize {
         let mut affected = 0;
         let before = self.entries.len();
-        let (log, may_hold_repeats) = (&mut self.log, &mut self.may_hold_repeats);
-        self.entries.retain_mut(|entry| {
-            let cut = Self::stale_cut(entry, now, timeout);
-            if cut == entry.path.len() {
+        let (mut log, mut truncated) = (self.log.take(), false);
+        self.retain_slots(|_, slot, nodes, used| {
+            let cut = stale_cut(slot.live(used), now, timeout);
+            if cut == usize::from(slot.len) {
                 return true;
             }
             affected += 1;
-            if let Some(log) = log {
-                log.push(CacheEvent::Expired { route: entry.path.clone() });
+            if let Some(log) = &mut log {
+                log.push(CacheEvent::Expired { route: route_of(slot.live(nodes)) });
             }
             if cut < 2 {
                 return false;
             }
-            entry.truncate(cut);
-            *may_hold_repeats = true;
+            slot.truncate(cut, nodes, used);
+            truncated = true;
             true
         });
+        self.log = log;
+        self.may_hold_repeats |= truncated;
         self.release_dropped(before);
         affected
     }
@@ -632,6 +737,8 @@ impl PathCache {
     /// Removes every cached path (testing / reset).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.nodes.clear();
+        self.used.clear();
     }
 }
 
@@ -669,7 +776,7 @@ impl crate::cache::RouteCache for PathCache {
     }
 
     fn snapshot_routes(&self) -> Vec<Route> {
-        self.entries.iter().map(|e| e.path.clone()).collect()
+        self.iter().map(|e| route_of(e.nodes())).collect()
     }
 
     fn set_event_log(&mut self, on: bool) {
@@ -874,7 +981,7 @@ mod tests {
         assert!(!c.remove_link(Link::new(n(32), n(96)), t(1.0)).contained);
         assert!(c.contains_link(Link::new(n(32), n(64))));
         assert!(c.remove_link(Link::new(n(32), n(64)), t(1.0)).contained);
-        assert_eq!(c.iter().next().unwrap().path(), &route(&[0, 32]));
+        assert_eq!(c.iter().next().unwrap().nodes(), route(&[0, 32]).nodes());
         // The cut path's summary is its own again: 64 is gone from it, and
         // its extension replaces it instead of sitting beside it.
         assert!(c.find(n(64), t(1.0)).is_none());
@@ -897,11 +1004,11 @@ mod tests {
     }
 
     #[test]
-    fn entry_stays_one_cache_line() {
-        // At the benchmark's peak the 100 caches are full: 100 x 64 entries
+    fn slot_stays_half_a_cache_line() {
+        // At the benchmark's peak the 100 caches are full: 100 x 64 slots
         // x 8 bytes = 50 KiB, +1 % of the ~5 MiB `peak_heap_mib` — the whole
-        // of that metric's bound — for every 8 bytes an entry grows by.
-        assert!(std::mem::size_of::<PathEntry>() <= 64);
+        // of that metric's bound — for every 8 bytes a slot grows by.
+        assert!(std::mem::size_of::<Slot>() <= 32);
     }
 
     #[test]
@@ -1087,7 +1194,7 @@ mod tests {
         // `remove_link`, leaves the two now identical entries side by side.
         c.mark_used(&route(&[0, 1, 2]), t(9.0));
         assert_eq!(c.expire(t(10.0), SimDuration::from_secs(5.0)), 2);
-        let paths = |c: &PathCache| c.iter().map(|e| e.path().clone()).collect::<Vec<_>>();
+        let paths = |c: &PathCache| c.iter().map(|e| route_of(e.nodes())).collect::<Vec<_>>();
         assert_eq!(paths(&c), vec![route(&[0, 1, 2]), route(&[0, 1, 2])]);
         // A lookup or a refresh does not merge them...
         assert!(c.find(n(2), t(10.0)).is_some());

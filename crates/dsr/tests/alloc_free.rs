@@ -2,7 +2,8 @@
 //! node knows the routes flowing past it, overhearing one more data packet,
 //! refreshing timestamps, purging a link it does not hold and missing a
 //! lookup must not touch the heap at all, and a lookup hit must allocate
-//! exactly the route it returns. These are the operations every decoded
+//! exactly the route it returns. A full cache adds a path in the room its
+//! evicted victim leaves. These are the operations every decoded
 //! data frame and every overheard route error runs at every bystander, so
 //! an allocation creeping back in here is the whole simulator slowing down.
 
@@ -134,4 +135,17 @@ fn cache_steady_state_allocates_only_the_route_a_hit_returns() {
     let (allocs, found) = allocations(|| cache.find(n(3), t(1.0)));
     assert_eq!(found, Some(route(&[0, 4, 3])));
     assert_eq!(allocs, 1, "find hit: the returned route and nothing else");
+}
+
+#[test]
+fn a_full_cache_adds_a_path_no_longer_than_its_lru_victim_in_place() {
+    let mut cache = PathCache::new(n(0), 2);
+    cache.insert(route(&[0, 1, 2, 3]), t(0.0)); // the least recently used
+    cache.insert(route(&[0, 4, 5]), t(1.0));
+    let path = [n(0), n(6), n(7), n(8)];
+    let (allocs, changed) = allocations(|| cache.insert_slice(&path, t(2.0)));
+    assert!(changed);
+    assert_eq!(allocs, 0, "a new entry taking the room its evicted victim left");
+    assert!(cache.find(n(3), t(2.0)).is_none(), "the victim is gone");
+    assert_eq!(cache.find(n(8), t(2.0)), Some(route(&[0, 6, 7, 8])));
 }
