@@ -40,8 +40,9 @@ pub enum ExpMode {
     /// 120 simulated seconds, 2 seeds (same topology/workload as the
     /// paper). Minutes of wall clock; shapes preserved.
     Quick,
-    /// The paper's full scale: 500 simulated seconds, 5 seeds. Hours of
-    /// wall clock on one core.
+    /// The paper's full scale: 500 simulated seconds, 5 seeds. About ten
+    /// seconds of wall clock a run, and about an hour on one core for every
+    /// table and figure of the paper.
     Full,
 }
 
