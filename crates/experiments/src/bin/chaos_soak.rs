@@ -10,13 +10,13 @@
 //! `--cachetrace` on — and fails the soak.
 //!
 //! ```sh
-//! cargo run --release -p experiments --bin chaos_soak [--quick|--full] [--jobs <n>] [--seed-timeout <secs>] [--max-wall <secs>] [--resume <journal>] [--audit <level>] [--obs <mode>]
+//! cargo run --release -p experiments --bin chaos_soak [--quick|--full] [--jobs <n>] [--seed-timeout <secs>] [--resume <journal>] [--audit <level>] [--obs <mode>]
 //! ```
 //!
 //! The audit is the point of the soak, so the harness-wide `--audit off`
 //! default is promoted to `full`; pass `--audit counters` to explicitly
-//! cheapen it. Both wall-clock watchdogs default on (scaled to the mode)
-//! so a livelocked seed cannot hang a CI job.
+//! cheapen it. The wall-clock watchdog (`--seed-timeout`) defaults on,
+//! scaled to the mode, so a livelocked seed cannot hang a CI job.
 //!
 //! Exit codes:
 //!
@@ -162,12 +162,10 @@ fn main() {
     // `.cachetrace` next to its forensic artifact, so the cache's view of
     // the world at the moment of violation is part of the repro bundle.
     args.cachetrace = true;
-    let (default_seed_timeout, default_max_wall) = match args.mode {
-        ExpMode::Quick => (Duration::from_secs(300), Duration::from_secs(240)),
-        ExpMode::Full => (Duration::from_secs(3600), Duration::from_secs(3000)),
-    };
-    args.seed_timeout.get_or_insert(default_seed_timeout);
-    args.max_wall.get_or_insert(default_max_wall);
+    args.seed_timeout.get_or_insert(match args.mode {
+        ExpMode::Quick => Duration::from_secs(240),
+        ExpMode::Full => Duration::from_secs(3000),
+    });
 
     let mode = args.mode;
     let campaigns = campaign_count(mode);

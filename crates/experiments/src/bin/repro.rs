@@ -7,8 +7,8 @@
 //! the recorded one.
 //!
 //! Exit status: 0 when the failure reproduces identically (or the
-//! original error was transient and the replay succeeds), 1 when the
-//! replay diverges, 2 on usage or artifact errors.
+//! original error depends on the wall clock and the replay succeeds), 1
+//! when the replay diverges, 2 on usage or artifact errors.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin repro -- results/forensics/<artifact>.txt
@@ -79,7 +79,7 @@ fn main() -> ExitCode {
             );
             if artifact.error.is_transient() {
                 println!(
-                    "recorded error was transient ({}); a clean replay is expected",
+                    "recorded error depends on the wall clock, so a clean replay is expected ({})",
                     artifact.error
                 );
                 ExitCode::SUCCESS

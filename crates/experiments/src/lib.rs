@@ -152,14 +152,11 @@ pub struct ExpArgs {
     /// Campaign worker threads (`--jobs N`, default 1 = sequential).
     /// Output is byte-identical at every job count.
     pub jobs: usize,
-    /// Per-seed wall-clock deadline (`--seed-timeout <secs>`): a run
-    /// exceeding it is cancelled, classified transient, and retried with
-    /// backoff before failing.
+    /// Per-seed wall-clock watchdog (`--seed-timeout <secs>`, default
+    /// off): a run past it stops inside its event loop and fails as
+    /// [`runner::RunError::WatchdogTimeout`]. The failure is final; a
+    /// `--resume` re-runs it.
     pub seed_timeout: Option<Duration>,
-    /// Per-run wall-clock watchdog (`--max-wall <secs>`, default off):
-    /// unlike the executor-level seed deadline this aborts from *inside*
-    /// the event loop as [`runner::RunError::WatchdogTimeout`].
-    pub max_wall: Option<Duration>,
     /// Per-run events-per-simulated-second watchdog budget
     /// (`--event-budget <n|off>`, default 100000000).
     pub event_budget: Option<u64>,
@@ -180,15 +177,7 @@ impl ExpArgs {
             cachetrace: false,
             jobs: 1,
             seed_timeout: None,
-            max_wall: None,
             event_budget: RunLimits::default().max_events_per_sim_second,
-        };
-        // A wall-clock-seconds flag value: positive, finite.
-        let parse_secs = |flag: &'static str, value: String| -> Result<Duration, ArgError> {
-            match value.parse::<f64>() {
-                Ok(secs) if secs.is_finite() && secs > 0.0 => Ok(Duration::from_secs_f64(secs)),
-                _ => Err(ArgError::BadValue { flag, value }),
-            }
         };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -223,11 +212,12 @@ impl ExpArgs {
                 }
                 "--seed-timeout" => {
                     let value = args.next().ok_or(ArgError::MissingValue("--seed-timeout"))?;
-                    parsed.seed_timeout = Some(parse_secs("--seed-timeout", value)?);
-                }
-                "--max-wall" => {
-                    let value = args.next().ok_or(ArgError::MissingValue("--max-wall"))?;
-                    parsed.max_wall = Some(parse_secs("--max-wall", value)?);
+                    parsed.seed_timeout = match value.parse::<f64>() {
+                        Ok(secs) if secs.is_finite() && secs > 0.0 => {
+                            Some(Duration::from_secs_f64(secs))
+                        }
+                        _ => return Err(ArgError::BadValue { flag: "--seed-timeout", value }),
+                    };
                 }
                 "--event-budget" => {
                     let value = args.next().ok_or(ArgError::MissingValue("--event-budget"))?;
@@ -251,8 +241,7 @@ impl ExpArgs {
         format!(
             "usage: {bin} [--quick|--full] [--jobs <n>] [--seed-timeout <secs>] \
              [--resume <journal>] [--audit off|counters|full] [--obs off|sample[:secs]] \
-             [--timeseries-dir <dir>] [--cachetrace] [--max-wall <secs>] \
-             [--event-budget <n|off>]"
+             [--timeseries-dir <dir>] [--cachetrace] [--event-budget <n|off>]"
         )
     }
 
@@ -299,12 +288,10 @@ impl ExpArgs {
             forensics_dir: Some(PathBuf::from("results").join("forensics")),
             obs,
             jobs: self.jobs,
-            seed_deadline: self.seed_timeout,
             limits: RunLimits {
-                wall_clock: self.max_wall,
+                wall_clock: self.seed_timeout,
                 max_events_per_sim_second: self.event_budget,
             },
-            ..CampaignConfig::default()
         }
     }
 }
@@ -366,7 +353,7 @@ pub struct Point {
     /// Mean report across the surviving seeds; an all-zero report with the
     /// right label when every seed failed.
     pub report: Report,
-    /// Seeds that produced no report despite the campaign's retry policy.
+    /// Seeds that produced no report.
     pub runs_failed: usize,
 }
 
@@ -601,7 +588,6 @@ mod tests {
             failures: vec![runner::RunFailure {
                 seed: 7,
                 error: runner::RunError::Panicked { seed: 7, payload: "boom".into() },
-                retried: false,
             }],
             profile: None,
         };
@@ -694,35 +680,26 @@ mod tests {
         let d = to_args(&[]).expect("defaults");
         assert_eq!(d.jobs, 1, "sequential by default");
         assert_eq!(d.seed_timeout, None);
-        assert_eq!(d.max_wall, None);
         assert_eq!(d.event_budget, Some(100_000_000), "PR-1 default budget");
         let campaign = d.campaign();
         assert_eq!(campaign.jobs, 1);
         assert_eq!(campaign.limits, RunLimits::default());
 
-        let a = to_args(&[
-            "--jobs",
-            "4",
-            "--seed-timeout",
-            "2.5",
-            "--max-wall",
-            "30",
-            "--event-budget",
-            "5000",
-        ])
-        .expect("all executor flags");
+        let a = to_args(&["--jobs", "4", "--seed-timeout", "2.5", "--event-budget", "5000"])
+            .expect("all executor flags");
         let campaign = a.campaign();
         assert_eq!(campaign.jobs, 4);
-        assert_eq!(campaign.seed_deadline, Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(campaign.limits.wall_clock, Some(Duration::from_secs(30)));
+        assert_eq!(campaign.limits.wall_clock, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(campaign.limits.max_events_per_sim_second, Some(5000));
 
         let off = to_args(&["--event-budget", "off"]).expect("budget off");
         assert_eq!(off.campaign().limits.max_events_per_sim_second, None);
 
-        for usage_flag in ["--jobs", "--seed-timeout", "--max-wall", "--event-budget"] {
+        for usage_flag in ["--jobs", "--seed-timeout", "--event-budget"] {
             assert!(ExpArgs::usage("table3_cache").contains(usage_flag), "{usage_flag}");
         }
+        // `--seed-timeout` is the only wall-clock flag.
+        assert_eq!(to_args(&["--max-wall", "30"]), Err(ArgError::Unknown("--max-wall".into())));
     }
 
     #[test]
@@ -735,15 +712,13 @@ mod tests {
             vec!["--seed-timeout", "-1"],
             vec!["--seed-timeout", "inf"],
             vec!["--seed-timeout", "nan"],
-            vec!["--max-wall", "0"],
-            vec!["--max-wall", "soon"],
             vec!["--event-budget", "0"],
             vec!["--event-budget", "-5"],
             vec!["--event-budget", "lots"],
         ] {
             assert!(matches!(to_args(&bad), Err(ArgError::BadValue { .. })), "must reject {bad:?}");
         }
-        for flag in ["--jobs", "--seed-timeout", "--max-wall", "--event-budget"] {
+        for flag in ["--jobs", "--seed-timeout", "--event-budget"] {
             assert_eq!(to_args(&[flag]), Err(ArgError::MissingValue(flag)));
         }
     }

@@ -168,11 +168,6 @@ pub enum WorkerState {
         /// The in-flight run's seed.
         seed: u64,
     },
-    /// Holding a transient failure of this seed through its backoff delay.
-    Backoff {
-        /// The seed waiting to be retried.
-        seed: u64,
-    },
     /// The worker thread died and will not come back.
     Dead,
 }
@@ -294,8 +289,8 @@ impl CampaignProgress {
     ///
     /// The line reads like
     /// `[obs] 3/10 seeds done (1 failed), 1.2M events/s, ETA 42s`, with a
-    /// `W running / X backoff / Y idle / Z dead` segment when the pool has
-    /// more than one worker.
+    /// `X running / Y idle / Z dead` segment when the pool has more than
+    /// one worker.
     pub fn heartbeat_line_for(&self, worker: usize, tick: HeartbeatTick) -> Option<String> {
         if let Some(cell) = self.workers.get(worker) {
             cell.inflight_events.store(tick.events, Ordering::Relaxed);
@@ -332,7 +327,6 @@ impl CampaignProgress {
         let mut events = self.events_done.load(Ordering::Relaxed);
         let mut inflight_progress = 0.0;
         let mut running = 0usize;
-        let mut backoff = 0usize;
         let mut idle = 0usize;
         let mut dead = 0usize;
         for cell in &self.workers {
@@ -341,7 +335,6 @@ impl CampaignProgress {
             match *cell.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner) {
                 WorkerState::Idle => idle += 1,
                 WorkerState::Running { .. } => running += 1,
-                WorkerState::Backoff { .. } => backoff += 1,
                 WorkerState::Dead => dead += 1,
             }
         }
@@ -356,7 +349,7 @@ impl CampaignProgress {
             "ETA --".to_string()
         };
         let workers = if self.workers.len() > 1 {
-            format!(" {running} running / {backoff} backoff / {idle} idle / {dead} dead,")
+            format!(" {running} running / {idle} idle / {dead} dead,")
         } else {
             String::new()
         };
@@ -435,7 +428,6 @@ mod tests {
         assert_eq!(progress.workers(), 4);
         progress.run_finished(true, 10_000);
         progress.set_worker(0, WorkerState::Running { seed: 3 });
-        progress.set_worker(1, WorkerState::Backoff { seed: 5 });
         progress.set_worker(2, WorkerState::Dead);
         assert_eq!(progress.worker_state(0), WorkerState::Running { seed: 3 });
         assert_eq!(progress.worker_state(3), WorkerState::Idle);
@@ -450,7 +442,7 @@ mod tests {
         };
         let line = progress.heartbeat_line_for(0, tick).expect("zero throttle always prints");
         assert!(line.contains("1/8 seeds done (0 failed)"), "line: {line}");
-        assert!(line.contains("1 running / 1 backoff / 1 idle / 1 dead"), "line: {line}");
+        assert!(line.contains("1 running / 2 idle / 1 dead"), "line: {line}");
         assert!(line.contains("events/s"), "line: {line}");
 
         // Leaving the run clears the worker's in-flight contribution.
@@ -459,7 +451,7 @@ mod tests {
             1,
             HeartbeatTick { now: SimTime::ZERO, end: SimTime::from_secs(120.0), events: 0 },
         );
-        assert!(cleared.expect("prints").contains("2 idle"), "worker 0 went idle");
+        assert!(cleared.expect("prints").contains("3 idle"), "worker 0 went idle");
     }
 
     #[test]

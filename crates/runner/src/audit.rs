@@ -36,10 +36,8 @@
 //! the auditor re-checks it from its own observation stream so a driver
 //! regression cannot mask one.
 
-use std::collections::HashMap;
-
 use packet::DropReason;
-use sim_core::SimTime;
+use sim_core::{SimTime, U64HashMap, U64HashSet};
 
 /// How much conservation checking a run pays for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -139,7 +137,7 @@ pub struct AuditSummary {
 pub struct Auditor {
     level: AuditLevel,
     summary: AuditSummary,
-    ledger: HashMap<u64, UidState>,
+    ledger: U64HashMap<u64, UidState>,
     last_event_at: SimTime,
     violation: Option<Violation>,
 }
@@ -274,7 +272,7 @@ impl Auditor {
     /// Closes the ledger. `in_flight` holds every uid still buffered
     /// somewhere at run end (agent send buffers, MAC queues, undispatched
     /// events). Returns the first violation found, if any.
-    pub fn finish(&mut self, in_flight: &std::collections::HashSet<u64>) -> Option<Violation> {
+    pub fn finish(&mut self, in_flight: &U64HashSet<u64>) -> Option<Violation> {
         if self.level == AuditLevel::Full {
             let mut vanished: Option<u64> = None;
             let mut still_buffered = 0u64;
@@ -315,10 +313,9 @@ impl Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
-    fn no_buffers() -> HashSet<u64> {
-        HashSet::new()
+    fn no_buffers() -> U64HashSet<u64> {
+        U64HashSet::default()
     }
 
     #[test]
@@ -329,7 +326,7 @@ mod tests {
         a.on_originated(3);
         a.on_delivered(1, true);
         a.on_dropped(2, DropReason::SendBufferTimeout);
-        let buffered: HashSet<u64> = [3].into_iter().collect();
+        let buffered: U64HashSet<u64> = [3].into_iter().collect();
         assert_eq!(a.finish(&buffered), None);
         let s = a.summary();
         assert_eq!((s.originated, s.delivered, s.dropped), (3, 1, 1));

@@ -5,15 +5,17 @@
 //! in the stack aborted every other seed's work, and a zero-progress event
 //! cycle would spin forever. This module isolates each run behind
 //! [`std::panic::catch_unwind`], enforces per-run watchdogs
-//! ([`RunLimits`]), classifies what went wrong ([`RunError`]), retries
-//! transient failures with capped exponential backoff ([`RetryBackoff`]),
-//! and returns everything that *did* work in a [`CampaignResult`] so
-//! callers degrade gracefully.
+//! ([`RunLimits`]), classifies what went wrong ([`RunError`]), and returns
+//! everything that *did* work in a [`CampaignResult`] so callers degrade
+//! gracefully. A failed run is final: every run is a pure function of its
+//! config and seed, so a retry could only differ through the wall clock.
+//! The failure is reported, written as a forensic artifact, and re-run
+//! with the journal (`--resume`).
 //!
 //! Execution itself — fanning seeds across [`CampaignConfig::jobs`] worker
-//! threads, per-seed deadlines, worker-death recovery, and the
-//! deterministic seed-order merge that keeps every output byte identical
-//! to a serial run — lives in [`crate::executor`].
+//! threads, worker-death accounting, and the deterministic seed-order
+//! merge that keeps every output byte identical to a serial run — lives in
+//! [`crate::executor`].
 //!
 //! ```
 //! use runner::{run_campaign, CampaignConfig, ScenarioConfig};
@@ -28,7 +30,6 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -39,7 +40,7 @@ use sim_core::{NodeId, SimRng, SimTime};
 
 use crate::audit::AuditLevel;
 use crate::config::ScenarioConfig;
-use crate::executor::{self, ExecutorChaos};
+use crate::executor;
 use crate::forensics::TRACE_TAIL_CAPACITY;
 use crate::proto::RoutingAgent;
 use crate::sim::{CacheTraceBuf, HeartbeatSink, Simulator};
@@ -52,7 +53,8 @@ pub struct RunLimits {
     /// Abort the run once it has consumed this much wall-clock time
     /// (checked before the first dispatch and every 64th after it, so a run
     /// overshoots by at most 63 events; a single stuck event cannot be
-    /// preempted). `None` disables the timeout.
+    /// preempted). The experiment binaries set it with `--seed-timeout`.
+    /// `None` disables the timeout.
     pub wall_clock: Option<Duration>,
     /// Abort once one simulated second costs more than this many events —
     /// the signature of a zero-progress event storm. `None` disables the
@@ -128,18 +130,9 @@ pub enum RunError {
         /// The auditor's ledger line for the violation.
         detail: String,
     },
-    /// The campaign supervisor cancelled the run because it exceeded
-    /// [`CampaignConfig::seed_deadline`]; honored at the next event
-    /// boundary (a single stuck event cannot be preempted).
-    DeadlineExceeded {
-        /// The failing run's seed.
-        seed: u64,
-        /// Simulated instant reached when the cancellation landed.
-        at: SimTime,
-    },
     /// The worker thread executing the run died outside the run's own
-    /// panic isolation (executor machinery failure) and the seed could not
-    /// be redistributed to a surviving worker.
+    /// panic isolation (executor machinery failure), or every worker died
+    /// before the seed was claimed.
     WorkerLost {
         /// The failing run's seed.
         seed: u64,
@@ -157,17 +150,16 @@ impl RunError {
             | RunError::EventBudgetExhausted { seed, .. }
             | RunError::TimeRegression { seed, .. }
             | RunError::ConservationViolation { seed, .. }
-            | RunError::DeadlineExceeded { seed, .. }
             | RunError::WorkerLost { seed, .. } => seed,
         }
     }
 
-    /// Whether retrying the run could plausibly succeed. The wall-clock
-    /// watchdog and the supervisor deadline qualify (a loaded machine);
-    /// panics, event storms, time regressions, conservation violations,
-    /// and lost workers are not retried.
+    /// Whether the failure depends on the wall clock, so a clean replay is
+    /// expected: only [`RunError::WatchdogTimeout`] (a loaded machine).
+    /// Panics, event storms, time regressions, conservation violations and
+    /// lost workers are deterministic or executor faults.
     pub fn is_transient(&self) -> bool {
-        matches!(self, RunError::WatchdogTimeout { .. } | RunError::DeadlineExceeded { .. })
+        matches!(self, RunError::WatchdogTimeout { .. })
     }
 }
 
@@ -189,9 +181,6 @@ impl std::fmt::Display for RunError {
             RunError::ConservationViolation { seed, uid, detail } => {
                 write!(f, "seed {seed}: packet conservation violated for uid {uid}: {detail}")
             }
-            RunError::DeadlineExceeded { seed, at } => {
-                write!(f, "seed {seed}: seed deadline exceeded, cancelled at simulated {at}")
-            }
             RunError::WorkerLost { seed, detail } => {
                 write!(f, "seed {seed}: worker died: {detail}")
             }
@@ -201,39 +190,6 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Capped exponential backoff applied between retries of transient run
-/// failures. Retries wait on the executor's dedicated retry lane, so a
-/// flaky seed never stalls the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryBackoff {
-    /// Retry attempts after the first run (0 disables retries even when
-    /// [`CampaignConfig::retry_transient`] is set).
-    pub max_retries: u32,
-    /// Delay before the first retry; each further retry doubles it.
-    pub initial: Duration,
-    /// Upper bound on any single delay (the doubling stops here).
-    pub cap: Duration,
-}
-
-impl Default for RetryBackoff {
-    /// One immediate retry — the behaviour campaigns have always had.
-    fn default() -> Self {
-        RetryBackoff { max_retries: 1, initial: Duration::ZERO, cap: Duration::from_secs(5) }
-    }
-}
-
-impl RetryBackoff {
-    /// The delay before retry number `retry` (1-based):
-    /// `initial * 2^(retry-1)`, capped at `cap`.
-    pub fn delay(&self, retry: u32) -> Duration {
-        if self.initial.is_zero() {
-            return Duration::ZERO;
-        }
-        let factor = 1u32 << retry.saturating_sub(1).min(16);
-        self.initial.saturating_mul(factor).min(self.cap)
-    }
-}
-
 /// How a campaign executes its runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignConfig {
@@ -242,21 +198,8 @@ pub struct CampaignConfig {
     /// byte-identical for every value: results are buffered and merged in
     /// seed order by the executor's supervisor.
     pub jobs: usize,
-    /// Per-seed wall-clock deadline enforced by the executor's supervisor:
-    /// a run past it is cancelled at its next event boundary and fails as
-    /// [`RunError::DeadlineExceeded`] (transient, so the retry policy
-    /// applies). Unlike [`RunLimits::wall_clock`], which each run checks
-    /// against its own start, this one catches runs too hung to check
-    /// anything. `None` disables it.
-    pub seed_deadline: Option<Duration>,
-    /// Backoff between transient-failure retries (gated on
-    /// `retry_transient`).
-    pub retry_backoff: RetryBackoff,
     /// Watchdogs applied to every run.
     pub limits: RunLimits,
-    /// Retry runs whose failure is [`RunError::is_transient`], up to
-    /// [`RetryBackoff::max_retries`] times.
-    pub retry_transient: bool,
     /// Packet-conservation audit level applied to every run (see
     /// [`crate::audit`]). Defaults to [`AuditLevel::Off`].
     pub audit: AuditLevel,
@@ -271,37 +214,33 @@ pub struct CampaignConfig {
     /// series files, and the live stderr heartbeat. Defaults to fully off,
     /// in which case the event loop carries zero instrumentation.
     pub obs: ObsConfig,
-    /// Test-only executor fault hooks; inert by default.
-    #[doc(hidden)]
-    pub chaos: ExecutorChaos,
+    /// Executor fault hook for tests; inert by default.
+    #[cfg(test)]
+    pub(crate) chaos: executor::ExecutorChaos,
 }
 
 impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
             jobs: 1,
-            seed_deadline: None,
-            retry_backoff: RetryBackoff::default(),
             limits: RunLimits::default(),
-            retry_transient: true,
             audit: AuditLevel::Off,
             journal: None,
             forensics_dir: None,
             obs: ObsConfig::off(),
-            chaos: ExecutorChaos::default(),
+            #[cfg(test)]
+            chaos: executor::ExecutorChaos::default(),
         }
     }
 }
 
-/// One run that produced no report, with its (possibly retried) error.
+/// One run that produced no report, with its error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunFailure {
     /// The failing run's seed.
     pub seed: u64,
-    /// What went wrong (the *last* attempt's error when retried).
+    /// What went wrong.
     pub error: RunError,
-    /// Whether the run was retried before being declared failed.
-    pub retried: bool,
 }
 
 /// The outcome of a multi-seed campaign: every report that completed plus
@@ -336,19 +275,7 @@ impl CampaignResult {
 
     /// One line per failure, for logs and CSV footers.
     pub fn failure_summary(&self) -> String {
-        self.failures
-            .iter()
-            .map(
-                |f| {
-                    if f.retried {
-                        format!("{} (after retry)", f.error)
-                    } else {
-                        f.error.to_string()
-                    }
-                },
-            )
-            .collect::<Vec<_>>()
-            .join("; ")
+        self.failures.iter().map(|f| f.error.to_string()).collect::<Vec<_>>().join("; ")
     }
 }
 
@@ -406,8 +333,7 @@ where
 /// Re-runs one DSR scenario exactly as a campaign would (crash-isolated,
 /// default watchdogs) at the given audit level. This is the `repro`
 /// binary's entry point for replaying forensic artifacts; the scenario's
-/// own seed is used, and no retry, journaling, or artifact capture
-/// applies.
+/// own seed is used, and no journaling or artifact capture applies.
 pub fn replay_run(cfg: &ScenarioConfig, audit: AuditLevel) -> Result<Report, RunError> {
     let dsr = cfg.dsr.clone();
     let label = dsr.label();
@@ -433,9 +359,8 @@ pub fn run_seeds(base: &ScenarioConfig, seeds: &[u64], threads: usize) -> Vec<Re
 }
 
 /// Per-attempt hooks the executor threads into a run: trace capture for
-/// forensic artifacts, the campaign heartbeat, and the supervisor's
-/// cancellation token. The default (no hooks) is what [`replay_run`]
-/// uses.
+/// forensic artifacts and the campaign heartbeat. The default (no hooks)
+/// is what [`replay_run`] uses.
 #[derive(Default)]
 pub(crate) struct AttemptHooks {
     /// Retain the last [`TRACE_TAIL_CAPACITY`] trace events (even across a
@@ -443,8 +368,6 @@ pub(crate) struct AttemptHooks {
     pub capture_trace: bool,
     /// Heartbeat sink installed on the simulator.
     pub heartbeat: Option<HeartbeatSink>,
-    /// Deadline-cancellation token checked between events.
-    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 /// One isolated run: builds the simulator, applies the watchdog limits
@@ -477,7 +400,7 @@ where
 {
     let seed = cfg.seed;
     let fingerprint = crate::forensics::config_fingerprint(&cfg);
-    let AttemptHooks { capture_trace, heartbeat, cancel } = hooks;
+    let AttemptHooks { capture_trace, heartbeat } = hooks;
     let ring: Option<Arc<Mutex<VecDeque<TraceEvent>>>> =
         capture_trace.then(|| Arc::new(Mutex::new(VecDeque::new())));
     let sink_ring = ring.as_ref().map(Arc::clone);
@@ -522,9 +445,6 @@ where
         if let Some(sink) = heartbeat {
             sim.set_heartbeat(sink);
         }
-        if let Some(token) = cancel {
-            sim.set_cancel(token);
-        }
         sim.try_run()
     }));
     // A panic inside the sink would poison the ring; recover the data
@@ -550,20 +470,22 @@ where
             dropped: buf.dropped,
         }
     });
-    let result = match caught {
-        Ok(run_result) => run_result,
-        Err(payload) => {
-            let payload = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(RunError::Panicked { seed, payload })
-        }
-    };
+    let result = caught.unwrap_or_else(|payload| {
+        Err(RunError::Panicked { seed, payload: panic_message(payload) })
+    });
     (result, trace, observation, cachetrace)
+}
+
+/// A panic payload as text: the message when it was a string (the common
+/// case), or a placeholder otherwise.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 #[cfg(test)]
@@ -591,41 +513,21 @@ mod tests {
         };
         let c =
             RunError::ConservationViolation { seed: 7, uid: 42, detail: "uid 42 vanished".into() };
-        let d = RunError::DeadlineExceeded { seed: 8, at: SimTime::from_secs(4.0) };
         let l = RunError::WorkerLost { seed: 9, detail: "worker 2 panicked".into() };
         assert_eq!(p.seed(), 3);
         assert_eq!(t.seed(), 6);
         assert_eq!(c.seed(), 7);
-        assert_eq!(d.seed(), 8);
         assert_eq!(l.seed(), 9);
         assert!(!p.is_transient());
         assert!(w.is_transient());
         assert!(!b.is_transient());
         assert!(!c.is_transient(), "conservation violations are deterministic");
-        assert!(d.is_transient(), "a deadline miss may succeed on an idle machine");
-        assert!(!l.is_transient(), "lost workers already got a redispatch");
+        assert!(!l.is_transient(), "a lost worker is an executor fault");
         assert!(format!("{p}").contains("boom"));
         assert!(format!("{b}").contains("budget"));
         assert!(format!("{t}").contains("backwards"));
         assert!(format!("{c}").contains("uid 42"));
-        assert!(format!("{d}").contains("deadline"));
         assert!(format!("{l}").contains("worker died"));
-    }
-
-    #[test]
-    fn retry_backoff_doubles_and_caps() {
-        let b = RetryBackoff {
-            max_retries: 5,
-            initial: Duration::from_millis(100),
-            cap: Duration::from_millis(350),
-        };
-        assert_eq!(b.delay(1), Duration::from_millis(100));
-        assert_eq!(b.delay(2), Duration::from_millis(200));
-        assert_eq!(b.delay(3), Duration::from_millis(350), "doubling stops at the cap");
-        assert_eq!(b.delay(60), Duration::from_millis(350), "shift amount saturates");
-        let immediate = RetryBackoff::default();
-        assert_eq!(immediate.max_retries, 1);
-        assert_eq!(immediate.delay(1), Duration::ZERO, "default retries immediately");
     }
 
     #[test]
@@ -644,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_watchdog_fires_and_is_retried() {
+    fn wall_clock_watchdog_fires_and_the_failure_is_final() {
         let base = tiny_line(0);
         let campaign = CampaignConfig {
             limits: RunLimits { wall_clock: Some(Duration::from_nanos(1)), ..RunLimits::default() },
@@ -655,9 +557,8 @@ mod tests {
         assert_eq!(result.failures.len(), 1);
         let failure = &result.failures[0];
         assert!(matches!(failure.error, RunError::WatchdogTimeout { seed: 1, .. }));
-        assert!(failure.retried, "transient failures are retried once");
         assert!(result.mean().is_none());
-        assert!(result.failure_summary().contains("after retry"));
+        assert_eq!(result.failure_summary(), failure.error.to_string(), "one attempt, one line");
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub enum FaultEvent {
     },
     /// Chaos hook: from `at` on, perpetually reschedule a zero-progress
     /// event at the current instant. Exercises the event-budget watchdog
-    /// (and, with the budget disabled, the executor's per-seed deadline);
+    /// (and, with the budget disabled, the wall-clock watchdog);
     /// `only_seed` restricts the storm to one seed of a campaign.
     EventStorm {
         /// Storm start.

@@ -1,48 +1,41 @@
-//! The supervised parallel campaign executor.
+//! The parallel campaign executor.
 //!
 //! Fans a campaign's seeds across [`CampaignConfig::jobs`] worker threads
-//! over a shared seed queue while keeping every output — reports,
-//! journal, forensic artifacts, and the CSVs derived from them —
-//! **byte-identical to a serial run**. The pieces:
+//! while keeping every output — reports, journal, forensic artifacts, and
+//! the CSVs derived from them — **byte-identical to a serial run**. Every
+//! run is a pure function of its config and seed, so the executor is a
+//! batch, not a service:
 //!
-//! - **Workers** claim tasks from a shared queue and run them through
-//!   the campaign module's `attempt_one` (per-run `catch_unwind` +
-//!   watchdogs, unchanged from the serial engine). Each worker publishes
-//!   its in-flight run in a slot the supervisor can inspect.
-//! - **A dedicated retry lane** (one extra thread with its own delay
-//!   queue) re-runs transient failures after their [`RetryBackoff`]
-//!   delay, so a flaky seed sleeping through backoff never occupies a
-//!   pool worker.
-//! - **The supervisor** (the calling thread) owns every side effect:
-//!   journal appends, forensic artifacts, and time-series files are
-//!   written by this single thread only, so concurrent workers can never
-//!   interleave or tear records. Results are buffered per seed index and
-//!   the journal is flushed in seed order, which is what makes the output
-//!   bytes independent of scheduling. The supervisor also arms each run's
-//!   cancellation token when it outlives
-//!   [`CampaignConfig::seed_deadline`] ([`RunError::DeadlineExceeded`]).
+//! - **Workers** claim the fresh seeds in campaign order from one atomic
+//!   cursor and run each through the campaign module's `attempt_one`
+//!   (per-run `catch_unwind` plus the in-loop watchdogs of
+//!   [`RunLimits`](crate::RunLimits)). Nothing is queued after start-up:
+//!   a failed run is final, and `--resume` re-runs it.
+//! - **The supervisor** (the calling thread) blocks on the workers'
+//!   channel and owns every side effect: journal appends, forensic
+//!   artifacts, time-series and cache-trace files are written by this
+//!   single thread only, so concurrent workers can never interleave or
+//!   tear records. Results are buffered per seed index and the journal is
+//!   flushed in seed order, which is what makes the output bytes
+//!   independent of scheduling.
 //! - **Worker death** (a panic in the executor machinery itself, outside
-//!   the per-run isolation) degrades gracefully: the dead worker's
-//!   in-flight seed is redispatched once to a surviving worker; a seed
-//!   that kills two workers — or is stranded when every worker is gone —
-//!   fails as [`RunError::WorkerLost`] and the campaign completes with
-//!   partial results. All executor locks recover from poisoning.
-//!
-//! [`RetryBackoff`]: crate::campaign::RetryBackoff
+//!   the per-run isolation) fails the dead worker's in-flight seed as
+//!   [`RunError::WorkerLost`] at once; the surviving workers keep
+//!   claiming. Seeds nobody could claim because every worker died fail
+//!   the same way, so the campaign always ends with exactly one report or
+//!   one failure per seed.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 
 use metrics::Report;
 use obs::{CacheTrace, CampaignProgress, Profile, RunObservation, WorkerState};
 use sim_core::{NodeId, SimRng};
 
 use crate::campaign::{
-    attempt_one, AttemptHooks, CampaignConfig, CampaignResult, RunError, RunFailure,
+    attempt_one, panic_message, AttemptHooks, CampaignConfig, CampaignResult, RunError, RunFailure,
 };
 use crate::config::ScenarioConfig;
 use crate::forensics::{config_fingerprint, ForensicArtifact};
@@ -50,184 +43,16 @@ use crate::journal::{Journal, JournalWriter};
 use crate::proto::RoutingAgent;
 use crate::sim::HeartbeatSink;
 
-/// How often the supervisor wakes to scan for blown seed deadlines when no
-/// messages arrive.
-const SUPERVISOR_TICK: Duration = Duration::from_millis(20);
-
-/// Test-only fault hooks for the executor itself. The scenario-level chaos
-/// hooks ([`crate::FaultEvent::Panic`]) kill a *run* inside its isolation
-/// boundary; these kill the *worker machinery around it*, exercising the
-/// redistribute-and-degrade path. Inert by default.
-#[doc(hidden)]
+/// A fault hook for the executor itself. The scenario-level chaos hooks
+/// ([`crate::FaultEvent::Panic`]) kill a *run* inside its isolation
+/// boundary; this kills the *worker machinery around it*, exercising the
+/// `WorkerLost` path. Inert by default.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecutorChaos {
-    /// Panic the claiming pool worker (outside the per-run
-    /// `catch_unwind`) the moment it picks this seed up, simulating a
-    /// permanently dying worker. The retry lane is exempt.
-    pub worker_panic_on_seed: Option<u64>,
-}
-
-/// Locks a mutex, recovering the data from a poisoned lock: the executor
-/// must keep supervising even after a worker died mid-critical-section.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// One unit of work: run seed index `index` (attempt number `retry`, 0 for
-/// the first try).
-#[derive(Debug, Clone, Copy)]
-struct Task {
-    index: usize,
-    retry: u32,
-}
-
-/// The shared seed queue pool workers claim from.
-#[derive(Default)]
-struct TaskQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct QueueState {
-    tasks: VecDeque<Task>,
-    closed: bool,
-}
-
-impl TaskQueue {
-    /// Enqueues a task; `false` once the queue is closed (the caller must
-    /// dispose of the task itself — nothing may be silently stranded).
-    fn push(&self, task: Task) -> bool {
-        let mut st = lock(&self.state);
-        if st.closed {
-            return false;
-        }
-        st.tasks.push_back(task);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Blocks for the next task; `None` once the queue is closed.
-    fn pop(&self) -> Option<Task> {
-        let mut st = lock(&self.state);
-        loop {
-            if st.closed {
-                return None;
-            }
-            if let Some(task) = st.tasks.pop_front() {
-                return Some(task);
-            }
-            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Closes the queue (waking every waiter) and returns whatever was
-    /// still pending, atomically — no push can slip in after the drain.
-    fn close_and_drain(&self) -> Vec<Task> {
-        let mut st = lock(&self.state);
-        st.closed = true;
-        self.ready.notify_all();
-        st.tasks.drain(..).collect()
-    }
-}
-
-/// A retry waiting out its backoff delay.
-#[derive(Debug, Clone, Copy)]
-struct RetryTask {
-    task: Task,
-    not_before: Instant,
-}
-
-/// The retry lane's delay queue: tasks become claimable at `not_before`,
-/// earliest first.
-#[derive(Default)]
-struct RetryLane {
-    state: Mutex<LaneState>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct LaneState {
-    tasks: Vec<RetryTask>,
-    closed: bool,
-}
-
-impl RetryLane {
-    /// Schedules a retry; `false` once the lane is closed or dead (the
-    /// caller then declares the failure final instead).
-    fn push(&self, task: RetryTask) -> bool {
-        let mut st = lock(&self.state);
-        if st.closed {
-            return false;
-        }
-        st.tasks.push(task);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Blocks until the earliest pending task's delay elapses; `None` once
-    /// the lane is closed.
-    fn pop(&self) -> Option<Task> {
-        let mut st = lock(&self.state);
-        loop {
-            if st.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if let Some(pos) = st
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.not_before <= now)
-                .min_by_key(|(_, t)| t.not_before)
-                .map(|(pos, _)| pos)
-            {
-                return Some(st.tasks.swap_remove(pos).task);
-            }
-            match st.tasks.iter().map(|t| t.not_before.saturating_duration_since(now)).min() {
-                Some(wait) => {
-                    st = self
-                        .ready
-                        .wait_timeout(st, wait.max(Duration::from_millis(1)))
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-                None => st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner),
-            }
-        }
-    }
-
-    /// Closes the lane and returns the retries still waiting, atomically.
-    fn close_and_drain(&self) -> Vec<Task> {
-        let mut st = lock(&self.state);
-        st.closed = true;
-        self.ready.notify_all();
-        st.tasks.drain(..).map(|t| t.task).collect()
-    }
-}
-
-/// What a worker publishes while a run executes, so the supervisor can
-/// enforce the seed deadline and recover the task if the worker dies.
-struct InFlight {
-    task: Task,
-    started: Instant,
-    cancel: Arc<AtomicBool>,
-    cancelled: bool,
-}
-
-#[derive(Default)]
-struct WorkerSlot {
-    inflight: Mutex<Option<InFlight>>,
+pub(crate) struct ExecutorChaos {
+    /// Panic the claiming worker (outside the per-run `catch_unwind`) the
+    /// moment it picks this seed up, simulating a permanently dying worker.
+    pub(crate) worker_panic_on_seed: Option<u64>,
 }
 
 /// A finished attempt's result, shipped to the supervisor. The cache
@@ -247,12 +72,11 @@ enum Outcome {
 }
 
 enum Msg {
-    /// Seed `index` reached a final outcome (retries exhausted or not
-    /// applicable).
+    /// Seed `index` ran to an outcome.
     Done { index: usize, outcome: Box<Outcome> },
-    /// Worker `worker` panicked outside the per-run isolation; `task` is
-    /// what it was running (if anything).
-    WorkerDead { worker: usize, task: Option<Task>, payload: String },
+    /// Worker `worker` panicked outside the per-run isolation; `index` is
+    /// the seed it was running (if any).
+    WorkerDead { worker: usize, index: Option<usize>, payload: String },
 }
 
 /// Runs the campaign. Single entry point for every job count — a serial
@@ -300,34 +124,25 @@ where
             }
         }
     }
-    let journal_writer = journal_writer.as_ref();
 
     let fresh: Vec<bool> = outcomes.iter().map(Option::is_none).collect();
-    let fresh_total = fresh.iter().filter(|f| **f).count();
     let mut observations: Vec<Option<RunObservation>> = vec![None; jobs.len()];
-
-    if fresh_total > 0 {
-        let nworkers = campaign.jobs.min(fresh_total);
-        // Worker `nworkers` (one past the pool) is the retry lane.
-        let progress = campaign
-            .obs
-            .heartbeat
-            .then(|| CampaignProgress::with_workers(fresh_total as u64, nworkers + 1));
-        run_pool(
-            &jobs,
-            &fresh,
-            &mut outcomes,
-            &mut observations,
-            campaign,
-            label,
-            replayable,
-            make_agent,
-            nworkers,
-            progress,
-            journal_writer,
-            fingerprint,
-        );
-    }
+    let mut supervisor = Supervisor {
+        jobs: &jobs,
+        fresh: &fresh,
+        outcomes: &mut outcomes,
+        observations: &mut observations,
+        campaign,
+        label,
+        replayable,
+        progress: None,
+        journal: journal_writer.as_ref(),
+        fingerprint,
+        cursor: 0,
+    };
+    // Advance past any journal-resumed prefix immediately.
+    supervisor.flush_journal();
+    supervisor.run_pool(make_agent);
 
     let obs_on = campaign.obs.is_on();
     let mut profile = obs_on.then(Profile::default);
@@ -358,178 +173,9 @@ where
     CampaignResult { reports, failures, profile }
 }
 
-/// Spawns the worker pool + retry lane and supervises them to completion.
-/// On return every fresh seed has an outcome.
-#[allow(clippy::too_many_arguments)]
-fn run_pool<A, F>(
-    jobs: &[ScenarioConfig],
-    fresh: &[bool],
-    outcomes: &mut [Option<Result<Report, RunFailure>>],
-    observations: &mut [Option<RunObservation>],
-    campaign: &CampaignConfig,
-    label: &str,
-    replayable: bool,
-    make_agent: &F,
-    nworkers: usize,
-    progress: Option<Arc<CampaignProgress>>,
-    journal_writer: Option<&JournalWriter>,
-    fingerprint: u64,
-) where
-    A: RoutingAgent,
-    F: Fn(NodeId, SimRng) -> A + Send + Sync,
-{
-    let queue = TaskQueue::default();
-    let lane = RetryLane::default();
-    let slots: Vec<WorkerSlot> = (0..=nworkers).map(|_| WorkerSlot::default()).collect();
-    for (index, is_fresh) in fresh.iter().enumerate() {
-        if *is_fresh {
-            queue.push(Task { index, retry: 0 });
-        }
-    }
-    let (tx, rx) = std::sync::mpsc::channel::<Msg>();
-    let max_retries = if campaign.retry_transient { campaign.retry_backoff.max_retries } else { 0 };
-
-    // One attempt, start to finish, shared by pool workers and the retry
-    // lane. Sends `Done` for final outcomes; transient failures with
-    // retries left go to the retry lane instead.
-    let process = |worker: usize, task: Task, tx: &Sender<Msg>| {
-        let job = &jobs[task.index];
-        let seed = job.seed;
-        let cancel = Arc::new(AtomicBool::new(false));
-        *lock(&slots[worker].inflight) = Some(InFlight {
-            task,
-            started: Instant::now(),
-            cancel: Arc::clone(&cancel),
-            cancelled: false,
-        });
-        if let Some(p) = &progress {
-            p.set_worker(worker, WorkerState::Running { seed });
-        }
-        if worker < nworkers && campaign.chaos.worker_panic_on_seed == Some(seed) {
-            panic!("executor chaos: worker {worker} killed claiming seed {seed}");
-        }
-        let heartbeat: Option<HeartbeatSink> = progress.as_ref().map(|p| {
-            let p = Arc::clone(p);
-            Box::new(move |tick| {
-                if let Some(line) = p.heartbeat_line_for(worker, tick) {
-                    eprintln!("{line}");
-                }
-            }) as HeartbeatSink
-        });
-        let hooks = AttemptHooks {
-            capture_trace: campaign.forensics_dir.is_some(),
-            heartbeat,
-            cancel: Some(cancel),
-        };
-        let (result, trace, observation, cachetrace) =
-            attempt_one(job.clone(), label, make_agent, campaign, hooks);
-        *lock(&slots[worker].inflight) = None;
-        if let Some(p) = &progress {
-            p.set_worker(worker, WorkerState::Idle);
-        }
-        match result {
-            Ok(report) => {
-                let _ = tx.send(Msg::Done {
-                    index: task.index,
-                    outcome: Box::new(Outcome::Success {
-                        report: Box::new(report),
-                        observation,
-                        cachetrace,
-                    }),
-                });
-            }
-            Err(error) => {
-                if error.is_transient() && task.retry < max_retries {
-                    let retry = task.retry + 1;
-                    let not_before = Instant::now() + campaign.retry_backoff.delay(retry);
-                    let queued = lane
-                        .push(RetryTask { task: Task { index: task.index, retry }, not_before });
-                    if queued {
-                        if let Some(p) = &progress {
-                            p.set_worker(nworkers, WorkerState::Backoff { seed });
-                        }
-                        return;
-                    }
-                    // The retry lane is gone; the failure is final.
-                }
-                let failure = RunFailure { seed, error, retried: task.retry > 0 };
-                let _ = tx.send(Msg::Done {
-                    index: task.index,
-                    outcome: Box::new(Outcome::Failure { failure, trace, cachetrace }),
-                });
-            }
-        }
-    };
-
-    std::thread::scope(|scope| {
-        for worker in 0..nworkers {
-            let tx = tx.clone();
-            let (queue, slots, process, progress) = (&queue, &slots, &process, &progress);
-            scope.spawn(move || {
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    while let Some(task) = queue.pop() {
-                        process(worker, task, &tx);
-                    }
-                }));
-                if let Err(payload) = caught {
-                    if let Some(p) = progress {
-                        p.set_worker(worker, WorkerState::Dead);
-                    }
-                    let task = lock(&slots[worker].inflight).take().map(|f| f.task);
-                    let _ =
-                        tx.send(Msg::WorkerDead { worker, task, payload: panic_message(payload) });
-                }
-            });
-        }
-        {
-            let tx = tx.clone();
-            let (lane, slots, process, progress) = (&lane, &slots, &process, &progress);
-            scope.spawn(move || {
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    while let Some(task) = lane.pop() {
-                        process(nworkers, task, &tx);
-                    }
-                }));
-                if let Err(payload) = caught {
-                    if let Some(p) = progress {
-                        p.set_worker(nworkers, WorkerState::Dead);
-                    }
-                    let task = lock(&slots[nworkers].inflight).take().map(|f| f.task);
-                    let _ = tx.send(Msg::WorkerDead {
-                        worker: nworkers,
-                        task,
-                        payload: panic_message(payload),
-                    });
-                }
-            });
-        }
-        drop(tx); // the supervisor detects full worker loss via disconnect
-
-        supervise(SuperviseCtx {
-            jobs,
-            fresh,
-            outcomes,
-            observations,
-            campaign,
-            label,
-            replayable,
-            nworkers,
-            progress: progress.as_ref(),
-            journal_writer,
-            fingerprint,
-            queue: &queue,
-            lane: &lane,
-            slots: &slots,
-            rx,
-        });
-
-        // Wake and retire every worker so the scope can join.
-        queue.close_and_drain();
-        lane.close_and_drain();
-    });
-}
-
-struct SuperviseCtx<'a> {
+/// The supervisor: the single writer for journal, forensics, time-series
+/// and cache-trace output, and the only thread that resolves a seed.
+struct Supervisor<'a> {
     jobs: &'a [ScenarioConfig],
     fresh: &'a [bool],
     outcomes: &'a mut [Option<Result<Report, RunFailure>>],
@@ -537,229 +183,282 @@ struct SuperviseCtx<'a> {
     campaign: &'a CampaignConfig,
     label: &'a str,
     replayable: bool,
-    nworkers: usize,
-    progress: Option<&'a Arc<CampaignProgress>>,
-    journal_writer: Option<&'a JournalWriter>,
+    progress: Option<Arc<CampaignProgress>>,
+    journal: Option<&'a JournalWriter>,
     fingerprint: u64,
-    queue: &'a TaskQueue,
-    lane: &'a RetryLane,
-    slots: &'a [WorkerSlot],
-    rx: Receiver<Msg>,
+    /// Seeds before this index are resolved and journaled.
+    cursor: usize,
 }
 
-/// The supervisor loop: the single writer for journal, forensics, and
-/// time-series output, the seed-deadline enforcer, and the worker-death
-/// recovery path.
-fn supervise(ctx: SuperviseCtx<'_>) {
-    let SuperviseCtx {
-        jobs,
-        fresh,
-        outcomes,
-        observations,
-        campaign,
-        label,
-        replayable,
-        nworkers,
-        progress,
-        journal_writer,
-        fingerprint,
-        queue,
-        lane,
-        slots,
-        rx,
-    } = ctx;
-    let mut remaining = fresh.iter().filter(|f| **f).count();
-    let mut redispatched = vec![false; jobs.len()];
-    let mut live_workers = nworkers;
-    let mut cursor = 0usize;
-    // Advance past any journal-resumed prefix immediately.
-    flush_journal(&mut cursor, outcomes, fresh, journal_writer, fingerprint, jobs);
+impl Supervisor<'_> {
+    /// Spawns `jobs` workers over the fresh seeds and supervises them to
+    /// completion. On return every seed has an outcome.
+    fn run_pool<A, F>(&mut self, make_agent: &F)
+    where
+        A: RoutingAgent,
+        F: Fn(NodeId, SimRng) -> A + Send + Sync,
+    {
+        let todo: Vec<usize> = (0..self.jobs.len()).filter(|&i| self.fresh[i]).collect();
+        if todo.is_empty() {
+            return;
+        }
+        let nworkers = self.campaign.jobs.min(todo.len());
+        self.progress = self
+            .campaign
+            .obs
+            .heartbeat
+            .then(|| CampaignProgress::with_workers(todo.len() as u64, nworkers));
+        // The claim cursor over `todo`. A claim publishes no data (`todo`
+        // is immutable), and the read-modify-write alone hands each index
+        // to one worker, so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = std::sync::mpsc::channel::<Msg>();
+        let (jobs, campaign, label, progress) =
+            (self.jobs, self.campaign, self.label, self.progress.clone());
 
-    let fail_worker_lost = |outcomes: &mut [Option<Result<Report, RunFailure>>],
-                            remaining: &mut usize,
-                            task: Task,
-                            detail: &str| {
-        let seed = jobs[task.index].seed;
-        outcomes[task.index] = Some(Err(RunFailure {
-            seed,
-            error: RunError::WorkerLost { seed, detail: detail.to_string() },
-            retried: task.retry > 0,
-        }));
-        *remaining -= 1;
-        if let Some(p) = progress {
+        // One attempt, start to finish: runs seed `index` on `worker` and
+        // sends its outcome.
+        let process = |worker: usize, index: usize, tx: &Sender<Msg>| {
+            let job = &jobs[index];
+            let seed = job.seed;
+            if let Some(p) = &progress {
+                p.set_worker(worker, WorkerState::Running { seed });
+            }
+            #[cfg(test)]
+            if campaign.chaos.worker_panic_on_seed == Some(seed) {
+                panic!("executor chaos: worker {worker} killed claiming seed {seed}");
+            }
+            let heartbeat: Option<HeartbeatSink> = progress.as_ref().map(|p| {
+                let p = Arc::clone(p);
+                Box::new(move |tick| {
+                    if let Some(line) = p.heartbeat_line_for(worker, tick) {
+                        eprintln!("{line}");
+                    }
+                }) as HeartbeatSink
+            });
+            let hooks = AttemptHooks { capture_trace: campaign.forensics_dir.is_some(), heartbeat };
+            let (result, trace, observation, cachetrace) =
+                attempt_one(job.clone(), label, make_agent, campaign, hooks);
+            if let Some(p) = &progress {
+                p.set_worker(worker, WorkerState::Idle);
+            }
+            let outcome = match result {
+                Ok(report) => {
+                    Outcome::Success { report: Box::new(report), observation, cachetrace }
+                }
+                Err(error) => {
+                    Outcome::Failure { failure: RunFailure { seed, error }, trace, cachetrace }
+                }
+            };
+            let _ = tx.send(Msg::Done { index, outcome: Box::new(outcome) });
+        };
+
+        std::thread::scope(|scope| {
+            for worker in 0..nworkers {
+                let tx = tx.clone();
+                let (todo, next, process, progress) = (&todo, &next, &process, &progress);
+                scope.spawn(move || {
+                    let mut running = None;
+                    let caught = catch_unwind(AssertUnwindSafe(|| {
+                        while let Some(&index) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            running = Some(index);
+                            process(worker, index, &tx);
+                            running = None;
+                        }
+                    }));
+                    if let Err(payload) = caught {
+                        if let Some(p) = progress {
+                            p.set_worker(worker, WorkerState::Dead);
+                        }
+                        let payload = panic_message(payload);
+                        let _ = tx.send(Msg::WorkerDead { worker, index: running, payload });
+                    }
+                });
+            }
+            // The channel disconnects once every worker has run out of
+            // seeds or died; each worker's messages precede its hang-up.
+            drop(tx);
+            for msg in rx {
+                match msg {
+                    Msg::Done { index, outcome } => self.settle(index, *outcome),
+                    Msg::WorkerDead { worker, index, payload } => {
+                        eprintln!("warning: campaign worker {worker} died: {payload}");
+                        if let Some(index) = index {
+                            self.lose(index, &format!("killed its executor thread ({payload})"));
+                        }
+                    }
+                }
+                self.flush_journal();
+            }
+        });
+
+        // Every worker died before the cursor ran out: fail what is left
+        // so the campaign accounts for every seed.
+        for index in todo {
+            if self.outcomes[index].is_none() {
+                self.lose(index, "all workers died");
+            }
+        }
+        self.flush_journal();
+    }
+
+    /// Records seed `index`'s outcome and writes its files.
+    fn settle(&mut self, index: usize, outcome: Outcome) {
+        let (campaign, seed) = (self.campaign, self.jobs[index].seed);
+        match outcome {
+            Outcome::Success { report, observation, cachetrace } => {
+                let events = observation.as_ref().map_or(0, |o| o.profile.events);
+                if let (Some(obs), Some(dir)) = (&observation, &campaign.obs.timeseries_dir) {
+                    if let Err(e) = obs.timeseries.write_to(dir) {
+                        eprintln!("warning: could not write time series for seed {seed}: {e}");
+                    }
+                }
+                // Rows were buffered in event-dispatch order inside the
+                // run, so the file bytes are independent of the worker
+                // count.
+                if let (Some(ct), Some(dir)) = (&cachetrace, &campaign.obs.cachetrace_dir) {
+                    if let Err(e) = ct.write_to(dir) {
+                        eprintln!("warning: could not write cache trace for seed {seed}: {e}");
+                    }
+                }
+                self.observations[index] = observation;
+                self.outcomes[index] = Some(Ok(*report));
+                if let Some(p) = &self.progress {
+                    p.run_finished(true, events);
+                }
+            }
+            Outcome::Failure { failure, trace, cachetrace } => {
+                // A failed run's partial cache trace lands next to the
+                // forensic artifact (same file stem) when a forensics dir
+                // exists, else in the trace dir.
+                if let Some(ct) = &cachetrace {
+                    let dir =
+                        campaign.forensics_dir.as_ref().or(campaign.obs.cachetrace_dir.as_ref());
+                    if let Some(dir) = dir {
+                        if let Err(e) = ct.write_to(dir) {
+                            eprintln!("warning: could not write cache trace for seed {seed}: {e}");
+                        }
+                    }
+                }
+                if let Some(dir) = &campaign.forensics_dir {
+                    let artifact = ForensicArtifact {
+                        label: self.label.to_string(),
+                        replayable: self.replayable,
+                        config: self.jobs[index].clone(),
+                        error: failure.error.clone(),
+                        trace,
+                    };
+                    match artifact.write_to(dir) {
+                        Ok(path) => eprintln!("forensic artifact written: {}", path.display()),
+                        Err(e) => eprintln!("warning: could not write forensic artifact: {e}"),
+                    }
+                }
+                self.outcomes[index] = Some(Err(failure));
+                if let Some(p) = &self.progress {
+                    p.run_finished(false, 0);
+                }
+            }
+        }
+    }
+
+    /// Fails seed `index` as [`RunError::WorkerLost`]. There was no
+    /// finished run, so no forensic artifact is written.
+    fn lose(&mut self, index: usize, detail: &str) {
+        let seed = self.jobs[index].seed;
+        let error = RunError::WorkerLost { seed, detail: detail.to_string() };
+        self.outcomes[index] = Some(Err(RunFailure { seed, error }));
+        if let Some(p) = &self.progress {
             p.run_finished(false, 0);
         }
-    };
-
-    while remaining > 0 {
-        if let Some(deadline) = campaign.seed_deadline {
-            for slot in slots {
-                let mut guard = lock(&slot.inflight);
-                if let Some(inflight) = guard.as_mut() {
-                    if !inflight.cancelled && inflight.started.elapsed() >= deadline {
-                        inflight.cancel.store(true, Ordering::Relaxed);
-                        inflight.cancelled = true;
-                    }
-                }
-            }
-        }
-        let msg = match rx.recv_timeout(SUPERVISOR_TICK) {
-            Ok(msg) => msg,
-            Err(RecvTimeoutError::Timeout) => continue,
-            // Every worker (and the retry lane) is gone; nothing more can
-            // arrive. Leftovers are failed below.
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        match msg {
-            Msg::Done { index, outcome } => {
-                remaining -= 1;
-                match *outcome {
-                    Outcome::Success { report, observation, cachetrace } => {
-                        let events = observation.as_ref().map_or(0, |o| o.profile.events);
-                        if let (Some(obs), Some(dir)) = (&observation, &campaign.obs.timeseries_dir)
-                        {
-                            if let Err(e) = obs.timeseries.write_to(dir) {
-                                eprintln!(
-                                    "warning: could not write time series for seed {}: {e}",
-                                    jobs[index].seed
-                                );
-                            }
-                        }
-                        // Supervisor-only write, like every other side
-                        // effect: rows were buffered in event-dispatch
-                        // order inside the run, so the file bytes are
-                        // independent of the worker count.
-                        if let (Some(ct), Some(dir)) = (&cachetrace, &campaign.obs.cachetrace_dir) {
-                            if let Err(e) = ct.write_to(dir) {
-                                eprintln!(
-                                    "warning: could not write cache trace for seed {}: {e}",
-                                    jobs[index].seed
-                                );
-                            }
-                        }
-                        observations[index] = observation;
-                        outcomes[index] = Some(Ok(*report));
-                        if let Some(p) = progress {
-                            p.run_finished(true, events);
-                        }
-                    }
-                    Outcome::Failure { failure, trace, cachetrace } => {
-                        // A failed run's partial cache trace lands next to
-                        // the forensic artifact (same file stem) when a
-                        // forensics dir exists, else in the trace dir.
-                        if let Some(ct) = &cachetrace {
-                            let dir = campaign
-                                .forensics_dir
-                                .as_ref()
-                                .or(campaign.obs.cachetrace_dir.as_ref());
-                            if let Some(dir) = dir {
-                                if let Err(e) = ct.write_to(dir) {
-                                    eprintln!(
-                                        "warning: could not write cache trace for seed {}: {e}",
-                                        jobs[index].seed
-                                    );
-                                }
-                            }
-                        }
-                        if let Some(dir) = &campaign.forensics_dir {
-                            let artifact = ForensicArtifact {
-                                label: label.to_string(),
-                                replayable,
-                                config: jobs[index].clone(),
-                                error: failure.error.clone(),
-                                trace,
-                            };
-                            match artifact.write_to(dir) {
-                                Ok(path) => {
-                                    eprintln!("forensic artifact written: {}", path.display())
-                                }
-                                Err(e) => {
-                                    eprintln!("warning: could not write forensic artifact: {e}")
-                                }
-                            }
-                        }
-                        outcomes[index] = Some(Err(failure));
-                        if let Some(p) = progress {
-                            p.run_finished(false, 0);
-                        }
-                    }
-                }
-                flush_journal(&mut cursor, outcomes, fresh, journal_writer, fingerprint, jobs);
-            }
-            Msg::WorkerDead { worker, task, payload } => {
-                let lane_died = worker == nworkers;
-                if !lane_died {
-                    live_workers -= 1;
-                }
-                eprintln!(
-                    "warning: campaign {} died: {payload}",
-                    if lane_died { "retry lane".to_string() } else { format!("worker {worker}") }
-                );
-                // The dead thread's in-flight task — plus, if the retry
-                // lane died, everything waiting in it — must be
-                // redispatched or failed; nothing may be stranded.
-                let mut orphans: Vec<Task> = task.into_iter().collect();
-                if lane_died {
-                    orphans.extend(lane.close_and_drain());
-                }
-                for task in orphans {
-                    let redispatchable = !redispatched[task.index] && live_workers > 0;
-                    if redispatchable && queue.push(task) {
-                        redispatched[task.index] = true;
-                    } else {
-                        let detail = format!("killed its executor thread ({payload})");
-                        fail_worker_lost(outcomes, &mut remaining, task, &detail);
-                    }
-                }
-                if live_workers == 0 {
-                    // No pool worker left to serve the main queue; fail
-                    // whatever is parked there. The retry lane (if alive)
-                    // still finishes its own pending work.
-                    for task in queue.close_and_drain() {
-                        fail_worker_lost(outcomes, &mut remaining, task, "all workers died");
-                    }
-                }
-                flush_journal(&mut cursor, outcomes, fresh, journal_writer, fingerprint, jobs);
-            }
-        }
     }
 
-    // Belt and braces: on an abort (channel disconnect) some seeds may
-    // still be unresolved — fail them so the campaign always accounts for
-    // every seed.
-    for index in 0..jobs.len() {
-        if fresh[index] && outcomes[index].is_none() {
-            fail_worker_lost(
-                outcomes,
-                &mut remaining,
-                Task { index, retry: 0 },
-                "executor aborted: all workers died",
-            );
+    /// Appends freshly completed reports to the journal in seed order: the
+    /// cursor only advances over resolved seeds, so the journal's bytes are
+    /// identical no matter how the pool interleaved the runs.
+    fn flush_journal(&mut self) {
+        while let Some(Some(outcome)) = self.outcomes.get(self.cursor) {
+            if self.fresh[self.cursor] {
+                if let (Ok(report), Some(writer)) = (outcome, self.journal) {
+                    let seed = self.jobs[self.cursor].seed;
+                    if let Err(e) = writer.record(self.fingerprint, seed, report) {
+                        eprintln!("warning: could not journal seed {seed}: {e}");
+                    }
+                }
+            }
+            self.cursor += 1;
         }
     }
-    flush_journal(&mut cursor, outcomes, fresh, journal_writer, fingerprint, jobs);
 }
 
-/// Appends freshly completed reports to the journal in seed order: the
-/// cursor only advances over resolved seeds, so the journal's bytes are
-/// identical no matter how the pool interleaved the runs.
-fn flush_journal(
-    cursor: &mut usize,
-    outcomes: &[Option<Result<Report, RunFailure>>],
-    fresh: &[bool],
-    writer: Option<&JournalWriter>,
-    fingerprint: u64,
-    jobs: &[ScenarioConfig],
-) {
-    while *cursor < outcomes.len() {
-        let Some(outcome) = &outcomes[*cursor] else { break };
-        if fresh[*cursor] {
-            if let (Ok(report), Some(writer)) = (outcome, writer) {
-                if let Err(e) = writer.record(fingerprint, jobs[*cursor].seed, report) {
-                    eprintln!("warning: could not journal seed {}: {e}", jobs[*cursor].seed);
-                }
+#[cfg(test)]
+mod tests {
+    use dsr::DsrConfig;
+    use sim_core::SimDuration;
+
+    use super::*;
+    use crate::run_campaign;
+
+    /// A 5-node static chain, 10 simulated seconds.
+    fn chain(seed: u64) -> ScenarioConfig {
+        let mut cfg = ScenarioConfig::static_line(5, 200.0, 2.0, DsrConfig::base(), seed);
+        cfg.duration = SimDuration::from_secs(10.0);
+        cfg
+    }
+
+    #[test]
+    fn dead_worker_is_survived_and_its_seed_fails_as_worker_lost() {
+        // Chaos kills the claiming worker (outside the per-run isolation)
+        // the moment it picks up seed 3. The seed fails as WorkerLost at
+        // once and the surviving workers finish everything else.
+        let campaign = CampaignConfig {
+            jobs: 4,
+            chaos: ExecutorChaos { worker_panic_on_seed: Some(3) },
+            ..CampaignConfig::default()
+        };
+        let seeds = [1, 2, 3, 4, 5, 6, 7, 8];
+        let result = run_campaign(&chain(0), &seeds, &campaign);
+        assert_eq!(result.reports.len(), 7, "{}", result.failure_summary());
+        assert_eq!(result.failures.len(), 1);
+        let failure = &result.failures[0];
+        assert_eq!(failure.seed, 3);
+        match &failure.error {
+            RunError::WorkerLost { seed: 3, detail } => {
+                assert!(detail.contains("executor chaos"), "detail: {detail}");
             }
+            other => panic!("expected WorkerLost, got {other}"),
         }
-        *cursor += 1;
+
+        // The seven survivors match an undisturbed campaign.
+        let clean = run_campaign(&chain(0), &[1, 2, 4, 5, 6, 7, 8], &CampaignConfig::default());
+        assert_eq!(result.reports, clean.reports);
+    }
+
+    #[test]
+    fn losing_every_worker_still_terminates_with_partial_results() {
+        // One worker, killed on seed 2: seed 1 completes first, seed 2
+        // fails with its worker and seed 3 is never claimed. Both must
+        // fail as WorkerLost — the campaign must neither hang nor lose
+        // accounting.
+        let campaign = CampaignConfig {
+            jobs: 1,
+            chaos: ExecutorChaos { worker_panic_on_seed: Some(2) },
+            ..CampaignConfig::default()
+        };
+        let result = run_campaign(&chain(0), &[1, 2, 3], &campaign);
+        assert_eq!(result.reports.len(), 1);
+        assert_eq!(
+            result.reports[0],
+            run_campaign(&chain(0), &[1], &CampaignConfig::default()).reports[0]
+        );
+        assert_eq!(result.failures.len(), 2);
+        assert_eq!(result.failures[0].seed, 2);
+        assert_eq!(result.failures[1].seed, 3);
+        for failure in &result.failures {
+            assert!(
+                matches!(failure.error, RunError::WorkerLost { .. }),
+                "unexpected error: {}",
+                failure.error
+            );
+        }
     }
 }

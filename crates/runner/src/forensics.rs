@@ -712,11 +712,6 @@ fn push_error(kv: &mut KvBlock, error: &RunError) {
             kv.push("error.uid", uid);
             kv.push("error.detail", escape(detail));
         }
-        RunError::DeadlineExceeded { seed, at } => {
-            kv.push("error", "deadline_exceeded");
-            kv.push("error.seed", seed);
-            kv.push("error.at_ns", at.as_nanos());
-        }
         RunError::WorkerLost { seed, detail } => {
             kv.push("error", "worker_lost");
             kv.push("error.seed", seed);
@@ -745,7 +740,6 @@ fn parse_error(kv: &KvBlock) -> Result<RunError, ForensicError> {
             uid: kv.get_parsed("error.uid")?,
             detail: kv.get_string("error.detail")?,
         },
-        "deadline_exceeded" => RunError::DeadlineExceeded { seed, at: kv.get_time("error.at_ns")? },
         "worker_lost" => RunError::WorkerLost { seed, detail: kv.get_string("error.detail")? },
         other => {
             return Err(ForensicError::BadValue {
@@ -878,7 +872,7 @@ impl ForensicArtifact {
     /// worker, another process) can never interleave with or tear this
     /// artifact — the rename atomically replaces whole files only. An
     /// existing artifact for the same (label, fingerprint, seed) is
-    /// superseded (a retry's artifact replaces the first attempt's).
+    /// superseded (a resumed campaign's artifact replaces the earlier one).
     pub fn write_to(&self, dir: &Path) -> Result<PathBuf, ForensicError> {
         use std::sync::atomic::{AtomicU64, Ordering};
         static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -1067,8 +1061,7 @@ mod tests {
                 event_at: SimTime::from_secs(1.0),
             },
             RunError::ConservationViolation { seed: 5, uid: 77, detail: "uid 77 vanished".into() },
-            RunError::DeadlineExceeded { seed: 6, at: SimTime::from_secs(4.5) },
-            RunError::WorkerLost { seed: 7, detail: "worker 2 died: boom \\ bang".into() },
+            RunError::WorkerLost { seed: 6, detail: "worker 2 died: boom \\ bang".into() },
         ];
         let base = ScenarioConfig::static_line(3, 200.0, 2.0, DsrConfig::base(), 1);
         for error in errors {
@@ -1106,5 +1099,8 @@ mod tests {
         assert!(matches!(ForensicArtifact::parse(&truncated), Err(ForensicError::MissingKey(_))));
         let corrupt = good.render().replace("dsr.cache_capacity = ", "dsr.cache_capacity = x");
         assert!(matches!(ForensicArtifact::parse(&corrupt), Err(ForensicError::BadValue { .. })));
+        // An error kind the parser does not know.
+        let retired = good.render().replace("error = panicked", "error = deadline_exceeded");
+        assert!(matches!(ForensicArtifact::parse(&retired), Err(ForensicError::BadValue { .. })));
     }
 }

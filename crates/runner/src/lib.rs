@@ -32,11 +32,9 @@ pub mod trace;
 pub use audit::{AuditLevel, AuditSummary};
 pub use campaign::{
     replay_run, run_campaign, run_campaign_with, run_seeds, CampaignConfig, CampaignResult,
-    RetryBackoff, RunError, RunFailure, RunLimits,
+    RunError, RunFailure, RunLimits,
 };
 pub use config::{FaultEvent, FaultPlan, MobilitySpec, Region, ScenarioConfig, Zone};
-#[doc(hidden)]
-pub use executor::ExecutorChaos;
 pub use forensics::{config_fingerprint, ForensicArtifact, ForensicError};
 pub use journal::{Journal, JournalWriter};
 pub use proto::{AgentCommand, RoutingAgent};

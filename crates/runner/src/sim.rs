@@ -42,8 +42,7 @@
 //! for a given [`ScenarioConfig`] (seeded RNG streams, FIFO tie-breaking in
 //! the event queue, fixed iteration order).
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -54,7 +53,7 @@ use mobility::{LinkOracle, MobilityModel, Point, RandomWaypoint, StaticPositions
 use obs::{Profile, Sampler};
 use packet::{NetPacket, ProtocolEvent};
 use phy::{PendingArrival, ReceiverState, TxId, TxIdSource};
-use sim_core::{EventId, EventQueue, NodeId, RngFactory, SimDuration, SimRng, SimTime};
+use sim_core::{EventId, EventQueue, NodeId, RngFactory, SimDuration, SimRng, SimTime, U64HashSet};
 use traffic::{generate_flows, CbrFlow};
 
 use crate::audit::{AuditLevel, Auditor};
@@ -259,9 +258,6 @@ pub struct Simulator<A: RoutingAgent = DsrNode> {
     /// Trace sink, obs sampler, auditor, cache-decision stamper and
     /// heartbeat: all off by default, and inert when off.
     observers: Observers,
-    /// Supervisor cancellation token: when set and raised, the run stops
-    /// at the next event boundary with [`RunError::DeadlineExceeded`].
-    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl<A: RoutingAgent> std::fmt::Debug for Simulator<A> {
@@ -343,7 +339,6 @@ impl<A: RoutingAgent> Simulator<A> {
             limits: RunLimits::default(),
             faults: FaultState::new(n, cfg.faults.events.len(), factory.stream("fault", 0)),
             observers: Observers::default(),
-            cancel: None,
             cfg,
         }
     }
@@ -417,15 +412,6 @@ impl<A: RoutingAgent> Simulator<A> {
     /// (live campaign progress).
     pub fn set_heartbeat(&mut self, sink: HeartbeatSink) {
         self.observers.heartbeat = Some(sink);
-    }
-
-    /// Arms a cancellation token. The executor's supervisor raises it when
-    /// the run blows its per-seed deadline; [`Simulator::try_run`] honors
-    /// it between events, returning [`RunError::DeadlineExceeded`] — a
-    /// stuck single event cannot be preempted, same as the wall-clock
-    /// watchdog.
-    pub fn set_cancel(&mut self, token: Arc<AtomicBool>) {
-        self.cancel = Some(token);
     }
 
     /// Enables cache-decision tracing: every agent starts emitting
@@ -546,8 +532,7 @@ impl<A: RoutingAgent> Simulator<A> {
     /// Dispatches the event keyed `(at, seq)` — popped from the queue or
     /// taken from a front, which must make no difference — after the
     /// watchdog checks: simulated time never regresses, the event budget
-    /// of the current simulated second, the wall clock, the supervisor's
-    /// cancellation token.
+    /// of the current simulated second, the wall clock.
     #[inline]
     fn step(
         &mut self,
@@ -575,11 +560,6 @@ impl<A: RoutingAgent> Simulator<A> {
         if let Some(limit) = self.limits.wall_clock {
             if on_stride(popped - 1) && watch.wall_started.elapsed() >= limit {
                 return Err(RunError::WatchdogTimeout { seed, at });
-            }
-        }
-        if let Some(cancel) = &self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(RunError::DeadlineExceeded { seed, at });
             }
         }
         self.observers.sample_due(at, popped, &self.agents, &self.macs, &self.oracle);
@@ -647,7 +627,7 @@ impl<A: RoutingAgent> Simulator<A> {
             Ev::AgentSend { packet, .. } => Some(packet.uid()),
             _ => None,
         };
-        let mut in_flight: HashSet<u64> = cutoff.as_ref().and_then(uid).into_iter().collect();
+        let mut in_flight: U64HashSet<u64> = cutoff.as_ref().and_then(uid).into_iter().collect();
         while let Some((_, ev)) = self.queue.pop() {
             in_flight.extend(uid(&ev));
         }
@@ -925,7 +905,7 @@ impl<A: RoutingAgent> Simulator<A> {
                     self.count_fault_once(idx);
                     // Perpetual zero-progress self-rescheduling: simulated
                     // time never advances, so only the event budget (or the
-                    // executor's seed deadline) stops it.
+                    // wall-clock watchdog) stops it.
                     self.queue.schedule(self.now, Ev::FaultStart { idx });
                 }
             }

@@ -43,7 +43,6 @@ fn one_panicking_seed_does_not_take_down_the_campaign() {
         "unexpected failure: {}",
         failure.error
     );
-    assert!(!failure.retried, "panics are deterministic, not retried");
     assert!(result.mean().is_some());
 }
 
@@ -67,7 +66,6 @@ fn event_storm_trips_the_budget_watchdog_instead_of_hanging() {
         }
         other => panic!("expected EventBudgetExhausted, got {other}"),
     }
-    assert!(!result.failures[0].retried, "storms are deterministic, not retried");
 }
 
 #[test]
@@ -158,7 +156,7 @@ fn fault_free_runs_are_unchanged_by_the_fault_machinery() {
 }
 
 #[test]
-fn wall_clock_watchdog_is_classified_transient_and_retried() {
+fn wall_clock_watchdog_is_classified_transient_and_final() {
     let campaign = CampaignConfig {
         limits: RunLimits {
             wall_clock: Some(Duration::from_nanos(1)),
@@ -168,9 +166,10 @@ fn wall_clock_watchdog_is_classified_transient_and_retried() {
     };
     let result = run_campaign(&chain(0), &[4], &campaign);
     assert_eq!(result.failures.len(), 1);
-    assert!(matches!(result.failures[0].error, RunError::WatchdogTimeout { seed: 4, .. }));
-    assert!(result.failures[0].retried);
-    assert!(result.failure_summary().contains("after retry"));
+    let error = &result.failures[0].error;
+    assert!(matches!(error, RunError::WatchdogTimeout { seed: 4, .. }));
+    assert!(error.is_transient(), "a wall-clock failure depends on the machine");
+    assert_eq!(result.failure_summary(), error.to_string(), "one attempt, one line");
 }
 
 // ---------------------------------------------------------------------
@@ -300,7 +299,6 @@ fn journal_resume_skips_completed_seeds_and_matches_an_uninterrupted_run() {
     let strangled = CampaignConfig {
         journal: Some(journal.clone()),
         limits: RunLimits { wall_clock: Some(Duration::from_nanos(1)), ..RunLimits::default() },
-        retry_transient: false,
         ..CampaignConfig::default()
     };
     let resumed = run_campaign(&base, &[1, 2, 3], &strangled);
@@ -338,7 +336,6 @@ fn journal_entries_are_scoped_to_their_scenario() {
     let strangled = CampaignConfig {
         journal: Some(journal.clone()),
         limits: RunLimits { wall_clock: Some(Duration::from_nanos(1)), ..RunLimits::default() },
-        retry_transient: false,
         ..CampaignConfig::default()
     };
     let result = run_campaign(&other, &[1], &strangled);

@@ -1,15 +1,14 @@
-//! Acceptance tests for the supervised parallel campaign executor
-//! (ISSUE 6): byte-identical output at every job count, per-seed
-//! deadlines with cancellation, retry backoff, and graceful degradation
-//! when worker threads die.
+//! Acceptance tests for the parallel campaign executor: byte-identical
+//! output at every job count, the wall-clock watchdog's reach, and one
+//! artifact per failed seed. The worker-death tests need the executor's
+//! test-only fault hook and live in `executor.rs`.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dsr::DsrConfig;
 use runner::{
-    run_campaign, CampaignConfig, ExecutorChaos, FaultEvent, FaultPlan, RetryBackoff, RunError,
-    RunLimits, ScenarioConfig,
+    run_campaign, CampaignConfig, FaultEvent, FaultPlan, RunError, RunLimits, ScenarioConfig,
 };
 use sim_core::{SimDuration, SimTime};
 
@@ -91,20 +90,21 @@ fn parallel_campaigns_are_byte_identical_to_sequential() {
 }
 
 #[test]
-fn hung_seed_hits_the_deadline_is_retried_and_fails_cleanly() {
+fn hung_seed_hits_the_wall_clock_watchdog_and_fails_cleanly() {
     // Seed 2's event storm spins at one simulated instant with the event
-    // budget off — without the supervisor it would hang forever. The seed
-    // deadline must cancel it, the retry lane must re-attempt it (the
-    // storm is deterministic, so the retry hangs and is cancelled too),
-    // and the campaign must complete with partial results.
+    // budget off — without a watchdog it would hang forever. The in-loop
+    // wall-clock watchdog must stop it, the failure is final, and the
+    // campaign must complete with partial results.
     let mut base = chain(0);
     base.faults = FaultPlan {
         events: vec![FaultEvent::EventStorm { at: SimTime::from_secs(1.0), only_seed: Some(2) }],
     };
     let campaign = CampaignConfig {
         jobs: 2,
-        seed_deadline: Some(Duration::from_millis(250)),
-        limits: RunLimits { wall_clock: None, max_events_per_sim_second: None },
+        limits: RunLimits {
+            wall_clock: Some(Duration::from_millis(250)),
+            max_events_per_sim_second: None,
+        },
         ..CampaignConfig::default()
     };
     let result = run_campaign(&base, &[1, 2, 3], &campaign);
@@ -113,104 +113,14 @@ fn hung_seed_hits_the_deadline_is_retried_and_fails_cleanly() {
     let failure = &result.failures[0];
     assert_eq!(failure.seed, 2);
     assert!(
-        matches!(failure.error, RunError::DeadlineExceeded { seed: 2, .. }),
+        matches!(failure.error, RunError::WatchdogTimeout { seed: 2, .. }),
         "unexpected error: {}",
         failure.error
     );
-    assert!(failure.retried, "deadline overruns are transient and must be retried once");
 
-    // The surviving seeds' reports are unperturbed by the cancellation.
+    // The surviving seeds' reports are unperturbed by the watchdog.
     let clean = run_campaign(&chain(0), &[1, 3], &CampaignConfig::default());
     assert_eq!(result.reports, clean.reports);
-}
-
-#[test]
-fn dead_worker_is_survived_and_its_seed_fails_as_worker_lost() {
-    // Chaos kills the claiming worker (outside the per-run isolation) the
-    // moment it picks up seed 3. The supervisor redispatches the seed
-    // once; the second worker dies too, so the seed fails as WorkerLost
-    // and the surviving workers finish everything else.
-    let campaign = CampaignConfig {
-        jobs: 4,
-        chaos: ExecutorChaos { worker_panic_on_seed: Some(3) },
-        ..CampaignConfig::default()
-    };
-    let seeds = [1, 2, 3, 4, 5, 6, 7, 8];
-    let result = run_campaign(&chain(0), &seeds, &campaign);
-    assert_eq!(result.reports.len(), 7, "{}", result.failure_summary());
-    assert_eq!(result.failures.len(), 1);
-    let failure = &result.failures[0];
-    assert_eq!(failure.seed, 3);
-    match &failure.error {
-        RunError::WorkerLost { seed: 3, detail } => {
-            assert!(detail.contains("executor chaos"), "detail: {detail}");
-        }
-        other => panic!("expected WorkerLost, got {other}"),
-    }
-
-    // The seven survivors match an undisturbed campaign.
-    let clean = run_campaign(&chain(0), &[1, 2, 4, 5, 6, 7, 8], &CampaignConfig::default());
-    assert_eq!(result.reports, clean.reports);
-}
-
-#[test]
-fn losing_every_worker_still_terminates_with_partial_results() {
-    // One worker, killed on seed 2: seed 1 completes first; seed 2 cannot
-    // be redispatched (no workers left) and seed 3 is stranded in the
-    // queue. Both must fail as WorkerLost — the campaign must neither
-    // hang nor lose accounting.
-    let campaign = CampaignConfig {
-        jobs: 1,
-        chaos: ExecutorChaos { worker_panic_on_seed: Some(2) },
-        ..CampaignConfig::default()
-    };
-    let result = run_campaign(&chain(0), &[1, 2, 3], &campaign);
-    assert_eq!(result.reports.len(), 1);
-    assert_eq!(
-        result.reports[0],
-        run_campaign(&chain(0), &[1], &CampaignConfig::default()).reports[0]
-    );
-    assert_eq!(result.failures.len(), 2);
-    assert_eq!(result.failures[0].seed, 2);
-    assert_eq!(result.failures[1].seed, 3);
-    for failure in &result.failures {
-        assert!(
-            matches!(failure.error, RunError::WorkerLost { .. }),
-            "unexpected error: {}",
-            failure.error
-        );
-    }
-}
-
-#[test]
-fn transient_retries_honor_the_backoff_schedule() {
-    // A 1 ns wall-clock watchdog fails every attempt instantly, so the
-    // campaign's wall time is dominated by the backoff delays:
-    // 60 ms + 120 ms ≥ 180 ms across two retries.
-    let campaign = CampaignConfig {
-        jobs: 2,
-        retry_backoff: RetryBackoff {
-            max_retries: 2,
-            initial: Duration::from_millis(60),
-            cap: Duration::from_millis(500),
-        },
-        limits: RunLimits {
-            wall_clock: Some(Duration::from_nanos(1)),
-            max_events_per_sim_second: None,
-        },
-        ..CampaignConfig::default()
-    };
-    let started = Instant::now();
-    let result = run_campaign(&chain(0), &[4], &campaign);
-    let elapsed = started.elapsed();
-    assert!(result.reports.is_empty());
-    assert_eq!(result.failures.len(), 1);
-    assert!(matches!(result.failures[0].error, RunError::WatchdogTimeout { seed: 4, .. }));
-    assert!(result.failures[0].retried);
-    assert!(
-        elapsed >= Duration::from_millis(180),
-        "backoff delays must actually elapse (took {elapsed:?})"
-    );
 }
 
 #[test]

@@ -16,8 +16,7 @@ use std::path::{Path, PathBuf};
 const ALLOWED: &[(&str, &str)] = &[
     ("sim-core/src/hash.rs", "defines the fixed-hasher aliases U64HashMap / U64HashSet"),
     ("aodv/src/table.rs", "route table walked by invalidate_via and expire (ROADMAP item 1a)"),
-    ("runner/src/sim.rs", "agent timer maps and the cutoff's in-flight set (ROADMAP item 1a)"),
-    ("runner/src/audit.rs", "the conservation ledger (ROADMAP item 1a)"),
+    ("runner/src/sim.rs", "agent timer maps (ROADMAP item 1a)"),
     ("runner/src/journal.rs", "the supervisor's run journal, which no run reads"),
     ("runner/src/forensics.rs", "the KvBlock sections of a forensic artifact, which no run reads"),
     ("runner/src/cachestamp/reference.rs", "test oracle"),
