@@ -6,9 +6,7 @@
 //! the paper expects protocols "that use caching moderately" to benefit
 //! less dramatically from its techniques than DSR does.
 
-use std::collections::HashMap;
-
-use sim_core::{NodeId, SimDuration, SimTime};
+use sim_core::{NodeId, SimDuration, SimTime, U64HashMap};
 
 /// One forwarding entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +30,7 @@ pub struct RouteEntry {
 /// Per-node AODV routing table.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
-    entries: HashMap<NodeId, RouteEntry>,
+    entries: U64HashMap<NodeId, RouteEntry>,
 }
 
 impl RoutingTable {

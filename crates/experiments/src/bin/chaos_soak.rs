@@ -28,7 +28,7 @@
 use std::time::Duration;
 
 use dsr::DsrConfig;
-use experiments::{pct, run_point, variants, ExpArgs, ExpMode, Table};
+use experiments::{pct, run_point, variants, Agent, ExpArgs, ExpMode, Table};
 use mobility::Point;
 use runner::{AuditLevel, FaultPlan, MobilitySpec, Region, ScenarioConfig, Zone};
 use sim_core::{rng::uniform, NodeId, RngFactory, SimDuration, SimRng, SimTime};
@@ -202,7 +202,7 @@ fn main() {
         cfg.faults = chaos_plan(&mut rng, &cfg);
         let planned = cfg.faults.events.len();
         eprintln!("campaign {idx}: {} [{planned} faults, {rate_pps:.2} pkt/s]", cfg.dsr.label());
-        let r = run_point(&cfg, &args);
+        let r = run_point(&cfg, &Agent::Dsr, &args);
         failed_runs += r.runs_failed;
         table.row(vec![
             idx.to_string(),

@@ -1,22 +1,23 @@
 //! Shared plumbing for the experiment harnesses.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper. They share:
+//! `dsr-exp <name>` regenerates one table or figure of the paper, or one
+//! ablation, from the [`spec`] table; `chaos_soak` drives the same
+//! plumbing by hand. They share:
 //!
 //! - [`ExpArgs`] — typed command-line parsing (`--quick`/`--full`,
 //!   `--resume <journal>`, `--audit <level>`) with a usage message and a
 //!   nonzero exit on bad input instead of a panic;
 //! - [`ExpMode`] — `--quick` (time-compressed scenario, 2 seeds; the
 //!   default) vs `--full` (the paper's exact 500 s / 5 seed setup);
-//! - [`run_point`] — run one `(scenario, variant)` point across seeds as a
+//! - [`run_point`] — run one `(scenario, agent)` point across seeds as a
 //!   crash-isolated campaign and average the survivors, echoing progress
 //!   (and any per-seed failures) to stderr; failed runs leave repro
 //!   artifacts under `results/forensics/`;
-//! - [`Point`] — the mean report plus how many runs failed, so binaries
+//! - [`Point`] — the mean report plus how many runs failed, so experiments
 //!   emit partial CSVs instead of dying with the first bad seed;
 //! - [`Table`] — aligned stdout tables plus CSV files under `results/`.
 
-pub mod bench;
+pub mod spec;
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -25,14 +26,14 @@ use std::sync::Mutex;
 
 use std::time::Duration;
 
-use dsr::DsrConfig;
+use aodv::{AodvConfig, AodvNode};
+use dsr::{DsrConfig, DsrNode};
 use metrics::{Metrics, Report};
 use obs::{ObsConfig, ObsMode, Profile};
 use runner::{
-    run_campaign, run_campaign_with, AuditLevel, CampaignConfig, RoutingAgent, RunLimits,
-    ScenarioConfig,
+    run_campaign, run_campaign_with, AuditLevel, CampaignConfig, RunLimits, ScenarioConfig,
 };
-use sim_core::{NodeId, SimRng};
+use tcp::{TcpConfig, TcpHost};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +101,7 @@ impl ExpMode {
 /// A malformed experiment command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
-    /// An argument no experiment binary understands.
+    /// An argument no experiment understands.
     Unknown(String),
     /// A flag that takes a value appeared last.
     MissingValue(&'static str),
@@ -127,7 +128,7 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Parsed command line shared by every experiment binary.
+/// Parsed command line shared by every experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpArgs {
     /// Experiment scale (`--quick` default, `--full` for the paper's).
@@ -298,9 +299,8 @@ impl ExpArgs {
 
 /// Process-wide rollup of campaign profiles: every `run_point` campaign
 /// that ran with obs enabled merges its profile here, and `Table::finish`
-/// emits the total as `results/<name>.profile` plus
-/// `results/BENCH_<name>.json`. `None` until the first instrumented
-/// campaign completes.
+/// emits the total as `results/<name>.profile`. `None` until the first
+/// instrumented campaign completes.
 static PROFILE_ROLLUP: Mutex<Option<Profile>> = Mutex::new(None);
 
 fn record_profile(profile: &Profile) {
@@ -328,7 +328,7 @@ pub fn variants() -> Vec<DsrConfig> {
     ]
 }
 
-/// The seven-strategy cross-product the `ablation_matrix` binary sweeps:
+/// The seven-strategy cross-product the `ablation_matrix` spec sweeps:
 /// the paper's four cache-maintenance variants plus the three
 /// route-acquisition strategies (preemptive repair, non-optimal route
 /// suppression, k-link-disjoint multipath caching), each layered on base
@@ -375,49 +375,43 @@ impl Point {
     }
 }
 
-/// Runs one DSR configuration across the mode's seeds as a crash-isolated
-/// campaign and returns the mean over the seeds that survived, logging
-/// progress — and any failures — to stderr. Completed seeds are journaled
-/// when `--resume` is set; failed seeds leave repro artifacts under
-/// `results/forensics/`.
-pub fn run_point(base: &ScenarioConfig, args: &ExpArgs) -> Point {
-    let seeds = args.mode.seeds();
-    let started = std::time::Instant::now();
-    let result = run_campaign(base, &seeds, &args.campaign());
-    if let Some(profile) = &result.profile {
-        record_profile(profile);
-    }
-    if !result.all_ok() {
-        eprintln!(
-            "  [{}] WARNING: {}/{} runs failed: {}",
-            base.dsr.label(),
-            result.failures.len(),
-            seeds.len(),
-            result.failure_summary()
-        );
-    }
-    let point = Point::from_campaign(result, &base.dsr.label(), base.duration.as_secs());
-    log_point(&point, seeds.len(), started);
-    point
+/// Who routes at every node of a point's runs.
+#[derive(Debug)]
+pub enum Agent {
+    /// [`DsrNode`] with the scenario's `dsr` configuration.
+    Dsr,
+    /// [`AodvNode`] with this configuration.
+    Aodv(AodvConfig),
+    /// [`TcpHost`] (one 512-byte-segment connection per flow) over the
+    /// scenario's DSR, reported under this label.
+    TcpOverDsr(&'static str),
 }
 
-/// [`run_point`] over an arbitrary routing protocol (AODV, TCP-over-DSR,
-/// ...): same crash isolation and failure accounting, custom agent
-/// factory.
-pub fn run_point_with<A, F>(
-    base: &ScenarioConfig,
-    args: &ExpArgs,
-    label: impl Into<String>,
-    make_agent: F,
-) -> Point
-where
-    A: RoutingAgent,
-    F: Fn(NodeId, SimRng) -> A + Send + Sync,
-{
-    let label = label.into();
+/// Runs one scenario across the mode's seeds as a crash-isolated campaign
+/// and returns the mean over the seeds that survived, logging progress —
+/// and any failures — to stderr. Completed seeds are journaled when
+/// `--resume` is set; failed seeds leave repro artifacts under
+/// `results/forensics/`, replayable by `repro` for [`Agent::Dsr`] only.
+pub fn run_point(base: &ScenarioConfig, agent: &Agent, args: &ExpArgs) -> Point {
     let seeds = args.mode.seeds();
+    let campaign = args.campaign();
     let started = std::time::Instant::now();
-    let result = run_campaign_with(base, &seeds, &args.campaign(), &label, make_agent);
+    let (label, result) = match agent {
+        Agent::Dsr => (base.dsr.label(), run_campaign(base, &seeds, &campaign)),
+        Agent::Aodv(aodv) => {
+            let label = aodv.label();
+            let result = run_campaign_with(base, &seeds, &campaign, &label, |node, rng| {
+                AodvNode::new(node, aodv.clone(), rng)
+            });
+            (label, result)
+        }
+        Agent::TcpOverDsr(label) => {
+            let result = run_campaign_with(base, &seeds, &campaign, *label, |node, rng| {
+                TcpHost::new(DsrNode::new(node, base.dsr.clone(), rng), TcpConfig::default(), 512)
+            });
+            (label.to_string(), result)
+        }
+    };
     if let Some(profile) = &result.profile {
         record_profile(profile);
     }
@@ -514,9 +508,7 @@ impl Table {
         if let Some(profile) = profile_rollup() {
             let profile_path = PathBuf::from("results").join(format!("{}.profile", self.name));
             std::fs::write(&profile_path, profile.render())?;
-            let bench_path = PathBuf::from("results").join(format!("BENCH_{}.json", self.name));
-            std::fs::write(&bench_path, profile.to_bench_json(&self.name))?;
-            eprintln!("wrote {} and {}", profile_path.display(), bench_path.display());
+            eprintln!("wrote {}", profile_path.display());
         }
         Ok(path)
     }
@@ -648,7 +640,7 @@ mod tests {
         );
         assert_eq!(to_args(&["--obs"]), Err(ArgError::MissingValue("--obs")));
         assert_eq!(to_args(&["--timeseries-dir"]), Err(ArgError::MissingValue("--timeseries-dir")));
-        assert!(ExpArgs::usage("table3_cache").contains("--obs"));
+        assert!(ExpArgs::usage("dsr-exp").contains("--obs"));
     }
 
     #[test]
@@ -672,7 +664,7 @@ mod tests {
         assert!(campaign.obs.is_on());
         assert!(campaign.obs.cachetrace_dir.is_some());
 
-        assert!(ExpArgs::usage("table3_cache").contains("--cachetrace"));
+        assert!(ExpArgs::usage("dsr-exp").contains("--cachetrace"));
     }
 
     #[test]
@@ -696,7 +688,7 @@ mod tests {
         assert_eq!(off.campaign().limits.max_events_per_sim_second, None);
 
         for usage_flag in ["--jobs", "--seed-timeout", "--event-budget"] {
-            assert!(ExpArgs::usage("table3_cache").contains(usage_flag), "{usage_flag}");
+            assert!(ExpArgs::usage("dsr-exp").contains(usage_flag), "{usage_flag}");
         }
         // `--seed-timeout` is the only wall-clock flag.
         assert_eq!(to_args(&["--max-wall", "30"]), Err(ArgError::Unknown("--max-wall".into())));
@@ -732,7 +724,7 @@ mod tests {
             Err(ArgError::BadValue { flag: "--audit", value: "loud".into() })
         );
         assert!(format!("{}", to_args(&["--fast"]).unwrap_err()).contains("--fast"));
-        assert!(ExpArgs::usage("fig1_timeout").contains("--resume"));
+        assert!(ExpArgs::usage("dsr-exp").contains("--resume"));
     }
 
     #[test]

@@ -1,0 +1,544 @@
+//! The experiment table behind `dsr-exp <name>`.
+//!
+//! Every committed `results/<name>_<mode>.csv` except the chaos soak is one
+//! [`Spec`]: its rows (each an axis-cell prefix, a scenario and an agent)
+//! and the names of the [`COLUMNS`] that follow the axes. The paper's
+//! scenario — 100 nodes on 2200 × 600 m, 25 CBR flows — is swept along one
+//! axis at a time: timeout (Fig. 1), pause (Fig. 2), load (Fig. 4), and
+//! pause 0 (Table 3), plus ablations and extensions that fix the paper's
+//! pause 0 / 3 pkt/s point and vary one design choice.
+
+use aodv::AodvConfig;
+use dsr::{DsrConfig, ExpiryPolicy, WiderErrorRebroadcast};
+use runner::ScenarioConfig;
+use sim_core::SimDuration;
+use traffic::TrafficConfig;
+
+use crate::{f3, matrix_variants, pct, run_point, variants, Agent, ExpArgs, ExpMode, Point, Table};
+
+/// One committed experiment.
+#[derive(Debug)]
+pub struct Spec {
+    /// CSV stem and the `dsr-exp` argument.
+    pub name: &'static str,
+    /// The line printed above the table.
+    pub title: &'static str,
+    /// The paper's (or the ablation's) expected shape, printed below it.
+    pub shape: &'static str,
+    /// Headers of the per-row axis cells, which lead each CSV line.
+    pub axes: &'static [&'static str],
+    /// [`COLUMNS`] names of the measured cells after the axes.
+    pub columns: &'static [&'static str],
+    /// The rows at one scale, in CSV order.
+    pub rows: fn(ExpMode) -> Vec<Row>,
+}
+
+/// One CSV line before it is run.
+#[derive(Debug)]
+pub struct Row {
+    /// One cell per [`Spec::axes`] header.
+    pub axes: Vec<String>,
+    /// The scenario every seed runs.
+    pub scenario: ScenarioConfig,
+    /// Who routes.
+    pub agent: Agent,
+}
+
+impl Row {
+    fn dsr(axes: Vec<String>, scenario: ScenarioConfig) -> Row {
+        Row { axes, scenario, agent: Agent::Dsr }
+    }
+}
+
+/// A measured column: its committed header and how a [`Point`] renders it.
+#[derive(Debug)]
+pub struct Column {
+    /// The CSV header.
+    pub name: &'static str,
+    /// The cell.
+    pub cell: fn(&Point) -> String,
+}
+
+/// Every measured column a spec may name. Some headers are aliases of one
+/// metric under the name a committed CSV already carries:
+/// `segment_delivery` and `delivery_pct` (delivery fraction),
+/// `goodput_kbps` (throughput) and `invalid_cached_routes_pct`.
+pub static COLUMNS: &[Column] = &[
+    Column { name: "variant", cell: |p| p.label.clone() },
+    Column { name: "delivery_fraction", cell: |p| f3(p.delivery_fraction) },
+    Column { name: "segment_delivery", cell: |p| f3(p.delivery_fraction) },
+    Column { name: "delivery_pct", cell: |p| pct(100.0 * p.delivery_fraction) },
+    Column { name: "throughput_kbps", cell: |p| f3(p.throughput_kbps) },
+    Column { name: "goodput_kbps", cell: |p| f3(p.throughput_kbps) },
+    Column { name: "avg_delay_s", cell: |p| f3(p.avg_delay_s) },
+    Column { name: "normalized_overhead", cell: |p| f3(p.normalized_overhead) },
+    Column { name: "good_replies_pct", cell: |p| pct(p.good_reply_pct) },
+    Column { name: "invalid_cache_pct", cell: |p| pct(p.invalid_cache_pct) },
+    Column { name: "invalid_cached_routes_pct", cell: |p| pct(p.invalid_cache_pct) },
+    Column { name: "replies_received", cell: |p| p.replies_received.to_string() },
+    Column { name: "cache_hits", cell: |p| p.cache_hits.to_string() },
+    Column { name: "cache_stale_hits", cell: |p| p.cache_stale_hits.to_string() },
+    Column { name: "stale_route_sends", cell: |p| p.stale_route_sends.to_string() },
+    Column { name: "error_rebroadcasts", cell: |p| p.error_rebroadcasts.to_string() },
+    Column { name: "preemptive_repairs", cell: |p| p.preemptive_repairs.to_string() },
+    Column { name: "suppressed_inserts", cell: |p| p.suppressed_inserts.to_string() },
+    Column { name: "failovers", cell: |p| p.failovers.to_string() },
+    Column { name: "runs_failed", cell: |p| p.runs_failed.to_string() },
+    Column { name: "faults_injected", cell: |p| p.faults_injected.to_string() },
+    Column { name: "delay_p99_s", cell: |p| f3(p.delay_p99_s) },
+    Column { name: "delay_jitter_s", cell: |p| f3(p.delay_jitter_s) },
+];
+
+/// The columns every figure-style spec ends with.
+const CURVES: &[&str] = &[
+    "variant",
+    "delivery_fraction",
+    "avg_delay_s",
+    "normalized_overhead",
+    "runs_failed",
+    "faults_injected",
+    "delay_p99_s",
+    "delay_jitter_s",
+    "stale_route_sends",
+    "cache_stale_hits",
+];
+
+/// The paper's fixed point for everything but the swept axis: constant
+/// motion (pause 0) at 3 pkt/s per flow.
+fn paper_point(mode: ExpMode, dsr: DsrConfig) -> ScenarioConfig {
+    mode.scenario(0.0, 3.0, dsr)
+}
+
+/// Every experiment, in the order `dsr-exp` lists them.
+pub static SPECS: &[Spec] = &[
+    Spec {
+        name: "table3_cache",
+        title: "Table 3: cache-related metrics (pause 0 s)",
+        shape: "good replies (route replies whose route was fully up on arrival) and invalid \
+                cached routes (cache hits handing out a broken route) for each variant: base \
+                DSR worst on both columns; DSR-C best, with ~70% better reply quality than \
+                base DSR; ordering AE > WE > NC in between.",
+        axes: &[],
+        columns: &[
+            "variant",
+            "good_replies_pct",
+            "invalid_cached_routes_pct",
+            "replies_received",
+            "cache_hits",
+            "runs_failed",
+            "faults_injected",
+            "delay_p99_s",
+            "delay_jitter_s",
+            "stale_route_sends",
+            "cache_stale_hits",
+        ],
+        rows: |mode| {
+            variants().into_iter().map(|d| Row::dsr(vec![], paper_point(mode, d))).collect()
+        },
+    },
+    Spec {
+        name: "fig1_timeout",
+        title: "Fig 1: performance vs static timeout (pause 0 s, 3 pkt/s)",
+        shape: "a 1 s timeout is worse than no timeout at all; performance peaks near 10 s and \
+                degrades beyond; adaptive expiry tracks the best static value.",
+        axes: &["timeout_s"],
+        columns: CURVES,
+        rows: |mode| {
+            let mut rows = vec![
+                Row::dsr(vec!["none".into()], paper_point(mode, DsrConfig::base())),
+                Row::dsr(vec!["adaptive".into()], paper_point(mode, DsrConfig::adaptive_expiry())),
+            ];
+            for timeout_s in mode.timeout_sweep() {
+                let dsr = DsrConfig::static_expiry(SimDuration::from_secs(timeout_s));
+                rows.push(Row::dsr(vec![pct(timeout_s)], paper_point(mode, dsr)));
+            }
+            rows
+        },
+    },
+    Spec {
+        name: "fig2_mobility",
+        title: "Fig 2: performance vs pause time (3 pkt/s)",
+        shape: "base DSR worst on every metric except at high pause; DSR-C best overall (at \
+                pause 0 about +16% delivery, ~40% lower delay, ~22% lower overhead); single \
+                techniques in between, ordered adaptive expiry > wider error > negative \
+                caches; all variants converge as the network becomes static.",
+        axes: &["pause_s"],
+        columns: CURVES,
+        rows: |mode| {
+            let mut rows = Vec::new();
+            for pause_s in mode.pause_sweep() {
+                for dsr in variants() {
+                    rows.push(Row::dsr(
+                        vec![format!("{pause_s:.0}")],
+                        mode.scenario(pause_s, 3.0, dsr),
+                    ));
+                }
+            }
+            rows
+        },
+    },
+    Spec {
+        name: "fig4_load",
+        title: "Fig 4: performance vs offered load (pause 0 s)",
+        shape: "DSR-C dominates base DSR across the whole load range, the single techniques \
+                in between; negative caches matter more at high load, where in-flight packets \
+                re-insert stale routes; all variants saturate at high load.",
+        axes: &["rate_pps", "offered_load_kbps"],
+        columns: &[
+            "variant",
+            "throughput_kbps",
+            "avg_delay_s",
+            "normalized_overhead",
+            "runs_failed",
+            "faults_injected",
+            "delay_p99_s",
+            "delay_jitter_s",
+            "stale_route_sends",
+            "cache_stale_hits",
+        ],
+        rows: |mode| {
+            let mut rows = Vec::new();
+            for rate_pps in mode.rate_sweep() {
+                let load = TrafficConfig::paper(rate_pps).offered_load_kbps();
+                for dsr in variants() {
+                    rows.push(Row::dsr(
+                        vec![format!("{rate_pps}"), format!("{load:.0}")],
+                        mode.scenario(0.0, rate_pps, dsr),
+                    ));
+                }
+            }
+            rows
+        },
+    },
+    Spec {
+        name: "ablation_adaptive",
+        title: "Ablation: adaptive timeout (alpha sweep, quiet-term on/off)",
+        shape: "flat across alpha in [0.5, 2], which justifies the 1.25 default for the \
+                constant the paper's text garbles; dropping the time-since-last-break term of \
+                T = max(alpha * avg_lifetime, time_since_last_break) over-expires routes under \
+                bursty link failures.",
+        axes: &["config"],
+        columns: &[
+            "delivery_fraction",
+            "avg_delay_s",
+            "normalized_overhead",
+            "good_replies_pct",
+            "runs_failed",
+            "faults_injected",
+            "delay_p99_s",
+            "delay_jitter_s",
+            "stale_route_sends",
+            "cache_stale_hits",
+        ],
+        rows: |mode| {
+            let mut rows: Vec<Row> = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
+                .into_iter()
+                .map(|alpha| {
+                    let expiry = ExpiryPolicy::adaptive_with_alpha(alpha);
+                    let dsr = DsrConfig { expiry, ..DsrConfig::base() };
+                    Row::dsr(vec![format!("alpha={alpha}")], paper_point(mode, dsr))
+                })
+                .collect();
+            let expiry = match ExpiryPolicy::adaptive() {
+                ExpiryPolicy::Adaptive { alpha, min_timeout, recompute_period, .. } => {
+                    ExpiryPolicy::Adaptive {
+                        alpha,
+                        min_timeout,
+                        recompute_period,
+                        quiet_term: false,
+                    }
+                }
+                _ => unreachable!(),
+            };
+            let dsr = DsrConfig { expiry, ..DsrConfig::base() };
+            rows.push(Row::dsr(vec!["alpha=1.25, no quiet term".into()], paper_point(mode, dsr)));
+            rows
+        },
+    },
+    Spec {
+        name: "ablation_cache_org",
+        title: "Ablation: cache organization (path vs link)",
+        shape: "the link cache (Hu & Johnson) synthesizes more, and often staler, routes than \
+                the paper's path cache: more cache answers and lower reply quality for base \
+                DSR; the paper's correctness techniques recover much of the gap.",
+        axes: &[],
+        columns: &[
+            "variant",
+            "delivery_fraction",
+            "avg_delay_s",
+            "normalized_overhead",
+            "good_replies_pct",
+            "invalid_cache_pct",
+            "runs_failed",
+            "faults_injected",
+            "delay_p99_s",
+            "delay_jitter_s",
+            "stale_route_sends",
+            "cache_stale_hits",
+        ],
+        rows: |mode| {
+            [
+                DsrConfig::base(),
+                DsrConfig::base().with_link_cache(),
+                DsrConfig::combined(),
+                DsrConfig::combined().with_link_cache(),
+            ]
+            .into_iter()
+            .map(|dsr| Row::dsr(vec![], paper_point(mode, dsr)))
+            .collect()
+        },
+    },
+    Spec {
+        name: "ablation_wider_error",
+        title: "Ablation: wider-error re-broadcast predicate",
+        shape: "the paper gates re-broadcasts on \"cached the broken link and used such a \
+                route\"; re-broadcasting whenever the link was cached, or flooding, cleans \
+                more caches but pays for it in overhead, while the paper's gate gets most of \
+                the cleanup at a fraction of the broadcast cost.",
+        axes: &["predicate"],
+        columns: &[
+            "delivery_fraction",
+            "avg_delay_s",
+            "normalized_overhead",
+            "good_replies_pct",
+            "error_rebroadcasts",
+            "runs_failed",
+            "faults_injected",
+            "delay_p99_s",
+            "delay_jitter_s",
+            "stale_route_sends",
+            "cache_stale_hits",
+        ],
+        rows: |mode| {
+            [
+                ("cached+used (paper)", WiderErrorRebroadcast::CachedAndUsed),
+                ("cached only", WiderErrorRebroadcast::CachedOnly),
+                ("flood", WiderErrorRebroadcast::Flood),
+            ]
+            .into_iter()
+            .map(|(name, policy)| {
+                let dsr = DsrConfig { wider_error_rebroadcast: policy, ..DsrConfig::wider_error() };
+                Row::dsr(vec![name.into()], paper_point(mode, dsr))
+            })
+            .collect()
+        },
+    },
+    Spec {
+        name: "ablation_matrix",
+        title: "Ablation matrix: strategy cross-product (pause 0 s)",
+        shape: "each of the paper's three techniques and the three route-acquisition \
+                strategies (preemptive repair, non-optimal route suppression after Seet et \
+                al., k-link-disjoint multipath caching), layered alone on base DSR, improves \
+                on it; preemptive_repairs > 0 only on DSR-PR, suppressed_inserts > 0 only on \
+                DSR-SUP, failovers > 0 only on DSR-MP. Per-strategy cache decisions: \
+                cache_query --summary after a --cachetrace run.",
+        axes: &[],
+        columns: &[
+            "variant",
+            "delivery_pct",
+            "avg_delay_s",
+            "normalized_overhead",
+            "replies_received",
+            "cache_hits",
+            "cache_stale_hits",
+            "stale_route_sends",
+            "preemptive_repairs",
+            "suppressed_inserts",
+            "failovers",
+            "runs_failed",
+        ],
+        rows: |mode| {
+            matrix_variants().into_iter().map(|d| Row::dsr(vec![], paper_point(mode, d))).collect()
+        },
+    },
+    Spec {
+        name: "ext_aodv",
+        title: "Extension: DSR vs AODV across mobility",
+        shape: "the paper's future work carried to AODV (after Abu Salem et al.): AODV is \
+                competitive with DSR-C in delivery under constant motion, since sequence \
+                numbers and the active-route timeout are protocol-native freshness and \
+                expiry, at the price of more routing packets; disabling intermediate replies \
+                (AODV-noIR) costs latency and overhead.",
+        axes: &["pause_s"],
+        columns: CURVES,
+        rows: |mode| {
+            let mut rows = Vec::new();
+            for pause_s in mode.pause_sweep() {
+                let pause = vec![format!("{pause_s:.0}")];
+                for dsr in [DsrConfig::base(), DsrConfig::combined()] {
+                    rows.push(Row::dsr(pause.clone(), mode.scenario(pause_s, 3.0, dsr)));
+                }
+                for aodv in [
+                    AodvConfig::default(),
+                    AodvConfig { intermediate_replies: false, ..AodvConfig::default() },
+                ] {
+                    rows.push(Row {
+                        axes: pause.clone(),
+                        scenario: mode.scenario(pause_s, 3.0, DsrConfig::base()),
+                        agent: Agent::Aodv(aodv),
+                    });
+                }
+            }
+            rows
+        },
+    },
+    Spec {
+        name: "ext_tcp",
+        title: "Extension: single TCP connection over DSR variants (pause 0)",
+        shape: "Holland & Vaidya: stale routes hurt TCP, so disabling cache replies helps base \
+                DSR's goodput on one bulk transfer even though discovery gets slower; DSR-C \
+                makes cache replies safe again by keeping the caches clean.",
+        axes: &[],
+        columns: &[
+            "variant",
+            "goodput_kbps",
+            "segment_delivery",
+            "avg_delay_s",
+            "normalized_overhead",
+            "runs_failed",
+            "faults_injected",
+            "delay_p99_s",
+            "delay_jitter_s",
+            "stale_route_sends",
+            "cache_stale_hits",
+        ],
+        rows: |mode| {
+            [
+                ("DSR", DsrConfig::base()),
+                (
+                    "DSR (no cache replies)",
+                    DsrConfig { replies_from_cache: false, ..DsrConfig::base() },
+                ),
+                ("DSR-C", DsrConfig::combined()),
+            ]
+            .into_iter()
+            .map(|(label, dsr)| {
+                // One flow writing 20 segments/s (a bulk-transfer stand-in);
+                // TCP paces actual transmission below that offer.
+                let mut scenario = mode.scenario(0.0, 20.0, dsr);
+                scenario.traffic = TrafficConfig {
+                    num_flows: 1,
+                    rate_pps: 20.0,
+                    packet_bytes: 512,
+                    start_window: SimDuration::from_secs(1.0),
+                };
+                Row { axes: vec![], scenario, agent: Agent::TcpOverDsr(label) }
+            })
+            .collect()
+        },
+    },
+];
+
+/// The spec `name` picks, or a message naming what is missing and every
+/// name there is.
+pub fn find(name: Option<&str>) -> Result<&'static Spec, String> {
+    let names = SPECS.iter().map(|s| s.name).collect::<Vec<_>>().join(", ");
+    match name {
+        None => Err(format!("missing experiment name; one of: {names}")),
+        Some(name) => SPECS
+            .iter()
+            .find(|s| s.name == name)
+            .ok_or_else(|| format!("unknown experiment '{name}'; one of: {names}")),
+    }
+}
+
+/// The registered column `name`; every spec names registered ones only
+/// (`every_named_column_is_registered`).
+fn column(name: &str) -> &'static Column {
+    COLUMNS.iter().find(|c| c.name == name).unwrap_or_else(|| panic!("no column '{name}'"))
+}
+
+impl Spec {
+    /// The CSV header: the axes, then the columns.
+    pub fn header(&self) -> Vec<&'static str> {
+        self.axes.iter().chain(self.columns).copied().collect()
+    }
+
+    /// Runs every row at `args`' scale, prints the table and its expected
+    /// shape, and writes `results/<name>_<mode>.csv`.
+    pub fn run(&self, args: &ExpArgs) {
+        let mode = args.mode;
+        eprintln!("{} ({mode:?})", self.title);
+        let columns: Vec<&Column> = self.columns.iter().map(|name| column(name)).collect();
+        let mut table = Table::new(format!("{}_{}", self.name, mode.tag()), &self.header());
+        for row in (self.rows)(mode) {
+            let point = run_point(&row.scenario, &row.agent, args);
+            table.row(
+                row.axes.into_iter().chain(columns.iter().map(|c| (c.cell)(&point))).collect(),
+            );
+        }
+        println!("\n{}\n", self.title);
+        table.finish_or_exit();
+        println!("expected shape: {}", self.shape);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::Path;
+
+    use super::*;
+
+    /// `(stem, first line)` of every committed quick CSV but the chaos soak's.
+    fn committed_headers() -> Vec<(String, String)> {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut found: Vec<(String, String)> = std::fs::read_dir(&dir)
+            .expect("results/")
+            .filter_map(|e| {
+                let path = e.expect("entry").path();
+                let stem = path.file_name()?.to_str()?.strip_suffix("_quick.csv")?.to_string();
+                let text = std::fs::read_to_string(&path).expect("readable CSV");
+                Some((stem, text.lines().next().unwrap_or_default().to_string()))
+            })
+            .filter(|(stem, _)| stem != "chaos_soak")
+            .collect();
+        found.sort();
+        found
+    }
+
+    #[test]
+    fn specs_are_the_committed_csvs() {
+        let committed = committed_headers();
+        let mut names: Vec<&str> = SPECS.iter().map(|s| s.name).collect();
+        names.sort_unstable();
+        assert_eq!(names, committed.iter().map(|(stem, _)| stem.as_str()).collect::<Vec<_>>());
+        for (stem, header) in &committed {
+            let spec = find(Some(stem)).expect("named above");
+            assert_eq!(&spec.header().join(","), header, "{stem}");
+        }
+    }
+
+    #[test]
+    fn every_named_column_is_registered() {
+        for spec in SPECS {
+            for name in spec.columns {
+                assert!(COLUMNS.iter().any(|c| c.name == *name), "{}: {name}", spec.name);
+            }
+        }
+        for (i, c) in COLUMNS.iter().enumerate() {
+            assert!(COLUMNS[..i].iter().all(|d| d.name != c.name), "{} twice", c.name);
+        }
+    }
+
+    #[test]
+    fn rows_carry_one_cell_per_axis() {
+        for spec in SPECS {
+            for mode in [ExpMode::Quick, ExpMode::Full] {
+                let rows = (spec.rows)(mode);
+                assert!(!rows.is_empty(), "{}", spec.name);
+                assert!(rows.iter().all(|r| r.axes.len() == spec.axes.len()), "{}", spec.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_missing_or_unknown_name_lists_the_names() {
+        assert_eq!(find(Some("fig2_mobility")).map(|s| s.name), Ok("fig2_mobility"));
+        for bad in [None, Some("fig3"), Some("")] {
+            let msg = find(bad).expect_err("rejected");
+            assert!(msg.contains("table3_cache") && msg.contains("ext_tcp"), "{msg}");
+        }
+        assert!(find(None).unwrap_err().starts_with("missing"));
+        assert!(find(Some("fig3")).unwrap_err().contains("'fig3'"));
+    }
+}

@@ -10,7 +10,7 @@
 //!    in-flight discoveries) into one `dsr-timeseries v1` file per run.
 //! 2. **Event-loop profiler** ([`profile`]): events and wall time per event
 //!    kind plus drop-reason/trace-kind tallies, merged per campaign into a
-//!    `dsr-profile v1` summary and a `BENCH_*.json` baseline.
+//!    `dsr-profile v1` summary.
 //! 3. **Query engine** ([`query`]): filtering and uid-following over trace
 //!    and time-series files, surfaced by the `trace_query` binary.
 //!

@@ -34,7 +34,7 @@
 //! every dispatch. All three lists are sorted by name at render time so the
 //! summary is independent of merge order across campaign threads.
 
-use crate::text::{fmt_f64, json_escape, KvBlock, ObsError};
+use crate::text::{fmt_f64, KvBlock, ObsError};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -257,64 +257,6 @@ impl Profile {
     pub fn load(path: &Path) -> Result<Profile, ObsError> {
         Profile::parse(&std::fs::read_to_string(path)?)
     }
-
-    /// Renders the profile as a `BENCH_*.json` document (hand-rolled; the
-    /// workspace deliberately has no serde).
-    pub fn to_bench_json(&self, name: &str) -> String {
-        let tally_array = |tallies: &[Tally], with_wall: bool| -> String {
-            let items: Vec<String> = sorted(tallies.to_vec())
-                .iter()
-                .map(|t| {
-                    if with_wall {
-                        format!(
-                            "    {{\"name\": \"{}\", \"count\": {}, \"wall_ns\": {}}}",
-                            json_escape(&t.name),
-                            t.count,
-                            t.wall_ns
-                        )
-                    } else {
-                        format!(
-                            "    {{\"name\": \"{}\", \"count\": {}}}",
-                            json_escape(&t.name),
-                            t.count
-                        )
-                    }
-                })
-                .collect();
-            if items.is_empty() {
-                "[]".to_string()
-            } else {
-                format!("[\n{}\n  ]", items.join(",\n"))
-            }
-        };
-        format!(
-            "{{\n  \"schema\": \"{schema}\",\n  \"name\": \"{name}\",\n  \"runs\": {runs},\n  \
-             \"runs_failed\": {failed},\n  \"sim_seconds\": {sim},\n  \"wall_seconds\": {wall},\n  \
-             \"events\": {events},\n  \"dispatched\": {dispatched},\n  \
-             \"scheduled\": {scheduled},\n  \"cancelled\": {cancelled},\n  \
-             \"cancel_ratio\": {cancel_ratio},\n  \
-             \"postponed\": {postponed},\n  \"rekeyed\": {rekeyed},\n  \
-             \"events_per_wall_second\": {rate},\n  \"kinds\": {kinds},\n  \"drops\": {drops},\n  \
-             \"traces\": {traces}\n}}\n",
-            schema = FORMAT_HEADER,
-            name = json_escape(name),
-            runs = self.runs,
-            failed = self.runs_failed,
-            sim = fmt_f64(self.sim_seconds),
-            wall = fmt_f64(self.wall_seconds),
-            events = self.events,
-            dispatched = self.dispatched,
-            scheduled = self.scheduled,
-            cancelled = self.cancelled,
-            cancel_ratio = fmt_f64(self.cancel_ratio()),
-            postponed = self.postponed,
-            rekeyed = self.rekeyed,
-            rate = fmt_f64(self.events_per_wall_second()),
-            kinds = tally_array(&self.kinds, true),
-            drops = tally_array(&self.drops, false),
-            traces = tally_array(&self.traces, false),
-        )
-    }
 }
 
 /// Builds name-keyed tallies incrementally (used by the runner while the
@@ -390,8 +332,8 @@ mod tests {
         assert_eq!(parsed.kinds[0].name, "agent_timer");
         assert_eq!(parsed.kinds[0].wall_ns, 600_000);
         // Profiles written while a second arrival engine existed carry a
-        // `paired_runs` counter (the committed `results/*.profile` do);
-        // they must load to the same profile.
+        // `paired_runs` counter (`tests/legacy.profile` does); they must
+        // load to the same profile.
         let legacy = text.replace("cancelled = 104\n", "cancelled = 104\npaired_runs = 0\n");
         assert!(legacy.contains("paired_runs = 0"));
         assert_eq!(Profile::parse(&legacy).unwrap(), parsed);
@@ -450,25 +392,14 @@ mod tests {
 
     #[test]
     fn the_committed_profile_still_parses() {
-        let path =
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/table3_cache_quick.profile");
+        // A quick Table 3 campaign's profile, written before the profiler
+        // strided and while `paired_runs` was still a field.
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/legacy.profile");
         let text = std::fs::read_to_string(&path).expect("committed");
         let profile = Profile::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(profile.runs > 0 && !profile.kinds.is_empty());
-        // Committed before the profiler strided; a `--obs sample` rerun
-        // rewrites it with the line.
-        assert_eq!(profile.timing_stride == 1, !text.contains("timing_stride"));
-    }
-
-    #[test]
-    fn bench_json_is_well_formed_enough() {
-        let json = one_run().to_bench_json("table3_cache_quick");
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema\": \"dsr-profile v1\""));
-        assert!(json.contains("\"name\": \"table3_cache_quick\""));
-        assert!(json.contains("\"wall_ns\": 900000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(!text.contains("timing_stride"));
+        assert_eq!(profile.timing_stride, 1);
     }
 
     #[test]

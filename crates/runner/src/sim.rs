@@ -42,7 +42,6 @@
 //! for a given [`ScenarioConfig`] (seeded RNG streams, FIFO tie-breaking in
 //! the event queue, fixed iteration order).
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -53,7 +52,9 @@ use mobility::{LinkOracle, MobilityModel, Point, RandomWaypoint, StaticPositions
 use obs::{Profile, Sampler};
 use packet::{NetPacket, ProtocolEvent};
 use phy::{PendingArrival, ReceiverState, TxId, TxIdSource};
-use sim_core::{EventId, EventQueue, NodeId, RngFactory, SimDuration, SimRng, SimTime, U64HashSet};
+use sim_core::{
+    EventId, EventQueue, NodeId, RngFactory, SimDuration, SimRng, SimTime, U64HashMap, U64HashSet,
+};
 use traffic::{generate_flows, CbrFlow};
 
 use crate::audit::{AuditLevel, Auditor};
@@ -215,7 +216,7 @@ pub struct Simulator<A: RoutingAgent = DsrNode> {
     /// `MacTimer` has few kinds and timers are re-armed tens of millions
     /// of times per run (a per-node `HashMap` was measurable).
     mac_timers: Vec<[Option<EventId>; MacTimer::KINDS]>,
-    agent_timers: Vec<HashMap<A::Timer, EventId>>,
+    agent_timers: Vec<U64HashMap<A::Timer, EventId>>,
     tx_ids: TxIdSource,
     flows: Vec<CbrFlow>,
     /// Snapshot of the node positions, re-taken every `position_refresh`
@@ -321,7 +322,7 @@ impl<A: RoutingAgent> Simulator<A> {
             oracle,
             metrics: Metrics::new(),
             mac_timers: vec![[None; MacTimer::KINDS]; n],
-            agent_timers: (0..n).map(|_| HashMap::new()).collect(),
+            agent_timers: (0..n).map(|_| U64HashMap::default()).collect(),
             tx_ids: TxIdSource::new(),
             flows,
             positions,

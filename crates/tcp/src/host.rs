@@ -13,12 +13,10 @@
 //! distinguished by their [`TCP_ACK_BYTES`] payload size (valid here
 //! because the experiment's data segments are always larger).
 
-use std::collections::HashMap;
-
 use dsr::{DsrCommand, DsrNode, DsrTimer};
 use packet::Packet;
 use runner::{AgentCommand, RoutingAgent};
-use sim_core::{NodeId, SimTime};
+use sim_core::{NodeId, SimTime, U64HashMap};
 
 use crate::conn::{SenderAction, TcpConfig, TcpReceiver, TcpSender};
 
@@ -55,8 +53,8 @@ type Cmd = AgentCommand<Packet, HostTimer>;
 pub struct TcpHost {
     dsr: DsrNode,
     cfg: TcpConfig,
-    senders: HashMap<NodeId, TcpSender>,
-    receivers: HashMap<NodeId, TcpReceiver<SegMeta>>,
+    senders: U64HashMap<NodeId, TcpSender>,
+    receivers: U64HashMap<NodeId, TcpReceiver<SegMeta>>,
     segment_bytes: usize,
 }
 
@@ -79,7 +77,13 @@ impl TcpHost {
     /// encoding could not distinguish data from ACKs).
     pub fn new(dsr: DsrNode, cfg: TcpConfig, segment_bytes: usize) -> Self {
         assert!(segment_bytes > TCP_ACK_BYTES, "segments must be larger than ACKs");
-        TcpHost { dsr, cfg, senders: HashMap::new(), receivers: HashMap::new(), segment_bytes }
+        TcpHost {
+            dsr,
+            cfg,
+            senders: U64HashMap::default(),
+            receivers: U64HashMap::default(),
+            segment_bytes,
+        }
     }
 
     /// The sender state for `peer`, if a connection exists (tests).

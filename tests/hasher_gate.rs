@@ -15,13 +15,10 @@ use std::path::{Path, PathBuf};
 /// The files that may still name the standard hash containers, with why.
 const ALLOWED: &[(&str, &str)] = &[
     ("sim-core/src/hash.rs", "defines the fixed-hasher aliases U64HashMap / U64HashSet"),
-    ("aodv/src/table.rs", "route table walked by invalidate_via and expire (ROADMAP item 1a)"),
-    ("runner/src/sim.rs", "agent timer maps (ROADMAP item 1a)"),
     ("runner/src/journal.rs", "the supervisor's run journal, which no run reads"),
     ("runner/src/forensics.rs", "the KvBlock sections of a forensic artifact, which no run reads"),
     ("runner/src/cachestamp/reference.rs", "test oracle"),
     ("dsr/src/cache/link_cache.rs", "the link map and Dijkstra's scratch (ROADMAP item 4a)"),
-    ("tcp/src/host.rs", "per-peer TCP state (ROADMAP items 1a and 13c)"),
     ("packet/src/events.rs", "test module"),
 ];
 

@@ -3,16 +3,17 @@
 #
 #   cargo build --release && tools/csv_gate.sh
 #
-# Each CSV's binary runs twice, each time in a fresh process, at
-# `--quick --jobs 1` and at `--quick --jobs 2`, and both outputs must be
-# `cmp`-equal to the committed file. The committed file is restored after
-# every run. A mismatch keeps the fresh output as
-# `$CSV_GATE_OUT/<name>.jobs<n>.csv` (default /tmp/csv-gate) and fails the
-# gate once every binary has run. `BIN_DIR` (default target/release) points
-# at the binaries; run from the root of the checkout they were built from.
+# Each CSV's experiment (`dsr-exp <name>`, or the `chaos_soak` binary)
+# runs twice, each time in a fresh process, at `--quick --jobs 1` and at
+# `--quick --jobs 2`, and both outputs must be `cmp`-equal to the committed
+# file. The committed file is restored after every run. A mismatch keeps
+# the fresh output as `$CSV_GATE_OUT/<name>.jobs<n>.csv` (default
+# /tmp/csv-gate) and fails the gate once every experiment has run.
+# `BIN_DIR` (default target/release) points at the binaries; run from the
+# root of the checkout they were built from.
 set -uo pipefail
 
-# Binaries known not to reproduce across processes, with the reason.
+# Experiments known not to reproduce across processes, with the reason.
 declare -A ALLOWED=(
   [ablation_cache_org]="LinkCache::evict_lru ties on hash order (ROADMAP item 4a)"
 )
@@ -27,9 +28,14 @@ for csv in results/*_quick.csv; do
     echo "skip  $name: ${ALLOWED[$name]}"
     continue
   fi
+  if [[ "$name" == chaos_soak ]]; then
+    run=("$bin_dir/chaos_soak")
+  else
+    run=("$bin_dir/dsr-exp" "$name")
+  fi
   cp "$csv" "$out/$name.committed.csv"
   for jobs in 1 2; do
-    if ! "$bin_dir/$name" --quick --jobs "$jobs" >/dev/null 2>"$out/$name.jobs$jobs.err"; then
+    if ! "${run[@]}" --quick --jobs "$jobs" >/dev/null 2>"$out/$name.jobs$jobs.err"; then
       echo "FAIL  $name --jobs $jobs: exited nonzero (stderr in $out/$name.jobs$jobs.err)"
       status=1
     elif cmp -s "$out/$name.committed.csv" "$csv"; then
