@@ -324,4 +324,11 @@ mod tests {
             AgentCommand::Event { event: ProtocolEvent::DiscoveryStarted { .. } }
         )));
     }
+
+    /// Every agent call returns a vector of these, traced or not: a protocol
+    /// event that outgrew the largest packet would widen all of them.
+    #[test]
+    fn a_dsr_command_stays_as_wide_as_it_was() {
+        assert_eq!(std::mem::size_of::<AgentCommand<packet::Packet, dsr::DsrTimer>>(), 96);
+    }
 }
