@@ -15,24 +15,25 @@ pub mod path_cache;
 pub use link_cache::LinkCache;
 pub use path_cache::{PathCache, RemovedLink};
 
-use packet::{Link, Route};
+use packet::{InlineRoute, Link, Route};
 use sim_core::{NodeId, SimDuration, SimTime};
 
 /// A decision the cache made internally — state the agent cannot see from
 /// the outside (capacity evictions, expiry prunes). Collected only while
 /// the event log is enabled ([`RouteCache::set_event_log`]); the agent
-/// drains them into cache-decision trace events.
+/// drains them into cache-decision trace events. The route is copied by
+/// value, so logging one allocates nothing once the log has grown.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CacheEvent {
     /// Capacity pressure evicted this stored route.
     Evicted {
         /// The evicted route.
-        route: Route,
+        route: InlineRoute,
     },
     /// Timer-based expiry pruned this stored route (pre-prune path).
     Expired {
         /// The route as stored before the prune.
-        route: Route,
+        route: InlineRoute,
     },
 }
 
@@ -94,9 +95,17 @@ pub trait RouteCache: Send {
     /// implement it simply report no eviction/expiry rows.
     fn set_event_log(&mut self, _on: bool) {}
 
+    /// Hands every logged [`CacheEvent`] since the last drain to `each`, in
+    /// the order they happened (no-op while the log is disabled or
+    /// unimplemented). The agent turns them into trace commands this way, so
+    /// the log is the only buffer they pass through.
+    fn drain_events_with(&mut self, _each: &mut dyn FnMut(CacheEvent)) {}
+
     /// Moves every logged [`CacheEvent`] since the last drain into `into`
     /// (no-op while the log is disabled or unimplemented).
-    fn drain_events(&mut self, _into: &mut Vec<CacheEvent>) {}
+    fn drain_events(&mut self, into: &mut Vec<CacheEvent>) {
+        self.drain_events_with(&mut |event| into.push(event));
+    }
 
     /// Installs the timeout [`RouteCache::find`] applies at read time, so
     /// lookups between expiry sweeps never return just-expired state. The

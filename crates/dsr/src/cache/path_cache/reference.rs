@@ -14,11 +14,16 @@
 //! against their definitions and the slots against the arenas after every
 //! op.
 
-use packet::{Link, Route};
+use packet::{InlineRoute, Link, Route};
 use sim_core::{NodeId, SimDuration, SimRng, SimTime};
 
 use super::{sig_of, stale_cut, PathCache, PathEntry, RemovedLink};
-use crate::cache::CacheEvent;
+use crate::cache::{CacheEvent, RouteCache};
+
+/// A model path as a logged event carries it.
+fn inline(path: &Route) -> InlineRoute {
+    InlineRoute::from_slice(path.nodes())
+}
 
 /// One cached path of the model.
 #[derive(Debug, Clone)]
@@ -103,7 +108,7 @@ impl ReferenceCache {
                 self.entries.iter().enumerate().min_by_key(|(_, e)| e.last_used.iter().max())
             {
                 let entry = self.entries.swap_remove(idx);
-                self.log.push(CacheEvent::Evicted { route: entry.path });
+                self.log.push(CacheEvent::Evicted { route: inline(&entry.path) });
             }
         }
         self.entries.push(Entry::new(path, now));
@@ -126,7 +131,7 @@ impl ReferenceCache {
             }
             for &i in overlapping.iter().rev() {
                 let entry = self.entries.remove(i);
-                self.log.push(CacheEvent::Evicted { route: entry.path });
+                self.log.push(CacheEvent::Evicted { route: inline(&entry.path) });
             }
             return true;
         }
@@ -141,7 +146,7 @@ impl ReferenceCache {
             return false;
         }
         let entry = self.entries.remove(longest);
-        self.log.push(CacheEvent::Evicted { route: entry.path });
+        self.log.push(CacheEvent::Evicted { route: inline(&entry.path) });
         true
     }
 
@@ -240,7 +245,7 @@ impl ReferenceCache {
                 continue;
             }
             affected += 1;
-            self.log.push(CacheEvent::Expired { route: entry.path.clone() });
+            self.log.push(CacheEvent::Expired { route: inline(&entry.path) });
             if cut >= 2 {
                 let nodes = entry.path.nodes()[..cut].to_vec();
                 entry.cut_to(Route::new(nodes).expect("prefix of a loop-free route"));

@@ -105,7 +105,7 @@ fn full_discovery_and_delivery_cycle() {
     let cmds = a.on_receive(n(1), out_b[0].0.clone(), t(1.14));
     assert!(events(&cmds)
         .iter()
-        .any(|e| matches!(e, DsrEvent::ReplyAccepted { discovered } if *discovered == Some(route(&[0, 1, 2])))));
+        .any(|e| matches!(e, DsrEvent::ReplyAccepted { discovered: Some(discovered) } if discovered.nodes() == route(&[0, 1, 2]).nodes())));
     let out_a = sends(&cmds);
     assert_eq!(out_a.len(), 1);
     let (Packet::Data(data), hop) = (&out_a[0].0, out_a[0].1) else { panic!("expected DATA") };

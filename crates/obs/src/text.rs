@@ -185,23 +185,6 @@ impl KvBlock {
     }
 }
 
-/// Escapes a string for embedding inside a JSON string literal.
-pub fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,11 +244,5 @@ mod tests {
     #[test]
     fn sanitize_keeps_only_safe_chars() {
         assert_eq!(sanitize("DSR-WE quick/5"), "DSR-WE_quick_5");
-    }
-
-    #[test]
-    fn json_escape_handles_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -1,6 +1,7 @@
 //! Typed packet formats for the DSR/MANET simulator.
 //!
 //! - [`Route`] / [`Link`] — loop-free source routes and directed links;
+//!   [`InlineRoute`] — a route copied by value into an event;
 //! - [`Packet`] and its variants — the four DSR network-layer packet kinds
 //!   with byte-accurate wire sizes.
 //!
@@ -19,4 +20,4 @@ pub use events::{
     CacheDecision, CacheHitKind, CacheInsertProvenance, CacheRemovalCause, DropReason, NetPacket,
     ProtocolEvent, SuppressedAction,
 };
-pub use route::{InvalidRoute, Link, Route};
+pub use route::{InlineRoute, InvalidRoute, Link, Route};

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use mobility::LinkOracle;
 use obs::CacheRow;
-use packet::{CacheDecision, Route};
+use packet::{CacheDecision, InlineRoute};
 use sim_core::{NodeId, SimDuration, SimTime};
 
 #[cfg(test)]
@@ -84,12 +84,12 @@ impl LinkMemo {
         self.at[Self::slot(a, b)]
     }
 
-    /// The oracle's verdict on `route` at `t`; a valid route memoizes
-    /// "every link was up at `t`".
-    fn route_up(&mut self, oracle: &LinkOracle, route: &Route, t: SimTime) -> bool {
-        let valid = oracle.route_valid(route.nodes(), t);
+    /// The oracle's verdict on the route `nodes` at `t`; a valid route
+    /// memoizes "every link was up at `t`".
+    fn route_up(&mut self, oracle: &LinkOracle, nodes: &[NodeId], t: SimTime) -> bool {
+        let valid = oracle.route_valid(nodes, t);
         if valid {
-            for w in route.nodes().windows(2) {
+            for w in nodes.windows(2) {
                 self.note_up(w[0], w[1], t);
             }
         }
@@ -152,14 +152,14 @@ impl CacheStamper {
         }
         let memo = &mut self.last_up;
         let dash = || "-".to_string();
-        let path = |route: &Route| joined(route.nodes(), '-');
+        let path = |route: &InlineRoute| joined(route.nodes(), '-');
         let (op, kind, dst, route, valid, stale_ns) = match decision {
             CacheDecision::Insert { route, provenance, changed: _ } => (
                 "insert",
                 provenance.name().to_string(),
                 dash(),
                 path(&route),
-                Some(memo.route_up(oracle, &route, now)),
+                Some(memo.route_up(oracle, route.nodes(), now)),
                 None,
             ),
             CacheDecision::Lookup { dst, purpose, route } => (
@@ -167,7 +167,7 @@ impl CacheStamper {
                 purpose.name().to_string(),
                 joined(&[dst], '-'),
                 route.as_ref().map_or_else(dash, path),
-                route.as_ref().map(|r| memo.route_up(oracle, r, now)),
+                route.as_ref().map(|r| memo.route_up(oracle, r.nodes(), now)),
                 None,
             ),
             CacheDecision::RemoveLink { link, cause, contained: _ } => {
@@ -195,7 +195,7 @@ impl CacheStamper {
                 ("evict", dash(), dash(), path(&route), Some(valid), None)
             }
             CacheDecision::Refresh { route } => {
-                let valid = memo.route_up(oracle, &route, now);
+                let valid = memo.route_up(oracle, route.nodes(), now);
                 ("refresh", dash(), dash(), path(&route), Some(valid), None)
             }
             // The verdict answers the strategy's key question: how often
@@ -205,13 +205,13 @@ impl CacheStamper {
                 action.name().to_string(),
                 joined(&[route.destination()], '-'),
                 path(&route),
-                Some(memo.route_up(oracle, &route, now)),
+                Some(memo.route_up(oracle, route.nodes(), now)),
                 None,
             ),
             // `route` is the surviving alternate the cache failed over to;
             // the verdict says whether the failover saved a rediscovery.
             CacheDecision::Failover { dst, route } => {
-                let valid = memo.route_up(oracle, &route, now);
+                let valid = memo.route_up(oracle, route.nodes(), now);
                 ("failover", dash(), joined(&[dst], '-'), path(&route), Some(valid), None)
             }
         };
