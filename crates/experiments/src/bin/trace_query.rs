@@ -1,46 +1,71 @@
-//! **trace_query** — filter and summarize observability artifacts.
+//! **trace_query** — filter and summarize observability artifacts, and
+//! explain Table 3 from its cache traces.
 //!
-//! Reads any file the obs layer produces (raw ns-2-flavored trace lines,
-//! `dsr-forensics v1` repro artifacts, per-run `dsr-timeseries v1` files,
-//! `dsr-profile v1` summaries, `dsr-cachetrace v1` cache-decision
-//! traces) and answers questions about it: which
-//! events a node saw, what happened to one packet uid end to end, which
-//! samples fall in a time window.
+//! Given one file, it reads anything the obs layer produces (raw
+//! ns-2-flavored trace lines, `dsr-forensics` repro artifacts, per-run
+//! `dsr-timeseries v1` files, `dsr-profile v1` summaries,
+//! `dsr-cachetrace v1` cache-decision traces) and answers questions about
+//! it: which events a node saw, what happened to one packet uid end to
+//! end, which samples or cache decisions fall in a time window.
+//!
+//! Given a directory — or no path, which means `results/cachetrace/` — it
+//! folds every `*.cachetrace` file there (written by any experiment run
+//! with `--cachetrace`) into one [`CacheRollup`] per strategy label and
+//! prints the "why" table: where each cache's routes come from (insert
+//! provenance), how often lookups hand out already-broken routes
+//! (stale-hit fraction), how long broken links linger before a purge
+//! (staleness latency p50/p99), what finally removes them (route errors,
+//! wider error propagation, MAC-layer feedback, negative-cache vetoes,
+//! preemptive repair), and the strategy decisions themselves: non-optimal
+//! routes suppressed at insert/reply time and multipath failovers.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin trace_query -- <file|-> \
 //!     [--node N] [--uid N] [--kind K] [--from S] [--to S] \
 //!     [--follow UID] [--summary]
+//! cargo run --release -p experiments --bin trace_query -- [dir] \
+//!     [--label L] [--summary]
 //! ```
 //!
 //! `--kind` matches an op name (`send`, `recv`, `drop`, `break`,
 //! `discovery`), an op letter, a layer (`MAC`, `RTR`, `AGT`, `LL`), or a
 //! subject (`RREQ`, `NoRouteToSalvage`, ...). `--follow UID` prints one
 //! packet's lifecycle across MAC/RTR/AGT plus a one-line verdict. Pass
-//! `-` to read stdin.
+//! `-` to read stdin. Over a directory, `--label L` keeps only the
+//! strategy labelled `L`, and `--summary` prints one line per strategy
+//! instead of the table.
 //!
-//! Exit status: 0 when at least one line/row matched, 1 when nothing
-//! matched, 2 on malformed input or arguments.
+//! Exit status: 0 when at least one line/row/trace matched, 1 when
+//! nothing matched, 2 on malformed input or arguments.
 
 use std::io::Read as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use obs::{follow_uid, read_file, Filter, ObsFile, Profile, TimeSeries};
+use experiments::{pct, Table};
+use obs::{follow_uid, read_file, CacheRollup, CacheTrace, Filter, ObsFile, Profile, TimeSeries};
 
 const USAGE: &str = "usage: trace_query <file|-> [--node N] [--uid N] [--kind K] \
-                     [--from S] [--to S] [--follow UID] [--summary]";
+                     [--from S] [--to S] [--follow UID] [--summary]\n       \
+                     trace_query [dir] [--label L] [--summary]";
 
 struct Query {
     path: String,
     filter: Filter,
     follow: Option<u64>,
+    label: Option<String>,
     summary: bool,
 }
 
 fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Query, String> {
     let mut path: Option<String> = None;
-    let mut query =
-        Query { path: String::new(), filter: Filter::default(), follow: None, summary: false };
+    let mut query = Query {
+        path: String::new(),
+        filter: Filter::default(),
+        follow: None,
+        label: None,
+        summary: false,
+    };
     while let Some(arg) = args.next() {
         let mut value_of = |flag: &str| -> Result<String, String> {
             args.next().ok_or_else(|| format!("{flag} requires a value"))
@@ -67,13 +92,14 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Query, String> 
                 let v = value_of("--follow")?;
                 query.follow = Some(v.parse().map_err(|_| format!("invalid uid '{v}'"))?);
             }
+            "--label" => query.label = Some(value_of("--label")?),
             "--summary" => query.summary = true,
             other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
             other if path.is_none() => path = Some(other.to_string()),
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
-    query.path = path.ok_or("missing input file")?;
+    query.path = path.unwrap_or_else(|| "results/cachetrace".to_string());
     Ok(query)
 }
 
@@ -222,6 +248,119 @@ fn query_profile(query: &Query, profile: &Profile) -> usize {
     usize::try_from(profile.runs).unwrap_or(usize::MAX)
 }
 
+fn fmt_ms(ns: Option<u64>) -> String {
+    match ns {
+        Some(ns) => format!("{:.1}", ns as f64 / 1e6),
+        None => "-".to_string(),
+    }
+}
+
+/// Folds the directory's `*.cachetrace` files, in file-name order, into
+/// per-label rollups (label order = first appearance).
+fn load_rollups(dir: &Path, label: Option<&str>) -> Result<Vec<CacheRollup>, String> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read input: {e}"))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "cachetrace"))
+        .collect();
+    files.sort();
+    let mut out: Vec<CacheRollup> = Vec::new();
+    for file in &files {
+        let trace = CacheTrace::load(file)
+            .map_err(|e| format!("malformed trace {}: {e}", file.display()))?;
+        if label.is_some_and(|l| l != trace.label) {
+            continue;
+        }
+        match out.iter_mut().find(|r| r.label == trace.label) {
+            Some(rollup) => rollup.add(&trace),
+            None => {
+                let mut rollup = CacheRollup::new(&trace.label);
+                rollup.add(&trace);
+                out.push(rollup);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The "why" table's columns: header, and the cell one rollup gives it.
+type WhyColumn = (&'static str, fn(&CacheRollup) -> String);
+const WHY_COLUMNS: &[WhyColumn] = &[
+    ("variant", |r| r.label.clone()),
+    ("traces", |r| r.traces.to_string()),
+    ("ins_reply", |r| r.inserts_of("reply").to_string()),
+    ("ins_overheard", |r| r.inserts_of("overheard").to_string()),
+    ("ins_gratuitous", |r| r.inserts_of("gratuitous").to_string()),
+    ("ins_salvage", |r| r.inserts_of("salvage").to_string()),
+    ("hits", |r| r.hits().to_string()),
+    ("stale_hit_pct", |r| pct(r.stale_hit_fraction() * 100.0)),
+    ("stale_p50_ms", |r| fmt_ms(r.stale_latency_ns(0.5))),
+    ("stale_p99_ms", |r| fmt_ms(r.stale_latency_ns(0.99))),
+    ("misses", |r| r.misses.to_string()),
+    ("rm_rerr", |r| r.removals_of("rerr").to_string()),
+    ("rm_wider", |r| r.removals_of("wider").to_string()),
+    ("rm_mac", |r| r.removals_of("mac").to_string()),
+    ("rm_neg_veto", |r| r.removals_of("neg-veto").to_string()),
+    ("premature", |r| r.premature_purges.to_string()),
+    ("expires", |r| r.expires.to_string()),
+    ("evicts", |r| r.evicts.to_string()),
+    ("refreshes", |r| r.refreshes.to_string()),
+    ("sup_insert", |r| r.suppressions_of("insert").to_string()),
+    ("sup_reply", |r| r.suppressions_of("reply").to_string()),
+    ("failovers", |r| r.failovers.to_string()),
+    ("dropped", |r| r.dropped.to_string()),
+];
+
+fn render_rollups(rollups: &[CacheRollup], summary: bool) {
+    if summary {
+        for r in rollups {
+            println!(
+                "{}: {} trace(s), {} hits ({:.1}% stale), {} misses, stale p99 {} ms",
+                r.label,
+                r.traces,
+                r.hits(),
+                r.stale_hit_fraction() * 100.0,
+                r.misses,
+                fmt_ms(r.stale_latency_ns(0.99)),
+            );
+        }
+        return;
+    }
+    let headers: Vec<&str> = WHY_COLUMNS.iter().map(|(header, _)| *header).collect();
+    let mut table = Table::new("cache_why", &headers);
+    for r in rollups {
+        table.row(WHY_COLUMNS.iter().map(|(_, cell)| cell(r)).collect());
+    }
+    println!("{}", table.render());
+    if rollups.iter().any(|r| r.dropped > 0) {
+        println!(
+            "warning: some recorders hit their row cap; dropped counts above are undercounts."
+        );
+    }
+}
+
+/// The "why" table over a directory of cache traces.
+fn why(query: &Query) -> ExitCode {
+    if !query.filter.is_empty() || query.follow.is_some() {
+        eprintln!("trace_query: a directory takes only --label and --summary");
+        return ExitCode::from(2);
+    }
+    match load_rollups(Path::new(&query.path), query.label.as_deref()) {
+        Ok(rollups) if rollups.is_empty() => {
+            eprintln!("trace_query: no matching cache traces");
+            ExitCode::from(1)
+        }
+        Ok(rollups) => {
+            render_rollups(&rollups, query.summary);
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("trace_query: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let query = match parse_args(std::env::args().skip(1)) {
         Ok(query) => query,
@@ -231,6 +370,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if Path::new(&query.path).is_dir() {
+        return why(&query);
+    }
+    if query.label.is_some() {
+        eprintln!("trace_query: --label needs a directory of cache traces");
+        return ExitCode::from(2);
+    }
     let text = match read_input(&query.path) {
         Ok(text) => text,
         Err(e) => {
@@ -279,8 +425,8 @@ D 2.000000 _n3_ RTR NoRouteToSalvage uid 7
 
     #[test]
     fn args_reject_garbage() {
-        assert!(q(&[]).is_err(), "missing file");
         assert!(q(&["trace.txt", "--node"]).is_err(), "missing value");
+        assert!(q(&["--label"]).is_err(), "missing label");
         assert!(q(&["trace.txt", "--node", "x"]).is_err(), "bad number");
         assert!(q(&["trace.txt", "--verbose"]).is_err(), "unknown flag");
         assert!(q(&["a.txt", "b.txt"]).is_err(), "two files");
@@ -307,5 +453,77 @@ D 2.000000 _n3_ RTR NoRouteToSalvage uid 7
         let older = profile.render().replace("timing_stride = 64\n", "");
         let older = Profile::parse(&older).expect("parses");
         assert!(profile_summary(&older).ends_with(", 1 dispatch in 1 timed per kind"));
+    }
+
+    fn trace(label: &str, seed: u64) -> CacheTrace {
+        let row = |t_ns, op: &str, kind: &str, dst: &str, route: &str, stale_ns| obs::CacheRow {
+            t_ns,
+            node: 0,
+            op: op.into(),
+            kind: kind.into(),
+            dst: dst.into(),
+            route: route.into(),
+            valid: Some(op == "insert"),
+            stale_ns,
+        };
+        CacheTrace {
+            label: label.to_string(),
+            seed,
+            fingerprint: 0xABCD,
+            rows: vec![
+                row(1_000_000, "insert", "reply", "-", "0-1-2", None),
+                row(2_000_000, "lookup", "origination", "2", "0-1-2", None),
+                row(3_000_000, "remove", "mac", "-", "1>2", Some(2_500_000)),
+            ],
+            dropped: 0,
+        }
+    }
+
+    #[test]
+    fn args_default_to_the_results_dir() {
+        let d = q(&[]).expect("empty is fine");
+        assert_eq!(d.path, "results/cachetrace");
+        assert_eq!(d.label, None);
+        assert!(!d.summary);
+
+        let a = q(&["/tmp/ct", "--label", "DSR-C", "--summary"]).expect("flags");
+        assert_eq!(a.path, "/tmp/ct");
+        assert_eq!(a.label.as_deref(), Some("DSR-C"));
+        assert!(a.summary);
+    }
+
+    #[test]
+    fn rollups_group_by_label_and_filter() {
+        let dir = std::env::temp_dir().join(format!("trace_query_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        trace("DSR", 1).write_to(&dir).unwrap();
+        trace("DSR", 2).write_to(&dir).unwrap();
+        trace("DSR-C", 1).write_to(&dir).unwrap();
+        std::fs::write(dir.join("notes.txt"), "not a trace, and not read\n").unwrap();
+
+        let all = load_rollups(&dir, None).unwrap();
+        assert_eq!(all.len(), 2);
+        let dsr = all.iter().find(|r| r.label == "DSR").unwrap();
+        assert_eq!(dsr.traces, 2);
+        assert_eq!(dsr.hits_stale, 2);
+        assert_eq!(dsr.stale_latency_ns(0.99), Some(2_500_000));
+
+        let only = load_rollups(&dir, Some("DSR-C")).unwrap();
+        assert_eq!(only.len(), 1);
+        assert_eq!(only[0].traces, 1);
+
+        let none = load_rollups(&dir, Some("AODV")).unwrap();
+        assert!(none.is_empty(), "no match exits 1");
+
+        std::fs::write(dir.join("bad.cachetrace"), "not a trace\n").unwrap();
+        assert!(load_rollups(&dir, None).is_err(), "malformed exits 2");
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(load_rollups(&dir, None).is_err(), "a missing directory exits 2");
+    }
+
+    #[test]
+    fn fmt_ms_renders_dash_for_missing() {
+        assert_eq!(fmt_ms(None), "-");
+        assert_eq!(fmt_ms(Some(2_500_000)), "2.5");
     }
 }

@@ -331,7 +331,7 @@ pub static SPECS: &[Spec] = &[
                 al., k-link-disjoint multipath caching), layered alone on base DSR, improves \
                 on it; preemptive_repairs > 0 only on DSR-PR, suppressed_inserts > 0 only on \
                 DSR-SUP, failovers > 0 only on DSR-MP. Per-strategy cache decisions: \
-                cache_query --summary after a --cachetrace run.",
+                trace_query --summary after a --cachetrace run.",
         axes: &[],
         columns: &[
             "variant",

@@ -45,7 +45,7 @@
 //! executor makes independent of `--jobs`, so files are byte-identical at
 //! any worker count.
 
-use crate::text::{escape, sanitize, unescape, KvBlock, ObsError};
+use crate::text::{escape, sanitize, KvBlock, ObsError};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -184,10 +184,7 @@ impl CacheTrace {
             rows.push(CacheRow::parse(line_no, line)?);
             Ok(())
         })?;
-        let format = block.require("format")?;
-        if format != FORMAT_HEADER {
-            return Err(ObsError::BadHeader { expected: FORMAT_HEADER, found: format.to_string() });
-        }
+        block.require_format(&[FORMAT_HEADER])?;
         let declared: usize = block.require_parsed("rows")?;
         if declared != rows.len() {
             return Err(ObsError::BadValue {
@@ -196,7 +193,7 @@ impl CacheTrace {
             });
         }
         Ok(CacheTrace {
-            label: unescape(block.require("label")?),
+            label: block.get_string("label")?,
             seed: block.require_parsed("seed")?,
             fingerprint: block.require_hex("fingerprint")?,
             rows,

@@ -11,8 +11,10 @@
 //! 2. **Event-loop profiler** ([`profile`]): events and wall time per event
 //!    kind plus drop-reason/trace-kind tallies, merged per campaign into a
 //!    `dsr-profile v1` summary.
-//! 3. **Query engine** ([`query`]): filtering and uid-following over trace
-//!    and time-series files, surfaced by the `trace_query` binary.
+//! 3. **Query engine** ([`query`]): filtering and uid-following over raw
+//!    traces, forensic artifacts, time series, profiles and cache traces,
+//!    all on one codec ([`text`]), surfaced by the `trace_query` binary
+//!    (which also folds cache traces into [`CacheRollup`]s).
 //!
 //! Sampling happens inline in the runner's event loop at interval
 //! boundaries — no scheduled events, no RNG draws — so enabling it cannot

@@ -186,23 +186,10 @@ impl Profile {
 
     /// Parses a rendered profile.
     pub fn parse(text: &str) -> Result<Profile, ObsError> {
-        let block = KvBlock::parse_with_rows(text, |line_no, line| {
-            Err(ObsError::BadRow { line_no, line: line.to_string() })
-        })?;
-        let format = block.require("format")?;
-        if format != FORMAT_HEADER {
-            return Err(ObsError::BadHeader { expected: FORMAT_HEADER, found: format.to_string() });
-        }
-        let parse_tallies = |prefix: &'static str,
-                             with_wall: bool|
-         -> Result<Vec<Tally>, ObsError> {
-            let count: usize = block.require_parsed(match prefix {
-                "kind" => "kinds",
-                "drop" => "drops",
-                _ => "traces",
-            })?;
-            let mut out = Vec::with_capacity(count);
-            for raw in block.indexed(prefix, count)? {
+        let block = KvBlock::parse(text)?;
+        block.require_format(&[FORMAT_HEADER])?;
+        let parse_tallies = |prefix: &str, with_wall: bool| -> Result<Vec<Tally>, ObsError> {
+            let tally = |raw: &str| {
                 let bad = || ObsError::BadValue { key: prefix.to_string(), value: raw.to_string() };
                 let mut parts = raw.split_whitespace();
                 let name = parts.next().ok_or_else(bad)?.to_string();
@@ -215,9 +202,9 @@ impl Profile {
                 if parts.next().is_some() {
                     return Err(bad());
                 }
-                out.push(Tally { name, count, wall_ns });
-            }
-            Ok(out)
+                Ok(Tally { name, count, wall_ns })
+            };
+            block.indexed(&format!("{prefix}s"), prefix)?.into_iter().map(tally).collect()
         };
         let events: u64 = block.require_parsed("events")?;
         let scheduled: u64 = block.require_parsed("scheduled")?;

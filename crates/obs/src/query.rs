@@ -1,10 +1,12 @@
 //! Parsing, filtering, and summarizing of trace lines and observability
-//! files — the engine behind the `trace_query` binary.
+//! files — the engine behind the `trace_query` binary, which also folds a
+//! directory of cache traces into the per-strategy "why" table.
 //!
 //! Understands five inputs, detected from the first line:
 //!
 //! * raw ns-2-flavored trace lines (one [`TraceLine`] per line),
-//! * `dsr-forensics v1` artifacts (the escaped `trace.N` tail is extracted),
+//! * `dsr-forensics` artifacts, v1 or v2 (the escaped `trace.N` tail is
+//!   extracted),
 //! * `dsr-timeseries v1` files,
 //! * `dsr-profile v1` files,
 //! * `dsr-cachetrace v1` cache-decision traces.
@@ -188,7 +190,8 @@ pub fn read_file(text: &str) -> Result<ObsFile, ObsError> {
             return Ok(ObsFile::Trace(forensic_trace_tail(text)?));
         }
         return Err(ObsError::BadHeader {
-            expected: "a dsr-timeseries/dsr-profile/dsr-forensics header or raw trace lines",
+            expected: "a dsr-timeseries/dsr-profile/dsr-cachetrace/dsr-forensics header or raw \
+                       trace lines",
             found: format.to_string(),
         });
     }
@@ -209,21 +212,12 @@ pub fn read_file(text: &str) -> Result<ObsFile, ObsError> {
     Ok(ObsFile::Trace(lines))
 }
 
-/// Extracts and parses the escaped `trace.N` tail of a `dsr-forensics v1`
-/// artifact (the forensics format shares this crate's escaping rules).
+/// Extracts and parses the escaped `trace.N` tail of a `dsr-forensics`
+/// artifact (the forensics format is a [`KvBlock`] like the others).
 fn forensic_trace_tail(text: &str) -> Result<Vec<TraceLine>, ObsError> {
-    let block = KvBlock::parse_with_rows(text, |line_no, line| {
-        Err(ObsError::BadRow { line_no, line: line.to_string() })
-    })?;
-    let count: usize = block.require_parsed("trace.count")?;
-    let mut lines = Vec::with_capacity(count);
-    for raw in block.indexed("trace", count)? {
-        let line = unescape(raw);
-        if let Some(parsed) = parse_trace_line(&line) {
-            lines.push(parsed);
-        }
-    }
-    Ok(lines)
+    let block = KvBlock::parse(text)?;
+    let tail = block.indexed("trace.count", "trace")?;
+    Ok(tail.into_iter().filter_map(|raw| parse_trace_line(&unescape(raw))).collect())
 }
 
 #[cfg(test)]
@@ -325,6 +319,9 @@ q 2.600000 _n0_ RTR discovery(flood) for n1
     fn read_file_rejects_garbage() {
         assert!(read_file("definitely not a trace\nor anything else\n").is_err());
         assert!(read_file("format = dsr-mystery v1\n").is_err());
+        // A count no file could back is an error, not an allocation.
+        let huge = "format = dsr-forensics v2\ntrace.count = 1000000000000\n";
+        assert!(matches!(read_file(huge), Err(ObsError::BadValue { .. })));
     }
 
     #[test]

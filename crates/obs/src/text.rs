@@ -1,13 +1,29 @@
-//! Shared helpers for the hand-rolled `dsr-timeseries v1` / `dsr-profile v1`
-//! text formats.
+//! The one codec behind every artifact the workspace writes.
 //!
-//! The grammar mirrors `dsr-forensics v1` (see `runner::forensics`): a
-//! `format = <name> v<version>` first line, then `key = value` lines; the
-//! time-series format additionally carries bare data rows after the header.
-//! Keeping the escaping rules identical across all three formats means one
-//! query tool ([`crate::query`]) can read any of them.
+//! Five formats share it:
+//!
+//! * `dsr-forensics v2` repro artifacts (`runner::forensics`),
+//! * `dsr-timeseries v1` gauge files ([`crate::timeseries`]),
+//! * `dsr-profile v1` event-loop profiles ([`crate::profile`]),
+//! * `dsr-cachetrace v1` cache-decision traces ([`crate::cachetrace`]),
+//! * the campaign journal's `run` records (`runner::journal`), which carry
+//!   one [`escape`]d label and [`fmt_f64`]-style floats on a single line.
+//!
+//! The four file formats are a [`KvBlock`]: a `format = <name> v<version>`
+//! line, then `key = value` lines; the time series and the cache trace
+//! append bare data rows after the header. Blank lines and `#` comments are
+//! skipped. Free-form strings are [`escape`]d into one whitespace-free
+//! token, floats render through [`fmt_f64`] so they read back to the same
+//! bits, and file names derive from a run label through [`sanitize`]. One
+//! query tool ([`crate::query`]) therefore reads any of them.
+//!
+//! A count read from a file (`trace.count = N`, `faults = N`) never sizes
+//! an allocation: [`KvBlock::count`] rejects a count larger than the block
+//! has lines.
 
 use std::fmt;
+
+use sim_core::{SimDuration, SimTime};
 
 /// Escapes a value so it survives a line-oriented `key = value` format.
 ///
@@ -27,8 +43,9 @@ pub fn escape(value: &str) -> String {
     out
 }
 
-/// Reverses [`escape`]. Unknown escapes decode to the escaped character
-/// itself so truncated or hand-edited files degrade gracefully.
+/// Reverses [`escape`]. An unknown escape and a trailing backslash, which
+/// [`escape`] never writes, are kept literally, so a hand-edited value
+/// loses no byte.
 pub fn unescape(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     let mut chars = value.chars();
@@ -42,7 +59,10 @@ pub fn unescape(value: &str) -> String {
             Some('r') => out.push('\r'),
             Some('s') => out.push(' '),
             Some('\\') => out.push('\\'),
-            Some(other) => out.push(other),
+            Some(other) => {
+                out.push('\\');
+                out.push(other);
+            }
             None => out.push('\\'),
         }
     }
@@ -56,8 +76,8 @@ pub fn fmt_f64(v: f64) -> String {
     format!("{v:?}")
 }
 
-/// Reduces a run label to a filesystem-safe stem (matching the forensics
-/// artifact naming rule): anything outside `[A-Za-z0-9_-]` becomes `_`.
+/// Reduces a run label to a filesystem-safe file-name stem: anything
+/// outside `[A-Za-z0-9_-]` becomes `_`.
 pub fn sanitize(label: &str) -> String {
     label
         .chars()
@@ -65,16 +85,16 @@ pub fn sanitize(label: &str) -> String {
         .collect()
 }
 
-/// A malformed observability file.
+/// A malformed artifact.
 #[derive(Debug)]
 pub enum ObsError {
-    /// The first line did not announce the expected format/version.
+    /// The `format` line is absent or names another format/version.
     BadHeader { expected: &'static str, found: String },
-    /// A required header key was absent.
-    MissingKey(&'static str),
-    /// A header key held an unparsable value.
+    /// A required key was absent.
+    MissingKey(String),
+    /// A key held an unparsable value.
     BadValue { key: String, value: String },
-    /// A data row did not match the declared columns.
+    /// A line was neither `key = value` nor a well-formed data row.
     BadRow { line_no: usize, line: String },
     /// Underlying I/O failure.
     Io(std::io::Error),
@@ -98,7 +118,14 @@ impl fmt::Display for ObsError {
     }
 }
 
-impl std::error::Error for ObsError {}
+impl std::error::Error for ObsError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ObsError::Io(err) => Some(err),
+            _ => None,
+        }
+    }
+}
 
 impl From<std::io::Error> for ObsError {
     fn from(err: std::io::Error) -> Self {
@@ -106,7 +133,8 @@ impl From<std::io::Error> for ObsError {
     }
 }
 
-/// An ordered `key = value` header block with indexed lookup.
+/// An ordered `key = value` block with typed lookups. Lookups scan the
+/// block, and the first of two equal keys wins.
 #[derive(Debug, Default)]
 pub struct KvBlock {
     pairs: Vec<(String, String)>,
@@ -117,8 +145,13 @@ impl KvBlock {
         KvBlock::default()
     }
 
-    pub fn push(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.pairs.push((key.into(), value.into()));
+    pub fn push(&mut self, key: impl Into<String>, value: impl fmt::Display) {
+        self.pairs.push((key.into(), value.to_string()));
+    }
+
+    /// The pairs in insertion (or file) order.
+    pub fn pairs(&self) -> &[(String, String)] {
+        &self.pairs
     }
 
     pub fn render(&self) -> String {
@@ -132,7 +165,16 @@ impl KvBlock {
         out
     }
 
-    /// Parses `key = value` lines; blank lines and `#` comments are skipped,
+    /// Parses a block with no data rows: any line that is not `key =
+    /// value`, blank, or a `#` comment is an [`ObsError::BadRow`].
+    pub fn parse(text: &str) -> Result<Self, ObsError> {
+        KvBlock::parse_with_rows(text, |line_no, line| {
+            Err(ObsError::BadRow { line_no, line: line.to_string() })
+        })
+    }
+
+    /// Parses `key = value` lines (`key =` is an empty value); trailing
+    /// whitespace is dropped, blank lines and `#` comments are skipped,
     /// anything else is handed to `row` (for formats with trailing data
     /// rows). `row` receives the 1-based line number.
     pub fn parse_with_rows(
@@ -145,7 +187,7 @@ impl KvBlock {
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            match trimmed.split_once(" = ") {
+            match trimmed.split_once(" = ").or_else(|| Some((trimmed.strip_suffix(" =")?, ""))) {
                 Some((key, value)) => block.push(key.trim(), value),
                 None => row(idx + 1, trimmed)?,
             }
@@ -153,35 +195,73 @@ impl KvBlock {
         Ok(block)
     }
 
+    /// Checks the `format` line: `accepted[0]` is the current header, the
+    /// rest are older versions still read.
+    pub fn require_format(&self, accepted: &[&'static str]) -> Result<(), ObsError> {
+        let found = self.get("format").unwrap_or_default();
+        if accepted.contains(&found) {
+            Ok(())
+        } else {
+            Err(ObsError::BadHeader { expected: accepted[0], found: found.to_string() })
+        }
+    }
+
     pub fn get(&self, key: &str) -> Option<&str> {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
-    pub fn require(&self, key: &'static str) -> Result<&str, ObsError> {
-        self.get(key).ok_or(ObsError::MissingKey(key))
+    /// Whether `key` was written at all (optional blocks are written only
+    /// when enabled).
+    pub fn has(&self, key: &str) -> bool {
+        self.get(key).is_some()
     }
 
-    pub fn require_parsed<T: std::str::FromStr>(&self, key: &'static str) -> Result<T, ObsError> {
+    pub fn require(&self, key: &str) -> Result<&str, ObsError> {
+        self.get(key).ok_or_else(|| ObsError::MissingKey(key.to_string()))
+    }
+
+    pub fn require_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, ObsError> {
         let raw = self.require(key)?;
         raw.parse().map_err(|_| ObsError::BadValue { key: key.to_string(), value: raw.to_string() })
     }
 
     /// Fingerprint-style hex `u64` (rendered `{:016x}`).
-    pub fn require_hex(&self, key: &'static str) -> Result<u64, ObsError> {
+    pub fn require_hex(&self, key: &str) -> Result<u64, ObsError> {
         let raw = self.require(key)?;
         u64::from_str_radix(raw, 16)
             .map_err(|_| ObsError::BadValue { key: key.to_string(), value: raw.to_string() })
     }
 
-    /// Indexed series `prefix.0`, `prefix.1`, ... up to `count`.
-    pub fn indexed(&self, prefix: &str, count: usize) -> Result<Vec<&str>, ObsError> {
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            let key = format!("{prefix}.{i}");
-            let value = self.get(&key).ok_or(ObsError::MissingKey("indexed entry"))?;
-            out.push(value);
+    /// A simulated instant written as integer nanoseconds.
+    pub fn get_time(&self, key: &str) -> Result<SimTime, ObsError> {
+        Ok(SimTime::from_nanos(self.require_parsed(key)?))
+    }
+
+    /// A simulated span written as integer nanoseconds.
+    pub fn get_duration(&self, key: &str) -> Result<SimDuration, ObsError> {
+        Ok(SimDuration::from_nanos(self.require_parsed(key)?))
+    }
+
+    /// An [`escape`]d free-form string.
+    pub fn get_string(&self, key: &str) -> Result<String, ObsError> {
+        Ok(unescape(self.require(key)?))
+    }
+
+    /// How many entries the file says follow. A count larger than the
+    /// block has lines cannot be met, so it is an error rather than an
+    /// allocation.
+    pub fn count(&self, key: &str) -> Result<usize, ObsError> {
+        let count: usize = self.require_parsed(key)?;
+        if count > self.pairs.len() {
+            return Err(ObsError::BadValue { key: key.to_string(), value: count.to_string() });
         }
-        Ok(out)
+        Ok(count)
+    }
+
+    /// The series `prefix.0`, `prefix.1`, ... whose length `count_key`
+    /// declares.
+    pub fn indexed(&self, count_key: &str, prefix: &str) -> Result<Vec<&str>, ObsError> {
+        (0..self.count(count_key)?).map(|i| self.require(&format!("{prefix}.{i}"))).collect()
     }
 }
 
@@ -191,7 +271,8 @@ mod tests {
 
     #[test]
     fn escape_round_trips() {
-        let cases = ["", "plain", "with space", "line\nbreak", "back\\slash", "\r\n \\s"];
+        let cases =
+            ["", "plain", "with space", "line\nbreak", "back\\slash", "\r\n \\s", "\\", "a\\n b"];
         for case in cases {
             assert_eq!(unescape(&escape(case)), case, "case {case:?}");
         }
@@ -204,6 +285,12 @@ mod tests {
     }
 
     #[test]
+    fn unknown_escapes_are_kept_literally() {
+        assert_eq!(unescape("C:\\dir\\x"), "C:\\dir\\x");
+        assert_eq!(unescape("trailing\\"), "trailing\\");
+    }
+
+    #[test]
     fn fmt_f64_round_trips_bits() {
         for v in [0.0, 1.0, 0.1, 123.456, 1e-9, f64::MAX] {
             assert_eq!(fmt_f64(v).parse::<f64>().unwrap().to_bits(), v.to_bits());
@@ -213,13 +300,16 @@ mod tests {
     #[test]
     fn kv_block_renders_and_parses() {
         let mut block = KvBlock::new();
-        block.push("alpha", "1");
+        block.push("alpha", 1);
         block.push("beta", "two words");
+        block.push("empty", escape(""));
         let text = block.render();
-        let parsed = KvBlock::parse_with_rows(&text, |_, _| unreachable!("no rows")).unwrap();
+        let parsed = KvBlock::parse(&text).unwrap();
         assert_eq!(parsed.get("alpha"), Some("1"));
         assert_eq!(parsed.get("beta"), Some("two words"));
+        assert_eq!(parsed.get_string("empty").unwrap(), "");
         assert_eq!(parsed.require_parsed::<u64>("alpha").unwrap(), 1);
+        assert_eq!(parsed.pairs(), block.pairs());
     }
 
     #[test]
@@ -233,12 +323,36 @@ mod tests {
         .unwrap();
         assert_eq!(block.get("format"), Some("x v1"));
         assert_eq!(rows, vec![(2, "1 2 3".to_string()), (3, "4 5 6".to_string())]);
+        assert!(matches!(KvBlock::parse(text), Err(ObsError::BadRow { line_no: 2, .. })));
     }
 
     #[test]
     fn missing_key_is_an_error() {
         let block = KvBlock::new();
-        assert!(matches!(block.require("absent"), Err(ObsError::MissingKey("absent"))));
+        assert!(matches!(block.require("absent"), Err(ObsError::MissingKey(k)) if k == "absent"));
+        assert!(matches!(
+            block.require_format(&["x v2", "x v1"]),
+            Err(ObsError::BadHeader { expected: "x v2", .. })
+        ));
+    }
+
+    #[test]
+    fn indexed_names_the_missing_key() {
+        let block = KvBlock::parse("n = 3\nitem.0 = a\nitem.2 = c\n").unwrap();
+        assert!(
+            matches!(block.indexed("n", "item"), Err(ObsError::MissingKey(k)) if k == "item.1")
+        );
+    }
+
+    #[test]
+    fn counts_beyond_the_block_are_errors_not_allocations() {
+        for count in ["1000000000000", "18446744073709551615"] {
+            let block = KvBlock::parse(&format!("n = {count}\nitem.0 = a\n")).unwrap();
+            assert!(matches!(block.count("n"), Err(ObsError::BadValue { .. })));
+            assert!(matches!(block.indexed("n", "item"), Err(ObsError::BadValue { .. })));
+        }
+        let block = KvBlock::parse("n = 1\nitem.0 = a\n").unwrap();
+        assert_eq!(block.indexed("n", "item").unwrap(), ["a"]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `dsr-timeseries v1` per-run gauge file and the sampler that fills it.
 //!
 //! One file is written per (scenario, seed) run when sampling is enabled.
-//! The header is `key = value` lines (same grammar as `dsr-forensics v1`),
+//! The header is `key = value` lines (the [`crate::text`] grammar),
 //! followed by one space-separated data row per sample boundary:
 //!
 //! ```text
@@ -23,7 +23,7 @@
 //! time that triggered the sample, so files from identical (config, seed)
 //! pairs are byte-identical.
 
-use crate::text::{escape, sanitize, unescape, KvBlock, ObsError};
+use crate::text::{escape, sanitize, KvBlock, ObsError};
 use sim_core::{SimDuration, SimTime};
 use std::path::{Path, PathBuf};
 
@@ -152,10 +152,7 @@ impl TimeSeries {
             rows.push(SampleRow::parse(line_no, line)?);
             Ok(())
         })?;
-        let format = block.require("format")?;
-        if format != FORMAT_HEADER {
-            return Err(ObsError::BadHeader { expected: FORMAT_HEADER, found: format.to_string() });
-        }
+        block.require_format(&[FORMAT_HEADER])?;
         let declared: usize = block.require_parsed("rows")?;
         if declared != rows.len() {
             return Err(ObsError::BadValue {
@@ -164,7 +161,7 @@ impl TimeSeries {
             });
         }
         Ok(TimeSeries {
-            label: unescape(block.require("label")?),
+            label: block.get_string("label")?,
             seed: block.require_parsed("seed")?,
             fingerprint: block.require_hex("fingerprint")?,
             interval_ns: block.require_parsed("interval_ns")?,

@@ -36,6 +36,7 @@ use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
 use metrics::Report;
+use obs::text::{escape, unescape};
 
 use crate::forensics::fnv1a;
 
@@ -54,18 +55,18 @@ impl Journal {
     /// malformed or truncated lines (e.g. from a kill mid-write) are
     /// skipped rather than failing the resume.
     pub fn load(path: &Path) -> std::io::Result<Journal> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
-        let mut runs = HashMap::new();
-        for line in text.lines() {
-            if let Some((key, report)) = parse_record(line) {
-                runs.insert(key, report);
-            }
+        // A flipped byte may leave a line that is not UTF-8; it fails its
+        // checksum like any other damage instead of failing the load.
+        match std::fs::read(path) {
+            Ok(bytes) => Ok(Journal::parse(&String::from_utf8_lossy(&bytes))),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Journal::default()),
+            Err(e) => Err(e),
         }
-        Ok(Journal { runs })
+    }
+
+    /// Reads journal text: every valid record, skipping any other line.
+    pub fn parse(text: &str) -> Journal {
+        Journal { runs: text.lines().filter_map(parse_record).collect() }
     }
 
     /// The journaled report for `(fingerprint, seed)`, if that run
@@ -197,8 +198,7 @@ macro_rules! report_numeric_fields {
 }
 
 fn render_record(fingerprint: u64, seed: u64, report: &Report) -> String {
-    let mut payload =
-        format!("{fingerprint:016x} {seed} {}", crate::forensics::escape(&report.label));
+    let mut payload = format!("{fingerprint:016x} {seed} {}", escape(&report.label));
     macro_rules! push_fields {
         ($($field:ident : $ty:ident),*) => {
             $(write!(payload, " {:?}", report.$field).expect("write to String");)*
@@ -222,7 +222,7 @@ fn parse_record(line: &str) -> Option<((u64, u64), Report)> {
     let mut tokens = payload.split_whitespace();
     let fingerprint = u64::from_str_radix(tokens.next()?, 16).ok()?;
     let seed: u64 = tokens.next()?.parse().ok()?;
-    let label = crate::forensics::unescape(tokens.next()?);
+    let label = unescape(tokens.next()?);
     macro_rules! parse_fields {
         ($($field:ident : $ty:ident),*) => {
             Report {
@@ -341,6 +341,19 @@ mod tests {
         std::fs::write(&path, format!("{good}{partial}")).expect("write");
         let journal = Journal::load(&path).expect("load");
         assert_eq!(journal.len(), 1, "the torn record must not load");
+        assert_eq!(journal.get(1, 10), Some(&sample_report(10)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_skipped() {
+        let path = temp_path("utf8");
+        let good = render_record(1, 10, &sample_report(10));
+        let mut bytes = good.clone().into_bytes();
+        bytes[good.len() / 2] = 0xff;
+        bytes.extend_from_slice(good.as_bytes());
+        std::fs::write(&path, bytes).expect("write");
+        let journal = Journal::load(&path).expect("a damaged line does not fail the load");
         assert_eq!(journal.get(1, 10), Some(&sample_report(10)));
         let _ = std::fs::remove_file(&path);
     }

@@ -35,8 +35,9 @@ pub use campaign::{
     RunError, RunFailure, RunLimits,
 };
 pub use config::{FaultEvent, FaultPlan, MobilitySpec, Region, ScenarioConfig, Zone};
-pub use forensics::{config_fingerprint, ForensicArtifact, ForensicError};
+pub use forensics::{config_fingerprint, ForensicArtifact};
 pub use journal::{Journal, JournalWriter};
+pub use obs::ObsError;
 pub use proto::{AgentCommand, RoutingAgent};
 pub use sim::{run_scenario, run_scenario_with, CacheTraceBuf, HeartbeatSink, ObsSink, Simulator};
 pub use trace::{TraceEvent, TraceKind, TraceSink};

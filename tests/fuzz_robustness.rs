@@ -1,10 +1,12 @@
 //! Robustness fuzzing: random input sequences must never panic the MAC
-//! state machine, and random small scenarios must keep the simulator's
-//! accounting invariants intact. Seeded cases on `sim_core::testkit::cases`;
+//! state machine, random small scenarios must keep the simulator's
+//! accounting invariants intact, and malformed artifacts must never panic
+//! their parsers. Seeded cases on `sim_core::testkit::cases`;
 //! a failure names the case (and, for the MAC fuzzer, the step) to replay.
 
 use dsr_caching::mac::{Dcf, FrameKind, MacCommand, MacConfig, MacFrame, MacTimer, Priority};
 use dsr_caching::mobility::Point;
+use dsr_caching::obs::{read_file, CacheRow, CacheTrace, Profile, SampleRow, Tally, TimeSeries};
 use dsr_caching::prelude::*;
 use dsr_caching::sim_core::rng::uniform;
 use dsr_caching::sim_core::testkit::{cases, Step};
@@ -358,4 +360,184 @@ fn parallel_campaigns_match_sequential_under_random_faults() {
         assert_eq!(parallel, sequential, "jobs must not change the CampaignResult");
         assert_eq!(par_journal, seq_journal, "jobs must not change the journal bytes");
     });
+}
+
+/// Tokens a corrupted value may turn into: junk, signs, floats the
+/// parsers must refuse or survive, and integers far past any count a file
+/// could back.
+const TOKENS: [&str; 14] = [
+    "",
+    "x",
+    "-1",
+    "0",
+    "65535",
+    "NaN",
+    "-inf",
+    "1e309",
+    "1000000000000",
+    "18446744073709551615",
+    "18446744073709551616",
+    "\\",
+    "true",
+    "a = b",
+];
+
+/// A valid rendering of each artifact format, drawn from one case.
+fn renderings(rng: &mut SimRng, journal: &str) -> Vec<(&'static str, String)> {
+    let mut cfg = chain(rng);
+    if rng.random_bool(0.5) {
+        cfg = ScenarioConfig::tiny(0.0, 2.0, cfg.dsr, cfg.seed);
+    }
+    cfg.faults = FaultPlan { events: faults(rng, 1..6) };
+    let seed = cfg.seed;
+    let artifact = ForensicArtifact {
+        label: cfg.dsr.label(),
+        replayable: true,
+        config: cfg,
+        error: RunError::ConservationViolation { seed, uid: 7, detail: "uid 7 vanished".into() },
+        trace: vec!["s 1.000000 _n0_ MAC RTS 20B -> n1".into(), "D 2.0 _n1_ RTR X uid 7".into()],
+    };
+    let draw = |rng: &mut SimRng| rng.random_range(0..1_000u64);
+    let series = TimeSeries {
+        label: "DSR-C".into(),
+        seed,
+        fingerprint: rng.random_range(0..u64::MAX),
+        interval_ns: 5_000_000_000,
+        rows: (0..rng.random_range(1..5u64))
+            .map(|i| SampleRow {
+                t_s: 5.0 * i as f64,
+                cache_entries: draw(rng),
+                cache_valid: draw(rng),
+                negative_entries: draw(rng),
+                send_buffer: draw(rng),
+                ifq_control: draw(rng),
+                ifq_data: draw(rng),
+                discoveries: draw(rng),
+                events: draw(rng),
+            })
+            .collect(),
+    };
+    let tally = |rng: &mut SimRng, name: &str| Tally {
+        name: name.into(),
+        count: draw(rng),
+        wall_ns: draw(rng),
+    };
+    let profile = Profile {
+        runs: 2,
+        events: draw(rng),
+        kinds: vec![tally(rng, "arrival"), tally(rng, "mac_timer")],
+        drops: vec![Tally { wall_ns: 0, ..tally(rng, "NoRoute") }],
+        traces: vec![Tally { wall_ns: 0, ..tally(rng, "mac_send") }],
+        ..Profile::default()
+    };
+    let row = |rng: &mut SimRng, op: &str, kind: &str| CacheRow {
+        t_ns: draw(rng),
+        node: draw(rng) % 10,
+        op: op.into(),
+        kind: kind.into(),
+        dst: "-".into(),
+        route: "0-1-2".into(),
+        valid: Some(rng.random_bool(0.5)),
+        stale_ns: None,
+    };
+    let trace = CacheTrace {
+        label: "DSR-NC".into(),
+        seed,
+        fingerprint: rng.random_range(0..u64::MAX),
+        rows: vec![row(rng, "insert", "reply"), row(rng, "lookup", "origination")],
+        dropped: draw(rng),
+    };
+    vec![
+        ("forensic artifact", artifact.render()),
+        ("time series", series.render()),
+        ("profile", profile.render()),
+        ("cache trace", trace.render()),
+        ("journal", journal.to_string()),
+    ]
+}
+
+/// Malformed variants of `text`: one value swapped for a random token on
+/// every line in turn, then a truncation, a dropped line, a doubled line
+/// and a flipped byte at random.
+fn mutants(rng: &mut SimRng, text: &str) -> Vec<Vec<u8>> {
+    let lines: Vec<&str> = text.lines().collect();
+    let join = |lines: &[&str]| lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let token = match rng.random_range(0..TOKENS.len() + 1) {
+            k if k < TOKENS.len() => TOKENS[k].to_string(),
+            _ => rng.random_range(0..u64::MAX).to_string(),
+        };
+        let swapped = match line.split_once(" = ") {
+            Some((key, _)) => format!("{key} = {token}"),
+            None => {
+                let mut words: Vec<&str> = line.split(' ').collect();
+                let at = rng.random_range(0..words.len());
+                words[at] = &token;
+                words.join(" ")
+            }
+        };
+        let mut edited = lines.clone();
+        edited[i] = &swapped;
+        out.push(join(&edited).into_bytes());
+    }
+    out.push(text.as_bytes()[..rng.random_range(0..text.len())].to_vec());
+    let at = rng.random_range(0..lines.len());
+    let mut dropped = lines.clone();
+    dropped.remove(at);
+    out.push(join(&dropped).into_bytes());
+    let mut doubled = lines.clone();
+    doubled.insert(at, lines[at]);
+    out.push(join(&doubled).into_bytes());
+    let mut flipped = text.as_bytes().to_vec();
+    let at = rng.random_range(0..flipped.len());
+    flipped[at] ^= 1 << rng.random_range(0..8u32);
+    out.push(flipped);
+    out
+}
+
+/// Every artifact parser meets malformed input with an error, never a
+/// panic or an abort: each format's valid rendering is truncated, loses or
+/// doubles a line, has a byte flipped, or has a value swapped for a random
+/// token — huge integers included, so a count read from the file must not
+/// size an allocation.
+#[test]
+fn artifact_parsers_reject_malformed_input_without_panicking() {
+    let report = run_scenario({
+        let mut cfg = ScenarioConfig::static_line(3, 180.0, 2.0, DsrConfig::base(), 1);
+        cfg.duration = SimDuration::from_secs(2.0);
+        cfg
+    });
+    let dir = std::env::temp_dir().join(format!("fuzz-codec-{}", std::process::id()));
+    let path = dir.join("journal.txt");
+    let _ = std::fs::remove_dir_all(&dir);
+    let writer = JournalWriter::open(&path).expect("open journal");
+    writer.record(0xfeed, 1, &report).expect("record");
+    writer.record(0xfeed, 2, &report).expect("record");
+    drop(writer);
+    let journal = std::fs::read_to_string(&path).expect("read journal");
+    assert_eq!(Journal::parse(&journal).len(), 2, "the pristine journal reads back");
+
+    cases("artifact_parsers_reject_malformed_input_without_panicking", 0..64, |_, rng| {
+        for (format, text) in renderings(rng, &journal) {
+            for (step, bytes) in mutants(rng, &text).into_iter().enumerate() {
+                let _at = Step(step);
+                let text = String::from_utf8_lossy(&bytes);
+                let _ = read_file(&text);
+                match format {
+                    "forensic artifact" => drop(ForensicArtifact::parse(&text)),
+                    "time series" => drop(TimeSeries::parse(&text)),
+                    "profile" => drop(Profile::parse(&text)),
+                    "cache trace" => drop(CacheTrace::parse(&text)),
+                    _ => {
+                        assert!(Journal::parse(&text).len() <= 2);
+                        std::fs::write(&path, &bytes).expect("write journal");
+                        drop(JournalWriter::open(&path).expect("a torn journal reopens"));
+                        assert!(Journal::load(&path).expect("load").len() <= 2);
+                    }
+                }
+            }
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
