@@ -154,8 +154,9 @@ pub struct DsrNode {
     /// decision events are built and the cache's internal log stays
     /// unallocated, so the untraced hot path is untouched.
     trace_decisions: bool,
-    /// Scratch for the candidate routes [`Self::learn_from_route`] has to
-    /// assemble (reversals, routes through an overheard transmitter).
+    /// Scratch for the candidate routes [`Self::learn_from_route`] and
+    /// [`Self::handle_request`] have to assemble (reversals, routes through
+    /// an overheard transmitter).
     route_buf: Vec<NodeId>,
 }
 
@@ -670,7 +671,7 @@ impl DsrNode {
             origin: self.id,
             target,
             request_id,
-            path: vec![self.id],
+            path: InlineRoute::from_slice(&[self.id]),
             ttl,
             piggyback_error: piggyback,
         };
@@ -711,25 +712,30 @@ impl DsrNode {
             // consider answering from cache.
             self.apply_link_break(link, CacheRemovalCause::ErrorReceived, now, cmds);
         }
-        if req.path.contains(&self.id) {
+        // From here on the path runs on to us: the route discovered so far.
+        if req.path.push(self.id).is_err() {
             return; // already forwarded this copy
         }
-        // Learn the reverse route back to the origin (801.11 links are
-        // bidirectional — RTS/CTS requires it).
-        let mut forward_nodes = req.path.clone();
-        forward_nodes.push(self.id);
-        if let Ok(forward) = Route::new(forward_nodes.clone()) {
-            let back = forward.reversed();
-            self.insert_route(back.nodes(), CacheInsertProvenance::Overheard, now, cmds);
+        if !req.path.is_loop_free() {
+            return; // a malformed path names no route: drop the copy
         }
+        // Learn the reverse route back to the origin (802.11 links are
+        // bidirectional — RTS/CTS requires it). It is assembled in the
+        // scratch buffer, so a copy dropped below allocates nothing.
+        let mut back = std::mem::take(&mut self.route_buf);
+        back.clear();
+        back.extend(req.path.nodes().iter().rev());
+        self.insert_route(&back, CacheInsertProvenance::Overheard, now, cmds);
+        self.route_buf = back;
 
         if req.target == self.id {
             // The destination answers every copy of the request, giving the
             // source a supply of alternate routes.
-            let discovered = Route::new(forward_nodes).expect("checked loop-free above");
-            if self.suppress_duplicate_reply(&req, &discovered, cmds) {
+            if self.suppress_duplicate_reply(&req, req.path.nodes(), cmds) {
                 return;
             }
+            let discovered =
+                Route::new(req.path.nodes().to_vec()).expect("checked loop-free above");
             self.send_reply(discovered, false, now, cmds);
             return;
         }
@@ -740,22 +746,20 @@ impl DsrNode {
             let found = self.cache.find(req.target, now);
             self.trace_lookup(req.target, CacheHitKind::Reply, &found, cmds);
             if let Some(cached) = found {
-                let prefix = Route::new(forward_nodes.clone()).expect("checked loop-free above");
-                if let Ok(full) = prefix.join(&cached) {
+                if let Ok(full) = Route::join(req.path.nodes(), &cached) {
                     cmds.push(DsrCommand::Event {
                         event: DsrEvent::CacheHit {
                             route: InlineRoute::from_slice(cached.nodes()),
                             kind: CacheHitKind::Reply,
                         },
                     });
-                    self.send_reply_from_cache(full, now, cmds);
+                    self.send_reply(full, true, now, cmds);
                     return; // cached reply quenches the flood here
                 }
             }
         }
         if req.ttl > 1 {
             req.ttl -= 1;
-            req.path.push(self.id);
             req.uid = self.fresh_uid();
             let jitter = self.jitter();
             cmds.push(DsrCommand::Send {
@@ -775,21 +779,22 @@ impl DsrNode {
     fn suppress_duplicate_reply(
         &mut self,
         req: &RouteRequest,
-        discovered: &Route,
+        discovered: &[NodeId],
         cmds: &mut Vec<DsrCommand>,
     ) -> bool {
         let Some(sup) = self.cfg.suppression else {
             return false;
         };
+        let hops = discovered.len() - 1;
         let key = (req.origin, req.request_id);
         match self.answered_requests.iter_mut().find(|(k, _)| *k == key) {
             Some((_, best)) => {
-                if (discovered.hops() as f64) > sup.stretch * (*best as f64) {
+                if (hops as f64) > sup.stretch * (*best as f64) {
                     if self.trace_decisions {
                         cmds.push(DsrCommand::Event {
                             event: DsrEvent::CacheDecision {
                                 decision: CacheDecision::Suppress {
-                                    route: InlineRoute::from_slice(discovered.nodes()),
+                                    route: InlineRoute::from_slice(discovered),
                                     action: SuppressedAction::Reply,
                                 },
                             },
@@ -797,14 +802,14 @@ impl DsrNode {
                     }
                     return true;
                 }
-                *best = (*best).min(discovered.hops());
+                *best = (*best).min(hops);
                 false
             }
             None => {
                 if self.answered_requests.len() >= ANSWERED_REQUEST_CACHE {
                     self.answered_requests.pop_front();
                 }
-                self.answered_requests.push_back((key, discovered.hops()));
+                self.answered_requests.push_back((key, hops));
                 false
             }
         }
@@ -817,10 +822,8 @@ impl DsrNode {
         _now: SimTime,
         cmds: &mut Vec<DsrCommand>,
     ) {
-        let reply_route = discovered
-            .prefix_through(self.id)
-            .expect("replier is on the discovered route")
-            .reversed();
+        let reply_route =
+            discovered.back_from(self.id).expect("replier is on the discovered route");
         cmds.push(DsrCommand::Event { event: DsrEvent::ReplyOriginated { from_cache } });
         let next_hop = match reply_route.next_hop_after(self.id) {
             Some(h) => h,
@@ -840,10 +843,6 @@ impl DsrNode {
         };
         let jitter = self.jitter();
         cmds.push(DsrCommand::Send { packet: Packet::Reply(rep), next_hop, jitter });
-    }
-
-    fn send_reply_from_cache(&mut self, full: Route, now: SimTime, cmds: &mut Vec<DsrCommand>) {
-        self.send_reply(full, true, now, cmds);
     }
 
     fn handle_reply(&mut self, mut rep: RouteReply, now: SimTime, cmds: &mut Vec<DsrCommand>) {
@@ -1076,7 +1075,7 @@ impl DsrNode {
             self.pending_error = Some(link);
             return;
         }
-        let Some(back) = route.prefix_through(self.id).map(|p| p.reversed()) else {
+        let Some(back) = route.back_from(self.id) else {
             return;
         };
         let Some(next_hop) = back.next_hop_after(self.id) else {
@@ -1544,6 +1543,32 @@ mod tests {
         assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 1);
     }
 
+    /// A request path that visits a node twice names no route. It must be
+    /// dropped both where the target would answer it and where a cached
+    /// route would, not unwrapped into a `Route` it cannot be.
+    #[test]
+    fn a_looped_request_path_is_dropped_not_answered() {
+        let looped = |target: u16| RouteRequest {
+            uid: 1,
+            origin: n(0),
+            target: n(target),
+            request_id: 1,
+            path: InlineRoute::from_slice(&[n(0), n(2), n(0)]),
+            ttl: 8,
+            piggyback_error: None,
+        };
+        let mut target = agent(5, DsrConfig::base());
+        let cmds = target.on_receive(n(0), Packet::Request(looped(5)), t(0.0));
+        assert!(cmds.is_empty(), "the target answers nothing: {cmds:?}");
+        assert!(target.cache().is_empty(), "and learns no reverse route");
+
+        let mut cached = agent(5, DsrConfig::base());
+        cached.on_receive(n(6), Packet::Data(data_on(&[4, 5, 6, 9], 1)), t(0.0));
+        assert!(cached.cache().find(n(9), t(0.0)).is_some(), "a route to answer from");
+        let cmds = cached.on_receive(n(0), Packet::Request(looped(9)), t(0.1));
+        assert!(cmds.is_empty(), "nor does a node with a cached route: {cmds:?}");
+    }
+
     #[test]
     fn suppression_withholds_stretch_worse_duplicate_replies() {
         let mut a = agent(5, DsrConfig::suppression());
@@ -1552,7 +1577,7 @@ mod tests {
             origin: n(0),
             target: n(5),
             request_id: 1,
-            path: path.iter().map(|&i| n(i)).collect(),
+            path: InlineRoute::from_slice(&path.iter().map(|&i| n(i)).collect::<Vec<_>>()),
             ttl: 8,
             piggyback_error: None,
         };

@@ -4,7 +4,7 @@
 //! cache-correctness techniques.
 
 use dsr::{CacheHitKind, DropReason, DsrCommand, DsrConfig, DsrEvent, DsrNode, DsrTimer};
-use packet::{DataPacket, ErrorDelivery, Link, Packet, Route};
+use packet::{DataPacket, ErrorDelivery, InlineRoute, Link, Packet, Route};
 use sim_core::{NodeId, RngFactory, SimDuration, SimTime};
 
 fn n(i: u16) -> NodeId {
@@ -84,7 +84,7 @@ fn full_discovery_and_delivery_cycle() {
     let out_b = sends(&cmds);
     assert_eq!(out_b.len(), 1);
     let Packet::Request(fwd) = &out_b[0].0 else { panic!("expected forwarded RREQ") };
-    assert_eq!(fwd.path, vec![n(0), n(1)]);
+    assert_eq!(fwd.path.nodes(), &[n(0), n(1)]);
 
     // C answers with the discovered route A-B-C, unicast back via B.
     let cmds = c.on_receive(n(1), out_b[0].0.clone(), t(1.12));
@@ -203,7 +203,7 @@ fn intermediate_answers_from_cache_and_quenches() {
         origin: n(8),
         target: n(5),
         request_id: 0,
-        path: vec![n(8)],
+        path: InlineRoute::from_slice(&[n(8)]),
         ttl: 200,
         piggyback_error: None,
     };
@@ -607,7 +607,7 @@ fn duplicate_requests_are_suppressed() {
         origin: n(0),
         target: n(9),
         request_id: 5,
-        path: vec![n(0)],
+        path: InlineRoute::from_slice(&[n(0)]),
         ttl: 100,
         piggyback_error: None,
     };
@@ -620,13 +620,13 @@ fn duplicate_requests_are_suppressed() {
 #[test]
 fn target_replies_to_every_request_copy() {
     let mut c = agent(2, DsrConfig::base());
-    for (i, path) in [vec![n(0)], vec![n(0), n(1)]].into_iter().enumerate() {
+    for (i, path) in [&[n(0)][..], &[n(0), n(1)]].into_iter().enumerate() {
         let req = packet::RouteRequest {
             uid: 24 + i as u64,
             origin: n(0),
             target: n(2),
             request_id: 6,
-            path,
+            path: InlineRoute::from_slice(path),
             ttl: 100,
             piggyback_error: None,
         };

@@ -8,12 +8,17 @@
 //! an allocation creeping back in here is the whole simulator slowing down.
 //! Decision tracing adds commands, never heap copies of the routes they
 //! name.
+//!
+//! Route discovery is pinned the same way. A flooded request reaches every
+//! node, often many times over: each copy, and the copy each broadcast
+//! addressee makes of the frame, must cost no heap allocation unless the
+//! node answers it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dsr::{CacheEvent, DsrConfig, DsrNode, PathCache, RouteCache};
-use packet::{DataPacket, InlineRoute, Link, Packet, Route};
+use dsr::{CacheEvent, DsrCommand, DsrConfig, DsrNode, PathCache, RouteCache};
+use packet::{DataPacket, InlineRoute, Link, Packet, Route, RouteRequest};
 use sim_core::{NodeId, RngFactory, SimTime};
 
 /// Forwards to the system allocator, counting calls per thread (libtest
@@ -210,4 +215,78 @@ fn a_traced_full_cache_logs_its_eviction_in_place() {
     assert!(changed);
     assert_eq!(allocs, 0, "a new entry, its victim's eviction logged and drained");
     assert_eq!(events, vec![CacheEvent::Evicted { route: inline(&[0, 4, 5]) }]);
+}
+
+fn request(id: u64, target: u16, path: &[u16]) -> Packet {
+    let path: Vec<NodeId> = path.iter().map(|&i| n(i)).collect();
+    Packet::Request(RouteRequest {
+        uid: 100 + id,
+        origin: path[0],
+        target: n(target),
+        request_id: id,
+        path: InlineRoute::from_slice(&path),
+        ttl: 255,
+        piggyback_error: None,
+    })
+}
+
+#[test]
+fn a_request_copies_its_path_by_value_up_to_the_inline_cap() {
+    let ids: Vec<u16> = (0..InlineRoute::CAP as u16 + 1).collect();
+    let inline = request(1, 99, &ids[..InlineRoute::CAP]);
+    let (allocs, _copy) = allocations(|| inline.clone());
+    assert_eq!(allocs, 0, "a {}-node request", InlineRoute::CAP);
+    let spilled = request(1, 99, &ids);
+    let (allocs, _copy) = allocations(|| spilled.clone());
+    assert_eq!(allocs, 1, "a {}-node request: its spilled path", ids.len());
+}
+
+#[test]
+fn a_request_copy_already_seen_allocates_nothing() {
+    for cfg in [DsrConfig::base(), DsrConfig::combined()] {
+        let label = cfg.label();
+        let mut node = DsrNode::new(n(5), cfg, RngFactory::new(1).stream("alloc-free", 5));
+        // The first copy: the reverse route 5-2-1-0 is learned, the request
+        // forwarded.
+        node.on_receive(n(2), request(1, 9, &[0, 1, 2]), t(0.0));
+        let copy = request(1, 9, &[0, 1, 2]);
+        let (allocs, cmds) = allocations(|| node.on_receive(n(2), copy, t(0.1)));
+        assert!(cmds.is_empty(), "{label}: a duplicate is dropped: {cmds:?}");
+        assert_eq!(allocs, 0, "{label}: a duplicate copy of a request");
+    }
+}
+
+#[test]
+fn forwarding_a_request_allocates_only_its_command_vector() {
+    for cfg in [DsrConfig::base(), DsrConfig::combined()] {
+        let label = cfg.label();
+        let mut node = DsrNode::new(n(5), cfg, RngFactory::new(1).stream("alloc-free", 5));
+        // Warm-up: learns the reverse route and sizes the seen-request table.
+        node.on_receive(n(2), request(1, 9, &[0, 1, 2]), t(0.0));
+        let fresh = request(2, 9, &[0, 1, 2]);
+        let (allocs, cmds) = allocations(|| node.on_receive(n(2), fresh, t(0.1)));
+        let [DsrCommand::Send { packet: Packet::Request(fwd), .. }] = &cmds[..] else {
+            panic!("{label}: one rebroadcast: {cmds:?}");
+        };
+        assert_eq!(fwd.path.nodes(), &[n(0), n(1), n(2), n(5)]);
+        assert_eq!(allocs, 1, "{label}: the command vector alone");
+    }
+}
+
+#[test]
+fn the_target_answer_allocates_the_discovered_route_the_reply_route_and_the_commands() {
+    for cfg in [DsrConfig::base(), DsrConfig::combined()] {
+        let label = cfg.label();
+        let mut node = DsrNode::new(n(9), cfg, RngFactory::new(1).stream("alloc-free", 9));
+        // Warm-up: learns the reverse route 9-2-1-0.
+        node.on_receive(n(2), request(1, 9, &[0, 1, 2]), t(0.0));
+        let fresh = request(2, 9, &[0, 1, 2]);
+        let (allocs, cmds) = allocations(|| node.on_receive(n(2), fresh, t(0.1)));
+        let Some(DsrCommand::Send { packet: Packet::Reply(rep), .. }) = cmds.last() else {
+            panic!("{label}: a reply: {cmds:?}");
+        };
+        assert_eq!(rep.discovered, route(&[0, 1, 2, 9]));
+        assert_eq!(rep.route, route(&[9, 2, 1, 0]));
+        assert_eq!(allocs, 3, "{label}: discovered route, reply route, command vector");
+    }
 }

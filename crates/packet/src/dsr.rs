@@ -20,7 +20,7 @@ use std::fmt;
 
 use sim_core::{NodeId, SimTime};
 
-use crate::route::{Link, Route};
+use crate::route::{InlineRoute, Link, Route};
 
 /// Size in bytes of an IPv4 header (every DSR packet rides in one).
 pub const IP_HEADER_BYTES: usize = 20;
@@ -109,8 +109,9 @@ pub struct RouteRequest {
     pub target: NodeId,
     /// Discovery id, unique per origin; used for duplicate suppression.
     pub request_id: u64,
-    /// Path accumulated so far, starting with `origin`.
-    pub path: Vec<NodeId>,
+    /// Path accumulated so far, starting with `origin`. By value, so the
+    /// copy every receiver of a flood gets costs no allocation.
+    pub path: InlineRoute,
     /// Remaining hops the request may propagate. 1 = non-propagating.
     pub ttl: u8,
     /// A recent route error piggybacked by the origin (*gratuitous route
@@ -124,7 +125,7 @@ impl RouteRequest {
     /// (+ the piggybacked error option, if present).
     pub fn wire_size(&self) -> usize {
         let err = if self.piggyback_error.is_some() { RERR_OPTION_FIXED_BYTES } else { 0 };
-        IP_HEADER_BYTES + RREQ_OPTION_FIXED_BYTES + ADDR_BYTES * self.path.len() + err
+        IP_HEADER_BYTES + RREQ_OPTION_FIXED_BYTES + ADDR_BYTES * self.path.nodes().len() + err
     }
 }
 
@@ -366,7 +367,7 @@ mod tests {
             origin: NodeId::new(0),
             target: NodeId::new(9),
             request_id: 1,
-            path: vec![NodeId::new(0), NodeId::new(1)],
+            path: InlineRoute::from_slice(&[NodeId::new(0), NodeId::new(1)]),
             ttl: 255,
             piggyback_error: None,
         };

@@ -90,12 +90,10 @@ impl Route {
         if nodes.is_empty() {
             return Err(InvalidRoute::Empty);
         }
-        for (i, &n) in nodes.iter().enumerate() {
-            if nodes[..i].contains(&n) {
-                return Err(InvalidRoute::Loop(n));
-            }
+        match first_repeat(&nodes) {
+            Some(n) => Err(InvalidRoute::Loop(n)),
+            None => Ok(Route { nodes }),
         }
-        Ok(Route { nodes })
     }
 
     /// A single-node route (source == destination); useful as a neighbor
@@ -186,6 +184,13 @@ impl Route {
         Some(Route { nodes: self.nodes[..=i].to_vec() })
     }
 
+    /// The way back from `node` to the source: [`Route::prefix_through`]
+    /// reversed, built in one allocation — a replier's return route.
+    pub fn back_from(&self, node: NodeId) -> Option<Route> {
+        let i = self.position(node)?;
+        Some(Route { nodes: self.nodes[..=i].iter().rev().copied().collect() })
+    }
+
     /// The suffix of this route from `node` (inclusive) to the destination,
     /// or `None` if `node` is not on the route.
     pub fn suffix_from(&self, node: NodeId) -> Option<Route> {
@@ -218,9 +223,10 @@ impl Route {
         self.nodes.truncate(len);
     }
 
-    /// Concatenates `self` (ending at some node) with `rest` (starting at
-    /// that same node), e.g. a request path joined to a cached route when an
-    /// intermediate node answers from its cache.
+    /// Concatenates the node sequence `prefix` (ending at some node) with
+    /// `rest` (starting at that same node) in one allocation, e.g. a request
+    /// path joined to a cached route when an intermediate node answers from
+    /// its cache.
     ///
     /// # Errors
     ///
@@ -230,11 +236,16 @@ impl Route {
     ///
     /// # Panics
     ///
-    /// Panics if `self.destination() != rest.source()`; callers join routes
-    /// only at a shared node.
-    pub fn join(&self, rest: &Route) -> Result<Route, InvalidRoute> {
-        assert_eq!(self.destination(), rest.source(), "joined routes must share the junction node");
-        let mut nodes = self.nodes.clone();
+    /// Panics if `prefix` does not end at `rest.source()`; callers join
+    /// routes only at a shared node.
+    pub fn join(prefix: &[NodeId], rest: &Route) -> Result<Route, InvalidRoute> {
+        assert_eq!(
+            prefix.last(),
+            Some(&rest.source()),
+            "joined routes must share the junction node"
+        );
+        let mut nodes = Vec::with_capacity(prefix.len() + rest.hops());
+        nodes.extend_from_slice(prefix);
         nodes.extend_from_slice(&rest.nodes[1..]);
         Route::new(nodes)
     }
@@ -260,10 +271,22 @@ impl AsRef<[NodeId]> for Route {
     }
 }
 
-/// A route copied by value, for events that carry a route only to have it
-/// read once (cache decisions, cache hits, accepted replies): up to
-/// [`InlineRoute::CAP`] nodes live inside the value, and only a longer route
-/// spills to an owned [`Route`] on the heap.
+/// The first node `nodes` visits a second time, if any.
+fn first_repeat(nodes: &[NodeId]) -> Option<NodeId> {
+    nodes.iter().enumerate().find(|&(i, n)| nodes[..i].contains(n)).map(|(_, &n)| n)
+}
+
+/// A node sequence copied by value: up to [`InlineRoute::CAP`] nodes live
+/// inside the value, and only a longer sequence spills to the heap.
+///
+/// It has two roles. Events that carry a route only to have it read once
+/// (cache decisions, cache hits, accepted replies) copy it here. And a
+/// route request accumulates its path here: every receiver of a flooded
+/// request gets its own copy, and every forwarder [`push`](Self::push)es
+/// itself, neither of which touches the heap until the path outgrows the
+/// inline room. A request path comes from a peer, so unlike a [`Route`]
+/// the sequence is not known to be loop-free; [`InlineRoute::is_loop_free`]
+/// says whether it is.
 ///
 /// # Example
 ///
@@ -271,10 +294,12 @@ impl AsRef<[NodeId]> for Route {
 /// use packet::InlineRoute;
 /// use sim_core::NodeId;
 ///
-/// let nodes = [NodeId::new(4), NodeId::new(7), NodeId::new(2)];
-/// let route = InlineRoute::from_slice(&nodes);
-/// assert_eq!(route.nodes(), &nodes);
-/// assert_eq!(route.destination(), NodeId::new(2));
+/// let mut path = InlineRoute::from_slice(&[NodeId::new(4), NodeId::new(7)]);
+/// path.push(NodeId::new(2))?;
+/// assert_eq!(path.nodes(), &[NodeId::new(4), NodeId::new(7), NodeId::new(2)]);
+/// assert_eq!(path.destination(), NodeId::new(2));
+/// assert!(path.push(NodeId::new(7)).is_err(), "a node already on the path");
+/// # Ok::<(), packet::InvalidRoute>(())
 /// ```
 #[derive(Clone)]
 pub struct InlineRoute(Repr);
@@ -286,7 +311,7 @@ enum Repr {
         len: u8,
         nodes: [NodeId; InlineRoute::CAP],
     },
-    Spilled(Route),
+    Spilled(Vec<NodeId>),
 }
 
 impl InlineRoute {
@@ -294,8 +319,7 @@ impl InlineRoute {
     /// bytes beside a one-byte length.
     pub const CAP: usize = 19;
 
-    /// Copies the node sequence of a route, or of a piece of one. Loop
-    /// freedom is taken on trust: the nodes come from a route already.
+    /// Copies a node sequence: a route, a piece of one, or a request path.
     ///
     /// # Panics
     ///
@@ -303,24 +327,58 @@ impl InlineRoute {
     pub fn from_slice(nodes: &[NodeId]) -> Self {
         assert!(!nodes.is_empty(), "routes are never empty");
         if nodes.len() > Self::CAP {
-            return InlineRoute(Repr::Spilled(Route { nodes: nodes.to_vec() }));
+            return InlineRoute(Repr::Spilled(nodes.to_vec()));
         }
         let mut inline = [NodeId::BROADCAST; Self::CAP];
         inline[..nodes.len()].copy_from_slice(nodes);
         InlineRoute(Repr::Inline { len: nodes.len() as u8, nodes: inline })
     }
 
+    /// Appends `node`, unless it is on the sequence already. Inline room
+    /// runs out at the `CAP + 1`-th node, which moves the whole sequence to
+    /// the heap.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InvalidRoute::Loop`], leaving the sequence as it was, if
+    /// `node` is already on it.
+    pub fn push(&mut self, node: NodeId) -> Result<(), InvalidRoute> {
+        if self.nodes().contains(&node) {
+            return Err(InvalidRoute::Loop(node));
+        }
+        match &mut self.0 {
+            Repr::Inline { len, nodes } if usize::from(*len) < Self::CAP => {
+                nodes[usize::from(*len)] = node;
+                *len += 1;
+            }
+            Repr::Inline { nodes, .. } => {
+                let mut spilled = Vec::with_capacity(Self::CAP + 1);
+                spilled.extend_from_slice(nodes);
+                spilled.push(node);
+                self.0 = Repr::Spilled(spilled);
+            }
+            Repr::Spilled(nodes) => nodes.push(node),
+        }
+        Ok(())
+    }
+
     /// The node sequence.
     pub fn nodes(&self) -> &[NodeId] {
         match &self.0 {
             Repr::Inline { len, nodes } => &nodes[..usize::from(*len)],
-            Repr::Spilled(route) => route.nodes(),
+            Repr::Spilled(nodes) => nodes,
         }
     }
 
     /// The destination (last node).
     pub fn destination(&self) -> NodeId {
         *self.nodes().last().expect("routes are non-empty")
+    }
+
+    /// Whether no node appears twice, i.e. whether a [`Route`] could run
+    /// along the sequence.
+    pub fn is_loop_free(&self) -> bool {
+        first_repeat(self.nodes()).is_none()
     }
 }
 
@@ -329,6 +387,8 @@ impl PartialEq for InlineRoute {
         self.nodes() == other.nodes()
     }
 }
+
+impl Eq for InlineRoute {}
 
 impl fmt::Debug for InlineRoute {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -423,20 +483,20 @@ mod tests {
     fn join_at_junction() {
         let a = r(&[0, 1, 2]);
         let b = r(&[2, 3, 4]);
-        assert_eq!(a.join(&b).expect("loop-free"), r(&[0, 1, 2, 3, 4]));
+        assert_eq!(Route::join(a.nodes(), &b).expect("loop-free"), r(&[0, 1, 2, 3, 4]));
     }
 
     #[test]
     fn join_detects_loop() {
         let a = r(&[0, 1, 2]);
         let b = r(&[2, 1, 5]); // node 1 repeats
-        assert_eq!(a.join(&b), Err(InvalidRoute::Loop(NodeId::new(1))));
+        assert_eq!(Route::join(a.nodes(), &b), Err(InvalidRoute::Loop(NodeId::new(1))));
     }
 
     #[test]
     #[should_panic(expected = "junction")]
     fn join_requires_shared_node() {
-        let _ = r(&[0, 1]).join(&r(&[2, 3]));
+        let _ = Route::join(r(&[0, 1]).nodes(), &r(&[2, 3]));
     }
 
     #[test]
@@ -457,6 +517,20 @@ mod tests {
         assert!(std::mem::size_of::<InlineRoute>() <= 40, "{}", std::mem::size_of::<InlineRoute>());
     }
 
+    /// Every frame in flight carries a `Packet`, and a request carries its
+    /// path by value: a path that widened the request past the widest other
+    /// packet would widen all of them.
+    #[test]
+    fn a_request_path_keeps_the_packet_at_eighty_bytes() {
+        use crate::dsr::{Packet, RouteRequest};
+        assert_eq!(std::mem::size_of::<Packet>(), 80);
+        assert!(
+            std::mem::size_of::<RouteRequest>() <= 72,
+            "{}",
+            std::mem::size_of::<RouteRequest>()
+        );
+    }
+
     #[test]
     fn inline_routes_copy_every_node_on_both_sides_of_the_spill() {
         let ids: Vec<NodeId> = (0..24).map(|i| NodeId::new(3 * i + 1)).collect();
@@ -469,6 +543,45 @@ mod tests {
         }
         // Equality is by the live nodes, not the padding after them.
         assert_ne!(InlineRoute::from_slice(&ids[..3]), InlineRoute::from_slice(&ids[..4]));
+    }
+
+    #[test]
+    fn pushing_keeps_every_node_across_the_spill() {
+        let ids: Vec<NodeId> = (0..24).map(|i| NodeId::new(3 * i + 1)).collect();
+        let mut path = InlineRoute::from_slice(&ids[..1]);
+        for len in 2..=ids.len() {
+            path.push(ids[len - 1]).expect("a new node");
+            assert_eq!(path.nodes(), &ids[..len], "{len} nodes");
+            assert_eq!(path, InlineRoute::from_slice(&ids[..len]), "{len} nodes");
+            assert_eq!(matches!(path.0, Repr::Spilled(_)), len > InlineRoute::CAP, "{len} nodes");
+        }
+    }
+
+    #[test]
+    fn pushing_a_node_already_on_the_path_is_refused() {
+        for len in [3, InlineRoute::CAP, InlineRoute::CAP + 2] {
+            let ids: Vec<NodeId> = (0..len as u16).map(NodeId::new).collect();
+            let mut path = InlineRoute::from_slice(&ids);
+            assert_eq!(path.push(NodeId::new(1)), Err(InvalidRoute::Loop(NodeId::new(1))));
+            assert_eq!(path.nodes(), &ids[..], "{len} nodes: left as it was");
+        }
+    }
+
+    #[test]
+    fn a_path_from_a_peer_may_loop() {
+        let ids = |ids: &[u16]| ids.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
+        assert!(InlineRoute::from_slice(&ids(&[0, 2, 5])).is_loop_free());
+        assert!(!InlineRoute::from_slice(&ids(&[0, 2, 0])).is_loop_free());
+        let long: Vec<u16> = (0..22).chain([4]).collect();
+        assert!(!InlineRoute::from_slice(&ids(&long)).is_loop_free(), "spilled");
+    }
+
+    #[test]
+    fn back_from_reverses_the_prefix() {
+        let route = r(&[0, 1, 2, 3]);
+        assert_eq!(route.back_from(NodeId::new(2)), Some(r(&[2, 1, 0])));
+        assert_eq!(route.back_from(NodeId::new(3)), Some(route.reversed()));
+        assert_eq!(route.back_from(NodeId::new(7)), None);
     }
 
     #[test]

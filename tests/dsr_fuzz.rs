@@ -4,23 +4,36 @@
 
 use dsr_caching::dsr::{DsrCommand, DsrConfig, DsrNode, DsrTimer};
 use dsr_caching::packet::{
-    DataPacket, ErrorDelivery, Link, Packet, Route, RouteErrorPkt, RouteReply, RouteRequest,
+    DataPacket, ErrorDelivery, InlineRoute, Link, Packet, Route, RouteErrorPkt, RouteReply,
+    RouteRequest,
 };
 use dsr_caching::sim_core::testkit::{cases, Step};
 use dsr_caching::sim_core::{NodeId, RngFactory, SimDuration, SimRng, SimTime};
 
 const ME: u16 = 0;
 
-/// `len` distinct nodes (drawn from the given range) out of 0..10.
-fn nodes(rng: &mut SimRng, len: std::ops::Range<usize>) -> Vec<NodeId> {
-    let mut pool: Vec<u16> = (0..10).collect();
-    (0..rng.random_range(len))
-        .map(|_| NodeId::new(pool.swap_remove(rng.random_range(0..pool.len()))))
-        .collect()
+/// `len` distinct nodes out of `0..pool`.
+fn nodes(rng: &mut SimRng, len: usize, pool: u16) -> Vec<NodeId> {
+    let mut pool: Vec<u16> = (0..pool).collect();
+    (0..len).map(|_| NodeId::new(pool.swap_remove(rng.random_range(0..pool.len())))).collect()
 }
 
 fn route(rng: &mut SimRng) -> Route {
-    Route::new(nodes(rng, 2..6)).expect("drawn without replacement")
+    let len = rng.random_range(2..6);
+    Route::new(nodes(rng, len, 10)).expect("drawn without replacement")
+}
+
+/// A request path as a peer might send it: short or on either side of the
+/// 19 nodes a request carries inline, loop-free or drawn with replacement
+/// (repeats, and this node itself).
+fn request_path(rng: &mut SimRng) -> Vec<NodeId> {
+    let len = if rng.random_bool(0.3) { rng.random_range(18..25) } else { rng.random_range(1..4) };
+    let pool = if len > 10 { 30 } else { 10 };
+    if rng.random_bool(0.5) {
+        nodes(rng, len, pool)
+    } else {
+        (0..len).map(|_| NodeId::new(rng.random_range(0..pool))).collect()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -49,7 +62,7 @@ fn input(rng: &mut SimRng) -> Input {
         2 => Input::Request {
             origin: id(rng, 1),
             target: id(rng, 0),
-            path: nodes(rng, 1..4),
+            path: request_path(rng),
             ttl: rng.random_range(1..40u16) as u8,
             id: rng.random_range(0..6u64),
         },
@@ -111,7 +124,7 @@ fn drive(variant: usize, inputs: Vec<Input>) {
                     origin: NodeId::new(origin),
                     target: NodeId::new(target),
                     request_id: id,
-                    path,
+                    path: InlineRoute::from_slice(&path),
                     ttl,
                     piggyback_error: None,
                 };

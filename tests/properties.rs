@@ -92,7 +92,7 @@ fn route_prefix_suffix_partition() {
         assert_eq!(suffix.source(), node);
         assert_eq!(prefix.len() + suffix.len(), route.len() + 1);
         // Rejoining reproduces the original route.
-        assert_eq!(prefix.join(&suffix).expect("partition is loop-free"), route);
+        assert_eq!(Route::join(prefix.nodes(), &suffix).expect("partition is loop-free"), route);
     });
 }
 
