@@ -18,6 +18,7 @@ use runner::{AgentCommand, RoutingAgent};
 use sim_core::rng::uniform;
 use sim_core::{NodeId, SimDuration, SimRng, SimTime};
 
+use dsr::request_table::{BROADCAST_JITTER, NONPROP_TIMEOUT};
 use dsr::{PendingData, RequestTable, SendBuffer};
 
 use crate::packets::{AodvData, AodvPacket, Rerr, Rrep, Rreq};
@@ -28,53 +29,26 @@ const FLOOD_TTL: u8 = 32;
 /// Hop budget for data packets (guards against forwarding loops during
 /// convergence).
 const DATA_TTL: u8 = 32;
+/// How long an unused route stays valid (RFC 3561's default is 3 s; the
+/// ns-2 comparative studies used longer values).
+const ACTIVE_ROUTE_TIMEOUT: SimDuration = SimDuration::from_micros_u64(10_000_000);
+/// Lifetime of the forward route a reply installs.
+const MY_ROUTE_TIMEOUT: SimDuration = SimDuration::from_micros_u64(20_000_000);
 
-/// AODV configuration.
+/// AODV configuration. Discovery runs DSR's schedule
+/// ([`dsr::request_table`]): a TTL-1 probe, then an expanding-ring search
+/// (RFC 3561 6.4: TTL 3, 5, 7) before network-wide floods; sources buffer
+/// in DSR's [`SendBuffer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AodvConfig {
-    /// How long an unused route stays valid (RFC default is 3 s; the ns-2
-    /// comparative studies used longer values — 10 s here, configurable).
-    pub active_route_timeout: SimDuration,
-    /// Lifetime advertised by destinations in their replies.
-    pub my_route_timeout: SimDuration,
     /// Whether intermediate nodes with fresh-enough routes answer requests
     /// (the protocol's "indirect caching"; disable for the ablation).
     pub intermediate_replies: bool,
-    /// Try a TTL-1 request before flooding (matching the DSR
-    /// configuration's non-propagating probe).
-    pub nonpropagating_requests: bool,
-    /// Expanding-ring search (RFC 3561 6.4): retry with TTL 3, 5, 7 before
-    /// a network-wide flood, bounding the cost of finding nearby nodes.
-    pub expanding_ring: bool,
-    /// Wait after a TTL-1 probe before flooding.
-    pub nonprop_timeout: SimDuration,
-    /// Base retransmission period for floods; doubles per retry.
-    pub request_period: SimDuration,
-    /// Ceiling on the request retransmission period.
-    pub max_request_period: SimDuration,
-    /// Send-buffer capacity at sources.
-    pub send_buffer_capacity: usize,
-    /// Send-buffer wait timeout.
-    pub send_buffer_timeout: SimDuration,
-    /// Uniform jitter on broadcasts.
-    pub broadcast_jitter: SimDuration,
 }
 
 impl Default for AodvConfig {
     fn default() -> Self {
-        AodvConfig {
-            active_route_timeout: SimDuration::from_secs(10.0),
-            my_route_timeout: SimDuration::from_secs(20.0),
-            intermediate_replies: true,
-            nonpropagating_requests: true,
-            expanding_ring: true,
-            nonprop_timeout: SimDuration::from_millis(30.0),
-            request_period: SimDuration::from_millis(500.0),
-            max_request_period: SimDuration::from_secs(10.0),
-            send_buffer_capacity: 64,
-            send_buffer_timeout: SimDuration::from_secs(30.0),
-            broadcast_jitter: SimDuration::from_millis(10.0),
-        }
+        AodvConfig { intermediate_replies: true }
     }
 }
 
@@ -129,7 +103,7 @@ impl AodvNode {
             id: node,
             table: RoutingTable::new(),
             own_seq: 0,
-            send_buffer: SendBuffer::new(cfg.send_buffer_capacity, cfg.send_buffer_timeout),
+            send_buffer: SendBuffer::default(),
             requests: RequestTable::default(),
             uid_counter: 0,
             rng,
@@ -159,7 +133,7 @@ impl AodvNode {
     }
 
     fn jitter(&mut self) -> SimDuration {
-        let max = self.cfg.broadcast_jitter.as_secs();
+        let max = BROADCAST_JITTER.as_secs();
         SimDuration::from_secs(uniform(&mut self.rng, 0.0, max))
     }
 
@@ -171,12 +145,12 @@ impl AodvNode {
         if self.requests.discovering(target) {
             return;
         }
-        let nonprop = self.cfg.nonpropagating_requests;
-        let request_id = self.requests.start(target, nonprop);
-        let ttl = if nonprop { 1 } else { FLOOD_TTL };
-        self.send_request(target, request_id, ttl, cmds);
-        let timeout = if nonprop { self.cfg.nonprop_timeout } else { self.cfg.request_period };
-        cmds.push(Cmd::SetTimer { timer: AodvTimer::RequestTimeout(target), at: now + timeout });
+        let request_id = self.requests.start(target);
+        self.send_request(target, request_id, 1, cmds);
+        cmds.push(Cmd::SetTimer {
+            timer: AodvTimer::RequestTimeout(target),
+            at: now + NONPROP_TIMEOUT,
+        });
     }
 
     fn send_request(&mut self, target: NodeId, request_id: u64, ttl: u8, cmds: &mut Vec<Cmd>) {
@@ -211,11 +185,11 @@ impl AodvNode {
             from,
             rreq.hop_count + 1,
             rreq.origin_seq,
-            self.cfg.active_route_timeout,
+            ACTIVE_ROUTE_TIMEOUT,
             now,
         );
         if from != rreq.origin {
-            self.table.update(from, from, 1, 0, self.cfg.active_route_timeout, now);
+            self.table.update(from, from, 1, 0, ACTIVE_ROUTE_TIMEOUT, now);
         }
         self.flush_send_buffer(now, cmds);
         if !self.requests.note_seen(rreq.origin, rreq.request_id) {
@@ -283,11 +257,11 @@ impl AodvNode {
             from,
             rrep.hop_count + 1,
             rrep.target_seq,
-            self.cfg.my_route_timeout,
+            MY_ROUTE_TIMEOUT,
             now,
         );
         if from != rrep.target {
-            self.table.update(from, from, 1, 0, self.cfg.active_route_timeout, now);
+            self.table.update(from, from, 1, 0, ACTIVE_ROUTE_TIMEOUT, now);
         }
         if rrep.origin == self.id {
             cmds.push(Cmd::Event { event: ProtocolEvent::ReplyAccepted { discovered: None } });
@@ -343,7 +317,7 @@ impl AodvNode {
                 hops: usize::from(data.hops_traveled) + 1,
             });
             // Active traffic keeps the reverse route alive.
-            self.table.refresh(data.src, self.cfg.active_route_timeout, now);
+            self.table.refresh(data.src, ACTIVE_ROUTE_TIMEOUT, now);
             return;
         }
         if data.hops_traveled >= DATA_TTL {
@@ -353,9 +327,9 @@ impl AodvNode {
         match self.table.valid_entry(data.dst, now).map(|e| e.next_hop) {
             Some(next_hop) => {
                 // Forwarding refreshes the routes involved (RFC 6.2).
-                self.table.refresh(data.dst, self.cfg.active_route_timeout, now);
-                self.table.refresh(data.src, self.cfg.active_route_timeout, now);
-                self.table.refresh(next_hop, self.cfg.active_route_timeout, now);
+                self.table.refresh(data.dst, ACTIVE_ROUTE_TIMEOUT, now);
+                self.table.refresh(data.src, ACTIVE_ROUTE_TIMEOUT, now);
+                self.table.refresh(next_hop, ACTIVE_ROUTE_TIMEOUT, now);
                 self.table.add_precursor(data.dst, from);
                 data.hops_traveled += 1;
                 cmds.push(Cmd::Send {
@@ -442,7 +416,7 @@ impl RoutingAgent for AodvNode {
         cmds.push(Cmd::Event { event: ProtocolEvent::DataOriginated { uid: pending.uid } });
         match self.table.valid_entry(dst, now).map(|e| e.next_hop) {
             Some(next_hop) => {
-                self.table.refresh(dst, self.cfg.active_route_timeout, now);
+                self.table.refresh(dst, ACTIVE_ROUTE_TIMEOUT, now);
                 self.send_data(pending, next_hop, &mut cmds);
             }
             None => {
@@ -538,27 +512,19 @@ impl RoutingAgent for AodvNode {
                     self.requests.finish(target);
                     return cmds;
                 }
-                let (request_id, backoff) = self.requests.escalate(
-                    target,
-                    self.cfg.request_period,
-                    self.cfg.max_request_period,
-                );
+                let (request_id, backoff) = self.requests.escalate(target);
                 let attempts = self
                     .requests
                     .discovery(target)
                     .expect("escalated discovery exists")
                     .flood_attempts;
-                let ttl = if self.cfg.expanding_ring {
-                    // RFC 3561 6.4: TTL_START=1 (the probe), then +2 per
-                    // ring up to TTL_THRESHOLD=7, then network-wide.
-                    match attempts {
-                        0 | 1 => 3,
-                        2 => 5,
-                        3 => 7,
-                        _ => FLOOD_TTL,
-                    }
-                } else {
-                    FLOOD_TTL
+                // RFC 3561 6.4: TTL_START=1 (the probe), then +2 per ring
+                // up to TTL_THRESHOLD=7, then network-wide.
+                let ttl = match attempts {
+                    0 | 1 => 3,
+                    2 => 5,
+                    3 => 7,
+                    _ => FLOOD_TTL,
                 };
                 self.send_request(target, request_id, ttl, &mut cmds);
                 cmds.push(Cmd::SetTimer {
@@ -790,36 +756,33 @@ mod tests {
     #[test]
     fn expanding_ring_grows_ttl_per_retry() {
         let mut a = agent(0);
-        a.originate(n(4), 512, 0, t(0.0)); // TTL-1 probe
-        let ttls: Vec<u8> = (0..5)
+        let wait = |cmds: &[Cmd], now: SimTime| {
+            cmds.iter().find_map(|c| match c {
+                Cmd::SetTimer { timer: AodvTimer::RequestTimeout(_), at } => {
+                    Some(at.saturating_since(now))
+                }
+                _ => None,
+            })
+        };
+        let probe = a.originate(n(4), 512, 0, t(0.0)); // TTL-1 probe
+        assert_eq!(wait(&probe, t(0.0)), Some(SimDuration::from_millis(30.0)));
+        let (ttls, waits): (Vec<u8>, Vec<_>) = (0..5)
             .map(|i| {
-                let cmds = a.on_timer(AodvTimer::RequestTimeout(n(4)), t(0.1 * (i + 1) as f64));
-                sends(&cmds)
+                let now = t(0.1 * (i + 1) as f64);
+                let cmds = a.on_timer(AodvTimer::RequestTimeout(n(4)), now);
+                let ttl = sends(&cmds)
                     .into_iter()
                     .find_map(|(p, _)| match p {
                         AodvPacket::Rreq(r) => Some(r.ttl),
                         _ => None,
                     })
-                    .expect("retry sends a request")
+                    .expect("retry sends a request");
+                (ttl, wait(&cmds, now).expect("retry re-arms its timeout"))
             })
-            .collect();
+            .unzip();
         assert_eq!(ttls, vec![3, 5, 7, FLOOD_TTL, FLOOD_TTL]);
-    }
-
-    #[test]
-    fn ring_can_be_disabled() {
-        let cfg = AodvConfig { expanding_ring: false, ..AodvConfig::default() };
-        let mut a = AodvNode::new(n(0), cfg, RngFactory::new(5).stream("aodv", 0));
-        a.originate(n(4), 512, 0, t(0.0));
-        let cmds = a.on_timer(AodvTimer::RequestTimeout(n(4)), t(0.1));
-        let ttl = sends(&cmds)
-            .into_iter()
-            .find_map(|(p, _)| match p {
-                AodvPacket::Rreq(r) => Some(r.ttl),
-                _ => None,
-            })
-            .expect("retry sends a request");
-        assert_eq!(ttl, FLOOD_TTL);
+        let backoff = [500.0, 1000.0, 2000.0, 4000.0, 8000.0].map(SimDuration::from_millis);
+        assert_eq!(waits, backoff, "DSR's discovery schedule");
     }
 
     #[test]

@@ -35,8 +35,11 @@ use crate::cache::link_cache::LinkCache;
 use crate::cache::negative::NegativeCache;
 use crate::cache::path_cache::PathCache;
 use crate::cache::{CacheEvent, RemovedLink, RouteCache};
-use crate::config::{CacheOrganization, DsrConfig, ExpiryPolicy, WiderErrorRebroadcast};
-use crate::request_table::RequestTable;
+use crate::config::{
+    CacheOrganization, DsrConfig, ExpiryPolicy, WiderErrorRebroadcast, ADAPTIVE_MIN_TIMEOUT,
+    MAX_SALVAGE_COUNT, PREEMPTIVE_HOLDOFF, RECOMPUTE_PERIOD,
+};
+use crate::request_table::{RequestTable, BROADCAST_JITTER, NONPROP_TIMEOUT};
 use crate::send_buffer::{PendingData, SendBuffer};
 
 /// TTL used for network-wide floods.
@@ -179,7 +182,7 @@ impl DsrNode {
             cache: Self::build_cache(node, &cfg),
             negative: Self::build_negative(&cfg),
             adaptive: Self::build_adaptive(&cfg),
-            send_buffer: Self::build_send_buffer(&cfg),
+            send_buffer: SendBuffer::default(),
             requests: RequestTable::default(),
             pending_error: None,
             seen_errors: VecDeque::new(),
@@ -216,27 +219,23 @@ impl DsrNode {
         match cfg.expiry {
             ExpiryPolicy::None => {}
             ExpiryPolicy::Static { timeout } => cache.set_read_expiry(Some(timeout)),
-            ExpiryPolicy::Adaptive { min_timeout, .. } => cache.set_read_expiry(Some(min_timeout)),
+            ExpiryPolicy::Adaptive { .. } => cache.set_read_expiry(Some(ADAPTIVE_MIN_TIMEOUT)),
         }
         cache
     }
 
     fn build_negative(cfg: &DsrConfig) -> Option<NegativeCache> {
-        cfg.negative_cache.map(NegativeCache::new)
+        cfg.negative_cache.then(NegativeCache::default)
     }
 
     fn build_adaptive(cfg: &DsrConfig) -> AdaptiveTimeout {
         match cfg.expiry {
-            ExpiryPolicy::Adaptive { alpha, min_timeout, .. } => {
-                AdaptiveTimeout::new(alpha, min_timeout)
+            ExpiryPolicy::Adaptive { alpha, .. } => {
+                AdaptiveTimeout::new(alpha, ADAPTIVE_MIN_TIMEOUT)
             }
             // Unused estimator, still fed so ablations can inspect it.
-            _ => AdaptiveTimeout::new(1.0, SimDuration::from_secs(1.0)),
+            _ => AdaptiveTimeout::new(1.0, ADAPTIVE_MIN_TIMEOUT),
         }
-    }
-
-    fn build_send_buffer(cfg: &DsrConfig) -> SendBuffer {
-        SendBuffer::new(cfg.send_buffer_capacity, cfg.send_buffer_timeout)
     }
 
     /// This agent's node id.
@@ -298,15 +297,8 @@ impl DsrNode {
         uid
     }
 
-    fn tick_period(&self) -> SimDuration {
-        match self.cfg.expiry {
-            ExpiryPolicy::Adaptive { recompute_period, .. } => recompute_period,
-            _ => SimDuration::from_millis(500.0),
-        }
-    }
-
     fn jitter(&mut self) -> SimDuration {
-        let max = self.cfg.broadcast_jitter.as_secs();
+        let max = BROADCAST_JITTER.as_secs();
         SimDuration::from_secs(uniform(&mut self.rng, 0.0, max))
     }
 
@@ -393,7 +385,7 @@ impl DsrNode {
     /// Boots the agent's periodic housekeeping; call once at simulation
     /// start.
     pub fn start(&mut self, now: SimTime) -> Vec<DsrCommand> {
-        vec![DsrCommand::SetTimer { timer: DsrTimer::Tick, at: now + self.tick_period() }]
+        vec![DsrCommand::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD }]
     }
 
     /// The node rebooted after a fault-injected crash (churn): every piece
@@ -422,7 +414,7 @@ impl DsrNode {
         self.cache.set_event_log(self.trace_decisions);
         self.negative = Self::build_negative(&self.cfg);
         self.adaptive = Self::build_adaptive(&self.cfg);
-        self.send_buffer = Self::build_send_buffer(&self.cfg);
+        self.send_buffer = SendBuffer::default();
         self.requests = RequestTable::default();
         self.pending_error = None;
         self.seen_errors.clear();
@@ -430,7 +422,7 @@ impl DsrNode {
         self.grat_replies.clear();
         self.signal.clear();
         self.answered_requests.clear();
-        cmds.push(DsrCommand::SetTimer { timer: DsrTimer::Tick, at: now + self.tick_period() });
+        cmds.push(DsrCommand::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD });
         cmds
     }
 
@@ -505,7 +497,7 @@ impl DsrNode {
             return cmds;
         }
         if let Some(last) = state.last_repair {
-            if now < last + pre.holdoff {
+            if now < last + PREEMPTIVE_HOLDOFF {
                 return cmds;
             }
         }
@@ -561,17 +553,12 @@ impl DsrNode {
         now: SimTime,
     ) -> Vec<DsrCommand> {
         let mut cmds = Vec::new();
-        if !self.cfg.promiscuous {
-            return cmds;
-        }
         match packet {
             Packet::Data(data) => {
                 self.learn_from_route(&data.route, Some(transmitter), now, &mut cmds);
                 self.cache.mark_used(&data.route, now);
                 self.trace_refresh(&data.route, &mut cmds);
-                if self.cfg.gratuitous_replies {
-                    self.maybe_gratuitous_reply(data, transmitter, now, &mut cmds);
-                }
+                self.maybe_gratuitous_reply(data, transmitter, now, &mut cmds);
             }
             Packet::Reply(rep) => {
                 self.learn_from_route(&rep.discovered, None, now, &mut cmds);
@@ -646,14 +633,11 @@ impl DsrNode {
         if self.requests.discovering(target) {
             return;
         }
-        let nonprop = self.cfg.nonpropagating_requests;
-        let request_id = self.requests.start(target, nonprop);
-        let ttl = if nonprop { 1 } else { FLOOD_TTL };
-        self.send_request(target, request_id, ttl, now, cmds);
-        let timeout = if nonprop { self.cfg.nonprop_timeout } else { self.cfg.request_period };
+        let request_id = self.requests.start(target);
+        self.send_request(target, request_id, 1, now, cmds);
         cmds.push(DsrCommand::SetTimer {
             timer: DsrTimer::RequestTimeout(target),
-            at: now + timeout,
+            at: now + NONPROP_TIMEOUT,
         });
     }
 
@@ -665,7 +649,7 @@ impl DsrNode {
         _now: SimTime,
         cmds: &mut Vec<DsrCommand>,
     ) {
-        let piggyback = if self.cfg.gratuitous_repair { self.pending_error.take() } else { None };
+        let piggyback = self.pending_error.take();
         let req = RouteRequest {
             uid: self.fresh_uid(),
             origin: self.id,
@@ -694,8 +678,7 @@ impl DsrNode {
             self.requests.finish(target);
             return;
         }
-        let (request_id, backoff) =
-            self.requests.escalate(target, self.cfg.request_period, self.cfg.max_request_period);
+        let (request_id, backoff) = self.requests.escalate(target);
         self.send_request(target, request_id, FLOOD_TTL, now, cmds);
         cmds.push(DsrCommand::SetTimer {
             timer: DsrTimer::RequestTimeout(target),
@@ -969,36 +952,33 @@ impl DsrNode {
     }
 
     fn try_salvage(&mut self, mut data: DataPacket, now: SimTime, cmds: &mut Vec<DsrCommand>) {
-        let at_source = data.src == self.id;
-        if self.cfg.salvaging {
-            if data.salvage_count >= self.cfg.max_salvage_count {
-                cmds.push(DsrCommand::Drop { uid: data.uid, reason: DropReason::SalvageLimit });
-                return;
-            }
-            let found = self.cache.find(data.dst, now);
-            self.trace_lookup(data.dst, CacheHitKind::Salvage, &found, cmds);
-            if let Some(alt) = found {
-                cmds.push(DsrCommand::Event {
-                    event: DsrEvent::CacheHit {
-                        route: InlineRoute::from_slice(alt.nodes()),
-                        kind: CacheHitKind::Salvage,
-                    },
-                });
-                self.cache.mark_used(&alt, now);
-                self.trace_refresh(&alt, cmds);
-                let next_hop = alt.nodes()[1];
-                data.route = alt;
-                data.hop = 0;
-                data.salvage_count += 1;
-                cmds.push(DsrCommand::Send {
-                    packet: Packet::Data(data),
-                    next_hop,
-                    jitter: SimDuration::ZERO,
-                });
-                return;
-            }
+        if data.salvage_count >= MAX_SALVAGE_COUNT {
+            cmds.push(DsrCommand::Drop { uid: data.uid, reason: DropReason::SalvageLimit });
+            return;
         }
-        if at_source {
+        let found = self.cache.find(data.dst, now);
+        self.trace_lookup(data.dst, CacheHitKind::Salvage, &found, cmds);
+        if let Some(alt) = found {
+            cmds.push(DsrCommand::Event {
+                event: DsrEvent::CacheHit {
+                    route: InlineRoute::from_slice(alt.nodes()),
+                    kind: CacheHitKind::Salvage,
+                },
+            });
+            self.cache.mark_used(&alt, now);
+            self.trace_refresh(&alt, cmds);
+            let next_hop = alt.nodes()[1];
+            data.route = alt;
+            data.hop = 0;
+            data.salvage_count += 1;
+            cmds.push(DsrCommand::Send {
+                packet: Packet::Data(data),
+                next_hop,
+                jitter: SimDuration::ZERO,
+            });
+            return;
+        }
+        if data.src == self.id {
             // Sources re-buffer and rediscover; intermediates must drop
             // (the paper: "a packet is dropped at the intermediate node if
             // [...] there is no alternate route in the local cache").
@@ -1422,7 +1402,7 @@ impl DsrNode {
     // ------------------------------------------------------------------
 
     fn tick(&mut self, now: SimTime, cmds: &mut Vec<DsrCommand>) {
-        cmds.push(DsrCommand::SetTimer { timer: DsrTimer::Tick, at: now + self.tick_period() });
+        cmds.push(DsrCommand::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD });
         for expired in self.send_buffer.purge_expired(now) {
             cmds.push(DsrCommand::Drop { uid: expired.uid, reason: DropReason::SendBufferTimeout });
         }
@@ -1538,7 +1518,7 @@ mod tests {
         assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 0);
         // After the holdoff elapses the same pattern fires again.
         assert!(a.on_signal(n(0), pre.threshold_w * 2.0, t(1.3)).is_empty());
-        let later = t(1.0) + pre.holdoff + SimDuration::from_secs(0.1);
+        let later = t(1.0) + PREEMPTIVE_HOLDOFF + SimDuration::from_secs(0.1);
         let cmds = a.on_signal(n(0), pre.threshold_w / 2.0, later);
         assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 1);
     }

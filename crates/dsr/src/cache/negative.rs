@@ -9,26 +9,27 @@
 //! cache. Essentially, route cache and negative cache are mutually
 //! exclusive with respect to the links present in them."*
 //!
-//! FIFO replacement; entries expire after the configured timeout (10 s in
-//! the paper's experiments).
+//! FIFO replacement; entries expire after a fixed timeout. DSR's
+//! negative caches use the paper's [`NEGATIVE_CACHE_TIMEOUT`] (`Nt` =
+//! 10 s) and [`NEGATIVE_CACHE_CAPACITY`]: [`NegativeCache::default`].
 
 use std::collections::VecDeque;
 
 use packet::Link;
-use sim_core::SimTime;
+use sim_core::{SimDuration, SimTime};
 
-use crate::config::NegativeCacheConfig;
+use crate::config::{NEGATIVE_CACHE_CAPACITY, NEGATIVE_CACHE_TIMEOUT};
 
 /// FIFO blacklist of recently broken links.
 ///
 /// # Example
 ///
 /// ```
-/// use dsr::{NegativeCache, NegativeCacheConfig};
+/// use dsr::NegativeCache;
 /// use packet::Link;
-/// use sim_core::{NodeId, SimTime, SimDuration};
+/// use sim_core::{NodeId, SimTime};
 ///
-/// let mut neg = NegativeCache::new(NegativeCacheConfig::default());
+/// let mut neg = NegativeCache::default();
 /// let link = Link::new(NodeId::new(1), NodeId::new(2));
 /// neg.insert(link, SimTime::ZERO);
 /// assert!(neg.contains(link, SimTime::from_secs(5.0)));
@@ -36,19 +37,21 @@ use crate::config::NegativeCacheConfig;
 /// ```
 #[derive(Debug, Clone)]
 pub struct NegativeCache {
-    cfg: NegativeCacheConfig,
+    capacity: usize,
+    timeout: SimDuration,
     entries: VecDeque<(Link, SimTime)>, // (link, expiry instant)
 }
 
 impl NegativeCache {
-    /// Creates an empty negative cache.
+    /// Creates an empty negative cache of `capacity` links, each
+    /// blacklisted for `timeout`.
     ///
     /// # Panics
     ///
-    /// Panics if the configured capacity is zero.
-    pub fn new(cfg: NegativeCacheConfig) -> Self {
-        assert!(cfg.capacity > 0, "negative cache capacity must be positive");
-        NegativeCache { cfg, entries: VecDeque::new() }
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize, timeout: SimDuration) -> Self {
+        assert!(capacity > 0, "negative cache capacity must be positive");
+        NegativeCache { capacity, timeout, entries: VecDeque::new() }
     }
 
     /// Blacklists `link` until `now + timeout`. Re-inserting an existing
@@ -57,10 +60,10 @@ impl NegativeCache {
     pub fn insert(&mut self, link: Link, now: SimTime) {
         self.purge(now);
         self.entries.retain(|&(l, _)| l != link);
-        if self.entries.len() >= self.cfg.capacity {
+        if self.entries.len() >= self.capacity {
             self.entries.pop_front();
         }
-        self.entries.push_back((link, now + self.cfg.timeout));
+        self.entries.push_back((link, now + self.timeout));
     }
 
     /// Whether `link` is currently blacklisted.
@@ -99,20 +102,24 @@ impl NegativeCache {
     }
 }
 
+/// The paper's negative cache.
+impl Default for NegativeCache {
+    fn default() -> Self {
+        NegativeCache::new(NEGATIVE_CACHE_CAPACITY, NEGATIVE_CACHE_TIMEOUT)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::{NodeId, SimDuration};
+    use sim_core::NodeId;
 
     fn link(a: u16, b: u16) -> Link {
         Link::new(NodeId::new(a), NodeId::new(b))
     }
 
     fn cache(capacity: usize, timeout_s: f64) -> NegativeCache {
-        NegativeCache::new(NegativeCacheConfig {
-            capacity,
-            timeout: SimDuration::from_secs(timeout_s),
-        })
+        NegativeCache::new(capacity, SimDuration::from_secs(timeout_s))
     }
 
     #[test]

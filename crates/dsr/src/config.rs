@@ -11,8 +11,39 @@
 //! | adaptive route expiry | [`DsrConfig::adaptive_expiry`] |
 //! | negative caches | [`DsrConfig::negative_cache`] |
 //! | all three combined ("DSR-C") | [`DsrConfig::combined`] |
+//!
+//! Only what an experiment varies is a field. Every other protocol setting
+//! is a constant, named once: DSR's own below, and the discovery and
+//! send-buffer values DSR shares with AODV next to
+//! [`RequestTable`](crate::RequestTable) and
+//! [`SendBuffer`](crate::SendBuffer). Salvaging, gratuitous route repair,
+//! promiscuous listening, gratuitous replies and the non-propagating first
+//! request are always on.
 
 use sim_core::SimDuration;
+
+/// Maximum times one packet may be salvaged (ns-2).
+pub const MAX_SALVAGE_COUNT: u8 = 15;
+
+/// Broken links a negative cache remembers (FIFO replacement). The
+/// provided paper text garbles the value; 64 links is ample for a 100-node
+/// network.
+pub const NEGATIVE_CACHE_CAPACITY: usize = 64;
+
+/// How long a broken link stays blacklisted (paper: `Nt` = 10 s).
+pub const NEGATIVE_CACHE_TIMEOUT: SimDuration = SimDuration::from_micros_u64(10_000_000);
+
+/// Floor for the adaptive timeout (paper: 1 s).
+pub const ADAPTIVE_MIN_TIMEOUT: SimDuration = SimDuration::from_micros_u64(1_000_000);
+
+/// How often the adaptive timeout is recomputed and the cache swept
+/// (paper: 0.5 s). Every node's housekeeping tick runs at this period.
+pub const RECOMPUTE_PERIOD: SimDuration = SimDuration::from_micros_u64(500_000);
+
+/// Minimum spacing between two preemptive repairs of the same neighbor,
+/// so a node flapping around the warning threshold does not spray route
+/// errors.
+pub const PREEMPTIVE_HOLDOFF: SimDuration = SimDuration::from_micros_u64(1_000_000);
 
 /// Timer-based route expiry policy (Section 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,18 +57,14 @@ pub enum ExpiryPolicy {
     },
     /// Per-node adaptive selection:
     /// `T = max(alpha * avg_route_lifetime, time_since_last_link_break)`,
-    /// recomputed every `recompute_period` and clamped to at least
-    /// `min_timeout`.
+    /// recomputed every [`RECOMPUTE_PERIOD`] and clamped to at least
+    /// [`ADAPTIVE_MIN_TIMEOUT`].
     Adaptive {
         /// Multiplier on the average observed route lifetime. The provided
         /// paper text garbles the constant; 1.25 reproduces the reported
         /// behaviour and the `ablation_adaptive` experiment shows a broad
         /// optimum across [0.75, 1.5].
         alpha: f64,
-        /// Floor for the timeout (paper: 1 s).
-        min_timeout: SimDuration,
-        /// How often `T` is recomputed and the cache swept (paper: 0.5 s).
-        recompute_period: SimDuration,
         /// Include the *time since last link breakage* correction term.
         /// The paper motivates it for bursty break patterns; disabling it
         /// is the `ablation_adaptive` experiment.
@@ -48,22 +75,12 @@ pub enum ExpiryPolicy {
 impl ExpiryPolicy {
     /// The paper's adaptive policy with default constants.
     pub fn adaptive() -> Self {
-        ExpiryPolicy::Adaptive {
-            alpha: 1.25,
-            min_timeout: SimDuration::from_secs(1.0),
-            recompute_period: SimDuration::from_millis(500.0),
-            quiet_term: true,
-        }
+        ExpiryPolicy::adaptive_with_alpha(1.25)
     }
 
     /// The adaptive policy with a custom `alpha` (ablation sweeps).
     pub fn adaptive_with_alpha(alpha: f64) -> Self {
-        match ExpiryPolicy::adaptive() {
-            ExpiryPolicy::Adaptive { min_timeout, recompute_period, quiet_term, .. } => {
-                ExpiryPolicy::Adaptive { alpha, min_timeout, recompute_period, quiet_term }
-            }
-            _ => unreachable!("adaptive() returns Adaptive"),
-        }
+        ExpiryPolicy::Adaptive { alpha, quiet_term: true }
     }
 }
 
@@ -92,23 +109,6 @@ pub enum CacheOrganization {
     Link,
 }
 
-/// Negative cache parameters (Section 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NegativeCacheConfig {
-    /// Maximum broken links remembered (FIFO replacement). The provided
-    /// paper text garbles the value; 64 links is ample for a 100-node
-    /// network and configurable here.
-    pub capacity: usize,
-    /// How long a broken link stays blacklisted (paper: `Nt` = 10 s).
-    pub timeout: SimDuration,
-}
-
-impl Default for NegativeCacheConfig {
-    fn default() -> Self {
-        NegativeCacheConfig { capacity: 64, timeout: SimDuration::from_secs(10.0) }
-    }
-}
-
 /// Preemptive-DSR parameters (Ramesh et al.): repair routes early when a
 /// next-hop's receive power sinks below a warning threshold, before the
 /// link actually breaks.
@@ -120,15 +120,11 @@ pub struct PreemptiveConfig {
     /// 250 m nominal range), i.e. the preemptive region starts roughly
     /// 30 m before the edge of range under the two-ray model.
     pub threshold_w: f64,
-    /// Minimum spacing between two preemptive repairs of the same
-    /// neighbor, so a node flapping around the threshold does not spray
-    /// route errors.
-    pub holdoff: SimDuration,
 }
 
 impl Default for PreemptiveConfig {
     fn default() -> Self {
-        PreemptiveConfig { threshold_w: 2.0 * 3.652e-10, holdoff: SimDuration::from_secs(1.0) }
+        PreemptiveConfig { threshold_w: 2.0 * 3.652e-10 }
     }
 }
 
@@ -164,51 +160,19 @@ impl Default for MultipathConfig {
     }
 }
 
-/// Full DSR configuration: standard optimizations (on by default, as in the
-/// CMU ns-2 implementation the paper extends) plus the three
+/// Full DSR configuration: the standard optimizations (always on, as in
+/// the CMU ns-2 implementation the paper extends) plus the three
 /// cache-correctness techniques (off by default).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DsrConfig {
-    // --- standard DSR optimizations -----------------------------------
+    // --- standard DSR ---------------------------------------------------
     /// Intermediate nodes answer route requests from their caches.
     pub replies_from_cache: bool,
-    /// Intermediate nodes try an alternate cached route when a data packet
-    /// meets a broken link (packet salvaging).
-    pub salvaging: bool,
-    /// Maximum times one packet may be salvaged.
-    pub max_salvage_count: u8,
-    /// Sources piggyback the last route error on their next route request
-    /// (gratuitous route repair).
-    pub gratuitous_repair: bool,
-    /// Promiscuous listening: snoop overheard source routes into the cache
-    /// and process overheard route errors.
-    pub promiscuous: bool,
-    /// Send gratuitous route replies advertising shorter routes learned by
-    /// overhearing.
-    pub gratuitous_replies: bool,
-    /// Try a one-hop (TTL 1) route request before flooding.
-    pub nonpropagating_requests: bool,
-
-    // --- buffers and timers --------------------------------------------
-    /// Send-buffer capacity at traffic sources (paper: 64 packets).
-    pub send_buffer_capacity: usize,
-    /// Packets are dropped after waiting this long for a route (30 s).
-    pub send_buffer_timeout: SimDuration,
     /// Route cache capacity in paths (or links, for the link-cache
     /// organization).
     pub cache_capacity: usize,
     /// Route-cache organization.
     pub cache_organization: CacheOrganization,
-    /// How long to wait for a reply to a non-propagating request before
-    /// flooding (ns-2: 30 ms).
-    pub nonprop_timeout: SimDuration,
-    /// Base retransmission period for flooded requests; doubles per retry.
-    pub request_period: SimDuration,
-    /// Ceiling on the request retransmission period (ns-2: 10 s).
-    pub max_request_period: SimDuration,
-    /// Uniform jitter applied to broadcasts and cache replies to
-    /// de-synchronize neighbors (ns-2 uses the same trick).
-    pub broadcast_jitter: SimDuration,
 
     // --- the paper's three techniques ----------------------------------
     /// Wider error notification: broadcast route errors with conditional
@@ -219,8 +183,9 @@ pub struct DsrConfig {
     pub wider_error_rebroadcast: WiderErrorRebroadcast,
     /// Timer-based route expiry policy.
     pub expiry: ExpiryPolicy,
-    /// Negative cache of recently broken links.
-    pub negative_cache: Option<NegativeCacheConfig>,
+    /// Negative cache of recently broken links
+    /// ([`NEGATIVE_CACHE_CAPACITY`] links for [`NEGATIVE_CACHE_TIMEOUT`]).
+    pub negative_cache: bool,
 
     // --- post-paper strategies (strategy matrix) ------------------------
     /// Preemptive-DSR: signal-strength-triggered early route repair.
@@ -237,24 +202,12 @@ impl DsrConfig {
     pub fn base() -> Self {
         DsrConfig {
             replies_from_cache: true,
-            salvaging: true,
-            max_salvage_count: 15,
-            gratuitous_repair: true,
-            promiscuous: true,
-            gratuitous_replies: true,
-            nonpropagating_requests: true,
-            send_buffer_capacity: 64,
-            send_buffer_timeout: SimDuration::from_secs(30.0),
             cache_capacity: 64,
             cache_organization: CacheOrganization::Path,
-            nonprop_timeout: SimDuration::from_millis(30.0),
-            request_period: SimDuration::from_millis(500.0),
-            max_request_period: SimDuration::from_secs(10.0),
-            broadcast_jitter: SimDuration::from_millis(10.0),
             wider_error_notification: false,
             wider_error_rebroadcast: WiderErrorRebroadcast::CachedAndUsed,
             expiry: ExpiryPolicy::None,
-            negative_cache: None,
+            negative_cache: false,
             preemptive: None,
             suppression: None,
             multipath: None,
@@ -278,7 +231,7 @@ impl DsrConfig {
 
     /// Base DSR + negative caches.
     pub fn negative_cache() -> Self {
-        DsrConfig { negative_cache: Some(NegativeCacheConfig::default()), ..DsrConfig::base() }
+        DsrConfig { negative_cache: true, ..DsrConfig::base() }
     }
 
     /// Base DSR + preemptive signal-strength route repair.
@@ -301,7 +254,7 @@ impl DsrConfig {
         DsrConfig {
             wider_error_notification: true,
             expiry: ExpiryPolicy::adaptive(),
-            negative_cache: Some(NegativeCacheConfig::default()),
+            negative_cache: true,
             ..DsrConfig::base()
         }
     }
@@ -318,7 +271,7 @@ impl DsrConfig {
             ExpiryPolicy::Static { timeout } => tags.push(format!("SE({:.0}s)", timeout.as_secs())),
             ExpiryPolicy::Adaptive { .. } => tags.push("AE".to_string()),
         }
-        if self.negative_cache.is_some() {
+        if self.negative_cache {
             tags.push("NC".to_string());
         }
         if self.preemptive.is_some() {
@@ -378,7 +331,7 @@ mod tests {
     fn strategy_matrix_defaults() {
         let p = PreemptiveConfig::default();
         assert!(p.threshold_w > 3.652e-10, "warning threshold sits above the rx threshold");
-        assert_eq!(p.holdoff, SimDuration::from_secs(1.0));
+        assert_eq!(PREEMPTIVE_HOLDOFF, SimDuration::from_secs(1.0));
         assert!((SuppressionConfig::default().stretch - 1.5).abs() < 1e-12);
         assert_eq!(MultipathConfig::default().k, 2);
         assert!(DsrConfig::base().preemptive.is_none());
@@ -390,12 +343,12 @@ mod tests {
     #[test]
     fn base_has_standard_optimizations_only() {
         let c = DsrConfig::base();
-        assert!(c.replies_from_cache && c.salvaging && c.promiscuous);
+        assert!(c.replies_from_cache);
         assert!(!c.wider_error_notification);
         assert_eq!(c.expiry, ExpiryPolicy::None);
-        assert!(c.negative_cache.is_none());
-        assert_eq!(c.send_buffer_capacity, 64);
-        assert_eq!(c.send_buffer_timeout, SimDuration::from_secs(30.0));
+        assert!(!c.negative_cache);
+        assert_eq!(crate::send_buffer::SEND_BUFFER_CAPACITY, 64);
+        assert_eq!(crate::send_buffer::SEND_BUFFER_TIMEOUT, SimDuration::from_secs(30.0));
     }
 
     #[test]
@@ -403,23 +356,22 @@ mod tests {
         let c = DsrConfig::combined();
         assert!(c.wider_error_notification);
         assert!(matches!(c.expiry, ExpiryPolicy::Adaptive { .. }));
-        assert!(c.negative_cache.is_some());
+        assert!(c.negative_cache);
     }
 
     #[test]
     fn adaptive_defaults_match_paper() {
-        let ExpiryPolicy::Adaptive { min_timeout, recompute_period, .. } = ExpiryPolicy::adaptive()
-        else {
-            panic!("expected adaptive policy");
-        };
-        assert_eq!(min_timeout, SimDuration::from_secs(1.0));
-        assert_eq!(recompute_period, SimDuration::from_millis(500.0));
+        assert_eq!(
+            ExpiryPolicy::adaptive(),
+            ExpiryPolicy::Adaptive { alpha: 1.25, quiet_term: true }
+        );
+        assert_eq!(ADAPTIVE_MIN_TIMEOUT, SimDuration::from_secs(1.0));
+        assert_eq!(RECOMPUTE_PERIOD, SimDuration::from_millis(500.0));
     }
 
     #[test]
     fn negative_cache_defaults_match_paper() {
-        let c = NegativeCacheConfig::default();
-        assert_eq!(c.timeout, SimDuration::from_secs(10.0));
-        assert!(c.capacity > 0);
+        assert_eq!(NEGATIVE_CACHE_TIMEOUT, SimDuration::from_secs(10.0));
+        assert_eq!(NEGATIVE_CACHE_CAPACITY, 64);
     }
 }

@@ -39,9 +39,9 @@ pub use cache::negative::NegativeCache;
 pub use cache::path_cache::{PathCache, PathEntry, RemovedLink};
 pub use cache::{CacheEvent, RouteCache};
 pub use config::{
-    CacheOrganization, DsrConfig, ExpiryPolicy, MultipathConfig, NegativeCacheConfig,
-    PreemptiveConfig, SuppressionConfig, WiderErrorRebroadcast,
+    CacheOrganization, DsrConfig, ExpiryPolicy, MultipathConfig, PreemptiveConfig,
+    SuppressionConfig, WiderErrorRebroadcast,
 };
 pub use packet::{CacheHitKind, DropReason};
-pub use request_table::{DiscoveryPhase, RequestTable};
+pub use request_table::RequestTable;
 pub use send_buffer::{PendingData, SendBuffer};

@@ -1,26 +1,34 @@
 //! Route-request state: discovery retry backoff and duplicate suppression.
+//!
+//! DSR and AODV discover routes on the same schedule: a non-propagating
+//! (TTL 1) request, then floods whose timeout starts at
+//! [`REQUEST_PERIOD`] and doubles per retry up to [`MAX_REQUEST_PERIOD`].
 
 use std::collections::VecDeque;
 
 use sim_core::{NodeId, SimDuration, U64HashMap};
 
-/// Phase of an in-flight route discovery for one target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiscoveryPhase {
-    /// A TTL-1 (non-propagating) request is out; if it times out, flood.
-    NonPropagating,
-    /// A network-wide flood is out; retries back off exponentially.
-    Flooding,
-}
+/// How long to wait for a reply to a non-propagating request before
+/// flooding (ns-2: 30 ms).
+pub const NONPROP_TIMEOUT: SimDuration = SimDuration::from_micros_u64(30_000);
+
+/// Timeout of the first flooded request; doubles per retry (ns-2: 500 ms).
+pub const REQUEST_PERIOD: SimDuration = SimDuration::from_micros_u64(500_000);
+
+/// Ceiling on the request retransmission period (ns-2: 10 s).
+pub const MAX_REQUEST_PERIOD: SimDuration = SimDuration::from_micros_u64(10_000_000);
+
+/// Uniform jitter applied to broadcasts and cache replies to
+/// de-synchronize neighbors (ns-2: 10 ms).
+pub const BROADCAST_JITTER: SimDuration = SimDuration::from_micros_u64(10_000);
 
 /// Per-target state of an in-flight discovery.
 #[derive(Debug, Clone, Copy)]
 pub struct Discovery {
     /// Request id carried by the outstanding request.
     pub request_id: u64,
-    /// Current phase.
-    pub phase: DiscoveryPhase,
-    /// How many floods have been sent (drives the backoff).
+    /// How many floods have been sent (drives the backoff); zero while
+    /// only the non-propagating request is out.
     pub flood_attempts: u32,
 }
 
@@ -66,21 +74,17 @@ impl RequestTable {
         self.in_flight.get(&target)
     }
 
-    /// Starts a discovery for `target` and returns its fresh request id.
-    /// `nonprop` selects the initial phase.
+    /// Starts a discovery for `target` with a non-propagating request and
+    /// returns its fresh request id.
     ///
     /// # Panics
     ///
     /// Panics if a discovery for `target` is already outstanding.
-    pub fn start(&mut self, target: NodeId, nonprop: bool) -> u64 {
+    pub fn start(&mut self, target: NodeId) -> u64 {
         assert!(!self.discovering(target), "discovery for {target} already in flight");
         let id = self.next_request_id;
         self.next_request_id += 1;
-        let phase = if nonprop { DiscoveryPhase::NonPropagating } else { DiscoveryPhase::Flooding };
-        self.in_flight.insert(
-            target,
-            Discovery { request_id: id, phase, flood_attempts: u32::from(!nonprop) },
-        );
+        self.in_flight.insert(target, Discovery { request_id: id, flood_attempts: 0 });
         id
     }
 
@@ -91,21 +95,15 @@ impl RequestTable {
     /// # Panics
     ///
     /// Panics if no discovery for `target` is outstanding.
-    pub fn escalate(
-        &mut self,
-        target: NodeId,
-        base_period: SimDuration,
-        max_period: SimDuration,
-    ) -> (u64, SimDuration) {
+    pub fn escalate(&mut self, target: NodeId) -> (u64, SimDuration) {
         let id = self.next_request_id;
         self.next_request_id += 1;
         let disc =
             self.in_flight.get_mut(&target).expect("escalating a discovery that is not in flight");
         disc.request_id = id;
-        disc.phase = DiscoveryPhase::Flooding;
         let exponent = disc.flood_attempts.min(16);
         disc.flood_attempts += 1;
-        let backoff = base_period.mul_f64(f64::from(1u32 << exponent)).min(max_period);
+        let backoff = REQUEST_PERIOD.mul_f64(f64::from(1u32 << exponent)).min(MAX_REQUEST_PERIOD);
         (id, backoff)
     }
 
@@ -147,45 +145,45 @@ mod tests {
     #[test]
     fn start_assigns_unique_ids() {
         let mut t = RequestTable::default();
-        let a = t.start(n(1), true);
-        let b = t.start(n(2), true);
+        let a = t.start(n(1));
+        let b = t.start(n(2));
         assert_ne!(a, b);
         assert!(t.discovering(n(1)));
-        assert_eq!(t.discovery(n(1)).unwrap().phase, DiscoveryPhase::NonPropagating);
+        assert_eq!(t.discovery(n(1)).unwrap().flood_attempts, 0, "non-propagating first");
     }
 
     #[test]
     fn escalation_doubles_backoff_up_to_cap() {
         let mut t = RequestTable::default();
-        t.start(n(1), true);
+        t.start(n(1));
         let base = SimDuration::from_millis(500.0);
         let max = SimDuration::from_secs(10.0);
-        let (_, b0) = t.escalate(n(1), base, max);
-        let (_, b1) = t.escalate(n(1), base, max);
-        let (_, b2) = t.escalate(n(1), base, max);
+        let (_, b0) = t.escalate(n(1));
+        let (_, b1) = t.escalate(n(1));
+        let (_, b2) = t.escalate(n(1));
         assert_eq!(b0, base);
         assert_eq!(b1, base * 2);
         assert_eq!(b2, base * 4);
         for _ in 0..10 {
-            let (_, b) = t.escalate(n(1), base, max);
+            let (_, b) = t.escalate(n(1));
             assert!(b <= max);
         }
-        let (_, capped) = t.escalate(n(1), base, max);
+        let (_, capped) = t.escalate(n(1));
         assert_eq!(capped, max);
     }
 
     #[test]
     fn escalation_moves_to_flooding() {
         let mut t = RequestTable::default();
-        t.start(n(1), true);
-        t.escalate(n(1), SimDuration::from_millis(500.0), SimDuration::from_secs(10.0));
-        assert_eq!(t.discovery(n(1)).unwrap().phase, DiscoveryPhase::Flooding);
+        t.start(n(1));
+        t.escalate(n(1));
+        assert_eq!(t.discovery(n(1)).unwrap().flood_attempts, 1);
     }
 
     #[test]
     fn finish_clears_state() {
         let mut t = RequestTable::default();
-        t.start(n(1), false);
+        t.start(n(1));
         assert!(t.finish(n(1)));
         assert!(!t.discovering(n(1)));
         assert!(!t.finish(n(1)));
@@ -213,7 +211,7 @@ mod tests {
     #[should_panic(expected = "already in flight")]
     fn double_start_rejected() {
         let mut t = RequestTable::default();
-        t.start(n(1), true);
-        t.start(n(1), true);
+        t.start(n(1));
+        t.start(n(1));
     }
 }

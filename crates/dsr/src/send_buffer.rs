@@ -2,11 +2,18 @@
 //!
 //! The paper's model buffers *only at the traffic source* ("Buffering is
 //! done only at the source of the traffic session"): 64 packets, dropped
-//! after 30 seconds of waiting.
+//! after 30 seconds of waiting. DSR and AODV both buffer this way:
+//! [`SendBuffer::default`].
 
 use std::collections::VecDeque;
 
-use sim_core::{NodeId, SimTime};
+use sim_core::{NodeId, SimDuration, SimTime};
+
+/// Send-buffer capacity at traffic sources (paper: 64 packets).
+pub const SEND_BUFFER_CAPACITY: usize = 64;
+
+/// Packets are dropped after waiting this long for a route (paper: 30 s).
+pub const SEND_BUFFER_TIMEOUT: SimDuration = SimDuration::from_micros_u64(30_000_000);
 
 /// A data packet awaiting route discovery (no source route yet).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +51,7 @@ pub struct PendingData {
 pub struct SendBuffer {
     entries: VecDeque<(PendingData, SimTime)>, // (packet, enqueued_at)
     capacity: usize,
-    timeout: sim_core::SimDuration,
+    timeout: SimDuration,
 }
 
 impl SendBuffer {
@@ -53,7 +60,7 @@ impl SendBuffer {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, timeout: sim_core::SimDuration) -> Self {
+    pub fn new(capacity: usize, timeout: SimDuration) -> Self {
         assert!(capacity > 0, "send buffer capacity must be positive");
         SendBuffer { entries: VecDeque::new(), capacity, timeout }
     }
@@ -136,10 +143,16 @@ impl SendBuffer {
     }
 }
 
+/// The paper's send buffer.
+impl Default for SendBuffer {
+    fn default() -> Self {
+        SendBuffer::new(SEND_BUFFER_CAPACITY, SEND_BUFFER_TIMEOUT)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::SimDuration;
 
     fn pkt(uid: u64, dst: u16) -> PendingData {
         PendingData {

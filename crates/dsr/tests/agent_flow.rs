@@ -243,7 +243,7 @@ fn tx_failure_unicasts_error_and_salvages() {
         hop: 1,
         salvage_count: 0,
     };
-    let cmds = b.on_tx_failed(Packet::Data(data), n(2), t(1.1));
+    let cmds = b.on_tx_failed(Packet::Data(data.clone()), n(2), t(1.1));
     let evs = events(&cmds);
     assert!(evs.iter().any(
         |e| matches!(e, DsrEvent::LinkBreakDetected { link } if *link == Link::new(n(1), n(2)))
@@ -265,6 +265,14 @@ fn tx_failure_unicasts_error_and_salvages() {
         .any(|e| matches!(e, DsrEvent::CacheHit { kind: CacheHitKind::Salvage, .. })));
     // The broken link is gone from the cache.
     assert!(!b.cache().contains_link(Link::new(n(1), n(2))));
+    // ns-2's limit: a packet is salvaged at most 15 times.
+    for (salvage_count, limited) in [(14, false), (15, true)] {
+        let tired = DataPacket { salvage_count, ..data.clone() };
+        let cmds = b.on_tx_failed(Packet::Data(tired), n(2), t(1.2));
+        let drop = DsrCommand::Drop { uid: 77, reason: DropReason::SalvageLimit };
+        let sent = sends(&cmds).iter().any(|(p, _)| matches!(p, Packet::Data(_)));
+        assert_eq!((cmds.contains(&drop), sent), (limited, !limited), "{salvage_count} before");
+    }
 }
 
 #[test]

@@ -239,17 +239,7 @@ pub static SPECS: &[Spec] = &[
                     Row::dsr(vec![format!("alpha={alpha}")], paper_point(mode, dsr))
                 })
                 .collect();
-            let expiry = match ExpiryPolicy::adaptive() {
-                ExpiryPolicy::Adaptive { alpha, min_timeout, recompute_period, .. } => {
-                    ExpiryPolicy::Adaptive {
-                        alpha,
-                        min_timeout,
-                        recompute_period,
-                        quiet_term: false,
-                    }
-                }
-                _ => unreachable!(),
-            };
+            let expiry = ExpiryPolicy::Adaptive { alpha: 1.25, quiet_term: false };
             let dsr = DsrConfig { expiry, ..DsrConfig::base() };
             rows.push(Row::dsr(vec!["alpha=1.25, no quiet term".into()], paper_point(mode, dsr)));
             rows
@@ -368,10 +358,7 @@ pub static SPECS: &[Spec] = &[
                 for dsr in [DsrConfig::base(), DsrConfig::combined()] {
                     rows.push(Row::dsr(pause.clone(), mode.scenario(pause_s, 3.0, dsr)));
                 }
-                for aodv in [
-                    AodvConfig::default(),
-                    AodvConfig { intermediate_replies: false, ..AodvConfig::default() },
-                ] {
+                for aodv in [AodvConfig::default(), AodvConfig { intermediate_replies: false }] {
                     rows.push(Row {
                         axes: pause.clone(),
                         scenario: mode.scenario(pause_s, 3.0, DsrConfig::base()),

@@ -342,22 +342,6 @@ pub fn replay_run(cfg: &ScenarioConfig, audit: AuditLevel) -> Result<Report, Run
     attempt_one(cfg.clone(), &label, &make_agent, &campaign, AttemptHooks::default()).0
 }
 
-/// Preserved pre-campaign API: runs the same DSR scenario under several
-/// seeds and returns the per-seed reports (callers average with
-/// [`Report::mean`]). Runs execute on `threads` worker threads (use 1 for
-/// strict serial execution).
-///
-/// # Panics
-///
-/// Panics if any run fails; callers that need partial results should use
-/// [`run_campaign`] instead.
-pub fn run_seeds(base: &ScenarioConfig, seeds: &[u64], threads: usize) -> Vec<Report> {
-    let campaign = CampaignConfig { jobs: threads, ..CampaignConfig::default() };
-    let result = run_campaign(base, seeds, &campaign);
-    assert!(result.all_ok(), "campaign failed: {}", result.failure_summary());
-    result.reports
-}
-
 /// Per-attempt hooks the executor threads into a run: trace capture for
 /// forensic artifacts and the campaign heartbeat. The default (no hooks)
 /// is what [`replay_run`] uses.
@@ -491,7 +475,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FaultPlan;
     use dsr::DsrConfig;
     use sim_core::SimDuration;
 
@@ -621,18 +604,5 @@ mod tests {
         let off = run_campaign(&base, &[1, 2], &CampaignConfig::default());
         assert!(off.profile.is_none(), "obs off yields no profile");
         assert_eq!(off.reports, result.reports, "instrumentation must not change results");
-    }
-
-    #[test]
-    fn run_seeds_still_panics_on_failure() {
-        let mut base = tiny_line(0);
-        base.faults = FaultPlan {
-            events: vec![crate::config::FaultEvent::Panic {
-                at: SimTime::from_secs(1.0),
-                only_seed: None,
-            }],
-        };
-        let caught = catch_unwind(AssertUnwindSafe(|| run_seeds(&base, &[1], 1)));
-        assert!(caught.is_err(), "run_seeds preserves its all-or-nothing contract");
     }
 }

@@ -31,8 +31,8 @@ pub mod trace;
 
 pub use audit::{AuditLevel, AuditSummary};
 pub use campaign::{
-    replay_run, run_campaign, run_campaign_with, run_seeds, CampaignConfig, CampaignResult,
-    RunError, RunFailure, RunLimits,
+    replay_run, run_campaign, run_campaign_with, CampaignConfig, CampaignResult, RunError,
+    RunFailure, RunLimits,
 };
 pub use config::{FaultEvent, FaultPlan, MobilitySpec, Region, ScenarioConfig, Zone};
 pub use forensics::{config_fingerprint, ForensicArtifact};

@@ -208,7 +208,8 @@ fn traced(cfg: ScenarioConfig) -> CacheTrace {
 /// every row with `to_string()` per hop and a `HashMap` link memo. A change
 /// to the stamper, the row text or the file renderer that moves a single
 /// byte moves a digest. Re-pin only in a change that means to alter the
-/// trace format or the oracle's verdicts, and say so in that change.
+/// trace format or the oracle's verdicts, and say so in that change. The
+/// header's `fingerprint =` line moves with the forensic scenario keys.
 #[test]
 fn rendered_traces_match_the_pinned_digests() {
     let secs = SimTime::from_secs;
@@ -230,19 +231,19 @@ fn rendered_traces_match_the_pinned_digests() {
         (
             "combined_clean",
             combined,
-            0x2ee9_1be8_b92b_e508,
+            0x652c_4b53_b88c_f1da,
             &["insert", "lookup", "remove", "expire", "refresh"],
         ),
         (
             "base_clean",
             ScenarioConfig::tiny(0.0, 2.0, DsrConfig::base(), 1),
-            0x1821_2671_87bb_6298,
+            0x695d_d98f_5293_15a9,
             &["insert", "lookup", "remove", "refresh"],
         ),
         (
             "combined_churn_blackout",
             faulted,
-            0xcdff_80ed_15e5_49eb,
+            0x5414_8c44_58d6_1293,
             &["insert", "lookup", "remove", "expire", "evict", "refresh"],
         ),
     ];

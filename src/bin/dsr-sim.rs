@@ -119,7 +119,7 @@ fn main() {
         None => {
             let aodv = match opts.protocol.as_str() {
                 "aodv" => AodvConfig::default(),
-                "aodv-noir" => AodvConfig { intermediate_replies: false, ..AodvConfig::default() },
+                "aodv-noir" => AodvConfig { intermediate_replies: false },
                 other => {
                     eprintln!(
                         "unknown protocol {other} (dsr|dsr-we|dsr-ae|dsr-nc|dsr-c|aodv|aodv-noir)"

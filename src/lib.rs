@@ -45,14 +45,14 @@ pub use traffic;
 /// The commonly used types in one import.
 pub mod prelude {
     pub use aodv::{AodvConfig, AodvNode};
-    pub use dsr::{DsrConfig, ExpiryPolicy, NegativeCacheConfig};
+    pub use dsr::{DsrConfig, ExpiryPolicy};
     pub use metrics::Report;
     pub use mobility::{Field, Point, WaypointConfig};
     pub use runner::{
-        replay_run, run_campaign, run_campaign_with, run_scenario, run_scenario_with, run_seeds,
-        AuditLevel, CampaignConfig, CampaignResult, FaultEvent, FaultPlan, ForensicArtifact,
-        Journal, JournalWriter, MobilitySpec, Region, RunError, RunFailure, RunLimits,
-        ScenarioConfig, Simulator, Zone,
+        replay_run, run_campaign, run_campaign_with, run_scenario, run_scenario_with, AuditLevel,
+        CampaignConfig, CampaignResult, FaultEvent, FaultPlan, ForensicArtifact, Journal,
+        JournalWriter, MobilitySpec, Region, RunError, RunFailure, RunLimits, ScenarioConfig,
+        Simulator, Zone,
     };
     pub use sim_core::{NodeId, SimDuration, SimTime};
     pub use tcp::{TcpConfig, TcpHost};

@@ -36,7 +36,7 @@ fn aodv_runs_are_deterministic() {
 #[test]
 fn disabling_intermediate_replies_still_works() {
     let cfg = ScenarioConfig::tiny(0.0, 2.0, DsrConfig::base(), 4);
-    let aodv = AodvConfig { intermediate_replies: false, ..AodvConfig::default() };
+    let aodv = AodvConfig { intermediate_replies: false };
     let r = run_aodv(cfg, aodv);
     assert!(r.delivery_fraction > 0.6, "AODV-noIR collapsed: {r}");
     assert_eq!(r.label, "AODV-noIR");

@@ -10,7 +10,7 @@
 //! over 300 seeds x 800 mixed ops. The two lazy-envelope properties live
 //! beside the reference receiver they drive, in `crates/phy/src/differential.rs`.
 
-use dsr_caching::dsr::{DsrConfig, NegativeCache, NegativeCacheConfig, PathCache};
+use dsr_caching::dsr::{DsrConfig, NegativeCache, PathCache};
 use dsr_caching::mobility::{
     Field, MobilityModel, NeighborGrid, Point, RandomWaypoint, WaypointConfig,
 };
@@ -210,7 +210,7 @@ fn cache_expiry_is_monotone() {
 fn negative_cache_mutual_exclusion() {
     cases("negative_cache_mutual_exclusion", 0..256, |_, rng| {
         let links: Vec<Link> = (0..rng.random_range(1..20usize)).map(|_| link(rng)).collect();
-        let mut neg = NegativeCache::new(NegativeCacheConfig::default());
+        let mut neg = NegativeCache::default();
         let owner = NodeId::new(0);
         let mut cache = PathCache::new(owner, 16);
         let now = SimTime::from_secs(1.0);
