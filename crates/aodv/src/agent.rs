@@ -13,8 +13,7 @@
 //! the protocol-native analogues of the paper's negative caches and
 //! timer-based expiry.
 
-use packet::{DropReason, ProtocolEvent};
-use runner::{AgentCommand, RoutingAgent};
+use packet::{AgentCommand, DropReason, ProtocolEvent, RoutingAgent};
 use sim_core::rng::uniform;
 use sim_core::{NodeId, SimDuration, SimRng, SimTime};
 
@@ -312,6 +311,7 @@ impl AodvNode {
             cmds.push(Cmd::Deliver {
                 uid: data.uid,
                 src: data.src,
+                seq: data.seq,
                 sent_at: data.sent_at,
                 bytes: data.payload_bytes,
                 hops: usize::from(data.hops_traveled) + 1,
@@ -407,6 +407,26 @@ impl RoutingAgent for AodvNode {
 
     fn start(&mut self, now: SimTime) -> Vec<Cmd> {
         vec![Cmd::SetTimer { timer: AodvTimer::Tick, at: now + SimDuration::from_millis(500.0) }]
+    }
+
+    /// Churn revival: buffered packets are surrendered as `NodeReset`
+    /// drops, the routing table, send buffer and request table start empty,
+    /// and the tick is re-armed as [`start`](Self::start) arms it. The uid
+    /// counter, the node's own sequence number and the RNG survive, so uids
+    /// stay unique and a destination never sees this node's sequence number
+    /// go backwards.
+    fn on_revival(&mut self, now: SimTime) -> Vec<Cmd> {
+        let mut cmds: Vec<Cmd> = self
+            .send_buffer
+            .uids()
+            .into_iter()
+            .map(|uid| Cmd::Drop { uid, reason: DropReason::NodeReset })
+            .collect();
+        self.table = RoutingTable::new();
+        self.send_buffer = SendBuffer::default();
+        self.requests = RequestTable::default();
+        cmds.extend(self.start(now));
+        cmds
     }
 
     fn originate(&mut self, dst: NodeId, payload_bytes: usize, seq: u64, now: SimTime) -> Vec<Cmd> {
@@ -571,7 +591,7 @@ mod tests {
         let now = t(1.0);
 
         // A wants C: buffers and probes.
-        let cmds = a.originate(n(2), 512, 0, now);
+        let cmds = a.originate(n(2), 512, 7, now);
         let out = sends(&cmds);
         let AodvPacket::Rreq(probe) = &out[0].0 else { panic!("expected RREQ") };
         assert_eq!(probe.ttl, 1);
@@ -614,12 +634,13 @@ mod tests {
         assert_eq!(hop, n(1));
         assert_eq!(a.buffered(), 0);
 
-        // B forwards, C delivers with the hop count intact.
+        // B forwards, C delivers with the hop count and sequence number
+        // intact.
         let cmds = b.on_receive(n(0), out_a[0].0.clone(), t(1.08));
         let out_b = sends(&cmds);
         assert_eq!(out_b[0].1, n(2));
         let cmds = c.on_receive(n(1), out_b[0].0.clone(), t(1.09));
-        assert!(cmds.iter().any(|c| matches!(c, Cmd::Deliver { hops: 2, .. })));
+        assert!(cmds.iter().any(|c| matches!(c, Cmd::Deliver { hops: 2, seq: 7, .. })));
     }
 
     #[test]
@@ -783,6 +804,44 @@ mod tests {
         assert_eq!(ttls, vec![3, 5, 7, FLOOD_TTL, FLOOD_TTL]);
         let backoff = [500.0, 1000.0, 2000.0, 4000.0, 8000.0].map(SimDuration::from_millis);
         assert_eq!(waits, backoff, "DSR's discovery schedule");
+    }
+
+    #[test]
+    fn revival_drops_buffered_data_resets_state_and_rearms_the_tick() {
+        let mut a = agent(0);
+        let rrep = Rrep {
+            uid: 1,
+            origin: n(0),
+            target: n(5),
+            target_seq: 4,
+            hop_count: 1,
+            from_cache: false,
+        };
+        a.on_receive(n(3), AodvPacket::Rrep(rrep), t(0.5));
+        let cmds = a.originate(n(4), 512, 0, t(1.0));
+        let Some(&Cmd::Event { event: ProtocolEvent::DataOriginated { uid } }) = cmds.first()
+        else {
+            panic!("origination announces its uid: {cmds:?}")
+        };
+        assert_eq!((a.buffered(), a.table().len()), (1, 2));
+
+        let own_seq = a.own_seq;
+        let cmds = a.on_revival(t(2.0));
+        assert_eq!(
+            cmds,
+            vec![
+                Cmd::Drop { uid, reason: DropReason::NodeReset },
+                Cmd::SetTimer { timer: AodvTimer::Tick, at: t(2.5) },
+            ]
+        );
+        assert_eq!((a.buffered(), a.table().len(), a.own_seq), (0, 0, own_seq));
+        // The next packet starts a fresh discovery under a fresh uid.
+        let cmds = a.originate(n(4), 512, 1, t(2.1));
+        assert!(matches!(
+            cmds.first(),
+            Some(Cmd::Event { event: ProtocolEvent::DataOriginated { uid: next } }) if *next > uid
+        ));
+        assert!(sends(&cmds).iter().any(|(p, _)| matches!(p, AodvPacket::Rreq(r) if r.ttl == 1)));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! sequence numbers, hop-by-hop forwarding from routing tables, RERRs on
 //! link-layer feedback, intermediate replies) running on the exact same
 //! mobility / radio / 802.11 stack as the DSR study, via the
-//! [`runner::RoutingAgent`] abstraction.
+//! [`packet::RoutingAgent`] abstraction.
 //!
 //! # Example
 //!

@@ -2,7 +2,7 @@
 //!
 //! One [`DsrNode`] per simulated node, driven — like the MAC — as a pure
 //! state machine: traffic origination, packet receptions, link-layer
-//! failure feedback, and timers go in; [`DsrCommand`]s come out (send a
+//! failure feedback, and timers go in; [`AgentCommand`]s come out (send a
 //! packet via the MAC, deliver data to the application, arm timers, report
 //! drops and metric events).
 //!
@@ -22,9 +22,9 @@
 use std::collections::VecDeque;
 
 use packet::{
-    CacheDecision, CacheHitKind, CacheInsertProvenance, CacheRemovalCause, DataPacket, DropReason,
-    ErrorDelivery, InlineRoute, Link, Packet, ProtocolEvent, Route, RouteErrorPkt, RouteReply,
-    RouteRequest, SuppressedAction,
+    AgentCommand, AgentObservation, CacheDecision, CacheHitKind, CacheInsertProvenance,
+    CacheRemovalCause, DataPacket, DropReason, ErrorDelivery, InlineRoute, Link, Packet,
+    ProtocolEvent, Route, RouteErrorPkt, RouteReply, RouteRequest, RoutingAgent, SuppressedAction,
 };
 
 use sim_core::rng::uniform;
@@ -81,51 +81,7 @@ pub enum DsrTimer {
 /// the `packet` crate).
 pub type DsrEvent = ProtocolEvent;
 
-/// Effects the driver must apply after feeding the agent an input.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DsrCommand {
-    /// Hand `packet` to the MAC for `next_hop` (or broadcast) after
-    /// `jitter`. Control packets (everything but data) go at control
-    /// priority in the interface queue.
-    Send {
-        /// The network-layer packet.
-        packet: Packet,
-        /// MAC-level next hop.
-        next_hop: NodeId,
-        /// Random de-synchronization delay (zero for unicast forwards).
-        jitter: SimDuration,
-    },
-    /// A data packet reached its final destination.
-    DeliverData {
-        /// The delivered packet (carrying origination time for the delay
-        /// metric).
-        packet: DataPacket,
-    },
-    /// Arm (or re-arm) a timer.
-    SetTimer {
-        /// Which timer.
-        timer: DsrTimer,
-        /// Absolute expiry.
-        at: SimTime,
-    },
-    /// Disarm a timer if pending.
-    CancelTimer {
-        /// Which timer.
-        timer: DsrTimer,
-    },
-    /// A packet was dropped.
-    Drop {
-        /// Unique id of the dropped packet.
-        uid: u64,
-        /// Why.
-        reason: DropReason,
-    },
-    /// A metrics event occurred.
-    Event {
-        /// The event.
-        event: DsrEvent,
-    },
-}
+type Cmd = AgentCommand<Packet, DsrTimer>;
 
 /// Per-node DSR protocol entity.
 pub struct DsrNode {
@@ -263,32 +219,9 @@ impl DsrNode {
         self.send_buffer.len()
     }
 
-    /// The uids of every packet waiting in the send buffer (conservation
-    /// audits).
-    pub fn buffered_uids(&self) -> Vec<u64> {
-        self.send_buffer.uids()
-    }
-
     /// Route discoveries currently in flight (observability gauge).
     pub fn discoveries_in_flight(&self) -> usize {
         self.requests.in_flight_count()
-    }
-
-    /// Checks the paper's invariant that the route cache and the negative
-    /// cache are mutually exclusive with respect to the links they hold.
-    /// Returns a description of the first violation, or `None` when the
-    /// invariant holds (trivially so without a negative cache).
-    pub fn cache_exclusion_violation(&self, now: SimTime) -> Option<String> {
-        let neg = self.negative.as_ref()?;
-        for link in neg.live_links(now) {
-            if self.cache.contains_link(link) {
-                return Some(format!(
-                    "node {}: link {}->{} is both negatively cached and route-cached",
-                    self.id, link.from, link.to
-                ));
-            }
-        }
-        None
     }
 
     fn fresh_uid(&mut self) -> u64 {
@@ -302,28 +235,15 @@ impl DsrNode {
         SimDuration::from_secs(uniform(&mut self.rng, 0.0, max))
     }
 
-    /// Enables (or disables) cache-decision tracing: every insert, lookup,
-    /// link purge, eviction, expiry, and `mark_used` refresh is emitted as
-    /// a [`DsrEvent::CacheDecision`] command for the driver's cache
-    /// forensics recorder, in the order the agent made them. Pure
-    /// observation — no timers, sends, or RNG draws are added, so protocol
-    /// behaviour is identical either way. A decision copies its route by
-    /// value, so tracing allocates only where it grows the returned command
-    /// vector or the cache's event log.
-    pub fn set_decision_trace(&mut self, on: bool) {
-        self.trace_decisions = on;
-        self.cache.set_event_log(on);
-    }
-
     fn trace_lookup(
         &self,
         dst: NodeId,
         purpose: CacheHitKind,
         route: &Option<Route>,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         if self.trace_decisions {
-            cmds.push(DsrCommand::Event {
+            cmds.push(Cmd::Event {
                 event: DsrEvent::CacheDecision {
                     decision: CacheDecision::Lookup {
                         dst,
@@ -335,9 +255,9 @@ impl DsrNode {
         }
     }
 
-    fn trace_refresh(&self, route: &Route, cmds: &mut Vec<DsrCommand>) {
+    fn trace_refresh(&self, route: &Route, cmds: &mut Vec<Cmd>) {
         if self.trace_decisions {
-            cmds.push(DsrCommand::Event {
+            cmds.push(Cmd::Event {
                 event: DsrEvent::CacheDecision {
                     decision: CacheDecision::Refresh {
                         route: InlineRoute::from_slice(route.nodes()),
@@ -352,10 +272,10 @@ impl DsrNode {
         link: Link,
         cause: CacheRemovalCause,
         contained: bool,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         if self.trace_decisions {
-            cmds.push(DsrCommand::Event {
+            cmds.push(Cmd::Event {
                 event: DsrEvent::CacheDecision {
                     decision: CacheDecision::RemoveLink { link, cause, contained },
                 },
@@ -365,7 +285,7 @@ impl DsrNode {
 
     /// Drains the cache's internal event log (evictions, expiry prunes)
     /// into decision-trace commands. No-op while tracing is off.
-    fn drain_cache_events(&mut self, cmds: &mut Vec<DsrCommand>) {
+    fn drain_cache_events(&mut self, cmds: &mut Vec<Cmd>) {
         if !self.trace_decisions {
             return;
         }
@@ -374,18 +294,19 @@ impl DsrNode {
                 CacheEvent::Evicted { route } => CacheDecision::Evict { route },
                 CacheEvent::Expired { route } => CacheDecision::Expire { route },
             };
-            cmds.push(DsrCommand::Event { event: DsrEvent::CacheDecision { decision } });
+            cmds.push(Cmd::Event { event: DsrEvent::CacheDecision { decision } });
         });
     }
+}
 
-    // ------------------------------------------------------------------
-    // Inputs
-    // ------------------------------------------------------------------
+impl RoutingAgent for DsrNode {
+    type Packet = Packet;
+    type Timer = DsrTimer;
 
     /// Boots the agent's periodic housekeeping; call once at simulation
     /// start.
-    pub fn start(&mut self, now: SimTime) -> Vec<DsrCommand> {
-        vec![DsrCommand::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD }]
+    fn start(&mut self, now: SimTime) -> Vec<Cmd> {
+        vec![Cmd::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD }]
     }
 
     /// The node rebooted after a fault-injected crash (churn): every piece
@@ -401,12 +322,12 @@ impl DsrNode {
     /// stay globally unique across a node's lifetimes (a restarted counter
     /// would re-issue old uids and trip the "originated twice" audit), and
     /// the RNG keeps its named-stream determinism.
-    pub fn reboot(&mut self, now: SimTime) -> Vec<DsrCommand> {
-        let mut cmds: Vec<DsrCommand> = self
+    fn on_revival(&mut self, now: SimTime) -> Vec<Cmd> {
+        let mut cmds: Vec<Cmd> = self
             .send_buffer
             .uids()
             .into_iter()
-            .map(|uid| DsrCommand::Drop { uid, reason: DropReason::NodeReset })
+            .map(|uid| Cmd::Drop { uid, reason: DropReason::NodeReset })
             .collect();
         self.cache = Self::build_cache(self.id, &self.cfg);
         // Decision tracing is driver-installed state, not protocol state:
@@ -422,7 +343,7 @@ impl DsrNode {
         self.grat_replies.clear();
         self.signal.clear();
         self.answered_requests.clear();
-        cmds.push(DsrCommand::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD });
+        cmds.push(Cmd::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD });
         cmds
     }
 
@@ -431,21 +352,15 @@ impl DsrNode {
     /// # Panics
     ///
     /// Panics if `dst` is this node or the broadcast address.
-    pub fn originate(
-        &mut self,
-        dst: NodeId,
-        payload_bytes: usize,
-        seq: u64,
-        now: SimTime,
-    ) -> Vec<DsrCommand> {
+    fn originate(&mut self, dst: NodeId, payload_bytes: usize, seq: u64, now: SimTime) -> Vec<Cmd> {
         assert!(dst != self.id && !dst.is_broadcast(), "invalid destination {dst}");
         let mut cmds = Vec::new();
         let pending = PendingData { uid: self.fresh_uid(), dst, seq, payload_bytes, sent_at: now };
-        cmds.push(DsrCommand::Event { event: DsrEvent::DataOriginated { uid: pending.uid } });
+        cmds.push(Cmd::Event { event: DsrEvent::DataOriginated { uid: pending.uid } });
         let found = self.cache.find(dst, now);
         self.trace_lookup(dst, CacheHitKind::Origination, &found, &mut cmds);
         if let Some(route) = found {
-            cmds.push(DsrCommand::Event {
+            cmds.push(Cmd::Event {
                 event: DsrEvent::CacheHit {
                     route: InlineRoute::from_slice(route.nodes()),
                     kind: CacheHitKind::Origination,
@@ -454,10 +369,7 @@ impl DsrNode {
             self.send_data_on_route(pending, route, 0, now, &mut cmds);
         } else {
             if let Some(evicted) = self.send_buffer.push(pending, now) {
-                cmds.push(DsrCommand::Drop {
-                    uid: evicted.uid,
-                    reason: DropReason::SendBufferFull,
-                });
+                cmds.push(Cmd::Drop { uid: evicted.uid, reason: DropReason::SendBufferFull });
             }
             self.ensure_discovery(dst, now, &mut cmds);
         }
@@ -465,7 +377,7 @@ impl DsrNode {
     }
 
     /// The MAC delivered a packet addressed to us (or broadcast).
-    pub fn on_receive(&mut self, from: NodeId, packet: Packet, now: SimTime) -> Vec<DsrCommand> {
+    fn on_receive(&mut self, from: NodeId, packet: Packet, now: SimTime) -> Vec<Cmd> {
         let mut cmds = Vec::new();
         match packet {
             Packet::Request(req) => self.handle_request(req, now, &mut cmds),
@@ -484,7 +396,7 @@ impl DsrNode {
     /// packet routed over it triggers a warning route error back to its
     /// source (Ramesh et al.'s preemptive RERR). A per-neighbor holdoff
     /// keeps a node lingering near the threshold from firing repeatedly.
-    pub fn on_signal(&mut self, from: NodeId, power_w: f64, now: SimTime) -> Vec<DsrCommand> {
+    fn on_signal(&mut self, from: NodeId, power_w: f64, now: SimTime) -> Vec<Cmd> {
         let mut cmds = Vec::new();
         let Some(pre) = self.cfg.preemptive else {
             return cmds;
@@ -505,53 +417,15 @@ impl DsrNode {
         state.warn_armed = true;
         // The fading link as data actually traverses it: from -> us.
         let link = Link::new(from, self.id);
-        cmds.push(DsrCommand::Event { event: DsrEvent::PreemptiveRepair { link } });
+        cmds.push(Cmd::Event { event: DsrEvent::PreemptiveRepair { link } });
         self.preemptive_purge(link, now, &mut cmds);
         self.preemptive_purge(Link::new(self.id, from), now, &mut cmds);
         cmds
     }
 
-    /// Purges a fading (but not yet broken) link from the cache. Unlike
-    /// [`Self::apply_link_break`] this feeds neither the adaptive
-    /// estimator (no route died) nor the negative cache (the link still
-    /// works; blacklisting it would veto usable routes).
-    fn preemptive_purge(&mut self, link: Link, now: SimTime, cmds: &mut Vec<DsrCommand>) {
-        let removed = self.cache.remove_link(link, now);
-        self.trace_remove(link, CacheRemovalCause::Preemptive, removed.contained, cmds);
-        self.emit_failovers(&removed, cmds);
-    }
-
-    /// If a preemptive repair fired for `from` and still owes a warning,
-    /// send the source of `route` a route error for the fading link so it
-    /// refreshes its route before the break happens.
-    fn maybe_preemptive_warn(
-        &mut self,
-        from: NodeId,
-        route: &Route,
-        now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
-    ) {
-        if self.cfg.preemptive.is_none() || route.source() == self.id {
-            return;
-        }
-        let Some(state) = self.signal.get_mut(&from) else {
-            return;
-        };
-        if !state.warn_armed {
-            return;
-        }
-        state.warn_armed = false;
-        self.originate_route_error_for_route(Link::new(from, self.id), route, now, cmds);
-    }
-
     /// The MAC promiscuously overheard a data-bearing frame addressed to
     /// someone else (`transmitter` is the MAC-level sender).
-    pub fn on_snoop(
-        &mut self,
-        transmitter: NodeId,
-        packet: &Packet,
-        now: SimTime,
-    ) -> Vec<DsrCommand> {
+    fn on_snoop(&mut self, transmitter: NodeId, packet: &Packet, now: SimTime) -> Vec<Cmd> {
         let mut cmds = Vec::new();
         match packet {
             Packet::Data(data) => {
@@ -573,15 +447,10 @@ impl DsrNode {
 
     /// Link-layer feedback: the MAC exhausted its retries sending `packet`
     /// to `next_hop`.
-    pub fn on_tx_failed(
-        &mut self,
-        packet: Packet,
-        next_hop: NodeId,
-        now: SimTime,
-    ) -> Vec<DsrCommand> {
+    fn on_tx_failed(&mut self, packet: Packet, next_hop: NodeId, now: SimTime) -> Vec<Cmd> {
         let mut cmds = Vec::new();
         let link = Link::new(self.id, next_hop);
-        cmds.push(DsrCommand::Event { event: DsrEvent::LinkBreakDetected { link } });
+        cmds.push(Cmd::Event { event: DsrEvent::LinkBreakDetected { link } });
         self.apply_link_break(link, CacheRemovalCause::MacFeedback, now, &mut cmds);
         match packet {
             Packet::Data(data) => {
@@ -592,31 +461,22 @@ impl DsrNode {
                 // Report the break toward the reply's own source route
                 // origin, then give the reply up.
                 self.originate_route_error_for_route(link, &rep.route, now, &mut cmds);
-                cmds.push(DsrCommand::Drop {
-                    uid: rep.uid,
-                    reason: DropReason::ControlUndeliverable,
-                });
+                cmds.push(Cmd::Drop { uid: rep.uid, reason: DropReason::ControlUndeliverable });
             }
             Packet::Error(err) => {
-                cmds.push(DsrCommand::Drop {
-                    uid: err.uid,
-                    reason: DropReason::ControlUndeliverable,
-                });
+                cmds.push(Cmd::Drop { uid: err.uid, reason: DropReason::ControlUndeliverable });
             }
             Packet::Request(req) => {
                 // Requests are broadcast; a unicast failure here is
                 // impossible, but drop defensively.
-                cmds.push(DsrCommand::Drop {
-                    uid: req.uid,
-                    reason: DropReason::ControlUndeliverable,
-                });
+                cmds.push(Cmd::Drop { uid: req.uid, reason: DropReason::ControlUndeliverable });
             }
         }
         cmds
     }
 
     /// A timer armed earlier fired.
-    pub fn on_timer(&mut self, timer: DsrTimer, now: SimTime) -> Vec<DsrCommand> {
+    fn on_timer(&mut self, timer: DsrTimer, now: SimTime) -> Vec<Cmd> {
         let mut cmds = Vec::new();
         match timer {
             DsrTimer::Tick => self.tick(now, &mut cmds),
@@ -625,17 +485,101 @@ impl DsrNode {
         cmds
     }
 
+    fn supports_conservation_audit(&self) -> bool {
+        true
+    }
+
+    /// The uids of every packet waiting in the send buffer (conservation
+    /// audits).
+    fn buffered_uids(&self) -> Vec<u64> {
+        self.send_buffer.uids()
+    }
+
+    /// Checks the paper's invariant that the route cache and the negative
+    /// cache are mutually exclusive with respect to the links they hold.
+    /// Returns a description of the first violation, or `None` when the
+    /// invariant holds (trivially so without a negative cache).
+    fn invariant_violation(&self, now: SimTime) -> Option<String> {
+        let neg = self.negative.as_ref()?;
+        for link in neg.live_links(now) {
+            if self.cache.contains_link(link) {
+                return Some(format!(
+                    "node {}: link {}->{} is both negatively cached and route-cached",
+                    self.id, link.from, link.to
+                ));
+            }
+        }
+        None
+    }
+
+    fn observe(&self, now: SimTime) -> Option<AgentObservation> {
+        Some(AgentObservation {
+            routes: self.cache.snapshot_routes(),
+            negative_entries: self.negative.as_ref().map_or(0, |nc| nc.len(now)),
+            send_buffer: self.send_buffer.len(),
+            discoveries: self.requests.in_flight_count(),
+        })
+    }
+
+    /// Enables (or disables) cache-decision tracing: every insert, lookup,
+    /// link purge, eviction, expiry, and `mark_used` refresh is emitted as
+    /// a [`DsrEvent::CacheDecision`] command for the driver's cache
+    /// forensics recorder, in the order the agent made them. Pure
+    /// observation — no timers, sends, or RNG draws are added, so protocol
+    /// behaviour is identical either way. A decision copies its route by
+    /// value, so tracing allocates only where it grows the returned command
+    /// vector or the cache's event log.
+    fn set_decision_trace(&mut self, on: bool) {
+        self.trace_decisions = on;
+        self.cache.set_event_log(on);
+    }
+}
+
+impl DsrNode {
+    /// Purges a fading (but not yet broken) link from the cache. Unlike
+    /// [`Self::apply_link_break`] this feeds neither the adaptive
+    /// estimator (no route died) nor the negative cache (the link still
+    /// works; blacklisting it would veto usable routes).
+    fn preemptive_purge(&mut self, link: Link, now: SimTime, cmds: &mut Vec<Cmd>) {
+        let removed = self.cache.remove_link(link, now);
+        self.trace_remove(link, CacheRemovalCause::Preemptive, removed.contained, cmds);
+        self.emit_failovers(&removed, cmds);
+    }
+
+    /// If a preemptive repair fired for `from` and still owes a warning,
+    /// send the source of `route` a route error for the fading link so it
+    /// refreshes its route before the break happens.
+    fn maybe_preemptive_warn(
+        &mut self,
+        from: NodeId,
+        route: &Route,
+        now: SimTime,
+        cmds: &mut Vec<Cmd>,
+    ) {
+        if self.cfg.preemptive.is_none() || route.source() == self.id {
+            return;
+        }
+        let Some(state) = self.signal.get_mut(&from) else {
+            return;
+        };
+        if !state.warn_armed {
+            return;
+        }
+        state.warn_armed = false;
+        self.originate_route_error_for_route(Link::new(from, self.id), route, now, cmds);
+    }
+
     // ------------------------------------------------------------------
     // Discovery
     // ------------------------------------------------------------------
 
-    fn ensure_discovery(&mut self, target: NodeId, now: SimTime, cmds: &mut Vec<DsrCommand>) {
+    fn ensure_discovery(&mut self, target: NodeId, now: SimTime, cmds: &mut Vec<Cmd>) {
         if self.requests.discovering(target) {
             return;
         }
         let request_id = self.requests.start(target);
         self.send_request(target, request_id, 1, now, cmds);
-        cmds.push(DsrCommand::SetTimer {
+        cmds.push(Cmd::SetTimer {
             timer: DsrTimer::RequestTimeout(target),
             at: now + NONPROP_TIMEOUT,
         });
@@ -647,7 +591,7 @@ impl DsrNode {
         request_id: u64,
         ttl: u8,
         _now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         let piggyback = self.pending_error.take();
         let req = RouteRequest {
@@ -659,17 +603,15 @@ impl DsrNode {
             ttl,
             piggyback_error: piggyback,
         };
-        cmds.push(DsrCommand::Event {
-            event: DsrEvent::DiscoveryStarted { target, flood: ttl > 1 },
-        });
-        cmds.push(DsrCommand::Send {
+        cmds.push(Cmd::Event { event: DsrEvent::DiscoveryStarted { target, flood: ttl > 1 } });
+        cmds.push(Cmd::Send {
             packet: Packet::Request(req),
             next_hop: NodeId::BROADCAST,
             jitter: SimDuration::ZERO,
         });
     }
 
-    fn request_timed_out(&mut self, target: NodeId, now: SimTime, cmds: &mut Vec<DsrCommand>) {
+    fn request_timed_out(&mut self, target: NodeId, now: SimTime, cmds: &mut Vec<Cmd>) {
         if !self.requests.discovering(target) {
             return;
         }
@@ -680,13 +622,10 @@ impl DsrNode {
         }
         let (request_id, backoff) = self.requests.escalate(target);
         self.send_request(target, request_id, FLOOD_TTL, now, cmds);
-        cmds.push(DsrCommand::SetTimer {
-            timer: DsrTimer::RequestTimeout(target),
-            at: now + backoff,
-        });
+        cmds.push(Cmd::SetTimer { timer: DsrTimer::RequestTimeout(target), at: now + backoff });
     }
 
-    fn handle_request(&mut self, mut req: RouteRequest, now: SimTime, cmds: &mut Vec<DsrCommand>) {
+    fn handle_request(&mut self, mut req: RouteRequest, now: SimTime, cmds: &mut Vec<Cmd>) {
         if req.origin == self.id {
             return; // our own flood reflected back
         }
@@ -730,7 +669,7 @@ impl DsrNode {
             self.trace_lookup(req.target, CacheHitKind::Reply, &found, cmds);
             if let Some(cached) = found {
                 if let Ok(full) = Route::join(req.path.nodes(), &cached) {
-                    cmds.push(DsrCommand::Event {
+                    cmds.push(Cmd::Event {
                         event: DsrEvent::CacheHit {
                             route: InlineRoute::from_slice(cached.nodes()),
                             kind: CacheHitKind::Reply,
@@ -745,7 +684,7 @@ impl DsrNode {
             req.ttl -= 1;
             req.uid = self.fresh_uid();
             let jitter = self.jitter();
-            cmds.push(DsrCommand::Send {
+            cmds.push(Cmd::Send {
                 packet: Packet::Request(req),
                 next_hop: NodeId::BROADCAST,
                 jitter,
@@ -763,7 +702,7 @@ impl DsrNode {
         &mut self,
         req: &RouteRequest,
         discovered: &[NodeId],
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) -> bool {
         let Some(sup) = self.cfg.suppression else {
             return false;
@@ -774,7 +713,7 @@ impl DsrNode {
             Some((_, best)) => {
                 if (hops as f64) > sup.stretch * (*best as f64) {
                     if self.trace_decisions {
-                        cmds.push(DsrCommand::Event {
+                        cmds.push(Cmd::Event {
                             event: DsrEvent::CacheDecision {
                                 decision: CacheDecision::Suppress {
                                     route: InlineRoute::from_slice(discovered),
@@ -803,11 +742,11 @@ impl DsrNode {
         discovered: Route,
         from_cache: bool,
         _now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         let reply_route =
             discovered.back_from(self.id).expect("replier is on the discovered route");
-        cmds.push(DsrCommand::Event { event: DsrEvent::ReplyOriginated { from_cache } });
+        cmds.push(Cmd::Event { event: DsrEvent::ReplyOriginated { from_cache } });
         let next_hop = match reply_route.next_hop_after(self.id) {
             Some(h) => h,
             None => {
@@ -825,17 +764,17 @@ impl DsrNode {
             gratuitous: false,
         };
         let jitter = self.jitter();
-        cmds.push(DsrCommand::Send { packet: Packet::Reply(rep), next_hop, jitter });
+        cmds.push(Cmd::Send { packet: Packet::Reply(rep), next_hop, jitter });
     }
 
-    fn handle_reply(&mut self, mut rep: RouteReply, now: SimTime, cmds: &mut Vec<DsrCommand>) {
+    fn handle_reply(&mut self, mut rep: RouteReply, now: SimTime, cmds: &mut Vec<Cmd>) {
         // Every node the reply passes through may learn the discovered
         // route segments that involve it.
         self.learn_from_route(&rep.discovered, None, now, cmds);
         let final_recipient = rep.route.destination() == self.id;
         if final_recipient {
             let target = rep.discovered.destination();
-            cmds.push(DsrCommand::Event {
+            cmds.push(Cmd::Event {
                 event: DsrEvent::ReplyAccepted {
                     discovered: Some(InlineRoute::from_slice(rep.discovered.nodes())),
                 },
@@ -852,7 +791,7 @@ impl DsrNode {
                 self.insert_route(rep.discovered.nodes(), provenance, now, cmds);
             }
             if self.requests.finish(target) {
-                cmds.push(DsrCommand::CancelTimer { timer: DsrTimer::RequestTimeout(target) });
+                cmds.push(Cmd::CancelTimer { timer: DsrTimer::RequestTimeout(target) });
             }
             self.flush_send_buffer(now, cmds);
         } else {
@@ -861,14 +800,14 @@ impl DsrNode {
                 Some(idx) if idx + 1 < rep.route.len() => {
                     rep.hop = idx;
                     let next_hop = rep.route.nodes()[idx + 1];
-                    cmds.push(DsrCommand::Send {
+                    cmds.push(Cmd::Send {
                         packet: Packet::Reply(rep),
                         next_hop,
                         jitter: SimDuration::ZERO,
                     });
                 }
                 _ => {
-                    cmds.push(DsrCommand::Drop { uid: rep.uid, reason: DropReason::NotOnRoute });
+                    cmds.push(Cmd::Drop { uid: rep.uid, reason: DropReason::NotOnRoute });
                 }
             }
         }
@@ -884,7 +823,7 @@ impl DsrNode {
         route: Route,
         salvage_count: u8,
         now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         debug_assert_eq!(route.source(), self.id);
         self.cache.mark_used(&route, now);
@@ -901,11 +840,7 @@ impl DsrNode {
             hop: 0,
             salvage_count,
         };
-        cmds.push(DsrCommand::Send {
-            packet: Packet::Data(data),
-            next_hop,
-            jitter: SimDuration::ZERO,
-        });
+        cmds.push(Cmd::Send { packet: Packet::Data(data), next_hop, jitter: SimDuration::ZERO });
     }
 
     fn handle_data(
@@ -913,7 +848,7 @@ impl DsrNode {
         mut data: DataPacket,
         from: NodeId,
         now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         // Preemptive-DSR: a packet arriving over a fading link warns its
         // source before the link actually breaks.
@@ -924,11 +859,18 @@ impl DsrNode {
         self.cache.mark_used(&data.route, now);
         self.trace_refresh(&data.route, cmds);
         if data.dst == self.id {
-            cmds.push(DsrCommand::DeliverData { packet: data });
+            cmds.push(Cmd::Deliver {
+                uid: data.uid,
+                src: data.src,
+                seq: data.seq,
+                sent_at: data.sent_at,
+                bytes: data.payload_bytes,
+                hops: data.route.hops(),
+            });
             return;
         }
         let Some(idx) = data.route.position(self.id) else {
-            cmds.push(DsrCommand::Drop { uid: data.uid, reason: DropReason::NotOnRoute });
+            cmds.push(Cmd::Drop { uid: data.uid, reason: DropReason::NotOnRoute });
             return;
         };
         data.hop = idx;
@@ -936,7 +878,7 @@ impl DsrNode {
         if let Some(neg) = &self.negative {
             let remaining = data.route.links().skip(idx);
             if let Some(bad) = neg.first_blacklisted(remaining, now) {
-                cmds.push(DsrCommand::Drop { uid: data.uid, reason: DropReason::NegativeCacheHit });
+                cmds.push(Cmd::Drop { uid: data.uid, reason: DropReason::NegativeCacheHit });
                 self.trace_remove(bad, CacheRemovalCause::NegativeVeto, false, cmds);
                 self.originate_route_error(bad, Some(&data), now, cmds);
                 return;
@@ -944,22 +886,18 @@ impl DsrNode {
         }
         self.cache.mark_forwarded(&data.route);
         let next_hop = data.route.nodes()[idx + 1];
-        cmds.push(DsrCommand::Send {
-            packet: Packet::Data(data),
-            next_hop,
-            jitter: SimDuration::ZERO,
-        });
+        cmds.push(Cmd::Send { packet: Packet::Data(data), next_hop, jitter: SimDuration::ZERO });
     }
 
-    fn try_salvage(&mut self, mut data: DataPacket, now: SimTime, cmds: &mut Vec<DsrCommand>) {
+    fn try_salvage(&mut self, mut data: DataPacket, now: SimTime, cmds: &mut Vec<Cmd>) {
         if data.salvage_count >= MAX_SALVAGE_COUNT {
-            cmds.push(DsrCommand::Drop { uid: data.uid, reason: DropReason::SalvageLimit });
+            cmds.push(Cmd::Drop { uid: data.uid, reason: DropReason::SalvageLimit });
             return;
         }
         let found = self.cache.find(data.dst, now);
         self.trace_lookup(data.dst, CacheHitKind::Salvage, &found, cmds);
         if let Some(alt) = found {
-            cmds.push(DsrCommand::Event {
+            cmds.push(Cmd::Event {
                 event: DsrEvent::CacheHit {
                     route: InlineRoute::from_slice(alt.nodes()),
                     kind: CacheHitKind::Salvage,
@@ -971,7 +909,7 @@ impl DsrNode {
             data.route = alt;
             data.hop = 0;
             data.salvage_count += 1;
-            cmds.push(DsrCommand::Send {
+            cmds.push(Cmd::Send {
                 packet: Packet::Data(data),
                 next_hop,
                 jitter: SimDuration::ZERO,
@@ -990,14 +928,11 @@ impl DsrNode {
                 sent_at: data.sent_at,
             };
             if let Some(evicted) = self.send_buffer.push(pending, now) {
-                cmds.push(DsrCommand::Drop {
-                    uid: evicted.uid,
-                    reason: DropReason::SendBufferFull,
-                });
+                cmds.push(Cmd::Drop { uid: evicted.uid, reason: DropReason::SendBufferFull });
             }
             self.ensure_discovery(data.dst, now, cmds);
         } else {
-            cmds.push(DsrCommand::Drop { uid: data.uid, reason: DropReason::NoRouteToSalvage });
+            cmds.push(Cmd::Drop { uid: data.uid, reason: DropReason::NoRouteToSalvage });
         }
     }
 
@@ -1012,7 +947,7 @@ impl DsrNode {
         link: Link,
         data: Option<&DataPacket>,
         now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         if self.cfg.wider_error_notification {
             let uid = self.fresh_uid();
@@ -1023,9 +958,9 @@ impl DsrNode {
                 detector: self.id,
                 delivery: ErrorDelivery::Broadcast,
             };
-            cmds.push(DsrCommand::Event { event: DsrEvent::RouteErrorSent { wider: true } });
+            cmds.push(Cmd::Event { event: DsrEvent::RouteErrorSent { wider: true } });
             let jitter = self.jitter();
-            cmds.push(DsrCommand::Send {
+            cmds.push(Cmd::Send {
                 packet: Packet::Error(err),
                 next_hop: NodeId::BROADCAST,
                 jitter,
@@ -1042,7 +977,7 @@ impl DsrNode {
         link: Link,
         route: &Route,
         now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         if self.cfg.wider_error_notification {
             self.originate_route_error(link, None, now, cmds);
@@ -1067,12 +1002,8 @@ impl DsrNode {
             detector: self.id,
             delivery: ErrorDelivery::Unicast { to: source, route: back, hop: 0 },
         };
-        cmds.push(DsrCommand::Event { event: DsrEvent::RouteErrorSent { wider: false } });
-        cmds.push(DsrCommand::Send {
-            packet: Packet::Error(err),
-            next_hop,
-            jitter: SimDuration::ZERO,
-        });
+        cmds.push(Cmd::Event { event: DsrEvent::RouteErrorSent { wider: false } });
+        cmds.push(Cmd::Send { packet: Packet::Error(err), next_hop, jitter: SimDuration::ZERO });
     }
 
     fn handle_error(
@@ -1080,7 +1011,7 @@ impl DsrNode {
         err: RouteErrorPkt,
         _from: NodeId,
         now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         match err.delivery {
             ErrorDelivery::Unicast { to, ref route, .. } => {
@@ -1096,7 +1027,7 @@ impl DsrNode {
                         if let ErrorDelivery::Unicast { hop, .. } = &mut fwd.delivery {
                             *hop = idx;
                         }
-                        cmds.push(DsrCommand::Send {
+                        cmds.push(Cmd::Send {
                             packet: Packet::Error(fwd),
                             next_hop,
                             jitter: SimDuration::ZERO,
@@ -1136,9 +1067,9 @@ impl DsrNode {
                     WiderErrorRebroadcast::Flood => true,
                 };
                 if rebroadcast {
-                    cmds.push(DsrCommand::Event { event: DsrEvent::RouteErrorRebroadcast });
+                    cmds.push(Cmd::Event { event: DsrEvent::RouteErrorRebroadcast });
                     let jitter = self.jitter();
-                    cmds.push(DsrCommand::Send {
+                    cmds.push(Cmd::Send {
                         packet: Packet::Error(err),
                         next_hop: NodeId::BROADCAST,
                         jitter,
@@ -1172,7 +1103,7 @@ impl DsrNode {
         link: Link,
         cause: CacheRemovalCause,
         now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         let removed = self.cache.remove_link(link, now);
         self.trace_remove(link, cause, removed.contained, cmds);
@@ -1189,11 +1120,11 @@ impl DsrNode {
     /// still has a cached alternate (multipath caching): an always-on
     /// protocol event per destination, plus a traced decision carrying the
     /// surviving route when decision tracing is enabled.
-    fn emit_failovers(&self, removed: &RemovedLink, cmds: &mut Vec<DsrCommand>) {
+    fn emit_failovers(&self, removed: &RemovedLink, cmds: &mut Vec<Cmd>) {
         for (dst, route) in &removed.failovers {
-            cmds.push(DsrCommand::Event { event: DsrEvent::Failover { dst: *dst } });
+            cmds.push(Cmd::Event { event: DsrEvent::Failover { dst: *dst } });
             if self.trace_decisions {
-                cmds.push(DsrCommand::Event {
+                cmds.push(Cmd::Event {
                     event: DsrEvent::CacheDecision {
                         decision: CacheDecision::Failover {
                             dst: *dst,
@@ -1223,7 +1154,7 @@ impl DsrNode {
         route: &Route,
         transmitter: Option<NodeId>,
         now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         let nodes = route.nodes();
         let provenance = CacheInsertProvenance::Overheard;
@@ -1255,7 +1186,7 @@ impl DsrNode {
         route: &[NodeId],
         provenance: CacheInsertProvenance,
         now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         let mut filtered = route;
         if let Some(neg) = &self.negative {
@@ -1276,9 +1207,9 @@ impl DsrNode {
             let hops = filtered.len() - 1;
             if let Some(best) = self.cache.find(filtered[hops], now) {
                 if (hops as f64) > sup.stretch * (best.hops() as f64) {
-                    cmds.push(DsrCommand::Event { event: DsrEvent::SuppressedInsert });
+                    cmds.push(Cmd::Event { event: DsrEvent::SuppressedInsert });
                     if self.trace_decisions {
-                        cmds.push(DsrCommand::Event {
+                        cmds.push(Cmd::Event {
                             event: DsrEvent::CacheDecision {
                                 decision: CacheDecision::Suppress {
                                     route: InlineRoute::from_slice(filtered),
@@ -1293,7 +1224,7 @@ impl DsrNode {
         }
         let changed = self.cache.insert_slice(filtered, now);
         if self.trace_decisions {
-            cmds.push(DsrCommand::Event {
+            cmds.push(Cmd::Event {
                 event: DsrEvent::CacheDecision {
                     decision: CacheDecision::Insert {
                         route: InlineRoute::from_slice(filtered),
@@ -1311,7 +1242,7 @@ impl DsrNode {
     }
 
     /// Sends every buffered packet whose destination is now routable.
-    fn flush_send_buffer(&mut self, now: SimTime, cmds: &mut Vec<DsrCommand>) {
+    fn flush_send_buffer(&mut self, now: SimTime, cmds: &mut Vec<Cmd>) {
         let routable: Vec<NodeId> = self
             .send_buffer
             .destinations()
@@ -1335,7 +1266,7 @@ impl DsrNode {
                 }
             }
             if self.requests.finish(dst) {
-                cmds.push(DsrCommand::CancelTimer { timer: DsrTimer::RequestTimeout(dst) });
+                cmds.push(Cmd::CancelTimer { timer: DsrTimer::RequestTimeout(dst) });
             }
         }
     }
@@ -1349,7 +1280,7 @@ impl DsrNode {
         data: &DataPacket,
         transmitter: NodeId,
         now: SimTime,
-        cmds: &mut Vec<DsrCommand>,
+        cmds: &mut Vec<Cmd>,
     ) {
         let route = &data.route;
         let (Some(i), Some(j)) = (route.position(transmitter), route.position(self.id)) else {
@@ -1384,7 +1315,7 @@ impl DsrNode {
         let Some(next_hop) = reply_route.next_hop_after(self.id) else {
             return;
         };
-        cmds.push(DsrCommand::Event { event: DsrEvent::ReplyOriginated { from_cache: true } });
+        cmds.push(Cmd::Event { event: DsrEvent::ReplyOriginated { from_cache: true } });
         let rep = RouteReply {
             uid: self.fresh_uid(),
             discovered: shortened,
@@ -1394,17 +1325,17 @@ impl DsrNode {
             gratuitous: true,
         };
         let jitter = self.jitter();
-        cmds.push(DsrCommand::Send { packet: Packet::Reply(rep), next_hop, jitter });
+        cmds.push(Cmd::Send { packet: Packet::Reply(rep), next_hop, jitter });
     }
 
     // ------------------------------------------------------------------
     // Housekeeping
     // ------------------------------------------------------------------
 
-    fn tick(&mut self, now: SimTime, cmds: &mut Vec<DsrCommand>) {
-        cmds.push(DsrCommand::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD });
+    fn tick(&mut self, now: SimTime, cmds: &mut Vec<Cmd>) {
+        cmds.push(Cmd::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD });
         for expired in self.send_buffer.purge_expired(now) {
-            cmds.push(DsrCommand::Drop { uid: expired.uid, reason: DropReason::SendBufferTimeout });
+            cmds.push(Cmd::Drop { uid: expired.uid, reason: DropReason::SendBufferTimeout });
         }
         if let Some(neg) = &mut self.negative {
             neg.purge(now);
@@ -1465,15 +1396,15 @@ mod tests {
         }
     }
 
-    fn count_event(cmds: &[DsrCommand], pred: impl Fn(&DsrEvent) -> bool) -> usize {
-        cmds.iter().filter(|c| matches!(c, DsrCommand::Event { event } if pred(event))).count()
+    fn count_event(cmds: &[Cmd], pred: impl Fn(&DsrEvent) -> bool) -> usize {
+        cmds.iter().filter(|c| matches!(c, Cmd::Event { event } if pred(event))).count()
     }
 
     /// Every agent call returns a vector of these, traced or not: a protocol
     /// event that outgrew the largest packet would widen all of them.
     #[test]
     fn a_command_stays_as_wide_as_it_was() {
-        assert_eq!(std::mem::size_of::<DsrCommand>(), 96);
+        assert_eq!(std::mem::size_of::<Cmd>(), 96);
     }
 
     #[test]
@@ -1561,10 +1492,8 @@ mod tests {
             ttl: 8,
             piggyback_error: None,
         };
-        let replies = |cmds: &[DsrCommand]| {
-            cmds.iter()
-                .filter(|c| matches!(c, DsrCommand::Send { packet: Packet::Reply(_), .. }))
-                .count()
+        let replies = |cmds: &[Cmd]| {
+            cmds.iter().filter(|c| matches!(c, Cmd::Send { packet: Packet::Reply(_), .. })).count()
         };
         // First copy (1 hop) always answered.
         let cmds = a.on_receive(n(0), Packet::Request(req(&[0], 1)), t(0.0));
@@ -1645,7 +1574,7 @@ mod tests {
         let threshold = a.cfg.preemptive.expect("configured").threshold_w;
         let cmds = a.on_signal(n(0), threshold / 2.0, t(1.0));
         assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 1);
-        a.reboot(t(2.0));
+        a.on_revival(t(2.0));
         assert!(a.signal.is_empty(), "per-neighbor signal state is volatile");
         assert!(a.answered_requests.is_empty());
         // Fresh state: the same crossing fires again immediately.

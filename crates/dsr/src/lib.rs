@@ -33,7 +33,7 @@ pub mod request_table;
 pub mod send_buffer;
 
 pub use adaptive::AdaptiveTimeout;
-pub use agent::{DsrCommand, DsrEvent, DsrNode, DsrTimer};
+pub use agent::{DsrEvent, DsrNode, DsrTimer};
 pub use cache::link_cache::LinkCache;
 pub use cache::negative::NegativeCache;
 pub use cache::path_cache::{PathCache, PathEntry, RemovedLink};

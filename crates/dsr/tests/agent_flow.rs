@@ -3,9 +3,13 @@
 //! forwarding, salvaging, error propagation, and each of the paper's three
 //! cache-correctness techniques.
 
-use dsr::{CacheHitKind, DropReason, DsrCommand, DsrConfig, DsrEvent, DsrNode, DsrTimer};
-use packet::{DataPacket, ErrorDelivery, InlineRoute, Link, Packet, Route};
+use dsr::{CacheHitKind, DropReason, DsrConfig, DsrEvent, DsrNode, DsrTimer};
+use packet::{
+    AgentCommand, DataPacket, ErrorDelivery, InlineRoute, Link, Packet, Route, RoutingAgent,
+};
 use sim_core::{NodeId, RngFactory, SimDuration, SimTime};
+
+type Cmd = AgentCommand<Packet, DsrTimer>;
 
 fn n(i: u16) -> NodeId {
     NodeId::new(i)
@@ -24,29 +28,27 @@ fn agent(i: u16, cfg: DsrConfig) -> DsrNode {
 }
 
 /// All `Send` commands as `(packet, next_hop)` pairs.
-fn sends(cmds: &[DsrCommand]) -> Vec<(Packet, NodeId)> {
+fn sends(cmds: &[Cmd]) -> Vec<(Packet, NodeId)> {
     cmds.iter()
         .filter_map(|c| match c {
-            DsrCommand::Send { packet, next_hop, .. } => Some((packet.clone(), *next_hop)),
+            Cmd::Send { packet, next_hop, .. } => Some((packet.clone(), *next_hop)),
             _ => None,
         })
         .collect()
 }
 
-fn events(cmds: &[DsrCommand]) -> Vec<DsrEvent> {
+fn events(cmds: &[Cmd]) -> Vec<DsrEvent> {
     cmds.iter()
         .filter_map(|c| match c {
-            DsrCommand::Event { event } => Some(event.clone()),
+            Cmd::Event { event } => Some(event.clone()),
             _ => None,
         })
         .collect()
 }
 
-fn request_timeout_at(cmds: &[DsrCommand], target: NodeId) -> Option<SimTime> {
+fn request_timeout_at(cmds: &[Cmd], target: NodeId) -> Option<SimTime> {
     cmds.iter().find_map(|c| match c {
-        DsrCommand::SetTimer { timer: DsrTimer::RequestTimeout(d), at } if *d == target => {
-            Some(*at)
-        }
+        Cmd::SetTimer { timer: DsrTimer::RequestTimeout(d), at } if *d == target => Some(*at),
         _ => None,
     })
 }
@@ -118,12 +120,12 @@ fn full_discovery_and_delivery_cycle() {
     let out_b = sends(&cmds);
     assert_eq!(out_b[0].1, n(2));
     let cmds = c.on_receive(n(1), out_b[0].0.clone(), t(1.16));
-    assert!(cmds.iter().any(|c| matches!(c, DsrCommand::DeliverData { .. })));
+    assert!(cmds.iter().any(|c| matches!(c, Cmd::Deliver { .. })));
 }
 
 /// Helper for the test above: re-issuing originate must not duplicate the
 /// discovery (returns the commands so the borrow checker stays happy).
-fn cmds_or(_a: &DsrNode, _now: SimTime) -> Vec<DsrCommand> {
+fn cmds_or(_a: &DsrNode, _now: SimTime) -> Vec<Cmd> {
     Vec::new()
 }
 
@@ -269,7 +271,7 @@ fn tx_failure_unicasts_error_and_salvages() {
     for (salvage_count, limited) in [(14, false), (15, true)] {
         let tired = DataPacket { salvage_count, ..data.clone() };
         let cmds = b.on_tx_failed(Packet::Data(tired), n(2), t(1.2));
-        let drop = DsrCommand::Drop { uid: 77, reason: DropReason::SalvageLimit };
+        let drop = Cmd::Drop { uid: 77, reason: DropReason::SalvageLimit };
         let sent = sends(&cmds).iter().any(|(p, _)| matches!(p, Packet::Data(_)));
         assert_eq!((cmds.contains(&drop), sent), (limited, !limited), "{salvage_count} before");
     }
@@ -430,7 +432,7 @@ fn negative_cache_refuses_forwarding_and_insertion() {
     let cmds = b.on_receive(n(0), Packet::Data(retry), t(2.0));
     assert!(cmds
         .iter()
-        .any(|c| matches!(c, DsrCommand::Drop { reason: DropReason::NegativeCacheHit, .. })));
+        .any(|c| matches!(c, Cmd::Drop { reason: DropReason::NegativeCacheHit, .. })));
     assert!(sends(&cmds).iter().any(|(p, _)| matches!(p, Packet::Error(_))));
 
     // Routes over the blacklisted link are truncated before caching.
@@ -593,7 +595,7 @@ fn send_buffer_timeout_drops_on_tick() {
     let cmds = a.on_timer(DsrTimer::Tick, t(31.0));
     assert!(cmds
         .iter()
-        .any(|c| matches!(c, DsrCommand::Drop { reason: DropReason::SendBufferTimeout, .. })));
+        .any(|c| matches!(c, Cmd::Drop { reason: DropReason::SendBufferTimeout, .. })));
     assert_eq!(a.buffered(), 0);
 }
 
@@ -668,13 +670,13 @@ fn reboot_resets_volatile_state_and_accounts_for_buffered_packets() {
     assert_eq!(a.discoveries_in_flight(), 1);
 
     let uid = a.buffered_uids()[0];
-    let cmds = a.reboot(t(2.0));
+    let cmds = a.on_revival(t(2.0));
 
     // Every buffered uid surrendered as a NodeReset drop.
     let drops: Vec<_> = cmds
         .iter()
         .filter_map(|c| match c {
-            DsrCommand::Drop { uid, reason } => Some((*uid, *reason)),
+            Cmd::Drop { uid, reason } => Some((*uid, *reason)),
             _ => None,
         })
         .collect();
@@ -686,7 +688,7 @@ fn reboot_resets_volatile_state_and_accounts_for_buffered_packets() {
     assert_eq!(a.discoveries_in_flight(), 0);
     assert!(cmds
         .iter()
-        .any(|c| matches!(c, DsrCommand::SetTimer { timer: DsrTimer::Tick, at } if *at > t(2.0))));
+        .any(|c| matches!(c, Cmd::SetTimer { timer: DsrTimer::Tick, at } if *at > t(2.0))));
 
     // Uids stay unique across the reboot: the next origination must not
     // re-issue the pre-crash uid.

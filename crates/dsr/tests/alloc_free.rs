@@ -17,8 +17,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dsr::{CacheEvent, DsrCommand, DsrConfig, DsrNode, PathCache, RouteCache};
-use packet::{DataPacket, InlineRoute, Link, Packet, Route, RouteRequest};
+use dsr::{CacheEvent, DsrConfig, DsrNode, PathCache, RouteCache};
+use packet::{
+    AgentCommand, DataPacket, InlineRoute, Link, Packet, Route, RouteRequest, RoutingAgent,
+};
 use sim_core::{NodeId, RngFactory, SimTime};
 
 /// Forwards to the system allocator, counting calls per thread (libtest
@@ -265,7 +267,7 @@ fn forwarding_a_request_allocates_only_its_command_vector() {
         node.on_receive(n(2), request(1, 9, &[0, 1, 2]), t(0.0));
         let fresh = request(2, 9, &[0, 1, 2]);
         let (allocs, cmds) = allocations(|| node.on_receive(n(2), fresh, t(0.1)));
-        let [DsrCommand::Send { packet: Packet::Request(fwd), .. }] = &cmds[..] else {
+        let [AgentCommand::Send { packet: Packet::Request(fwd), .. }] = &cmds[..] else {
             panic!("{label}: one rebroadcast: {cmds:?}");
         };
         assert_eq!(fwd.path.nodes(), &[n(0), n(1), n(2), n(5)]);
@@ -282,7 +284,7 @@ fn the_target_answer_allocates_the_discovered_route_the_reply_route_and_the_comm
         node.on_receive(n(2), request(1, 9, &[0, 1, 2]), t(0.0));
         let fresh = request(2, 9, &[0, 1, 2]);
         let (allocs, cmds) = allocations(|| node.on_receive(n(2), fresh, t(0.1)));
-        let Some(DsrCommand::Send { packet: Packet::Reply(rep), .. }) = cmds.last() else {
+        let Some(AgentCommand::Send { packet: Packet::Reply(rep), .. }) = cmds.last() else {
             panic!("{label}: a reply: {cmds:?}");
         };
         assert_eq!(rep.discovered, route(&[0, 1, 2, 9]));

@@ -84,11 +84,6 @@ impl NeighborGrid {
         }
     }
 
-    /// The cell size in meters.
-    pub fn cell_size_m(&self) -> f64 {
-        self.cell_m
-    }
-
     /// Rebuilds the index over `positions` (index = node id).
     ///
     /// The grid covers the positions' bounding box, so nodes may roam

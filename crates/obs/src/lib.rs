@@ -122,23 +122,6 @@ impl ObsConfig {
     }
 }
 
-/// A routing agent's self-reported gauges, polled by the sampler.
-///
-/// Returned by `RoutingAgent::observe`; agents that do not participate
-/// (AODV, TCP wrappers) return `None` and simply contribute zeros.
-#[derive(Debug, Clone, Default)]
-pub struct AgentObservation {
-    /// Snapshot of the node's cached routes (paths, or per-link stubs for a
-    /// link cache) for oracle validity checking.
-    pub routes: Vec<packet::Route>,
-    /// Live negative-cache entries.
-    pub negative_entries: usize,
-    /// Packets parked awaiting a route.
-    pub send_buffer: usize,
-    /// Route discoveries currently in flight.
-    pub discoveries: usize,
-}
-
 /// Everything one instrumented run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunObservation {

@@ -36,13 +36,13 @@ use std::time::Duration;
 use dsr::DsrNode;
 use metrics::Report;
 use obs::{CacheTrace, ObsConfig, Profile, RunObservation};
+use packet::RoutingAgent;
 use sim_core::{NodeId, SimRng, SimTime};
 
 use crate::audit::AuditLevel;
 use crate::config::ScenarioConfig;
 use crate::executor;
 use crate::forensics::TRACE_TAIL_CAPACITY;
-use crate::proto::RoutingAgent;
 use crate::sim::{CacheTraceBuf, HeartbeatSink, Simulator};
 use crate::trace::TraceEvent;
 
@@ -68,13 +68,6 @@ impl Default for RunLimits {
     /// legitimate scenario needs.
     fn default() -> Self {
         RunLimits { wall_clock: None, max_events_per_sim_second: Some(100_000_000) }
-    }
-}
-
-impl RunLimits {
-    /// No watchdogs at all (the pre-campaign behaviour).
-    pub fn unlimited() -> Self {
-        RunLimits { wall_clock: None, max_events_per_sim_second: None }
     }
 }
 

@@ -32,6 +32,7 @@ use std::sync::Arc;
 
 use metrics::Report;
 use obs::{CacheTrace, CampaignProgress, Profile, RunObservation, WorkerState};
+use packet::RoutingAgent;
 use sim_core::{NodeId, SimRng};
 
 use crate::campaign::{
@@ -40,7 +41,6 @@ use crate::campaign::{
 use crate::config::ScenarioConfig;
 use crate::forensics::{config_fingerprint, ForensicArtifact};
 use crate::journal::{Journal, JournalWriter};
-use crate::proto::RoutingAgent;
 use crate::sim::HeartbeatSink;
 
 /// A fault hook for the executor itself. The scenario-level chaos hooks

@@ -25,7 +25,6 @@ mod faults;
 pub mod forensics;
 pub mod journal;
 mod observers;
-pub mod proto;
 pub mod sim;
 pub mod trace;
 
@@ -38,6 +37,6 @@ pub use config::{FaultEvent, FaultPlan, MobilitySpec, Region, ScenarioConfig, Zo
 pub use forensics::{config_fingerprint, ForensicArtifact};
 pub use journal::{Journal, JournalWriter};
 pub use obs::ObsError;
-pub use proto::{AgentCommand, RoutingAgent};
+pub use packet::{AgentCommand, RoutingAgent};
 pub use sim::{run_scenario, run_scenario_with, CacheTraceBuf, HeartbeatSink, ObsSink, Simulator};
 pub use trace::{TraceEvent, TraceKind, TraceSink};

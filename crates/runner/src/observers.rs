@@ -16,12 +16,11 @@ use std::time::Instant;
 use mac::{Dcf, MacFrame};
 use mobility::LinkOracle;
 use obs::{HeartbeatTick, Profile, RunObservation, SampleRow, Sampler, Tally, TallyMap};
-use packet::{CacheDecision, DropReason, NetPacket};
+use packet::{CacheDecision, DropReason, NetPacket, RoutingAgent};
 use sim_core::{NodeId, SimTime};
 
 use crate::audit::Auditor;
 use crate::cachestamp::CacheStamper;
-use crate::proto::RoutingAgent;
 use crate::sim::EV_KIND_NAMES;
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 

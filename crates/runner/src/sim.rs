@@ -50,7 +50,7 @@ use mac::{Dcf, MacCommand, MacFrame, MacTimer, Priority};
 use metrics::{Metrics, Report};
 use mobility::{LinkOracle, MobilityModel, Point, RandomWaypoint, StaticPositions};
 use obs::{Profile, Sampler};
-use packet::{NetPacket, ProtocolEvent};
+use packet::{AgentCommand, NetPacket, ProtocolEvent, RoutingAgent};
 use phy::{PendingArrival, ReceiverState, TxId, TxIdSource};
 use sim_core::{
     EventId, EventQueue, NodeId, RngFactory, SimDuration, SimRng, SimTime, U64HashMap, U64HashSet,
@@ -65,7 +65,6 @@ use crate::config::{FaultEvent, MobilitySpec, ScenarioConfig};
 use crate::faults::FaultState;
 use crate::observers::{on_stride, ObsState, Observers};
 pub use crate::observers::{HeartbeatSink, ObsSink};
-use crate::proto::{AgentCommand, RoutingAgent};
 use crate::trace::TraceSink;
 
 use fronts::{Fronts, MemberKind};
@@ -362,12 +361,6 @@ impl<A: RoutingAgent> Simulator<A> {
             level
         };
         self.observers.audit = Auditor::new(effective);
-    }
-
-    /// The level the conservation auditor actually runs at (after any
-    /// protocol-capability downgrade).
-    pub fn audit_level(&self) -> AuditLevel {
-        self.observers.audit.level()
     }
 
     /// The ground-truth oracle (for external validation and tests).
@@ -1199,7 +1192,7 @@ impl<A: RoutingAgent> Simulator<A> {
                             .schedule(self.now + jitter, Ev::AgentSend { node, packet, next_hop });
                     }
                 }
-                AgentCommand::Deliver { uid, src, sent_at, bytes, hops } => {
+                AgentCommand::Deliver { uid, src, sent_at, bytes, hops, .. } => {
                     let fresh = self.metrics.record_delivery(uid, sent_at, bytes, hops, self.now);
                     self.observers.on_deliver(self.now, node, uid, src, bytes, fresh);
                 }

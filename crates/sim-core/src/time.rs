@@ -152,11 +152,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// This duration expressed in microseconds.
-    pub fn as_micros(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating duration subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))

@@ -1,7 +1,7 @@
 //! TCP endpoints riding on a DSR node.
 //!
 //! [`TcpHost`] wraps a [`dsr::DsrNode`] and implements
-//! [`runner::RoutingAgent`], intercepting application data between the
+//! [`packet::RoutingAgent`], intercepting application data between the
 //! driver and DSR: application writes feed per-peer [`TcpSender`]s, data
 //! segments delivered by DSR feed [`TcpReceiver`]s (which emit cumulative
 //! ACKs back through DSR), and retransmission timers ride alongside DSR's
@@ -13,9 +13,8 @@
 //! distinguished by their [`TCP_ACK_BYTES`] payload size (valid here
 //! because the experiment's data segments are always larger).
 
-use dsr::{DsrCommand, DsrNode, DsrTimer};
-use packet::Packet;
-use runner::{AgentCommand, RoutingAgent};
+use dsr::{DsrNode, DsrTimer};
+use packet::{AgentCommand, Packet, RoutingAgent};
 use sim_core::{NodeId, SimTime, U64HashMap};
 
 use crate::conn::{SenderAction, TcpConfig, TcpReceiver, TcpSender};
@@ -36,17 +35,6 @@ pub enum HostTimer {
     },
 }
 
-/// Bookkeeping carried through the receiver's reorder buffer so in-order
-/// delivery reports the original segment's identity.
-#[derive(Debug, Clone, Copy)]
-struct SegMeta {
-    uid: u64,
-    src: NodeId,
-    sent_at: SimTime,
-    bytes: usize,
-    hops: usize,
-}
-
 type Cmd = AgentCommand<Packet, HostTimer>;
 
 /// A DSR node with TCP endpoints on top.
@@ -54,7 +42,9 @@ pub struct TcpHost {
     dsr: DsrNode,
     cfg: TcpConfig,
     senders: U64HashMap<NodeId, TcpSender>,
-    receivers: U64HashMap<NodeId, TcpReceiver<SegMeta>>,
+    /// Each peer's reorder buffer holds the `Deliver` a segment becomes
+    /// once everything before it has arrived.
+    receivers: U64HashMap<NodeId, TcpReceiver<Cmd>>,
     segment_bytes: usize,
 }
 
@@ -91,57 +81,53 @@ impl TcpHost {
         self.senders.get(&peer)
     }
 
-    /// Translates inner DSR commands, intercepting TCP traffic deliveries.
-    fn translate(&mut self, cmds: Vec<DsrCommand>, now: SimTime, out: &mut Vec<Cmd>) {
+    /// Lifts inner DSR commands onto the host's timers, intercepting TCP
+    /// traffic deliveries.
+    fn translate(
+        &mut self,
+        cmds: Vec<AgentCommand<Packet, DsrTimer>>,
+        now: SimTime,
+        out: &mut Vec<Cmd>,
+    ) {
         for cmd in cmds {
             match cmd {
-                DsrCommand::Send { packet, next_hop, jitter } => {
+                AgentCommand::Send { packet, next_hop, jitter } => {
                     out.push(Cmd::Send { packet, next_hop, jitter });
                 }
-                DsrCommand::DeliverData { packet } => {
-                    if packet.payload_bytes == TCP_ACK_BYTES {
-                        // Cumulative ACK for our connection to packet.src.
-                        let actions = self
-                            .senders
-                            .entry(packet.src)
-                            .or_insert_with(|| TcpSender::new(self.cfg))
-                            .on_ack(packet.seq, now);
-                        self.apply_sender_actions(packet.src, actions, now, out);
-                    } else {
-                        self.receive_segment(packet, now, out);
-                    }
+                AgentCommand::Deliver { src, seq, bytes: TCP_ACK_BYTES, .. } => {
+                    // Cumulative ACK for our connection to src.
+                    let actions = self
+                        .senders
+                        .entry(src)
+                        .or_insert_with(|| TcpSender::new(self.cfg))
+                        .on_ack(seq, now);
+                    self.apply_sender_actions(src, actions, now, out);
                 }
-                DsrCommand::SetTimer { timer, at } => {
+                AgentCommand::Deliver { uid, src, seq, sent_at, bytes, hops } => {
+                    let segment = Cmd::Deliver { uid, src, seq, sent_at, bytes, hops };
+                    self.receive_segment(src, seq, segment, now, out);
+                }
+                AgentCommand::SetTimer { timer, at } => {
                     out.push(Cmd::SetTimer { timer: HostTimer::Dsr(timer), at });
                 }
-                DsrCommand::CancelTimer { timer } => {
+                AgentCommand::CancelTimer { timer } => {
                     out.push(Cmd::CancelTimer { timer: HostTimer::Dsr(timer) });
                 }
-                DsrCommand::Drop { uid, reason } => out.push(Cmd::Drop { uid, reason }),
-                DsrCommand::Event { event } => out.push(Cmd::Event { event }),
+                AgentCommand::Drop { uid, reason } => out.push(Cmd::Drop { uid, reason }),
+                AgentCommand::Event { event } => out.push(Cmd::Event { event }),
             }
         }
     }
 
-    fn receive_segment(&mut self, packet: packet::DataPacket, now: SimTime, out: &mut Vec<Cmd>) {
-        let peer = packet.src;
-        let meta = SegMeta {
-            uid: packet.uid,
-            src: packet.src,
-            sent_at: packet.sent_at,
-            bytes: packet.payload_bytes,
-            hops: packet.route.hops(),
-        };
-        let delivered = self.receivers.entry(peer).or_default().on_segment(packet.seq, meta);
-        for m in delivered {
-            out.push(Cmd::Deliver {
-                uid: m.uid,
-                src: m.src,
-                sent_at: m.sent_at,
-                bytes: m.bytes,
-                hops: m.hops,
-            });
-        }
+    fn receive_segment(
+        &mut self,
+        peer: NodeId,
+        seq: u64,
+        segment: Cmd,
+        now: SimTime,
+        out: &mut Vec<Cmd>,
+    ) {
+        out.extend(self.receivers.entry(peer).or_default().on_segment(seq, segment));
         // Always acknowledge (duplicates included — that is what triggers
         // the sender's fast retransmit).
         let ack_seq = self.receivers.get(&peer).expect("just inserted").expected();
@@ -221,6 +207,24 @@ impl RoutingAgent for TcpHost {
         out
     }
 
+    /// Churn revival: the DSR node underneath reboots, and every
+    /// connection with segments in flight gets back the retransmission
+    /// timer the driver cancelled, so the transport retries over the
+    /// rebooted router. Connection state survives.
+    fn on_revival(&mut self, now: SimTime) -> Vec<Cmd> {
+        let mut out = Vec::new();
+        let cmds = self.dsr.on_revival(now);
+        self.translate(cmds, now, &mut out);
+        let mut peers: Vec<NodeId> =
+            self.senders.iter().filter(|(_, s)| s.inflight() > 0).map(|(&p, _)| p).collect();
+        peers.sort_unstable();
+        for peer in peers {
+            let rto = self.senders[&peer].rto();
+            out.push(Cmd::SetTimer { timer: HostTimer::Rto { peer }, at: now + rto });
+        }
+        out
+    }
+
     fn on_timer(&mut self, timer: HostTimer, now: SimTime) -> Vec<Cmd> {
         let mut out = Vec::new();
         match timer {
@@ -265,6 +269,29 @@ mod tests {
             .iter()
             .any(|c| matches!(c, Cmd::SetTimer { timer: HostTimer::Rto { .. }, .. })));
         assert_eq!(h.sender(NodeId::new(2)).unwrap().inflight(), 1);
+    }
+
+    #[test]
+    fn revival_reboots_dsr_and_rearms_the_rto_of_each_busy_sender() {
+        let mut h = host(0);
+        let cmds = h.originate(NodeId::new(2), 512, 0, SimTime::ZERO);
+        let Some(&Cmd::Event { event: packet::ProtocolEvent::DataOriginated { uid } }) =
+            cmds.first()
+        else {
+            panic!("the segment is announced first: {cmds:?}")
+        };
+        let cmds = h.on_revival(SimTime::from_secs(2.0));
+        // The segment DSR was holding dies with the reboot; DSR's tick and
+        // the connection's RTO come back.
+        assert!(cmds.contains(&Cmd::Drop { uid, reason: packet::DropReason::NodeReset }));
+        assert!(cmds
+            .iter()
+            .any(|c| matches!(c, Cmd::SetTimer { timer: HostTimer::Dsr(DsrTimer::Tick), .. })));
+        let rto = h.sender(NodeId::new(2)).unwrap().rto();
+        assert!(cmds.contains(&Cmd::SetTimer {
+            timer: HostTimer::Rto { peer: NodeId::new(2) },
+            at: SimTime::from_secs(2.0) + rto,
+        }));
     }
 
     #[test]

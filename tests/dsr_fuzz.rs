@@ -2,10 +2,10 @@
 //! packet sequences must never panic it, never make it emit malformed
 //! routes, and never violate the negative-cache exclusion invariant.
 
-use dsr_caching::dsr::{DsrCommand, DsrConfig, DsrNode, DsrTimer};
+use dsr_caching::dsr::{DsrConfig, DsrNode, DsrTimer};
 use dsr_caching::packet::{
-    DataPacket, ErrorDelivery, InlineRoute, Link, Packet, Route, RouteErrorPkt, RouteReply,
-    RouteRequest,
+    AgentCommand, DataPacket, ErrorDelivery, InlineRoute, Link, Packet, Route, RouteErrorPkt,
+    RouteReply, RouteRequest, RoutingAgent,
 };
 use dsr_caching::sim_core::testkit::{cases, Step};
 use dsr_caching::sim_core::{NodeId, RngFactory, SimDuration, SimRng, SimTime};
@@ -186,7 +186,7 @@ fn drive(variant: usize, inputs: Vec<Input>) {
         };
         // Invariants on everything the agent emits.
         for cmd in &cmds {
-            if let DsrCommand::Send { packet, next_hop, .. } = cmd {
+            if let AgentCommand::Send { packet, next_hop, .. } = cmd {
                 assert!(*next_hop != me, "agent sent to itself: {packet:?}");
                 if let Packet::Data(d) = packet {
                     assert!(d.route.len() >= 2);
