@@ -30,7 +30,7 @@ use std::time::Duration;
 use dsr::DsrConfig;
 use experiments::{pct, run_point, variants, Agent, ExpArgs, ExpMode, Table};
 use mobility::Point;
-use runner::{AuditLevel, FaultPlan, MobilitySpec, Region, ScenarioConfig, Zone};
+use runner::{AuditLevel, FaultPlan, MobilitySpec, ScenarioConfig, Zone};
 use sim_core::{rng::uniform, NodeId, RngFactory, SimDuration, SimRng, SimTime};
 
 /// Campaigns per soak: enough distinct fault plans to cover every kind
@@ -97,7 +97,7 @@ fn chaos_plan(rng: &mut SimRng, cfg: &ScenarioConfig) -> FaultPlan {
             }
             2 => {
                 let (x0, y0) = (uniform(rng, 0.0, 0.7 * w), uniform(rng, 0.0, 0.7 * h));
-                let region = Region::new(
+                let rect = Zone::rect(
                     Point::new(x0, y0),
                     Point::new(
                         x0 + uniform(rng, 0.1 * w, 0.3 * w),
@@ -105,8 +105,8 @@ fn chaos_plan(rng: &mut SimRng, cfg: &ScenarioConfig) -> FaultPlan {
                     ),
                 );
                 let at = SimTime::from_secs(uniform(rng, 0.1 * d, 0.7 * d));
-                plan.link_blackout(
-                    region,
+                plan.region_blackout(
+                    rect,
                     at,
                     SimDuration::from_secs(uniform(rng, 0.05 * d, 0.25 * d)),
                 )

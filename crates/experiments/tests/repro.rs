@@ -1,0 +1,42 @@
+//! The `repro` binary's exit status: 0 when an artifact's failure
+//! reproduces, 2 when the artifact cannot be loaded — a crafted value is
+//! refused at load instead of panicking the replay (which would read as a
+//! divergent replay, 1).
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+use dsr::DsrConfig;
+use runner::{run_campaign, CampaignConfig, FaultEvent, FaultPlan, ScenarioConfig};
+use sim_core::{SimDuration, SimTime};
+
+fn repro(path: &Path) -> Option<i32> {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro")).arg(path).output().expect("repro runs");
+    out.status.code()
+}
+
+#[test]
+fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
+    let dir = std::env::temp_dir().join(format!("repro-exit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = ScenarioConfig::static_line(3, 200.0, 2.0, DsrConfig::base(), 0);
+    cfg.duration = SimDuration::from_secs(4.0);
+    cfg.faults = FaultPlan {
+        events: vec![FaultEvent::Panic { at: SimTime::from_secs(1.0), only_seed: None }],
+    };
+    let campaign = CampaignConfig { forensics_dir: Some(dir.clone()), ..CampaignConfig::default() };
+    assert_eq!(run_campaign(&cfg, &[1], &campaign).failures.len(), 1);
+    let artifacts: Vec<PathBuf> =
+        std::fs::read_dir(&dir).expect("forensics dir").map(|e| e.expect("entry").path()).collect();
+    let [artifact] = artifacts.as_slice() else { panic!("one artifact: {artifacts:?}") };
+    assert_eq!(repro(artifact), Some(0), "the recorded panic reproduces");
+
+    let text = std::fs::read_to_string(artifact).expect("artifact text");
+    let line = text.lines().find(|l| l.starts_with("mac.data_rate_bps = ")).expect("rate key");
+    let crafted = dir.join("zero_rate.txt");
+    std::fs::write(&crafted, text.replace(line, "mac.data_rate_bps = 0")).expect("write");
+    assert_eq!(repro(&crafted), Some(2), "a zero data rate is refused at load");
+
+    assert_eq!(repro(&dir.join("missing.txt")), Some(2), "a missing file");
+    let _ = std::fs::remove_dir_all(&dir);
+}

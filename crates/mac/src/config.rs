@@ -1,67 +1,66 @@
 //! 802.11 DSSS timing and framing constants.
+//!
+//! The paper runs one stack throughout: the ns-2 CMU Monarch 802.11 DCF
+//! over a 2 Mb/s WaveLAN radio. Its timing, contention window, retry
+//! limits, frame sizes and interface queue are the IEEE 802.11-1997 DSSS
+//! values (the queue is ns-2's CMU `PriQueue`), named once below. Every
+//! unicast uses RTS/CTS (ns-2's `RTSThreshold` of 0, which makes the
+//! paper's RTS/CTS overhead counts meaningful). [`MacConfig`] keeps the
+//! two values a frame's airtime is computed from.
 
 use sim_core::SimDuration;
 
-/// MAC-layer parameters. Defaults model the 2 Mb/s DSSS PHY of the
-/// WaveLAN radio used in the paper (IEEE 802.11-1997 numbers, matching the
-/// ns-2 CMU Monarch MAC).
+/// Slot time (DSSS: 20 µs).
+pub const SLOT: SimDuration = SimDuration::from_micros_u64(20);
+
+/// Short interframe space (DSSS: 10 µs).
+pub const SIFS: SimDuration = SimDuration::from_micros_u64(10);
+
+/// DCF interframe space (SIFS + 2 slots = 50 µs).
+pub const DIFS: SimDuration = SimDuration::from_micros_u64(50);
+
+/// Minimum contention window (CWmin = 31).
+pub const CW_MIN: u32 = 31;
+
+/// Maximum contention window (CWmax = 1023).
+pub const CW_MAX: u32 = 1023;
+
+/// RTS attempts before the frame is dropped (dot11ShortRetryLimit = 7).
+pub const SHORT_RETRY_LIMIT: u32 = 7;
+
+/// DATA attempts before the frame is dropped (dot11LongRetryLimit = 4).
+pub const LONG_RETRY_LIMIT: u32 = 4;
+
+/// RTS frame size in bytes.
+pub const RTS_BYTES: usize = 20;
+
+/// CTS frame size in bytes.
+pub const CTS_BYTES: usize = 14;
+
+/// ACK frame size in bytes.
+pub const ACK_BYTES: usize = 14;
+
+/// MAC header + FCS added to every data frame, in bytes.
+pub const DATA_HEADER_BYTES: usize = 28;
+
+/// Interface queue capacity in packets (ns-2 CMU `PriQueue`: 50).
+pub const QUEUE_CAPACITY: usize = 50;
+
+/// The PHY rate a frame's airtime is computed from;
+/// [`MacConfig::ieee80211_dsss`] is the 2 Mb/s DSSS PHY of the WaveLAN
+/// radio used in the paper.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MacConfig {
-    /// Slot time (DSSS: 20 µs).
-    pub slot: SimDuration,
-    /// Short interframe space (DSSS: 10 µs).
-    pub sifs: SimDuration,
-    /// DCF interframe space (SIFS + 2 slots = 50 µs).
-    pub difs: SimDuration,
     /// PLCP preamble + header, transmitted at 1 Mb/s (192 µs).
     pub plcp_overhead: SimDuration,
     /// MPDU bit-rate in bits per second (WaveLAN: 2 Mb/s).
     pub data_rate_bps: f64,
-    /// Minimum contention window (CWmin = 31).
-    pub cw_min: u32,
-    /// Maximum contention window (CWmax = 1023).
-    pub cw_max: u32,
-    /// Maximum RTS attempts before the frame is dropped (dot11ShortRetryLimit = 7).
-    pub short_retry_limit: u32,
-    /// Maximum DATA attempts before the frame is dropped (dot11LongRetryLimit = 4).
-    pub long_retry_limit: u32,
-    /// RTS frame size in bytes (20).
-    pub rts_bytes: usize,
-    /// CTS frame size in bytes (14).
-    pub cts_bytes: usize,
-    /// ACK frame size in bytes (14).
-    pub ack_bytes: usize,
-    /// MAC header + FCS added to every data frame (28 bytes).
-    pub data_header_bytes: usize,
-    /// Unicast payloads of at least this many bytes are preceded by
-    /// RTS/CTS. 0 means "always", matching the ns-2 configuration used by
-    /// the CMU studies (and making the paper's RTS/CTS overhead counts
-    /// meaningful).
-    pub rts_threshold_bytes: usize,
-    /// Interface queue capacity in packets (ns-2 CMU PriQueue: 50).
-    pub queue_capacity: usize,
 }
 
 impl MacConfig {
     /// The 802.11 DSSS / WaveLAN configuration used throughout the paper.
     pub fn ieee80211_dsss() -> Self {
-        MacConfig {
-            slot: SimDuration::from_micros_u64(20),
-            sifs: SimDuration::from_micros_u64(10),
-            difs: SimDuration::from_micros_u64(50),
-            plcp_overhead: SimDuration::from_micros_u64(192),
-            data_rate_bps: 2.0e6,
-            cw_min: 31,
-            cw_max: 1023,
-            short_retry_limit: 7,
-            long_retry_limit: 4,
-            rts_bytes: 20,
-            cts_bytes: 14,
-            ack_bytes: 14,
-            data_header_bytes: 28,
-            rts_threshold_bytes: 0,
-            queue_capacity: 50,
-        }
+        MacConfig { plcp_overhead: SimDuration::from_micros_u64(192), data_rate_bps: 2.0e6 }
     }
 
     /// Airtime of a frame of `bytes` bytes: PLCP overhead plus the MPDU at
@@ -72,45 +71,34 @@ impl MacConfig {
 
     /// Airtime of an RTS frame.
     pub fn rts_duration(&self) -> SimDuration {
-        self.frame_duration(self.rts_bytes)
+        self.frame_duration(RTS_BYTES)
     }
 
     /// Airtime of a CTS frame.
     pub fn cts_duration(&self) -> SimDuration {
-        self.frame_duration(self.cts_bytes)
+        self.frame_duration(CTS_BYTES)
     }
 
     /// Airtime of an ACK frame.
     pub fn ack_duration(&self) -> SimDuration {
-        self.frame_duration(self.ack_bytes)
+        self.frame_duration(ACK_BYTES)
     }
 
     /// Airtime of a data frame with the given network-layer payload size.
     pub fn data_duration(&self, payload_bytes: usize) -> SimDuration {
-        self.frame_duration(self.data_header_bytes + payload_bytes)
+        self.frame_duration(DATA_HEADER_BYTES + payload_bytes)
     }
 
     /// How long an RTS sender waits for the CTS before declaring the
     /// attempt failed: SIFS + CTS airtime + 2 slots of grace (propagation
     /// and turnaround).
     pub fn cts_timeout(&self) -> SimDuration {
-        self.sifs + self.cts_duration() + self.slot * 2
+        SIFS + self.cts_duration() + SLOT * 2
     }
 
     /// How long a DATA sender waits for the ACK.
     pub fn ack_timeout(&self) -> SimDuration {
-        self.sifs + self.ack_duration() + self.slot * 2
-    }
-
-    /// Whether a unicast payload of this size uses the RTS/CTS exchange.
-    pub fn uses_rts(&self, payload_bytes: usize) -> bool {
-        payload_bytes >= self.rts_threshold_bytes
-    }
-}
-
-impl Default for MacConfig {
-    fn default() -> Self {
-        MacConfig::ieee80211_dsss()
+        SIFS + self.ack_duration() + SLOT * 2
     }
 }
 
@@ -120,8 +108,7 @@ mod tests {
 
     #[test]
     fn difs_is_sifs_plus_two_slots() {
-        let c = MacConfig::ieee80211_dsss();
-        assert_eq!(c.difs, c.sifs + c.slot * 2);
+        assert_eq!(DIFS, SIFS + SLOT * 2);
     }
 
     #[test]
@@ -143,14 +130,7 @@ mod tests {
     #[test]
     fn timeouts_cover_the_response() {
         let c = MacConfig::ieee80211_dsss();
-        assert!(c.cts_timeout() > c.sifs + c.cts_duration());
-        assert!(c.ack_timeout() > c.sifs + c.ack_duration());
-    }
-
-    #[test]
-    fn default_uses_rts_for_everything() {
-        let c = MacConfig::default();
-        assert!(c.uses_rts(0));
-        assert!(c.uses_rts(512));
+        assert!(c.cts_timeout() > SIFS + c.cts_duration());
+        assert!(c.ack_timeout() > SIFS + c.ack_duration());
     }
 }

@@ -12,8 +12,7 @@
 //! - physical carrier sense (driver reports channel-busy horizons) plus
 //!   virtual carrier sense (NAV from overheard duration fields);
 //! - DIFS + slotted exponential backoff, frozen while the medium is busy;
-//! - RTS/CTS/DATA/ACK for unicast (configurable threshold), plain DATA for
-//!   broadcast;
+//! - RTS/CTS/DATA/ACK for every unicast, plain DATA for broadcast;
 //! - retry limits with **link-layer failure feedback** ([`MacCommand::TxFailed`]),
 //!   the signal DSR route maintenance is built on;
 //! - SIFS-spaced responses (CTS, ACK) that preempt ongoing contention;
@@ -32,7 +31,10 @@ use std::sync::Arc;
 
 use sim_core::{NodeId, SimDuration, SimRng, SimTime};
 
-use crate::config::MacConfig;
+use crate::config::{
+    MacConfig, ACK_BYTES, CTS_BYTES, CW_MAX, CW_MIN, DATA_HEADER_BYTES, DIFS, LONG_RETRY_LIMIT,
+    QUEUE_CAPACITY, RTS_BYTES, SHORT_RETRY_LIMIT, SIFS, SLOT,
+};
 use crate::frame::{FrameKind, MacFrame};
 use crate::queue::{IfQueue, Priority, QueuedPacket};
 
@@ -157,6 +159,7 @@ const DEDUP_CACHE: usize = 64;
 
 /// Per-node IEEE 802.11 DCF MAC entity.
 pub struct Dcf<P> {
+    /// The PHY rate frame airtimes are computed from.
     cfg: MacConfig,
     node: NodeId,
     queue: IfQueue<P>,
@@ -200,12 +203,11 @@ impl<P: Clone> Dcf<P> {
     /// Creates the MAC entity for `node`. `rng` drives backoff draws and
     /// should come from a per-node stream (see `sim_core::RngFactory`).
     pub fn new(node: NodeId, cfg: MacConfig, rng: SimRng) -> Self {
-        let queue = IfQueue::new(cfg.queue_capacity);
         Dcf {
-            cw: cfg.cw_min,
+            cw: CW_MIN,
             cfg,
             node,
-            queue,
+            queue: IfQueue::new(QUEUE_CAPACITY),
             state: MainState::Idle,
             current: None,
             remaining_slots: 0,
@@ -279,7 +281,7 @@ impl<P: Clone> Dcf<P> {
         dropped.extend(self.responses.drain(..).filter_map(|(_, f)| f.payload));
         self.state = MainState::Idle;
         self.remaining_slots = 0;
-        self.cw = self.cfg.cw_min;
+        self.cw = CW_MIN;
         self.short_retries = 0;
         self.long_retries = 0;
         self.defer_started = SimTime::ZERO;
@@ -490,7 +492,7 @@ impl<P: Clone> Dcf<P> {
                     self.current = Some(pkt);
                     self.short_retries = 0;
                     self.long_retries = 0;
-                    self.cw = self.cfg.cw_min;
+                    self.cw = CW_MIN;
                     // Immediate access: a fresh packet facing an idle medium
                     // waits only DIFS. If the medium is busy it will draw a
                     // full backoff when contention resumes.
@@ -511,7 +513,7 @@ impl<P: Clone> Dcf<P> {
         if self.busy_until(now).is_none() {
             self.state = MainState::Deferring;
             self.defer_started = now;
-            let fire = now + self.cfg.difs + self.cfg.slot * u64::from(self.remaining_slots);
+            let fire = now + DIFS + SLOT * u64::from(self.remaining_slots);
             cmds.push(MacCommand::SetTimer { timer: MacTimer::Defer, at: fire });
         } else {
             self.wait_for_idle(now, cmds);
@@ -542,9 +544,8 @@ impl<P: Clone> Dcf<P> {
         debug_assert_eq!(self.state, MainState::Deferring);
         cmds.push(MacCommand::CancelTimer { timer: MacTimer::Defer });
         let elapsed = now.saturating_since(self.defer_started);
-        if elapsed > self.cfg.difs {
-            let slots_done =
-                ((elapsed - self.cfg.difs).as_nanos() / self.cfg.slot.as_nanos()) as u32;
+        if elapsed > DIFS {
+            let slots_done = ((elapsed - DIFS).as_nanos() / SLOT.as_nanos()) as u32;
             self.remaining_slots = self.remaining_slots.saturating_sub(slots_done);
         }
         self.state = MainState::WaitIdle;
@@ -555,7 +556,7 @@ impl<P: Clone> Dcf<P> {
     }
 
     fn bump_cw(&mut self) {
-        self.cw = (self.cw * 2 + 1).min(self.cfg.cw_max);
+        self.cw = (self.cw * 2 + 1).min(CW_MAX);
         self.remaining_slots = self.draw_slots();
     }
 
@@ -581,26 +582,19 @@ impl<P: Clone> Dcf<P> {
             let frame = self.data_frame(pkt.clone(), NodeId::BROADCAST, SimDuration::ZERO);
             self.state = MainState::TxBroadcast;
             self.transmit(frame, now, cmds);
-        } else if self.cfg.uses_rts(pkt.bytes) {
+        } else {
             let data_dur = self.cfg.data_duration(pkt.bytes);
-            let nav =
-                self.cfg.sifs * 3 + self.cfg.cts_duration() + data_dur + self.cfg.ack_duration();
+            let nav = SIFS * 3 + self.cfg.cts_duration() + data_dur + self.cfg.ack_duration();
             let frame = MacFrame {
                 kind: FrameKind::Rts,
                 src: self.node,
                 dst: pkt.dst,
-                bytes: self.cfg.rts_bytes,
+                bytes: RTS_BYTES,
                 nav,
                 seq: 0,
                 payload: None,
             };
             self.state = MainState::TxRts;
-            self.transmit(frame, now, cmds);
-        } else {
-            let dst = pkt.dst;
-            let nav = self.cfg.sifs + self.cfg.ack_duration();
-            let frame = self.data_frame(pkt.clone(), dst, nav);
-            self.state = MainState::TxData;
             self.transmit(frame, now, cmds);
         }
     }
@@ -610,7 +604,7 @@ impl<P: Clone> Dcf<P> {
             kind: FrameKind::Data,
             src: self.node,
             dst,
-            bytes: self.cfg.data_header_bytes + pkt.bytes,
+            bytes: DATA_HEADER_BYTES + pkt.bytes,
             nav,
             seq: self.seq_counter,
             payload: Some(pkt.payload),
@@ -670,7 +664,7 @@ impl<P: Clone> Dcf<P> {
             cmds.push(MacCommand::CancelTimer { timer: MacTimer::CtsTimeout });
             self.short_retries = 0;
             self.state = MainState::SifsGap;
-            cmds.push(MacCommand::SetTimer { timer: MacTimer::SifsData, at: now + self.cfg.sifs });
+            cmds.push(MacCommand::SetTimer { timer: MacTimer::SifsData, at: now + SIFS });
         }
     }
 
@@ -688,7 +682,7 @@ impl<P: Clone> Dcf<P> {
         }
         let pkt = self.current.clone().expect("SIFS gap without a packet in service");
         let dst = pkt.dst;
-        let nav = self.cfg.sifs + self.cfg.ack_duration();
+        let nav = SIFS + self.cfg.ack_duration();
         let frame = self.data_frame(pkt, dst, nav);
         self.state = MainState::TxData;
         self.transmit(frame, now, cmds);
@@ -701,7 +695,7 @@ impl<P: Clone> Dcf<P> {
             cmds.push(MacCommand::TxOk { dst: frame.src });
             self.seq_counter += 1;
             self.current = None;
-            self.cw = self.cfg.cw_min;
+            self.cw = CW_MIN;
             self.short_retries = 0;
             self.long_retries = 0;
             self.start_service(now, cmds);
@@ -713,7 +707,7 @@ impl<P: Clone> Dcf<P> {
             return;
         }
         self.short_retries += 1;
-        if self.short_retries >= self.cfg.short_retry_limit {
+        if self.short_retries >= SHORT_RETRY_LIMIT {
             self.fail_current(now, cmds);
         } else {
             self.bump_cw();
@@ -726,7 +720,7 @@ impl<P: Clone> Dcf<P> {
             return;
         }
         self.long_retries += 1;
-        if self.long_retries >= self.cfg.long_retry_limit {
+        if self.long_retries >= LONG_RETRY_LIMIT {
             self.fail_current(now, cmds);
         } else {
             self.bump_cw();
@@ -740,7 +734,7 @@ impl<P: Clone> Dcf<P> {
         let pkt = self.current.take().expect("failing without a packet in service");
         self.seq_counter += 1;
         cmds.push(MacCommand::TxFailed { payload: pkt.payload, dst: pkt.dst });
-        self.cw = self.cfg.cw_min;
+        self.cw = CW_MIN;
         self.short_retries = 0;
         self.long_retries = 0;
         self.state = MainState::Idle;
@@ -770,12 +764,12 @@ impl<P: Clone> Dcf<P> {
             kind: FrameKind::Ack,
             src: self.node,
             dst: frame.src,
-            bytes: self.cfg.ack_bytes,
+            bytes: ACK_BYTES,
             nav: SimDuration::ZERO,
             seq: 0,
             payload: None,
         };
-        self.push_response(now + self.cfg.sifs, ack, cmds);
+        self.push_response(now + SIFS, ack, cmds);
         if !duplicate {
             let payload = frame.payload.expect("data frame without payload");
             cmds.push(MacCommand::Deliver { from: frame.src, payload });
@@ -798,17 +792,17 @@ impl<P: Clone> Dcf<P> {
             return;
         }
         // Remaining reservation after our CTS ends.
-        let nav = frame.nav.saturating_sub(self.cfg.sifs + self.cfg.cts_duration());
+        let nav = frame.nav.saturating_sub(SIFS + self.cfg.cts_duration());
         let cts = MacFrame {
             kind: FrameKind::Cts,
             src: self.node,
             dst: frame.src,
-            bytes: self.cfg.cts_bytes,
+            bytes: CTS_BYTES,
             nav,
             seq: 0,
             payload: None,
         };
-        self.push_response(now + self.cfg.sifs, cts, cmds);
+        self.push_response(now + SIFS, cts, cmds);
     }
 
     // ------------------------------------------------------------------
@@ -869,6 +863,17 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// A control frame (RTS, CTS or ACK) of its standard size.
+    fn control(kind: FrameKind, src: u16, dst: u16, nav: SimDuration) -> MacFrame<u32> {
+        let bytes = match kind {
+            FrameKind::Rts => RTS_BYTES,
+            FrameKind::Cts => CTS_BYTES,
+            _ => ACK_BYTES,
+        };
+        let (src, dst) = (NodeId::new(src), NodeId::new(dst));
+        MacFrame { kind, src, dst, bytes, nav, seq: 0, payload: None }
+    }
+
     fn find_tx<P: Clone>(cmds: &[MacCommand<P>]) -> Option<&MacFrame<P>> {
         cmds.iter().find_map(|c| match c {
             MacCommand::StartTx { frame, .. } => Some(frame),
@@ -893,7 +898,7 @@ mod tests {
         // Enqueue on idle medium: immediate access => Defer at now + DIFS.
         let cmds = mac.enqueue(42, NodeId::new(1), 512, Priority::Data, now);
         let defer_at = timer_at(&cmds, MacTimer::Defer).expect("defer armed");
-        assert_eq!(defer_at, now + cfg.difs);
+        assert_eq!(defer_at, now + DIFS);
 
         // Defer fires: RTS goes out.
         let cmds = mac.on_timer(MacTimer::Defer, defer_at);
@@ -908,19 +913,11 @@ mod tests {
         assert!(cts_to > tx_end);
 
         // CTS arrives: SIFS gap before data.
-        let cts = MacFrame {
-            kind: FrameKind::Cts,
-            src: NodeId::new(1),
-            dst: NodeId::new(0),
-            bytes: cfg.cts_bytes,
-            nav: SimDuration::ZERO,
-            seq: 0,
-            payload: None,
-        };
-        let rx_at = tx_end + cfg.sifs + cfg.cts_duration();
+        let cts = control(FrameKind::Cts, 1, 0, SimDuration::ZERO);
+        let rx_at = tx_end + SIFS + cfg.cts_duration();
         let cmds = mac.on_receive(cts, rx_at);
         let sifs_at = timer_at(&cmds, MacTimer::SifsData).expect("sifs gap armed");
-        assert_eq!(sifs_at, rx_at + cfg.sifs);
+        assert_eq!(sifs_at, rx_at + SIFS);
 
         // SIFS gap ends: DATA goes out carrying the payload.
         let cmds = mac.on_timer(MacTimer::SifsData, sifs_at);
@@ -934,16 +931,8 @@ mod tests {
         assert!(timer_at(&cmds, MacTimer::AckTimeout).is_some());
 
         // ACK arrives: exchange complete.
-        let ack = MacFrame {
-            kind: FrameKind::Ack,
-            src: NodeId::new(1),
-            dst: NodeId::new(0),
-            bytes: cfg.ack_bytes,
-            nav: SimDuration::ZERO,
-            seq: 0,
-            payload: None,
-        };
-        let cmds = mac.on_receive(ack, data_end + cfg.sifs + cfg.ack_duration());
+        let ack = control(FrameKind::Ack, 1, 0, SimDuration::ZERO);
+        let cmds = mac.on_receive(ack, data_end + SIFS + cfg.ack_duration());
         assert!(cmds
             .iter()
             .any(|c| matches!(c, MacCommand::TxOk { dst } if *dst == NodeId::new(1))));
@@ -1009,7 +998,6 @@ mod tests {
     #[test]
     fn backoff_freezes_when_channel_goes_busy() {
         let mut mac = mk(0);
-        let cfg = MacConfig::ieee80211_dsss();
         let now = t(0.0);
         // Make the channel busy first so the packet draws a real backoff.
         mac.on_channel_busy(now, t(0.001));
@@ -1017,9 +1005,9 @@ mod tests {
         assert_eq!(timer_at(&cmds, MacTimer::Recheck), Some(t(0.001)));
         let cmds = mac.on_timer(MacTimer::Recheck, t(0.001));
         let defer_at = timer_at(&cmds, MacTimer::Defer).expect("defer with backoff");
-        assert!(defer_at >= t(0.001) + cfg.difs);
+        assert!(defer_at >= t(0.001) + DIFS);
         // Channel turns busy mid-countdown: Defer cancelled, Recheck armed.
-        let mid = t(0.001) + cfg.difs + cfg.slot;
+        let mid = t(0.001) + DIFS + SLOT;
         let cmds = mac.on_channel_busy(mid, t(0.020));
         assert!(cmds
             .iter()
@@ -1030,20 +1018,11 @@ mod tests {
     #[test]
     fn rts_for_us_earns_cts_after_sifs() {
         let mut mac = mk(1);
-        let cfg = MacConfig::ieee80211_dsss();
-        let rts = MacFrame::<u32> {
-            kind: FrameKind::Rts,
-            src: NodeId::new(0),
-            dst: NodeId::new(1),
-            bytes: cfg.rts_bytes,
-            nav: SimDuration::from_micros_u64(3000),
-            seq: 0,
-            payload: None,
-        };
+        let rts = control(FrameKind::Rts, 0, 1, SimDuration::from_micros_u64(3000));
         let now = t(0.5);
         let cmds = mac.on_receive(rts, now);
-        assert_eq!(timer_at(&cmds, MacTimer::SifsResponse), Some(now + cfg.sifs));
-        let cmds = mac.on_timer(MacTimer::SifsResponse, now + cfg.sifs);
+        assert_eq!(timer_at(&cmds, MacTimer::SifsResponse), Some(now + SIFS));
+        let cmds = mac.on_timer(MacTimer::SifsResponse, now + SIFS);
         let cts = find_tx(&cmds).expect("CTS sent");
         assert_eq!(cts.kind, FrameKind::Cts);
         assert_eq!(cts.dst, NodeId::new(0));
@@ -1053,27 +1032,10 @@ mod tests {
     #[test]
     fn rts_ignored_when_nav_busy() {
         let mut mac = mk(1);
-        let cfg = MacConfig::ieee80211_dsss();
         // Overhear a frame reserving the medium.
-        let other = MacFrame::<u32> {
-            kind: FrameKind::Rts,
-            src: NodeId::new(5),
-            dst: NodeId::new(6),
-            bytes: cfg.rts_bytes,
-            nav: SimDuration::from_millis(5.0),
-            seq: 0,
-            payload: None,
-        };
+        let other = control(FrameKind::Rts, 5, 6, SimDuration::from_millis(5.0));
         mac.on_receive(other, t(0.0));
-        let rts = MacFrame::<u32> {
-            kind: FrameKind::Rts,
-            src: NodeId::new(0),
-            dst: NodeId::new(1),
-            bytes: cfg.rts_bytes,
-            nav: SimDuration::from_millis(3.0),
-            seq: 0,
-            payload: None,
-        };
+        let rts = control(FrameKind::Rts, 0, 1, SimDuration::from_millis(3.0));
         let cmds = mac.on_receive(rts, t(0.001));
         assert!(
             timer_at(&cmds, MacTimer::SifsResponse).is_none(),
@@ -1084,12 +1046,11 @@ mod tests {
     #[test]
     fn unicast_data_delivers_once_and_acks_twice() {
         let mut mac = mk(1);
-        let cfg = MacConfig::ieee80211_dsss();
         let data = MacFrame {
             kind: FrameKind::Data,
             src: NodeId::new(0),
             dst: NodeId::new(1),
-            bytes: cfg.data_header_bytes + 512,
+            bytes: DATA_HEADER_BYTES + 512,
             nav: SimDuration::ZERO,
             seq: 3,
             payload: Some(77),
@@ -1098,7 +1059,7 @@ mod tests {
         assert!(cmds.iter().any(|c| matches!(c, MacCommand::Deliver { payload: 77, .. })));
         assert!(timer_at(&cmds, MacTimer::SifsResponse).is_some());
         // Drain the first ACK so the response queue is empty again.
-        let cmds = mac.on_timer(MacTimer::SifsResponse, t(0.0) + cfg.sifs);
+        let cmds = mac.on_timer(MacTimer::SifsResponse, t(0.0) + SIFS);
         assert_eq!(find_tx(&cmds).map(|f| f.kind), Some(FrameKind::Ack));
         let end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
         mac.on_timer(MacTimer::TxEnd, end);
@@ -1173,7 +1134,7 @@ mod tests {
         let mut mac = mk(0);
         // Keep the channel busy so nothing dequeues.
         mac.on_channel_busy(t(0.0), t(100.0));
-        let cap = MacConfig::ieee80211_dsss().queue_capacity;
+        let cap = QUEUE_CAPACITY;
         // The first admitted packet moves straight into service, so the
         // queue itself absorbs `cap` more before overflowing.
         for i in 0..=cap as u32 {
@@ -1185,54 +1146,43 @@ mod tests {
         assert_eq!(mac.queue_len(), cap);
     }
 
+    /// Every attempt gets its CTS but never its ACK: RTS, CTS, DATA, ACK
+    /// timeout, until the DATA retry limit fails the frame.
     #[test]
-    fn ack_timeouts_exhaust_into_link_failure_without_rts() {
-        let mut cfg = MacConfig::ieee80211_dsss();
-        cfg.rts_threshold_bytes = 10_000; // plain DATA path
-        let mut mac: TestDcf = Dcf::new(NodeId::new(0), cfg, RngFactory::new(1).stream("mac", 0));
+    fn ack_timeouts_exhaust_into_link_failure() {
+        let mut mac = mk(0);
+        let cfg = MacConfig::ieee80211_dsss();
         let cmds = mac.enqueue(3, NodeId::new(1), 512, Priority::Data, t(0.0));
         let mut defer_at = timer_at(&cmds, MacTimer::Defer).unwrap();
-        let mut failed = false;
-        for _ in 0..6 {
+        for attempt in 1..=LONG_RETRY_LIMIT {
             let cmds = mac.on_timer(MacTimer::Defer, defer_at);
-            assert_eq!(find_tx(&cmds).map(|f| f.kind), Some(FrameKind::Data));
+            assert_eq!(find_tx(&cmds).map(|f| f.kind), Some(FrameKind::Rts));
             let tx_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
-            let cmds = mac.on_timer(MacTimer::TxEnd, tx_end);
+            mac.on_timer(MacTimer::TxEnd, tx_end);
+            let cts = control(FrameKind::Cts, 1, 0, SimDuration::ZERO);
+            let cmds = mac.on_receive(cts, tx_end + SIFS + cfg.cts_duration());
+            let cmds =
+                mac.on_timer(MacTimer::SifsData, timer_at(&cmds, MacTimer::SifsData).unwrap());
+            assert_eq!(find_tx(&cmds).map(|f| f.kind), Some(FrameKind::Data));
+            let cmds = mac.on_timer(MacTimer::TxEnd, timer_at(&cmds, MacTimer::TxEnd).unwrap());
             let ack_to = timer_at(&cmds, MacTimer::AckTimeout).unwrap();
             let cmds = mac.on_timer(MacTimer::AckTimeout, ack_to);
-            if cmds.iter().any(|c| matches!(c, MacCommand::TxFailed { payload: 3, .. })) {
-                failed = true;
-                break;
+            let failed = cmds.iter().any(|c| matches!(c, MacCommand::TxFailed { payload: 3, .. }));
+            assert_eq!(failed, attempt == LONG_RETRY_LIMIT, "attempt {attempt}");
+            if !failed {
+                defer_at = timer_at(&cmds, MacTimer::Defer).expect("retry");
             }
-            defer_at = timer_at(&cmds, MacTimer::Defer).expect("retry");
         }
-        assert!(failed, "no TxFailed after long retry limit");
+        assert!(mac.is_idle());
     }
 
     #[test]
     fn nav_expiry_reopens_cts_responses() {
         let mut mac = mk(1);
-        let cfg = MacConfig::ieee80211_dsss();
         // Overheard reservation holds the NAV for 2 ms.
-        let other = MacFrame::<u32> {
-            kind: FrameKind::Rts,
-            src: NodeId::new(5),
-            dst: NodeId::new(6),
-            bytes: cfg.rts_bytes,
-            nav: SimDuration::from_millis(2.0),
-            seq: 0,
-            payload: None,
-        };
+        let other = control(FrameKind::Rts, 5, 6, SimDuration::from_millis(2.0));
         mac.on_receive(other, t(0.0));
-        let make_rts = || MacFrame::<u32> {
-            kind: FrameKind::Rts,
-            src: NodeId::new(0),
-            dst: NodeId::new(1),
-            bytes: cfg.rts_bytes,
-            nav: SimDuration::from_millis(3.0),
-            seq: 0,
-            payload: None,
-        };
+        let make_rts = || control(FrameKind::Rts, 0, 1, SimDuration::from_millis(3.0));
         // During the NAV: silence.
         let cmds = mac.on_receive(make_rts(), t(0.001));
         assert!(timer_at(&cmds, MacTimer::SifsResponse).is_none());
@@ -1259,36 +1209,20 @@ mod tests {
         let tx_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
         let cmds = mac.on_timer(MacTimer::TxEnd, tx_end);
         let _ = timer_at(&cmds, MacTimer::CtsTimeout).unwrap();
-        let cts = MacFrame {
-            kind: FrameKind::Cts,
-            src: NodeId::new(1),
-            dst: NodeId::new(0),
-            bytes: cfg.cts_bytes,
-            nav: SimDuration::ZERO,
-            seq: 0,
-            payload: None,
-        };
-        let cmds = mac.on_receive(cts, tx_end + cfg.sifs + cfg.cts_duration());
+        let cts = control(FrameKind::Cts, 1, 0, SimDuration::ZERO);
+        let cmds = mac.on_receive(cts, tx_end + SIFS + cfg.cts_duration());
         let sifs_at = timer_at(&cmds, MacTimer::SifsData).unwrap();
         let cmds = mac.on_timer(MacTimer::SifsData, sifs_at);
         let data_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
         mac.on_timer(MacTimer::TxEnd, data_end);
-        let ack = MacFrame {
-            kind: FrameKind::Ack,
-            src: NodeId::new(1),
-            dst: NodeId::new(0),
-            bytes: cfg.ack_bytes,
-            nav: SimDuration::ZERO,
-            seq: 0,
-            payload: None,
-        };
-        let cmds = mac.on_receive(ack, data_end + cfg.sifs + cfg.ack_duration());
+        let ack = control(FrameKind::Ack, 1, 0, SimDuration::ZERO);
+        let cmds = mac.on_receive(ack, data_end + SIFS + cfg.ack_duration());
         assert!(cmds.iter().any(|c| matches!(c, MacCommand::TxOk { .. })));
         // A fresh packet on an idle medium must defer only DIFS (cw reset,
         // immediate access): the Defer must land exactly DIFS later.
         let now = t(5.0);
         let cmds = mac.enqueue(2, NodeId::new(1), 512, Priority::Data, now);
-        assert_eq!(timer_at(&cmds, MacTimer::Defer), Some(now + cfg.difs));
+        assert_eq!(timer_at(&cmds, MacTimer::Defer), Some(now + DIFS));
     }
 
     #[test]
@@ -1396,15 +1330,7 @@ mod tests {
         mac.enqueue(1u32, NodeId::new(1), 512, Priority::Data, now);
         mac.enqueue(2u32, NodeId::new(2), 512, Priority::Data, now);
         mac.enqueue(3u32, NodeId::new(3), 512, Priority::Control, now);
-        let rts = MacFrame {
-            kind: FrameKind::Rts,
-            src: NodeId::new(4),
-            dst: NodeId::new(0),
-            bytes: MacConfig::ieee80211_dsss().rts_bytes,
-            nav: SimDuration::from_micros_u64(500),
-            seq: 0,
-            payload: None,
-        };
+        let rts = control(FrameKind::Rts, 4, 0, SimDuration::from_micros_u64(500));
         mac.on_receive(rts, t(0.0001));
         assert!(!mac.is_idle());
 
@@ -1418,6 +1344,6 @@ mod tests {
         // (DIFS only), proving no stale NAV/carrier state survived.
         let cmds = mac.enqueue(9u32, NodeId::new(1), 512, Priority::Data, t(5.0));
         let defer_at = timer_at(&cmds, MacTimer::Defer).expect("fresh contention");
-        assert_eq!(defer_at, t(5.0) + MacConfig::ieee80211_dsss().difs);
+        assert_eq!(defer_at, t(5.0) + DIFS);
     }
 }

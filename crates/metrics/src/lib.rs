@@ -216,7 +216,7 @@ impl Metrics {
     }
 
     /// An in-range receiver never sensed a frame because a fault (node
-    /// down, link blackout) silenced it.
+    /// down, region blackout) silenced it.
     pub fn record_arrivals_suppressed(&mut self, n: u64) {
         self.arrivals_suppressed += n;
     }

@@ -2,9 +2,9 @@
 //!
 //! Reproduces the ns-2 WaveLAN model the paper's evaluation runs on:
 //!
-//! - [`RadioConfig`] — two-ray-ground/Friis propagation with the stock
-//!   ns-2 constants (250 m reception range, ~550 m carrier-sense range,
-//!   capture ratio 10);
+//! - [`propagation`] — two-ray-ground/Friis propagation with the stock
+//!   ns-2 `WirelessPhy` constants (~550 m carrier-sense range, capture
+//!   ratio 10); [`RadioConfig`] carries the reception threshold (250 m);
 //! - [`ReceiverState`] — per-node reception state machine handling
 //!   collisions, capture, and half-duplex constraints;
 //! - [`for_each_link`] — who senses a transmitter, at what power and after

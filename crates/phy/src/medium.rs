@@ -17,7 +17,7 @@
 use mobility::Point;
 use sim_core::{NodeId, SimDuration, SimTime};
 
-use crate::propagation::RadioConfig;
+use crate::propagation::{propagation_delay_s, rx_power_w, RadioConfig, CS_THRESHOLD_W};
 use crate::receiver::TxId;
 
 /// One frame copy en route to one receiver.
@@ -53,7 +53,6 @@ pub fn for_each_link(
     tx: NodeId,
     candidates: &[u16],
     positions: &[Point],
-    cfg: &RadioConfig,
     mut visit: impl FnMut(NodeId, f64, SimDuration),
 ) {
     debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "candidates must be ascending");
@@ -63,11 +62,11 @@ pub fn for_each_link(
             continue;
         }
         let dist = tx_pos.distance(positions[usize::from(i)]);
-        let power = cfg.rx_power_w(dist);
-        if power < cfg.cs_threshold_w {
+        let power = rx_power_w(dist);
+        if power < CS_THRESHOLD_W {
             continue;
         }
-        visit(NodeId::new(i), power, SimDuration::from_secs(cfg.propagation_delay_s(dist)));
+        visit(NodeId::new(i), power, SimDuration::from_secs(propagation_delay_s(dist)));
     }
 }
 
@@ -80,6 +79,9 @@ pub fn for_each_link(
 /// Receivers for which `suppress` returns `true` never sense the frame at
 /// all — no signal energy, no carrier, no capture: crashed nodes and
 /// regional blackouts, for which the medium simply does not exist.
+///
+/// `_radio` is the scenario's radio; planning reads only the fixed link
+/// budget of [`propagation`](crate::propagation), not its reception threshold.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_arrivals_indexed_into(
     tx: NodeId,
@@ -87,13 +89,13 @@ pub fn plan_arrivals_indexed_into(
     positions: &[Point],
     now: SimTime,
     duration: SimDuration,
-    cfg: &RadioConfig,
+    _radio: &RadioConfig,
     mut suppress: impl FnMut(NodeId) -> bool,
     out: &mut Vec<Arrival>,
 ) -> u64 {
     out.clear();
     let mut suppressed = 0u64;
-    for_each_link(tx, candidates, positions, cfg, |receiver, power_w, delay| {
+    for_each_link(tx, candidates, positions, |receiver, power_w, delay| {
         if suppress(receiver) {
             suppressed += 1;
             return;
@@ -170,7 +172,7 @@ mod tests {
         assert!(arrivals[0].power_w >= cfg.rx_threshold_w);
         assert_eq!(arrivals[1].receiver, NodeId::new(2));
         assert!(arrivals[1].power_w < cfg.rx_threshold_w);
-        assert!(arrivals[1].power_w >= cfg.cs_threshold_w);
+        assert!(arrivals[1].power_w >= CS_THRESHOLD_W);
     }
 
     #[test]

@@ -5,124 +5,118 @@
 //! reflection beyond it. The stock ns-2 constants give a nominal 250 m
 //! reception range and ~550 m carrier-sense range at 914 MHz — exactly the
 //! radio the paper describes ("a shared-media radio with a nominal bit-rate
-//! of 2 Mb/sec and a nominal radio range of 250 meters").
+//! of 2 Mb/sec and a nominal radio range of 250 meters"). The link budget
+//! is the ns-2 `Phy/WirelessPhy` one, named once below; [`RadioConfig`]
+//! carries only the reception threshold.
 
 /// Speed of light in m/s, for propagation delay.
 pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 
-/// Radio parameters (ns-2 `Phy/WirelessPhy` defaults for 914 MHz WaveLAN).
+/// Transmit power in watts (ns-2 `Pt_`).
+pub const TX_POWER_W: f64 = 0.281_838_15;
+
+/// Transmit/receive antenna gain, unitless (ns-2 `Gt_`, `Gr_`).
+pub const ANTENNA_GAIN: f64 = 1.0;
+
+/// Antenna height above ground in meters (ns-2 `Z_`).
+pub const ANTENNA_HEIGHT_M: f64 = 1.5;
+
+/// Carrier wavelength in meters (914 MHz, ns-2 `lambda_`).
+pub const WAVELENGTH_M: f64 = 0.328_227;
+
+/// Minimum power that keeps the carrier busy in watts (ns-2 `CSThresh_`:
+/// 550 m under two-ray ground).
+pub const CS_THRESHOLD_W: f64 = 1.559e-11;
+
+/// Capture ratio: a locked frame survives interference whose power is at
+/// least this factor below it (ns-2 `CPThresh_`).
+pub const CAPTURE_RATIO: f64 = 10.0;
+
+/// Received power in watts at `distance_m` meters.
+///
+/// Friis free-space up to the crossover distance `4 * pi * ht * hr /
+/// lambda`, two-ray ground beyond it (the two are equal at the crossover).
+///
+/// # Panics
+///
+/// Panics if `distance_m` is negative or not finite.
+pub fn rx_power_w(distance_m: f64) -> f64 {
+    assert!(distance_m.is_finite() && distance_m >= 0.0, "invalid distance {distance_m}");
+    let g2 = ANTENNA_GAIN * ANTENNA_GAIN;
+    if distance_m < 1e-3 {
+        // Co-located nodes: cap at transmit power.
+        return TX_POWER_W;
+    }
+    let crossover = 4.0 * std::f64::consts::PI * ANTENNA_HEIGHT_M * ANTENNA_HEIGHT_M / WAVELENGTH_M;
+    if distance_m <= crossover {
+        // Friis: Pt * G^2 * lambda^2 / ((4 pi d)^2)
+        let denom = 4.0 * std::f64::consts::PI * distance_m / WAVELENGTH_M;
+        TX_POWER_W * g2 / (denom * denom)
+    } else {
+        // Two-ray ground: Pt * G^2 * ht^2 * hr^2 / d^4
+        let h2 = ANTENNA_HEIGHT_M * ANTENNA_HEIGHT_M;
+        TX_POWER_W * g2 * h2 * h2 / (distance_m.powi(4))
+    }
+}
+
+/// One-way propagation delay over `distance_m` meters, in seconds.
+pub fn propagation_delay_s(distance_m: f64) -> f64 {
+    distance_m / SPEED_OF_LIGHT
+}
+
+/// The reception threshold, the one radio setting a scenario carries.
+/// Everything else about the radio is the fixed WaveLAN link budget above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioConfig {
-    /// Transmit power in watts (ns-2: 0.28183815 W).
-    pub tx_power_w: f64,
-    /// Transmit/receive antenna gain (unitless, ns-2: 1.0).
-    pub antenna_gain: f64,
-    /// Antenna height above ground in meters (ns-2: 1.5 m).
-    pub antenna_height_m: f64,
-    /// Carrier wavelength in meters (914 MHz -> 0.328 m).
-    pub wavelength_m: f64,
     /// Minimum power for successful reception in watts
-    /// (ns-2: 3.652e-10 W == 250 m under two-ray ground).
+    /// (ns-2 `RXThresh_`: 3.652e-10 W == 250 m under two-ray ground).
     pub rx_threshold_w: f64,
-    /// Minimum power that keeps the carrier busy in watts
-    /// (ns-2: 1.559e-11 W == 550 m).
-    pub cs_threshold_w: f64,
-    /// Capture ratio: a locked frame survives interference whose power is
-    /// at least this factor below it (ns-2 `CPThresh`: 10.0).
-    pub capture_ratio: f64,
 }
 
 impl RadioConfig {
     /// The WaveLAN-like radio of the paper: 250 m range, 550 m carrier
     /// sense, capture ratio 10.
     pub fn wavelan() -> Self {
-        RadioConfig {
-            tx_power_w: 0.281_838_15,
-            antenna_gain: 1.0,
-            antenna_height_m: 1.5,
-            wavelength_m: 0.328_227,
-            rx_threshold_w: 3.652e-10,
-            cs_threshold_w: 1.559e-11,
-            capture_ratio: 10.0,
-        }
-    }
-
-    /// Received power in watts at `distance_m` meters.
-    ///
-    /// Friis free-space up to the crossover distance
-    /// `4 * pi * ht * hr / lambda`, two-ray ground beyond it (the two are
-    /// equal at the crossover).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `distance_m` is negative or not finite.
-    pub fn rx_power_w(&self, distance_m: f64) -> f64 {
-        assert!(distance_m.is_finite() && distance_m >= 0.0, "invalid distance {distance_m}");
-        let g2 = self.antenna_gain * self.antenna_gain;
-        if distance_m < 1e-3 {
-            // Co-located nodes: cap at transmit power.
-            return self.tx_power_w;
-        }
-        let crossover = 4.0 * std::f64::consts::PI * self.antenna_height_m * self.antenna_height_m
-            / self.wavelength_m;
-        if distance_m <= crossover {
-            // Friis: Pt * G^2 * lambda^2 / ((4 pi d)^2)
-            let denom = 4.0 * std::f64::consts::PI * distance_m / self.wavelength_m;
-            self.tx_power_w * g2 / (denom * denom)
-        } else {
-            // Two-ray ground: Pt * G^2 * ht^2 * hr^2 / d^4
-            let h2 = self.antenna_height_m * self.antenna_height_m;
-            self.tx_power_w * g2 * h2 * h2 / (distance_m.powi(4))
-        }
+        RadioConfig { rx_threshold_w: 3.652e-10 }
     }
 
     /// Whether a frame at `distance_m` can be received (power above the RX
     /// threshold).
     pub fn in_rx_range(&self, distance_m: f64) -> bool {
-        self.rx_power_w(distance_m) >= self.rx_threshold_w
+        rx_power_w(distance_m) >= self.rx_threshold_w
     }
 
     /// Whether a transmission at `distance_m` is sensed at all (power above
     /// the carrier-sense threshold).
     pub fn in_cs_range(&self, distance_m: f64) -> bool {
-        self.rx_power_w(distance_m) >= self.cs_threshold_w
+        rx_power_w(distance_m) >= CS_THRESHOLD_W
     }
 
     /// The nominal reception range in meters, solved numerically from the
     /// RX threshold. For the WaveLAN defaults this is ~250 m.
     pub fn nominal_range_m(&self) -> f64 {
-        self.solve_range(self.rx_threshold_w)
+        solve_range(self.rx_threshold_w)
     }
 
     /// The carrier-sense range in meters (~550 m for WaveLAN defaults).
     pub fn carrier_sense_range_m(&self) -> f64 {
-        self.solve_range(self.cs_threshold_w)
-    }
-
-    fn solve_range(&self, threshold: f64) -> f64 {
-        // rx_power_w is monotone decreasing; bisect.
-        let (mut lo, mut hi) = (0.0, 100_000.0);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.rx_power_w(mid) >= threshold {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
-
-    /// One-way propagation delay over `distance_m` meters, in seconds.
-    pub fn propagation_delay_s(&self, distance_m: f64) -> f64 {
-        distance_m / SPEED_OF_LIGHT
+        solve_range(CS_THRESHOLD_W)
     }
 }
 
-impl Default for RadioConfig {
-    fn default() -> Self {
-        RadioConfig::wavelan()
+/// The distance at which the received power falls to `threshold`.
+fn solve_range(threshold: f64) -> f64 {
+    // rx_power_w is monotone decreasing; bisect.
+    let (mut lo, mut hi) = (0.0, 100_000.0);
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if rx_power_w(mid) >= threshold {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
     }
+    0.5 * (lo + hi)
 }
 
 #[cfg(test)]
@@ -140,10 +134,9 @@ mod tests {
 
     #[test]
     fn power_decreases_with_distance() {
-        let cfg = RadioConfig::wavelan();
         let mut last = f64::INFINITY;
         for d in [1.0, 10.0, 50.0, 86.0, 87.0, 100.0, 250.0, 500.0, 1000.0] {
-            let p = cfg.rx_power_w(d);
+            let p = rx_power_w(d);
             assert!(p < last, "power not monotone at {d} m");
             last = p;
         }
@@ -151,11 +144,10 @@ mod tests {
 
     #[test]
     fn friis_and_two_ray_continuous_at_crossover() {
-        let cfg = RadioConfig::wavelan();
-        let crossover = 4.0 * std::f64::consts::PI * cfg.antenna_height_m * cfg.antenna_height_m
-            / cfg.wavelength_m;
-        let before = cfg.rx_power_w(crossover * 0.999);
-        let after = cfg.rx_power_w(crossover * 1.001);
+        let crossover =
+            4.0 * std::f64::consts::PI * ANTENNA_HEIGHT_M * ANTENNA_HEIGHT_M / WAVELENGTH_M;
+        let before = rx_power_w(crossover * 0.999);
+        let after = rx_power_w(crossover * 1.001);
         assert!((before / after - 1.0).abs() < 0.05, "discontinuity: {before} vs {after}");
     }
 
@@ -171,21 +163,19 @@ mod tests {
 
     #[test]
     fn colocated_nodes_capped_at_tx_power() {
-        let cfg = RadioConfig::wavelan();
-        assert_eq!(cfg.rx_power_w(0.0), cfg.tx_power_w);
+        assert_eq!(rx_power_w(0.0), TX_POWER_W);
     }
 
     #[test]
     fn propagation_delay_scales_linearly() {
-        let cfg = RadioConfig::wavelan();
-        let d250 = cfg.propagation_delay_s(250.0);
+        let d250 = propagation_delay_s(250.0);
         assert!((d250 - 250.0 / SPEED_OF_LIGHT).abs() < 1e-18);
-        assert!((cfg.propagation_delay_s(500.0) / d250 - 2.0).abs() < 1e-9);
+        assert!((propagation_delay_s(500.0) / d250 - 2.0).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "invalid distance")]
     fn negative_distance_rejected() {
-        let _ = RadioConfig::wavelan().rx_power_w(-1.0);
+        let _ = rx_power_w(-1.0);
     }
 }

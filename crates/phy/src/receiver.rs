@@ -67,7 +67,7 @@ use std::collections::VecDeque;
 
 use sim_core::{SimDuration, SimTime};
 
-use crate::propagation::RadioConfig;
+use crate::propagation::{RadioConfig, CAPTURE_RATIO};
 
 /// Identifier of one over-the-air transmission (assigned by the driver).
 pub type TxId = u64;
@@ -529,11 +529,11 @@ impl<P> ReceiverState<P> {
                 }
             }
             Some(locked) => {
-                if locked.power_w >= p.power_w * self.cfg.capture_ratio {
+                if locked.power_w >= p.power_w * CAPTURE_RATIO {
                     // Locked frame powers through the newcomer.
                     self.noise_until = self.noise_until.max(p.end);
                     ArrivalVerdict::Noise
-                } else if p.power_w >= locked.power_w * self.cfg.capture_ratio
+                } else if p.power_w >= locked.power_w * CAPTURE_RATIO
                     && p.power_w >= self.cfg.rx_threshold_w
                 {
                     // Newcomer captures the receiver; old frame lost but its

@@ -27,34 +27,10 @@ impl MobilitySpec {
     }
 }
 
-/// An axis-aligned rectangle on the simulation field, used to scope
-/// regional faults ([`FaultEvent::LinkBlackout`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Region {
-    /// Lower-left corner.
-    pub min: Point,
-    /// Upper-right corner.
-    pub max: Point,
-}
-
-impl Region {
-    /// Builds the rectangle spanning the two corners (in any order).
-    pub fn new(a: Point, b: Point) -> Self {
-        Region {
-            min: Point::new(a.x.min(b.x), a.y.min(b.y)),
-            max: Point::new(a.x.max(b.x), a.y.max(b.y)),
-        }
-    }
-
-    /// Whether `p` lies inside the rectangle (boundary inclusive).
-    pub fn contains(&self, p: Point) -> bool {
-        (self.min.x..=self.max.x).contains(&p.x) && (self.min.y..=self.max.y).contains(&p.y)
-    }
-}
-
-/// Geometric scope of a [`FaultEvent::RegionBlackout`]: the shapes a
-/// rectangle cannot express — a disc (local jammer, failed cell) or a
-/// half-plane (terrain cut, network partition along a line).
+/// Geometric scope of a [`FaultEvent::RegionBlackout`]: a disc (local
+/// jammer, failed cell), a half-plane (terrain cut, network partition along
+/// a line) or an axis-aligned rectangle (a blacked-out stretch of the
+/// field).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Zone {
     /// All points within `radius_m` of `center` (boundary inclusive).
@@ -73,15 +49,34 @@ pub enum Zone {
         /// normalized).
         normal: Point,
     },
+    /// The axis-aligned rectangle from `min` to `max` (boundary
+    /// inclusive); [`Zone::rect`] orders the corners.
+    Rect {
+        /// Lower-left corner.
+        min: Point,
+        /// Upper-right corner.
+        max: Point,
+    },
 }
 
 impl Zone {
+    /// The rectangle spanning the two corners (in any order).
+    pub fn rect(a: Point, b: Point) -> Self {
+        Zone::Rect {
+            min: Point::new(a.x.min(b.x), a.y.min(b.y)),
+            max: Point::new(a.x.max(b.x), a.y.max(b.y)),
+        }
+    }
+
     /// Whether `p` lies inside the zone (boundary inclusive).
     pub fn contains(&self, p: Point) -> bool {
         match *self {
             Zone::Disc { center, radius_m } => p.distance_sq(center) <= radius_m * radius_m,
             Zone::HalfPlane { origin, normal } => {
                 (p.x - origin.x) * normal.x + (p.y - origin.y) * normal.y >= 0.0
+            }
+            Zone::Rect { min, max } => {
+                (min.x..=max.x).contains(&p.x) && (min.y..=max.y).contains(&p.y)
             }
         }
     }
@@ -100,16 +95,6 @@ pub enum FaultEvent {
         /// Crash instant.
         at: SimTime,
         /// Outage length.
-        down_for: SimDuration,
-    },
-    /// All receptions by nodes inside `region` are suppressed during the
-    /// window — a localized jammer or terrain blackout.
-    LinkBlackout {
-        /// Affected area.
-        region: Region,
-        /// Window start.
-        at: SimTime,
-        /// Window length.
         down_for: SimDuration,
     },
     /// During `[from, until)` every planned frame arrival is independently
@@ -138,8 +123,8 @@ pub enum FaultEvent {
         down_for: SimDuration,
     },
     /// All receptions by nodes inside `zone` are suppressed during the
-    /// window — [`FaultEvent::LinkBlackout`] over a disc or half-plane
-    /// instead of a rectangle, for jammers and geometric partitions.
+    /// window — a localized jammer, a terrain blackout or a geometric
+    /// partition.
     RegionBlackout {
         /// Affected area.
         zone: Zone,
@@ -193,7 +178,6 @@ impl FaultEvent {
         match *self {
             FaultEvent::NodeDown { at, .. }
             | FaultEvent::NodeChurn { at, .. }
-            | FaultEvent::LinkBlackout { at, .. }
             | FaultEvent::RegionBlackout { at, .. }
             | FaultEvent::RadioDutyCycle { at, .. }
             | FaultEvent::Panic { at, .. }
@@ -227,12 +211,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a regional blackout. Chainable.
-    pub fn link_blackout(mut self, region: Region, at: SimTime, down_for: SimDuration) -> Self {
-        self.events.push(FaultEvent::LinkBlackout { region, at, down_for });
-        self
-    }
-
     /// Adds a frame-corruption window. Chainable.
     pub fn frame_corruption(mut self, prob: f64, from: SimTime, until: SimTime) -> Self {
         self.events.push(FaultEvent::FrameCorruption { prob, from, until });
@@ -245,7 +223,7 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a disc/half-plane blackout. Chainable.
+    /// Adds a regional blackout. Chainable.
     pub fn region_blackout(mut self, zone: Zone, at: SimTime, down_for: SimDuration) -> Self {
         self.events.push(FaultEvent::RegionBlackout { zone, at, down_for });
         self
@@ -274,9 +252,9 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// The DSR variant under test.
     pub dsr: DsrConfig,
-    /// MAC parameters (802.11 DSSS defaults).
+    /// The PHY rate MAC airtimes are computed from (802.11 DSSS).
     pub mac: MacConfig,
-    /// Radio parameters (WaveLAN defaults).
+    /// The radio's reception threshold (WaveLAN).
     pub radio: RadioConfig,
     /// Node placement and movement.
     pub mobility: MobilitySpec,
@@ -408,9 +386,8 @@ mod tests {
 
     #[test]
     fn region_normalizes_and_contains() {
-        let r = Region::new(Point::new(500.0, 300.0), Point::new(100.0, 50.0));
-        assert_eq!(r.min, Point::new(100.0, 50.0));
-        assert_eq!(r.max, Point::new(500.0, 300.0));
+        let r = Zone::rect(Point::new(500.0, 300.0), Point::new(100.0, 50.0));
+        assert_eq!(r, Zone::Rect { min: Point::new(100.0, 50.0), max: Point::new(500.0, 300.0) });
         assert!(r.contains(Point::new(100.0, 50.0)), "boundary inclusive");
         assert!(r.contains(Point::new(300.0, 200.0)));
         assert!(!r.contains(Point::new(99.9, 200.0)));
@@ -419,11 +396,11 @@ mod tests {
 
     #[test]
     fn fault_plan_builders_chain() {
-        let region = Region::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
+        let rect = Zone::rect(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
         let zone = Zone::Disc { center: Point::new(50.0, 50.0), radius_m: 30.0 };
         let plan = FaultPlan::none()
             .node_down(NodeId::new(3), SimTime::from_secs(5.0), SimDuration::from_secs(2.0))
-            .link_blackout(region, SimTime::from_secs(1.0), SimDuration::from_secs(4.0))
+            .region_blackout(rect, SimTime::from_secs(1.0), SimDuration::from_secs(4.0))
             .frame_corruption(0.25, SimTime::from_secs(2.0), SimTime::from_secs(8.0))
             .node_churn(NodeId::new(4), SimTime::from_secs(6.0), SimDuration::from_secs(3.0))
             .region_blackout(zone, SimTime::from_secs(7.0), SimDuration::from_secs(1.0))

@@ -26,7 +26,7 @@ pub(crate) struct FaultState {
     /// extend the outage past the churn's own end event).
     churn_reset_pending: Vec<bool>,
     /// Number of currently open regional suppression windows
-    /// ([`FaultEvent::LinkBlackout`], [`FaultEvent::RegionBlackout`]).
+    /// ([`FaultEvent::RegionBlackout`]).
     region_active: u32,
     /// Whether window fault `idx` of the plan is currently open.
     active: Vec<bool>,
@@ -70,11 +70,7 @@ impl FaultState {
         }
         plan.iter().enumerate().any(|(idx, f)| {
             self.active[idx]
-                && match f {
-                    FaultEvent::LinkBlackout { region, .. } => region.contains(p),
-                    FaultEvent::RegionBlackout { zone, .. } => zone.contains(p),
-                    _ => false,
-                }
+                && matches!(f, FaultEvent::RegionBlackout { zone, .. } if zone.contains(p))
         })
     }
 

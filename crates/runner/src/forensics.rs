@@ -22,16 +22,19 @@
 //! ([`crate::journal`]) keys on it so one journal file can serve a whole
 //! sweep of distinct configurations, and per-run file names carry it.
 //!
-//! Settings the protocol now fixes as constants (salvaging, the send
-//! buffer, the discovery timers, `Nt`, ...) are no longer written. An
-//! artifact from an earlier writer still names them; [`ForensicArtifact::parse`]
-//! accepts such a key only with the value the constant has, since only
-//! then does the replay run what the writer ran. Any other value is
+//! Settings the stack now fixes as constants (salvaging, the send buffer,
+//! the discovery timers, `Nt`, the 802.11 timing and retry limits, the
+//! radio's link budget, ...) are no longer written. An artifact from an
+//! earlier writer still names them; [`ForensicArtifact::parse`] accepts
+//! such a key only with the value the constant has, since only then does
+//! the replay run what the writer ran. Any other value is
 //! [`ObsError::BadValue`] naming the key. Values the scenario's
 //! constructors would assert on (a zero cache capacity or multipath `k`,
-//! an adaptive `alpha` that is not finite and positive) are rejected the
-//! same way, so a crafted artifact fails to load instead of panicking its
-//! replay.
+//! an adaptive `alpha` or a reception threshold that is not finite and
+//! positive, a data rate that is not a finite 1 b/s or more) are rejected
+//! the same way, so a crafted artifact fails to load instead of panicking
+//! its replay. An earlier writer's
+//! rectangular `link_blackout` fault loads as a [`Zone::Rect`] blackout.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -46,15 +49,22 @@ use dsr::{
     CacheOrganization, DsrConfig, ExpiryPolicy, MultipathConfig, PreemptiveConfig,
     SuppressionConfig, WiderErrorRebroadcast,
 };
+use mac::config::{
+    ACK_BYTES, CTS_BYTES, CW_MAX, CW_MIN, DATA_HEADER_BYTES, DIFS, LONG_RETRY_LIMIT,
+    QUEUE_CAPACITY, RTS_BYTES, SHORT_RETRY_LIMIT, SIFS, SLOT,
+};
 use mac::MacConfig;
 use mobility::{Field, Point, WaypointConfig};
 use obs::text::{escape, fmt_f64, sanitize, unescape, KvBlock, ObsError};
+use phy::propagation::{
+    ANTENNA_GAIN, ANTENNA_HEIGHT_M, CAPTURE_RATIO, CS_THRESHOLD_W, TX_POWER_W, WAVELENGTH_M,
+};
 use phy::RadioConfig;
 use sim_core::{NodeId, SimDuration, SimTime};
 use traffic::TrafficConfig;
 
 use crate::campaign::RunError;
-use crate::config::{FaultEvent, FaultPlan, MobilitySpec, Region, ScenarioConfig, Zone};
+use crate::config::{FaultEvent, FaultPlan, MobilitySpec, ScenarioConfig, Zone};
 
 /// First line of every artifact; bump the version on format changes.
 ///
@@ -238,32 +248,8 @@ stored_struct! {
     PreemptiveConfig { ".threshold_w" => threshold_w }
     SuppressionConfig { ".stretch" => stretch }
     MultipathConfig { ".k" => k }
-    MacConfig {
-        ".slot_ns" => slot,
-        ".sifs_ns" => sifs,
-        ".difs_ns" => difs,
-        ".plcp_overhead_ns" => plcp_overhead,
-        ".data_rate_bps" => data_rate_bps,
-        ".cw_min" => cw_min,
-        ".cw_max" => cw_max,
-        ".short_retry_limit" => short_retry_limit,
-        ".long_retry_limit" => long_retry_limit,
-        ".rts_bytes" => rts_bytes,
-        ".cts_bytes" => cts_bytes,
-        ".ack_bytes" => ack_bytes,
-        ".data_header_bytes" => data_header_bytes,
-        ".rts_threshold_bytes" => rts_threshold_bytes,
-        ".queue_capacity" => queue_capacity,
-    }
-    RadioConfig {
-        ".tx_power_w" => tx_power_w,
-        ".antenna_gain" => antenna_gain,
-        ".antenna_height_m" => antenna_height_m,
-        ".wavelength_m" => wavelength_m,
-        ".rx_threshold_w" => rx_threshold_w,
-        ".cs_threshold_w" => cs_threshold_w,
-        ".capture_ratio" => capture_ratio,
-    }
+    MacConfig { ".plcp_overhead_ns" => plcp_overhead, ".data_rate_bps" => data_rate_bps }
+    RadioConfig { ".rx_threshold_w" => rx_threshold_w }
     TrafficConfig {
         ".num_flows" => num_flows,
         ".rate_pps" => rate_pps,
@@ -280,7 +266,6 @@ stored_struct! {
     }
     Field { ".width" => width, ".height" => height }
     Point { ".x" => x, ".y" => y }
-    Region { ".min" => min, ".max" => max }
 }
 
 stored_enum! {
@@ -297,7 +282,6 @@ stored_enum! {
     }
     FaultEvent at "" {
         "node_down" => NodeDown { ".node" => node, ".at_ns" => at, ".down_for_ns" => down_for },
-        "link_blackout" => LinkBlackout { "" => region, ".at_ns" => at, ".down_for_ns" => down_for },
         "frame_corruption" => FrameCorruption {
             ".prob" => prob,
             ".from_ns" => from,
@@ -322,6 +306,7 @@ stored_enum! {
     Zone at ".zone" {
         "disc" => Disc { ".center" => center, ".radius_m" => radius_m },
         "half_plane" => HalfPlane { ".origin" => origin, ".normal" => normal },
+        "rect" => Rect { ".min" => min, ".max" => max },
     }
     RunError at "" {
         "panicked" => Panicked { ".seed" => seed, ".payload" => payload },
@@ -365,10 +350,10 @@ macro_rules! strategy_block {
 }
 strategy_block!(PreemptiveConfig, SuppressionConfig, MultipathConfig);
 
-/// The keys earlier writers stored for settings that are protocol
-/// constants now, each with the value it must hold: the one the constant
-/// has, rendered as those writers rendered it.
-fn retired_keys() -> [(&'static str, String); 17] {
+/// The keys earlier writers stored for settings that are protocol, MAC
+/// or radio constants now, each with the value it must hold: the one the
+/// constant has, rendered as those writers rendered it.
+fn retired_keys() -> [(&'static str, String); 36] {
     let on = || "true".to_string();
     let ns = |d: SimDuration| d.as_nanos().to_string();
     [
@@ -389,19 +374,49 @@ fn retired_keys() -> [(&'static str, String); 17] {
         ("dsr.negative_cache.capacity", NEGATIVE_CACHE_CAPACITY.to_string()),
         ("dsr.negative_cache.timeout_ns", ns(NEGATIVE_CACHE_TIMEOUT)),
         ("dsr.preemptive.holdoff_ns", ns(PREEMPTIVE_HOLDOFF)),
+        ("mac.slot_ns", ns(SLOT)),
+        ("mac.sifs_ns", ns(SIFS)),
+        ("mac.difs_ns", ns(DIFS)),
+        ("mac.cw_min", CW_MIN.to_string()),
+        ("mac.cw_max", CW_MAX.to_string()),
+        ("mac.short_retry_limit", SHORT_RETRY_LIMIT.to_string()),
+        ("mac.long_retry_limit", LONG_RETRY_LIMIT.to_string()),
+        ("mac.rts_bytes", RTS_BYTES.to_string()),
+        ("mac.cts_bytes", CTS_BYTES.to_string()),
+        ("mac.ack_bytes", ACK_BYTES.to_string()),
+        ("mac.data_header_bytes", DATA_HEADER_BYTES.to_string()),
+        // RTS/CTS precedes every unicast: a threshold of 0 bytes.
+        ("mac.rts_threshold_bytes", "0".to_string()),
+        ("mac.queue_capacity", QUEUE_CAPACITY.to_string()),
+        ("radio.tx_power_w", fmt_f64(TX_POWER_W)),
+        ("radio.antenna_gain", fmt_f64(ANTENNA_GAIN)),
+        ("radio.antenna_height_m", fmt_f64(ANTENNA_HEIGHT_M)),
+        ("radio.wavelength_m", fmt_f64(WAVELENGTH_M)),
+        ("radio.cs_threshold_w", fmt_f64(CS_THRESHOLD_W)),
+        ("radio.capture_ratio", fmt_f64(CAPTURE_RATIO)),
     ]
 }
 
-/// Checks what the scenario's DSR block cannot carry as a type: a retired
-/// key holds its fixed value, and no value trips an assertion in the
-/// agent's constructors.
-fn check_dsr(kv: &KvBlock, dsr: &DsrConfig) -> Result<(), ObsError> {
+/// Checks what the scenario cannot carry as a type: a retired key holds
+/// its fixed value, and no value trips an assertion when the run is built
+/// or a frame's airtime computed.
+fn check_scenario(kv: &KvBlock, cfg: &ScenarioConfig) -> Result<(), ObsError> {
     let bad = |key: &str, value: String| Err(ObsError::BadValue { key: key.to_string(), value });
     for (key, fixed) in retired_keys() {
         if let Some(value) = kv.get(key).filter(|value| *value != fixed) {
             return bad(key, value.to_string());
         }
     }
+    // Under 1 b/s, one frame's airtime can overflow the clock.
+    let rate = cfg.mac.data_rate_bps;
+    if !(rate.is_finite() && rate >= 1.0) {
+        return bad("mac.data_rate_bps", fmt_f64(rate));
+    }
+    let threshold = cfg.radio.rx_threshold_w;
+    if !(threshold.is_finite() && threshold > 0.0) {
+        return bad("radio.rx_threshold_w", fmt_f64(threshold));
+    }
+    let dsr = &cfg.dsr;
     if dsr.cache_capacity == 0 {
         return bad("dsr.cache_capacity", "0".to_string());
     }
@@ -461,9 +476,23 @@ impl Stored for FaultPlan {
             event.put(kv, &format!("fault.{i}"));
         }
     }
+    /// An earlier writer's `link_blackout` (a rectangle's corners under
+    /// `.min` and `.max`) loads as a [`Zone::Rect`] region blackout.
     fn take(kv: &KvBlock, key: &str) -> Result<Self, ObsError> {
         let events = (0..kv.count(key)?)
-            .map(|i| FaultEvent::take(kv, &format!("fault.{i}")))
+            .map(|i| {
+                let key = format!("fault.{i}");
+                if kv.get(&key) != Some("link_blackout") {
+                    return FaultEvent::take(kv, &key);
+                }
+                let zone = Zone::Rect {
+                    min: Point::take(kv, &format!("{key}.min"))?,
+                    max: Point::take(kv, &format!("{key}.max"))?,
+                };
+                let at = SimTime::take(kv, &format!("{key}.at_ns"))?;
+                let down_for = SimDuration::take(kv, &format!("{key}.down_for_ns"))?;
+                Ok(FaultEvent::RegionBlackout { zone, at, down_for })
+            })
             .collect::<Result<_, _>>()?;
         Ok(FaultPlan { events })
     }
@@ -547,7 +576,7 @@ impl ForensicArtifact {
         let kv = KvBlock::parse(text)?;
         kv.require_format(&[FORMAT_HEADER, FORMAT_HEADER_V1])?;
         let config = ScenarioConfig::take(&kv, "")?;
-        check_dsr(&kv, &config.dsr)?;
+        check_scenario(&kv, &config)?;
         Ok(ForensicArtifact {
             label: String::take(&kv, "label")?,
             replayable: bool::take(&kv, "replayable")?,
@@ -625,8 +654,9 @@ mod tests {
     }
 
     /// One scenario of every serialized flavor: static and waypoint
-    /// mobility, all eight fault kinds, each expiry policy, each strategy
-    /// block, both cache organizations and every error-rebroadcast rule.
+    /// mobility, all seven fault kinds, every zone shape, each expiry
+    /// policy, each strategy block, both cache organizations and every
+    /// error-rebroadcast rule.
     fn flavors() -> Vec<ScenarioConfig> {
         let mut configs = vec![
             ScenarioConfig::static_line(4, 200.0, 2.0, DsrConfig::combined(), 9),
@@ -668,8 +698,8 @@ mod tests {
         ];
         configs[0].faults = FaultPlan::none()
             .node_down(NodeId::new(2), SimTime::from_secs(5.0), SimDuration::from_secs(2.0))
-            .link_blackout(
-                Region::new(Point::new(0.0, -5.0), Point::new(100.0, 5.0)),
+            .region_blackout(
+                Zone::rect(Point::new(0.0, -5.0), Point::new(100.0, 5.0)),
                 SimTime::from_secs(1.0),
                 SimDuration::from_secs(3.0),
             )
@@ -741,27 +771,27 @@ mod tests {
     #[test]
     fn fingerprints_and_a_full_render_are_pinned() {
         const PINNED: [u64; 9] = [
-            0x9fa8_4595_fb23_7ed9,
-            0x666c_963f_0094_b5a7,
-            0x8ad6_05d1_cd26_3485,
-            0x0de0_a21c_c291_cb74,
-            0x8632_fbf8_a667_4cb3,
-            0x9e06_1800_1ab3_43e5,
-            0xdfeb_e4b5_87b6_c857,
-            0xc0ff_0bd1_d8b9_3a96,
-            0xe5cf_69d6_89aa_5a1a,
+            0x5302_09e0_ba39_295e,
+            0x28ff_7323_dd72_336e,
+            0xfc03_e965_5090_c0ee,
+            0x9449_a478_1502_0967,
+            0xd996_3a35_9fb0_61da,
+            0x3e37_750f_5948_8bd8,
+            0x042e_5598_0391_44ae,
+            0x8b87_2270_e4ea_9fcd,
+            0xaf4e_7661_5ff4_e4f1,
         ];
         let got: Vec<u64> = flavors().iter().map(config_fingerprint).collect();
         let hex: Vec<String> = got.iter().map(|fp| format!("{fp:#018x}")).collect();
         assert_eq!(got, PINNED, "fingerprints moved: {hex:?}");
         let rendered = artifact(flavors().swap_remove(2)).render();
         let digest = fnv1a(rendered.as_bytes());
-        assert_eq!(digest, 0xadbc_dd7d_ce4a_27b0, "render digest moved: {digest:#018x}");
+        assert_eq!(digest, 0xb49c_f28e_299f_e78b, "render digest moved: {digest:#018x}");
     }
 
     /// Every flavor as a `dsr-forensics v2` writer with 44 protocol
-    /// settings rendered it, one artifact after another, blank-line
-    /// separated.
+    /// settings, 22 MAC and radio settings and a `link_blackout` fault kind
+    /// rendered it, one artifact after another, blank-line separated.
     const V2_FLAVORS: &str = include_str!("../tests/data/forensics_v2_flavors.txt");
 
     fn v2_texts() -> Vec<String> {
@@ -775,6 +805,8 @@ mod tests {
         retired_keys().iter().any(|(key, _)| line.starts_with(&format!("{key} = ")))
     }
 
+    /// The old text minus the retired lines, with each `link_blackout`
+    /// fault written as the rectangle region blackout it now loads as.
     #[test]
     fn v2_texts_load_and_render_without_the_retired_keys() {
         let mut seen = std::collections::BTreeSet::new();
@@ -782,7 +814,13 @@ mod tests {
             let current = artifact(cfg);
             let (retired, kept): (Vec<&str>, Vec<&str>) = text.lines().partition(|l| is_retired(l));
             seen.extend(retired.iter().map(|l| l.split(" = ").next().expect("key").to_string()));
-            let kept: String = kept.iter().map(|l| format!("{l}\n")).collect();
+            let kept: String = kept
+                .iter()
+                .map(|l| match l.strip_suffix(" = link_blackout") {
+                    Some(key) => format!("{key} = region_blackout\n{key}.zone = rect\n"),
+                    None => format!("{l}\n"),
+                })
+                .collect();
             assert_eq!(current.render(), kept, "flavor {i}: the old text minus the retired lines");
             let parsed = ForensicArtifact::parse(&text).expect("a v2 text loads");
             assert_eq!(parsed, current, "flavor {i}");
@@ -800,13 +838,15 @@ mod tests {
         assert!(expected.is_ok(), "a clean scenario replays cleanly: {expected:?}");
         // ...and any other value for a retired key describes a run this
         // code cannot replay.
+        // A probe no fixed number has, in any rendering.
+        assert!(retired_keys().iter().all(|(_, fixed)| fixed.parse::<f64>() != Ok(2.0)));
         let mut checked = 0;
         for text in v2_texts() {
             for (key, fixed) in retired_keys()
                 .into_iter()
                 .filter(|(key, _)| text.lines().any(|l| l.starts_with(&format!("{key} = "))))
             {
-                let other = if fixed == "true" { "false" } else { "1" };
+                let other = if fixed == "true" { "false" } else { "2" };
                 match ForensicArtifact::parse(&with_value(&text, key, other)) {
                     Err(ObsError::BadValue { key: bad, value }) => {
                         assert_eq!((bad.as_str(), value.as_str()), (key, other));
@@ -947,6 +987,14 @@ mod tests {
             artifact(ScenarioConfig::quick(0.0, 1.0, DsrConfig::multipath(), 1)).render();
         for (text, key, value) in [
             (&faulted(), "dsr.cache_capacity", "0"),
+            (&faulted(), "mac.data_rate_bps", "0"),
+            (&faulted(), "mac.data_rate_bps", "-1"),
+            (&faulted(), "mac.data_rate_bps", "inf"),
+            (&faulted(), "mac.data_rate_bps", "1e-300"),
+            (&faulted(), "radio.rx_threshold_w", "NaN"),
+            (&faulted(), "radio.rx_threshold_w", "0"),
+            (&v2_texts()[0], "mac.queue_capacity", "0"),
+            (&v2_texts()[0], "radio.tx_power_w", "NaN"),
             (&multipath, "dsr.multipath.k", "0"),
             (&combined, "dsr.expiry.alpha", "0.0"),
             (&combined, "dsr.expiry.alpha", "-1.25"),

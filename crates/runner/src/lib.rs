@@ -33,7 +33,7 @@ pub use campaign::{
     replay_run, run_campaign, run_campaign_with, CampaignConfig, CampaignResult, RunError,
     RunFailure, RunLimits,
 };
-pub use config::{FaultEvent, FaultPlan, MobilitySpec, Region, ScenarioConfig, Zone};
+pub use config::{FaultEvent, FaultPlan, MobilitySpec, ScenarioConfig, Zone};
 pub use forensics::{config_fingerprint, ForensicArtifact};
 pub use journal::{Journal, JournalWriter};
 pub use obs::ObsError;

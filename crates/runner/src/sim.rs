@@ -867,8 +867,7 @@ impl<A: RoutingAgent> Simulator<A> {
                 self.materialize_suppressed(i as u16);
                 self.queue.schedule(self.faults.up_at(i), Ev::FaultEnd { idx });
             }
-            FaultEvent::LinkBlackout { down_for, .. }
-            | FaultEvent::RegionBlackout { down_for, .. } => {
+            FaultEvent::RegionBlackout { down_for, .. } => {
                 self.count_fault_once(idx);
                 self.faults.open_window(idx, true);
                 // Any node can sit in (or drift into) the region, so every
@@ -920,9 +919,7 @@ impl<A: RoutingAgent> Simulator<A> {
                     self.queue.schedule(next, Ev::FaultStart { idx });
                 }
             }
-            FaultEvent::LinkBlackout { .. } | FaultEvent::RegionBlackout { .. } => {
-                self.faults.close_window(idx, true);
-            }
+            FaultEvent::RegionBlackout { .. } => self.faults.close_window(idx, true),
             FaultEvent::FrameCorruption { .. } => self.faults.close_window(idx, false),
             FaultEvent::Panic { .. } | FaultEvent::EventStorm { .. } => {}
         }
@@ -1061,8 +1058,7 @@ impl<A: RoutingAgent> Simulator<A> {
                     let mut suppressed = 0u64;
                     // The plan holds what the positions decide; the rest of
                     // the loop is what this frame, at this instant, adds.
-                    let links =
-                        self.plans.links_of(NodeId::new(node), &self.positions, &self.cfg.radio);
+                    let links = self.plans.links_of(NodeId::new(node), &self.positions);
                     for &link in links {
                         let rx = link.rx();
                         // Never part of a plan: a fault window can open or

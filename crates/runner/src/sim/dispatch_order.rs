@@ -417,7 +417,7 @@ fn the_profiler_counts_every_dispatch_times_one_in_a_stride_and_moves_none() {
     let reads: u64 = on.clock_reads.iter().sum();
     assert!(reads * 16 < on.dispatches, "{reads} reads for {} dispatches", on.dispatches);
     let series = fold(FNV_OFFSET, seen.timeseries.render().as_bytes());
-    assert_eq!(series, 0x9380_a82b_ceb3_376f, "time series of {} rows", seen.timeseries.rows.len());
+    assert_eq!(series, 0xde61_3148_97a1_0db3, "time series of {} rows", seen.timeseries.rows.len());
 }
 
 #[test]

@@ -131,23 +131,23 @@ impl LinkPlans {
     /// planned now over `positions` — the snapshot of the last
     /// [`LinkPlans::rebuild`] — if `tx` has not transmitted in this epoch.
     #[inline]
-    pub fn links_of(&mut self, tx: NodeId, positions: &[Point], radio: &RadioConfig) -> &[Link] {
+    pub fn links_of(&mut self, tx: NodeId, positions: &[Point]) -> &[Link] {
         if self.spans[tx.index()].epoch != self.epoch {
-            self.plan(tx, positions, radio);
+            self.plan(tx, positions);
         }
         let Span { offset, len, .. } = self.spans[tx.index()];
         &self.links[offset as usize..][..len as usize]
     }
 
     /// Plans `tx`'s links into the arena's tail.
-    fn plan(&mut self, tx: NodeId, positions: &[Point], radio: &RadioConfig) {
+    fn plan(&mut self, tx: NodeId, positions: &[Point]) {
         self.grid.candidates_into(positions[tx.index()], &mut self.candidates);
         let offset = self.links.len();
         if self.links.capacity() - offset < self.candidates.len() {
             self.links.reserve_exact(self.candidates.len().max(CHUNK));
         }
         let links = &mut self.links;
-        for_each_link(tx, &self.candidates, positions, radio, |rx, power_w, delay| {
+        for_each_link(tx, &self.candidates, positions, |rx, power_w, delay| {
             links.push(Link::new(rx, power_w, delay));
         });
         self.spans[tx.index()] = Span {
@@ -296,7 +296,7 @@ mod tests {
                 reused += usize::from(std::mem::replace(&mut planned[usize::from(tx)], true));
                 walked.clear();
                 let mut suppressed_walked = 0u64;
-                for &link in plans.links_of(NodeId::new(tx), &positions, &radio) {
+                for &link in plans.links_of(NodeId::new(tx), &positions) {
                     if mask[usize::from(link.rx())] {
                         suppressed_walked += 1;
                         continue;
@@ -327,9 +327,9 @@ mod tests {
         let mut plans = LinkPlans::new(&radio, &positions);
         let rxs = |links: &[Link]| links.iter().map(|l| l.rx()).collect::<Vec<_>>();
         // 200 m: decodable; 400 m: carrier only; 600 m: silent.
-        assert_eq!(rxs(plans.links_of(NodeId::new(0), &positions, &radio)), [1, 2]);
-        assert_eq!(rxs(plans.links_of(NodeId::new(3), &positions, &radio)), [1, 2]);
-        assert_eq!(rxs(plans.links_of(NodeId::new(0), &positions, &radio)), [1, 2]);
+        assert_eq!(rxs(plans.links_of(NodeId::new(0), &positions)), [1, 2]);
+        assert_eq!(rxs(plans.links_of(NodeId::new(3), &positions)), [1, 2]);
+        assert_eq!(rxs(plans.links_of(NodeId::new(0), &positions)), [1, 2]);
         assert_eq!(plans.links.len(), 4, "planned once per transmitter, back to back");
         let capacity = plans.links.capacity();
         assert_eq!(capacity, CHUNK);
@@ -338,9 +338,9 @@ mod tests {
         plans.rebuild(&positions);
         assert!(plans.links.is_empty() && plans.links.capacity() == capacity);
         // Node 3's plan now starts where node 0's old one did.
-        assert_eq!(rxs(plans.links_of(NodeId::new(3), &positions, &radio)), [0, 1, 2]);
-        assert_eq!(rxs(plans.links_of(NodeId::new(0), &positions, &radio)), [1, 2, 3]);
-        let near = plans.links_of(NodeId::new(2), &positions, &radio)[2];
+        assert_eq!(rxs(plans.links_of(NodeId::new(3), &positions)), [0, 1, 2]);
+        assert_eq!(rxs(plans.links_of(NodeId::new(0), &positions)), [1, 2, 3]);
+        let near = plans.links_of(NodeId::new(2), &positions)[2];
         assert_eq!((near.rx(), near.delay()), (3, SimDuration::from_nanos(167)));
     }
 }

@@ -231,19 +231,19 @@ fn rendered_traces_match_the_pinned_digests() {
         (
             "combined_clean",
             combined,
-            0x652c_4b53_b88c_f1da,
+            0x3fa1_b094_7729_fa8c,
             &["insert", "lookup", "remove", "expire", "refresh"],
         ),
         (
             "base_clean",
             ScenarioConfig::tiny(0.0, 2.0, DsrConfig::base(), 1),
-            0x695d_d98f_5293_15a9,
+            0x2678_1f3d_ff58_77d4,
             &["insert", "lookup", "remove", "refresh"],
         ),
         (
             "combined_churn_blackout",
             faulted,
-            0x5414_8c44_58d6_1293,
+            0x51b6_56f1_3bc3_f347,
             &["insert", "lookup", "remove", "expire", "evict", "refresh"],
         ),
     ];

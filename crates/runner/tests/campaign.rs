@@ -10,7 +10,7 @@ use dsr::DsrConfig;
 use mobility::Point;
 use runner::{
     replay_run, run_campaign, run_scenario, AuditLevel, CampaignConfig, FaultEvent, FaultPlan,
-    ForensicArtifact, Region, RunError, RunLimits, ScenarioConfig,
+    ForensicArtifact, RunError, RunLimits, ScenarioConfig, Zone,
 };
 use sim_core::{NodeId, SimDuration, SimTime};
 
@@ -106,8 +106,8 @@ fn blackout_and_corruption_register_in_the_metrics() {
     let mut cfg = chain(3);
     cfg.faults = FaultPlan::none()
         // Black out the two middle relays' neighborhood.
-        .link_blackout(
-            Region::new(Point::new(150.0, -50.0), Point::new(650.0, 50.0)),
+        .region_blackout(
+            Zone::rect(Point::new(150.0, -50.0), Point::new(650.0, 50.0)),
             SimTime::from_secs(4.0),
             SimDuration::from_secs(3.0),
         )
@@ -126,8 +126,8 @@ fn fault_plans_are_deterministic_for_a_given_seed() {
         cfg.faults = FaultPlan::none()
             .node_down(NodeId::new(1), SimTime::from_secs(3.0), SimDuration::from_secs(2.0))
             .frame_corruption(0.2, SimTime::from_secs(6.0), SimTime::from_secs(9.0))
-            .link_blackout(
-                Region::new(Point::new(300.0, -10.0), Point::new(900.0, 10.0)),
+            .region_blackout(
+                Zone::rect(Point::new(300.0, -10.0), Point::new(900.0, 10.0)),
                 SimTime::from_secs(12.0),
                 SimDuration::from_secs(2.0),
             );
@@ -190,8 +190,8 @@ fn full_audit_passes_on_clean_and_faulted_runs() {
     let mut faulted = chain(0);
     faulted.faults = FaultPlan::none()
         .node_down(NodeId::new(2), SimTime::from_secs(5.0), SimDuration::from_secs(5.0))
-        .link_blackout(
-            Region::new(Point::new(150.0, -50.0), Point::new(650.0, 50.0)),
+        .region_blackout(
+            Zone::rect(Point::new(150.0, -50.0), Point::new(650.0, 50.0)),
             SimTime::from_secs(12.0),
             SimDuration::from_secs(3.0),
         )

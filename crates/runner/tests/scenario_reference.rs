@@ -11,7 +11,7 @@
 
 use dsr::DsrConfig;
 use mobility::Point;
-use runner::{FaultPlan, Region, ScenarioConfig, Simulator, Zone};
+use runner::{FaultPlan, ScenarioConfig, Simulator, Zone};
 use sim_core::{NodeId, SimDuration, SimTime};
 
 /// 64-bit FNV-1a.
@@ -37,8 +37,8 @@ fn dur(s: f64) -> SimDuration {
     SimDuration::from_secs(s)
 }
 
-fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Region {
-    Region::new(Point::new(x0, y0), Point::new(x1, y1))
+fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Zone {
+    Zone::rect(Point::new(x0, y0), Point::new(x1, y1))
 }
 
 fn disc(x: f64, y: f64, radius_m: f64) -> Zone {
@@ -54,7 +54,7 @@ fn scenarios() -> Vec<(&'static str, ScenarioConfig, u64)> {
     let combined = ScenarioConfig::tiny(30.0, 4.0, DsrConfig::combined(), 3);
     let node_down = plan().node_down(n(3), secs(10.0), dur(5.0));
     let corruption = plan().frame_corruption(0.3, secs(5.0), secs(40.0));
-    let link_blackout = plan().link_blackout(rect(0.0, 0.0, 300.0, 300.0), secs(8.0), dur(10.0));
+    let rect_blackout = plan().region_blackout(rect(0.0, 0.0, 300.0, 300.0), secs(8.0), dur(10.0));
     let churn = plan().node_churn(n(2), secs(6.0), dur(4.0)).node_churn(n(9), secs(20.0), dur(8.0));
     let region_blackout = plan()
         .region_blackout(disc(150.0, 150.0, 120.0), secs(10.0), dur(6.0))
@@ -66,7 +66,7 @@ fn scenarios() -> Vec<(&'static str, ScenarioConfig, u64)> {
         .node_churn(n(6), secs(15.0), dur(5.0))
         .region_blackout(disc(100.0, 200.0, 90.0), secs(18.0), dur(7.0))
         .radio_duty_cycle(n(12), secs(4.0), dur(3.0), dur(2.0), secs(40.0))
-        .link_blackout(rect(200.0, 0.0, 300.0, 300.0), secs(30.0), dur(4.0));
+        .region_blackout(rect(200.0, 0.0, 300.0, 300.0), secs(30.0), dur(4.0));
     vec![
         // 20 mobile nodes under constant motion: capture contests,
         // collisions and carrier-reactive backoff freezes throughout.
@@ -86,7 +86,7 @@ fn scenarios() -> Vec<(&'static str, ScenarioConfig, u64)> {
         // One fault kind each, then every kind at once, overlapping.
         ("node_down", faulted(5, node_down), 0x2b74_b915_1e32_4f5e),
         ("frame_corruption", faulted(6, corruption), 0x8bfe_5fb9_d3e0_1143),
-        ("link_blackout", faulted(7, link_blackout), 0xa329_1948_68dc_6b03),
+        ("rect_blackout", faulted(7, rect_blackout), 0xa329_1948_68dc_6b03),
         ("node_churn", faulted(8, churn), 0xb617_d333_6b09_2fc4),
         ("region_blackout", faulted(9, region_blackout), 0x448d_4a62_7e42_1f06),
         ("radio_duty_cycle", faulted(10, duty_cycle), 0x6e94_a64e_3b14_bef6),

@@ -28,8 +28,8 @@ fn main() {
     let mut faulted = chain(1);
     faulted.faults = FaultPlan::none()
         .node_down(NodeId::new(2), SimTime::from_secs(5.0), SimDuration::from_secs(5.0))
-        .link_blackout(
-            Region::new(Point::new(-50.0, -50.0), Point::new(250.0, 50.0)),
+        .region_blackout(
+            Zone::rect(Point::new(-50.0, -50.0), Point::new(250.0, 50.0)),
             SimTime::from_secs(12.0),
             SimDuration::from_secs(2.0),
         )

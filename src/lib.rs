@@ -51,8 +51,8 @@ pub mod prelude {
     pub use runner::{
         replay_run, run_campaign, run_campaign_with, run_scenario, run_scenario_with, AuditLevel,
         CampaignConfig, CampaignResult, FaultEvent, FaultPlan, ForensicArtifact, Journal,
-        JournalWriter, MobilitySpec, Region, RunError, RunFailure, RunLimits, ScenarioConfig,
-        Simulator, Zone,
+        JournalWriter, MobilitySpec, RunError, RunFailure, RunLimits, ScenarioConfig, Simulator,
+        Zone,
     };
     pub use sim_core::{NodeId, SimDuration, SimTime};
     pub use tcp::{TcpConfig, TcpHost};

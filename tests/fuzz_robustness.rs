@@ -36,8 +36,8 @@ fn fault(rng: &mut SimRng) -> FaultEvent {
         0 => FaultEvent::NodeDown { node, at, down_for },
         1 => {
             let (w, h) = (uniform(rng, 1.0, 800.0), uniform(rng, 1.0, 300.0));
-            let region = Region::new(origin, Point::new(origin.x + w, origin.y + h));
-            FaultEvent::LinkBlackout { region, at, down_for }
+            let zone = Zone::rect(origin, Point::new(origin.x + w, origin.y + h));
+            FaultEvent::RegionBlackout { zone, at, down_for }
         }
         2 => {
             let (a, b) = (uniform(rng, 0.0, 10.0), uniform(rng, 0.0, 10.0));
@@ -232,8 +232,8 @@ fn full_audit_conservation_holds_for_every_fault_kind_on_the_fused_path() {
         cfg.duration = SimDuration::from_secs(8.0);
         cfg.faults = FaultPlan::none()
             .node_down(NodeId::new(1), SimTime::from_secs(1.5), SimDuration::from_secs(1.0))
-            .link_blackout(
-                Region::new(Point::new(0.0, -50.0), Point::new(400.0, 50.0)),
+            .region_blackout(
+                Zone::rect(Point::new(0.0, -50.0), Point::new(400.0, 50.0)),
                 SimTime::from_secs(2.0),
                 SimDuration::from_secs(1.0),
             )
