@@ -8,7 +8,9 @@
 //!
 //! Exit status: 0 when the failure reproduces identically (or the
 //! original error depends on the wall clock and the replay succeeds), 1
-//! when the replay diverges, 2 on usage or artifact errors.
+//! when the replay diverges, 2 on usage or artifact errors. An artifact
+//! from an earlier schema is an artifact error: replay it with the build
+//! that wrote it.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin repro -- results/forensics/<artifact>.txt
@@ -35,6 +37,10 @@ fn main() -> ExitCode {
         Ok(artifact) => artifact,
         Err(e) => {
             eprintln!("repro: cannot load {}: {e}", path.display());
+            eprintln!(
+                "repro: only the current dsr-forensics schema loads; DESIGN.md, \"Auditing & \
+                 forensics\", lists each schema and the commits that wrote it"
+            );
             return ExitCode::from(2);
         }
     };

@@ -41,9 +41,10 @@ pub enum ExpMode {
     /// 120 simulated seconds, 2 seeds (same topology/workload as the
     /// paper). Minutes of wall clock; shapes preserved.
     Quick,
-    /// The paper's full scale: 500 simulated seconds, 5 seeds. About ten
-    /// seconds of wall clock a run, and about an hour on one core for every
-    /// table and figure of the paper.
+    /// The paper's full scale: 500 simulated seconds, 5 seeds. About
+    /// 21–23 CPU-seconds a run on a 2-core x86-64 box: `table3_cache` (25
+    /// runs) took 5 m 48 s – 6 m 08 s of wall at `--jobs 2`, and Fig. 2
+    /// alone (150 runs) is about an hour of CPU.
     Full,
 }
 

@@ -1,7 +1,7 @@
 //! The `repro` binary's exit status: 0 when an artifact's failure
-//! reproduces, 2 when the artifact cannot be loaded — a crafted value is
-//! refused at load instead of panicking the replay (which would read as a
-//! divergent replay, 1).
+//! reproduces, 2 when the artifact cannot be loaded — a crafted value, or
+//! an earlier writer's schema, is refused at load instead of panicking or
+//! misleading the replay (which would read as a divergent replay, 1).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -36,6 +36,23 @@ fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
     let crafted = dir.join("zero_rate.txt");
     std::fs::write(&crafted, text.replace(line, "mac.data_rate_bps = 0")).expect("write");
     assert_eq!(repro(&crafted), Some(2), "a zero data rate is refused at load");
+
+    // An earlier writer's schema is refused, not translated.
+    // 1023 is `mac::config::CW_MAX`: the value the retired key always held.
+    let cw_max = "replayable = true\nmac.cw_max = 1023\n";
+    for (name, earlier) in [
+        ("v1.txt", text.replace("dsr-forensics v2", "dsr-forensics v1")),
+        ("cw_max.txt", text.replacen("replayable = true\n", cw_max, 1)),
+        (
+            "paired.txt",
+            text.replacen("replayable = true\n", "replayable = true\npaired_arrivals = true\n", 1),
+        ),
+        ("link_blackout.txt", text.replacen("fault.0 = panic\n", "fault.0 = link_blackout\n", 1)),
+    ] {
+        assert_ne!(earlier, text, "{name}");
+        std::fs::write(dir.join(name), earlier).expect("write");
+        assert_eq!(repro(&dir.join(name)), Some(2), "{name} is refused at load");
+    }
 
     assert_eq!(repro(&dir.join("missing.txt")), Some(2), "a missing file");
     let _ = std::fs::remove_dir_all(&dir);

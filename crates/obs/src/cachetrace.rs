@@ -184,7 +184,7 @@ impl CacheTrace {
             rows.push(CacheRow::parse(line_no, line)?);
             Ok(())
         })?;
-        block.require_format(&[FORMAT_HEADER])?;
+        block.require_format(FORMAT_HEADER)?;
         let declared: usize = block.require_parsed("rows")?;
         if declared != rows.len() {
             return Err(ObsError::BadValue {

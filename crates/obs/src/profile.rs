@@ -30,9 +30,9 @@
 //! `kind.N` lines are `name count wall_ns`; `drop.N`/`trace.N` are
 //! `name count`. A kind's `wall_ns` is an estimate: the runner times one
 //! dispatch in `timing_stride` of each kind (the first always among them)
-//! and scales the sum up to all of them; a file without the line timed
-//! every dispatch. All three lists are sorted by name at render time so the
-//! summary is independent of merge order across campaign threads.
+//! and scales the sum up to all of them. All three lists are sorted by
+//! name at render time so the summary is independent of merge order across
+//! campaign threads.
 
 use crate::text::{fmt_f64, KvBlock, ObsError};
 use std::collections::BTreeMap;
@@ -154,6 +154,10 @@ impl Profile {
 
     /// Renders the `dsr-profile v1` text form; tally lists are name-sorted.
     pub fn render(&self) -> String {
+        self.block().render()
+    }
+
+    fn block(&self) -> KvBlock {
         let mut block = KvBlock::new();
         block.push("format", FORMAT_HEADER);
         block.push("runs", self.runs.to_string());
@@ -181,63 +185,44 @@ impl Profile {
                 block.push(format!("{prefix}.{i}"), line);
             }
         }
-        block.render()
+        block
     }
 
-    /// Parses a rendered profile.
+    /// Parses a rendered profile; a key [`Profile::render`] would not
+    /// write for it is [`ObsError::BadValue`].
     pub fn parse(text: &str) -> Result<Profile, ObsError> {
         let block = KvBlock::parse(text)?;
-        block.require_format(&[FORMAT_HEADER])?;
+        block.require_format(FORMAT_HEADER)?;
         let parse_tallies = |prefix: &str, with_wall: bool| -> Result<Vec<Tally>, ObsError> {
-            let tally = |raw: &str| {
-                let bad = || ObsError::BadValue { key: prefix.to_string(), value: raw.to_string() };
+            let tally = |raw: &str| -> Option<Tally> {
                 let mut parts = raw.split_whitespace();
-                let name = parts.next().ok_or_else(bad)?.to_string();
-                let count: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-                let wall_ns: u64 = if with_wall {
-                    parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?
-                } else {
-                    0
-                };
-                if parts.next().is_some() {
-                    return Err(bad());
-                }
-                Ok(Tally { name, count, wall_ns })
+                let name = parts.next()?.to_string();
+                let count = parts.next()?.parse().ok()?;
+                let wall_ns = if with_wall { parts.next()?.parse().ok()? } else { 0 };
+                parts.next().is_none().then_some(Tally { name, count, wall_ns })
             };
-            block.indexed(&format!("{prefix}s"), prefix)?.into_iter().map(tally).collect()
+            let bad = |raw: &str| ObsError::BadValue { key: prefix.to_string(), value: raw.into() };
+            let raws = block.indexed(&format!("{prefix}s"), prefix)?;
+            raws.into_iter().map(|raw| tally(raw).ok_or_else(|| bad(raw))).collect()
         };
-        let events: u64 = block.require_parsed("events")?;
-        let scheduled: u64 = block.require_parsed("scheduled")?;
-        // Optional with backwards-compatible defaults: profiles written
-        // before the envelope planner had no inline boundaries (dispatched
-        // == events) and every schedule/dispatch gap was cancellation;
-        // ones written before the queue could postpone postponed nothing;
-        // ones written before the profiler strided timed every dispatch.
-        let opt_u64 = |key: &'static str, default: u64| -> Result<u64, ObsError> {
-            match block.get(key) {
-                Some(raw) => raw.parse().map_err(|_| ObsError::BadValue {
-                    key: key.to_string(),
-                    value: raw.to_string(),
-                }),
-                None => Ok(default),
-            }
-        };
-        Ok(Profile {
+        let profile = Profile {
             runs: block.require_parsed("runs")?,
             runs_failed: block.require_parsed("runs_failed")?,
             sim_seconds: block.require_parsed("sim_seconds")?,
             wall_seconds: block.require_parsed("wall_seconds")?,
-            events,
-            dispatched: opt_u64("dispatched", events)?,
-            scheduled,
-            cancelled: opt_u64("cancelled", scheduled.saturating_sub(events))?,
-            postponed: opt_u64("postponed", 0)?,
-            rekeyed: opt_u64("rekeyed", 0)?,
-            timing_stride: opt_u64("timing_stride", 1)?,
+            events: block.require_parsed("events")?,
+            dispatched: block.require_parsed("dispatched")?,
+            scheduled: block.require_parsed("scheduled")?,
+            cancelled: block.require_parsed("cancelled")?,
+            postponed: block.require_parsed("postponed")?,
+            rekeyed: block.require_parsed("rekeyed")?,
+            timing_stride: block.require_parsed("timing_stride")?,
             kinds: parse_tallies("kind", true)?,
             drops: parse_tallies("drop", false)?,
             traces: parse_tallies("trace", false)?,
-        })
+        };
+        block.refuse_keys_not_in(&profile.block())?;
+        Ok(profile)
     }
 
     /// Loads and parses a profile from disk.
@@ -318,12 +303,6 @@ mod tests {
         assert_eq!(parsed.kinds.len(), 2);
         assert_eq!(parsed.kinds[0].name, "agent_timer");
         assert_eq!(parsed.kinds[0].wall_ns, 600_000);
-        // Profiles written while a second arrival engine existed carry a
-        // `paired_runs` counter (`tests/legacy.profile` does); they must
-        // load to the same profile.
-        let legacy = text.replace("cancelled = 104\n", "cancelled = 104\npaired_runs = 0\n");
-        assert!(legacy.contains("paired_runs = 0"));
-        assert_eq!(Profile::parse(&legacy).unwrap(), parsed);
     }
 
     #[test]
@@ -356,37 +335,33 @@ mod tests {
     }
 
     #[test]
-    fn parse_defaults_pre_envelope_profiles() {
-        // Profiles written before `dispatched`/`cancelled` existed must
-        // still load, with every dispatch attributed to the queue and the
-        // whole schedule gap to cancellation; likewise ones from before
-        // the queue counted `postponed`/`rekeyed`, with none of either,
-        // and ones from before the profiler strided, timing every dispatch.
-        let optional =
-            ["dispatched =", "cancelled =", "postponed =", "rekeyed =", "timing_stride ="];
-        let mut legacy = one_run().render();
-        legacy = legacy
-            .lines()
-            .filter(|l| !optional.iter().any(|key| l.starts_with(key)))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = Profile::parse(&legacy).unwrap();
-        assert_eq!(parsed.dispatched, 1000);
-        assert_eq!(parsed.cancelled, 100);
-        assert_eq!((parsed.postponed, parsed.rekeyed), (0, 0));
-        assert_eq!(parsed.timing_stride, 1);
+    fn parse_requires_every_counter() {
+        // Every writer since the profiler strided writes all five; a profile
+        // without one is an earlier writer's, and is refused.
+        let text = one_run().render();
+        for key in ["dispatched", "cancelled", "postponed", "rekeyed", "timing_stride"] {
+            let without: String = text
+                .lines()
+                .filter(|l| !l.starts_with(&format!("{key} =")))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert!(
+                matches!(Profile::parse(&without), Err(ObsError::MissingKey(k)) if k == key),
+                "{key}"
+            );
+        }
     }
 
     #[test]
     fn the_committed_profile_still_parses() {
-        // A quick Table 3 campaign's profile, written before the profiler
-        // strided and while `paired_runs` was still a field.
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/legacy.profile");
+        // The quick Table 3 campaign's profile, written by the current
+        // writer (`dsr-exp table3_cache --obs sample`).
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/table3_cache_quick.profile");
         let text = std::fs::read_to_string(&path).expect("committed");
         let profile = Profile::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert!(profile.runs > 0 && !profile.kinds.is_empty());
-        assert!(!text.contains("timing_stride"));
-        assert_eq!(profile.timing_stride, 1);
+        assert_eq!(profile.timing_stride, 64);
+        assert!(!profile.kinds.is_empty());
     }
 
     #[test]
@@ -399,6 +374,12 @@ mod tests {
         .is_err());
         assert!(Profile::parse(&good.replace("kinds = 2", "kinds = 3")).is_err());
         assert!(Profile::parse("format = dsr-profile v1\nstray row\n").is_err());
+        // The second arrival engine's counter is an earlier writer's key.
+        let paired = good.replace("cancelled = 104\n", "cancelled = 104\npaired_runs = 0\n");
+        assert!(matches!(
+            Profile::parse(&paired),
+            Err(ObsError::BadValue { key, .. }) if key == "paired_runs"
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Understands five inputs, detected from the first line:
 //!
 //! * raw ns-2-flavored trace lines (one [`TraceLine`] per line),
-//! * `dsr-forensics` artifacts, v1 or v2 (the escaped `trace.N` tail is
+//! * `dsr-forensics v2` artifacts (the escaped `trace.N` tail is
 //!   extracted),
 //! * `dsr-timeseries v1` files,
 //! * `dsr-profile v1` files,
@@ -186,7 +186,7 @@ pub fn read_file(text: &str) -> Result<ObsFile, ObsError> {
         if format == crate::cachetrace::FORMAT_HEADER {
             return Ok(ObsFile::CacheTrace(CacheTrace::parse(text)?));
         }
-        if format.starts_with("dsr-forensics") {
+        if format == crate::text::FORENSICS_HEADER {
             return Ok(ObsFile::Trace(forensic_trace_tail(text)?));
         }
         return Err(ObsError::BadHeader {
@@ -322,11 +322,16 @@ q 2.600000 _n0_ RTR discovery(flood) for n1
         // A count no file could back is an error, not an allocation.
         let huge = "format = dsr-forensics v2\ntrace.count = 1000000000000\n";
         assert!(matches!(read_file(huge), Err(ObsError::BadValue { .. })));
+        // Only the current forensics header is an artifact.
+        let v1 = "format = dsr-forensics v1\ntrace.count = 0\n";
+        assert!(
+            matches!(read_file(v1), Err(ObsError::BadHeader { found, .. }) if found == "dsr-forensics v1")
+        );
     }
 
     #[test]
     fn forensic_tail_is_extracted_and_unescaped() {
-        let artifact = "format = dsr-forensics v1\nlabel = DSR\ntrace.count = 2\n\
+        let artifact = "format = dsr-forensics v2\nlabel = DSR\ntrace.count = 2\n\
                         trace.0 = s\\s1.000000\\s_n0_\\sMAC\\sRTS\\s20B\\s->\\sn1\n\
                         trace.1 = D\\s2.000000\\s_n3_\\sRTR\\sNoRoute\\suid\\s7\n";
         let parsed = read_file(artifact).unwrap();

@@ -12,7 +12,10 @@
 //! The four file formats are a [`KvBlock`]: a `format = <name> v<version>`
 //! line, then `key = value` lines; the time series and the cache trace
 //! append bare data rows after the header. Blank lines and `#` comments are
-//! skipped. Free-form strings are [`escape`]d into one whitespace-free
+//! skipped. Each loader accepts exactly its current header
+//! ([`KvBlock::require_format`]) and refuses every other, an earlier
+//! version of its own format included: nothing translates what an earlier
+//! writer wrote. Free-form strings are [`escape`]d into one whitespace-free
 //! token, floats render through [`fmt_f64`] so they read back to the same
 //! bits, and file names derive from a run label through [`sanitize`]. One
 //! query tool ([`crate::query`]) therefore reads any of them.
@@ -21,9 +24,16 @@
 //! an allocation: [`KvBlock::count`] rejects a count larger than the block
 //! has lines.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
-use sim_core::{SimDuration, SimTime};
+/// First line of a `runner::forensics` repro artifact. Defined here, beside
+/// the codec, so that [`crate::query`] recognises exactly the header the
+/// runner writes.
+///
+/// v2 added the three churn-era fault kinds (`node_churn`,
+/// `region_blackout`, `radio_duty_cycle`); a v1 artifact is refused.
+pub const FORENSICS_HEADER: &str = "dsr-forensics v2";
 
 /// Escapes a value so it survives a line-oriented `key = value` format.
 ///
@@ -195,14 +205,30 @@ impl KvBlock {
         Ok(block)
     }
 
-    /// Checks the `format` line: `accepted[0]` is the current header, the
-    /// rest are older versions still read.
-    pub fn require_format(&self, accepted: &[&'static str]) -> Result<(), ObsError> {
+    /// Checks that the `format` line is `header`, the one the current
+    /// writer produces.
+    pub fn require_format(&self, header: &'static str) -> Result<(), ObsError> {
         let found = self.get("format").unwrap_or_default();
-        if accepted.contains(&found) {
+        if found == header {
             Ok(())
         } else {
-            Err(ObsError::BadHeader { expected: accepted[0], found: found.to_string() })
+            Err(ObsError::BadHeader { expected: header, found: found.to_string() })
+        }
+    }
+
+    /// Refuses a key that `written`, the current writer's render of what
+    /// was parsed, does not hold, and a key given twice (lookups read only
+    /// the first): [`ObsError::BadValue`] naming the first such key, so no
+    /// value in a file goes unread.
+    pub fn refuse_keys_not_in(&self, written: &KvBlock) -> Result<(), ObsError> {
+        let known: BTreeSet<&str> = written.pairs.iter().map(|(key, _)| key.as_str()).collect();
+        let mut seen = BTreeSet::new();
+        match self.pairs.iter().find(|(key, _)| !known.contains(key.as_str()) || !seen.insert(key))
+        {
+            Some((key, value)) => {
+                Err(ObsError::BadValue { key: key.clone(), value: value.clone() })
+            }
+            None => Ok(()),
         }
     }
 
@@ -230,16 +256,6 @@ impl KvBlock {
         let raw = self.require(key)?;
         u64::from_str_radix(raw, 16)
             .map_err(|_| ObsError::BadValue { key: key.to_string(), value: raw.to_string() })
-    }
-
-    /// A simulated instant written as integer nanoseconds.
-    pub fn get_time(&self, key: &str) -> Result<SimTime, ObsError> {
-        Ok(SimTime::from_nanos(self.require_parsed(key)?))
-    }
-
-    /// A simulated span written as integer nanoseconds.
-    pub fn get_duration(&self, key: &str) -> Result<SimDuration, ObsError> {
-        Ok(SimDuration::from_nanos(self.require_parsed(key)?))
     }
 
     /// An [`escape`]d free-form string.
@@ -331,9 +347,13 @@ mod tests {
         let block = KvBlock::new();
         assert!(matches!(block.require("absent"), Err(ObsError::MissingKey(k)) if k == "absent"));
         assert!(matches!(
-            block.require_format(&["x v2", "x v1"]),
+            block.require_format("x v2"),
             Err(ObsError::BadHeader { expected: "x v2", .. })
         ));
+        let v1 = KvBlock::parse("format = x v1\n").unwrap();
+        assert!(
+            matches!(v1.require_format("x v2"), Err(ObsError::BadHeader { found, .. }) if found == "x v1")
+        );
     }
 
     #[test]

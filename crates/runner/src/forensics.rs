@@ -22,62 +22,36 @@
 //! ([`crate::journal`]) keys on it so one journal file can serve a whole
 //! sweep of distinct configurations, and per-run file names carry it.
 //!
-//! Settings the stack now fixes as constants (salvaging, the send buffer,
-//! the discovery timers, `Nt`, the 802.11 timing and retry limits, the
-//! radio's link budget, ...) are no longer written. An artifact from an
-//! earlier writer still names them; [`ForensicArtifact::parse`] accepts
-//! such a key only with the value the constant has, since only then does
-//! the replay run what the writer ran. Any other value is
-//! [`ObsError::BadValue`] naming the key. Values the scenario's
-//! constructors would assert on (a zero cache capacity or multipath `k`,
-//! an adaptive `alpha` or a reception threshold that is not finite and
-//! positive, a data rate that is not a finite 1 b/s or more) are rejected
-//! the same way, so a crafted artifact fails to load instead of panicking
-//! its replay. An earlier writer's
-//! rectangular `link_blackout` fault loads as a [`Zone::Rect`] blackout.
+//! One schema is accepted: the one [`ForensicArtifact::render`] writes.
+//! The header must be [`FORENSICS_HEADER`], and a key the current render of
+//! the parsed artifact does not write is [`ObsError::BadValue`] naming the
+//! key, so an earlier writer's artifact (a `dsr-forensics v1` header, a
+//! setting the stack now fixes as a constant, the second arrival engine's
+//! `paired_arrivals`, a `link_blackout` fault) is refused rather than
+//! translated: an artifact is replayed by the build that wrote it. DESIGN's
+//! "Auditing & forensics" section lists each schema and the commits that
+//! wrote it. Values the scenario's constructors would assert on (a zero
+//! cache capacity or multipath `k`, an adaptive `alpha` or a reception
+//! threshold that is not finite and positive, a data rate that is not a
+//! finite 1 b/s or more) are rejected the same way, so a crafted artifact
+//! fails to load instead of panicking its replay.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use dsr::config::{
-    ADAPTIVE_MIN_TIMEOUT, MAX_SALVAGE_COUNT, NEGATIVE_CACHE_CAPACITY, NEGATIVE_CACHE_TIMEOUT,
-    PREEMPTIVE_HOLDOFF, RECOMPUTE_PERIOD,
-};
-use dsr::request_table::{BROADCAST_JITTER, MAX_REQUEST_PERIOD, NONPROP_TIMEOUT, REQUEST_PERIOD};
-use dsr::send_buffer::{SEND_BUFFER_CAPACITY, SEND_BUFFER_TIMEOUT};
 use dsr::{
     CacheOrganization, DsrConfig, ExpiryPolicy, MultipathConfig, PreemptiveConfig,
     SuppressionConfig, WiderErrorRebroadcast,
 };
-use mac::config::{
-    ACK_BYTES, CTS_BYTES, CW_MAX, CW_MIN, DATA_HEADER_BYTES, DIFS, LONG_RETRY_LIMIT,
-    QUEUE_CAPACITY, RTS_BYTES, SHORT_RETRY_LIMIT, SIFS, SLOT,
-};
 use mac::MacConfig;
 use mobility::{Field, Point, WaypointConfig};
-use obs::text::{escape, fmt_f64, sanitize, unescape, KvBlock, ObsError};
-use phy::propagation::{
-    ANTENNA_GAIN, ANTENNA_HEIGHT_M, CAPTURE_RATIO, CS_THRESHOLD_W, TX_POWER_W, WAVELENGTH_M,
-};
+use obs::text::{escape, fmt_f64, sanitize, unescape, KvBlock, ObsError, FORENSICS_HEADER};
 use phy::RadioConfig;
 use sim_core::{NodeId, SimDuration, SimTime};
 use traffic::TrafficConfig;
 
 use crate::campaign::RunError;
 use crate::config::{FaultEvent, FaultPlan, MobilitySpec, ScenarioConfig, Zone};
-
-/// First line of every artifact; bump the version on format changes.
-///
-/// v2 added the three churn-era fault kinds (`node_churn`,
-/// `region_blackout`, `radio_duty_cycle`). v1 artifacts are a subset and
-/// parse through the same code. Artifacts written while the simulator
-/// still had a second arrival engine carry one more key, naming the engine
-/// the failing run used; there is one engine now, and like any unknown key
-/// it is ignored.
-pub const FORMAT_HEADER: &str = "dsr-forensics v2";
-
-/// The previous format version, still accepted by [`ForensicArtifact::parse`].
-pub const FORMAT_HEADER_V1: &str = "dsr-forensics v1";
 
 /// How many trailing trace events a campaign run retains for artifacts.
 pub const TRACE_TAIL_CAPACITY: usize = 256;
@@ -124,7 +98,7 @@ impl Stored for SimDuration {
         kv.push(key, self.as_nanos());
     }
     fn take(kv: &KvBlock, key: &str) -> Result<Self, ObsError> {
-        kv.get_duration(key)
+        Ok(SimDuration::from_nanos(kv.require_parsed(key)?))
     }
 }
 
@@ -133,7 +107,7 @@ impl Stored for SimTime {
         kv.push(key, self.as_nanos());
     }
     fn take(kv: &KvBlock, key: &str) -> Result<Self, ObsError> {
-        kv.get_time(key)
+        Ok(SimTime::from_nanos(kv.require_parsed(key)?))
     }
 }
 
@@ -350,63 +324,10 @@ macro_rules! strategy_block {
 }
 strategy_block!(PreemptiveConfig, SuppressionConfig, MultipathConfig);
 
-/// The keys earlier writers stored for settings that are protocol, MAC
-/// or radio constants now, each with the value it must hold: the one the
-/// constant has, rendered as those writers rendered it.
-fn retired_keys() -> [(&'static str, String); 36] {
-    let on = || "true".to_string();
-    let ns = |d: SimDuration| d.as_nanos().to_string();
-    [
-        ("dsr.salvaging", on()),
-        ("dsr.max_salvage_count", MAX_SALVAGE_COUNT.to_string()),
-        ("dsr.gratuitous_repair", on()),
-        ("dsr.promiscuous", on()),
-        ("dsr.gratuitous_replies", on()),
-        ("dsr.nonpropagating_requests", on()),
-        ("dsr.send_buffer_capacity", SEND_BUFFER_CAPACITY.to_string()),
-        ("dsr.send_buffer_timeout_ns", ns(SEND_BUFFER_TIMEOUT)),
-        ("dsr.nonprop_timeout_ns", ns(NONPROP_TIMEOUT)),
-        ("dsr.request_period_ns", ns(REQUEST_PERIOD)),
-        ("dsr.max_request_period_ns", ns(MAX_REQUEST_PERIOD)),
-        ("dsr.broadcast_jitter_ns", ns(BROADCAST_JITTER)),
-        ("dsr.expiry.min_timeout_ns", ns(ADAPTIVE_MIN_TIMEOUT)),
-        ("dsr.expiry.recompute_period_ns", ns(RECOMPUTE_PERIOD)),
-        ("dsr.negative_cache.capacity", NEGATIVE_CACHE_CAPACITY.to_string()),
-        ("dsr.negative_cache.timeout_ns", ns(NEGATIVE_CACHE_TIMEOUT)),
-        ("dsr.preemptive.holdoff_ns", ns(PREEMPTIVE_HOLDOFF)),
-        ("mac.slot_ns", ns(SLOT)),
-        ("mac.sifs_ns", ns(SIFS)),
-        ("mac.difs_ns", ns(DIFS)),
-        ("mac.cw_min", CW_MIN.to_string()),
-        ("mac.cw_max", CW_MAX.to_string()),
-        ("mac.short_retry_limit", SHORT_RETRY_LIMIT.to_string()),
-        ("mac.long_retry_limit", LONG_RETRY_LIMIT.to_string()),
-        ("mac.rts_bytes", RTS_BYTES.to_string()),
-        ("mac.cts_bytes", CTS_BYTES.to_string()),
-        ("mac.ack_bytes", ACK_BYTES.to_string()),
-        ("mac.data_header_bytes", DATA_HEADER_BYTES.to_string()),
-        // RTS/CTS precedes every unicast: a threshold of 0 bytes.
-        ("mac.rts_threshold_bytes", "0".to_string()),
-        ("mac.queue_capacity", QUEUE_CAPACITY.to_string()),
-        ("radio.tx_power_w", fmt_f64(TX_POWER_W)),
-        ("radio.antenna_gain", fmt_f64(ANTENNA_GAIN)),
-        ("radio.antenna_height_m", fmt_f64(ANTENNA_HEIGHT_M)),
-        ("radio.wavelength_m", fmt_f64(WAVELENGTH_M)),
-        ("radio.cs_threshold_w", fmt_f64(CS_THRESHOLD_W)),
-        ("radio.capture_ratio", fmt_f64(CAPTURE_RATIO)),
-    ]
-}
-
-/// Checks what the scenario cannot carry as a type: a retired key holds
-/// its fixed value, and no value trips an assertion when the run is built
-/// or a frame's airtime computed.
-fn check_scenario(kv: &KvBlock, cfg: &ScenarioConfig) -> Result<(), ObsError> {
+/// Checks what the scenario cannot carry as a type: no value trips an
+/// assertion when the run is built or a frame's airtime computed.
+fn check_scenario(cfg: &ScenarioConfig) -> Result<(), ObsError> {
     let bad = |key: &str, value: String| Err(ObsError::BadValue { key: key.to_string(), value });
-    for (key, fixed) in retired_keys() {
-        if let Some(value) = kv.get(key).filter(|value| *value != fixed) {
-            return bad(key, value.to_string());
-        }
-    }
     // Under 1 b/s, one frame's airtime can overflow the clock.
     let rate = cfg.mac.data_rate_bps;
     if !(rate.is_finite() && rate >= 1.0) {
@@ -476,23 +397,9 @@ impl Stored for FaultPlan {
             event.put(kv, &format!("fault.{i}"));
         }
     }
-    /// An earlier writer's `link_blackout` (a rectangle's corners under
-    /// `.min` and `.max`) loads as a [`Zone::Rect`] region blackout.
     fn take(kv: &KvBlock, key: &str) -> Result<Self, ObsError> {
         let events = (0..kv.count(key)?)
-            .map(|i| {
-                let key = format!("fault.{i}");
-                if kv.get(&key) != Some("link_blackout") {
-                    return FaultEvent::take(kv, &key);
-                }
-                let zone = Zone::Rect {
-                    min: Point::take(kv, &format!("{key}.min"))?,
-                    max: Point::take(kv, &format!("{key}.max"))?,
-                };
-                let at = SimTime::take(kv, &format!("{key}.at_ns"))?;
-                let down_for = SimDuration::take(kv, &format!("{key}.down_for_ns"))?;
-                Ok(FaultEvent::RegionBlackout { zone, at, down_for })
-            })
+            .map(|i| FaultEvent::take(kv, &format!("fault.{i}")))
             .collect::<Result<_, _>>()?;
         Ok(FaultPlan { events })
     }
@@ -557,8 +464,12 @@ pub struct ForensicArtifact {
 impl ForensicArtifact {
     /// Renders the artifact in the versioned text format.
     pub fn render(&self) -> String {
+        self.block().render()
+    }
+
+    fn block(&self) -> KvBlock {
         let mut kv = KvBlock::new();
-        kv.push("format", FORMAT_HEADER);
+        kv.push("format", FORENSICS_HEADER);
         self.label.put(&mut kv, "label");
         self.replayable.put(&mut kv, "replayable");
         self.config.put(&mut kv, "");
@@ -567,23 +478,26 @@ impl ForensicArtifact {
         for (i, line) in self.trace.iter().enumerate() {
             line.put(&mut kv, &format!("trace.{i}"));
         }
-        kv.render()
+        kv
     }
 
-    /// Parses an artifact rendered by [`ForensicArtifact::render`] (or by
-    /// a `dsr-forensics v1` writer).
+    /// Parses an artifact rendered by [`ForensicArtifact::render`]. A key
+    /// that render would not write for the parsed artifact is
+    /// [`ObsError::BadValue`]: nothing in the text goes unread.
     pub fn parse(text: &str) -> Result<ForensicArtifact, ObsError> {
         let kv = KvBlock::parse(text)?;
-        kv.require_format(&[FORMAT_HEADER, FORMAT_HEADER_V1])?;
+        kv.require_format(FORENSICS_HEADER)?;
         let config = ScenarioConfig::take(&kv, "")?;
-        check_scenario(&kv, &config)?;
-        Ok(ForensicArtifact {
+        check_scenario(&config)?;
+        let artifact = ForensicArtifact {
             label: String::take(&kv, "label")?,
             replayable: bool::take(&kv, "replayable")?,
             config,
             error: RunError::take(&kv, "error")?,
             trace: kv.indexed("trace.count", "trace")?.into_iter().map(unescape).collect(),
-        })
+        };
+        kv.refuse_keys_not_in(&artifact.block())?;
+        Ok(artifact)
     }
 
     /// The artifact's canonical file name:
@@ -789,103 +703,42 @@ mod tests {
         assert_eq!(digest, 0xb49c_f28e_299f_e78b, "render digest moved: {digest:#018x}");
     }
 
-    /// Every flavor as a `dsr-forensics v2` writer with 44 protocol
-    /// settings, 22 MAC and radio settings and a `link_blackout` fault kind
-    /// rendered it, one artifact after another, blank-line separated.
-    const V2_FLAVORS: &str = include_str!("../tests/data/forensics_v2_flavors.txt");
-
-    fn v2_texts() -> Vec<String> {
-        let texts: Vec<String> =
-            V2_FLAVORS.split("\n\n").map(|t| format!("{}\n", t.trim_end())).collect();
-        assert_eq!(texts.len(), flavors().len());
-        texts
-    }
-
-    fn is_retired(line: &str) -> bool {
-        retired_keys().iter().any(|(key, _)| line.starts_with(&format!("{key} = ")))
-    }
-
-    /// The old text minus the retired lines, with each `link_blackout`
-    /// fault written as the rectangle region blackout it now loads as.
+    /// Each earlier writer's schema is refused, not translated: an artifact
+    /// is replayed by the build that wrote it (DESIGN, "Auditing &
+    /// forensics").
     #[test]
-    fn v2_texts_load_and_render_without_the_retired_keys() {
-        let mut seen = std::collections::BTreeSet::new();
-        for (i, (cfg, text)) in flavors().into_iter().zip(v2_texts()).enumerate() {
-            let current = artifact(cfg);
-            let (retired, kept): (Vec<&str>, Vec<&str>) = text.lines().partition(|l| is_retired(l));
-            seen.extend(retired.iter().map(|l| l.split(" = ").next().expect("key").to_string()));
-            let kept: String = kept
-                .iter()
-                .map(|l| match l.strip_suffix(" = link_blackout") {
-                    Some(key) => format!("{key} = region_blackout\n{key}.zone = rect\n"),
-                    None => format!("{l}\n"),
-                })
-                .collect();
-            assert_eq!(current.render(), kept, "flavor {i}: the old text minus the retired lines");
-            let parsed = ForensicArtifact::parse(&text).expect("a v2 text loads");
-            assert_eq!(parsed, current, "flavor {i}");
+    fn earlier_schemas_are_refused() {
+        let current = faulted();
+        assert!(ForensicArtifact::parse(&current).is_ok());
+        let v1 = current.replace(FORENSICS_HEADER, "dsr-forensics v1");
+        match ForensicArtifact::parse(&v1) {
+            Err(ObsError::BadHeader { found, .. }) => assert_eq!(found, "dsr-forensics v1"),
+            other => panic!("a v1 header must be a BadHeader, got {other:?}"),
         }
-        assert_eq!(seen.len(), retired_keys().len(), "every retired key is pinned: {seen:?}");
-    }
-
-    #[test]
-    fn a_retired_key_loads_only_with_its_fixed_value() {
-        // The v2 static chain replays as the current one...
-        let text = v2_texts().swap_remove(8);
-        let parsed = ForensicArtifact::parse(&text).expect("v2 text loads");
-        assert_eq!(parsed, artifact(flavors().swap_remove(8)));
-        let expected = crate::replay_run(&parsed.config, crate::AuditLevel::Full);
-        assert!(expected.is_ok(), "a clean scenario replays cleanly: {expected:?}");
-        // ...and any other value for a retired key describes a run this
-        // code cannot replay.
-        // A probe no fixed number has, in any rendering.
-        assert!(retired_keys().iter().all(|(_, fixed)| fixed.parse::<f64>() != Ok(2.0)));
-        let mut checked = 0;
-        for text in v2_texts() {
-            for (key, fixed) in retired_keys()
-                .into_iter()
-                .filter(|(key, _)| text.lines().any(|l| l.starts_with(&format!("{key} = "))))
-            {
-                let other = if fixed == "true" { "false" } else { "2" };
-                match ForensicArtifact::parse(&with_value(&text, key, other)) {
-                    Err(ObsError::BadValue { key: bad, value }) => {
-                        assert_eq!((bad.as_str(), value.as_str()), (key, other));
-                    }
-                    got => panic!("{key} = {other} must be a BadValue, got {got:?}"),
+        // The rectangle blackout as its own fault kind, corners unzoned.
+        let rect = artifact(flavors().swap_remove(0)).render();
+        let link_blackout = rect
+            .replace(
+                "fault.1 = region_blackout\nfault.1.zone = rect\n",
+                "fault.1 = link_blackout\n",
+            )
+            .replace("fault.1.zone.", "fault.1.");
+        assert_ne!(link_blackout, rect);
+        let cw_max = format!("{}", mac::config::CW_MAX);
+        for (text, key, value) in [
+            // A setting now fixed as a constant, at the value it still has.
+            (with_line(&current, &format!("mac.cw_max = {cw_max}")), "mac.cw_max", cw_max.as_str()),
+            (with_line(&current, "paired_arrivals = true"), "paired_arrivals", "true"),
+            (link_blackout, "fault.1", "link_blackout"),
+            // Lookups read the first of two equal keys; the second is refused.
+            (with_line(&current, "label = other"), "label", "other"),
+        ] {
+            match ForensicArtifact::parse(&text) {
+                Err(ObsError::BadValue { key: bad, value: got }) => {
+                    assert_eq!((bad.as_str(), got.as_str()), (key, value));
                 }
-                checked += 1;
+                other => panic!("{key} = {value} must be a BadValue, got {other:?}"),
             }
-        }
-        assert!(checked >= retired_keys().len());
-    }
-
-    #[test]
-    fn artifacts_from_the_two_engine_era_still_load_and_replay() {
-        // Artifacts on disk outlive the code that wrote them: a v1 header,
-        // and a v2 text still carrying the `paired_arrivals` key, must
-        // both parse to the artifact a current render describes, replay,
-        // and re-render without the key.
-        let mut cfg = ScenarioConfig::static_line(3, 200.0, 2.0, DsrConfig::base(), 7);
-        cfg.duration = SimDuration::from_secs(5.0);
-        cfg.faults = FaultPlan::none().node_down(
-            NodeId::new(1),
-            SimTime::from_secs(1.0),
-            SimDuration::from_secs(1.0),
-        );
-        let current = artifact(cfg);
-        let rendered = current.render();
-        assert!(!rendered.contains("paired_arrivals"));
-        let legacy_v2 =
-            rendered.replace("replayable = true\n", "replayable = true\npaired_arrivals = true\n");
-        assert!(legacy_v2.contains("paired_arrivals = true"));
-        let legacy_v1 = rendered.replace(FORMAT_HEADER, FORMAT_HEADER_V1);
-        let expected = crate::replay_run(&current.config, crate::AuditLevel::Full);
-        assert!(expected.is_ok(), "a clean scenario replays cleanly: {expected:?}");
-        for text in [legacy_v2, legacy_v1] {
-            let parsed = ForensicArtifact::parse(&text).expect("legacy artifact parses");
-            assert_eq!(parsed, current);
-            assert_eq!(parsed.render(), rendered);
-            assert_eq!(crate::replay_run(&parsed.config, crate::AuditLevel::Full), expected);
         }
     }
 
@@ -993,8 +846,8 @@ mod tests {
             (&faulted(), "mac.data_rate_bps", "1e-300"),
             (&faulted(), "radio.rx_threshold_w", "NaN"),
             (&faulted(), "radio.rx_threshold_w", "0"),
-            (&v2_texts()[0], "mac.queue_capacity", "0"),
-            (&v2_texts()[0], "radio.tx_power_w", "NaN"),
+            (&with_line(&faulted(), "mac.queue_capacity = 0"), "mac.queue_capacity", "0"),
+            (&with_line(&faulted(), "radio.tx_power_w = NaN"), "radio.tx_power_w", "NaN"),
             (&multipath, "dsr.multipath.k", "0"),
             (&combined, "dsr.expiry.alpha", "0.0"),
             (&combined, "dsr.expiry.alpha", "-1.25"),
@@ -1017,6 +870,11 @@ mod tests {
             SimDuration::from_secs(1.0),
         );
         artifact(cfg).render()
+    }
+
+    /// `text` with `line` added after its `replayable` line.
+    fn with_line(text: &str, line: &str) -> String {
+        text.replacen("replayable = true\n", &format!("replayable = true\n{line}\n"), 1)
     }
 
     /// `text` with `key`'s value replaced.

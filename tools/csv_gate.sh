@@ -15,7 +15,7 @@ set -uo pipefail
 
 # Experiments known not to reproduce across processes, with the reason.
 declare -A ALLOWED=(
-  [ablation_cache_org]="LinkCache::evict_lru ties on hash order (ROADMAP item 4a)"
+  [ablation_cache_org]="LinkCache::evict_lru ties on hash order (ROADMAP item 3(a))"
 )
 
 bin_dir="${BIN_DIR:-target/release}"
