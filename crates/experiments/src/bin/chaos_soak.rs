@@ -28,10 +28,25 @@
 use std::time::Duration;
 
 use dsr::DsrConfig;
-use experiments::{pct, run_point, variants, Agent, ExpArgs, ExpMode, Table};
+use experiments::spec::cell;
+use experiments::{run_point, variants, Agent, ExpArgs, ExpMode, Table};
 use mobility::Point;
 use runner::{AuditLevel, FaultPlan, MobilitySpec, ScenarioConfig, Zone};
 use sim_core::{rng::uniform, NodeId, RngFactory, SimDuration, SimRng, SimTime};
+
+/// The CSV header. The cells after `rate_pps` are measured: each is the
+/// [`cell`] of that name, as in every `dsr-exp` table.
+const HEADER: &[&str] = &[
+    "campaign",
+    "variant",
+    "faults_planned",
+    "rate_pps",
+    "faults_injected",
+    "arrivals_suppressed",
+    "frames_corrupted",
+    "delivery_pct",
+    "runs_failed",
+];
 
 /// Campaigns per soak: enough distinct fault plans to cover every kind
 /// several times over without turning the quick mode into a long job.
@@ -174,20 +189,7 @@ fn main() {
         args.audit, args.jobs
     );
 
-    let mut table = Table::new(
-        format!("chaos_soak_{}", mode.tag()),
-        &[
-            "campaign",
-            "variant",
-            "faults_planned",
-            "rate_pps",
-            "faults_injected",
-            "arrivals_suppressed",
-            "frames_corrupted",
-            "delivery_pct",
-            "runs_failed",
-        ],
-    );
+    let mut table = Table::new(format!("chaos_soak_{}", mode.tag()), HEADER);
 
     // One dedicated plan stream per campaign index: plans never depend on
     // execution order, job count, or what earlier campaigns consumed.
@@ -204,17 +206,10 @@ fn main() {
         eprintln!("campaign {idx}: {} [{planned} faults, {rate_pps:.2} pkt/s]", cfg.dsr.label());
         let r = run_point(&cfg, &Agent::Dsr, &args);
         failed_runs += r.runs_failed;
-        table.row(vec![
-            idx.to_string(),
-            r.label.clone(),
-            planned.to_string(),
-            format!("{rate_pps:.2}"),
-            r.faults_injected.to_string(),
-            r.arrivals_suppressed.to_string(),
-            r.frames_corrupted.to_string(),
-            pct(100.0 * r.delivery_fraction),
-            r.runs_failed.to_string(),
-        ]);
+        let mut cells =
+            vec![idx.to_string(), r.label.clone(), planned.to_string(), format!("{rate_pps:.2}")];
+        cells.extend(HEADER[cells.len()..].iter().map(|name| cell(name, &r)));
+        table.row(cells);
     }
 
     println!("\nChaos soak: randomized fault campaigns on the fused path\n");
