@@ -460,9 +460,13 @@ impl Table {
         }
     }
 
-    /// Appends one row (must match the header count).
+    /// Appends one row (must match the header count). The CSV joins cells
+    /// with `,` and quotes none, so no cell may hold `,`, `"` or a newline.
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
+        if let Some(bad) = cells.iter().find(|c| c.contains([',', '"', '\n', '\r'])) {
+            panic!("CSV cell {bad:?} holds a comma, a quote or a newline");
+        }
         self.rows.push(cells);
     }
 
@@ -572,6 +576,16 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new("test", &["a", "b"]);
         t.row(vec!["1".into()]);
+    }
+
+    #[test]
+    fn table_rejects_a_cell_a_plain_csv_would_split() {
+        for bad in ["alpha=1.25, no quiet term", "say \"hi\"", "two\nlines"] {
+            let caught = std::panic::catch_unwind(|| {
+                Table::new("test", &["a", "b"]).row(vec!["1".into(), bad.into()])
+            });
+            assert!(caught.is_err(), "{bad:?}");
+        }
     }
 
     #[test]

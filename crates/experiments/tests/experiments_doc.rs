@@ -49,19 +49,11 @@ fn every_cited_table_matches_its_committed_csv() {
             .unwrap_or_else(|| panic!("EXPERIMENTS.md:{}: no table directly under", i + 1));
         let table = format!("EXPERIMENTS.md:{} ({stem}_quick.csv)", start + 1);
         gated.push(stem);
-        // The first column may hold a comma (`alpha=1.25, no quiet term`),
-        // so a CSV line splits from the right.
         let csv = std::fs::read_to_string(root.join(format!("results/{stem}_quick.csv")))
             .expect("committed CSV");
         let mut csv_lines = csv.lines();
         let headers: Vec<&str> = csv_lines.next().expect("CSV header").split(',').collect();
-        let csv_rows: Vec<Vec<&str>> = csv_lines
-            .map(|l| {
-                let mut cells: Vec<&str> = l.rsplitn(headers.len(), ',').collect();
-                cells.reverse();
-                cells
-            })
-            .collect();
+        let csv_rows: Vec<Vec<&str>> = csv_lines.map(|l| l.split(',').collect()).collect();
         // Per doc column: its CSV column and whether it keys the row.
         let mut columns = Vec::new();
         for header in cells(lines[start]) {
