@@ -158,8 +158,8 @@ pub struct CacheTrace {
 }
 
 impl CacheTrace {
-    /// Renders the full file, header and rows.
-    pub fn render(&self) -> String {
+    /// The header.
+    fn block(&self) -> KvBlock {
         let mut block = KvBlock::new();
         block.push("format", FORMAT_HEADER);
         block.push("label", escape(&self.label));
@@ -168,7 +168,12 @@ impl CacheTrace {
         block.push("columns", COLUMNS.join(" "));
         block.push("dropped", self.dropped.to_string());
         block.push("rows", self.rows.len().to_string());
-        let mut out = block.render();
+        block
+    }
+
+    /// Renders the full file, header and rows.
+    pub fn render(&self) -> String {
+        let mut out = self.block().render();
         out.reserve(self.rows.len() * TYPICAL_ROW_BYTES);
         for row in &self.rows {
             row.render_into(&mut out);
@@ -177,7 +182,8 @@ impl CacheTrace {
         out
     }
 
-    /// Parses a rendered trace, validating header and row shape.
+    /// Parses a rendered trace, validating header and row shape; a key
+    /// [`CacheTrace::render`] would not write is [`ObsError::BadValue`].
     pub fn parse(text: &str) -> Result<CacheTrace, ObsError> {
         let mut rows = Vec::new();
         let block = KvBlock::parse_with_rows(text, |line_no, line| {
@@ -192,13 +198,15 @@ impl CacheTrace {
                 value: format!("declared {declared}, found {}", rows.len()),
             });
         }
-        Ok(CacheTrace {
+        let trace = CacheTrace {
             label: block.get_string("label")?,
             seed: block.require_parsed("seed")?,
             fingerprint: block.require_hex("fingerprint")?,
             rows,
             dropped: block.require_parsed("dropped")?,
-        })
+        };
+        block.refuse_keys_not_in(&trace.block())?;
+        Ok(trace)
     }
 
     /// Canonical file name: `<label>_<fingerprint>_seed<seed>.cachetrace`,
@@ -410,6 +418,19 @@ mod tests {
     #[test]
     fn file_name_shares_the_forensic_stem() {
         assert_eq!(sample_trace().file_name(), "DSR-NC_quick_deadbeef01234567_seed3.cachetrace");
+    }
+
+    #[test]
+    fn a_key_the_writer_does_not_write_is_refused() {
+        let text = sample_trace().render();
+        let extra = text.replacen("seed = 3\n", "seed = 3\ncap = 100\n", 1);
+        let twice = text.replacen("seed = 3\n", "seed = 3\nseed = 4\n", 1);
+        for (text, key) in [(extra, "cap"), (twice, "seed")] {
+            match CacheTrace::parse(&text) {
+                Err(ObsError::BadValue { key: found, .. }) => assert_eq!(found, key),
+                other => panic!("{key}: {other:?}"),
+            }
+        }
     }
 
     #[test]

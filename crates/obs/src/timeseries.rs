@@ -127,8 +127,8 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// Renders the full file, header and rows.
-    pub fn render(&self) -> String {
+    /// The header.
+    fn block(&self) -> KvBlock {
         let mut block = KvBlock::new();
         block.push("format", FORMAT_HEADER);
         block.push("label", escape(&self.label));
@@ -137,7 +137,12 @@ impl TimeSeries {
         block.push("interval_ns", self.interval_ns.to_string());
         block.push("columns", COLUMNS.join(" "));
         block.push("rows", self.rows.len().to_string());
-        let mut out = block.render();
+        block
+    }
+
+    /// Renders the full file, header and rows.
+    pub fn render(&self) -> String {
+        let mut out = self.block().render();
         for row in &self.rows {
             out.push_str(&row.render());
             out.push('\n');
@@ -145,7 +150,8 @@ impl TimeSeries {
         out
     }
 
-    /// Parses a rendered time series, validating header and row shape.
+    /// Parses a rendered time series, validating header and row shape; a
+    /// key [`TimeSeries::render`] would not write is [`ObsError::BadValue`].
     pub fn parse(text: &str) -> Result<TimeSeries, ObsError> {
         let mut rows = Vec::new();
         let block = KvBlock::parse_with_rows(text, |line_no, line| {
@@ -160,13 +166,15 @@ impl TimeSeries {
                 value: format!("declared {declared}, found {}", rows.len()),
             });
         }
-        Ok(TimeSeries {
+        let series = TimeSeries {
             label: block.get_string("label")?,
             seed: block.require_parsed("seed")?,
             fingerprint: block.require_hex("fingerprint")?,
             interval_ns: block.require_parsed("interval_ns")?,
             rows,
-        })
+        };
+        block.refuse_keys_not_in(&series.block())?;
+        Ok(series)
     }
 
     /// Canonical file name: `<label>_<fingerprint>_seed<seed>.timeseries`,
@@ -330,6 +338,19 @@ mod tests {
         // Row-count mismatch.
         let text = series.render().replace("rows = 2", "rows = 3");
         assert!(TimeSeries::parse(&text).is_err());
+    }
+
+    #[test]
+    fn a_key_the_writer_does_not_write_is_refused() {
+        let text = sample_series().render();
+        let extra = text.replacen("seed = 7\n", "seed = 7\nmode = sampled\n", 1);
+        let twice = text.replacen("seed = 7\n", "seed = 7\nseed = 8\n", 1);
+        for (text, key) in [(extra, "mode"), (twice, "seed")] {
+            match TimeSeries::parse(&text) {
+                Err(ObsError::BadValue { key: found, .. }) => assert_eq!(found, key),
+                other => panic!("{key}: {other:?}"),
+            }
+        }
     }
 
     #[test]
