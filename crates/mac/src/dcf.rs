@@ -27,7 +27,6 @@
 //! fresh packets are resolved by the retry backoff).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use sim_core::{NodeId, SimDuration, SimRng, SimTime};
 
@@ -109,10 +108,12 @@ pub enum MacCommand<P> {
         payload: P,
     },
     /// Promiscuous tap: a data frame addressed to someone else was decoded.
+    /// Always the last command of its input. The frame is the one that
+    /// input was fed, so the driver hands the routing layer its payload
+    /// from where it keeps the frame: a bystander copies nothing.
     Snoop {
-        /// The overheard frame (payload included), shared with the other
-        /// receivers of the transmission: a bystander only reads it.
-        frame: Arc<MacFrame<P>>,
+        /// MAC-level transmitter of the overheard frame.
+        from: NodeId,
     },
     /// Link-layer failure feedback: `payload` could not be delivered to
     /// `dst` within the retry limits. DSR treats this as a broken link.
@@ -401,26 +402,22 @@ impl<P: Clone> Dcf<P> {
         if frame.addressed_to(self.node) {
             self.receive_addressed(frame, now, cmds);
         } else {
-            self.overhear(Arc::new(frame), now, cmds);
+            self.overhear(&frame, now, cmds);
         }
     }
 
-    /// [`Dcf::on_receive_into`] for a frame still shared between the
-    /// receivers of one transmission. Only the addressee needs the frame
-    /// (and its payload) by value; a bystander reads the duration field
-    /// and passes the shared frame on in [`MacCommand::Snoop`], so
-    /// overhearing a data frame copies nothing.
-    pub fn on_receive_shared_into(
+    /// [`Dcf::on_receive_into`] for a frame the driver keeps for all the
+    /// receivers of its transmission. Only the addressee needs the frame
+    /// (and its payload) by value, and copies it; a bystander reads the
+    /// kind and the duration field.
+    pub fn on_receive_ref_into(
         &mut self,
-        frame: Arc<MacFrame<P>>,
+        frame: &MacFrame<P>,
         now: SimTime,
         cmds: &mut Vec<MacCommand<P>>,
     ) {
         if frame.addressed_to(self.node) {
-            // Often the frame's last copy by now, so the unwrap avoids the
-            // clone.
-            let frame = Arc::try_unwrap(frame).unwrap_or_else(|shared| (*shared).clone());
-            self.receive_addressed(frame, now, cmds);
+            self.receive_addressed(frame.clone(), now, cmds);
         } else {
             self.overhear(frame, now, cmds);
         }
@@ -441,7 +438,7 @@ impl<P: Clone> Dcf<P> {
     }
 
     /// A frame addressed to someone else was decoded.
-    fn overhear(&mut self, frame: Arc<MacFrame<P>>, now: SimTime, cmds: &mut Vec<MacCommand<P>>) {
+    fn overhear(&mut self, frame: &MacFrame<P>, now: SimTime, cmds: &mut Vec<MacCommand<P>>) {
         // Virtual carrier sense; `frame.nav` reserves the medium beyond
         // the frame's own end (which is `now`).
         self.nav_until = self.nav_until.max(now + frame.nav);
@@ -452,7 +449,7 @@ impl<P: Clone> Dcf<P> {
             self.wait_for_idle(now, cmds);
         }
         if frame.kind == FrameKind::Data {
-            cmds.push(MacCommand::Snoop { frame });
+            cmds.push(MacCommand::Snoop { from: frame.src });
         }
     }
 
@@ -1104,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_receive_snoops_without_copying_and_matches_owned_receive() {
+    fn borrowed_receive_matches_owned_receive() {
         let data = MacFrame {
             kind: FrameKind::Data,
             src: NodeId::new(0),
@@ -1114,17 +1111,15 @@ mod tests {
             seq: 0,
             payload: Some(13),
         };
-        let shared = Arc::new(data.clone());
+        let rts = control(FrameKind::Rts, 0, 1, SimDuration::from_micros_u64(900));
         // Bystander and addressee, each fed both ways: same commands.
-        for node in [9, 1] {
-            let mut cmds = Vec::new();
-            mk(node).on_receive_shared_into(Arc::clone(&shared), t(0.0), &mut cmds);
-            assert_eq!(cmds, mk(node).on_receive(data.clone(), t(0.0)), "node {node}");
-            // The bystander's tap is the transmission's own frame.
-            if let Some(MacCommand::Snoop { frame }) = cmds.last() {
-                assert!(Arc::ptr_eq(frame, &shared));
-            } else {
-                assert_eq!(node, 1, "only the addressee does not snoop");
+        for frame in [data, rts] {
+            for node in [9, 1] {
+                let mut cmds = Vec::new();
+                mk(node).on_receive_ref_into(&frame, t(0.0), &mut cmds);
+                assert_eq!(cmds, mk(node).on_receive(frame.clone(), t(0.0)), "node {node}");
+                let snooped = cmds.last() == Some(&MacCommand::Snoop { from: NodeId::new(0) });
+                assert_eq!(snooped, node == 9 && frame.kind == FrameKind::Data, "node {node}");
             }
         }
     }

@@ -36,7 +36,7 @@ fn idle_line(faults: FaultPlan) -> Simulator {
 /// What the MAC's `SetTimer` command does. (`Recheck` is inert when it
 /// fires on an idle MAC, so firing it needs no MAC state set up.)
 fn arm(sim: &mut Simulator, timer: MacTimer, at: SimTime) {
-    sim.apply_mac(NODE, &mut vec![MacCommand::SetTimer { timer, at }]);
+    sim.apply_mac(NODE, &mut vec![MacCommand::SetTimer { timer, at }], None);
 }
 
 /// Dispatches the next event as the run loop does; `false` once none is
