@@ -15,7 +15,10 @@ use runner::ScenarioConfig;
 use sim_core::SimDuration;
 use traffic::TrafficConfig;
 
-use crate::{f3, matrix_variants, pct, run_point, variants, Agent, ExpArgs, ExpMode, Point, Table};
+use crate::{
+    clear_cache_traces, f3, matrix_variants, pct, run_point, variants, Agent, ExpArgs, ExpMode,
+    Point, Table,
+};
 
 /// One committed experiment.
 #[derive(Debug)]
@@ -449,7 +452,19 @@ impl Spec {
         let mode = args.mode;
         eprintln!("{} ({mode:?})", self.title);
         let mut table = Table::new(format!("{}_{}", self.name, mode.tag()), &self.header());
-        for row in (self.rows)(mode) {
+        let rows = (self.rows)(mode);
+        if let Some(dir) = args.campaign().obs.cachetrace_dir {
+            let labels: Vec<String> = rows.iter().map(|r| r.agent.label(&r.scenario)).collect();
+            match clear_cache_traces(&dir, &labels) {
+                Ok(0) => {}
+                Ok(n) => eprintln!("removed {n} earlier cache traces from {}", dir.display()),
+                Err(e) => {
+                    eprintln!("could not clear earlier cache traces from {}: {e}", dir.display());
+                    std::process::exit(1);
+                }
+            }
+        }
+        for row in rows {
             let point = run_point(&row.scenario, &row.agent, args);
             table.row(
                 row.axes.into_iter().chain(self.columns.iter().map(|c| cell(c, &point))).collect(),
