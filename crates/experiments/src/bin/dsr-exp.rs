@@ -2,7 +2,7 @@
 //! writes `results/<name>_<mode>.csv`.
 //!
 //! ```sh
-//! cargo run --release -p experiments --bin dsr-exp -- <name> [--quick|--full] [--jobs <n>] [--seed-timeout <secs>] [--resume <journal>] [--audit <level>] [--obs <mode>] [--timeseries-dir <dir>] [--cachetrace] [--event-budget <n|off>]
+//! cargo run --release -p experiments --bin dsr-exp -- <name> [--quick|--full] [--jobs <n>] [--seed-timeout <secs>] [--resume <journal>] [--audit <level>] [--obs <mode>] [--timeseries-dir <dir>] [--cachetrace]
 //! ```
 //!
 //! `<name>` is a spec's name, the stem of its committed CSV (`table3_cache`,

@@ -3,7 +3,7 @@
 //!
 //! Given one file, it reads anything the obs layer produces (raw
 //! ns-2-flavored trace lines, `dsr-forensics` repro artifacts, per-run
-//! `dsr-timeseries v1` files, `dsr-profile v1` summaries,
+//! `dsr-timeseries v2` files, `dsr-profile v1` summaries,
 //! `dsr-cachetrace v1` cache-decision traces) and answers questions about
 //! it: which events a node saw, what happened to one packet uid end to
 //! end, which samples or cache decisions fall in a time window.
@@ -43,7 +43,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use experiments::{pct, Table};
-use obs::{follow_uid, read_file, CacheRollup, CacheTrace, Filter, ObsFile, Profile, TimeSeries};
+use obs::{
+    follow_uid, read_file, CacheRollup, CacheTrace, Filter, ObsFile, Profile, SampleRow, TimeSeries,
+};
 
 const USAGE: &str = "usage: trace_query <file|-> [--node N] [--uid N] [--kind K] \
                      [--from S] [--to S] [--follow UID] [--summary]\n       \
@@ -208,20 +210,9 @@ fn query_timeseries(query: &Query, series: &TimeSeries) -> usize {
         );
         return rows.len();
     }
-    println!("t_s cache_entries cache_valid negative send_buffer ifq_control ifq_data discoveries events");
+    println!("{}", SampleRow::header());
     for row in &rows {
-        println!(
-            "{:.3} {} {} {} {} {} {} {} {}",
-            row.t_s,
-            row.cache_entries,
-            row.cache_valid,
-            row.negative_entries,
-            row.send_buffer,
-            row.ifq_control,
-            row.ifq_data,
-            row.discoveries,
-            row.events,
-        );
+        println!("{}", row.render());
     }
     rows.len()
 }

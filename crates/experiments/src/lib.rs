@@ -142,7 +142,7 @@ pub struct ExpArgs {
     /// sampling, runs also emit per-run time-series files and the campaign
     /// prints live heartbeat lines to stderr.
     pub obs: ObsMode,
-    /// Where per-run `dsr-timeseries v1` files land
+    /// Where per-run `dsr-timeseries v2` files land
     /// (`--timeseries-dir <dir>`, default `results/timeseries` while obs
     /// is on).
     pub timeseries_dir: Option<PathBuf>,
@@ -159,9 +159,6 @@ pub struct ExpArgs {
     /// [`runner::RunError::WatchdogTimeout`]. The failure is final; a
     /// `--resume` re-runs it.
     pub seed_timeout: Option<Duration>,
-    /// Per-run events-per-simulated-second watchdog budget
-    /// (`--event-budget <n|off>`, default 100000000).
-    pub event_budget: Option<u64>,
 }
 
 impl ExpArgs {
@@ -179,7 +176,6 @@ impl ExpArgs {
             cachetrace: false,
             jobs: 1,
             seed_timeout: None,
-            event_budget: RunLimits::default().max_events_per_sim_second,
         };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -221,17 +217,6 @@ impl ExpArgs {
                         _ => return Err(ArgError::BadValue { flag: "--seed-timeout", value }),
                     };
                 }
-                "--event-budget" => {
-                    let value = args.next().ok_or(ArgError::MissingValue("--event-budget"))?;
-                    parsed.event_budget = if value == "off" {
-                        None
-                    } else {
-                        match value.parse::<u64>() {
-                            Ok(n) if n >= 1 => Some(n),
-                            _ => return Err(ArgError::BadValue { flag: "--event-budget", value }),
-                        }
-                    };
-                }
                 _ => return Err(ArgError::Unknown(arg)),
             }
         }
@@ -243,7 +228,7 @@ impl ExpArgs {
         format!(
             "usage: {bin} [--quick|--full] [--jobs <n>] [--seed-timeout <secs>] \
              [--resume <journal>] [--audit off|counters|full] [--obs off|sample[:secs]] \
-             [--timeseries-dir <dir>] [--cachetrace] [--event-budget <n|off>]"
+             [--timeseries-dir <dir>] [--cachetrace]"
         )
     }
 
@@ -273,7 +258,6 @@ impl ExpArgs {
                         .clone()
                         .unwrap_or_else(|| PathBuf::from("results").join("timeseries")),
                 ),
-                heartbeat: true,
                 cachetrace_dir: None,
             }
         } else {
@@ -290,10 +274,7 @@ impl ExpArgs {
             forensics_dir: Some(PathBuf::from("results").join("forensics")),
             obs,
             jobs: self.jobs,
-            limits: RunLimits {
-                wall_clock: self.seed_timeout,
-                max_events_per_sim_second: self.event_budget,
-            },
+            limits: RunLimits { wall_clock: self.seed_timeout, ..RunLimits::default() },
         }
     }
 }
@@ -722,8 +703,7 @@ mod tests {
         let a = to_args(&["--obs", "sample:2.5"]).expect("obs flag");
         assert!(a.obs.is_on());
         let campaign = a.campaign();
-        assert!(campaign.obs.is_on());
-        assert!(campaign.obs.heartbeat, "obs on implies the stderr heartbeat");
+        assert!(campaign.obs.is_on(), "obs on, and with it the stderr heartbeat");
         assert_eq!(
             campaign.obs.timeseries_dir,
             Some(PathBuf::from("results").join("timeseries")),
@@ -775,26 +755,31 @@ mod tests {
         let d = to_args(&[]).expect("defaults");
         assert_eq!(d.jobs, 1, "sequential by default");
         assert_eq!(d.seed_timeout, None);
-        assert_eq!(d.event_budget, Some(100_000_000), "PR-1 default budget");
         let campaign = d.campaign();
         assert_eq!(campaign.jobs, 1);
         assert_eq!(campaign.limits, RunLimits::default());
 
-        let a = to_args(&["--jobs", "4", "--seed-timeout", "2.5", "--event-budget", "5000"])
-            .expect("all executor flags");
+        let a = to_args(&["--jobs", "4", "--seed-timeout", "2.5"]).expect("all executor flags");
         let campaign = a.campaign();
         assert_eq!(campaign.jobs, 4);
         assert_eq!(campaign.limits.wall_clock, Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(campaign.limits.max_events_per_sim_second, Some(5000));
+        assert_eq!(
+            campaign.limits.max_events_per_sim_second,
+            Some(100_000_000),
+            "the event budget is the runner's default"
+        );
 
-        let off = to_args(&["--event-budget", "off"]).expect("budget off");
-        assert_eq!(off.campaign().limits.max_events_per_sim_second, None);
-
-        for usage_flag in ["--jobs", "--seed-timeout", "--event-budget"] {
+        for usage_flag in ["--jobs", "--seed-timeout"] {
             assert!(ExpArgs::usage("dsr-exp").contains(usage_flag), "{usage_flag}");
         }
-        // `--seed-timeout` is the only wall-clock flag.
+        assert!(!ExpArgs::usage("dsr-exp").contains("--event-budget"));
+        // `--seed-timeout` is the only wall-clock flag, and no flag sets
+        // the event budget.
         assert_eq!(to_args(&["--max-wall", "30"]), Err(ArgError::Unknown("--max-wall".into())));
+        assert_eq!(
+            to_args(&["--event-budget", "5000"]),
+            Err(ArgError::Unknown("--event-budget".into()))
+        );
     }
 
     #[test]
@@ -807,13 +792,10 @@ mod tests {
             vec!["--seed-timeout", "-1"],
             vec!["--seed-timeout", "inf"],
             vec!["--seed-timeout", "nan"],
-            vec!["--event-budget", "0"],
-            vec!["--event-budget", "-5"],
-            vec!["--event-budget", "lots"],
         ] {
             assert!(matches!(to_args(&bad), Err(ArgError::BadValue { .. })), "must reject {bad:?}");
         }
-        for flag in ["--jobs", "--seed-timeout", "--event-budget"] {
+        for flag in ["--jobs", "--seed-timeout"] {
             assert_eq!(to_args(&[flag]), Err(ArgError::MissingValue(flag)));
         }
     }

@@ -24,7 +24,7 @@ use sim_core::{SimTime, U64HashMap, U64HashSet};
 
 pub mod stats;
 
-pub use stats::{DeliverySeries, Distribution, SeriesPoint};
+pub use stats::Distribution;
 
 /// Accumulates raw counters during one simulation run.
 #[derive(Debug, Default, Clone)]
@@ -40,7 +40,6 @@ pub struct Metrics {
     delays: Distribution,
     /// Links traversed, summed over `delivered`: only the mean is reported.
     hops: u64,
-    series: Option<DeliverySeries>,
 
     rts_tx: u64,
     cts_tx: u64,
@@ -81,22 +80,20 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Enables the delivery-over-time series with the given bucket width.
-    pub fn enable_series(&mut self, bucket_s: f64) {
-        self.series = Some(DeliverySeries::new(bucket_s));
-    }
-
-    /// The delivery time series, if enabled.
-    pub fn series_points(&self) -> Option<Vec<SeriesPoint>> {
-        self.series.as_ref().map(|s| s.points())
-    }
-
-    /// A CBR source handed a packet to DSR at `now`.
-    pub fn record_origination(&mut self, now: SimTime) {
+    /// A CBR source handed a packet to its routing agent.
+    pub fn record_origination(&mut self) {
         self.originated += 1;
-        if let Some(series) = &mut self.series {
-            series.record_origination(now);
-        }
+    }
+
+    /// CBR packets originated so far ([`Report::originated`] at the end).
+    pub fn originated(&self) -> u64 {
+        self.originated
+    }
+
+    /// Unique CBR packets delivered so far ([`Report::delivered`] at the
+    /// end).
+    pub fn delivered(&self) -> u64 {
+        self.delivered
     }
 
     /// A data packet reached its destination after traversing `hops`
@@ -117,9 +114,6 @@ impl Metrics {
         self.bytes_delivered += bytes as u64;
         self.delays.record(now.saturating_since(sent_at).as_secs());
         self.hops += hops as u64;
-        if let Some(series) = &mut self.series {
-            series.record_delivery(now);
-        }
         true
     }
 
@@ -311,7 +305,6 @@ impl Metrics {
             preemptive_repairs: self.preemptive_repairs,
             suppressed_inserts: self.suppressed_inserts,
             failovers: self.failovers,
-            series: self.series_points(),
         }
     }
 }
@@ -361,8 +354,6 @@ macro_rules! report {
             /// Protocol variant label (e.g. "DSR-C").
             pub label: String,
             $($(#[$doc])* pub $field: $ty,)+
-            /// Delivery time series, when enabled on the collector.
-            pub series: Option<Vec<SeriesPoint>>,
         }
 
         impl Report {
@@ -471,7 +462,6 @@ impl Report {
     pub fn mean(reports: &[Report]) -> Report {
         assert!(!reports.is_empty(), "cannot average zero reports");
         let n = reports.len() as f64;
-        // Per-seed series are not merged; averaging loses alignment.
         let mut mean = Report { label: reports[0].label.clone(), ..Report::default() };
         for field in Report::FIELDS {
             match field.kind {
@@ -558,7 +548,7 @@ mod tests {
     fn delivery_fraction_and_delay() {
         let mut m = Metrics::new();
         for _ in 0..4 {
-            m.record_origination(t(0.5));
+            m.record_origination();
         }
         assert!(m.record_delivery(1, t(1.0), 512, 3, t(1.5)));
         assert!(m.record_delivery(2, t(1.0), 512, 5, t(2.5)));
@@ -594,7 +584,7 @@ mod tests {
     fn delay_tail_and_jitter_flow_into_report() {
         let mut m = Metrics::new();
         for uid in 0..4 {
-            m.record_origination(t(0.0));
+            m.record_origination();
             // Delays in delivery order: 1.0, 3.0, 2.0, 2.0 s.
             let delay = [1.0, 3.0, 2.0, 2.0][uid as usize];
             assert!(m.record_delivery(uid, t(0.0), 512, 2, t(delay)));
@@ -612,7 +602,7 @@ mod tests {
     #[test]
     fn duplicate_deliveries_ignored() {
         let mut m = Metrics::new();
-        m.record_origination(t(0.0));
+        m.record_origination();
         assert!(m.record_delivery(1, t(0.0), 512, 2, t(1.0)));
         assert!(!m.record_delivery(1, t(0.0), 512, 2, t(2.0)));
         assert_eq!(m.report("x", 10.0).delivered, 1);
@@ -621,7 +611,7 @@ mod tests {
     #[test]
     fn normalized_overhead_counts_routing_and_mac_control() {
         let mut m = Metrics::new();
-        m.record_origination(t(0.0));
+        m.record_origination();
         m.record_delivery(1, t(0.0), 512, 2, t(1.0));
         m.record_mac_tx(FrameKind::Rts, None);
         m.record_mac_tx(FrameKind::Cts, None);
@@ -720,11 +710,11 @@ mod tests {
     #[test]
     fn mean_averages_fields() {
         let mut a = Metrics::new();
-        a.record_origination(t(0.0));
+        a.record_origination();
         a.record_delivery(1, t(0.0), 500, 2, t(1.0));
         let mut b = Metrics::new();
-        b.record_origination(t(0.0));
-        b.record_origination(t(0.0));
+        b.record_origination();
+        b.record_origination();
         let ra = a.report("DSR", 10.0);
         let rb = b.report("DSR", 10.0);
         let mean = Report::mean(&[ra, rb]);
@@ -754,7 +744,7 @@ mod tests {
     #[test]
     fn display_is_informative() {
         let mut m = Metrics::new();
-        m.record_origination(t(0.0));
+        m.record_origination();
         m.record_delivery(1, t(0.0), 512, 2, t(0.2));
         let text = format!("{}", m.report("DSR-C", 100.0));
         assert!(text.contains("DSR-C"));
@@ -826,7 +816,6 @@ mod tests {
             preemptive_repairs: uavg(&|r| r.preemptive_repairs),
             suppressed_inserts: uavg(&|r| r.suppressed_inserts),
             failovers: uavg(&|r| r.failovers),
-            series: None,
         }
     }
 
@@ -890,9 +879,9 @@ mod tests {
         });
     }
 
-    /// Every field is eight bytes beside the label and the series.
+    /// Every field is eight bytes beside the label.
     #[test]
     fn report_layout_is_pinned() {
-        assert_eq!(std::mem::size_of::<Report>(), 360);
+        assert_eq!(std::mem::size_of::<Report>(), 336);
     }
 }

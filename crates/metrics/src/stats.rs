@@ -1,10 +1,9 @@
-//! Supplementary statistics: delay distribution and delivery time series.
+//! Supplementary statistics: the delay distribution.
 //!
-//! The paper reports scalar means; these richer views (percentiles, hop
-//! counts, per-interval delivery) are used by the examples and when
-//! debugging why a variant behaves as it does.
-
-use sim_core::SimTime;
+//! The paper reports scalar means; the percentiles and jitter drawn from
+//! this distribution are used by the examples and when debugging why a
+//! variant behaves as it does. Per-interval delivery is in the obs time
+//! series (`obs::SampleRow`'s cumulative `originated` and `delivered`).
 
 /// Accumulates a sample distribution and reports order statistics.
 #[derive(Debug, Clone, Default)]
@@ -79,80 +78,6 @@ impl Distribution {
     }
 }
 
-/// One point of the delivery time series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesPoint {
-    /// Start of the interval in simulated seconds.
-    pub start_s: f64,
-    /// Packets originated during the interval.
-    pub originated: u64,
-    /// Packets delivered during the interval.
-    pub delivered: u64,
-}
-
-impl SeriesPoint {
-    /// Delivery fraction within this interval (delivered may exceed
-    /// originated when queued packets drain).
-    pub fn delivery_fraction(&self) -> f64 {
-        if self.originated == 0 {
-            0.0
-        } else {
-            self.delivered as f64 / self.originated as f64
-        }
-    }
-}
-
-/// Buckets originations and deliveries into fixed intervals, giving the
-/// delivery-over-time view.
-#[derive(Debug, Clone)]
-pub struct DeliverySeries {
-    bucket_s: f64,
-    buckets: Vec<(u64, u64)>, // (originated, delivered)
-}
-
-impl DeliverySeries {
-    /// Creates a series with `bucket_s`-second intervals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_s` is not positive and finite.
-    pub fn new(bucket_s: f64) -> Self {
-        assert!(bucket_s.is_finite() && bucket_s > 0.0, "invalid bucket {bucket_s}");
-        DeliverySeries { bucket_s, buckets: Vec::new() }
-    }
-
-    fn bucket_mut(&mut self, at: SimTime) -> &mut (u64, u64) {
-        let idx = (at.as_secs() / self.bucket_s) as usize;
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, (0, 0));
-        }
-        &mut self.buckets[idx]
-    }
-
-    /// Records one origination at `at`.
-    pub fn record_origination(&mut self, at: SimTime) {
-        self.bucket_mut(at).0 += 1;
-    }
-
-    /// Records one delivery at `at`.
-    pub fn record_delivery(&mut self, at: SimTime) {
-        self.bucket_mut(at).1 += 1;
-    }
-
-    /// The series points in time order.
-    pub fn points(&self) -> Vec<SeriesPoint> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &(o, d))| SeriesPoint {
-                start_s: i as f64 * self.bucket_s,
-                originated: o,
-                delivered: d,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,26 +128,5 @@ mod tests {
     #[should_panic(expected = "non-finite")]
     fn distribution_rejects_nan() {
         Distribution::new().record(f64::NAN);
-    }
-
-    #[test]
-    fn series_buckets_by_time() {
-        let mut s = DeliverySeries::new(10.0);
-        s.record_origination(SimTime::from_secs(1.0));
-        s.record_origination(SimTime::from_secs(9.0));
-        s.record_delivery(SimTime::from_secs(9.5));
-        s.record_origination(SimTime::from_secs(25.0));
-        let pts = s.points();
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[0], SeriesPoint { start_s: 0.0, originated: 2, delivered: 1 });
-        assert_eq!(pts[1].originated, 0);
-        assert_eq!(pts[2].originated, 1);
-        assert!((pts[0].delivery_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_interval_fraction_is_zero() {
-        let p = SeriesPoint { start_s: 0.0, originated: 0, delivered: 3 };
-        assert_eq!(p.delivery_fraction(), 0.0);
     }
 }

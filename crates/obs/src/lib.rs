@@ -7,7 +7,10 @@
 //! 1. **Time-series sampler** ([`timeseries`]): at a configurable sim-time
 //!    interval, snapshot per-layer gauges (route-cache size and oracle-valid
 //!    fraction, negative-cache occupancy, send-buffer and MAC queue depths,
-//!    in-flight discoveries) into one `dsr-timeseries v1` file per run.
+//!    in-flight discoveries) and cumulative counts (events dispatched,
+//!    packets originated and delivered) into one `dsr-timeseries v2` file
+//!    per run — the run's one time series: per-interval delivery is the
+//!    difference of two rows.
 //! 2. **Event-loop profiler** ([`profile`]): events and wall time per event
 //!    kind plus drop-reason/trace-kind tallies, merged per campaign into a
 //!    `dsr-profile v1` summary.
@@ -98,11 +101,9 @@ impl ObsMode {
 pub struct ObsConfig {
     /// Sampling mode; `Off` disables the sampler and profiler entirely.
     pub mode: ObsMode,
-    /// Directory for per-run `dsr-timeseries v1` files; `None` keeps the
+    /// Directory for per-run `dsr-timeseries v2` files; `None` keeps the
     /// series in memory only (still merged into the campaign profile).
     pub timeseries_dir: Option<PathBuf>,
-    /// Emit live stderr heartbeat lines while the campaign runs.
-    pub heartbeat: bool,
     /// Directory for per-run `dsr-cachetrace v1` cache-decision traces;
     /// `None` disables decision tracing. Independent of `mode` — and
     /// deliberately *not* consulted by [`ObsConfig::is_on`], which gates
@@ -116,7 +117,8 @@ impl ObsConfig {
         ObsConfig::default()
     }
 
-    /// True when the runner must instrument the event loop.
+    /// True when the runner must instrument the event loop; a sampled
+    /// campaign also prints live heartbeat lines to stderr.
     pub fn is_on(&self) -> bool {
         self.mode.is_on()
     }

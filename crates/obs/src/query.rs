@@ -7,7 +7,7 @@
 //! * raw ns-2-flavored trace lines (one [`TraceLine`] per line),
 //! * `dsr-forensics v2` artifacts (the escaped `trace.N` tail is
 //!   extracted),
-//! * `dsr-timeseries v1` files,
+//! * `dsr-timeseries v2` files,
 //! * `dsr-profile v1` files,
 //! * `dsr-cachetrace v1` cache-decision traces.
 //!
@@ -162,7 +162,7 @@ pub fn follow_uid(lines: &[TraceLine], uid: u64) -> Option<FollowReport> {
 pub enum ObsFile {
     /// Raw trace lines, or the trace tail of a forensic artifact.
     Trace(Vec<TraceLine>),
-    /// A `dsr-timeseries v1` file.
+    /// A `dsr-timeseries v2` file.
     TimeSeries(TimeSeries),
     /// A `dsr-profile v1` file.
     Profile(Profile),

@@ -568,7 +568,6 @@ mod tests {
             obs: ObsConfig {
                 mode: obs::ObsMode::Sample { interval: SimDuration::from_secs(1.0) },
                 timeseries_dir: Some(dir.clone()),
-                heartbeat: false,
                 cachetrace_dir: None,
             },
             ..CampaignConfig::default()

@@ -206,7 +206,7 @@ impl Supervisor<'_> {
         self.progress = self
             .campaign
             .obs
-            .heartbeat
+            .is_on()
             .then(|| CampaignProgress::with_workers(todo.len() as u64, nworkers));
         // The claim cursor over `todo`. A claim publishes no data (`todo`
         // is immutable), and the read-modify-write alone hands each index

@@ -14,6 +14,7 @@
 use std::time::Instant;
 
 use mac::{Dcf, MacFrame};
+use metrics::Metrics;
 use mobility::LinkOracle;
 use obs::{HeartbeatTick, Profile, RunObservation, SampleRow, Sampler, Tally, TallyMap};
 use packet::{CacheDecision, DropReason, NetPacket, RoutingAgent};
@@ -101,40 +102,48 @@ impl ObsState {
     }
 
     /// Pushes a row for every boundary due at or before `at` — several can
-    /// elapse in one idle gap, and each gets the then-current gauges.
-    /// Agents report through `RoutingAgent::observe`, route validity is
-    /// judged by the mobility oracle at the boundary instant, and only
-    /// node-order-independent aggregate counts are kept. Out of line: the
-    /// per-event check in [`Observers::sample_due`] must stay a couple of
-    /// inlined instructions (as one call with these arguments it cost 6 %
-    /// of `static_saturated`).
+    /// elapse in one idle gap, and each gets the then-current gauges and
+    /// cumulative counts (`events`, and the originated and delivered
+    /// packets `metrics` has counted). Agents report through
+    /// `RoutingAgent::observe`, route validity is judged by the mobility
+    /// oracle at the boundary instant, and only node-order-independent
+    /// aggregate counts are kept. Out of line: the per-event check in
+    /// [`Observers::sample_due`] must stay a couple of inlined
+    /// instructions (as one call with these arguments it cost 6 % of
+    /// `static_saturated`).
     #[inline(never)]
     fn sample<A: RoutingAgent>(
         &mut self,
         at: SimTime,
         events: u64,
+        metrics: &Metrics,
         agents: &[A],
         macs: &[Dcf<A::Packet>],
         oracle: &LinkOracle,
     ) {
         while self.sampler.due(at) {
             let t = self.sampler.boundary();
-            let mut row = SampleRow { events, ..SampleRow::default() };
+            let mut row = SampleRow {
+                events,
+                originated: metrics.originated(),
+                delivered: metrics.delivered(),
+                ..SampleRow::default()
+            };
             for agent in agents {
                 if let Some(ob) = agent.observe(t) {
-                    row.cache_entries += ob.routes.len() as u64;
+                    row.cache_entries += ob.routes.len() as u32;
                     row.cache_valid +=
                         ob.routes.iter().filter(|r| oracle.route_valid(r.nodes(), t)).count()
-                            as u64;
-                    row.negative_entries += ob.negative_entries as u64;
-                    row.send_buffer += ob.send_buffer as u64;
-                    row.discoveries += ob.discoveries as u64;
+                            as u32;
+                    row.negative_entries += ob.negative_entries as u32;
+                    row.send_buffer += ob.send_buffer as u32;
+                    row.discoveries += ob.discoveries as u32;
                 }
             }
             for mac in macs {
                 let (control, data) = mac.queue_depths();
-                row.ifq_control += control as u64;
-                row.ifq_data += data as u64;
+                row.ifq_control += control as u32;
+                row.ifq_data += data as u32;
             }
             self.sampler.push(row);
         }
@@ -224,13 +233,14 @@ impl Observers {
         &mut self,
         at: SimTime,
         events: u64,
+        metrics: &Metrics,
         agents: &[A],
         macs: &[Dcf<A::Packet>],
         oracle: &LinkOracle,
     ) {
         if let Some(o) = self.obs.as_mut() {
             if o.sampler.due(at) {
-                o.sample(at, events, agents, macs, oracle);
+                o.sample(at, events, metrics, agents, macs, oracle);
             }
         }
     }

@@ -49,7 +49,7 @@ use dsr::DsrNode;
 use mac::{Dcf, MacCommand, MacTimer, Priority};
 use metrics::{Metrics, Report};
 use mobility::{LinkOracle, MobilityModel, Point, RandomWaypoint, StaticPositions};
-use obs::{Profile, Sampler};
+use obs::{Profile, RunObservation, Sampler};
 use packet::{AgentCommand, NetPacket, ProtocolEvent, RoutingAgent};
 use phy::{PendingArrival, ReceiverState, TxId, TxIdSource};
 use sim_core::{
@@ -391,11 +391,6 @@ impl<A: RoutingAgent> Simulator<A> {
         self.observers.trace = Some(sink);
     }
 
-    /// Enables the delivery-over-time series on the metrics collector.
-    pub fn enable_series(&mut self, bucket_s: f64) {
-        self.metrics.enable_series(bucket_s);
-    }
-
     /// Enables the time-series sampler and event-loop profiler. Gauges are
     /// sampled inline at every `interval` boundary of simulated time — no
     /// events are scheduled and no RNG is drawn, so the `Report` of an
@@ -438,6 +433,17 @@ impl<A: RoutingAgent> Simulator<A> {
     /// should prefer [`Simulator::try_run`], which surfaces the error.
     pub fn run(self) -> Report {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Simulator::run`] with the sampler and profiler on at `interval`
+    /// ([`Simulator::set_obs`]): the report and the run's observation.
+    pub fn run_sampled(mut self, interval: SimDuration) -> (Report, RunObservation) {
+        let slot: Arc<Mutex<Option<RunObservation>>> = Arc::default();
+        let sink = Arc::clone(&slot);
+        self.set_obs(interval, Box::new(move |o| *sink.lock().expect("obs slot") = Some(o)));
+        let report = self.run();
+        let observation = slot.lock().expect("obs slot").take().expect("a completed run");
+        (report, observation)
     }
 
     /// Runs the simulation to completion, enforcing the configured
@@ -487,7 +493,14 @@ impl<A: RoutingAgent> Simulator<A> {
         // Flush the sampler to the horizon and freeze the dispatch count
         // before the audit drains the queue (draining bumps `popped`).
         let dispatched = self.queue.popped();
-        self.observers.sample_due(self.end, dispatched, &self.agents, &self.macs, &self.oracle);
+        self.observers.sample_due(
+            self.end,
+            dispatched,
+            &self.metrics,
+            &self.agents,
+            &self.macs,
+            &self.oracle,
+        );
         if self.observers.audit.enabled() {
             if let Some(v) = self.close_audit(cutoff) {
                 return Err(RunError::ConservationViolation { seed, uid: v.uid, detail: v.detail });
@@ -563,7 +576,14 @@ impl<A: RoutingAgent> Simulator<A> {
                 return Err(RunError::WatchdogTimeout { seed, at });
             }
         }
-        self.observers.sample_due(at, popped, &self.agents, &self.macs, &self.oracle);
+        self.observers.sample_due(
+            at,
+            popped,
+            &self.metrics,
+            &self.agents,
+            &self.macs,
+            &self.oracle,
+        );
         let kind = ev_kind_index(&ev);
         let started = self.observers.begin_event(at, self.end, popped, kind);
         self.now = at;
@@ -779,7 +799,7 @@ impl<A: RoutingAgent> Simulator<A> {
                 // A crashed source's application is down with it: the
                 // packet is never originated (but the flow resumes later).
                 if !self.faults.is_down(f.src.index()) {
-                    self.metrics.record_origination(self.now);
+                    self.metrics.record_origination();
                     let cmds =
                         self.agents[f.src.index()].originate(f.dst, f.packet_bytes, k, self.now);
                     self.apply_agent(f.src.index() as u16, cmds);

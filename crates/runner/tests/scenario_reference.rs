@@ -10,6 +10,7 @@
 //! that means to alter simulated behaviour, and say so in that change.
 
 use dsr::DsrConfig;
+use metrics::Report;
 use mobility::Point;
 use runner::{FaultPlan, ScenarioConfig, Simulator, Zone};
 use sim_core::{NodeId, SimDuration, SimTime};
@@ -19,6 +20,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `report` as `{:?}` printed it when the digests were pinned: a last
+/// field, `series: None`, closed it then. The field is gone, and every
+/// value before it still digests as pinned.
+fn pinned_form(report: &Report) -> String {
+    let debug = format!("{report:?}");
+    let fields = debug.strip_suffix(" }").expect("a struct's Debug form");
+    format!("{fields}, series: None }}")
 }
 
 fn mobile(seed: u64, rate_pps: f64) -> ScenarioConfig {
@@ -99,7 +109,7 @@ fn reports_match_the_pinned_digests() {
     let mut mismatches = Vec::new();
     for (name, cfg, expected) in scenarios() {
         let report = Simulator::new(cfg).run();
-        let got = fnv1a(format!("{report:?}").as_bytes());
+        let got = fnv1a(pinned_form(&report).as_bytes());
         if got != expected {
             mismatches
                 .push(format!("{name}: digest {got:#018x}, pinned {expected:#018x}\n{report:#?}"));

@@ -1,6 +1,7 @@
 //! Delivery-over-time view: how base DSR and DSR-C track the offered load
-//! through a mobile run, 10 seconds at a time. Stale-cache episodes show
-//! up as delivery dips that DSR-C smooths out.
+//! through a mobile run, 10 seconds at a time, from the cumulative
+//! `originated` and `delivered` columns of the obs time series.
+//! Stale-cache episodes show up as delivery dips that DSR-C smooths out.
 //!
 //! ```sh
 //! cargo run --release --example delivery_timeline
@@ -19,11 +20,18 @@ fn main() {
         if let MobilitySpec::Waypoint(w) = &mut cfg.mobility {
             w.duration = SimDuration::from_secs(60.0);
         }
-        let mut sim = Simulator::new(cfg);
-        sim.enable_series(10.0);
-        let report = sim.run();
-        let series = report.series.clone().expect("series enabled");
-        columns.push((label, series.iter().map(|p| 100.0 * p.delivery_fraction()).collect()));
+        let (report, observation) = Simulator::new(cfg).run_sampled(SimDuration::from_secs(10.0));
+        let pct = |(_, originated, delivered): (f64, u64, u64)| {
+            if originated == 0 {
+                0.0
+            } else {
+                100.0 * delivered as f64 / originated as f64
+            }
+        };
+        columns.push((
+            label,
+            observation.timeseries.delivery_by_interval().into_iter().map(pct).collect(),
+        ));
         println!("{report}\n");
     }
 

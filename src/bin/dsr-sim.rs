@@ -10,10 +10,12 @@
 //!   --seed <n>            scenario seed (default 1)
 //!   --static-timeout <s>  DSR static route expiry instead of a variant
 //!   --trace               print the packet-level event trace
-//!   --series              print 10 s delivery time series
+//!   --series              print delivery per 10 s interval (from the obs time series)
 //! ```
 
 use dsr_caching::mobility::WaypointConfig;
+use dsr_caching::obs::TimeSeries;
+use dsr_caching::packet::RoutingAgent;
 use dsr_caching::prelude::*;
 
 struct Options {
@@ -25,7 +27,7 @@ struct Options {
     seed: u64,
     static_timeout_s: Option<f64>,
     trace: bool,
-    series: bool,
+    per_interval: bool,
 }
 
 fn parse_args() -> Options {
@@ -38,7 +40,7 @@ fn parse_args() -> Options {
         seed: 1,
         static_timeout_s: None,
         trace: false,
-        series: false,
+        per_interval: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -62,7 +64,7 @@ fn parse_args() -> Options {
                     Some(value("--static-timeout").parse().expect("timeout seconds"))
             }
             "--trace" => opts.trace = true,
-            "--series" => opts.series = true,
+            "--series" => opts.per_interval = true,
             "--help" | "-h" => {
                 println!("see the module docs at the top of src/bin/dsr-sim.rs for options");
                 std::process::exit(0);
@@ -101,21 +103,25 @@ fn scenario(opts: &Options, dsr: DsrConfig) -> ScenarioConfig {
     cfg
 }
 
+/// Runs `sim`, printing its packet trace and sampling its time series
+/// every 10 s when asked.
+fn run<A: RoutingAgent>(mut sim: Simulator<A>, opts: &Options) -> (Report, Option<TimeSeries>) {
+    if opts.trace {
+        sim.set_trace(Box::new(|ev| println!("{ev}")));
+    }
+    if !opts.per_interval {
+        return (sim.run(), None);
+    }
+    let (report, observation) = sim.run_sampled(SimDuration::from_secs(10.0));
+    (report, Some(observation.timeseries))
+}
+
 fn main() {
     let opts = parse_args();
     let started = std::time::Instant::now();
 
-    let report = match dsr_variant(&opts) {
-        Some(dsr) => {
-            let mut sim = Simulator::new(scenario(&opts, dsr));
-            if opts.trace {
-                sim.set_trace(Box::new(|ev| println!("{ev}")));
-            }
-            if opts.series {
-                sim.enable_series(10.0);
-            }
-            sim.run()
-        }
+    let (report, series) = match dsr_variant(&opts) {
+        Some(dsr) => run(Simulator::new(scenario(&opts, dsr)), &opts),
         None => {
             let aodv = match opts.protocol.as_str() {
                 "aodv" => AodvConfig::default(),
@@ -128,28 +134,24 @@ fn main() {
                 }
             };
             let label = aodv.label();
-            let mut sim = Simulator::with_agents(
+            let sim = Simulator::with_agents(
                 scenario(&opts, DsrConfig::base()),
                 label,
                 move |node, rng| AodvNode::new(node, aodv.clone(), rng),
             );
-            if opts.trace {
-                sim.set_trace(Box::new(|ev| println!("{ev}")));
-            }
-            sim.run()
+            run(sim, &opts)
         }
     };
 
     println!("{report}");
-    if let Some(series) = &report.series {
+    if let Some(series) = series {
         println!("\ndelivery over time (10 s buckets):");
-        for p in series {
+        for (start_s, originated, delivered) in series.delivery_by_interval() {
+            // Delivered may exceed originated when queued packets drain.
+            let pct =
+                if originated == 0 { 0.0 } else { 100.0 * delivered as f64 / originated as f64 };
             println!(
-                "  {:>5.0}s  originated {:>5}  delivered {:>5}  ({:.1}%)",
-                p.start_s,
-                p.originated,
-                p.delivered,
-                100.0 * p.delivery_fraction()
+                "  {start_s:>5.0}s  originated {originated:>5}  delivered {delivered:>5}  ({pct:.1}%)"
             );
         }
     }

@@ -404,16 +404,12 @@ fn renderings(rng: &mut SimRng, journal: &str) -> Vec<(&'static str, String)> {
         fingerprint: rng.random_range(0..u64::MAX),
         interval_ns: 5_000_000_000,
         rows: (0..rng.random_range(1..5u64))
-            .map(|i| SampleRow {
-                t_s: 5.0 * i as f64,
-                cache_entries: draw(rng),
-                cache_valid: draw(rng),
-                negative_entries: draw(rng),
-                send_buffer: draw(rng),
-                ifq_control: draw(rng),
-                ifq_data: draw(rng),
-                discoveries: draw(rng),
-                events: draw(rng),
+            .map(|i| {
+                let mut row = SampleRow { t_s: 5.0 * i as f64, ..SampleRow::default() };
+                for column in SampleRow::COUNTS {
+                    assert!((column.set)(&mut row, draw(rng)));
+                }
+                row
             })
             .collect(),
     };

@@ -1,28 +1,18 @@
-//! The observation surfaces (packet trace, delivery series, obs sampler)
+//! The observation surfaces (packet trace, obs sampler and its time series)
 //! must reflect what actually happened in a run — and must not change it.
 
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dsr_caching::obs::{self, ObsFile, RunObservation};
+use dsr_caching::obs::{self, ObsFile, RunObservation, TimeSeries};
 use dsr_caching::prelude::*;
 use dsr_caching::runner::TraceKind;
 
 /// Runs `cfg` with the obs sampler on at `interval_s` and returns the
 /// run's report plus its observation.
 fn run_observed(cfg: ScenarioConfig, interval_s: f64) -> (Report, RunObservation) {
-    let mut sim = Simulator::new(cfg);
-    let slot: Arc<Mutex<Option<RunObservation>>> = Arc::new(Mutex::new(None));
-    let sink_slot = Arc::clone(&slot);
-    sim.set_obs(
-        SimDuration::from_secs(interval_s),
-        Box::new(move |run_obs| {
-            *sink_slot.lock().expect("obs slot") = Some(run_obs);
-        }),
-    );
-    let report = sim.run();
-    let observation = slot.lock().expect("obs slot").take().expect("sampler ran");
-    (report, observation)
+    Simulator::new(cfg).run_sampled(SimDuration::from_secs(interval_s))
 }
 
 #[test]
@@ -54,14 +44,54 @@ fn trace_sees_every_delivery_the_metrics_count() {
 #[test]
 fn series_totals_match_the_report() {
     let cfg = ScenarioConfig::static_line(3, 200.0, 4.0, DsrConfig::base(), 2);
-    let mut sim = Simulator::new(cfg);
-    sim.enable_series(5.0);
-    let report = sim.run();
-    let series = report.series.as_ref().expect("series enabled");
-    let originated: u64 = series.iter().map(|p| p.originated).sum();
-    let delivered: u64 = series.iter().map(|p| p.delivered).sum();
-    assert_eq!(originated, report.originated);
-    assert_eq!(delivered, report.delivered);
+    let (report, observation) = run_observed(cfg, 5.0);
+    let rows = &observation.timeseries.rows;
+    let last = rows.last().expect("rows");
+    assert!(report.delivered > 0, "a run with deliveries to count");
+    assert_eq!((last.originated, last.delivered), (report.originated, report.delivered));
+    for pair in rows.windows(2) {
+        assert!(pair[0].originated <= pair[1].originated, "cumulative: {pair:?}");
+        assert!(pair[0].delivered <= pair[1].delivered, "cumulative: {pair:?}");
+    }
+    let intervals = observation.timeseries.delivery_by_interval();
+    assert_eq!(intervals.iter().map(|i| i.1).sum::<u64>(), report.originated);
+    assert_eq!(intervals.iter().map(|i| i.2).sum::<u64>(), report.delivered);
+}
+
+/// Every `results/timeseries/*.timeseries` file (the committed ones are
+/// `dsr-exp table3_cache --quick --obs sample`'s) loads under the current
+/// schema and canonical name, re-renders to its own bytes, never lets a
+/// cumulative column fall, and holds no more valid routes than routes.
+#[test]
+fn committed_time_series_load() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results").join("timeseries");
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("results/timeseries")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "timeseries"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 10, "the ten committed series: {paths:?}");
+    for path in &paths {
+        let name = path.display();
+        let text = std::fs::read_to_string(path).expect("readable");
+        let series = TimeSeries::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(series.render(), text, "{name} re-renders to its bytes");
+        assert_eq!(path.file_name().and_then(|f| f.to_str()), Some(series.file_name().as_str()));
+        let last = series.rows.last().unwrap_or_else(|| panic!("{name}: no rows"));
+        assert!(last.events > 0 && last.originated > 0, "{name}: a run with traffic");
+        assert!(last.delivered <= last.originated, "{name}: {last:?}");
+        for row in &series.rows {
+            assert!(row.cache_valid <= row.cache_entries, "{name}: {row:?}");
+        }
+        for pair in series.rows.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert!(
+                a.events <= b.events && a.originated <= b.originated && a.delivered <= b.delivered,
+                "{name}: a cumulative column fell: {pair:?}"
+            );
+        }
+    }
 }
 
 #[test]
