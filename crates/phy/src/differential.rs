@@ -11,7 +11,10 @@
 //!
 //! The harness mirrors the runner's seq discipline: every boundary gets a
 //! key `(time, seq)` with seqs assigned in global event order, so
-//! same-instant boundaries fold in the same order on both sides. The two
+//! same-instant boundaries fold in the same order on both sides. Like the
+//! runner, it plans each arrival at its transmitter's instant, a lead
+//! ahead of its start, and commits the envelope to that plan frontier
+//! before queueing the entry. The two
 //! seeded properties at the bottom drive it with random arrival storms; the
 //! unit tests above them pin a few known-treacherous shapes so the harness
 //! itself stays verified.
@@ -45,6 +48,9 @@ struct DiffArrival {
     /// The receiver is down/blacked-out at the end boundary: both sides
     /// settle the decode but discard the delivered frame.
     suppress_end: bool,
+    /// How long before its start the arrival is planned (the
+    /// transmitter's instant; the propagation delay in the runner).
+    lead_ns: u64,
 }
 
 impl DiffArrival {
@@ -57,19 +63,40 @@ impl DiffArrival {
             corrupted: false,
             suppress_start: false,
             suppress_end: false,
+            lead_ns: 0,
         }
+    }
+
+    /// The instant the arrival is planned.
+    fn plan_ns(&self) -> u64 {
+        self.start_ns.saturating_sub(self.lead_ns)
     }
 }
 
 /// What happens at one instant of the replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Op {
+    /// Arrival `i` is planned (fused: commit to the frontier, then queue
+    /// the entry; eager: nothing).
+    Plan(usize),
     /// Arrival `i` begins (eager: `arrival_start`; fused: start boundary).
     Start(usize),
     /// Arrival `i` ends (eager: `arrival_end`; fused: decode event).
     End(usize),
     /// The node's own transmitter switches on (half-duplex corruption).
     BeginTx,
+}
+
+impl Op {
+    /// The order of same-instant ops of different kinds.
+    fn rank(self) -> u8 {
+        match self {
+            Op::Plan(_) => 0,
+            Op::Start(_) => 1,
+            Op::End(_) => 2,
+            Op::BeginTx => 3,
+        }
+    }
 }
 
 /// Replays `arrivals` (plus an optional own transmission) through both
@@ -91,17 +118,26 @@ fn assert_fused_matches_eager(
 
     // Global event order: time-sorted, ties broken by a fixed op rank.
     // Both sides replay this exact order, and fused seqs are assigned
-    // from it, so the tie-break is identical by construction.
+    // from it, so the tie-break is identical by construction. Same-instant
+    // starts go in plan order, as the runner's seqs (reserved when an
+    // arrival is planned) put them.
     let mut ops: Vec<(SimTime, Op)> = Vec::new();
     for (i, a) in arrivals.iter().enumerate() {
         assert!(a.dur_ns > 0, "arrival {i} has zero airtime");
+        ops.push((t(a.plan_ns()), Op::Plan(i)));
         ops.push((t(a.start_ns), Op::Start(i)));
         ops.push((t(a.start_ns + a.dur_ns), Op::End(i)));
     }
     if let Some((start_ns, _)) = own_tx {
         ops.push((t(start_ns), Op::BeginTx));
     }
-    ops.sort();
+    ops.sort_by_key(|&(at, op)| {
+        let planned = match op {
+            Op::Start(i) => arrivals[i].plan_ns(),
+            _ => 0,
+        };
+        (at, op.rank(), planned, op)
+    });
 
     // Seq = position in the sorted replay. `start_seq[i]` is the key the
     // runner would have reserved at plan time; `end_seq[i]` the one the
@@ -113,34 +149,31 @@ fn assert_fused_matches_eager(
     let mut eager: ReceiverState = ReceiverState::new(*cfg);
     let mut fused: ReceiverState = ReceiverState::new(*cfg);
 
-    // Plan every arrival into the fused envelope up front, keyed by its
-    // start boundary's replay position (ascending insert keeps the
-    // pending queue's (start, seq) order coherent with the replay).
-    let mut plan: Vec<(u64, usize)> =
-        (0..arrivals.len()).map(|i| (seq_of(Op::Start(i), &ops), i)).collect();
-    plan.sort_unstable();
-    for &(start_seq, i) in &plan {
-        let a = &arrivals[i];
-        let decodable = a.power_w >= rx_threshold;
-        fused.add_pending(PendingArrival {
-            tx_id: i as TxId,
-            power_w: a.power_w,
-            start: t(a.start_ns),
-            start_seq,
-            end: t(a.start_ns + a.dur_ns),
-            nav: SimDuration::ZERO,
-            needs_decode: decodable,
-            start_evented: decodable,
-            corrupted: a.corrupted,
-            payload: decodable.then_some(()),
-        });
-    }
-
     let mut delivered_eager = vec![false; arrivals.len()];
     let mut delivered_fused = vec![false; arrivals.len()];
     for (pos, &(at, op)) in ops.iter().enumerate() {
         let seq = pos as u64;
         match op {
+            Op::Plan(i) => {
+                // The runner's `StartTx` walk: settle the receiver at the
+                // frontier, then queue the arrival under the key of its
+                // start boundary.
+                let a = &arrivals[i];
+                let decodable = a.power_w >= rx_threshold;
+                fused.commit(at, seq);
+                fused.add_pending(PendingArrival {
+                    tx_id: i as TxId,
+                    power_w: a.power_w,
+                    start: t(a.start_ns),
+                    start_seq: seq_of(Op::Start(i), &ops),
+                    end: t(a.start_ns + a.dur_ns),
+                    nav: SimDuration::ZERO,
+                    needs_decode: decodable,
+                    start_evented: decodable,
+                    corrupted: a.corrupted,
+                    payload: decodable.then_some(()),
+                });
+            }
             Op::Start(i) => {
                 let a = &arrivals[i];
                 if a.suppress_start {
@@ -276,6 +309,25 @@ mod tests {
         assert!(delivered.iter().all(|d| !d));
     }
 
+    #[test]
+    fn arrivals_planned_ahead_fold_at_their_own_starts() {
+        // Each sub-RX interferer is planned while the earlier ones are
+        // still ahead or on the air: the plan-time commit may fold only
+        // what has already started, and the lock in the middle must see
+        // every interferer in key order.
+        let arrivals: Vec<DiffArrival> = (0..12)
+            .map(|i| DiffArrival {
+                lead_ns: 2500,
+                ..a(i * 700, 1500, if i == 5 { STRONG } else { SUB_RX })
+            })
+            .collect();
+        let delivered = assert_fused_matches_eager(&cfg(), &arrivals, Some((4000, 500)));
+        assert_eq!(delivered.iter().filter(|&&d| d).count(), 0, "own tx corrupts the lock");
+        let quiet: Vec<DiffArrival> =
+            arrivals.iter().map(|&x| DiffArrival { lead_ns: 900, ..x }).collect();
+        assert!(assert_fused_matches_eager(&cfg(), &quiet, None)[5]);
+    }
+
     // ------------------------------------------------------------------
     // Fault mixes
     // ------------------------------------------------------------------
@@ -361,8 +413,11 @@ mod tests {
     /// durations, so frames genuinely overlap, in four power classes — sub-RX
     /// (envelope-folded), barely decodable, decodable, and strong enough to
     /// win capture — plus, half the time, a half-duplex own transmission.
+    /// Each arrival is planned up to a millisecond ahead of its start, so
+    /// plans interleave with other arrivals' boundaries (the leads are drawn
+    /// last, which keeps every case's arrivals as they were drawn before).
     fn storm(rng: &mut SimRng, faults: bool) -> (Vec<DiffArrival>, Option<(u64, u64)>) {
-        let arrivals = (0..rng.random_range(1..24usize))
+        let mut arrivals: Vec<DiffArrival> = (0..rng.random_range(1..24usize))
             .map(|_| {
                 let start_ns = rng.random_range(0..2_000_000u64);
                 let dur_ns = rng.random_range(1..1_500_000u64);
@@ -378,6 +433,9 @@ mod tests {
         let own_tx = rng
             .random_bool(0.5)
             .then(|| (rng.random_range(0..2_000_000u64), rng.random_range(1..500_000u64)));
+        for a in &mut arrivals {
+            a.lead_ns = rng.random_range(0..1_000_000u64);
+        }
         (arrivals, own_tx)
     }
 
