@@ -656,8 +656,7 @@ impl DsrNode {
             if self.suppress_duplicate_reply(&req, req.path.nodes(), cmds) {
                 return;
             }
-            let discovered =
-                Route::new(req.path.nodes().to_vec()).expect("checked loop-free above");
+            let discovered = Route::from_slice(req.path.nodes()).expect("checked loop-free above");
             self.send_reply(discovered, false, now, cmds);
             return;
         }

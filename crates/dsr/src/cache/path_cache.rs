@@ -94,7 +94,7 @@ fn stale_cut(used: &[SimTime], now: SimTime, timeout: SimDuration) -> usize {
 /// A stored path as an owned [`Route`]: what a lookup hit returns and a
 /// snapshot lists. A logged event copies the path by value instead.
 fn route_of(nodes: &[NodeId]) -> Route {
-    Route::new(nodes.to_vec()).expect("cached paths are loop-free")
+    Route::from_slice(nodes).expect("cached paths are loop-free")
 }
 
 /// One cached path's header. The path is `nodes[at..at + len]` of the

@@ -7,6 +7,7 @@
 //! construction ([`Route::new`]) so the rest of the protocol can rely on it.
 
 use std::fmt;
+use std::sync::Arc;
 
 use sim_core::NodeId;
 
@@ -62,6 +63,11 @@ impl std::error::Error for InvalidRoute {}
 /// An ordered, loop-free sequence of nodes from a source to a destination
 /// (both inclusive).
 ///
+/// A route never changes once built, so its nodes are shared: a clone (the
+/// MAC's transmit copy of a packet, the addressee's copy of a frame) only
+/// bumps a reference count. `Arc` rather than `Rc`, because a packet is
+/// `Send` ([`NetPacket`](crate::NetPacket)).
+///
 /// # Example
 ///
 /// ```
@@ -76,7 +82,7 @@ impl std::error::Error for InvalidRoute {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Route {
-    nodes: Vec<NodeId>,
+    nodes: Arc<[NodeId]>,
 }
 
 impl Route {
@@ -87,6 +93,19 @@ impl Route {
     /// Returns [`InvalidRoute::Empty`] for an empty sequence and
     /// [`InvalidRoute::Loop`] if any node repeats.
     pub fn new(nodes: Vec<NodeId>) -> Result<Self, InvalidRoute> {
+        Route::checked(nodes.into())
+    }
+
+    /// [`Route::new`] over a borrowed node sequence, copied once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Route::new`].
+    pub fn from_slice(nodes: &[NodeId]) -> Result<Self, InvalidRoute> {
+        Route::checked(nodes.into())
+    }
+
+    fn checked(nodes: Arc<[NodeId]>) -> Result<Self, InvalidRoute> {
         if nodes.is_empty() {
             return Err(InvalidRoute::Empty);
         }
@@ -99,7 +118,7 @@ impl Route {
     /// A single-node route (source == destination); useful as a neighbor
     /// route seed.
     pub fn single(node: NodeId) -> Self {
-        Route { nodes: vec![node] }
+        Route { nodes: Arc::new([node]) }
     }
 
     /// The source (first node).
@@ -172,16 +191,14 @@ impl Route {
     /// The route reversed (destination becomes source). Loop freedom is
     /// preserved by construction.
     pub fn reversed(&self) -> Route {
-        let mut nodes = self.nodes.clone();
-        nodes.reverse();
-        Route { nodes }
+        Route { nodes: self.nodes.iter().rev().copied().collect() }
     }
 
     /// The prefix of this route up to and including `node`, or `None` if
     /// `node` is not on the route.
     pub fn prefix_through(&self, node: NodeId) -> Option<Route> {
         let i = self.position(node)?;
-        Some(Route { nodes: self.nodes[..=i].to_vec() })
+        Some(Route { nodes: self.nodes[..=i].into() })
     }
 
     /// The way back from `node` to the source: [`Route::prefix_through`]
@@ -195,7 +212,7 @@ impl Route {
     /// or `None` if `node` is not on the route.
     pub fn suffix_from(&self, node: NodeId) -> Option<Route> {
         let i = self.position(node)?;
-        Some(Route { nodes: self.nodes[i..].to_vec() })
+        Some(Route { nodes: self.nodes[i..].into() })
     }
 
     /// Truncates the route just *before* the broken link, i.e. keeps nodes
@@ -207,20 +224,7 @@ impl Route {
     /// truncated at the point of failure."*
     pub fn truncate_before_link(&self, link: Link) -> Option<Route> {
         let i = self.nodes.windows(2).position(|w| w[0] == link.from && w[1] == link.to)?;
-        Some(Route { nodes: self.nodes[..=i].to_vec() })
-    }
-
-    /// Shortens the route in place to its first `len` nodes (a no-op when it
-    /// is already that short) — the allocation-free form of
-    /// [`Route::truncate_before_link`] for callers that own the route. A
-    /// prefix of a loop-free route is loop-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is zero: routes are never empty.
-    pub fn truncate(&mut self, len: usize) {
-        assert!(len > 0, "routes are never empty");
-        self.nodes.truncate(len);
+        Some(Route { nodes: self.nodes[..=i].into() })
     }
 
     /// Concatenates the node sequence `prefix` (ending at some node) with
@@ -244,17 +248,14 @@ impl Route {
             Some(&rest.source()),
             "joined routes must share the junction node"
         );
-        let mut nodes = Vec::with_capacity(prefix.len() + rest.hops());
-        nodes.extend_from_slice(prefix);
-        nodes.extend_from_slice(&rest.nodes[1..]);
-        Route::new(nodes)
+        Route::checked(prefix.iter().chain(&rest.nodes[1..]).copied().collect())
     }
 }
 
 impl fmt::Display for Route {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             if !first {
                 write!(f, "-")?;
             }
@@ -465,21 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn in_place_truncate_keeps_a_prefix() {
-        let mut route = r(&[0, 1, 2, 3]);
-        route.truncate(9);
-        assert_eq!(route, r(&[0, 1, 2, 3]), "longer than the route: no-op");
-        route.truncate(2);
-        assert_eq!(route, r(&[0, 1]));
-    }
-
-    #[test]
-    #[should_panic(expected = "never empty")]
-    fn in_place_truncate_refuses_to_empty_the_route() {
-        r(&[0, 1]).truncate(0);
-    }
-
-    #[test]
     fn join_at_junction() {
         let a = r(&[0, 1, 2]);
         let b = r(&[2, 3, 4]);
@@ -515,6 +501,24 @@ mod tests {
     #[test]
     fn an_inline_route_is_no_wider_than_forty_bytes() {
         assert!(std::mem::size_of::<InlineRoute>() <= 40, "{}", std::mem::size_of::<InlineRoute>());
+    }
+
+    /// A route is a pointer and a length: every data packet, reply and
+    /// cache answer carries one.
+    #[test]
+    fn a_route_is_a_shared_slice() {
+        assert_eq!(std::mem::size_of::<Route>(), 16);
+        let route = r(&[0, 1, 2]);
+        let copy = route.clone();
+        assert!(std::ptr::eq(route.nodes(), copy.nodes()), "a clone shares the nodes");
+    }
+
+    #[test]
+    fn from_slice_validates_like_new() {
+        let ids = |ids: &[u16]| ids.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
+        assert_eq!(Route::from_slice(&ids(&[4, 2, 7])), Route::new(ids(&[4, 2, 7])));
+        assert_eq!(Route::from_slice(&[]), Err(InvalidRoute::Empty));
+        assert_eq!(Route::from_slice(&ids(&[4, 2, 4])), Err(InvalidRoute::Loop(NodeId::new(4))));
     }
 
     /// Every frame in flight carries a `Packet`, and a request carries its
