@@ -46,11 +46,28 @@ impl Distribution {
     /// The `q`-quantile (0..=1) by the nearest-rank method, or `None` when
     /// empty.
     ///
+    /// The copy is sorted in place, without a stable sort's scratch
+    /// buffer. Samples are finite, so the total order ranks them as the
+    /// numeric one does, but for `-0.0`, which it puts below `0.0`; delays
+    /// are never `-0.0`.
+    ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
+        if self.samples.is_empty() {
+            return None;
+        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        Some(sorted[rank - 1])
+    }
+
+    /// [`Distribution::quantile`] as it was, over a stable sort.
+    #[cfg(test)]
+    fn quantile_by_stable_sort(&self, q: f64) -> Option<f64> {
         if self.samples.is_empty() {
             return None;
         }
@@ -80,7 +97,32 @@ impl Distribution {
 
 #[cfg(test)]
 mod tests {
+    use sim_core::testkit::cases;
+
     use super::*;
+
+    /// Delay-like samples (non-negative, ties and exact zeros common) give
+    /// every quantile the stable sort gave, to the bit.
+    #[test]
+    fn quantiles_match_the_stable_sort() {
+        cases("quantiles_match_the_stable_sort", 0..128, |_, rng| {
+            let mut d = Distribution::new();
+            for _ in 0..rng.random_range(1..400usize) {
+                let ns = match rng.random_range(0..4u32) {
+                    0 => 0,
+                    1 => rng.random_range(0..8u64) * 1_000_000,
+                    _ => rng.random_range(0..3_000_000_000u64),
+                };
+                d.record(ns as f64 * 1e-9);
+            }
+            for q in
+                [0.0, 0.01, 0.25, 0.5, 0.95, 0.99, 1.0, rng.random_range(0..=1000u32) as f64 / 1e3]
+            {
+                let (got, want) = (d.quantile(q), d.quantile_by_stable_sort(q));
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "q = {q}");
+            }
+        });
+    }
 
     #[test]
     fn distribution_mean_and_quantiles() {
