@@ -103,7 +103,7 @@ sample_row! {
     ifq_data: u32,
     /// Route discoveries currently in flight across all nodes.
     discoveries: u32,
-    /// Events dispatched by the simulator so far.
+    /// Events the simulator dispatched before the boundary (0 at `t_s = 0`).
     events: u64,
     /// CBR packets originated so far (the counter behind
     /// `Report::originated`).

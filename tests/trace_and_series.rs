@@ -58,6 +58,20 @@ fn series_totals_match_the_report() {
     assert_eq!(intervals.iter().map(|i| i.2).sum::<u64>(), report.delivered);
 }
 
+/// A row counts the events dispatched before its boundary: none at
+/// `t_s = 0`, and fewer than the run dispatched in all at every boundary
+/// inside it.
+#[test]
+fn a_row_counts_only_the_events_before_its_boundary() {
+    let cfg = ScenarioConfig::static_line(3, 200.0, 4.0, DsrConfig::base(), 2);
+    let (_, observation) = run_observed(cfg, 5.0);
+    let rows = &observation.timeseries.rows;
+    assert_eq!((rows[0].t_s, rows[0].events), (0.0, 0), "no event runs before t = 0");
+    let dispatched = observation.profile.dispatched;
+    let inside = &rows[..rows.len() - 1];
+    assert!(inside.iter().all(|r| r.events < dispatched), "{inside:?} vs {dispatched}");
+}
+
 /// Every `results/timeseries/*.timeseries` file (the committed ones are
 /// `dsr-exp table3_cache --quick --obs sample`'s) loads under the current
 /// schema and canonical name, re-renders to its own bytes, never lets a
