@@ -26,7 +26,8 @@
 //!   start-ordered `pending` queue ([`ReceiverState::add_pending`]) and
 //!   are folded through the verdict machine by [`ReceiverState::commit`]
 //!   the first time the state is consulted at or past their start
-//!   boundary;
+//!   boundary (the driver also commits a receiver before queueing each
+//!   new arrival, so the queue holds only starts still ahead);
 //! - virtual-carrier reservations (MAC NAV) of frames that decode intact
 //!   *without* a driver-side decode event accumulate into `nav_until`,
 //!   which the driver merges into the MAC before every MAC input.
