@@ -385,7 +385,8 @@ impl PathCache {
 
     /// Appends an entry for the loop-free `path` (signature `sig`) at
     /// `now`. Each of the three vectors grows by exactly what it lacks, not
-    /// by doubling: see `release_dropped`.
+    /// by doubling, and room a purge left behind is reused first: see
+    /// `release_dropped`.
     fn push(&mut self, path: &[NodeId], sig: Sig, now: SimTime) {
         let at = u32::try_from(self.nodes.len()).expect("an arena index fits a u32");
         let len = u16::try_from(path.len()).expect("a path fits a slot");
@@ -624,15 +625,22 @@ impl PathCache {
     }
 
     /// After a sweep that left fewer than `before` entries, gives the freed
-    /// headers and slots back: a cache that fills up and thins out again
+    /// headers and slots back once the live part is at most half of what
+    /// is held: `entries` on its own, `nodes` and `used` (which grow
+    /// together) together. A cache that fills up and thins out for good
     /// (every expiry policy does this to it) would otherwise sit on its
     /// high-water mark for the rest of the run, and 100 nodes' worth of
-    /// that shows in the peak heap.
+    /// that shows in the peak heap; a cache whose size moves up and down
+    /// around a level keeps its room and refills it without reallocating.
     fn release_dropped(&mut self, before: usize) {
         if self.entries.len() < before {
-            self.entries.shrink_to_fit();
-            self.nodes.shrink_to_fit();
-            self.used.shrink_to_fit();
+            if self.entries.len() * 2 <= self.entries.capacity() {
+                self.entries.shrink_to_fit();
+            }
+            if self.nodes.len() * 2 <= self.nodes.capacity() {
+                self.nodes.shrink_to_fit();
+                self.used.shrink_to_fit();
+            }
         }
     }
 
@@ -1017,6 +1025,39 @@ mod tests {
         // x 8 bytes = 50 KiB, +1 % of the ~5 MiB `peak_heap_mib` — the whole
         // of that metric's bound — for every 8 bytes a slot grows by.
         assert!(std::mem::size_of::<Slot>() <= 32);
+    }
+
+    /// A purge gives room back only once the live part is at most half of
+    /// it, so a cache that thins out and refills keeps its arenas; the
+    /// headers and the node arena are judged apart.
+    #[test]
+    fn arenas_shrink_only_at_half_capacity() {
+        let caps = |c: &PathCache| {
+            assert_eq!(c.nodes.capacity(), c.used.capacity(), "the arenas grow together");
+            (c.entries.capacity(), c.nodes.capacity())
+        };
+        let mut c = PathCache::new(n(0), 8);
+        for hop in [1, 3, 5, 7] {
+            c.insert(route(&[0, hop, hop + 1]), t(0.0));
+        }
+        assert_eq!(caps(&c), (4, 12), "growth is exact");
+        c.remove_link(Link::new(n(0), n(1)), t(1.0));
+        assert_eq!((c.len(), caps(&c)), (3, (4, 12)), "3 of 4 live: the room is kept");
+        c.insert(route(&[0, 9, 10]), t(2.0));
+        assert_eq!((c.len(), caps(&c)), (4, (4, 12)), "and refilled");
+        c.remove_link(Link::new(n(0), n(3)), t(3.0));
+        c.remove_link(Link::new(n(0), n(5)), t(3.0));
+        assert_eq!((c.len(), caps(&c)), (2, (2, 6)), "2 of 4 live: given back");
+
+        // One long path among short ones: dropping it halves the node
+        // arena but not the headers.
+        let mut c = PathCache::new(n(0), 8);
+        for path in [&[0, 1, 2, 3, 4, 5, 6][..], &[0, 7], &[0, 8], &[0, 9]] {
+            c.insert(route(path), t(0.0));
+        }
+        assert_eq!(caps(&c), (4, 13));
+        c.remove_link(Link::new(n(0), n(1)), t(1.0));
+        assert_eq!((c.len(), caps(&c)), (3, (4, 6)));
     }
 
     #[test]

@@ -400,3 +400,21 @@ fn stamper_matches_the_reference_under_every_cap() {
     // And routes a decision cannot hold inline.
     assert!(long > 1_000, "only {long} routes of more than {} nodes", InlineRoute::CAP);
 }
+
+/// The row buffer grows by doubling but never past its cap, whichever cap:
+/// a full buffer holds no room for rows it will never keep.
+#[test]
+fn row_room_never_exceeds_the_cap() {
+    for (seed, cap) in [(0, 0), (1, 1), (2, 5), (3, 50), (4, 257)] {
+        let mut gen = Generator::new(seed);
+        let buf: Arc<Mutex<CacheTraceBuf>> = Default::default();
+        let mut stamper = CacheStamper::with_cap(Arc::clone(&buf), gen.nodes, cap);
+        for step in 0..2 * cap + 10 {
+            let (now, node, decision) = gen.next();
+            stamper.stamp(&gen.oracle, now, node, decision.inline());
+            let rows = &buf.lock().unwrap().rows;
+            assert!(rows.capacity() <= cap, "cap {cap} step {step}: room for {}", rows.capacity());
+        }
+        assert_eq!(buf.lock().unwrap().rows.len(), cap, "cap {cap} filled");
+    }
+}
