@@ -491,8 +491,10 @@ impl<A: RoutingAgent> Simulator<A> {
             }
         }
         // Flush the sampler to the horizon and freeze the dispatch count
-        // before the audit drains the queue (draining bumps `popped`).
-        let dispatched = self.queue.popped();
+        // before the audit drains the queue (draining bumps `popped`). The
+        // queue counted the cutoff when it popped it, but it never ran.
+        let popped = self.queue.popped();
+        let dispatched = popped - u64::from(cutoff.is_some());
         self.observers.sample_due(
             self.end,
             dispatched,
@@ -508,7 +510,7 @@ impl<A: RoutingAgent> Simulator<A> {
         }
         let scheduled = self.events_scheduled();
         #[cfg(test)]
-        dispatch_order::note_totals(dispatched, scheduled, self.queue.postponed());
+        dispatch_order::note_totals(popped, scheduled, self.queue.postponed());
         let sim_seconds = self.cfg.duration.as_secs();
         let report = self.metrics.report(self.label.clone(), sim_seconds);
         // Arrival boundaries the envelopes settled without a queue event

@@ -104,8 +104,9 @@ pub(super) fn note(at: SimTime, seq: u64, kind: usize, node: u16) {
     });
 }
 
-/// The run loop is done: what the profile will call dispatched, scheduled
-/// and postponed.
+/// The run loop is done: the queue's pops (the dispatches plus the cutoff
+/// event, if one overran the horizon, as the tapes were pinned), and what
+/// the profile will call scheduled and postponed.
 pub(super) fn note_totals(popped: u64, scheduled: u64, postponed: u64) {
     with_tape(|tape| {
         for word in [popped, scheduled, postponed] {
@@ -469,6 +470,20 @@ fn the_profiler_counts_every_dispatch_times_one_in_a_stride_and_moves_none() {
     assert_eq!(series, 0x9fc7_7d49_d8ab_c325, "time series of {rows} rows");
     let series = fold(FNV_OFFSET, rendered.as_bytes());
     assert_eq!(series, 0xfb97_e76c_ef0d_3df5, "time series of {rows} rows, as written");
+}
+
+/// The profile counts what ran: the queue also pops the event that
+/// overruns the horizon, but `dispatched` is the tape's dispatches and the
+/// sum of the kinds' counts, and that event joins the scheduled events
+/// that never ran.
+#[test]
+fn the_profile_counts_only_the_dispatches_that_ran() {
+    let cfg = ScenarioConfig::tiny(0.0, 4.0, DsrConfig::combined(), 9);
+    let ((_, seen), tape) = taped(false, || Simulator::new(cfg).run_sampled(dur(1.0)));
+    let p = &seen.profile;
+    let by_kind: u64 = p.kinds.iter().map(|t| t.count).sum();
+    assert_eq!((p.dispatched, by_kind), (tape.dispatches, tape.dispatches));
+    assert_eq!(p.events + p.cancelled, p.scheduled);
 }
 
 #[test]
