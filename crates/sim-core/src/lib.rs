@@ -30,6 +30,7 @@
 //! ```
 
 pub mod event;
+pub mod growth;
 pub mod hash;
 pub mod node;
 pub mod rng;
