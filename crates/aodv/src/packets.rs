@@ -6,6 +6,7 @@
 //! conclusion points at.
 
 use std::fmt;
+use std::sync::Arc;
 
 use packet::NetPacket;
 use sim_core::{NodeId, SimTime};
@@ -64,8 +65,10 @@ pub struct Rrep {
 pub struct Rerr {
     /// Unique id of this transmission.
     pub uid: u64,
-    /// `(destination, its last known sequence number + 1)` pairs.
-    pub unreachable: Vec<(NodeId, u32)>,
+    /// `(destination, its last known sequence number + 1)` pairs. Shared:
+    /// every addressee of the broadcast takes a copy of the packet, and a
+    /// copy only bumps the count.
+    pub unreachable: Arc<[(NodeId, u32)]>,
 }
 
 /// Application data, forwarded from routing tables.
@@ -177,7 +180,7 @@ mod tests {
         assert_eq!(rreq.wire_size(), 20 + 24);
         let rerr = AodvPacket::Rerr(Rerr {
             uid: 2,
-            unreachable: vec![(NodeId::new(1), 5), (NodeId::new(2), 9)],
+            unreachable: Arc::from([(NodeId::new(1), 5), (NodeId::new(2), 9)]),
         });
         assert_eq!(rerr.wire_size(), 20 + 4 + 16);
         let data = AodvPacket::Data(AodvData {
@@ -205,7 +208,7 @@ mod tests {
         });
         assert!(!data.is_routing_overhead());
         assert_eq!(data.kind_str(), "DATA");
-        let rerr = AodvPacket::Rerr(Rerr { uid: 1, unreachable: vec![] });
+        let rerr = AodvPacket::Rerr(Rerr { uid: 1, unreachable: Arc::from([]) });
         assert!(rerr.is_routing_overhead());
     }
 }

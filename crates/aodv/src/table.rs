@@ -131,10 +131,11 @@ impl RoutingTable {
     }
 
     /// Invalidates every valid route whose next hop is `neighbor` (the
-    /// link to it broke) and returns the affected `(destination, bumped
-    /// sequence number)` pairs for the route error.
-    pub fn invalidate_via(&mut self, neighbor: NodeId) -> Vec<(NodeId, u32)> {
-        let mut unreachable = Vec::new();
+    /// link to it broke) and appends the affected `(destination, bumped
+    /// sequence number)` pairs for the route error to `unreachable`, in
+    /// destination order.
+    pub fn invalidate_via_into(&mut self, neighbor: NodeId, unreachable: &mut Vec<(NodeId, u32)>) {
+        let from = unreachable.len();
         for (&dst, e) in self.entries.iter_mut() {
             if e.valid && e.next_hop == neighbor {
                 e.valid = false;
@@ -142,8 +143,7 @@ impl RoutingTable {
                 unreachable.push((dst, e.dst_seq));
             }
         }
-        unreachable.sort_unstable_by_key(|&(d, _)| d);
-        unreachable
+        unreachable[from..].sort_unstable_by_key(|&(d, _)| d);
     }
 
     /// Invalidates the route to `dst` if the error's sequence number is at
@@ -229,8 +229,11 @@ mod tests {
         tb.update(n(5), n(1), 3, 7, d(10.0), t(0.0));
         tb.update(n(6), n(1), 2, 4, d(10.0), t(0.0));
         tb.update(n(7), n(2), 2, 9, d(10.0), t(0.0));
-        let unreachable = tb.invalidate_via(n(1));
-        assert_eq!(unreachable, vec![(n(5), 8), (n(6), 5)]);
+        // Appended after what the buffer already holds, in destination
+        // order.
+        let mut unreachable = vec![(n(9), 1)];
+        tb.invalidate_via_into(n(1), &mut unreachable);
+        assert_eq!(unreachable, vec![(n(9), 1), (n(5), 8), (n(6), 5)]);
         assert!(tb.valid_entry(n(5), t(1.0)).is_none());
         assert!(tb.valid_entry(n(7), t(1.0)).is_some());
         // Sequence survives invalidation for future freshness checks.
@@ -269,7 +272,7 @@ mod tests {
     fn reinstall_after_invalidation() {
         let mut tb = RoutingTable::new();
         tb.update(n(5), n(1), 3, 7, d(10.0), t(0.0));
-        tb.invalidate_via(n(1));
+        tb.invalidate_via_into(n(1), &mut Vec::new());
         // Stale entry accepts replacement even at an older seq (it is
         // invalid), matching the RFC's "route repair" behaviour.
         assert!(tb.update(n(5), n(2), 4, 8, d(10.0), t(1.0)));

@@ -144,17 +144,24 @@ impl RouteCache for LinkCache {
         Route::new(path).ok()
     }
 
-    fn remove_link(&mut self, link: Link, now: SimTime) -> RemovedLink {
+    fn remove_link_with(
+        &mut self,
+        link: Link,
+        now: SimTime,
+        lifetime: &mut dyn FnMut(SimDuration),
+    ) -> RemovedLink {
         match self.links.remove(&link) {
-            Some(data) => RemovedLink {
-                contained: true,
-                was_used_for_forwarding: data.used_for_forwarding,
+            Some(data) => {
                 // A link cache has no per-route lifetime; the link's own age
                 // is the natural analogue for the adaptive estimator.
-                route_lifetimes: vec![now.saturating_since(data.added_at)],
-                // Multipath failover is a path-cache feature.
-                failovers: Vec::new(),
-            },
+                lifetime(now.saturating_since(data.added_at));
+                RemovedLink {
+                    contained: true,
+                    was_used_for_forwarding: data.used_for_forwarding,
+                    // Multipath failover is a path-cache feature.
+                    failovers: Vec::new(),
+                }
+            }
             None => RemovedLink::default(),
         }
     }
@@ -234,9 +241,10 @@ mod tests {
         let mut c = LinkCache::new(n(0), 64);
         c.insert(route(&[0, 1, 2]), t(0.0));
         c.insert(route(&[5, 1, 2]), t(0.0)); // another route over 1->2
-        let out = c.remove_link(Link::new(n(1), n(2)), t(4.0));
+        let mut lifetimes = Vec::new();
+        let out = c.remove_link_with(Link::new(n(1), n(2)), t(4.0), &mut |l| lifetimes.push(l));
         assert!(out.contained);
-        assert_eq!(out.route_lifetimes, vec![SimDuration::from_secs(4.0)]);
+        assert_eq!(lifetimes, vec![SimDuration::from_secs(4.0)]);
         assert!(c.find(n(2), t(4.0)).is_none(), "no path to 2 without 1->2");
         assert!(c.find(n(1), t(4.0)).is_some());
     }

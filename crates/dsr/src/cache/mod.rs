@@ -56,9 +56,21 @@ pub trait RouteCache: Send {
     fn find(&self, dst: NodeId, now: SimTime) -> Option<Route>;
 
     /// Purges a broken link and reports what was affected (for the
-    /// adaptive-timeout estimator and the wider-error re-broadcast
-    /// predicate).
-    fn remove_link(&mut self, link: Link, now: SimTime) -> RemovedLink;
+    /// wider-error re-broadcast predicate and multipath failover).
+    fn remove_link(&mut self, link: Link, now: SimTime) -> RemovedLink {
+        self.remove_link_with(link, now, &mut |_| {})
+    }
+
+    /// [`RouteCache::remove_link`], handing `lifetime` the observed
+    /// lifetime of every cached route the purge cuts, in cache order — what
+    /// the adaptive-timeout estimator learns from a break — without
+    /// collecting them anywhere.
+    fn remove_link_with(
+        &mut self,
+        link: Link,
+        now: SimTime,
+        lifetime: &mut dyn FnMut(SimDuration),
+    ) -> RemovedLink;
 
     /// Refreshes last-used timestamps for cached state matching the links
     /// of `seen` (timer-based expiry bookkeeping).

@@ -177,15 +177,17 @@ impl ReferenceCache {
         best.map(|(_, _, route)| route)
     }
 
-    fn remove_link(&mut self, link: Link, now: SimTime) -> RemovedLink {
+    /// The outcome, and the lifetimes of the paths cut, in entry order.
+    fn remove_link(&mut self, link: Link, now: SimTime) -> (RemovedLink, Vec<SimDuration>) {
         let mut outcome = RemovedLink::default();
+        let mut lifetimes = Vec::new();
         let mut lost_dsts: Vec<NodeId> = Vec::new();
         let mut kept = Vec::with_capacity(self.entries.len());
         for mut entry in self.entries.drain(..) {
             if let Some(truncated) = entry.path.truncate_before_link(link) {
                 outcome.contained = true;
                 outcome.was_used_for_forwarding |= entry.used_for_forwarding;
-                outcome.route_lifetimes.push(now.saturating_since(entry.entered_at));
+                lifetimes.push(now.saturating_since(entry.entered_at));
                 let dst = entry.path.destination();
                 if !lost_dsts.contains(&dst) {
                     lost_dsts.push(dst);
@@ -212,7 +214,7 @@ impl ReferenceCache {
                 }
             }
         }
-        outcome
+        (outcome, lifetimes)
     }
 
     fn mark_used(&mut self, seen: &Route, now: SimTime) {
@@ -369,8 +371,10 @@ fn run_case(seed: u64, rng: &mut SimRng) {
             }
             67..=85 => {
                 let link = random_link(rng, width);
-                let got = cache.remove_link(link, now);
-                assert_eq!(got, model.remove_link(link, now), "{at}: remove_link {link}");
+                let mut lifetimes = Vec::new();
+                let got = cache.remove_link_with(link, now, |l| lifetimes.push(l));
+                let want = model.remove_link(link, now);
+                assert_eq!((got, lifetimes), want, "{at}: remove_link {link}");
             }
             86..=91 => {
                 let timeout = SimDuration::from_secs(rng.random_range(1..8u32).into());

@@ -11,6 +11,13 @@ use sim_core::{NodeId, RngFactory, SimDuration, SimTime};
 
 type Cmd = AgentCommand<Packet, DsrTimer>;
 
+/// The commands one agent input appends to an empty buffer.
+fn cmds_of(input: impl FnOnce(&mut Vec<Cmd>)) -> Vec<Cmd> {
+    let mut cmds = Vec::new();
+    input(&mut cmds);
+    cmds
+}
+
 fn n(i: u16) -> NodeId {
     NodeId::new(i)
 }
@@ -61,7 +68,7 @@ fn full_discovery_and_delivery_cycle() {
     let now = t(1.0);
 
     // A wants to reach C: buffers the packet and probes neighbors (TTL 1).
-    let cmds = a.originate(n(2), 512, 0, now);
+    let cmds = cmds_of(|sink| a.originate(n(2), 512, 0, now, sink));
     let out = sends(&cmds);
     assert_eq!(out.len(), 1);
     let Packet::Request(probe) = &out[0].0 else { panic!("expected RREQ") };
@@ -69,27 +76,27 @@ fn full_discovery_and_delivery_cycle() {
     assert_eq!(a.buffered(), 1);
 
     // B hears the probe but has no route and must not rebroadcast (TTL 1).
-    let cmds = b.on_receive(n(0), out[0].0.clone(), now);
+    let cmds = cmds_of(|sink| b.on_receive(n(0), out[0].0.clone(), now, sink));
     assert!(sends(&cmds).is_empty());
 
     // A's non-propagating timeout fires: flood follows.
     let to = request_timeout_at(&cmds_or(&a, now), n(2));
     let _ = to;
-    let cmds = a.on_timer(DsrTimer::RequestTimeout(n(2)), t(1.1));
+    let cmds = cmds_of(|sink| a.on_timer(DsrTimer::RequestTimeout(n(2)), t(1.1), sink));
     let out = sends(&cmds);
     assert_eq!(out.len(), 1);
     let Packet::Request(flood) = &out[0].0 else { panic!("expected flood RREQ") };
     assert!(flood.ttl > 1);
 
     // B forwards the flood with itself appended.
-    let cmds = b.on_receive(n(0), out[0].0.clone(), t(1.11));
+    let cmds = cmds_of(|sink| b.on_receive(n(0), out[0].0.clone(), t(1.11), sink));
     let out_b = sends(&cmds);
     assert_eq!(out_b.len(), 1);
     let Packet::Request(fwd) = &out_b[0].0 else { panic!("expected forwarded RREQ") };
     assert_eq!(fwd.path.nodes(), &[n(0), n(1)]);
 
     // C answers with the discovered route A-B-C, unicast back via B.
-    let cmds = c.on_receive(n(1), out_b[0].0.clone(), t(1.12));
+    let cmds = cmds_of(|sink| c.on_receive(n(1), out_b[0].0.clone(), t(1.12), sink));
     let out_c = sends(&cmds);
     assert_eq!(out_c.len(), 1);
     let (Packet::Reply(rep), hop) = (&out_c[0].0, out_c[0].1) else { panic!("expected RREP") };
@@ -98,13 +105,13 @@ fn full_discovery_and_delivery_cycle() {
     assert_eq!(hop, n(1));
 
     // B forwards the reply toward A.
-    let cmds = b.on_receive(n(2), out_c[0].0.clone(), t(1.13));
+    let cmds = cmds_of(|sink| b.on_receive(n(2), out_c[0].0.clone(), t(1.13), sink));
     let out_b = sends(&cmds);
     assert_eq!(out_b.len(), 1);
     assert_eq!(out_b[0].1, n(0));
 
     // A accepts the reply and flushes the buffered data packet onto it.
-    let cmds = a.on_receive(n(1), out_b[0].0.clone(), t(1.14));
+    let cmds = cmds_of(|sink| a.on_receive(n(1), out_b[0].0.clone(), t(1.14), sink));
     assert!(events(&cmds)
         .iter()
         .any(|e| matches!(e, DsrEvent::ReplyAccepted { discovered: Some(discovered) } if discovered.nodes() == route(&[0, 1, 2]).nodes())));
@@ -116,10 +123,10 @@ fn full_discovery_and_delivery_cycle() {
     assert_eq!(a.buffered(), 0);
 
     // B forwards, C delivers.
-    let cmds = b.on_receive(n(0), out_a[0].0.clone(), t(1.15));
+    let cmds = cmds_of(|sink| b.on_receive(n(0), out_a[0].0.clone(), t(1.15), sink));
     let out_b = sends(&cmds);
     assert_eq!(out_b[0].1, n(2));
-    let cmds = c.on_receive(n(1), out_b[0].0.clone(), t(1.16));
+    let cmds = cmds_of(|sink| c.on_receive(n(1), out_b[0].0.clone(), t(1.16), sink));
     assert!(cmds.iter().any(|c| matches!(c, Cmd::Deliver { .. })));
 }
 
@@ -141,8 +148,8 @@ fn second_originate_reuses_cached_route() {
         hop: 1,
         gratuitous: false,
     };
-    a.on_receive(n(1), Packet::Reply(rep), t(1.0));
-    let cmds = a.originate(n(2), 512, 0, t(2.0));
+    cmds_of(|sink| a.on_receive(n(1), Packet::Reply(rep), t(1.0), sink));
+    let cmds = cmds_of(|sink| a.originate(n(2), 512, 0, t(2.0), sink));
     let evs = events(&cmds);
     assert!(evs
         .iter()
@@ -179,11 +186,14 @@ fn intermediate_answers_from_cache_and_quenches() {
         hop: 0,
         salvage_count: 0,
     };
-    b.on_receive(
-        n(4),
-        Packet::Data(DataPacket { dst: n(1), route: route(&[5, 4, 1]), ..snooped }),
-        t(0.6),
-    );
+    cmds_of(|sink| {
+        b.on_receive(
+            n(4),
+            Packet::Data(DataPacket { dst: n(1), route: route(&[5, 4, 1]), ..snooped }),
+            t(0.6),
+            sink,
+        )
+    });
     assert!(b.cache().find(n(5), t(0.6)).is_none() || b.cache().find(n(5), t(0.6)).is_some());
     // Ensure a cached route exists: feed a reply that B forwards (it learns
     // the discovered route segments it belongs to).
@@ -195,7 +205,7 @@ fn intermediate_answers_from_cache_and_quenches() {
         hop: 1,
         gratuitous: false,
     };
-    b.on_receive(n(4), Packet::Reply(rep), t(0.7));
+    cmds_of(|sink| b.on_receive(n(4), Packet::Reply(rep), t(0.7), sink));
     assert!(b.cache().find(n(5), t(0.7)).is_some(), "B should have cached 1->4->5");
 
     // A flood from node 8 looking for 5 reaches B: cached answer, no
@@ -209,7 +219,7 @@ fn intermediate_answers_from_cache_and_quenches() {
         ttl: 200,
         piggyback_error: None,
     };
-    let cmds = b.on_receive(n(8), Packet::Request(req), t(0.8));
+    let cmds = cmds_of(|sink| b.on_receive(n(8), Packet::Request(req), t(0.8), sink));
     let out = sends(&cmds);
     assert_eq!(out.len(), 1, "reply only — flood is quenched");
     let Packet::Reply(rep) = &out[0].0 else { panic!("expected cached RREP") };
@@ -232,7 +242,7 @@ fn tx_failure_unicasts_error_and_salvages() {
         hop: 2,
         gratuitous: false,
     };
-    b.on_receive(n(4), Packet::Reply(rep), t(0.9));
+    cmds_of(|sink| b.on_receive(n(4), Packet::Reply(rep), t(0.9), sink));
     // A data packet 0->1->2->3 fails at link 1->2.
     let data = DataPacket {
         uid: 77,
@@ -245,7 +255,7 @@ fn tx_failure_unicasts_error_and_salvages() {
         hop: 1,
         salvage_count: 0,
     };
-    let cmds = b.on_tx_failed(Packet::Data(data.clone()), n(2), t(1.1));
+    let cmds = cmds_of(|sink| b.on_tx_failed(Packet::Data(data.clone()), n(2), t(1.1), sink));
     let evs = events(&cmds);
     assert!(evs.iter().any(
         |e| matches!(e, DsrEvent::LinkBreakDetected { link } if *link == Link::new(n(1), n(2)))
@@ -270,7 +280,7 @@ fn tx_failure_unicasts_error_and_salvages() {
     // ns-2's limit: a packet is salvaged at most 15 times.
     for (salvage_count, limited) in [(14, false), (15, true)] {
         let tired = DataPacket { salvage_count, ..data.clone() };
-        let cmds = b.on_tx_failed(Packet::Data(tired), n(2), t(1.2));
+        let cmds = cmds_of(|sink| b.on_tx_failed(Packet::Data(tired), n(2), t(1.2), sink));
         let drop = Cmd::Drop { uid: 77, reason: DropReason::SalvageLimit };
         let sent = sends(&cmds).iter().any(|(p, _)| matches!(p, Packet::Data(_)));
         assert_eq!((cmds.contains(&drop), sent), (limited, !limited), "{salvage_count} before");
@@ -291,7 +301,7 @@ fn source_rebuffers_when_first_hop_fails_without_alternative() {
         hop: 0,
         salvage_count: 0,
     };
-    let cmds = a.on_tx_failed(Packet::Data(data), n(1), t(1.5));
+    let cmds = cmds_of(|sink| a.on_tx_failed(Packet::Data(data), n(1), t(1.5), sink));
     // No route left: packet re-buffered, discovery restarted.
     assert_eq!(a.buffered(), 1);
     assert!(sends(&cmds).iter().any(|(p, _)| matches!(p, Packet::Request(_))));
@@ -308,7 +318,7 @@ fn unicast_error_erases_caches_along_the_way() {
         hop: 2,
         gratuitous: false,
     };
-    b.on_receive(n(2), Packet::Reply(rep), t(0.5));
+    cmds_of(|sink| b.on_receive(n(2), Packet::Reply(rep), t(0.5), sink));
     assert!(b.cache().contains_link(Link::new(n(2), n(3))));
     // An error 2->3 broken travels 2 -> 1 -> 0; B forwards it and cleans up.
     let err = packet::RouteErrorPkt {
@@ -317,7 +327,7 @@ fn unicast_error_erases_caches_along_the_way() {
         detector: n(2),
         delivery: ErrorDelivery::Unicast { to: n(0), route: route(&[2, 1, 0]), hop: 0 },
     };
-    let cmds = b.on_receive(n(2), Packet::Error(err), t(0.6));
+    let cmds = cmds_of(|sink| b.on_receive(n(2), Packet::Error(err), t(0.6), sink));
     assert!(!b.cache().contains_link(Link::new(n(2), n(3))));
     let out = sends(&cmds);
     assert_eq!(out.len(), 1);
@@ -339,7 +349,8 @@ fn wider_error_broadcasts_and_gates_rebroadcast() {
         hop: 1,
         salvage_count: 0,
     };
-    let cmds = detector.on_tx_failed(Packet::Data(data.clone()), n(2), t(1.2));
+    let cmds =
+        cmds_of(|sink| detector.on_tx_failed(Packet::Data(data.clone()), n(2), t(1.2), sink));
     let out = sends(&cmds);
     let errs: Vec<_> = out.iter().filter(|(p, _)| matches!(p, Packet::Error(_))).collect();
     assert_eq!(errs.len(), 1);
@@ -358,7 +369,7 @@ fn wider_error_broadcasts_and_gates_rebroadcast() {
         hop: 2,
         gratuitous: false,
     };
-    relay.on_receive(n(1), Packet::Reply(rep), t(1.0));
+    cmds_of(|sink| relay.on_receive(n(1), Packet::Reply(rep), t(1.0), sink));
     // Mark usage by forwarding a data packet across the link.
     let through = DataPacket {
         uid: 10,
@@ -371,15 +382,15 @@ fn wider_error_broadcasts_and_gates_rebroadcast() {
         hop: 0,
         salvage_count: 0,
     };
-    relay.on_receive(n(9), Packet::Data(through), t(1.1));
-    let cmds = relay.on_receive(n(1), Packet::Error(err.clone()), t(1.3));
+    cmds_of(|sink| relay.on_receive(n(9), Packet::Data(through), t(1.1), sink));
+    let cmds = cmds_of(|sink| relay.on_receive(n(1), Packet::Error(err.clone()), t(1.3), sink));
     let rebroadcasts: Vec<_> = sends(&cmds)
         .into_iter()
         .filter(|(p, h)| matches!(p, Packet::Error(_)) && h.is_broadcast())
         .collect();
     assert_eq!(rebroadcasts.len(), 1, "relay must re-broadcast");
     // A second copy of the same error is suppressed.
-    let cmds = relay.on_receive(n(2), Packet::Error(err.clone()), t(1.35));
+    let cmds = cmds_of(|sink| relay.on_receive(n(2), Packet::Error(err.clone()), t(1.35), sink));
     assert!(sends(&cmds).is_empty(), "duplicate errors are not re-broadcast");
 
     // A bystander that cached the link but never forwarded must stay quiet.
@@ -392,8 +403,8 @@ fn wider_error_broadcasts_and_gates_rebroadcast() {
         hop: 2,
         gratuitous: false,
     };
-    bystander.on_receive(n(1), Packet::Reply(rep), t(1.0));
-    let cmds = bystander.on_receive(n(1), Packet::Error(err), t(1.3));
+    cmds_of(|sink| bystander.on_receive(n(1), Packet::Reply(rep), t(1.0), sink));
+    let cmds = cmds_of(|sink| bystander.on_receive(n(1), Packet::Error(err), t(1.3), sink));
     assert!(sends(&cmds).is_empty(), "bystander cached but never forwarded");
     assert!(!bystander.cache().contains_link(Link::new(n(1), n(2))));
 }
@@ -414,7 +425,7 @@ fn negative_cache_refuses_forwarding_and_insertion() {
         salvage_count: 0,
     };
     // First make the *next hop* link fail: link 1->2.
-    b.on_tx_failed(Packet::Data(victim), n(2), t(1.0));
+    cmds_of(|sink| b.on_tx_failed(Packet::Data(victim), n(2), t(1.0), sink));
     assert!(b.negative_cache().expect("enabled").contains(Link::new(n(1), n(2)), t(2.0)));
 
     // A later packet using 1->2 is refused with an error.
@@ -429,7 +440,7 @@ fn negative_cache_refuses_forwarding_and_insertion() {
         hop: 0,
         salvage_count: 0,
     };
-    let cmds = b.on_receive(n(0), Packet::Data(retry), t(2.0));
+    let cmds = cmds_of(|sink| b.on_receive(n(0), Packet::Data(retry), t(2.0), sink));
     assert!(cmds
         .iter()
         .any(|c| matches!(c, Cmd::Drop { reason: DropReason::NegativeCacheHit, .. })));
@@ -444,7 +455,7 @@ fn negative_cache_refuses_forwarding_and_insertion() {
         hop: 2,
         gratuitous: false,
     };
-    b.on_receive(n(2), Packet::Reply(rep), t(3.0));
+    cmds_of(|sink| b.on_receive(n(2), Packet::Reply(rep), t(3.0), sink));
     assert!(!b.cache().contains_link(Link::new(n(1), n(2))), "mutual exclusion violated");
 
     // After Nt (10 s) the link may be cached again.
@@ -456,7 +467,7 @@ fn negative_cache_refuses_forwarding_and_insertion() {
         hop: 2,
         gratuitous: false,
     };
-    b.on_receive(n(2), Packet::Reply(rep), t(12.0));
+    cmds_of(|sink| b.on_receive(n(2), Packet::Reply(rep), t(12.0), sink));
     assert!(b.cache().contains_link(Link::new(n(1), n(2))));
 }
 
@@ -472,11 +483,11 @@ fn static_expiry_prunes_unused_routes_on_tick() {
         hop: 1,
         gratuitous: false,
     };
-    a.on_receive(n(1), Packet::Reply(rep), t(1.0));
+    cmds_of(|sink| a.on_receive(n(1), Packet::Reply(rep), t(1.0), sink));
     assert!(a.cache().find(n(2), t(1.0)).is_some());
-    a.on_timer(DsrTimer::Tick, t(3.0));
+    cmds_of(|sink| a.on_timer(DsrTimer::Tick, t(3.0), sink));
     assert!(a.cache().find(n(2), t(3.0)).is_some(), "young route survives");
-    a.on_timer(DsrTimer::Tick, t(7.0));
+    cmds_of(|sink| a.on_timer(DsrTimer::Tick, t(7.0), sink));
     assert!(a.cache().find(n(2), t(7.0)).is_none(), "stale route expired");
 }
 
@@ -491,7 +502,7 @@ fn adaptive_estimator_feeds_on_breaks() {
         hop: 1,
         gratuitous: false,
     };
-    a.on_receive(n(1), Packet::Reply(rep), t(1.0));
+    cmds_of(|sink| a.on_receive(n(1), Packet::Reply(rep), t(1.0), sink));
     assert_eq!(a.adaptive().breaks_observed(), 0);
     let data = DataPacket {
         uid: 18,
@@ -504,7 +515,7 @@ fn adaptive_estimator_feeds_on_breaks() {
         hop: 0,
         salvage_count: 0,
     };
-    a.on_tx_failed(Packet::Data(data), n(1), t(4.0));
+    cmds_of(|sink| a.on_tx_failed(Packet::Data(data), n(1), t(4.0), sink));
     assert!(a.adaptive().breaks_observed() >= 1);
     // Lifetime observed = 4.0 - 1.0 = 3 s.
     let avg = a.adaptive().average_lifetime().expect("a break was observed");
@@ -521,9 +532,9 @@ fn gratuitous_repair_piggybacks_error_on_next_flood() {
         detector: n(2),
         delivery: ErrorDelivery::Unicast { to: n(0), route: route(&[2, 1, 0]), hop: 1 },
     };
-    a.on_receive(n(1), Packet::Error(err), t(1.0));
+    cmds_of(|sink| a.on_receive(n(1), Packet::Error(err), t(1.0), sink));
     // Next discovery (flood phase) carries the error.
-    let cmds = a.originate(n(9), 512, 0, t(1.1));
+    let cmds = cmds_of(|sink| a.originate(n(9), 512, 0, t(1.1), sink));
     let out = sends(&cmds);
     let Packet::Request(req) = &out[0].0 else { panic!("expected RREQ") };
     assert_eq!(req.piggyback_error, Some(Link::new(n(2), n(3))));
@@ -537,9 +548,9 @@ fn gratuitous_repair_piggybacks_error_on_next_flood() {
         hop: 2,
         gratuitous: false,
     };
-    b.on_receive(n(2), Packet::Reply(rep), t(0.9));
+    cmds_of(|sink| b.on_receive(n(2), Packet::Reply(rep), t(0.9), sink));
     assert!(b.cache().contains_link(Link::new(n(2), n(3))));
-    b.on_receive(n(0), out[0].0.clone(), t(1.2));
+    cmds_of(|sink| b.on_receive(n(0), out[0].0.clone(), t(1.2), sink));
     assert!(!b.cache().contains_link(Link::new(n(2), n(3))), "piggybacked error must clean caches");
 }
 
@@ -559,7 +570,7 @@ fn snooping_learns_routes_and_sends_gratuitous_reply() {
         hop: 1,
         salvage_count: 0,
     };
-    let cmds = x.on_snoop(n(1), &Packet::Data(data), t(1.0));
+    let cmds = cmds_of(|sink| x.on_snoop(n(1), &Packet::Data(data), t(1.0), sink));
     assert!(sends(&cmds).is_empty(), "bystander has no shortcut to offer");
     assert!(x.cache().find(n(3), t(1.0)).is_some(), "snooped route to 3 via 1");
     assert!(x.cache().find(n(0), t(1.0)).is_some(), "snooped route back to 0 via 1");
@@ -578,7 +589,7 @@ fn snooping_learns_routes_and_sends_gratuitous_reply() {
         hop: 0,
         salvage_count: 0,
     };
-    let cmds = d.on_snoop(n(0), &Packet::Data(data), t(1.0));
+    let cmds = cmds_of(|sink| d.on_snoop(n(0), &Packet::Data(data), t(1.0), sink));
     let out = sends(&cmds);
     assert_eq!(out.len(), 1, "gratuitous reply expected");
     let Packet::Reply(rep) = &out[0].0 else { panic!("expected gratuitous RREP") };
@@ -590,9 +601,9 @@ fn snooping_learns_routes_and_sends_gratuitous_reply() {
 #[test]
 fn send_buffer_timeout_drops_on_tick() {
     let mut a = agent(0, DsrConfig::base());
-    a.originate(n(2), 512, 0, t(0.0));
+    cmds_of(|sink| a.originate(n(2), 512, 0, t(0.0), sink));
     assert_eq!(a.buffered(), 1);
-    let cmds = a.on_timer(DsrTimer::Tick, t(31.0));
+    let cmds = cmds_of(|sink| a.on_timer(DsrTimer::Tick, t(31.0), sink));
     assert!(cmds
         .iter()
         .any(|c| matches!(c, Cmd::Drop { reason: DropReason::SendBufferTimeout, .. })));
@@ -602,10 +613,10 @@ fn send_buffer_timeout_drops_on_tick() {
 #[test]
 fn request_retry_stops_when_buffer_drains() {
     let mut a = agent(0, DsrConfig::base());
-    a.originate(n(2), 512, 0, t(0.0));
+    cmds_of(|sink| a.originate(n(2), 512, 0, t(0.0), sink));
     // Expire the buffered packet, then let the request timeout fire.
-    a.on_timer(DsrTimer::Tick, t(31.0));
-    let cmds = a.on_timer(DsrTimer::RequestTimeout(n(2)), t(31.5));
+    cmds_of(|sink| a.on_timer(DsrTimer::Tick, t(31.0), sink));
+    let cmds = cmds_of(|sink| a.on_timer(DsrTimer::RequestTimeout(n(2)), t(31.5), sink));
     assert!(sends(&cmds).is_empty(), "no traffic waiting => no more floods");
 }
 
@@ -621,9 +632,9 @@ fn duplicate_requests_are_suppressed() {
         ttl: 100,
         piggyback_error: None,
     };
-    let first = b.on_receive(n(0), Packet::Request(req.clone()), t(1.0));
+    let first = cmds_of(|sink| b.on_receive(n(0), Packet::Request(req.clone()), t(1.0), sink));
     assert_eq!(sends(&first).len(), 1, "first copy rebroadcast");
-    let second = b.on_receive(n(0), Packet::Request(req), t(1.01));
+    let second = cmds_of(|sink| b.on_receive(n(0), Packet::Request(req), t(1.01), sink));
     assert!(sends(&second).is_empty(), "duplicate flood copy suppressed");
 }
 
@@ -640,7 +651,7 @@ fn target_replies_to_every_request_copy() {
             ttl: 100,
             piggyback_error: None,
         };
-        let cmds = c.on_receive(n(0), Packet::Request(req), t(1.0));
+        let cmds = cmds_of(|sink| c.on_receive(n(0), Packet::Request(req), t(1.0), sink));
         assert_eq!(
             sends(&cmds).iter().filter(|(p, _)| matches!(p, Packet::Reply(_))).count(),
             1,
@@ -663,14 +674,14 @@ fn reboot_resets_volatile_state_and_accounts_for_buffered_packets() {
         hop: 1,
         gratuitous: false,
     };
-    a.on_receive(n(1), Packet::Reply(reply), now);
+    cmds_of(|sink| a.on_receive(n(1), Packet::Reply(reply), now, sink));
     assert!(!a.cache().is_empty(), "route learned");
-    a.originate(n(7), 512, 0, now);
+    cmds_of(|sink| a.originate(n(7), 512, 0, now, sink));
     assert_eq!(a.buffered(), 1, "packet buffered awaiting a route to 7");
     assert_eq!(a.discoveries_in_flight(), 1);
 
     let uid = a.buffered_uids()[0];
-    let cmds = a.on_revival(t(2.0));
+    let cmds = cmds_of(|sink| a.on_revival(t(2.0), sink));
 
     // Every buffered uid surrendered as a NodeReset drop.
     let drops: Vec<_> = cmds
@@ -692,7 +703,7 @@ fn reboot_resets_volatile_state_and_accounts_for_buffered_packets() {
 
     // Uids stay unique across the reboot: the next origination must not
     // re-issue the pre-crash uid.
-    let cmds = a.originate(n(7), 512, 1, t(3.0));
+    let cmds = cmds_of(|sink| a.originate(n(7), 512, 1, t(3.0), sink));
     let new_uid = a.buffered_uids()[0];
     assert_ne!(new_uid, uid, "uid counter survives the reboot");
     drop(cmds);

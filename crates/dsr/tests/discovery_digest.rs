@@ -34,6 +34,13 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// The commands one agent input appends to an empty buffer.
+fn cmds_of(input: impl FnOnce(&mut Vec<Cmd>)) -> Vec<Cmd> {
+    let mut cmds = Vec::new();
+    input(&mut cmds);
+    cmds
+}
+
 fn n(i: u16) -> NodeId {
     NodeId::new(i)
 }
@@ -345,7 +352,7 @@ fn run(cfg: DsrConfig, traced: bool, rng: &mut SimRng, steps: usize) -> u64 {
     agent.set_decision_trace(traced);
     let mut digest = FNV_OFFSET;
     let mut out = String::new();
-    for cmd in agent.start(SimTime::ZERO) {
+    for cmd in cmds_of(|sink| agent.start(SimTime::ZERO, sink)) {
         write_command(&mut out, &cmd);
     }
     let mut now = SimTime::from_secs(1.0);
@@ -363,7 +370,7 @@ fn run(cfg: DsrConfig, traced: bool, rng: &mut SimRng, steps: usize) -> u64 {
                     req.piggyback_error = Some(Link::new(path[0], n(rng.random_range(0..NODES))));
                 }
                 let from = *path.last().expect("non-empty");
-                agent.on_receive(from, Packet::Request(req), now)
+                cmds_of(|sink| agent.on_receive(from, Packet::Request(req), now, sink))
             }
             Input::Reply { discovered, from_cache } => {
                 let at = discovered.position(n(ME)).expect("through ME");
@@ -380,11 +387,11 @@ fn run(cfg: DsrConfig, traced: bool, rng: &mut SimRng, steps: usize) -> u64 {
                     hop: 0,
                     gratuitous: false,
                 };
-                agent.on_receive(from, Packet::Reply(rep), now)
+                cmds_of(|sink| agent.on_receive(from, Packet::Reply(rep), now, sink))
             }
             Input::Data { route } => {
                 let from = route.nodes()[route.position(n(ME)).expect("through ME") - 1];
-                agent.on_receive(from, Packet::Data(data(uid, route)), now)
+                cmds_of(|sink| agent.on_receive(from, Packet::Data(data(uid, route)), now, sink))
             }
             Input::Error { broken: (a, b), broadcast } => {
                 if a == b || a == ME {
@@ -398,15 +405,15 @@ fn run(cfg: DsrConfig, traced: bool, rng: &mut SimRng, steps: usize) -> u64 {
                 };
                 let err =
                     RouteErrorPkt { uid, broken: Link::new(n(a), n(b)), detector: n(a), delivery };
-                agent.on_receive(n(a), Packet::Error(err), now)
+                cmds_of(|sink| agent.on_receive(n(a), Packet::Error(err), now, sink))
             }
             Input::Originate { dst } => {
                 if dst == ME {
                     continue;
                 }
-                agent.originate(n(dst), 512, uid, now)
+                cmds_of(|sink| agent.originate(n(dst), 512, uid, now, sink))
             }
-            Input::Tick => agent.on_timer(DsrTimer::Tick, now),
+            Input::Tick => cmds_of(|sink| agent.on_timer(DsrTimer::Tick, now, sink)),
         };
         out.clear();
         let _ = writeln!(out, "step {i}");

@@ -20,9 +20,10 @@
 
 use mac::FrameKind;
 use packet::{CacheHitKind, DropReason};
-use sim_core::{SimTime, U64HashMap, U64HashSet};
+use sim_core::{SimTime, U64HashMap};
 
 pub mod stats;
+mod uids;
 
 pub use stats::Distribution;
 
@@ -30,11 +31,9 @@ pub use stats::Distribution;
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
     originated: u64,
-    // U64-hashed sets/maps here: these are touched once per delivered
-    // packet / drop / cache hit (millions of times per campaign), where
-    // SipHash showed up in the event-loop profile. Lookups are by key
-    // only, so iteration order never reaches a Report.
-    delivered_uids: U64HashSet<u64>,
+    /// Every uid delivered so far (duplicates are not counted twice): a
+    /// bitmap per origin node, see [`uids`].
+    delivered_uids: uids::UidSet,
     delivered: u64,
     bytes_delivered: u64,
     delays: Distribution,
@@ -52,6 +51,10 @@ pub struct Metrics {
     cache_hits: u64,
     invalid_cache_hits: u64,
     stale_route_sends: u64,
+    // U64-hashed maps here: these are touched once per drop / cache hit
+    // (millions of times per campaign), where SipHash showed up in the
+    // event-loop profile. Lookups are by key only, so iteration order
+    // never reaches a Report.
     hits_by_kind: U64HashMap<CacheHitKind, (u64, u64)>, // (hits, invalid)
     replies_originated: u64,
     replies_from_cache: u64,

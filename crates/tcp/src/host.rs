@@ -46,6 +46,10 @@ pub struct TcpHost {
     /// once everything before it has arrived.
     receivers: U64HashMap<NodeId, TcpReceiver<Cmd>>,
     segment_bytes: usize,
+    /// Scratch for the DSR node's commands, before [`Self::translate`]
+    /// lifts them. A DSR input made while it is draining (the ACK a
+    /// delivered segment sends) finds it taken and uses a fresh one.
+    dsr_cmds: Vec<AgentCommand<Packet, DsrTimer>>,
 }
 
 impl std::fmt::Debug for TcpHost {
@@ -73,6 +77,7 @@ impl TcpHost {
             senders: U64HashMap::default(),
             receivers: U64HashMap::default(),
             segment_bytes,
+            dsr_cmds: Vec::new(),
         }
     }
 
@@ -81,15 +86,29 @@ impl TcpHost {
         self.senders.get(&peer)
     }
 
-    /// Lifts inner DSR commands onto the host's timers, intercepting TCP
+    /// Feeds one input to the DSR node underneath through the scratch
+    /// buffer and lifts its commands into `out`.
+    fn dsr_input(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<Cmd>,
+        input: impl FnOnce(&mut DsrNode, &mut Vec<AgentCommand<Packet, DsrTimer>>),
+    ) {
+        let mut cmds = std::mem::take(&mut self.dsr_cmds);
+        input(&mut self.dsr, &mut cmds);
+        self.translate(&mut cmds, now, out);
+        self.dsr_cmds = cmds;
+    }
+
+    /// Drains inner DSR commands onto the host's timers, intercepting TCP
     /// traffic deliveries.
     fn translate(
         &mut self,
-        cmds: Vec<AgentCommand<Packet, DsrTimer>>,
+        cmds: &mut Vec<AgentCommand<Packet, DsrTimer>>,
         now: SimTime,
         out: &mut Vec<Cmd>,
     ) {
-        for cmd in cmds {
+        for cmd in cmds.drain(..) {
             match cmd {
                 AgentCommand::Send { packet, next_hop, jitter } => {
                     out.push(Cmd::Send { packet, next_hop, jitter });
@@ -131,8 +150,9 @@ impl TcpHost {
         // Always acknowledge (duplicates included — that is what triggers
         // the sender's fast retransmit).
         let ack_seq = self.receivers.get(&peer).expect("just inserted").expected();
-        let cmds = self.dsr.originate(peer, TCP_ACK_BYTES, ack_seq, now);
-        self.translate(cmds, now, out);
+        self.dsr_input(now, out, |dsr, cmds| {
+            dsr.originate(peer, TCP_ACK_BYTES, ack_seq, now, cmds)
+        });
     }
 
     fn apply_sender_actions(
@@ -145,8 +165,10 @@ impl TcpHost {
         for action in actions {
             match action {
                 SenderAction::Transmit { seq, .. } => {
-                    let cmds = self.dsr.originate(peer, self.segment_bytes, seq, now);
-                    self.translate(cmds, now, out);
+                    let bytes = self.segment_bytes;
+                    self.dsr_input(now, out, |dsr, cmds| {
+                        dsr.originate(peer, bytes, seq, now, cmds)
+                    });
                 }
                 SenderAction::ArmRto => {
                     let rto = self.senders.get(&peer).expect("actions came from this sender").rto();
@@ -164,11 +186,8 @@ impl RoutingAgent for TcpHost {
     type Packet = Packet;
     type Timer = HostTimer;
 
-    fn start(&mut self, now: SimTime) -> Vec<Cmd> {
-        let mut out = Vec::new();
-        let cmds = self.dsr.start(now);
-        self.translate(cmds, now, &mut out);
-        out
+    fn start(&mut self, now: SimTime, out: &mut Vec<Cmd>) {
+        self.dsr_input(now, out, |dsr, cmds| dsr.start(now, cmds));
     }
 
     fn originate(
@@ -177,44 +196,32 @@ impl RoutingAgent for TcpHost {
         _payload_bytes: usize,
         _seq: u64,
         now: SimTime,
-    ) -> Vec<Cmd> {
+        out: &mut Vec<Cmd>,
+    ) {
         // The driver's traffic event is an application write to the socket.
-        let mut out = Vec::new();
         let actions =
             self.senders.entry(dst).or_insert_with(|| TcpSender::new(self.cfg)).app_write(now);
-        self.apply_sender_actions(dst, actions, now, &mut out);
-        out
+        self.apply_sender_actions(dst, actions, now, out);
     }
 
-    fn on_receive(&mut self, from: NodeId, packet: Packet, now: SimTime) -> Vec<Cmd> {
-        let mut out = Vec::new();
-        let cmds = self.dsr.on_receive(from, packet, now);
-        self.translate(cmds, now, &mut out);
-        out
+    fn on_receive(&mut self, from: NodeId, packet: Packet, now: SimTime, out: &mut Vec<Cmd>) {
+        self.dsr_input(now, out, |dsr, cmds| dsr.on_receive(from, packet, now, cmds));
     }
 
-    fn on_snoop(&mut self, transmitter: NodeId, packet: &Packet, now: SimTime) -> Vec<Cmd> {
-        let mut out = Vec::new();
-        let cmds = self.dsr.on_snoop(transmitter, packet, now);
-        self.translate(cmds, now, &mut out);
-        out
+    fn on_snoop(&mut self, transmitter: NodeId, packet: &Packet, now: SimTime, out: &mut Vec<Cmd>) {
+        self.dsr_input(now, out, |dsr, cmds| dsr.on_snoop(transmitter, packet, now, cmds));
     }
 
-    fn on_tx_failed(&mut self, packet: Packet, next_hop: NodeId, now: SimTime) -> Vec<Cmd> {
-        let mut out = Vec::new();
-        let cmds = self.dsr.on_tx_failed(packet, next_hop, now);
-        self.translate(cmds, now, &mut out);
-        out
+    fn on_tx_failed(&mut self, packet: Packet, next_hop: NodeId, now: SimTime, out: &mut Vec<Cmd>) {
+        self.dsr_input(now, out, |dsr, cmds| dsr.on_tx_failed(packet, next_hop, now, cmds));
     }
 
     /// Churn revival: the DSR node underneath reboots, and every
     /// connection with segments in flight gets back the retransmission
     /// timer the driver cancelled, so the transport retries over the
     /// rebooted router. Connection state survives.
-    fn on_revival(&mut self, now: SimTime) -> Vec<Cmd> {
-        let mut out = Vec::new();
-        let cmds = self.dsr.on_revival(now);
-        self.translate(cmds, now, &mut out);
+    fn on_revival(&mut self, now: SimTime, out: &mut Vec<Cmd>) {
+        self.dsr_input(now, out, |dsr, cmds| dsr.on_revival(now, cmds));
         let mut peers: Vec<NodeId> =
             self.senders.iter().filter(|(_, s)| s.inflight() > 0).map(|(&p, _)| p).collect();
         peers.sort_unstable();
@@ -222,24 +229,18 @@ impl RoutingAgent for TcpHost {
             let rto = self.senders[&peer].rto();
             out.push(Cmd::SetTimer { timer: HostTimer::Rto { peer }, at: now + rto });
         }
-        out
     }
 
-    fn on_timer(&mut self, timer: HostTimer, now: SimTime) -> Vec<Cmd> {
-        let mut out = Vec::new();
+    fn on_timer(&mut self, timer: HostTimer, now: SimTime, out: &mut Vec<Cmd>) {
         match timer {
-            HostTimer::Dsr(t) => {
-                let cmds = self.dsr.on_timer(t, now);
-                self.translate(cmds, now, &mut out);
-            }
+            HostTimer::Dsr(t) => self.dsr_input(now, out, |dsr, cmds| dsr.on_timer(t, now, cmds)),
             HostTimer::Rto { peer } => {
                 if let Some(sender) = self.senders.get_mut(&peer) {
                     let actions = sender.on_rto(now);
-                    self.apply_sender_actions(peer, actions, now, &mut out);
+                    self.apply_sender_actions(peer, actions, now, out);
                 }
             }
         }
-        out
     }
 }
 
@@ -248,6 +249,13 @@ mod tests {
     use super::*;
     use dsr::DsrConfig;
     use sim_core::RngFactory;
+
+    /// The commands one agent input appends to an empty buffer.
+    fn cmds_of(input: impl FnOnce(&mut Vec<Cmd>)) -> Vec<Cmd> {
+        let mut cmds = Vec::new();
+        input(&mut cmds);
+        cmds
+    }
 
     fn host(i: u16) -> TcpHost {
         let dsr = DsrNode::new(
@@ -261,7 +269,9 @@ mod tests {
     #[test]
     fn app_write_triggers_discovery_then_segment() {
         let mut h = host(0);
-        let cmds = RoutingAgent::originate(&mut h, NodeId::new(2), 512, 0, SimTime::ZERO);
+        let cmds = cmds_of(|sink| {
+            RoutingAgent::originate(&mut h, NodeId::new(2), 512, 0, SimTime::ZERO, sink)
+        });
         // No route yet: the segment lands in DSR's send buffer and a
         // discovery starts; the RTO is armed regardless.
         assert!(cmds.iter().any(|c| matches!(c, Cmd::Send { packet: Packet::Request(_), .. })));
@@ -274,13 +284,13 @@ mod tests {
     #[test]
     fn revival_reboots_dsr_and_rearms_the_rto_of_each_busy_sender() {
         let mut h = host(0);
-        let cmds = h.originate(NodeId::new(2), 512, 0, SimTime::ZERO);
+        let cmds = cmds_of(|sink| h.originate(NodeId::new(2), 512, 0, SimTime::ZERO, sink));
         let Some(&Cmd::Event { event: packet::ProtocolEvent::DataOriginated { uid } }) =
             cmds.first()
         else {
             panic!("the segment is announced first: {cmds:?}")
         };
-        let cmds = h.on_revival(SimTime::from_secs(2.0));
+        let cmds = cmds_of(|sink| h.on_revival(SimTime::from_secs(2.0), sink));
         // The segment DSR was holding dies with the reboot; DSR's tick and
         // the connection's RTO come back.
         assert!(cmds.contains(&Cmd::Drop { uid, reason: packet::DropReason::NodeReset }));
@@ -313,7 +323,8 @@ mod tests {
         };
         // Out-of-order segment 1 first: ACK says "still expecting 0",
         // nothing delivered.
-        let cmds = h.on_receive(NodeId::new(0), seg(1, 11), SimTime::from_secs(1.0));
+        let cmds =
+            cmds_of(|sink| h.on_receive(NodeId::new(0), seg(1, 11), SimTime::from_secs(1.0), sink));
         assert!(!cmds.iter().any(|c| matches!(c, Cmd::Deliver { .. })));
         let acks: Vec<u64> = cmds
             .iter()
@@ -326,7 +337,8 @@ mod tests {
             .collect();
         assert_eq!(acks, vec![0]);
         // Segment 0 arrives: both deliver, cumulative ACK jumps to 2.
-        let cmds = h.on_receive(NodeId::new(0), seg(0, 10), SimTime::from_secs(1.1));
+        let cmds =
+            cmds_of(|sink| h.on_receive(NodeId::new(0), seg(0, 10), SimTime::from_secs(1.1), sink));
         let delivered: Vec<u64> = cmds
             .iter()
             .filter_map(|c| match c {

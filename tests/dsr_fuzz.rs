@@ -105,19 +105,24 @@ fn drive(variant: usize, inputs: Vec<Input>) {
     let me = NodeId::new(ME);
     let mut agent = DsrNode::new(me, cfg, RngFactory::new(7).stream("fuzz", 0));
     let mut now = SimTime::from_secs(1.0);
+    let mut cmds = Vec::new();
     for (i, input) in inputs.into_iter().enumerate() {
         let _at = Step(i);
         now += SimDuration::from_millis(37.0);
-        let cmds = match input {
+        cmds.clear();
+        match input {
             Input::Originate { dst } => {
                 if NodeId::new(dst) == me {
                     continue;
                 }
-                agent.originate(NodeId::new(dst), 512, i as u64, now)
+                agent.originate(NodeId::new(dst), 512, i as u64, now, &mut cmds)
             }
-            Input::Data { route, hop_guess } => {
-                agent.on_receive(NodeId::new(1), Packet::Data(mk_data(route, hop_guess)), now)
-            }
+            Input::Data { route, hop_guess } => agent.on_receive(
+                NodeId::new(1),
+                Packet::Data(mk_data(route, hop_guess)),
+                now,
+                &mut cmds,
+            ),
             Input::Request { origin, target, path, ttl, id } => {
                 let req = RouteRequest {
                     uid: i as u64,
@@ -128,7 +133,7 @@ fn drive(variant: usize, inputs: Vec<Input>) {
                     ttl,
                     piggyback_error: None,
                 };
-                agent.on_receive(NodeId::new(origin), Packet::Request(req), now)
+                agent.on_receive(NodeId::new(origin), Packet::Request(req), now, &mut cmds)
             }
             Input::Reply { discovered, back } => {
                 let rep = RouteReply {
@@ -139,7 +144,7 @@ fn drive(variant: usize, inputs: Vec<Input>) {
                     route: back,
                     gratuitous: false,
                 };
-                agent.on_receive(NodeId::new(1), Packet::Reply(rep), now)
+                agent.on_receive(NodeId::new(1), Packet::Reply(rep), now, &mut cmds)
             }
             Input::ErrorUnicast { broken: (a, b), back } => {
                 if a == b {
@@ -155,7 +160,7 @@ fn drive(variant: usize, inputs: Vec<Input>) {
                         hop: 0,
                     },
                 };
-                agent.on_receive(NodeId::new(1), Packet::Error(err), now)
+                agent.on_receive(NodeId::new(1), Packet::Error(err), now, &mut cmds)
             }
             Input::ErrorBroadcast { broken: (a, b), uid } => {
                 if a == b {
@@ -167,23 +172,28 @@ fn drive(variant: usize, inputs: Vec<Input>) {
                     detector: NodeId::new(a),
                     delivery: ErrorDelivery::Broadcast,
                 };
-                agent.on_receive(NodeId::new(1), Packet::Error(err), now)
+                agent.on_receive(NodeId::new(1), Packet::Error(err), now, &mut cmds)
             }
             Input::TxFailed { route, next_hop } => {
                 if NodeId::new(next_hop) == me {
                     continue;
                 }
-                agent.on_tx_failed(Packet::Data(mk_data(route, 0)), NodeId::new(next_hop), now)
+                agent.on_tx_failed(
+                    Packet::Data(mk_data(route, 0)),
+                    NodeId::new(next_hop),
+                    now,
+                    &mut cmds,
+                )
             }
             Input::Snoop { route, transmitter } => {
                 let pkt = Packet::Data(mk_data(route, 0));
-                agent.on_snoop(NodeId::new(transmitter), &pkt, now)
+                agent.on_snoop(NodeId::new(transmitter), &pkt, now, &mut cmds)
             }
-            Input::Tick => agent.on_timer(DsrTimer::Tick, now),
+            Input::Tick => agent.on_timer(DsrTimer::Tick, now, &mut cmds),
             Input::RequestTimeout { target } => {
-                agent.on_timer(DsrTimer::RequestTimeout(NodeId::new(target)), now)
+                agent.on_timer(DsrTimer::RequestTimeout(NodeId::new(target)), now, &mut cmds)
             }
-        };
+        }
         // Invariants on everything the agent emits.
         for cmd in &cmds {
             if let AgentCommand::Send { packet, next_hop, .. } = cmd {
