@@ -495,10 +495,6 @@ impl RoutingAgent for AodvNode {
         // AODV does not use promiscuous listening.
     }
 
-    fn supports_conservation_audit(&self) -> bool {
-        true
-    }
-
     fn buffered_uids(&self) -> Vec<u64> {
         self.send_buffer.uids()
     }
@@ -553,12 +549,12 @@ impl RoutingAgent for AodvNode {
                     at: now + SimDuration::from_millis(500.0),
                 });
                 self.table.expire(now);
-                for expired in self.send_buffer.purge_expired(now) {
+                self.send_buffer.purge_expired(now, |expired| {
                     cmds.push(Cmd::Drop {
                         uid: expired.uid,
                         reason: DropReason::SendBufferTimeout,
                     });
-                }
+                });
             }
             AodvTimer::RequestTimeout(target) => {
                 if !self.requests.discovering(target) {

@@ -23,8 +23,9 @@ use std::collections::VecDeque;
 
 use packet::{
     AgentCommand, AgentObservation, CacheDecision, CacheHitKind, CacheInsertProvenance,
-    CacheRemovalCause, DataPacket, DropReason, ErrorDelivery, InlineRoute, Link, Packet,
-    ProtocolEvent, Route, RouteErrorPkt, RouteReply, RouteRequest, RoutingAgent, SuppressedAction,
+    CacheRemovalCause, DataPacket, DropReason, ErrorDelivery, InlineRoute, InvalidRoute, Link,
+    Packet, ProtocolEvent, Route, RouteErrorPkt, RouteReply, RouteRequest, RoutingAgent,
+    SuppressedAction,
 };
 
 use sim_core::rng::uniform;
@@ -113,9 +114,9 @@ pub struct DsrNode {
     /// decision events are built and the cache's internal log stays
     /// unallocated, so the untraced hot path is untouched.
     trace_decisions: bool,
-    /// Scratch for the candidate routes [`Self::learn_from_route`] and
-    /// [`Self::handle_request`] have to assemble (reversals, routes through
-    /// an overheard transmitter).
+    /// Scratch for the candidate routes [`Self::learn_from_route`],
+    /// [`Self::handle_request`] and [`Self::maybe_gratuitous_reply`] have to
+    /// assemble (reversals, routes through an overheard transmitter).
     route_buf: Vec<NodeId>,
     /// Scratch for the destinations a send-buffer flush screens.
     flush_dsts: Vec<NodeId>,
@@ -494,10 +495,6 @@ impl RoutingAgent for DsrNode {
         }
     }
 
-    fn supports_conservation_audit(&self) -> bool {
-        true
-    }
-
     /// The uids of every packet waiting in the send buffer (conservation
     /// audits).
     fn buffered_uids(&self) -> Vec<u64> {
@@ -672,20 +669,18 @@ impl DsrNode {
         if !self.requests.note_seen(req.origin, req.request_id) {
             return; // duplicate
         }
-        if self.cfg.replies_from_cache {
-            let found = self.cache.find(req.target, now);
-            self.trace_lookup(req.target, CacheHitKind::Reply, &found, cmds);
-            if let Some(cached) = found {
-                if let Ok(full) = Route::join(req.path.nodes(), &cached) {
-                    cmds.push(Cmd::Event {
-                        event: DsrEvent::CacheHit {
-                            route: InlineRoute::from_slice(cached.nodes()),
-                            kind: CacheHitKind::Reply,
-                        },
-                    });
-                    self.send_reply(full, true, now, cmds);
-                    return; // cached reply quenches the flood here
-                }
+        let found = self.cache.find(req.target, now);
+        self.trace_lookup(req.target, CacheHitKind::Reply, &found, cmds);
+        if let Some(cached) = found {
+            if let Ok(full) = Route::join(req.path.nodes(), &cached) {
+                cmds.push(Cmd::Event {
+                    event: DsrEvent::CacheHit {
+                        route: InlineRoute::from_slice(cached.nodes()),
+                        kind: CacheHitKind::Reply,
+                    },
+                });
+                self.send_reply(full, true, now, cmds);
+                return; // cached reply quenches the flood here
             }
         }
         if req.ttl > 1 {
@@ -1308,15 +1303,19 @@ impl DsrNode {
 
         // Shortened route: source .. transmitter, then directly us, then
         // the rest from our position.
-        let mut nodes = route.nodes()[..=i].to_vec();
-        nodes.extend_from_slice(&route.nodes()[j..]);
-        let Ok(shortened) = Route::new(nodes) else {
+        let nodes = route.nodes();
+        let Ok(shortened) = self.scratch_route(|buf| {
+            buf.extend_from_slice(&nodes[..=i]);
+            buf.extend_from_slice(&nodes[j..]);
+        }) else {
             return;
         };
         // Reply route from us back to the source via the transmitter.
-        let mut back = vec![self.id];
-        back.extend(route.nodes()[..=i].iter().rev());
-        let Ok(reply_route) = Route::new(back) else {
+        let me = self.id;
+        let Ok(reply_route) = self.scratch_route(|buf| {
+            buf.push(me);
+            buf.extend(nodes[..=i].iter().rev());
+        }) else {
             return;
         };
         let Some(next_hop) = reply_route.next_hop_after(self.id) else {
@@ -1335,15 +1334,29 @@ impl DsrNode {
         cmds.push(Cmd::Send { packet: Packet::Reply(rep), next_hop, jitter });
     }
 
+    /// The route `fill` writes into the emptied scratch buffer, copied once
+    /// into its `Route`.
+    fn scratch_route(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<NodeId>),
+    ) -> Result<Route, InvalidRoute> {
+        let mut buf = std::mem::take(&mut self.route_buf);
+        buf.clear();
+        fill(&mut buf);
+        let route = Route::from_slice(&buf);
+        self.route_buf = buf;
+        route
+    }
+
     // ------------------------------------------------------------------
     // Housekeeping
     // ------------------------------------------------------------------
 
     fn tick(&mut self, now: SimTime, cmds: &mut Vec<Cmd>) {
         cmds.push(Cmd::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD });
-        for expired in self.send_buffer.purge_expired(now) {
+        self.send_buffer.purge_expired(now, |expired| {
             cmds.push(Cmd::Drop { uid: expired.uid, reason: DropReason::SendBufferTimeout });
-        }
+        });
         if let Some(neg) = &mut self.negative {
             neg.purge(now);
         }

@@ -166,8 +166,6 @@ impl Default for MultipathConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DsrConfig {
     // --- standard DSR ---------------------------------------------------
-    /// Intermediate nodes answer route requests from their caches.
-    pub replies_from_cache: bool,
     /// Route cache capacity in paths (or links, for the link-cache
     /// organization).
     pub cache_capacity: usize,
@@ -201,7 +199,6 @@ impl DsrConfig {
     /// optimizations, none of the paper's cache-correctness techniques.
     pub fn base() -> Self {
         DsrConfig {
-            replies_from_cache: true,
             cache_capacity: 64,
             cache_organization: CacheOrganization::Path,
             wider_error_notification: false,
@@ -343,7 +340,6 @@ mod tests {
     #[test]
     fn base_has_standard_optimizations_only() {
         let c = DsrConfig::base();
-        assert!(c.replies_from_cache);
         assert!(!c.wider_error_notification);
         assert_eq!(c.expiry, ExpiryPolicy::None);
         assert!(!c.negative_cache);

@@ -93,20 +93,17 @@ impl SendBuffer {
         taken
     }
 
-    /// Drops packets that waited longer than the timeout and returns them
-    /// for accounting.
-    pub fn purge_expired(&mut self, now: SimTime) -> Vec<PendingData> {
+    /// Drops packets that waited longer than the timeout, handing each to
+    /// `expired` (in arrival order) for accounting.
+    pub fn purge_expired(&mut self, now: SimTime, mut expired: impl FnMut(&PendingData)) {
         let timeout = self.timeout;
-        let mut expired = Vec::new();
         self.entries.retain(|(p, at)| {
-            if *at + timeout <= now {
-                expired.push(p.clone());
-                false
-            } else {
-                true
+            let keep = *at + timeout > now;
+            if !keep {
+                expired(p);
             }
+            keep
         });
-        expired
     }
 
     /// Whether any buffered packet targets `dst` (drives discovery
@@ -208,8 +205,9 @@ mod tests {
         let mut b = buf(8, 30.0);
         b.push(pkt(1, 5), SimTime::ZERO);
         b.push(pkt(2, 5), SimTime::from_secs(20.0));
-        let expired = b.purge_expired(SimTime::from_secs(31.0));
-        assert_eq!(expired.iter().map(|p| p.uid).collect::<Vec<_>>(), vec![1]);
+        let mut expired = Vec::new();
+        b.purge_expired(SimTime::from_secs(31.0), |p| expired.push(p.uid));
+        assert_eq!(expired, vec![1]);
         assert_eq!(b.len(), 1);
     }
 
@@ -218,6 +216,6 @@ mod tests {
         let mut b = buf(2, 30.0);
         assert!(b.is_empty());
         assert!(b.take_for(NodeId::new(1)).is_empty());
-        assert!(b.purge_expired(SimTime::from_secs(100.0)).is_empty());
+        b.purge_expired(SimTime::from_secs(100.0), |p| panic!("nothing to expire: {p:?}"));
     }
 }

@@ -308,3 +308,28 @@ fn the_target_answer_allocates_the_discovered_route_and_the_reply_route() {
         assert_eq!(allocs, 2, "{label}: discovered route and reply route");
     }
 }
+
+#[test]
+fn a_gratuitous_reply_allocates_the_shortened_route_and_the_reply_route() {
+    for cfg in [DsrConfig::base(), DsrConfig::combined()] {
+        let label = cfg.label();
+        let mut node = DsrNode::new(n(5), cfg, RngFactory::new(1).stream("alloc-free", 5));
+        // Node 5 overhears 1 sending to 2 a packet whose route reaches 5 two
+        // hops later: 5 advertises the shortcut 0-1-5-3 back to the source.
+        let shortcut = data_on(&[0, 1, 2, 5, 3], 1);
+        // Warm-up: caches the route's pieces, sizes the scratch, the
+        // advertised-flow table and the command buffer.
+        let mut cmds = Vec::new();
+        node.on_snoop(n(1), &shortcut, t(0.0), &mut cmds);
+        cmds.clear();
+        // Past the hold-off, the same flow is advertised again.
+        let (allocs, ()) = allocations(|| node.on_snoop(n(1), &shortcut, t(2.0), &mut cmds));
+        let Some(AgentCommand::Send { packet: Packet::Reply(rep), .. }) = cmds.last() else {
+            panic!("{label}: a gratuitous reply: {cmds:?}");
+        };
+        assert!(rep.gratuitous, "{label}");
+        assert_eq!(rep.discovered, route(&[0, 1, 5, 3]));
+        assert_eq!(rep.route, route(&[5, 1, 0]));
+        assert_eq!(allocs, 2, "{label}: shortened route and reply route");
+    }
+}

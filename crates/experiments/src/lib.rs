@@ -27,13 +27,12 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use aodv::{AodvConfig, AodvNode};
-use dsr::{DsrConfig, DsrNode};
+use dsr::DsrConfig;
 use metrics::{Metrics, Report};
 use obs::{ObsConfig, ObsMode, Profile};
 use runner::{
     run_campaign, run_campaign_with, AuditLevel, CampaignConfig, RunLimits, ScenarioConfig,
 };
-use tcp::{TcpConfig, TcpHost};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -369,13 +368,10 @@ impl Point {
 /// Who routes at every node of a point's runs.
 #[derive(Debug)]
 pub enum Agent {
-    /// [`DsrNode`] with the scenario's `dsr` configuration.
+    /// [`dsr::DsrNode`] with the scenario's `dsr` configuration.
     Dsr,
     /// [`AodvNode`] with this configuration.
     Aodv(AodvConfig),
-    /// [`TcpHost`] (one 512-byte-segment connection per flow) over the
-    /// scenario's DSR, reported under this label.
-    TcpOverDsr(&'static str),
 }
 
 impl Agent {
@@ -384,7 +380,6 @@ impl Agent {
         match self {
             Agent::Dsr => base.dsr.label(),
             Agent::Aodv(aodv) => aodv.label(),
-            Agent::TcpOverDsr(label) => label.to_string(),
         }
     }
 }
@@ -436,9 +431,6 @@ pub fn run_point(base: &ScenarioConfig, agent: &Agent, args: &ExpArgs) -> Point 
         Agent::Dsr => run_campaign(base, &seeds, &campaign),
         Agent::Aodv(aodv) => run_campaign_with(base, &seeds, &campaign, &label, |node, rng| {
             AodvNode::new(node, aodv.clone(), rng)
-        }),
-        Agent::TcpOverDsr(_) => run_campaign_with(base, &seeds, &campaign, &label, |node, rng| {
-            TcpHost::new(DsrNode::new(node, base.dsr.clone(), rng), TcpConfig::default(), 512)
         }),
     };
     if let Some(profile) = &result.profile {

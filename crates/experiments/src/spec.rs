@@ -66,16 +66,13 @@ pub struct Column {
 
 /// The measured columns that are not a [`Report::FIELDS`] entry under its
 /// own name: the variant label, the failed-run count, and aliases of one
-/// metric under the name a committed CSV already carries:
-/// `segment_delivery` and `delivery_pct` (`delivery_fraction`),
-/// `goodput_kbps` (`throughput_kbps`), `good_replies_pct` (`good_reply_pct`)
-/// and `invalid_cached_routes_pct` (`invalid_cache_pct`).
+/// metric under the name a committed CSV already carries: `delivery_pct`
+/// (`delivery_fraction`), `good_replies_pct` (`good_reply_pct`) and
+/// `invalid_cached_routes_pct` (`invalid_cache_pct`).
 pub static COLUMNS: &[Column] = &[
     Column { name: "variant", cell: |p| p.label.clone() },
     Column { name: "runs_failed", cell: |p| p.runs_failed.to_string() },
-    Column { name: "segment_delivery", cell: |p| f3(p.delivery_fraction) },
     Column { name: "delivery_pct", cell: |p| pct(100.0 * p.delivery_fraction) },
-    Column { name: "goodput_kbps", cell: |p| f3(p.throughput_kbps) },
     Column { name: "good_replies_pct", cell: |p| pct(p.good_reply_pct) },
     Column { name: "invalid_cached_routes_pct", cell: |p| pct(p.invalid_cache_pct) },
 ];
@@ -380,51 +377,6 @@ pub static SPECS: &[Spec] = &[
             rows
         },
     },
-    Spec {
-        name: "ext_tcp",
-        title: "Extension: single TCP connection over DSR variants (pause 0)",
-        shape: "Holland & Vaidya: stale routes hurt TCP, so disabling cache replies helps base \
-                DSR's goodput on one bulk transfer even though discovery gets slower; DSR-C \
-                makes cache replies safe again by keeping the caches clean.",
-        axes: &[],
-        columns: &[
-            "variant",
-            "goodput_kbps",
-            "segment_delivery",
-            "avg_delay_s",
-            "normalized_overhead",
-            "runs_failed",
-            "faults_injected",
-            "delay_p99_s",
-            "delay_jitter_s",
-            "stale_route_sends",
-            "cache_stale_hits",
-        ],
-        rows: |mode| {
-            [
-                ("DSR", DsrConfig::base()),
-                (
-                    "DSR (no cache replies)",
-                    DsrConfig { replies_from_cache: false, ..DsrConfig::base() },
-                ),
-                ("DSR-C", DsrConfig::combined()),
-            ]
-            .into_iter()
-            .map(|(label, dsr)| {
-                // One flow writing 20 segments/s (a bulk-transfer stand-in);
-                // TCP paces actual transmission below that offer.
-                let mut scenario = mode.scenario(0.0, 20.0, dsr);
-                scenario.traffic = TrafficConfig {
-                    num_flows: 1,
-                    rate_pps: 20.0,
-                    packet_bytes: 512,
-                    start_window: SimDuration::from_secs(1.0),
-                };
-                Row { axes: vec![], scenario, agent: Agent::TcpOverDsr(label) }
-            })
-            .collect()
-        },
-    },
 ];
 
 /// The spec `name` picks, or a message naming what is missing and every
@@ -524,6 +476,8 @@ mod tests {
         for (i, c) in COLUMNS.iter().enumerate() {
             assert!(COLUMNS[..i].iter().all(|d| d.name != c.name), "{} twice", c.name);
             assert!(Report::FIELDS.iter().all(|f| f.name != c.name), "{} shadows a field", c.name);
+            let named = SPECS.iter().any(|s| s.columns.contains(&c.name));
+            assert!(named, "{} is named by no spec", c.name);
         }
     }
 
@@ -565,7 +519,7 @@ mod tests {
         assert_eq!(find(Some("fig2_mobility")).map(|s| s.name), Ok("fig2_mobility"));
         for bad in [None, Some("fig3"), Some("")] {
             let msg = find(bad).expect_err("rejected");
-            assert!(msg.contains("table3_cache") && msg.contains("ext_tcp"), "{msg}");
+            assert!(msg.contains("table3_cache") && msg.contains("ext_aodv"), "{msg}");
         }
         assert!(find(None).unwrap_err().starts_with("missing"));
         assert!(find(Some("fig3")).unwrap_err().contains("'fig3'"));

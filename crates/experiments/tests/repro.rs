@@ -48,6 +48,15 @@ fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
             text.replacen("replayable = true\n", "replayable = true\npaired_arrivals = true\n", 1),
         ),
         ("link_blackout.txt", text.replacen("fault.0 = panic\n", "fault.0 = link_blackout\n", 1)),
+        // Where the writer before the setting's removal put it.
+        (
+            "replies_from_cache.txt",
+            text.replacen(
+                "dsr.cache_capacity = ",
+                "dsr.replies_from_cache = true\ndsr.cache_capacity = ",
+                1,
+            ),
+        ),
     ] {
         assert_ne!(earlier, text, "{name}");
         std::fs::write(dir.join(name), earlier).expect("write");

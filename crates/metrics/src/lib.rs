@@ -57,7 +57,7 @@ pub struct Metrics {
     // never reaches a Report.
     hits_by_kind: U64HashMap<CacheHitKind, (u64, u64)>, // (hits, invalid)
     replies_originated: u64,
-    replies_from_cache: u64,
+    cached_replies: u64,
 
     discoveries: u64,
     floods: u64,
@@ -165,7 +165,7 @@ impl Metrics {
     pub fn record_reply_originated(&mut self, from_cache: bool) {
         self.replies_originated += 1;
         if from_cache {
-            self.replies_from_cache += 1;
+            self.cached_replies += 1;
         }
     }
 
@@ -292,7 +292,7 @@ impl Metrics {
             salvage_hits: self.cache_hits_of(CacheHitKind::Salvage).0,
             reply_hits: self.cache_hits_of(CacheHitKind::Reply).0,
             replies_originated: self.replies_originated,
-            reply_from_cache_pct: pct(self.replies_from_cache, self.replies_originated),
+            reply_from_cache_pct: pct(self.cached_replies, self.replies_originated),
             discoveries: self.discoveries,
             floods: self.floods,
             link_breaks: self.link_breaks,

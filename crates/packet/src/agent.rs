@@ -6,8 +6,7 @@
 //! radio + 802.11 substrate. DSR (`dsr::DsrNode`) is the primary
 //! implementation; the `aodv` crate provides a second one — the paper's
 //! stated future-work direction of carrying its caching techniques to other
-//! on-demand protocols — and `tcp::TcpHost` wraps a DSR node with TCP
-//! endpoints.
+//! on-demand protocols.
 
 use sim_core::{NodeId, SimDuration, SimTime};
 
@@ -73,7 +72,7 @@ pub enum AgentCommand<P, T> {
 /// sampler.
 ///
 /// Returned by [`RoutingAgent::observe`]; agents that do not participate
-/// (AODV, TCP wrappers) return `None` and simply contribute zeros.
+/// (AODV) return `None` and simply contribute zeros.
 #[derive(Debug, Clone, Default)]
 pub struct AgentObservation {
     /// Snapshot of the node's cached routes (paths, or per-link stubs for a
@@ -94,8 +93,7 @@ pub struct AgentObservation {
 /// what `out` already held alone. The driver hands each input an empty
 /// buffer drawn from a pool and drains it after the call, so a warm input
 /// allocates nothing for its commands (the shape of the MAC's `*_into`
-/// inputs). A wrapper agent (`tcp::TcpHost`) may feed its inner agent a
-/// scratch buffer of its own and translate from there.
+/// inputs).
 pub trait RoutingAgent: Send {
     /// The protocol's network-layer packet type.
     type Packet: NetPacket;
@@ -172,23 +170,14 @@ pub trait RoutingAgent: Send {
     fn on_revival(&mut self, now: SimTime, out: &mut Vec<AgentCommand<Self::Packet, Self::Timer>>);
 
     // ------------------------------------------------------------------
-    // Conservation-audit hooks (the driver's auditor). Optional: protocols
-    // that consume or re-sequence deliveries internally (e.g. TCP over
-    // DSR) keep the defaults and opt out of per-uid accounting.
+    // Conservation-audit hooks (the driver's auditor): every uid announced
+    // via `ProtocolEvent::DataOriginated` ends in a `Deliver` or a `Drop`
+    // command, or is still buffered at run end.
     // ------------------------------------------------------------------
-
-    /// Whether `Deliver`/`Drop` commands account for every uid announced
-    /// via [`ProtocolEvent::DataOriginated`]. When `false`, a requested
-    /// full audit degrades to counters.
-    fn supports_conservation_audit(&self) -> bool {
-        false
-    }
 
     /// The uids of data packets this agent still buffers (awaiting routes).
     /// Consulted at run end so buffered packets are not reported lost.
-    fn buffered_uids(&self) -> Vec<u64> {
-        Vec::new()
-    }
+    fn buffered_uids(&self) -> Vec<u64>;
 
     /// Protocol-invariant self-check (e.g. DSR's negative-cache ↔ route-
     /// cache mutual exclusion). Returns a description of the first

@@ -208,7 +208,6 @@ stored_struct! {
         "faults" => faults,
     }
     DsrConfig {
-        ".replies_from_cache" => replies_from_cache,
         ".cache_capacity" => cache_capacity,
         ".cache_organization" => cache_organization,
         ".wider_error_notification" => wider_error_notification,
@@ -685,22 +684,22 @@ mod tests {
     #[test]
     fn fingerprints_and_a_full_render_are_pinned() {
         const PINNED: [u64; 9] = [
-            0x5302_09e0_ba39_295e,
-            0x28ff_7323_dd72_336e,
-            0xfc03_e965_5090_c0ee,
-            0x9449_a478_1502_0967,
-            0xd996_3a35_9fb0_61da,
-            0x3e37_750f_5948_8bd8,
-            0x042e_5598_0391_44ae,
-            0x8b87_2270_e4ea_9fcd,
-            0xaf4e_7661_5ff4_e4f1,
+            0x7631_0d1d_31b8_7794,
+            0xa57e_b8a7_9ce3_3f0c,
+            0x43f0_cc73_2ecb_28dc,
+            0x6fc3_cc38_f074_df55,
+            0x3f2a_1573_2f9e_b318,
+            0xd49d_e6bb_5762_6d66,
+            0x8b36_304d_1ee5_63c4,
+            0xb9e7_0f0b_594b_56b3,
+            0xb3bb_b291_dcc6_4f9f,
         ];
         let got: Vec<u64> = flavors().iter().map(config_fingerprint).collect();
         let hex: Vec<String> = got.iter().map(|fp| format!("{fp:#018x}")).collect();
         assert_eq!(got, PINNED, "fingerprints moved: {hex:?}");
         let rendered = artifact(flavors().swap_remove(2)).render();
         let digest = fnv1a(rendered.as_bytes());
-        assert_eq!(digest, 0xb49c_f28e_299f_e78b, "render digest moved: {digest:#018x}");
+        assert_eq!(digest, 0xb0ec_659f_592f_0a37, "render digest moved: {digest:#018x}");
     }
 
     /// Each earlier writer's schema is refused, not translated: an artifact
@@ -729,6 +728,12 @@ mod tests {
             // A setting now fixed as a constant, at the value it still has.
             (with_line(&current, &format!("mac.cw_max = {cw_max}")), "mac.cw_max", cw_max.as_str()),
             (with_line(&current, "paired_arrivals = true"), "paired_arrivals", "true"),
+            // A setting removed with the extension that was its only user.
+            (
+                with_line(&current, "dsr.replies_from_cache = true"),
+                "dsr.replies_from_cache",
+                "true",
+            ),
             (link_blackout, "fault.1", "link_blackout"),
             // Lookups read the first of two equal keys; the second is refused.
             (with_line(&current, "label = other"), "label", "other"),

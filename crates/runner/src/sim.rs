@@ -363,19 +363,9 @@ impl<A: RoutingAgent> Simulator<A> {
         self.limits = limits;
     }
 
-    /// Enables conservation auditing at `level`. A requested
-    /// [`AuditLevel::Full`] degrades to [`AuditLevel::Counters`] when any
-    /// agent does not account for every uid it originates (e.g. TCP over
-    /// DSR, which consumes ACK deliveries internally).
+    /// Enables conservation auditing at `level`.
     pub fn set_audit(&mut self, level: AuditLevel) {
-        let effective = if level == AuditLevel::Full
-            && !self.agents.iter().all(|a| a.supports_conservation_audit())
-        {
-            AuditLevel::Counters
-        } else {
-            level
-        };
-        self.observers.audit = Auditor::new(effective);
+        self.observers.audit = Auditor::new(level);
     }
 
     /// The ground-truth oracle (for external validation and tests).

@@ -231,19 +231,19 @@ fn rendered_traces_match_the_pinned_digests() {
         (
             "combined_clean",
             combined,
-            0x3fa1_b094_7729_fa8c,
+            0xfdb0_96e6_4d30_b4b4,
             &["insert", "lookup", "remove", "expire", "refresh"],
         ),
         (
             "base_clean",
             ScenarioConfig::tiny(0.0, 2.0, DsrConfig::base(), 1),
-            0x2678_1f3d_ff58_77d4,
+            0xe7d9_a2ff_d452_68d2,
             &["insert", "lookup", "remove", "refresh"],
         ),
         (
             "combined_churn_blackout",
             faulted,
-            0x51b6_56f1_3bc3_f347,
+            0x9935_481a_0b25_90b1,
             &["insert", "lookup", "remove", "expire", "evict", "refresh"],
         ),
     ];

@@ -39,7 +39,6 @@ pub use packet;
 pub use phy;
 pub use runner;
 pub use sim_core;
-pub use tcp;
 pub use traffic;
 
 /// The commonly used types in one import.
@@ -55,6 +54,5 @@ pub mod prelude {
         Zone,
     };
     pub use sim_core::{NodeId, SimDuration, SimTime};
-    pub use tcp::{TcpConfig, TcpHost};
     pub use traffic::TrafficConfig;
 }

@@ -113,10 +113,6 @@ where
         self.note("revival", &out[from..]);
     }
 
-    fn supports_conservation_audit(&self) -> bool {
-        self.inner.supports_conservation_audit()
-    }
-
     fn buffered_uids(&self) -> Vec<u64> {
         self.inner.buffered_uids()
     }
@@ -215,13 +211,4 @@ fn aodv_command_stream_matches_the_pinned_digest() {
         AodvNode::new(n, aodv.clone(), rng)
     });
     assert_eq!(format!("{hash:#018x} {calls} {commands}"), "0x9409c53571fe9c91 30213 5913");
-}
-
-#[test]
-fn tcp_over_dsr_command_stream_matches_the_pinned_digest() {
-    let dsr = DsrConfig::combined();
-    let (hash, calls, commands) = record(scenario(dsr.clone(), 13), false, move |n, rng| {
-        TcpHost::new(DsrNode::new(n, dsr.clone(), rng), TcpConfig::default(), 512)
-    });
-    assert_eq!(format!("{hash:#018x} {calls} {commands}"), "0x166dbb802b44ea5f 44744 13010");
 }
