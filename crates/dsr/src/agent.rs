@@ -29,7 +29,7 @@ use packet::{
 };
 
 use sim_core::rng::uniform;
-use sim_core::{NodeId, SimDuration, SimRng, SimTime, U64HashMap, U64HashSet};
+use sim_core::{NodeId, SimDuration, SimRng, SimTime, U64HashSet};
 
 use crate::adaptive::AdaptiveTimeout;
 use crate::cache::link_cache::LinkCache;
@@ -38,7 +38,7 @@ use crate::cache::path_cache::PathCache;
 use crate::cache::{CacheEvent, RemovedLink, RouteCache};
 use crate::config::{
     CacheOrganization, DsrConfig, ExpiryPolicy, WiderErrorRebroadcast, ADAPTIVE_MIN_TIMEOUT,
-    MAX_SALVAGE_COUNT, PREEMPTIVE_HOLDOFF, RECOMPUTE_PERIOD,
+    MAX_SALVAGE_COUNT, RECOMPUTE_PERIOD, SUPPRESSION_STRETCH,
 };
 use crate::request_table::{RequestTable, BROADCAST_JITTER, NONPROP_TIMEOUT};
 use crate::send_buffer::{PendingData, SendBuffer};
@@ -54,18 +54,6 @@ const GRAT_REPLY_HOLDOFF: SimDuration = SimDuration::from_micros_u64(1_000_000);
 /// How many answered `(origin, request_id)` pairs the suppression
 /// bookkeeping remembers (FIFO replacement).
 const ANSWERED_REQUEST_CACHE: usize = 256;
-
-/// Per-neighbor signal-strength state for Preemptive-DSR.
-#[derive(Debug, Clone, Copy, Default)]
-struct NeighborSignal {
-    /// Last observation was below the warning threshold.
-    below: bool,
-    /// When the last preemptive repair for this neighbor fired.
-    last_repair: Option<SimTime>,
-    /// A repair fired and the next packet routed over the fading link
-    /// still owes its source a warning route error.
-    warn_armed: bool,
-}
 
 /// Timers the agent asks the driver to run. `SetTimer` replaces any pending
 /// timer with the same value.
@@ -102,9 +90,6 @@ pub struct DsrNode {
     seen_errors_set: U64HashSet<u64>,
     /// Recently sent gratuitous replies: `((source, destination), when)`.
     grat_replies: VecDeque<((NodeId, NodeId), SimTime)>,
-    /// Preemptive-DSR: per-neighbor receive-power state (keyed access
-    /// only, so map iteration order never leaks into behaviour).
-    signal: U64HashMap<NodeId, NeighborSignal>,
     /// Suppression: best hop count already answered per
     /// `(origin, request_id)`, FIFO-bounded.
     answered_requests: VecDeque<((NodeId, u64), usize)>,
@@ -147,7 +132,6 @@ impl DsrNode {
             seen_errors: VecDeque::new(),
             seen_errors_set: U64HashSet::default(),
             grat_replies: VecDeque::new(),
-            signal: U64HashMap::default(),
             answered_requests: VecDeque::new(),
             uid_counter: 0,
             rng,
@@ -345,7 +329,6 @@ impl RoutingAgent for DsrNode {
         self.seen_errors.clear();
         self.seen_errors_set.clear();
         self.grat_replies.clear();
-        self.signal.clear();
         self.answered_requests.clear();
         cmds.push(Cmd::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD });
     }
@@ -390,41 +373,8 @@ impl RoutingAgent for DsrNode {
             Packet::Request(req) => self.handle_request(req, now, cmds),
             Packet::Reply(rep) => self.handle_reply(rep, now, cmds),
             Packet::Error(err) => self.handle_error(err, from, now, cmds),
-            Packet::Data(data) => self.handle_data(data, from, now, cmds),
+            Packet::Data(data) => self.handle_data(data, now, cmds),
         }
-    }
-
-    /// The PHY decoded a frame from `from` intact at receive power
-    /// `power_w` watts (Preemptive-DSR hook; no-op unless configured).
-    ///
-    /// On a downward threshold crossing the fading link is purged from
-    /// the route cache ahead of the actual break, and the next data
-    /// packet routed over it triggers a warning route error back to its
-    /// source (Ramesh et al.'s preemptive RERR). A per-neighbor holdoff
-    /// keeps a node lingering near the threshold from firing repeatedly.
-    fn on_signal(&mut self, from: NodeId, power_w: f64, now: SimTime, cmds: &mut Vec<Cmd>) {
-        let Some(pre) = self.cfg.preemptive else {
-            return;
-        };
-        let state = self.signal.entry(from).or_default();
-        let below = power_w < pre.threshold_w;
-        let crossed = below && !state.below;
-        state.below = below;
-        if !crossed {
-            return;
-        }
-        if let Some(last) = state.last_repair {
-            if now < last + PREEMPTIVE_HOLDOFF {
-                return;
-            }
-        }
-        state.last_repair = Some(now);
-        state.warn_armed = true;
-        // The fading link as data actually traverses it: from -> us.
-        let link = Link::new(from, self.id);
-        cmds.push(Cmd::Event { event: DsrEvent::PreemptiveRepair { link } });
-        self.preemptive_purge(link, now, cmds);
-        self.preemptive_purge(Link::new(self.id, from), now, cmds);
     }
 
     /// The MAC promiscuously overheard a data-bearing frame addressed to
@@ -542,39 +492,6 @@ impl RoutingAgent for DsrNode {
 }
 
 impl DsrNode {
-    /// Purges a fading (but not yet broken) link from the cache. Unlike
-    /// [`Self::apply_link_break`] this feeds neither the adaptive
-    /// estimator (no route died) nor the negative cache (the link still
-    /// works; blacklisting it would veto usable routes).
-    fn preemptive_purge(&mut self, link: Link, now: SimTime, cmds: &mut Vec<Cmd>) {
-        let removed = self.cache.remove_link(link, now);
-        self.trace_remove(link, CacheRemovalCause::Preemptive, removed.contained, cmds);
-        self.emit_failovers(&removed, cmds);
-    }
-
-    /// If a preemptive repair fired for `from` and still owes a warning,
-    /// send the source of `route` a route error for the fading link so it
-    /// refreshes its route before the break happens.
-    fn maybe_preemptive_warn(
-        &mut self,
-        from: NodeId,
-        route: &Route,
-        now: SimTime,
-        cmds: &mut Vec<Cmd>,
-    ) {
-        if self.cfg.preemptive.is_none() || route.source() == self.id {
-            return;
-        }
-        let Some(state) = self.signal.get_mut(&from) else {
-            return;
-        };
-        if !state.warn_armed {
-            return;
-        }
-        state.warn_armed = false;
-        self.originate_route_error_for_route(Link::new(from, self.id), route, now, cmds);
-    }
-
     // ------------------------------------------------------------------
     // Discovery
     // ------------------------------------------------------------------
@@ -698,7 +615,7 @@ impl DsrNode {
 
     /// Non-optimal route suppression (DSR-NORS), reply side: the target
     /// answers the *first* copy of each request unconditionally, but
-    /// withholds later copies whose route is more than `stretch` times the
+    /// withholds later copies whose route is more than [`SUPPRESSION_STRETCH`] times the
     /// best hop count already answered. Returns `true` when the reply
     /// should be withheld.
     fn suppress_duplicate_reply(
@@ -707,14 +624,14 @@ impl DsrNode {
         discovered: &[NodeId],
         cmds: &mut Vec<Cmd>,
     ) -> bool {
-        let Some(sup) = self.cfg.suppression else {
+        if !self.cfg.suppression {
             return false;
-        };
+        }
         let hops = discovered.len() - 1;
         let key = (req.origin, req.request_id);
         match self.answered_requests.iter_mut().find(|(k, _)| *k == key) {
             Some((_, best)) => {
-                if (hops as f64) > sup.stretch * (*best as f64) {
+                if (hops as f64) > SUPPRESSION_STRETCH * (*best as f64) {
                     if self.trace_decisions {
                         cmds.push(Cmd::Event {
                             event: DsrEvent::CacheDecision {
@@ -846,16 +763,7 @@ impl DsrNode {
         cmds.push(Cmd::Send { packet: Packet::Data(data), next_hop, jitter: SimDuration::ZERO });
     }
 
-    fn handle_data(
-        &mut self,
-        mut data: DataPacket,
-        from: NodeId,
-        now: SimTime,
-        cmds: &mut Vec<Cmd>,
-    ) {
-        // Preemptive-DSR: a packet arriving over a fading link warns its
-        // source before the link actually breaks.
-        self.maybe_preemptive_warn(from, &data.route, now, cmds);
+    fn handle_data(&mut self, mut data: DataPacket, now: SimTime, cmds: &mut Vec<Cmd>) {
         // Forwarding nodes cache the routes they carry and refresh expiry
         // timestamps ("seen in a unicast packet being forwarded").
         self.learn_from_route(&data.route, None, now, cmds);
@@ -1202,13 +1110,13 @@ impl DsrNode {
             return;
         }
         // Non-optimal route suppression (DSR-NORS), insert side: veto
-        // routes more than `stretch` times the best cached path to the
+        // routes more than `SUPPRESSION_STRETCH` times the best cached path to the
         // same destination. The `find` is a pure read (no trace row — it
         // is bookkeeping, not a routing decision).
-        if let Some(sup) = self.cfg.suppression {
+        if self.cfg.suppression {
             let hops = filtered.len() - 1;
             if let Some(best) = self.cache.find(filtered[hops], now) {
-                if (hops as f64) > sup.stretch * (best.hops() as f64) {
+                if (hops as f64) > SUPPRESSION_STRETCH * (best.hops() as f64) {
                     cmds.push(Cmd::Event { event: DsrEvent::SuppressedInsert });
                     if self.trace_decisions {
                         cmds.push(Cmd::Event {
@@ -1435,56 +1343,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<Cmd>(), 96);
     }
 
-    #[test]
-    fn preemptive_crossing_purges_fading_link_and_warns_source() {
-        let mut a = agent(1, DsrConfig::preemptive());
-        let threshold = a.cfg.preemptive.expect("configured").threshold_w;
-        // Forwarding a packet on 0->1->2 caches [1,2] and [1,0].
-        let cmds =
-            cmds_of(|sink| a.on_receive(n(0), Packet::Data(data_on(&[0, 1, 2], 1)), t(0.0), sink));
-        assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 0);
-        assert!(a.cache().contains_link(Link::new(n(1), n(0))));
-
-        // Healthy signal: nothing happens.
-        let cmds = cmds_of(|sink| a.on_signal(n(0), threshold * 2.0, t(1.0), sink));
-        assert!(cmds.is_empty());
-        // Downward crossing: repair event, both directions purged.
-        let cmds = cmds_of(|sink| a.on_signal(n(0), threshold / 2.0, t(2.0), sink));
-        assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 1);
-        assert!(!a.cache().contains_link(Link::new(n(1), n(0))));
-        assert!(a.cache().contains_link(Link::new(n(1), n(2))), "healthy link kept");
-
-        // The next packet over the fading link warns its source.
-        let cmds =
-            cmds_of(|sink| a.on_receive(n(0), Packet::Data(data_on(&[0, 1, 2], 2)), t(2.5), sink));
-        assert_eq!(
-            count_event(&cmds, |e| matches!(e, DsrEvent::RouteErrorSent { wider: false })),
-            1,
-            "preemptive warning RERR sent to the source"
-        );
-        // The warning is one-shot per crossing.
-        let cmds =
-            cmds_of(|sink| a.on_receive(n(0), Packet::Data(data_on(&[0, 1, 2], 3)), t(2.6), sink));
-        assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::RouteErrorSent { .. })), 0);
-    }
-
-    #[test]
-    fn preemptive_holdoff_suppresses_rapid_refiring() {
-        let mut a = agent(1, DsrConfig::preemptive());
-        let pre = a.cfg.preemptive.expect("configured");
-        let cmds = cmds_of(|sink| a.on_signal(n(0), pre.threshold_w / 2.0, t(1.0), sink));
-        assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 1);
-        // Recover, then cross again inside the holdoff window: no repair.
-        assert!(cmds_of(|sink| a.on_signal(n(0), pre.threshold_w * 2.0, t(1.1), sink)).is_empty());
-        let cmds = cmds_of(|sink| a.on_signal(n(0), pre.threshold_w / 2.0, t(1.2), sink));
-        assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 0);
-        // After the holdoff elapses the same pattern fires again.
-        assert!(cmds_of(|sink| a.on_signal(n(0), pre.threshold_w * 2.0, t(1.3), sink)).is_empty());
-        let later = t(1.0) + PREEMPTIVE_HOLDOFF + SimDuration::from_secs(0.1);
-        let cmds = cmds_of(|sink| a.on_signal(n(0), pre.threshold_w / 2.0, later, sink));
-        assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 1);
-    }
-
     /// A request path that visits a node twice names no route. It must be
     /// dropped both where the target would answer it and where a cached
     /// route would, not unwrapped into a `Route` it cannot be.
@@ -1515,10 +1373,9 @@ mod tests {
         assert!(cmds.is_empty(), "nor does a node with a cached route: {cmds:?}");
     }
 
-    #[test]
-    fn suppression_withholds_stretch_worse_duplicate_replies() {
-        let mut a = agent(5, DsrConfig::suppression());
-        let req = |path: &[u16], uid| RouteRequest {
+    /// Node 0's first request for node 5, arrived along `path`.
+    fn request_to_5(path: &[u16], uid: u64) -> RouteRequest {
+        RouteRequest {
             uid,
             origin: n(0),
             target: n(5),
@@ -1526,10 +1383,17 @@ mod tests {
             path: InlineRoute::from_slice(&path.iter().map(|&i| n(i)).collect::<Vec<_>>()),
             ttl: 8,
             piggyback_error: None,
-        };
-        let replies = |cmds: &[Cmd]| {
-            cmds.iter().filter(|c| matches!(c, Cmd::Send { packet: Packet::Reply(_), .. })).count()
-        };
+        }
+    }
+
+    fn replies(cmds: &[Cmd]) -> usize {
+        cmds.iter().filter(|c| matches!(c, Cmd::Send { packet: Packet::Reply(_), .. })).count()
+    }
+
+    #[test]
+    fn suppression_withholds_stretch_worse_duplicate_replies() {
+        let mut a = agent(5, DsrConfig::suppression());
+        let req = request_to_5;
         // First copy (1 hop) always answered.
         let cmds = cmds_of(|sink| a.on_receive(n(0), Packet::Request(req(&[0], 1)), t(0.0), sink));
         assert_eq!(replies(&cmds), 1);
@@ -1620,16 +1484,15 @@ mod tests {
     }
 
     #[test]
-    fn reboot_clears_preemptive_and_suppression_state() {
-        let mut a = agent(1, DsrConfig::preemptive());
-        let threshold = a.cfg.preemptive.expect("configured").threshold_w;
-        let cmds = cmds_of(|sink| a.on_signal(n(0), threshold / 2.0, t(1.0), sink));
-        assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 1);
-        cmds_of(|sink| a.on_revival(t(2.0), sink));
-        assert!(a.signal.is_empty(), "per-neighbor signal state is volatile");
-        assert!(a.answered_requests.is_empty());
-        // Fresh state: the same crossing fires again immediately.
-        let cmds = cmds_of(|sink| a.on_signal(n(0), threshold / 2.0, t(2.1), sink));
-        assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::PreemptiveRepair { .. })), 1);
+    fn reboot_clears_suppression_state() {
+        let mut a = agent(5, DsrConfig::suppression());
+        let req = request_to_5;
+        cmds_of(|sink| a.on_receive(n(0), Packet::Request(req(&[0], 1)), t(0.0), sink));
+        cmds_of(|sink| a.on_revival(t(1.0), sink));
+        assert!(a.answered_requests.is_empty(), "answered-request bookkeeping is volatile");
+        // Fresh state: the 3-hop copy is the first one seen, so it is answered.
+        let cmds =
+            cmds_of(|sink| a.on_receive(n(4), Packet::Request(req(&[0, 2, 4], 2)), t(1.1), sink));
+        assert_eq!(replies(&cmds), 1);
     }
 }

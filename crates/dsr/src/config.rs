@@ -40,10 +40,11 @@ pub const ADAPTIVE_MIN_TIMEOUT: SimDuration = SimDuration::from_micros_u64(1_000
 /// (paper: 0.5 s). Every node's housekeeping tick runs at this period.
 pub const RECOMPUTE_PERIOD: SimDuration = SimDuration::from_micros_u64(500_000);
 
-/// Minimum spacing between two preemptive repairs of the same neighbor,
-/// so a node flapping around the warning threshold does not spray route
-/// errors.
-pub const PREEMPTIVE_HOLDOFF: SimDuration = SimDuration::from_micros_u64(1_000_000);
+/// Maximum tolerated path stretch under non-optimal route suppression: a
+/// candidate with more than `SUPPRESSION_STRETCH * best_known_hops` hops is
+/// suppressed (1.0 would keep only best-length paths; 1.5 tolerates 50%
+/// detours).
+pub const SUPPRESSION_STRETCH: f64 = 1.5;
 
 /// Timer-based route expiry policy (Section 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,42 +110,6 @@ pub enum CacheOrganization {
     Link,
 }
 
-/// Preemptive-DSR parameters (Ramesh et al.): repair routes early when a
-/// next-hop's receive power sinks below a warning threshold, before the
-/// link actually breaks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PreemptiveConfig {
-    /// Receive-power warning threshold in watts. A frame from a neighbor
-    /// arriving below this power marks the link as about to break. The
-    /// default is 2x the radio's reception threshold (3.652e-10 W for the
-    /// 250 m nominal range), i.e. the preemptive region starts roughly
-    /// 30 m before the edge of range under the two-ray model.
-    pub threshold_w: f64,
-}
-
-impl Default for PreemptiveConfig {
-    fn default() -> Self {
-        PreemptiveConfig { threshold_w: 2.0 * 3.652e-10 }
-    }
-}
-
-/// Non-optimal route suppression parameters (DSR-NORS, Seet et al.): veto
-/// cache inserts and duplicate route replies whose path is longer than
-/// the best known by more than a stretch factor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SuppressionConfig {
-    /// Maximum tolerated path stretch: a candidate with more than
-    /// `stretch * best_known_hops` hops is suppressed. 1.0 keeps only
-    /// best-length paths; the default 1.5 tolerates 50% detours.
-    pub stretch: f64,
-}
-
-impl Default for SuppressionConfig {
-    fn default() -> Self {
-        SuppressionConfig { stretch: 1.5 }
-    }
-}
-
 /// Multipath caching parameters: retain up to `k` link-disjoint paths per
 /// destination and fail over to a survivor on a route error instead of
 /// launching a fresh discovery.
@@ -186,10 +151,10 @@ pub struct DsrConfig {
     pub negative_cache: bool,
 
     // --- post-paper strategies (strategy matrix) ------------------------
-    /// Preemptive-DSR: signal-strength-triggered early route repair.
-    pub preemptive: Option<PreemptiveConfig>,
-    /// Non-optimal route suppression (DSR-NORS).
-    pub suppression: Option<SuppressionConfig>,
+    /// Non-optimal route suppression (DSR-NORS, Seet et al.): veto cache
+    /// inserts and duplicate route replies longer than
+    /// [`SUPPRESSION_STRETCH`] times the best known path.
+    pub suppression: bool,
     /// k-link-disjoint multipath caching with RERR failover.
     pub multipath: Option<MultipathConfig>,
 }
@@ -205,8 +170,7 @@ impl DsrConfig {
             wider_error_rebroadcast: WiderErrorRebroadcast::CachedAndUsed,
             expiry: ExpiryPolicy::None,
             negative_cache: false,
-            preemptive: None,
-            suppression: None,
+            suppression: false,
             multipath: None,
         }
     }
@@ -231,14 +195,9 @@ impl DsrConfig {
         DsrConfig { negative_cache: true, ..DsrConfig::base() }
     }
 
-    /// Base DSR + preemptive signal-strength route repair.
-    pub fn preemptive() -> Self {
-        DsrConfig { preemptive: Some(PreemptiveConfig::default()), ..DsrConfig::base() }
-    }
-
     /// Base DSR + non-optimal route suppression.
     pub fn suppression() -> Self {
-        DsrConfig { suppression: Some(SuppressionConfig::default()), ..DsrConfig::base() }
+        DsrConfig { suppression: true, ..DsrConfig::base() }
     }
 
     /// Base DSR + k-link-disjoint multipath caching.
@@ -271,10 +230,7 @@ impl DsrConfig {
         if self.negative_cache {
             tags.push("NC".to_string());
         }
-        if self.preemptive.is_some() {
-            tags.push("PR".to_string());
-        }
-        if self.suppression.is_some() {
+        if self.suppression {
             tags.push("SUP".to_string());
         }
         if self.multipath.is_some() {
@@ -316,7 +272,6 @@ mod tests {
         assert_eq!(DsrConfig::negative_cache().label(), "DSR-NC");
         assert_eq!(DsrConfig::combined().label(), "DSR-C");
         assert_eq!(DsrConfig::static_expiry(SimDuration::from_secs(10.0)).label(), "DSR-SE(10s)");
-        assert_eq!(DsrConfig::preemptive().label(), "DSR-PR");
         assert_eq!(DsrConfig::suppression().label(), "DSR-SUP");
         assert_eq!(DsrConfig::multipath().label(), "DSR-MP");
         let stacked =
@@ -326,14 +281,10 @@ mod tests {
 
     #[test]
     fn strategy_matrix_defaults() {
-        let p = PreemptiveConfig::default();
-        assert!(p.threshold_w > 3.652e-10, "warning threshold sits above the rx threshold");
-        assert_eq!(PREEMPTIVE_HOLDOFF, SimDuration::from_secs(1.0));
-        assert!((SuppressionConfig::default().stretch - 1.5).abs() < 1e-12);
+        assert!((SUPPRESSION_STRETCH - 1.5).abs() < 1e-12);
         assert_eq!(MultipathConfig::default().k, 2);
-        assert!(DsrConfig::base().preemptive.is_none());
-        assert!(DsrConfig::preemptive().preemptive.is_some());
-        assert!(DsrConfig::suppression().suppression.is_some());
+        assert!(!DsrConfig::base().suppression);
+        assert!(DsrConfig::suppression().suppression);
         assert!(DsrConfig::multipath().multipath.is_some());
     }
 

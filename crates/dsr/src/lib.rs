@@ -14,8 +14,6 @@
 //!   selection;
 //! - **negative caches** — a blacklist of recently broken links, mutually
 //!   exclusive with the route cache;
-//! - **preemptive repair** — receive-power-triggered early route errors
-//!   before a fading link actually breaks;
 //! - **non-optimal route suppression** — cache inserts and duplicate
 //!   route replies vetoed beyond a stretch factor of the best known path;
 //! - **multipath caching** — up to `k` link-disjoint paths per
@@ -39,8 +37,7 @@ pub use cache::negative::NegativeCache;
 pub use cache::path_cache::{PathCache, PathEntry, RemovedLink};
 pub use cache::{CacheEvent, RouteCache};
 pub use config::{
-    CacheOrganization, DsrConfig, ExpiryPolicy, MultipathConfig, PreemptiveConfig,
-    SuppressionConfig, WiderErrorRebroadcast,
+    CacheOrganization, DsrConfig, ExpiryPolicy, MultipathConfig, WiderErrorRebroadcast,
 };
 pub use packet::{CacheHitKind, DropReason};
 pub use request_table::RequestTable;

@@ -274,10 +274,6 @@ fn write_event(out: &mut String, event: &DsrEvent) {
             write_link(out, Some(*link));
         }
         DsrEvent::CacheDecision { decision } => write_decision(out, decision),
-        DsrEvent::PreemptiveRepair { link } => {
-            out.push_str("preempt");
-            write_link(out, Some(*link));
-        }
         DsrEvent::SuppressedInsert => out.push_str("suppressed-insert"),
         DsrEvent::Failover { dst } => {
             let _ = write!(out, "failover {}", dst.index());

@@ -15,9 +15,9 @@
 //! provenance), how often lookups hand out already-broken routes
 //! (stale-hit fraction), how long broken links linger before a purge
 //! (staleness latency p50/p99), what finally removes them (route errors,
-//! wider error propagation, MAC-layer feedback, negative-cache vetoes,
-//! preemptive repair), and the strategy decisions themselves: non-optimal
-//! routes suppressed at insert/reply time and multipath failovers.
+//! wider error propagation, MAC-layer feedback, negative-cache vetoes),
+//! and the strategy decisions themselves: non-optimal routes suppressed at
+//! insert/reply time and multipath failovers.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin trace_query -- <file|-> \

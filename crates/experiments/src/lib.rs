@@ -318,18 +318,16 @@ pub fn variants() -> Vec<DsrConfig> {
     ]
 }
 
-/// The seven-strategy cross-product the `ablation_matrix` spec sweeps:
-/// the paper's four cache-maintenance variants plus the three
-/// route-acquisition strategies (preemptive repair, non-optimal route
-/// suppression, k-link-disjoint multipath caching), each layered on base
-/// DSR so every row isolates one technique.
+/// The six-strategy cross-product the `ablation_matrix` spec sweeps: the
+/// paper's four cache-maintenance variants plus the two route-acquisition
+/// strategies (non-optimal route suppression, k-link-disjoint multipath
+/// caching), each layered on base DSR so every row isolates one technique.
 pub fn matrix_variants() -> Vec<DsrConfig> {
     vec![
         DsrConfig::base(),
         DsrConfig::wider_error(),
         DsrConfig::adaptive_expiry(),
         DsrConfig::negative_cache(),
-        DsrConfig::preemptive(),
         DsrConfig::suppression(),
         DsrConfig::multipath(),
     ]
@@ -616,10 +614,7 @@ mod tests {
     #[test]
     fn matrix_variants_isolate_each_strategy() {
         let labels: Vec<String> = matrix_variants().iter().map(|v| v.label()).collect();
-        assert_eq!(
-            labels,
-            vec!["DSR", "DSR-WE", "DSR-AE", "DSR-NC", "DSR-PR", "DSR-SUP", "DSR-MP"]
-        );
+        assert_eq!(labels, vec!["DSR", "DSR-WE", "DSR-AE", "DSR-NC", "DSR-SUP", "DSR-MP"]);
     }
 
     #[test]

@@ -324,12 +324,13 @@ pub static SPECS: &[Spec] = &[
     Spec {
         name: "ablation_matrix",
         title: "Ablation matrix: strategy cross-product (pause 0 s)",
-        shape: "each of the paper's three techniques and the three route-acquisition \
-                strategies (preemptive repair, non-optimal route suppression after Seet et \
-                al., k-link-disjoint multipath caching), layered alone on base DSR, improves \
-                on it; preemptive_repairs > 0 only on DSR-PR, suppressed_inserts > 0 only on \
-                DSR-SUP, failovers > 0 only on DSR-MP. Per-strategy cache decisions: \
-                trace_query --summary after a --cachetrace run.",
+        shape: "the paper's three techniques and two route-acquisition strategies \
+                (non-optimal route suppression after Seet et al., k-link-disjoint multipath \
+                caching), each layered alone on base DSR. Measured delivery order: DSR-NC and \
+                DSR-WE well ahead, then DSR-SUP (also less overhead than base DSR), then \
+                DSR-AE and DSR level, and DSR-MP last, below base DSR at more overhead; \
+                suppressed_inserts > 0 only on DSR-SUP, failovers > 0 only on DSR-MP. \
+                Per-strategy cache decisions: trace_query --summary after a --cachetrace run.",
         axes: &[],
         columns: &[
             "variant",
@@ -340,7 +341,6 @@ pub static SPECS: &[Spec] = &[
             "cache_hits",
             "cache_stale_hits",
             "stale_route_sends",
-            "preemptive_repairs",
             "suppressed_inserts",
             "failovers",
             "runs_failed",

@@ -57,6 +57,14 @@ fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
                 1,
             ),
         ),
+        (
+            "preemptive.txt",
+            text.replacen(
+                "dsr.negative_cache = false\n",
+                "dsr.negative_cache = false\ndsr.preemptive = true\ndsr.preemptive.threshold_w = 7.304e-10\n",
+                1,
+            ),
+        ),
     ] {
         assert_ne!(earlier, text, "{name}");
         std::fs::write(dir.join(name), earlier).expect("write");

@@ -72,7 +72,6 @@ pub struct Metrics {
     frames_corrupted: u64,
     arrivals_suppressed: u64,
 
-    preemptive_repairs: u64,
     suppressed_inserts: u64,
     failovers: u64,
 }
@@ -218,11 +217,6 @@ impl Metrics {
         self.arrivals_suppressed += n;
     }
 
-    /// Preemptive-DSR purged a fading link ahead of its actual break.
-    pub fn record_preemptive_repair(&mut self) {
-        self.preemptive_repairs += 1;
-    }
-
     /// Route suppression vetoed a stretch-worse cache insert.
     pub fn record_suppressed_insert(&mut self) {
         self.suppressed_inserts += 1;
@@ -305,7 +299,6 @@ impl Metrics {
             arrivals_suppressed: self.arrivals_suppressed,
             cache_stale_hits: self.invalid_cache_hits,
             stale_route_sends: self.stale_route_sends,
-            preemptive_repairs: self.preemptive_repairs,
             suppressed_inserts: self.suppressed_inserts,
             failovers: self.failovers,
         }
@@ -445,8 +438,6 @@ report! {
     /// Stale hits that actually put a data packet on the air (origination
     /// and salvage uses; cached replies excluded).
     stale_route_sends: u64 = Count,
-    /// Preemptive-DSR early repairs: fading links purged before breaking.
-    preemptive_repairs: u64 = Count,
     /// Cache inserts vetoed by non-optimal route suppression.
     suppressed_inserts: u64 = Count,
     /// Link breaks absorbed by failing over to a cached link-disjoint
@@ -671,18 +662,14 @@ mod tests {
     #[test]
     fn strategy_counters_flow_into_the_report() {
         let mut m = Metrics::new();
-        m.record_preemptive_repair();
-        m.record_preemptive_repair();
         m.record_suppressed_insert();
         m.record_failover();
         m.record_failover();
         m.record_failover();
         let r = m.report("x", 10.0);
-        assert_eq!(r.preemptive_repairs, 2);
         assert_eq!(r.suppressed_inserts, 1);
         assert_eq!(r.failovers, 3);
         let mean = Report::mean(&[r.clone(), r]);
-        assert_eq!(mean.preemptive_repairs, 2);
         assert_eq!(mean.suppressed_inserts, 1);
         assert_eq!(mean.failovers, 3);
     }
@@ -816,7 +803,6 @@ mod tests {
             arrivals_suppressed: uavg(&|r| r.arrivals_suppressed),
             cache_stale_hits: uavg(&|r| r.cache_stale_hits),
             stale_route_sends: uavg(&|r| r.stale_route_sends),
-            preemptive_repairs: uavg(&|r| r.preemptive_repairs),
             suppressed_inserts: uavg(&|r| r.suppressed_inserts),
             failovers: uavg(&|r| r.failovers),
         }
@@ -885,6 +871,6 @@ mod tests {
     /// Every field is eight bytes beside the label.
     #[test]
     fn report_layout_is_pinned() {
-        assert_eq!(std::mem::size_of::<Report>(), 336);
+        assert_eq!(std::mem::size_of::<Report>(), 328);
     }
 }

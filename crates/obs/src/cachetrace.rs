@@ -30,7 +30,7 @@
 //!   cache promoted a surviving alternate after a link purge);
 //! * `kind` — the insert provenance (`reply`/`overheard`/`gratuitous`/
 //!   `salvage`), lookup purpose (`origination`/`salvage`/`reply`),
-//!   removal cause (`rerr`/`wider`/`mac`/`neg-veto`/`preempt`), or the
+//!   removal cause (`rerr`/`wider`/`mac`/`neg-veto`), or the
 //!   suppressed action (`insert`/`reply`);
 //! * `dst` — the looked-up destination (lookup rows only);
 //! * `route` — the route as `0-1-2`, or the removed link as `a>b`;

@@ -131,20 +131,6 @@ pub trait RoutingAgent: Send {
         out: &mut Vec<AgentCommand<Self::Packet, Self::Timer>>,
     );
 
-    /// The PHY decoded a frame from `from` intact at receive power
-    /// `power_w` watts. Fired just before the corresponding `on_receive`.
-    /// Protocols that do not watch signal strength keep the default no-op;
-    /// Preemptive-DSR uses it to repair routes before a fading link
-    /// breaks.
-    fn on_signal(
-        &mut self,
-        _from: NodeId,
-        _power_w: f64,
-        _now: SimTime,
-        _out: &mut Vec<AgentCommand<Self::Packet, Self::Timer>>,
-    ) {
-    }
-
     /// Link-layer feedback: `packet` could not be delivered to `next_hop`.
     fn on_tx_failed(
         &mut self,

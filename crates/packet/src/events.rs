@@ -144,9 +144,6 @@ pub enum CacheRemovalCause {
     /// The negative cache vetoed use of the link (an insert was truncated
     /// or refused, or a forward was refused).
     NegativeVeto,
-    /// Preemptive repair purged the link after its receive power sank
-    /// below the early-warning threshold (Preemptive-DSR).
-    Preemptive,
 }
 
 impl CacheRemovalCause {
@@ -157,7 +154,6 @@ impl CacheRemovalCause {
             CacheRemovalCause::WiderError => "wider",
             CacheRemovalCause::MacFeedback => "mac",
             CacheRemovalCause::NegativeVeto => "neg-veto",
-            CacheRemovalCause::Preemptive => "preempt",
         }
     }
 }
@@ -306,14 +302,6 @@ pub enum ProtocolEvent {
     CacheDecision {
         /// The decision.
         decision: CacheDecision,
-    },
-    /// Preemptive repair fired: a next-hop's receive power crossed below
-    /// the early-warning threshold and the link was purged ahead of an
-    /// actual break. Always emitted (drives the `preemptive_repairs`
-    /// counter), independent of decision tracing.
-    PreemptiveRepair {
-        /// The link judged about to break.
-        link: Link,
     },
     /// Non-optimal route suppression vetoed a cache insert. Always
     /// emitted (drives the `suppressed_inserts` counter).

@@ -167,9 +167,6 @@ pub struct ReceiverState<P = ()> {
     /// Count of `pending` entries with `start_evented == false` — lets
     /// the per-MAC-input materialize pass skip its scan in O(1).
     unsensed: usize,
-    /// Receive power of the most recent intact decode (Preemptive-DSR
-    /// signal hook), set where frames complete: [`ReceiverState::finish`].
-    last_intact_power_w: f64,
 }
 
 /// `(time, seq)` strictly before `(time, seq)`, lexicographic.
@@ -188,7 +185,6 @@ impl<P> ReceiverState<P> {
             nav_until: SimTime::ZERO,
             pending: VecDeque::new(),
             unsensed: 0,
-            last_intact_power_w: 0.0,
         }
     }
 
@@ -342,19 +338,10 @@ impl<P> ReceiverState<P> {
         if self.locked.as_ref().is_some_and(|l| l.tx_id == tx_id) {
             let l = self.locked.take().expect("lock checked");
             if !l.corrupted && !self.transmitting(now) {
-                self.last_intact_power_w = l.power_w;
                 return Some(l.payload);
             }
         }
         None
-    }
-
-    /// Receive power (watts) of the most recent intact decode, `0.0`
-    /// before any frame has decoded. Valid immediately after
-    /// [`ReceiverState::decode`] reports an intact frame; the driver reads
-    /// it to feed the routing agent's signal-strength hook.
-    pub fn last_intact_power_w(&self) -> f64 {
-        self.last_intact_power_w
     }
 
     /// Until when the medium is sensed busy at this node, or `None` if it

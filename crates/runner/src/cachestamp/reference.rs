@@ -294,7 +294,6 @@ impl Generator {
                         CacheRemovalCause::WiderError,
                         CacheRemovalCause::MacFeedback,
                         CacheRemovalCause::NegativeVeto,
-                        CacheRemovalCause::Preemptive,
                     ],
                 ),
                 contained: below(&mut self.rng, 2) == 0,

@@ -39,10 +39,7 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use dsr::{
-    CacheOrganization, DsrConfig, ExpiryPolicy, MultipathConfig, PreemptiveConfig,
-    SuppressionConfig, WiderErrorRebroadcast,
-};
+use dsr::{CacheOrganization, DsrConfig, ExpiryPolicy, MultipathConfig, WiderErrorRebroadcast};
 use mac::MacConfig;
 use mobility::{Field, Point, WaypointConfig};
 use obs::text::{escape, fmt_f64, sanitize, unescape, KvBlock, ObsError, FORENSICS_HEADER};
@@ -149,15 +146,20 @@ impl Stored for Option<u64> {
 }
 
 /// `T { ".suffix" => field, ... }`: the struct's fields in artifact order,
-/// each under `key` + its suffix.
+/// each under `key` + its suffix. `field as W` stores the field through
+/// the newtype `W`.
 macro_rules! stored_struct {
-    ($($T:ident { $($suffix:expr => $field:ident),* $(,)? })*) => {$(
+    (@put $value:expr, $kv:ident, $key:expr) => { $value.put($kv, $key) };
+    (@put $value:expr, $kv:ident, $key:expr, $W:ident) => { $W($value).put($kv, $key) };
+    (@take $kv:ident, $key:expr) => { Stored::take($kv, $key)? };
+    (@take $kv:ident, $key:expr, $W:ident) => { $W::take($kv, $key)?.0 };
+    ($($T:ident { $($suffix:expr => $field:ident $(as $W:ident)?),* $(,)? })*) => {$(
         impl Stored for $T {
             fn put(&self, kv: &mut KvBlock, key: &str) {
-                $(self.$field.put(kv, &format!("{key}{}", $suffix));)*
+                $(stored_struct!(@put self.$field, kv, &format!("{key}{}", $suffix) $(, $W)?);)*
             }
             fn take(kv: &KvBlock, key: &str) -> Result<Self, ObsError> {
-                Ok($T { $($field: Stored::take(kv, &format!("{key}{}", $suffix))?,)* })
+                Ok($T { $($field: stored_struct!(@take kv, &format!("{key}{}", $suffix) $(, $W)?),)* })
             }
         }
     )*};
@@ -214,12 +216,9 @@ stored_struct! {
         ".wider_error_rebroadcast" => wider_error_rebroadcast,
         ".expiry" => expiry,
         ".negative_cache" => negative_cache,
-        ".preemptive" => preemptive,
-        ".suppression" => suppression,
+        ".suppression" => suppression as Switch,
         ".multipath" => multipath,
     }
-    PreemptiveConfig { ".threshold_w" => threshold_w }
-    SuppressionConfig { ".stretch" => stretch }
     MultipathConfig { ".k" => k }
     MacConfig { ".plcp_overhead_ns" => plcp_overhead, ".data_rate_bps" => data_rate_bps }
     RadioConfig { ".rx_threshold_w" => rx_threshold_w }
@@ -303,25 +302,40 @@ stored_enum! {
     }
 }
 
-/// Strategy blocks are written only when enabled (`key = true`, then the
-/// block's keys): absent keys keep the config fingerprint of every
-/// scenario serialized before these strategies existed.
-macro_rules! strategy_block {
-    ($($T:ident),*) => {$(
-        impl Stored for Option<$T> {
-            fn put(&self, kv: &mut KvBlock, key: &str) {
-                if let Some(block) = self {
-                    kv.push(key, true);
-                    block.put(kv, key);
-                }
-            }
-            fn take(kv: &KvBlock, key: &str) -> Result<Self, ObsError> {
-                kv.has(key).then(|| $T::take(kv, key)).transpose()
+/// A strategy switch, written only when on (`key = true`): absent keys
+/// keep the config fingerprint of every scenario serialized before the
+/// strategy existed.
+struct Switch(bool);
+
+impl Stored for Switch {
+    fn put(&self, kv: &mut KvBlock, key: &str) {
+        if self.0 {
+            kv.push(key, true);
+        }
+    }
+    fn take(kv: &KvBlock, key: &str) -> Result<Self, ObsError> {
+        match kv.get(key) {
+            None => Ok(Switch(false)),
+            Some("true") => Ok(Switch(true)),
+            Some(other) => {
+                Err(ObsError::BadValue { key: key.to_string(), value: other.to_string() })
             }
         }
-    )*};
+    }
 }
-strategy_block!(PreemptiveConfig, SuppressionConfig, MultipathConfig);
+
+/// A strategy block: its [`Switch`], then, when on, the block's keys.
+impl Stored for Option<MultipathConfig> {
+    fn put(&self, kv: &mut KvBlock, key: &str) {
+        Switch(self.is_some()).put(kv, key);
+        if let Some(block) = self {
+            block.put(kv, key);
+        }
+    }
+    fn take(kv: &KvBlock, key: &str) -> Result<Self, ObsError> {
+        Switch::take(kv, key)?.0.then(|| MultipathConfig::take(kv, key)).transpose()
+    }
+}
 
 /// Checks what the scenario cannot carry as a type: no value trips an
 /// assertion when the run is built or a frame's airtime computed.
@@ -575,15 +589,13 @@ mod tests {
             ScenarioConfig::static_line(4, 200.0, 2.0, DsrConfig::combined(), 9),
             ScenarioConfig::tiny(30.0, 4.0, DsrConfig::adaptive_expiry(), 3),
             ScenarioConfig::quick(0.0, 3.0, DsrConfig::negative_cache(), 5),
-            ScenarioConfig::quick(0.0, 3.0, DsrConfig::preemptive(), 11),
             ScenarioConfig::quick(0.0, 3.0, DsrConfig::suppression(), 13),
             ScenarioConfig::quick(0.0, 3.0, DsrConfig::multipath(), 17),
             ScenarioConfig::quick(
                 0.0,
                 3.0,
                 DsrConfig {
-                    preemptive: Some(PreemptiveConfig::default()),
-                    suppression: Some(SuppressionConfig::default()),
+                    suppression: true,
                     multipath: Some(MultipathConfig::default()),
                     ..DsrConfig::combined()
                 },
@@ -683,14 +695,13 @@ mod tests {
     /// keys in order, and committed time-series file names carry it.
     #[test]
     fn fingerprints_and_a_full_render_are_pinned() {
-        const PINNED: [u64; 9] = [
+        const PINNED: [u64; 8] = [
             0x7631_0d1d_31b8_7794,
             0xa57e_b8a7_9ce3_3f0c,
             0x43f0_cc73_2ecb_28dc,
-            0x6fc3_cc38_f074_df55,
-            0x3f2a_1573_2f9e_b318,
+            0x3837_d5be_fc97_5036,
             0xd49d_e6bb_5762_6d66,
-            0x8b36_304d_1ee5_63c4,
+            0xbca2_0db2_9f78_dcee,
             0xb9e7_0f0b_594b_56b3,
             0xb3bb_b291_dcc6_4f9f,
         ];
@@ -723,17 +734,28 @@ mod tests {
             )
             .replace("fault.1.zone.", "fault.1.");
         assert_ne!(link_blackout, rect);
+        let suppression =
+            artifact(ScenarioConfig::quick(0.0, 3.0, DsrConfig::suppression(), 13)).render();
         let cw_max = format!("{}", mac::config::CW_MAX);
         for (text, key, value) in [
             // A setting now fixed as a constant, at the value it still has.
             (with_line(&current, &format!("mac.cw_max = {cw_max}")), "mac.cw_max", cw_max.as_str()),
             (with_line(&current, "paired_arrivals = true"), "paired_arrivals", "true"),
-            // A setting removed with the extension that was its only user.
+            // Settings removed with the extensions that were their only users.
             (
                 with_line(&current, "dsr.replies_from_cache = true"),
                 "dsr.replies_from_cache",
                 "true",
             ),
+            (with_line(&current, "dsr.preemptive = true"), "dsr.preemptive", "true"),
+            // A strategy's knob now fixed as a constant, at the value it still has.
+            (
+                with_line(&suppression, "dsr.suppression.stretch = 1.5"),
+                "dsr.suppression.stretch",
+                "1.5",
+            ),
+            // A switch is written only when on.
+            (with_line(&current, "dsr.suppression = false"), "dsr.suppression", "false"),
             (link_blackout, "fault.1", "link_blackout"),
             // Lookups read the first of two equal keys; the second is refused.
             (with_line(&current, "label = other"), "label", "other"),

@@ -350,11 +350,6 @@ impl Observers {
     }
 
     #[inline]
-    pub fn on_preemptive_repair(&mut self) {
-        self.tally_trace("preemptive_repair");
-    }
-
-    #[inline]
     pub fn on_failover(&mut self) {
         self.tally_trace("failover");
     }

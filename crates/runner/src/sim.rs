@@ -1223,12 +1223,7 @@ impl<A: RoutingAgent> Simulator<A> {
                     }
                 }
                 MacCommand::Deliver { from, payload } => {
-                    // Signal-strength hook (Preemptive-DSR): the receive
-                    // power of the frame that carried this payload, read
-                    // from the receiver that just decoded it.
-                    let power_w = self.rx_states[node as usize].last_intact_power_w();
                     let now = self.now;
-                    self.agent_input(node, |agent, cmds| agent.on_signal(from, power_w, now, cmds));
                     self.agent_input(node, |agent, cmds| {
                         agent.on_receive(from, payload, now, cmds)
                     });
@@ -1343,10 +1338,6 @@ impl<A: RoutingAgent> Simulator<A> {
             ProtocolEvent::LinkBreakDetected { link } => {
                 self.metrics.record_link_break();
                 self.observers.on_link_break(self.now, node, link.to);
-            }
-            ProtocolEvent::PreemptiveRepair { .. } => {
-                self.metrics.record_preemptive_repair();
-                self.observers.on_preemptive_repair();
             }
             ProtocolEvent::SuppressedInsert => self.metrics.record_suppressed_insert(),
             ProtocolEvent::Failover { .. } => {

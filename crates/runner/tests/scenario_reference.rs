@@ -22,12 +22,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// `report` as `{:?}` printed it when the digests were pinned: a last
-/// field, `series: None`, closed it then. The field is gone, and every
-/// value before it still digests as pinned.
+/// `report` as `{:?}` printed it when the digests were pinned: a
+/// `preemptive_repairs: 0` field before `suppressed_inserts`, and a last
+/// field, `series: None`, closing it. Both fields are gone, and every
+/// value around them still digests as pinned.
 fn pinned_form(report: &Report) -> String {
     let debug = format!("{report:?}");
     let fields = debug.strip_suffix(" }").expect("a struct's Debug form");
+    let fields =
+        fields.replacen("suppressed_inserts: ", "preemptive_repairs: 0, suppressed_inserts: ", 1);
     format!("{fields}, series: None }}")
 }
 

@@ -1,9 +1,9 @@
-//! Acceptance tests for the strategy matrix (ISSUE 10): the three new
-//! strategies — preemptive repair, non-optimal route suppression,
-//! multipath caching — keep cache-decision tracing pure (campaign results
-//! identical traced vs untraced), and their decisions land in the trace
-//! under the `suppress`/`failover` ops and the `preempt` removal cause
-//! while the always-on report counters stay in lockstep.
+//! Acceptance tests for the strategy matrix: the two route-acquisition
+//! strategies — non-optimal route suppression, multipath caching — keep
+//! cache-decision tracing pure (campaign results identical traced vs
+//! untraced), and their decisions land in the trace under the
+//! `suppress`/`failover` ops while the always-on report counters stay in
+//! lockstep.
 
 use std::path::PathBuf;
 
@@ -18,8 +18,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// A short mobile scenario: waypoint movement guarantees link breaks, so
-/// preemptive thresholds fire, alternates break, and stretch-worse routes
-/// circulate.
+/// alternates break and stretch-worse routes circulate.
 fn mobile(dsr: DsrConfig, seed: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::tiny(0.0, 2.0, dsr, seed);
     cfg.duration = SimDuration::from_secs(12.0);
@@ -96,24 +95,9 @@ fn multipath_failovers_are_traced_and_counted() {
 }
 
 #[test]
-fn preemptive_repairs_are_traced_and_counted() {
-    let (result, traces) = traced_campaign(&mobile(DsrConfig::preemptive(), 0), "pr");
-    let counted: u64 = result.reports.iter().map(|r| r.preemptive_repairs).sum();
-    assert!(counted > 0, "a mobile preemptive run must fire repairs");
-
-    let preempt_removes = traces
-        .iter()
-        .flat_map(|t| t.rows.iter())
-        .filter(|r| r.op == "remove" && r.kind == "preempt")
-        .count();
-    assert!(preempt_removes > 0, "preemptive purges must appear as remove/preempt rows");
-}
-
-#[test]
 fn baseline_configs_never_emit_strategy_decisions() {
     let (result, traces) = traced_campaign(&mobile(DsrConfig::combined(), 0), "base");
     for r in &result.reports {
-        assert_eq!(r.preemptive_repairs, 0);
         assert_eq!(r.suppressed_inserts, 0);
         assert_eq!(r.failovers, 0);
     }
@@ -122,6 +106,5 @@ fn baseline_configs_never_emit_strategy_decisions() {
             trace.rows.iter().all(|r| r.op != "suppress" && r.op != "failover"),
             "strategy ops must not leak into non-strategy configs"
         );
-        assert!(trace.rows.iter().all(|r| r.kind != "preempt"));
     }
 }

@@ -391,22 +391,20 @@ fn cachetrace_is_pure_and_job_count_invariant() {
 // Strategy-matrix invariants (ISSUE 10)
 // ----------------------------------------------------------------------
 
-/// The three new strategies (preemptive repair, route suppression,
-/// multipath caching) — alone and stacked — stay conservation-clean
+/// The two route-acquisition strategies (route suppression, multipath
+/// caching) — alone and stacked — stay conservation-clean
 /// at `--audit full` under random fault plans, and their campaigns
 /// are byte-identical at `--jobs 1` and `--jobs 4`. Full campaigns again,
 /// so eight cases.
 #[test]
 fn strategy_campaigns_are_conservation_clean_and_job_invariant() {
-    use dsr_caching::dsr::{MultipathConfig, PreemptiveConfig, SuppressionConfig};
+    use dsr_caching::dsr::MultipathConfig;
     cases("strategy_campaigns_are_conservation_clean_and_job_invariant", 0..8, |_, rng| {
-        let dsr = match rng.random_range(0..4u32) {
-            0 => DsrConfig::preemptive(),
-            1 => DsrConfig::suppression(),
-            2 => DsrConfig::multipath(),
+        let dsr = match rng.random_range(0..3u32) {
+            0 => DsrConfig::suppression(),
+            1 => DsrConfig::multipath(),
             _ => DsrConfig {
-                preemptive: Some(PreemptiveConfig::default()),
-                suppression: Some(SuppressionConfig::default()),
+                suppression: true,
                 multipath: Some(MultipathConfig::default()),
                 ..DsrConfig::base()
             },
