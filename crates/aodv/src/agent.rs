@@ -308,7 +308,6 @@ impl AodvNode {
             uid: pending.uid,
             src: self.id,
             dst: pending.dst,
-            seq: pending.seq,
             payload_bytes: pending.payload_bytes,
             sent_at: pending.sent_at,
             hops_traveled: 0,
@@ -325,7 +324,6 @@ impl AodvNode {
             cmds.push(Cmd::Deliver {
                 uid: data.uid,
                 src: data.src,
-                seq: data.seq,
                 sent_at: data.sent_at,
                 bytes: data.payload_bytes,
                 hops: usize::from(data.hops_traveled) + 1,
@@ -451,16 +449,9 @@ impl RoutingAgent for AodvNode {
         self.start(now, cmds);
     }
 
-    fn originate(
-        &mut self,
-        dst: NodeId,
-        payload_bytes: usize,
-        seq: u64,
-        now: SimTime,
-        cmds: &mut Vec<Cmd>,
-    ) {
+    fn originate(&mut self, dst: NodeId, payload_bytes: usize, now: SimTime, cmds: &mut Vec<Cmd>) {
         assert!(dst != self.id && !dst.is_broadcast(), "invalid destination {dst}");
-        let pending = PendingData { uid: self.fresh_uid(), dst, seq, payload_bytes, sent_at: now };
+        let pending = PendingData { uid: self.fresh_uid(), dst, payload_bytes, sent_at: now };
         cmds.push(Cmd::Event { event: ProtocolEvent::DataOriginated { uid: pending.uid } });
         match self.table.valid_entry(dst, now).map(|e| e.next_hop) {
             Some(next_hop) => {
@@ -520,7 +511,6 @@ impl RoutingAgent for AodvNode {
                 let pending = PendingData {
                     uid: data.uid,
                     dst: data.dst,
-                    seq: data.seq,
                     payload_bytes: data.payload_bytes,
                     sent_at: data.sent_at,
                 };
@@ -637,7 +627,7 @@ mod tests {
         let now = t(1.0);
 
         // A wants C: buffers and probes.
-        let cmds = cmds_of(|sink| a.originate(n(2), 512, 7, now, sink));
+        let cmds = cmds_of(|sink| a.originate(n(2), 512, now, sink));
         let out = sends(&cmds);
         let AodvPacket::Rreq(probe) = &out[0].0 else { panic!("expected RREQ") };
         assert_eq!(probe.ttl, 1);
@@ -680,13 +670,12 @@ mod tests {
         assert_eq!(hop, n(1));
         assert_eq!(a.buffered(), 0);
 
-        // B forwards, C delivers with the hop count and sequence number
-        // intact.
+        // B forwards, C delivers with the hop count intact.
         let cmds = cmds_of(|sink| b.on_receive(n(0), out_a[0].0.clone(), t(1.08), sink));
         let out_b = sends(&cmds);
         assert_eq!(out_b[0].1, n(2));
         let cmds = cmds_of(|sink| c.on_receive(n(1), out_b[0].0.clone(), t(1.09), sink));
-        assert!(cmds.iter().any(|c| matches!(c, Cmd::Deliver { hops: 2, seq: 7, .. })));
+        assert!(cmds.iter().any(|c| matches!(c, Cmd::Deliver { hops: 2, .. })));
     }
 
     #[test]
@@ -766,7 +755,6 @@ mod tests {
             uid: 7,
             src: n(0),
             dst: n(5),
-            seq: 0,
             payload_bytes: 512,
             sent_at: t(0.9),
             hops_traveled: 1,
@@ -831,7 +819,7 @@ mod tests {
                 _ => None,
             })
         };
-        let probe = cmds_of(|sink| a.originate(n(4), 512, 0, t(0.0), sink)); // TTL-1 probe
+        let probe = cmds_of(|sink| a.originate(n(4), 512, t(0.0), sink)); // TTL-1 probe
         assert_eq!(wait(&probe, t(0.0)), Some(SimDuration::from_millis(30.0)));
         let (ttls, waits): (Vec<u8>, Vec<_>) = (0..5)
             .map(|i| {
@@ -864,7 +852,7 @@ mod tests {
             from_cache: false,
         };
         cmds_of(|sink| a.on_receive(n(3), AodvPacket::Rrep(rrep), t(0.5), sink));
-        let cmds = cmds_of(|sink| a.originate(n(4), 512, 0, t(1.0), sink));
+        let cmds = cmds_of(|sink| a.originate(n(4), 512, t(1.0), sink));
         let Some(&Cmd::Event { event: ProtocolEvent::DataOriginated { uid } }) = cmds.first()
         else {
             panic!("origination announces its uid: {cmds:?}")
@@ -882,7 +870,7 @@ mod tests {
         );
         assert_eq!((a.buffered(), a.table().len(), a.own_seq), (0, 0, own_seq));
         // The next packet starts a fresh discovery under a fresh uid.
-        let cmds = cmds_of(|sink| a.originate(n(4), 512, 1, t(2.1), sink));
+        let cmds = cmds_of(|sink| a.originate(n(4), 512, t(2.1), sink));
         assert!(matches!(
             cmds.first(),
             Some(Cmd::Event { event: ProtocolEvent::DataOriginated { uid: next } }) if *next > uid
@@ -893,7 +881,7 @@ mod tests {
     #[test]
     fn data_without_route_at_source_buffers_and_discovers() {
         let mut a = agent(0);
-        let cmds = cmds_of(|sink| a.originate(n(4), 512, 0, t(0.0), sink));
+        let cmds = cmds_of(|sink| a.originate(n(4), 512, t(0.0), sink));
         assert_eq!(a.buffered(), 1);
         assert!(cmds
             .iter()

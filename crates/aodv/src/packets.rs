@@ -80,8 +80,6 @@ pub struct AodvData {
     pub src: NodeId,
     /// Final destination.
     pub dst: NodeId,
-    /// Per-flow sequence number.
-    pub seq: u64,
     /// Application payload bytes.
     pub payload_bytes: usize,
     /// Origination instant.
@@ -187,7 +185,6 @@ mod tests {
             uid: 3,
             src: NodeId::new(0),
             dst: NodeId::new(1),
-            seq: 0,
             payload_bytes: 512,
             sent_at: SimTime::ZERO,
             hops_traveled: 0,
@@ -201,7 +198,6 @@ mod tests {
             uid: 3,
             src: NodeId::new(0),
             dst: NodeId::new(1),
-            seq: 0,
             payload_bytes: 512,
             sent_at: SimTime::ZERO,
             hops_traveled: 0,

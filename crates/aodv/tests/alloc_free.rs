@@ -90,7 +90,6 @@ fn forwarded(uid: u64) -> AodvPacket {
         uid,
         src: n(5),
         dst: n(6),
-        seq: uid,
         payload_bytes: 512,
         sent_at: SimTime::ZERO,
         hops_traveled: 1,

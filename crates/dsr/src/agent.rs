@@ -32,13 +32,12 @@ use sim_core::rng::uniform;
 use sim_core::{NodeId, SimDuration, SimRng, SimTime, U64HashSet};
 
 use crate::adaptive::AdaptiveTimeout;
-use crate::cache::link_cache::LinkCache;
 use crate::cache::negative::NegativeCache;
 use crate::cache::path_cache::PathCache;
-use crate::cache::{CacheEvent, RemovedLink, RouteCache};
+use crate::cache::{CacheEvent, RemovedLink};
 use crate::config::{
-    CacheOrganization, DsrConfig, ExpiryPolicy, WiderErrorRebroadcast, ADAPTIVE_MIN_TIMEOUT,
-    MAX_SALVAGE_COUNT, RECOMPUTE_PERIOD, SUPPRESSION_STRETCH,
+    DsrConfig, ExpiryPolicy, WiderErrorRebroadcast, ADAPTIVE_MIN_TIMEOUT, MAX_SALVAGE_COUNT,
+    RECOMPUTE_PERIOD, SUPPRESSION_STRETCH,
 };
 use crate::request_table::{RequestTable, BROADCAST_JITTER, NONPROP_TIMEOUT};
 use crate::send_buffer::{PendingData, SendBuffer};
@@ -76,7 +75,7 @@ type Cmd = AgentCommand<Packet, DsrTimer>;
 pub struct DsrNode {
     id: NodeId,
     cfg: DsrConfig,
-    cache: Box<dyn RouteCache>,
+    cache: PathCache,
     negative: Option<NegativeCache>,
     adaptive: AdaptiveTimeout,
     send_buffer: SendBuffer,
@@ -142,20 +141,11 @@ impl DsrNode {
         }
     }
 
-    fn build_cache(node: NodeId, cfg: &DsrConfig) -> Box<dyn RouteCache> {
-        let mut cache: Box<dyn RouteCache> = match cfg.cache_organization {
-            CacheOrganization::Path => {
-                let mut path_cache = PathCache::new(node, cfg.cache_capacity);
-                // Multipath is a path-cache feature; the link-cache
-                // organization already synthesizes alternates from its
-                // link graph.
-                if let Some(mp) = cfg.multipath {
-                    path_cache.set_multipath(mp.k);
-                }
-                Box::new(path_cache)
-            }
-            CacheOrganization::Link => Box::new(LinkCache::new(node, cfg.cache_capacity)),
-        };
+    fn build_cache(node: NodeId, cfg: &DsrConfig) -> PathCache {
+        let mut cache = PathCache::new(node, cfg.cache_capacity);
+        if let Some(mp) = cfg.multipath {
+            cache.set_multipath(mp.k);
+        }
         // Read-time expiry mirrors the sweep policy so lookups between
         // sweeps never serve just-expired state. The adaptive policy
         // starts at its floor; every tick re-installs the recomputed
@@ -188,8 +178,8 @@ impl DsrNode {
     }
 
     /// Read access to the route cache (tests, metrics, examples).
-    pub fn cache(&self) -> &dyn RouteCache {
-        self.cache.as_ref()
+    pub fn cache(&self) -> &PathCache {
+        &self.cache
     }
 
     /// Read access to the negative cache, when enabled.
@@ -338,16 +328,9 @@ impl RoutingAgent for DsrNode {
     /// # Panics
     ///
     /// Panics if `dst` is this node or the broadcast address.
-    fn originate(
-        &mut self,
-        dst: NodeId,
-        payload_bytes: usize,
-        seq: u64,
-        now: SimTime,
-        cmds: &mut Vec<Cmd>,
-    ) {
+    fn originate(&mut self, dst: NodeId, payload_bytes: usize, now: SimTime, cmds: &mut Vec<Cmd>) {
         assert!(dst != self.id && !dst.is_broadcast(), "invalid destination {dst}");
-        let pending = PendingData { uid: self.fresh_uid(), dst, seq, payload_bytes, sent_at: now };
+        let pending = PendingData { uid: self.fresh_uid(), dst, payload_bytes, sent_at: now };
         cmds.push(Cmd::Event { event: DsrEvent::DataOriginated { uid: pending.uid } });
         let found = self.cache.find(dst, now);
         self.trace_lookup(dst, CacheHitKind::Origination, &found, cmds);
@@ -753,7 +736,6 @@ impl DsrNode {
             uid: pending.uid,
             src: self.id,
             dst: pending.dst,
-            seq: pending.seq,
             payload_bytes: pending.payload_bytes,
             sent_at: pending.sent_at,
             route,
@@ -773,7 +755,6 @@ impl DsrNode {
             cmds.push(Cmd::Deliver {
                 uid: data.uid,
                 src: data.src,
-                seq: data.seq,
                 sent_at: data.sent_at,
                 bytes: data.payload_bytes,
                 hops: data.route.hops(),
@@ -834,7 +815,6 @@ impl DsrNode {
             let pending = PendingData {
                 uid: data.uid,
                 dst: data.dst,
-                seq: data.seq,
                 payload_bytes: data.payload_bytes,
                 sent_at: data.sent_at,
             };
@@ -1322,7 +1302,6 @@ mod tests {
             uid,
             src: r.source(),
             dst: r.destination(),
-            seq: 0,
             payload_bytes: 512,
             sent_at: SimTime::ZERO,
             route: r,
@@ -1340,7 +1319,7 @@ mod tests {
     /// largest packet would widen all of them.
     #[test]
     fn a_command_stays_as_wide_as_it_was() {
-        assert_eq!(std::mem::size_of::<Cmd>(), 96);
+        assert_eq!(std::mem::size_of::<Cmd>(), 88);
     }
 
     /// A request path that visits a node twice names no route. It must be

@@ -1,18 +1,12 @@
-//! Route-cache organizations and the negative cache.
+//! The route cache and the negative cache.
 //!
-//! Two organizations implement [`RouteCache`]:
-//!
-//! - [`path_cache::PathCache`] — whole paths rooted at the owner, the
-//!   organization of the CMU ns-2 DSR and of the paper's study;
-//! - [`link_cache::LinkCache`] — a graph of individual links with
-//!   shortest-path answers, the Hu & Johnson alternative the paper's
-//!   related work contrasts (available as an ablation).
+//! [`path_cache::PathCache`] — whole paths rooted at the owner, the
+//! organization of the CMU ns-2 DSR and of the paper's study — is the one
+//! implementation of [`RouteCache`].
 
-pub mod link_cache;
 pub mod negative;
 pub mod path_cache;
 
-pub use link_cache::LinkCache;
 pub use path_cache::{PathCache, RemovedLink};
 
 use packet::{InlineRoute, Link, Route};
@@ -37,8 +31,7 @@ pub enum CacheEvent {
     },
 }
 
-/// Operations the DSR agent needs from a route cache, regardless of its
-/// internal organization.
+/// Operations the DSR agent needs from a route cache.
 pub trait RouteCache: Send {
     /// Inserts a route starting at the owner; returns whether the cache
     /// changed.
@@ -87,7 +80,7 @@ pub trait RouteCache: Send {
     /// Whether the cache holds `link` anywhere.
     fn contains_link(&self, link: Link) -> bool;
 
-    /// Number of cached entries (paths or links, by organization).
+    /// Number of cached paths.
     fn len(&self) -> usize;
 
     /// Whether the cache is empty.
@@ -95,26 +88,24 @@ pub trait RouteCache: Send {
         self.len() == 0
     }
 
-    /// Snapshot of the cached state as routes, for observability sampling:
-    /// a path cache yields its stored paths, a link cache one two-node
-    /// route per link. The sampler checks each against the mobility oracle
-    /// to compute the cache's currently-valid fraction; only aggregate
-    /// counts are reported, so iteration order does not matter.
+    /// Snapshot of the cached paths as routes, for observability sampling.
+    /// The sampler checks each against the mobility oracle to compute the
+    /// cache's currently-valid fraction; only aggregate counts are
+    /// reported, so iteration order does not matter.
     fn snapshot_routes(&self) -> Vec<Route>;
 
     /// Enables (or disables) the internal decision-event log feeding the
-    /// cache forensics trace. Off by default; organizations that do not
-    /// implement it simply report no eviction/expiry rows.
-    fn set_event_log(&mut self, _on: bool) {}
+    /// cache forensics trace. Off by default.
+    fn set_event_log(&mut self, on: bool);
 
     /// Hands every logged [`CacheEvent`] since the last drain to `each`, in
-    /// the order they happened (no-op while the log is disabled or
-    /// unimplemented). The agent turns them into trace commands this way, so
-    /// the log is the only buffer they pass through.
-    fn drain_events_with(&mut self, _each: &mut dyn FnMut(CacheEvent)) {}
+    /// the order they happened (no-op while the log is disabled). The agent
+    /// turns them into trace commands this way, so the log is the only
+    /// buffer they pass through.
+    fn drain_events_with(&mut self, each: &mut dyn FnMut(CacheEvent));
 
     /// Moves every logged [`CacheEvent`] since the last drain into `into`
-    /// (no-op while the log is disabled or unimplemented).
+    /// (no-op while the log is disabled).
     fn drain_events(&mut self, into: &mut Vec<CacheEvent>) {
         self.drain_events_with(&mut |event| into.push(event));
     }
@@ -122,7 +113,7 @@ pub trait RouteCache: Send {
     /// Installs the timeout [`RouteCache::find`] applies at read time, so
     /// lookups between expiry sweeps never return just-expired state. The
     /// agent keeps it in sync with the sweep timeout (static policy: at
-    /// construction; adaptive: on every recompute). Organizations that do
-    /// not implement it keep the sweep-only behaviour.
-    fn set_read_expiry(&mut self, _timeout: Option<SimDuration>) {}
+    /// construction; adaptive: on every recompute). `None` keeps the
+    /// sweep-only behaviour.
+    fn set_read_expiry(&mut self, timeout: Option<SimDuration>);
 }

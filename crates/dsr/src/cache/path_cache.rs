@@ -1,9 +1,7 @@
 //! The DSR path cache.
 //!
 //! Stores complete paths, each starting at the owning node (the *path
-//! cache* organization of the CMU ns-2 implementation, as opposed to the
-//! link-cache organization of Hu & Johnson — see
-//! [`LinkCache`](crate::cache::link_cache::LinkCache) for that ablation).
+//! cache* organization of the CMU ns-2 implementation).
 //!
 //! Beyond plain storage the cache carries the metadata the paper's
 //! techniques need:
@@ -755,6 +753,12 @@ impl PathCache {
         affected
     }
 
+    /// Every cached path as a route, in entry order (see
+    /// [`RouteCache::snapshot_routes`](crate::cache::RouteCache::snapshot_routes)).
+    pub fn snapshot_routes(&self) -> Vec<Route> {
+        self.iter().map(|e| route_of(e.nodes())).collect()
+    }
+
     /// Removes every cached path (testing / reset).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -802,7 +806,7 @@ impl crate::cache::RouteCache for PathCache {
     }
 
     fn snapshot_routes(&self) -> Vec<Route> {
-        self.iter().map(|e| route_of(e.nodes())).collect()
+        PathCache::snapshot_routes(self)
     }
 
     fn set_event_log(&mut self, on: bool) {

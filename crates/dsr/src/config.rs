@@ -99,17 +99,6 @@ pub enum WiderErrorRebroadcast {
     Flood,
 }
 
-/// Route-cache organization (the paper uses path caches; link caches are
-/// the Hu & Johnson alternative, provided as an ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheOrganization {
-    /// Whole paths rooted at the caching node (the paper's choice).
-    #[default]
-    Path,
-    /// A graph of individual links answered by shortest-path search.
-    Link,
-}
-
 /// Multipath caching parameters: retain up to `k` link-disjoint paths per
 /// destination and fail over to a survivor on a route error instead of
 /// launching a fresh discovery.
@@ -131,11 +120,8 @@ impl Default for MultipathConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DsrConfig {
     // --- standard DSR ---------------------------------------------------
-    /// Route cache capacity in paths (or links, for the link-cache
-    /// organization).
+    /// Route cache capacity in paths.
     pub cache_capacity: usize,
-    /// Route-cache organization.
-    pub cache_organization: CacheOrganization,
 
     // --- the paper's three techniques ----------------------------------
     /// Wider error notification: broadcast route errors with conditional
@@ -165,7 +151,6 @@ impl DsrConfig {
     pub fn base() -> Self {
         DsrConfig {
             cache_capacity: 64,
-            cache_organization: CacheOrganization::Path,
             wider_error_notification: false,
             wider_error_rebroadcast: WiderErrorRebroadcast::CachedAndUsed,
             expiry: ExpiryPolicy::None,
@@ -236,21 +221,11 @@ impl DsrConfig {
         if self.multipath.is_some() {
             tags.push("MP".to_string());
         }
-        let base = match tags.len() {
+        match tags.len() {
             0 => "DSR".to_string(),
             3 if tags[1] == "AE" => "DSR-C".to_string(),
             _ => format!("DSR-{}", tags.join("+")),
-        };
-        match self.cache_organization {
-            CacheOrganization::Path => base,
-            CacheOrganization::Link => format!("{base}/LC"),
         }
-    }
-
-    /// The same variant with the link-cache organization (ablation).
-    pub fn with_link_cache(mut self) -> Self {
-        self.cache_organization = CacheOrganization::Link;
-        self
     }
 }
 

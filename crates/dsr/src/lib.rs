@@ -32,13 +32,10 @@ pub mod send_buffer;
 
 pub use adaptive::AdaptiveTimeout;
 pub use agent::{DsrEvent, DsrNode, DsrTimer};
-pub use cache::link_cache::LinkCache;
 pub use cache::negative::NegativeCache;
 pub use cache::path_cache::{PathCache, PathEntry, RemovedLink};
 pub use cache::{CacheEvent, RouteCache};
-pub use config::{
-    CacheOrganization, DsrConfig, ExpiryPolicy, MultipathConfig, WiderErrorRebroadcast,
-};
+pub use config::{DsrConfig, ExpiryPolicy, MultipathConfig, WiderErrorRebroadcast};
 pub use packet::{CacheHitKind, DropReason};
 pub use request_table::RequestTable;
 pub use send_buffer::{PendingData, SendBuffer};

@@ -22,8 +22,6 @@ pub struct PendingData {
     pub uid: u64,
     /// Final destination.
     pub dst: NodeId,
-    /// Flow sequence number.
-    pub seq: u64,
     /// Application payload size in bytes.
     pub payload_bytes: usize,
     /// Origination instant (start of the end-to-end delay clock).
@@ -40,7 +38,7 @@ pub struct PendingData {
 ///
 /// let mut buf = SendBuffer::new(64, SimDuration::from_secs(30.0));
 /// let pkt = PendingData {
-///     uid: 1, dst: NodeId::new(5), seq: 0, payload_bytes: 512,
+///     uid: 1, dst: NodeId::new(5), payload_bytes: 512,
 ///     sent_at: SimTime::ZERO,
 /// };
 /// assert!(buf.push(pkt, SimTime::ZERO).is_none());
@@ -152,13 +150,7 @@ mod tests {
     use super::*;
 
     fn pkt(uid: u64, dst: u16) -> PendingData {
-        PendingData {
-            uid,
-            dst: NodeId::new(dst),
-            seq: uid,
-            payload_bytes: 512,
-            sent_at: SimTime::ZERO,
-        }
+        PendingData { uid, dst: NodeId::new(dst), payload_bytes: 512, sent_at: SimTime::ZERO }
     }
 
     fn buf(cap: usize, timeout_s: f64) -> SendBuffer {

@@ -68,7 +68,7 @@ fn full_discovery_and_delivery_cycle() {
     let now = t(1.0);
 
     // A wants to reach C: buffers the packet and probes neighbors (TTL 1).
-    let cmds = cmds_of(|sink| a.originate(n(2), 512, 0, now, sink));
+    let cmds = cmds_of(|sink| a.originate(n(2), 512, now, sink));
     let out = sends(&cmds);
     assert_eq!(out.len(), 1);
     let Packet::Request(probe) = &out[0].0 else { panic!("expected RREQ") };
@@ -149,7 +149,7 @@ fn second_originate_reuses_cached_route() {
         gratuitous: false,
     };
     cmds_of(|sink| a.on_receive(n(1), Packet::Reply(rep), t(1.0), sink));
-    let cmds = cmds_of(|sink| a.originate(n(2), 512, 0, t(2.0), sink));
+    let cmds = cmds_of(|sink| a.originate(n(2), 512, t(2.0), sink));
     let evs = events(&cmds);
     assert!(evs
         .iter()
@@ -166,7 +166,6 @@ fn intermediate_answers_from_cache_and_quenches() {
         uid: 9,
         src: n(1),
         dst: n(5),
-        seq: 0,
         payload_bytes: 512,
         sent_at: t(0.5),
         route: route(&[1, 4, 5]),
@@ -179,7 +178,6 @@ fn intermediate_answers_from_cache_and_quenches() {
         uid: 9,
         src: n(4),
         dst: n(5),
-        seq: 0,
         payload_bytes: 512,
         sent_at: t(0.5),
         route: route(&[1, 4, 5]),
@@ -248,7 +246,6 @@ fn tx_failure_unicasts_error_and_salvages() {
         uid: 77,
         src: n(0),
         dst: n(3),
-        seq: 1,
         payload_bytes: 512,
         sent_at: t(1.0),
         route: route(&[0, 1, 2, 3]),
@@ -294,7 +291,6 @@ fn source_rebuffers_when_first_hop_fails_without_alternative() {
         uid: 5,
         src: n(0),
         dst: n(3),
-        seq: 0,
         payload_bytes: 512,
         sent_at: t(1.0),
         route: route(&[0, 1, 3]),
@@ -342,7 +338,6 @@ fn wider_error_broadcasts_and_gates_rebroadcast() {
         uid: 8,
         src: n(0),
         dst: n(3),
-        seq: 0,
         payload_bytes: 512,
         sent_at: t(1.0),
         route: route(&[0, 1, 2, 3]),
@@ -375,7 +370,6 @@ fn wider_error_broadcasts_and_gates_rebroadcast() {
         uid: 10,
         src: n(9),
         dst: n(3),
-        seq: 0,
         payload_bytes: 512,
         sent_at: t(1.0),
         route: route(&[9, 7, 1, 2, 3]),
@@ -417,7 +411,6 @@ fn negative_cache_refuses_forwarding_and_insertion() {
         uid: 12,
         src: n(0),
         dst: n(3),
-        seq: 0,
         payload_bytes: 512,
         sent_at: t(1.0),
         route: route(&[0, 1, 2, 3]),
@@ -433,7 +426,6 @@ fn negative_cache_refuses_forwarding_and_insertion() {
         uid: 13,
         src: n(0),
         dst: n(3),
-        seq: 1,
         payload_bytes: 512,
         sent_at: t(2.0),
         route: route(&[0, 1, 2, 3]),
@@ -508,7 +500,6 @@ fn adaptive_estimator_feeds_on_breaks() {
         uid: 18,
         src: n(0),
         dst: n(2),
-        seq: 0,
         payload_bytes: 512,
         sent_at: t(4.0),
         route: route(&[0, 1, 2]),
@@ -534,7 +525,7 @@ fn gratuitous_repair_piggybacks_error_on_next_flood() {
     };
     cmds_of(|sink| a.on_receive(n(1), Packet::Error(err), t(1.0), sink));
     // Next discovery (flood phase) carries the error.
-    let cmds = cmds_of(|sink| a.originate(n(9), 512, 0, t(1.1), sink));
+    let cmds = cmds_of(|sink| a.originate(n(9), 512, t(1.1), sink));
     let out = sends(&cmds);
     let Packet::Request(req) = &out[0].0 else { panic!("expected RREQ") };
     assert_eq!(req.piggyback_error, Some(Link::new(n(2), n(3))));
@@ -563,7 +554,6 @@ fn snooping_learns_routes_and_sends_gratuitous_reply() {
         uid: 21,
         src: n(0),
         dst: n(3),
-        seq: 0,
         payload_bytes: 512,
         sent_at: t(1.0),
         route: route(&[0, 1, 2, 3]),
@@ -582,7 +572,6 @@ fn snooping_learns_routes_and_sends_gratuitous_reply() {
         uid: 22,
         src: n(0),
         dst: n(4),
-        seq: 0,
         payload_bytes: 512,
         sent_at: t(1.0),
         route: route(&[0, 1, 2, 3, 4]),
@@ -601,7 +590,7 @@ fn snooping_learns_routes_and_sends_gratuitous_reply() {
 #[test]
 fn send_buffer_timeout_drops_on_tick() {
     let mut a = agent(0, DsrConfig::base());
-    cmds_of(|sink| a.originate(n(2), 512, 0, t(0.0), sink));
+    cmds_of(|sink| a.originate(n(2), 512, t(0.0), sink));
     assert_eq!(a.buffered(), 1);
     let cmds = cmds_of(|sink| a.on_timer(DsrTimer::Tick, t(31.0), sink));
     assert!(cmds
@@ -613,7 +602,7 @@ fn send_buffer_timeout_drops_on_tick() {
 #[test]
 fn request_retry_stops_when_buffer_drains() {
     let mut a = agent(0, DsrConfig::base());
-    cmds_of(|sink| a.originate(n(2), 512, 0, t(0.0), sink));
+    cmds_of(|sink| a.originate(n(2), 512, t(0.0), sink));
     // Expire the buffered packet, then let the request timeout fire.
     cmds_of(|sink| a.on_timer(DsrTimer::Tick, t(31.0), sink));
     let cmds = cmds_of(|sink| a.on_timer(DsrTimer::RequestTimeout(n(2)), t(31.5), sink));
@@ -676,7 +665,7 @@ fn reboot_resets_volatile_state_and_accounts_for_buffered_packets() {
     };
     cmds_of(|sink| a.on_receive(n(1), Packet::Reply(reply), now, sink));
     assert!(!a.cache().is_empty(), "route learned");
-    cmds_of(|sink| a.originate(n(7), 512, 0, now, sink));
+    cmds_of(|sink| a.originate(n(7), 512, now, sink));
     assert_eq!(a.buffered(), 1, "packet buffered awaiting a route to 7");
     assert_eq!(a.discoveries_in_flight(), 1);
 
@@ -703,7 +692,7 @@ fn reboot_resets_volatile_state_and_accounts_for_buffered_packets() {
 
     // Uids stay unique across the reboot: the next origination must not
     // re-issue the pre-crash uid.
-    let cmds = cmds_of(|sink| a.originate(n(7), 512, 1, t(3.0), sink));
+    let cmds = cmds_of(|sink| a.originate(n(7), 512, t(3.0), sink));
     let new_uid = a.buffered_uids()[0];
     assert_ne!(new_uid, uid, "uid counter survives the reboot");
     drop(cmds);

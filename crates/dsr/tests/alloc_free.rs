@@ -93,7 +93,6 @@ fn data_on(ids: &[u16], uid: u64) -> Packet {
         uid,
         src: r.source(),
         dst: r.destination(),
-        seq: uid,
         payload_bytes: 512,
         sent_at: SimTime::ZERO,
         route: r,
@@ -156,9 +155,9 @@ fn originating_on_a_cache_hit_allocates_only_the_found_route() {
     // Forwarding-path learning caches 0-1-2-3 at its source.
     node.on_snoop(n(1), &data_on(&[0, 1, 2, 3], 1), t(0.0), &mut cmds);
     // Warm-up: sizes `mark_used`'s table and the command buffer.
-    node.originate(n(3), 512, 0, t(0.1), &mut cmds);
+    node.originate(n(3), 512, t(0.1), &mut cmds);
     cmds.clear();
-    let (allocs, ()) = allocations(|| node.originate(n(3), 512, 1, t(0.2), &mut cmds));
+    let (allocs, ()) = allocations(|| node.originate(n(3), 512, t(0.2), &mut cmds));
     assert_eq!(cmds.len(), 3, "originated, cache hit, send: {cmds:?}");
     // The cache hit copies the route by value; the packet takes `find`'s.
     assert_eq!(allocs, 1, "the route `find` returns");

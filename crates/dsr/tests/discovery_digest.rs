@@ -289,10 +289,13 @@ fn write_command(out: &mut String, cmd: &Cmd) {
             let _ = write!(out, "send {} {} ", next_hop.index(), jitter.as_nanos());
             write_packet(out, packet);
         }
-        Cmd::Deliver { uid, src, seq, sent_at, bytes, hops } => {
+        Cmd::Deliver { uid, src, sent_at, bytes, hops } => {
+            // The uid stands again where the retired application sequence
+            // number stood: every delivered packet was drawn with the two
+            // equal, so the pinned digests still hold.
             let _ = write!(
                 out,
-                "deliver {uid} {} {seq} {} {bytes} {hops}",
+                "deliver {uid} {} {uid} {} {bytes} {hops}",
                 src.index(),
                 sent_at.as_nanos()
             );
@@ -332,7 +335,6 @@ fn data(uid: u64, route: Route) -> DataPacket {
         uid,
         src: route.source(),
         dst: route.destination(),
-        seq: uid,
         payload_bytes: 512,
         sent_at: SimTime::ZERO,
         route,
@@ -407,7 +409,7 @@ fn run(cfg: DsrConfig, traced: bool, rng: &mut SimRng, steps: usize) -> u64 {
                 if dst == ME {
                     continue;
                 }
-                cmds_of(|sink| agent.originate(n(dst), 512, uid, now, sink))
+                cmds_of(|sink| agent.originate(n(dst), 512, now, sink))
             }
             Input::Tick => cmds_of(|sink| agent.on_timer(DsrTimer::Tick, now, sink)),
         };

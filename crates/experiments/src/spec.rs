@@ -254,39 +254,6 @@ pub static SPECS: &[Spec] = &[
         },
     },
     Spec {
-        name: "ablation_cache_org",
-        title: "Ablation: cache organization (path vs link)",
-        shape: "the link cache (Hu & Johnson) synthesizes more, and often staler, routes than \
-                the paper's path cache: more cache answers and lower reply quality for base \
-                DSR; the paper's correctness techniques recover much of the gap.",
-        axes: &[],
-        columns: &[
-            "variant",
-            "delivery_fraction",
-            "avg_delay_s",
-            "normalized_overhead",
-            "good_replies_pct",
-            "invalid_cache_pct",
-            "runs_failed",
-            "faults_injected",
-            "delay_p99_s",
-            "delay_jitter_s",
-            "stale_route_sends",
-            "cache_stale_hits",
-        ],
-        rows: |mode| {
-            [
-                DsrConfig::base(),
-                DsrConfig::base().with_link_cache(),
-                DsrConfig::combined(),
-                DsrConfig::combined().with_link_cache(),
-            ]
-            .into_iter()
-            .map(|dsr| Row::dsr(vec![], paper_point(mode, dsr)))
-            .collect()
-        },
-    },
-    Spec {
         name: "ablation_wider_error",
         title: "Ablation: wider-error re-broadcast predicate",
         shape: "the paper gates re-broadcasts on \"cached the broken link and used such a \

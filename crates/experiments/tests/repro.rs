@@ -58,6 +58,14 @@ fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
             ),
         ),
         (
+            "cache_organization.txt",
+            text.replacen(
+                "dsr.wider_error_notification = ",
+                "dsr.cache_organization = path\ndsr.wider_error_notification = ",
+                1,
+            ),
+        ),
+        (
             "preemptive.txt",
             text.replacen(
                 "dsr.negative_cache = false\n",

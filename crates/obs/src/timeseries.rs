@@ -20,11 +20,9 @@
 //! The last three are cumulative: what the run had done before it, so the
 //! difference of two rows is the work of the interval between them. Every
 //! count is summed over all nodes, so row content is independent of
-//! per-node iteration order (the link cache's internal `HashMap` iterates
-//! nondeterministically, but a *count* of its entries is stable). Rows are
-//! stamped with the sample-boundary time, not the event time that
-//! triggered the sample, so files from identical (config, seed) pairs are
-//! byte-identical.
+//! per-node iteration order. Rows are stamped with the sample-boundary
+//! time, not the event time that triggered the sample, so files from
+//! identical (config, seed) pairs are byte-identical.
 //!
 //! The columns are [`SampleRow::TIME`] and [`SampleRow::COUNTS`], declared
 //! with the struct: rendering, parsing and `trace_query`'s printer all
@@ -87,8 +85,7 @@ macro_rules! sample_row {
 sample_row! {
     /// Sample-boundary time in seconds (a multiple of the interval).
     t_s;
-    /// Route-cache entries across all nodes (path entries, or links for a
-    /// link cache).
+    /// Route-cache paths across all nodes.
     cache_entries: u32,
     /// The subset of `cache_entries` the mobility oracle deems currently
     /// usable end-to-end.

@@ -33,8 +33,6 @@ pub enum AgentCommand<P, T> {
         uid: u64,
         /// Originating node.
         src: NodeId,
-        /// The application sequence number the packet was originated with.
-        seq: u64,
         /// Origination instant (end-to-end delay clock).
         sent_at: SimTime,
         /// Application payload bytes.
@@ -75,8 +73,7 @@ pub enum AgentCommand<P, T> {
 /// (AODV) return `None` and simply contribute zeros.
 #[derive(Debug, Clone, Default)]
 pub struct AgentObservation {
-    /// Snapshot of the node's cached routes (paths, or per-link stubs for a
-    /// link cache) for oracle validity checking.
+    /// Snapshot of the node's cached routes for oracle validity checking.
     pub routes: Vec<Route>,
     /// Live negative-cache entries.
     pub negative_entries: usize,
@@ -108,7 +105,6 @@ pub trait RoutingAgent: Send {
         &mut self,
         dst: NodeId,
         payload_bytes: usize,
-        seq: u64,
         now: SimTime,
         out: &mut Vec<AgentCommand<Self::Packet, Self::Timer>>,
     );

@@ -55,8 +55,6 @@ pub struct DataPacket {
     pub src: NodeId,
     /// Final destination (`route.destination()`).
     pub dst: NodeId,
-    /// Per-flow sequence number assigned by the traffic source.
-    pub seq: u64,
     /// Application payload size in bytes (paper: 512).
     pub payload_bytes: usize,
     /// Origination instant, for the end-to-end delay metric.
@@ -327,7 +325,6 @@ mod tests {
             uid: 1,
             src: r.source(),
             dst: r.destination(),
-            seq: 0,
             payload_bytes: 512,
             sent_at: SimTime::ZERO,
             route: r,

@@ -522,12 +522,12 @@ mod tests {
     }
 
     /// Every frame in flight carries a `Packet`, and a request carries its
-    /// path by value: a path that widened the request past the widest other
-    /// packet would widen all of them.
+    /// path by value: the request is the widest packet, so a path that
+    /// widened it would widen all of them.
     #[test]
-    fn a_request_path_keeps_the_packet_at_eighty_bytes() {
+    fn a_request_path_keeps_the_packet_at_seventy_two_bytes() {
         use crate::dsr::{Packet, RouteRequest};
-        assert_eq!(std::mem::size_of::<Packet>(), 80);
+        assert_eq!(std::mem::size_of::<Packet>(), 72);
         assert!(
             std::mem::size_of::<RouteRequest>() <= 72,
             "{}",

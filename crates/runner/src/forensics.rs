@@ -39,7 +39,7 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use dsr::{CacheOrganization, DsrConfig, ExpiryPolicy, MultipathConfig, WiderErrorRebroadcast};
+use dsr::{DsrConfig, ExpiryPolicy, MultipathConfig, WiderErrorRebroadcast};
 use mac::MacConfig;
 use mobility::{Field, Point, WaypointConfig};
 use obs::text::{escape, fmt_f64, sanitize, unescape, KvBlock, ObsError, FORENSICS_HEADER};
@@ -211,7 +211,6 @@ stored_struct! {
     }
     DsrConfig {
         ".cache_capacity" => cache_capacity,
-        ".cache_organization" => cache_organization,
         ".wider_error_notification" => wider_error_notification,
         ".wider_error_rebroadcast" => wider_error_rebroadcast,
         ".expiry" => expiry,
@@ -241,7 +240,6 @@ stored_struct! {
 }
 
 stored_enum! {
-    CacheOrganization at "" { "path" => Path {}, "link" => Link {} }
     WiderErrorRebroadcast at "" {
         "cached_and_used" => CachedAndUsed {},
         "cached_only" => CachedOnly {},
@@ -582,8 +580,7 @@ mod tests {
 
     /// One scenario of every serialized flavor: static and waypoint
     /// mobility, all seven fault kinds, every zone shape, each expiry
-    /// policy, each strategy block, both cache organizations and every
-    /// error-rebroadcast rule.
+    /// policy, each strategy block and every error-rebroadcast rule.
     fn flavors() -> Vec<ScenarioConfig> {
         let mut configs = vec![
             ScenarioConfig::static_line(4, 200.0, 2.0, DsrConfig::combined(), 9),
@@ -606,7 +603,7 @@ mod tests {
                 3.0,
                 DsrConfig {
                     wider_error_rebroadcast: WiderErrorRebroadcast::Flood,
-                    ..DsrConfig::static_expiry(SimDuration::from_secs(5.0)).with_link_cache()
+                    ..DsrConfig::static_expiry(SimDuration::from_secs(5.0))
                 },
                 23,
             ),
@@ -696,21 +693,21 @@ mod tests {
     #[test]
     fn fingerprints_and_a_full_render_are_pinned() {
         const PINNED: [u64; 8] = [
-            0x7631_0d1d_31b8_7794,
-            0xa57e_b8a7_9ce3_3f0c,
-            0x43f0_cc73_2ecb_28dc,
-            0x3837_d5be_fc97_5036,
-            0xd49d_e6bb_5762_6d66,
-            0xbca2_0db2_9f78_dcee,
-            0xb9e7_0f0b_594b_56b3,
-            0xb3bb_b291_dcc6_4f9f,
+            0x22ba_2e9e_dfb9_9593,
+            0x7ca2_809a_5c34_bd3f,
+            0x6d4d_3c32_56cc_3c55,
+            0xed1d_c2dc_f136_6b79,
+            0x4820_de1f_e953_c915,
+            0xbd72_dcf2_a318_8e8d,
+            0x3c26_5630_247c_bd45,
+            0x73d8_b3ea_62d7_fc04,
         ];
         let got: Vec<u64> = flavors().iter().map(config_fingerprint).collect();
         let hex: Vec<String> = got.iter().map(|fp| format!("{fp:#018x}")).collect();
         assert_eq!(got, PINNED, "fingerprints moved: {hex:?}");
         let rendered = artifact(flavors().swap_remove(2)).render();
         let digest = fnv1a(rendered.as_bytes());
-        assert_eq!(digest, 0xb0ec_659f_592f_0a37, "render digest moved: {digest:#018x}");
+        assert_eq!(digest, 0x07cc_cade_a30f_036c, "render digest moved: {digest:#018x}");
     }
 
     /// Each earlier writer's schema is refused, not translated: an artifact
@@ -748,6 +745,11 @@ mod tests {
                 "true",
             ),
             (with_line(&current, "dsr.preemptive = true"), "dsr.preemptive", "true"),
+            (
+                with_line(&current, "dsr.cache_organization = path"),
+                "dsr.cache_organization",
+                "path",
+            ),
             // A strategy's knob now fixed as a constant, at the value it still has.
             (
                 with_line(&suppression, "dsr.suppression.stretch = 1.5"),
@@ -795,8 +797,8 @@ mod tests {
         assert_eq!(a.label, b.label);
         assert_eq!(a.config.seed, b.config.seed);
         assert_ne!(a.file_name(), b.file_name(), "same label+seed, different scenario point");
-        let odd = ForensicArtifact { label: "DSR-SE(5s) quick/LC".into(), ..a };
-        assert!(odd.file_name().starts_with("DSR-SE_5s__quick_LC_"), "{}", odd.file_name());
+        let odd = ForensicArtifact { label: "DSR-SE(5s) quick/x".into(), ..a };
+        assert!(odd.file_name().starts_with("DSR-SE_5s__quick_x_"), "{}", odd.file_name());
     }
 
     #[test]

@@ -803,7 +803,7 @@ impl<A: RoutingAgent> Simulator<A> {
                     self.metrics.record_origination();
                     let now = self.now;
                     self.agent_input(f.src.index() as u16, |agent, cmds| {
-                        agent.originate(f.dst, f.packet_bytes, k, now, cmds)
+                        agent.originate(f.dst, f.packet_bytes, now, cmds)
                     });
                 }
                 let next = f.send_time(k + 1);

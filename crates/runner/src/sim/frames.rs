@@ -134,7 +134,7 @@ mod tests {
     fn slot_layout_is_pinned() {
         use packet::RoutingAgent;
         type Dsr = <dsr::DsrNode as RoutingAgent>::Packet;
-        assert_eq!(std::mem::size_of::<MacFrame<Dsr>>(), 112);
-        assert_eq!(std::mem::size_of::<Slot<Dsr>>(), 128);
+        assert_eq!(std::mem::size_of::<MacFrame<Dsr>>(), 104);
+        assert_eq!(std::mem::size_of::<Slot<Dsr>>(), 120);
     }
 }

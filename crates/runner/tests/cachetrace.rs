@@ -231,19 +231,19 @@ fn rendered_traces_match_the_pinned_digests() {
         (
             "combined_clean",
             combined,
-            0xfdb0_96e6_4d30_b4b4,
+            0x1c19_383c_3fb7_0e19,
             &["insert", "lookup", "remove", "expire", "refresh"],
         ),
         (
             "base_clean",
             ScenarioConfig::tiny(0.0, 2.0, DsrConfig::base(), 1),
-            0xe7d9_a2ff_d452_68d2,
+            0x7646_d6ec_3d55_756c,
             &["insert", "lookup", "remove", "refresh"],
         ),
         (
             "combined_churn_blackout",
             faulted,
-            0x9935_481a_0b25_90b1,
+            0xea87_b350_b093_cc0c,
             &["insert", "lookup", "remove", "expire", "evict", "refresh"],
         ),
     ];

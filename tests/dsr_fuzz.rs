@@ -2,7 +2,7 @@
 //! packet sequences must never panic it, never make it emit malformed
 //! routes, and never violate the negative-cache exclusion invariant.
 
-use dsr_caching::dsr::{DsrConfig, DsrNode, DsrTimer};
+use dsr_caching::dsr::{DsrConfig, DsrNode, DsrTimer, MultipathConfig};
 use dsr_caching::packet::{
     AgentCommand, DataPacket, ErrorDelivery, InlineRoute, Link, Packet, Route, RouteErrorPkt,
     RouteReply, RouteRequest, RoutingAgent,
@@ -85,7 +85,6 @@ fn mk_data(route: Route, hop_guess: usize) -> DataPacket {
         uid: 999,
         src: route.source(),
         dst: route.destination(),
-        seq: 0,
         payload_bytes: 512,
         sent_at: SimTime::ZERO,
         route,
@@ -100,7 +99,11 @@ fn drive(variant: usize, inputs: Vec<Input>) {
     let cfg = match variant {
         0 => DsrConfig::base(),
         1 => DsrConfig::combined(),
-        _ => DsrConfig::combined().with_link_cache(),
+        _ => DsrConfig {
+            suppression: true,
+            multipath: Some(MultipathConfig::default()),
+            ..DsrConfig::combined()
+        },
     };
     let me = NodeId::new(ME);
     let mut agent = DsrNode::new(me, cfg, RngFactory::new(7).stream("fuzz", 0));
@@ -115,7 +118,7 @@ fn drive(variant: usize, inputs: Vec<Input>) {
                 if NodeId::new(dst) == me {
                     continue;
                 }
-                agent.originate(NodeId::new(dst), 512, i as u64, now, &mut cmds)
+                agent.originate(NodeId::new(dst), 512, now, &mut cmds)
             }
             Input::Data { route, hop_guess } => agent.on_receive(
                 NodeId::new(1),

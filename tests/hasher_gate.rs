@@ -17,7 +17,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("sim-core/src/hash.rs", "defines the fixed-hasher aliases U64HashMap / U64HashSet"),
     ("runner/src/journal.rs", "the supervisor's run journal, which no run reads"),
     ("runner/src/cachestamp/reference.rs", "test oracle"),
-    ("dsr/src/cache/link_cache.rs", "the link map and Dijkstra's scratch (ROADMAP item 3(a))"),
     ("packet/src/events.rs", "test module"),
 ];
 

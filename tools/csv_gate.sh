@@ -13,21 +13,12 @@
 # root of the checkout they were built from.
 set -uo pipefail
 
-# Experiments known not to reproduce across processes, with the reason.
-declare -A ALLOWED=(
-  [ablation_cache_org]="LinkCache::evict_lru ties on hash order (ROADMAP item 3(a))"
-)
-
 bin_dir="${BIN_DIR:-target/release}"
 out="${CSV_GATE_OUT:-/tmp/csv-gate}"
 mkdir -p "$out"
 status=0
 for csv in results/*_quick.csv; do
   name="$(basename "$csv" _quick.csv)"
-  if [[ -n "${ALLOWED[$name]:-}" ]]; then
-    echo "skip  $name: ${ALLOWED[$name]}"
-    continue
-  fi
   if [[ "$name" == chaos_soak ]]; then
     run=("$bin_dir/chaos_soak")
   else
