@@ -25,7 +25,6 @@ use packet::{
     AgentCommand, AgentObservation, CacheDecision, CacheHitKind, CacheInsertProvenance,
     CacheRemovalCause, DataPacket, DropReason, ErrorDelivery, InlineRoute, InvalidRoute, Link,
     Packet, ProtocolEvent, Route, RouteErrorPkt, RouteReply, RouteRequest, RoutingAgent,
-    SuppressedAction,
 };
 
 use sim_core::rng::uniform;
@@ -37,7 +36,7 @@ use crate::cache::path_cache::PathCache;
 use crate::cache::{CacheEvent, RemovedLink};
 use crate::config::{
     DsrConfig, ExpiryPolicy, WiderErrorRebroadcast, ADAPTIVE_MIN_TIMEOUT, MAX_SALVAGE_COUNT,
-    RECOMPUTE_PERIOD, SUPPRESSION_STRETCH,
+    RECOMPUTE_PERIOD,
 };
 use crate::request_table::{RequestTable, BROADCAST_JITTER, NONPROP_TIMEOUT};
 use crate::send_buffer::{PendingData, SendBuffer};
@@ -50,9 +49,6 @@ const SEEN_ERROR_CACHE: usize = 4096;
 const GRAT_REPLY_CACHE: usize = 32;
 /// Minimum spacing between gratuitous replies for the same flow.
 const GRAT_REPLY_HOLDOFF: SimDuration = SimDuration::from_micros_u64(1_000_000);
-/// How many answered `(origin, request_id)` pairs the suppression
-/// bookkeeping remembers (FIFO replacement).
-const ANSWERED_REQUEST_CACHE: usize = 256;
 
 /// Timers the agent asks the driver to run. `SetTimer` replaces any pending
 /// timer with the same value.
@@ -89,9 +85,6 @@ pub struct DsrNode {
     seen_errors_set: U64HashSet<u64>,
     /// Recently sent gratuitous replies: `((source, destination), when)`.
     grat_replies: VecDeque<((NodeId, NodeId), SimTime)>,
-    /// Suppression: best hop count already answered per
-    /// `(origin, request_id)`, FIFO-bounded.
-    answered_requests: VecDeque<((NodeId, u64), usize)>,
     uid_counter: u64,
     rng: SimRng,
     /// Cache-decision tracing (cache forensics). Off by default: no
@@ -131,7 +124,6 @@ impl DsrNode {
             seen_errors: VecDeque::new(),
             seen_errors_set: U64HashSet::default(),
             grat_replies: VecDeque::new(),
-            answered_requests: VecDeque::new(),
             uid_counter: 0,
             rng,
             trace_decisions: false,
@@ -319,7 +311,6 @@ impl RoutingAgent for DsrNode {
         self.seen_errors.clear();
         self.seen_errors_set.clear();
         self.grat_replies.clear();
-        self.answered_requests.clear();
         cmds.push(Cmd::SetTimer { timer: DsrTimer::Tick, at: now + RECOMPUTE_PERIOD });
     }
 
@@ -559,9 +550,6 @@ impl DsrNode {
         if req.target == self.id {
             // The destination answers every copy of the request, giving the
             // source a supply of alternate routes.
-            if self.suppress_duplicate_reply(&req, req.path.nodes(), cmds) {
-                return;
-            }
             let discovered = Route::from_slice(req.path.nodes()).expect("checked loop-free above");
             self.send_reply(discovered, false, now, cmds);
             return;
@@ -594,50 +582,6 @@ impl DsrNode {
             });
         }
         // TTL exhausted (non-propagating probe): quietly die here.
-    }
-
-    /// Non-optimal route suppression (DSR-NORS), reply side: the target
-    /// answers the *first* copy of each request unconditionally, but
-    /// withholds later copies whose route is more than [`SUPPRESSION_STRETCH`] times the
-    /// best hop count already answered. Returns `true` when the reply
-    /// should be withheld.
-    fn suppress_duplicate_reply(
-        &mut self,
-        req: &RouteRequest,
-        discovered: &[NodeId],
-        cmds: &mut Vec<Cmd>,
-    ) -> bool {
-        if !self.cfg.suppression {
-            return false;
-        }
-        let hops = discovered.len() - 1;
-        let key = (req.origin, req.request_id);
-        match self.answered_requests.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, best)) => {
-                if (hops as f64) > SUPPRESSION_STRETCH * (*best as f64) {
-                    if self.trace_decisions {
-                        cmds.push(Cmd::Event {
-                            event: DsrEvent::CacheDecision {
-                                decision: CacheDecision::Suppress {
-                                    route: InlineRoute::from_slice(discovered),
-                                    action: SuppressedAction::Reply,
-                                },
-                            },
-                        });
-                    }
-                    return true;
-                }
-                *best = (*best).min(hops);
-                false
-            }
-            None => {
-                if self.answered_requests.len() >= ANSWERED_REQUEST_CACHE {
-                    self.answered_requests.pop_front();
-                }
-                self.answered_requests.push_back((key, hops));
-                false
-            }
-        }
     }
 
     fn send_reply(
@@ -1089,29 +1033,6 @@ impl DsrNode {
         if filtered.len() < 2 {
             return;
         }
-        // Non-optimal route suppression (DSR-NORS), insert side: veto
-        // routes more than `SUPPRESSION_STRETCH` times the best cached path to the
-        // same destination. The `find` is a pure read (no trace row — it
-        // is bookkeeping, not a routing decision).
-        if self.cfg.suppression {
-            let hops = filtered.len() - 1;
-            if let Some(best) = self.cache.find(filtered[hops], now) {
-                if (hops as f64) > SUPPRESSION_STRETCH * (best.hops() as f64) {
-                    cmds.push(Cmd::Event { event: DsrEvent::SuppressedInsert });
-                    if self.trace_decisions {
-                        cmds.push(Cmd::Event {
-                            event: DsrEvent::CacheDecision {
-                                decision: CacheDecision::Suppress {
-                                    route: InlineRoute::from_slice(filtered),
-                                    action: SuppressedAction::Insert,
-                                },
-                            },
-                        });
-                    }
-                    return;
-                }
-            }
-        }
         let changed = self.cache.insert_slice(filtered, now);
         if self.trace_decisions {
             cmds.push(Cmd::Event {
@@ -1322,6 +1243,13 @@ mod tests {
         assert_eq!(std::mem::size_of::<Cmd>(), 88);
     }
 
+    /// A node lives as long as the run, one per simulated node: a field
+    /// added to it shows in every scenario's peak heap.
+    #[test]
+    fn node_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<DsrNode>(), 632);
+    }
+
     /// A request path that visits a node twice names no route. It must be
     /// dropped both where the target would answer it and where a cached
     /// route would, not unwrapped into a `Route` it cannot be.
@@ -1350,58 +1278,6 @@ mod tests {
         let cmds =
             cmds_of(|sink| cached.on_receive(n(0), Packet::Request(looped(9)), t(0.1), sink));
         assert!(cmds.is_empty(), "nor does a node with a cached route: {cmds:?}");
-    }
-
-    /// Node 0's first request for node 5, arrived along `path`.
-    fn request_to_5(path: &[u16], uid: u64) -> RouteRequest {
-        RouteRequest {
-            uid,
-            origin: n(0),
-            target: n(5),
-            request_id: 1,
-            path: InlineRoute::from_slice(&path.iter().map(|&i| n(i)).collect::<Vec<_>>()),
-            ttl: 8,
-            piggyback_error: None,
-        }
-    }
-
-    fn replies(cmds: &[Cmd]) -> usize {
-        cmds.iter().filter(|c| matches!(c, Cmd::Send { packet: Packet::Reply(_), .. })).count()
-    }
-
-    #[test]
-    fn suppression_withholds_stretch_worse_duplicate_replies() {
-        let mut a = agent(5, DsrConfig::suppression());
-        let req = request_to_5;
-        // First copy (1 hop) always answered.
-        let cmds = cmds_of(|sink| a.on_receive(n(0), Packet::Request(req(&[0], 1)), t(0.0), sink));
-        assert_eq!(replies(&cmds), 1);
-        // 3-hop duplicate: 3 > 1.5 * 1, withheld.
-        let cmds =
-            cmds_of(|sink| a.on_receive(n(4), Packet::Request(req(&[0, 2, 4], 2)), t(0.1), sink));
-        assert_eq!(replies(&cmds), 0, "stretch-worse duplicate suppressed");
-        // A different request id is a fresh discovery: answered again.
-        let mut other = req(&[0, 2, 4], 3);
-        other.request_id = 2;
-        let cmds = cmds_of(|sink| a.on_receive(n(4), Packet::Request(other), t(0.2), sink));
-        assert_eq!(replies(&cmds), 1);
-    }
-
-    #[test]
-    fn suppression_vetoes_stretch_worse_cache_inserts() {
-        let mut a = agent(1, DsrConfig::suppression());
-        // Forwarding on 0->1->2 caches the 1-hop route [1,2].
-        let cmds =
-            cmds_of(|sink| a.on_receive(n(0), Packet::Data(data_on(&[0, 1, 2], 1)), t(0.0), sink));
-        assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::SuppressedInsert)), 0);
-        // A 3-hop detour to the same destination is vetoed (3 > 1.5 * 1).
-        let cmds = cmds_of(|sink| {
-            a.on_receive(n(9), Packet::Data(data_on(&[9, 1, 7, 8, 2], 2)), t(0.1), sink)
-        });
-        assert!(count_event(&cmds, |e| matches!(e, DsrEvent::SuppressedInsert)) >= 1);
-        assert!(!a.cache().contains_link(Link::new(n(7), n(8))), "detour not cached");
-        let best = a.cache().find(n(2), t(0.1)).expect("short route kept");
-        assert_eq!(best.hops(), 1);
     }
 
     #[test]
@@ -1460,18 +1336,5 @@ mod tests {
             a.on_tx_failed(Packet::Data(data_on(&[0, 1, 3], 9)), n(1), t(1.0), sink)
         });
         assert_eq!(count_event(&cmds, |e| matches!(e, DsrEvent::Failover { .. })), 0);
-    }
-
-    #[test]
-    fn reboot_clears_suppression_state() {
-        let mut a = agent(5, DsrConfig::suppression());
-        let req = request_to_5;
-        cmds_of(|sink| a.on_receive(n(0), Packet::Request(req(&[0], 1)), t(0.0), sink));
-        cmds_of(|sink| a.on_revival(t(1.0), sink));
-        assert!(a.answered_requests.is_empty(), "answered-request bookkeeping is volatile");
-        // Fresh state: the 3-hop copy is the first one seen, so it is answered.
-        let cmds =
-            cmds_of(|sink| a.on_receive(n(4), Packet::Request(req(&[0, 2, 4], 2)), t(1.1), sink));
-        assert_eq!(replies(&cmds), 1);
     }
 }

@@ -40,12 +40,6 @@ pub const ADAPTIVE_MIN_TIMEOUT: SimDuration = SimDuration::from_micros_u64(1_000
 /// (paper: 0.5 s). Every node's housekeeping tick runs at this period.
 pub const RECOMPUTE_PERIOD: SimDuration = SimDuration::from_micros_u64(500_000);
 
-/// Maximum tolerated path stretch under non-optimal route suppression: a
-/// candidate with more than `SUPPRESSION_STRETCH * best_known_hops` hops is
-/// suppressed (1.0 would keep only best-length paths; 1.5 tolerates 50%
-/// detours).
-pub const SUPPRESSION_STRETCH: f64 = 1.5;
-
 /// Timer-based route expiry policy (Section 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExpiryPolicy {
@@ -137,10 +131,6 @@ pub struct DsrConfig {
     pub negative_cache: bool,
 
     // --- post-paper strategies (strategy matrix) ------------------------
-    /// Non-optimal route suppression (DSR-NORS, Seet et al.): veto cache
-    /// inserts and duplicate route replies longer than
-    /// [`SUPPRESSION_STRETCH`] times the best known path.
-    pub suppression: bool,
     /// k-link-disjoint multipath caching with RERR failover.
     pub multipath: Option<MultipathConfig>,
 }
@@ -155,7 +145,6 @@ impl DsrConfig {
             wider_error_rebroadcast: WiderErrorRebroadcast::CachedAndUsed,
             expiry: ExpiryPolicy::None,
             negative_cache: false,
-            suppression: false,
             multipath: None,
         }
     }
@@ -178,11 +167,6 @@ impl DsrConfig {
     /// Base DSR + negative caches.
     pub fn negative_cache() -> Self {
         DsrConfig { negative_cache: true, ..DsrConfig::base() }
-    }
-
-    /// Base DSR + non-optimal route suppression.
-    pub fn suppression() -> Self {
-        DsrConfig { suppression: true, ..DsrConfig::base() }
     }
 
     /// Base DSR + k-link-disjoint multipath caching.
@@ -215,9 +199,6 @@ impl DsrConfig {
         if self.negative_cache {
             tags.push("NC".to_string());
         }
-        if self.suppression {
-            tags.push("SUP".to_string());
-        }
         if self.multipath.is_some() {
             tags.push("MP".to_string());
         }
@@ -247,7 +228,6 @@ mod tests {
         assert_eq!(DsrConfig::negative_cache().label(), "DSR-NC");
         assert_eq!(DsrConfig::combined().label(), "DSR-C");
         assert_eq!(DsrConfig::static_expiry(SimDuration::from_secs(10.0)).label(), "DSR-SE(10s)");
-        assert_eq!(DsrConfig::suppression().label(), "DSR-SUP");
         assert_eq!(DsrConfig::multipath().label(), "DSR-MP");
         let stacked =
             DsrConfig { multipath: Some(MultipathConfig::default()), ..DsrConfig::wider_error() };
@@ -256,10 +236,7 @@ mod tests {
 
     #[test]
     fn strategy_matrix_defaults() {
-        assert!((SUPPRESSION_STRETCH - 1.5).abs() < 1e-12);
         assert_eq!(MultipathConfig::default().k, 2);
-        assert!(!DsrConfig::base().suppression);
-        assert!(DsrConfig::suppression().suppression);
         assert!(DsrConfig::multipath().multipath.is_some());
     }
 

@@ -14,8 +14,6 @@
 //!   selection;
 //! - **negative caches** — a blacklist of recently broken links, mutually
 //!   exclusive with the route cache;
-//! - **non-optimal route suppression** — cache inserts and duplicate
-//!   route replies vetoed beyond a stretch factor of the best known path;
 //! - **multipath caching** — up to `k` link-disjoint paths per
 //!   destination with failover on route error instead of rediscovery.
 //!

@@ -232,10 +232,6 @@ fn write_decision(out: &mut String, decision: &CacheDecision) {
             out.push_str("refresh ");
             write_nodes(out, route.nodes());
         }
-        CacheDecision::Suppress { route, action } => {
-            let _ = write!(out, "suppress {} ", action.name());
-            write_nodes(out, route.nodes());
-        }
         CacheDecision::Failover { dst, route } => {
             let _ = write!(out, "failover {} ", dst.index());
             write_nodes(out, route.nodes());
@@ -274,7 +270,6 @@ fn write_event(out: &mut String, event: &DsrEvent) {
             write_link(out, Some(*link));
         }
         DsrEvent::CacheDecision { decision } => write_decision(out, decision),
-        DsrEvent::SuppressedInsert => out.push_str("suppressed-insert"),
         DsrEvent::Failover { dst } => {
             let _ = write!(out, "failover {}", dst.index());
         }
@@ -424,16 +419,14 @@ fn run(cfg: DsrConfig, traced: bool, rng: &mut SimRng, steps: usize) -> u64 {
     digest
 }
 
-/// The paper's five variants, plus the suppression extension whose reply
-/// veto sits inside request handling.
-fn variants() -> [DsrConfig; 6] {
+/// The paper's five variants.
+fn variants() -> [DsrConfig; 5] {
     [
         DsrConfig::base(),
         DsrConfig::wider_error(),
         DsrConfig::adaptive_expiry(),
         DsrConfig::negative_cache(),
         DsrConfig::combined(),
-        DsrConfig::suppression(),
     ]
 }
 
@@ -447,5 +440,5 @@ fn request_handling_matches_its_pinned_digest() {
             digest = fnv1a(digest, &run_digest.to_le_bytes());
         }
     });
-    assert_eq!(digest, 0x90f5_4af4_faf4_bdd8, "request-handling digest moved: {digest:#018x}");
+    assert_eq!(digest, 0xbe08_1e0d_d490_ca37, "request-handling digest moved: {digest:#018x}");
 }

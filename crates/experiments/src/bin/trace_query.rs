@@ -296,8 +296,6 @@ const WHY_COLUMNS: &[WhyColumn] = &[
     ("expires", |r| r.expires.to_string()),
     ("evicts", |r| r.evicts.to_string()),
     ("refreshes", |r| r.refreshes.to_string()),
-    ("sup_insert", |r| r.suppressions_of("insert").to_string()),
-    ("sup_reply", |r| r.suppressions_of("reply").to_string()),
     ("failovers", |r| r.failovers.to_string()),
     ("dropped", |r| r.dropped.to_string()),
 ];

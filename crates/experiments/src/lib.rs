@@ -318,17 +318,15 @@ pub fn variants() -> Vec<DsrConfig> {
     ]
 }
 
-/// The six-strategy cross-product the `ablation_matrix` spec sweeps: the
-/// paper's four cache-maintenance variants plus the two route-acquisition
-/// strategies (non-optimal route suppression, k-link-disjoint multipath
-/// caching), each layered on base DSR so every row isolates one technique.
+/// The five-strategy cross-product the `ablation_matrix` spec sweeps: the
+/// paper's four cache-maintenance variants plus k-link-disjoint multipath
+/// caching, each layered on base DSR so every row isolates one technique.
 pub fn matrix_variants() -> Vec<DsrConfig> {
     vec![
         DsrConfig::base(),
         DsrConfig::wider_error(),
         DsrConfig::adaptive_expiry(),
         DsrConfig::negative_cache(),
-        DsrConfig::suppression(),
         DsrConfig::multipath(),
     ]
 }
@@ -614,7 +612,7 @@ mod tests {
     #[test]
     fn matrix_variants_isolate_each_strategy() {
         let labels: Vec<String> = matrix_variants().iter().map(|v| v.label()).collect();
-        assert_eq!(labels, vec!["DSR", "DSR-WE", "DSR-AE", "DSR-NC", "DSR-SUP", "DSR-MP"]);
+        assert_eq!(labels, vec!["DSR", "DSR-WE", "DSR-AE", "DSR-NC", "DSR-MP"]);
     }
 
     #[test]

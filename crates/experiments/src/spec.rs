@@ -291,13 +291,11 @@ pub static SPECS: &[Spec] = &[
     Spec {
         name: "ablation_matrix",
         title: "Ablation matrix: strategy cross-product (pause 0 s)",
-        shape: "the paper's three techniques and two route-acquisition strategies \
-                (non-optimal route suppression after Seet et al., k-link-disjoint multipath \
-                caching), each layered alone on base DSR. Measured delivery order: DSR-NC and \
-                DSR-WE well ahead, then DSR-SUP (also less overhead than base DSR), then \
-                DSR-AE and DSR level, and DSR-MP last, below base DSR at more overhead; \
-                suppressed_inserts > 0 only on DSR-SUP, failovers > 0 only on DSR-MP. \
-                Per-strategy cache decisions: trace_query --summary after a --cachetrace run.",
+        shape: "the paper's three techniques and k-link-disjoint multipath caching, each \
+                layered alone on base DSR. Measured delivery order: DSR-NC and DSR-WE well \
+                ahead, then DSR-AE and DSR level, and DSR-MP last, below base DSR at more \
+                overhead; failovers > 0 only on DSR-MP. Per-strategy cache decisions: \
+                trace_query --summary after a --cachetrace run.",
         axes: &[],
         columns: &[
             "variant",
@@ -308,7 +306,6 @@ pub static SPECS: &[Spec] = &[
             "cache_hits",
             "cache_stale_hits",
             "stale_route_sends",
-            "suppressed_inserts",
             "failovers",
             "runs_failed",
         ],

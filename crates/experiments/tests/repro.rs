@@ -73,6 +73,14 @@ fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
                 1,
             ),
         ),
+        (
+            "suppression.txt",
+            text.replacen(
+                "dsr.negative_cache = false\n",
+                "dsr.negative_cache = false\ndsr.suppression = true\n",
+                1,
+            ),
+        ),
     ] {
         assert_ne!(earlier, text, "{name}");
         std::fs::write(dir.join(name), earlier).expect("write");

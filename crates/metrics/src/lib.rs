@@ -72,7 +72,6 @@ pub struct Metrics {
     frames_corrupted: u64,
     arrivals_suppressed: u64,
 
-    suppressed_inserts: u64,
     failovers: u64,
 }
 
@@ -217,11 +216,6 @@ impl Metrics {
         self.arrivals_suppressed += n;
     }
 
-    /// Route suppression vetoed a stretch-worse cache insert.
-    pub fn record_suppressed_insert(&mut self) {
-        self.suppressed_inserts += 1;
-    }
-
     /// A multipath cache lost a route to a link break but failed over to a
     /// cached link-disjoint alternate instead of forcing a rediscovery.
     pub fn record_failover(&mut self) {
@@ -299,7 +293,6 @@ impl Metrics {
             arrivals_suppressed: self.arrivals_suppressed,
             cache_stale_hits: self.invalid_cache_hits,
             stale_route_sends: self.stale_route_sends,
-            suppressed_inserts: self.suppressed_inserts,
             failovers: self.failovers,
         }
     }
@@ -438,8 +431,6 @@ report! {
     /// Stale hits that actually put a data packet on the air (origination
     /// and salvage uses; cached replies excluded).
     stale_route_sends: u64 = Count,
-    /// Cache inserts vetoed by non-optimal route suppression.
-    suppressed_inserts: u64 = Count,
     /// Link breaks absorbed by failing over to a cached link-disjoint
     /// alternate (multipath caching) instead of rediscovering.
     failovers: u64 = Count,
@@ -662,15 +653,12 @@ mod tests {
     #[test]
     fn strategy_counters_flow_into_the_report() {
         let mut m = Metrics::new();
-        m.record_suppressed_insert();
         m.record_failover();
         m.record_failover();
         m.record_failover();
         let r = m.report("x", 10.0);
-        assert_eq!(r.suppressed_inserts, 1);
         assert_eq!(r.failovers, 3);
         let mean = Report::mean(&[r.clone(), r]);
-        assert_eq!(mean.suppressed_inserts, 1);
         assert_eq!(mean.failovers, 3);
     }
 
@@ -803,7 +791,6 @@ mod tests {
             arrivals_suppressed: uavg(&|r| r.arrivals_suppressed),
             cache_stale_hits: uavg(&|r| r.cache_stale_hits),
             stale_route_sends: uavg(&|r| r.stale_route_sends),
-            suppressed_inserts: uavg(&|r| r.suppressed_inserts),
             failovers: uavg(&|r| r.failovers),
         }
     }
@@ -871,6 +858,6 @@ mod tests {
     /// Every field is eight bytes beside the label.
     #[test]
     fn report_layout_is_pinned() {
-        assert_eq!(std::mem::size_of::<Report>(), 328);
+        assert_eq!(std::mem::size_of::<Report>(), 320);
     }
 }

@@ -26,12 +26,11 @@
 //! Column conventions (`-` marks a column the op does not use):
 //!
 //! * `op` — `insert`, `lookup`, `remove`, `expire`, `evict`, `refresh`,
-//!   `suppress` (a non-optimal route vetoed), `failover` (a multipath
-//!   cache promoted a surviving alternate after a link purge);
+//!   `failover` (a multipath cache promoted a surviving alternate after a
+//!   link purge);
 //! * `kind` — the insert provenance (`reply`/`overheard`/`gratuitous`/
-//!   `salvage`), lookup purpose (`origination`/`salvage`/`reply`),
-//!   removal cause (`rerr`/`wider`/`mac`/`neg-veto`), or the
-//!   suppressed action (`insert`/`reply`);
+//!   `salvage`), lookup purpose (`origination`/`salvage`/`reply`) or
+//!   removal cause (`rerr`/`wider`/`mac`/`neg-veto`);
 //! * `dst` — the looked-up destination (lookup rows only);
 //! * `route` — the route as `0-1-2`, or the removed link as `a>b`;
 //! * `valid` — the oracle's verdict (`1` valid, `0` stale/broken, `-` on
@@ -56,8 +55,7 @@ pub const FORMAT_HEADER: &str = "dsr-cachetrace v1";
 pub const COLUMNS: &[&str] = &["t_ns", "node", "op", "kind", "dst", "route", "valid", "stale_ns"];
 
 /// The `op` column's vocabulary.
-pub const OPS: &[&str] =
-    &["insert", "lookup", "remove", "expire", "evict", "refresh", "suppress", "failover"];
+pub const OPS: &[&str] = &["insert", "lookup", "remove", "expire", "evict", "refresh", "failover"];
 
 /// What [`CacheTrace::render`] reserves per row: a 100-node paper-scale row
 /// (`t_ns` of 10–12 digits, a 3–5 hop route of two-digit ids) renders to
@@ -260,9 +258,6 @@ pub struct CacheRollup {
     pub evicts: u64,
     /// `mark_used` refreshes.
     pub refreshes: u64,
-    /// Non-optimal routes vetoed per action (`insert`/`reply`), in
-    /// first-seen order.
-    pub suppressions: Vec<(String, u64)>,
     /// Multipath failovers: alternates promoted after a link purge.
     pub failovers: u64,
     /// Staleness latencies (ns) of genuinely broken purged links, unsorted.
@@ -309,7 +304,6 @@ impl CacheRollup {
                 "expire" => self.expires += 1,
                 "evict" => self.evicts += 1,
                 "refresh" => self.refreshes += 1,
-                "suppress" => bump(&mut self.suppressions, &row.kind),
                 "failover" => self.failovers += 1,
                 _ => {}
             }
@@ -352,11 +346,6 @@ impl CacheRollup {
     pub fn removals_of(&self, cause: &str) -> u64 {
         self.removals.iter().find(|(k, _)| k == cause).map_or(0, |(_, n)| *n)
     }
-
-    /// Suppression count for one vetoed action (`insert` or `reply`).
-    pub fn suppressions_of(&self, action: &str) -> u64 {
-        self.suppressions.iter().find(|(k, _)| k == action).map_or(0, |(_, n)| *n)
-    }
 }
 
 #[cfg(test)]
@@ -398,8 +387,6 @@ mod tests {
                 row(4_000_000, "expire", "-", Some(false), None),
                 row(4_100_000, "evict", "-", Some(true), None),
                 row(4_200_000, "refresh", "-", Some(true), None),
-                row(4_300_000, "suppress", "insert", Some(true), None),
-                row(4_400_000, "suppress", "reply", Some(true), None),
                 row(4_500_000, "failover", "-", Some(true), None),
             ],
             dropped: 0,
@@ -450,7 +437,7 @@ mod tests {
         let mut text = trace.render();
         text.push_str("1 2 3\n"); // short row
         assert!(CacheTrace::parse(&text).is_err());
-        let text = trace.render().replace("rows = 13", "rows = 14");
+        let text = trace.render().replace("rows = 11", "rows = 12");
         assert!(CacheTrace::parse(&text).is_err());
         // Unknown op and bad valid flag are rejected, not silently kept.
         let text = trace.render().replace(" insert ", " implode ");
@@ -464,6 +451,7 @@ mod tests {
             "1000000 5 insert overheard - 5-3-2 1",     // 7 fields
             "1000000 5 insert overheard - 5-3-2 1 - -", // 9 fields
             "1000000 5 implode overheard - 5-3-2 1 -",  // unknown op
+            "1000000 5 suppress insert 2 5-3-2 1 -",    // retired with route suppression
             "1000000 5 insert overheard - 5-3-2 yes -", // bad valid cell
             "1000000 5 insert overheard - 5-3-2 1 1.5", // bad stale_ns cell
             "1e6 5 insert overheard - 5-3-2 1 -",       // bad t_ns cell
@@ -549,9 +537,6 @@ mod tests {
         assert_eq!(rollup.expires, 1);
         assert_eq!(rollup.evicts, 1);
         assert_eq!(rollup.refreshes, 1);
-        assert_eq!(rollup.suppressions_of("insert"), 1);
-        assert_eq!(rollup.suppressions_of("reply"), 1);
-        assert_eq!(rollup.suppressions_of("lookup"), 0);
         assert_eq!(rollup.failovers, 1);
         assert_eq!(rollup.stale_latency_ns(0.5), Some(1_500_000));
         assert_eq!(rollup.stale_latency_ns(0.99), Some(1_500_000));

@@ -158,26 +158,6 @@ impl CacheRemovalCause {
     }
 }
 
-/// Which action a non-optimal route suppression veto blocked
-/// (cache-decision trace vocabulary for [`CacheDecision::Suppress`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SuppressedAction {
-    /// A cache insert was refused.
-    Insert,
-    /// A duplicate route reply was withheld.
-    Reply,
-}
-
-impl SuppressedAction {
-    /// Stable string spelling for trace rows.
-    pub const fn name(self) -> &'static str {
-        match self {
-            SuppressedAction::Insert => "insert",
-            SuppressedAction::Reply => "reply",
-        }
-    }
-}
-
 /// One route-cache decision, for the cache forensics trace. Emitted by
 /// agents only when decision tracing is enabled; like every protocol
 /// event, validity and staleness are judged by the driver's ground-truth
@@ -228,13 +208,6 @@ pub enum CacheDecision {
     Refresh {
         /// The route observed in use.
         route: InlineRoute,
-    },
-    /// Non-optimal route suppression vetoed an action involving `route`.
-    Suppress {
-        /// The route judged too long relative to the best known.
-        route: InlineRoute,
-        /// What the veto blocked (a cache insert or a duplicate reply).
-        action: SuppressedAction,
     },
     /// A broken-link purge left a surviving multipath alternative in
     /// service for `dst` (no fresh discovery needed).
@@ -303,9 +276,6 @@ pub enum ProtocolEvent {
         /// The decision.
         decision: CacheDecision,
     },
-    /// Non-optimal route suppression vetoed a cache insert. Always
-    /// emitted (drives the `suppressed_inserts` counter).
-    SuppressedInsert,
     /// A multipath cache failed over to a surviving link-disjoint route
     /// after a purge, avoiding a fresh discovery. Always emitted (drives
     /// the `failovers` counter).

@@ -22,6 +22,6 @@ pub use dsr::{
 };
 pub use events::{
     CacheDecision, CacheHitKind, CacheInsertProvenance, CacheRemovalCause, DropReason, NetPacket,
-    ProtocolEvent, SuppressedAction,
+    ProtocolEvent,
 };
 pub use route::{InlineRoute, InvalidRoute, Link, Route};

@@ -200,16 +200,6 @@ impl CacheStamper {
                 let valid = memo.route_up(oracle, route.nodes(), now);
                 ("refresh", dash(), dash(), path(&route), Some(valid), None)
             }
-            // The verdict answers the strategy's key question: how often
-            // does suppression discard a route that was in fact usable?
-            CacheDecision::Suppress { route, action } => (
-                "suppress",
-                action.name().to_string(),
-                joined(&[route.destination()], '-'),
-                path(&route),
-                Some(memo.route_up(oracle, route.nodes(), now)),
-                None,
-            ),
             // `route` is the surviving alternate the cache failed over to;
             // the verdict says whether the failover saved a rediscovery.
             CacheDecision::Failover { dst, route } => {

@@ -15,8 +15,7 @@ use std::sync::{Arc, Mutex};
 use mobility::{Field, LinkOracle, RandomWaypoint, WaypointConfig};
 use obs::CacheRow;
 use packet::{
-    CacheDecision, CacheHitKind, CacheInsertProvenance, CacheRemovalCause, InlineRoute, Link,
-    Route, SuppressedAction,
+    CacheDecision, CacheHitKind, CacheInsertProvenance, CacheRemovalCause, InlineRoute, Link, Route,
 };
 use sim_core::{NodeId, RngFactory, SimDuration, SimRng, SimTime};
 
@@ -33,7 +32,6 @@ enum Decision {
     Expire { route: Route },
     Evict { route: Route },
     Refresh { route: Route },
-    Suppress { route: Route, action: SuppressedAction },
     Failover { dst: NodeId, route: Route },
 }
 
@@ -58,9 +56,6 @@ impl Decision {
             Decision::Expire { route } => CacheDecision::Expire { route: copy(route) },
             Decision::Evict { route } => CacheDecision::Evict { route: copy(route) },
             Decision::Refresh { route } => CacheDecision::Refresh { route: copy(route) },
-            Decision::Suppress { route, action } => {
-                CacheDecision::Suppress { route: copy(route), action: *action }
-            }
             Decision::Failover { dst, route } => {
                 CacheDecision::Failover { dst: *dst, route: copy(route) }
             }
@@ -141,14 +136,6 @@ impl ReferenceStamper {
                 let valid = self.route_up(oracle, &route, now);
                 ("refresh", dash(), dash(), route_str(&route), Some(valid), None)
             }
-            Decision::Suppress { route, action } => (
-                "suppress",
-                action.name().to_string(),
-                route.destination().index().to_string(),
-                route_str(&route),
-                Some(self.route_up(oracle, &route, now)),
-                None,
-            ),
             Decision::Failover { dst, route } => {
                 let valid = self.route_up(oracle, &route, now);
                 ("failover", dash(), dst.index().to_string(), route_str(&route), Some(valid), None)
@@ -284,7 +271,7 @@ impl Generator {
 
     fn next(&mut self) -> (SimTime, u16, Decision) {
         self.now += SimDuration::from_nanos(below(&mut self.rng, 150_000_000) as u64);
-        let decision = match below(&mut self.rng, 12) {
+        let decision = match below(&mut self.rng, 11) {
             0..=2 => Decision::RemoveLink {
                 link: self.link(),
                 cause: pick(
@@ -322,10 +309,6 @@ impl Generator {
             7 => Decision::Expire { route: self.route() },
             8 => Decision::Evict { route: self.route() },
             9 => Decision::Refresh { route: self.route() },
-            10 => Decision::Suppress {
-                route: self.route(),
-                action: pick(&mut self.rng, &[SuppressedAction::Insert, SuppressedAction::Reply]),
-            },
             _ => Decision::Failover { dst: self.node(), route: self.route() },
         };
         (self.now, self.node().index() as u16, decision)

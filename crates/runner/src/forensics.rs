@@ -215,7 +215,6 @@ stored_struct! {
         ".wider_error_rebroadcast" => wider_error_rebroadcast,
         ".expiry" => expiry,
         ".negative_cache" => negative_cache,
-        ".suppression" => suppression as Switch,
         ".multipath" => multipath,
     }
     MultipathConfig { ".k" => k }
@@ -586,16 +585,11 @@ mod tests {
             ScenarioConfig::static_line(4, 200.0, 2.0, DsrConfig::combined(), 9),
             ScenarioConfig::tiny(30.0, 4.0, DsrConfig::adaptive_expiry(), 3),
             ScenarioConfig::quick(0.0, 3.0, DsrConfig::negative_cache(), 5),
-            ScenarioConfig::quick(0.0, 3.0, DsrConfig::suppression(), 13),
             ScenarioConfig::quick(0.0, 3.0, DsrConfig::multipath(), 17),
             ScenarioConfig::quick(
                 0.0,
                 3.0,
-                DsrConfig {
-                    suppression: true,
-                    multipath: Some(MultipathConfig::default()),
-                    ..DsrConfig::combined()
-                },
+                DsrConfig { multipath: Some(MultipathConfig::default()), ..DsrConfig::combined() },
                 19,
             ),
             ScenarioConfig::quick(
@@ -692,13 +686,12 @@ mod tests {
     /// keys in order, and committed time-series file names carry it.
     #[test]
     fn fingerprints_and_a_full_render_are_pinned() {
-        const PINNED: [u64; 8] = [
+        const PINNED: [u64; 7] = [
             0x22ba_2e9e_dfb9_9593,
             0x7ca2_809a_5c34_bd3f,
             0x6d4d_3c32_56cc_3c55,
-            0xed1d_c2dc_f136_6b79,
             0x4820_de1f_e953_c915,
-            0xbd72_dcf2_a318_8e8d,
+            0x89c1_a469_9fff_b5ca,
             0x3c26_5630_247c_bd45,
             0x73d8_b3ea_62d7_fc04,
         ];
@@ -731,8 +724,6 @@ mod tests {
             )
             .replace("fault.1.zone.", "fault.1.");
         assert_ne!(link_blackout, rect);
-        let suppression =
-            artifact(ScenarioConfig::quick(0.0, 3.0, DsrConfig::suppression(), 13)).render();
         let cw_max = format!("{}", mac::config::CW_MAX);
         for (text, key, value) in [
             // A setting now fixed as a constant, at the value it still has.
@@ -750,14 +741,14 @@ mod tests {
                 "dsr.cache_organization",
                 "path",
             ),
-            // A strategy's knob now fixed as a constant, at the value it still has.
+            (with_line(&current, "dsr.suppression = true"), "dsr.suppression", "true"),
             (
-                with_line(&suppression, "dsr.suppression.stretch = 1.5"),
+                with_line(&current, "dsr.suppression.stretch = 1.5"),
                 "dsr.suppression.stretch",
                 "1.5",
             ),
             // A switch is written only when on.
-            (with_line(&current, "dsr.suppression = false"), "dsr.suppression", "false"),
+            (with_line(&current, "dsr.multipath = false"), "dsr.multipath", "false"),
             (link_blackout, "fault.1", "link_blackout"),
             // Lookups read the first of two equal keys; the second is refused.
             (with_line(&current, "label = other"), "label", "other"),

@@ -1339,7 +1339,6 @@ impl<A: RoutingAgent> Simulator<A> {
                 self.metrics.record_link_break();
                 self.observers.on_link_break(self.now, node, link.to);
             }
-            ProtocolEvent::SuppressedInsert => self.metrics.record_suppressed_insert(),
             ProtocolEvent::Failover { .. } => {
                 self.metrics.record_failover();
                 self.observers.on_failover();

@@ -1,14 +1,12 @@
-//! Acceptance tests for the strategy matrix: the two route-acquisition
-//! strategies — non-optimal route suppression, multipath caching — keep
+//! Acceptance tests for the strategy matrix: multipath caching keeps
 //! cache-decision tracing pure (campaign results identical traced vs
-//! untraced), and their decisions land in the trace under the
-//! `suppress`/`failover` ops while the always-on report counters stay in
-//! lockstep.
+//! untraced), and its failovers land in the trace under the `failover` op
+//! while the always-on report counter stays in lockstep.
 
 use std::path::PathBuf;
 
 use dsr::DsrConfig;
-use obs::{CacheTrace, OPS};
+use obs::CacheTrace;
 use runner::{run_campaign, CampaignConfig, ScenarioConfig};
 use sim_core::SimDuration;
 
@@ -18,7 +16,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// A short mobile scenario: waypoint movement guarantees link breaks, so
-/// alternates break and stretch-worse routes circulate.
+/// alternates break.
 fn mobile(dsr: DsrConfig, seed: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::tiny(0.0, 2.0, dsr, seed);
     cfg.duration = SimDuration::from_secs(12.0);
@@ -49,34 +47,6 @@ fn traced_campaign(cfg: &ScenarioConfig, tag: &str) -> (runner::CampaignResult, 
 }
 
 #[test]
-fn suppression_vetoes_are_traced_and_counted() {
-    let (result, traces) = traced_campaign(&mobile(DsrConfig::suppression(), 0), "sup");
-    let counted: u64 = result.reports.iter().map(|r| r.suppressed_inserts).sum();
-    assert!(counted > 0, "a mobile suppression run must veto some inserts");
-
-    let suppress_rows: Vec<_> =
-        traces.iter().flat_map(|t| t.rows.iter()).filter(|r| r.op == "suppress").collect();
-    assert!(!suppress_rows.is_empty(), "vetoes must appear in the trace");
-    for row in &suppress_rows {
-        assert!(OPS.contains(&row.op.as_str()));
-        assert!(
-            row.kind == "insert" || row.kind == "reply",
-            "suppress rows name the vetoed action, got {:?}",
-            row.kind
-        );
-        assert!(row.route.contains('-'), "the vetoed route is recorded: {:?}", row.route);
-        assert_ne!(row.dst, "-", "the vetoed destination is recorded");
-        assert!(row.valid.is_some(), "the oracle stamps the vetoed route");
-    }
-    // Insert vetoes drive the always-on counter; reply vetoes are
-    // trace-only, so the traced insert vetoes must match the counter
-    // exactly (dropped rows would break this, so require none).
-    assert!(traces.iter().all(|t| t.dropped == 0));
-    let traced_inserts = suppress_rows.iter().filter(|r| r.kind == "insert").count() as u64;
-    assert_eq!(traced_inserts, counted, "trace and counter must agree on insert vetoes");
-}
-
-#[test]
 fn multipath_failovers_are_traced_and_counted() {
     let (result, traces) = traced_campaign(&mobile(DsrConfig::multipath(), 0), "mp");
     let counted: u64 = result.reports.iter().map(|r| r.failovers).sum();
@@ -98,12 +68,11 @@ fn multipath_failovers_are_traced_and_counted() {
 fn baseline_configs_never_emit_strategy_decisions() {
     let (result, traces) = traced_campaign(&mobile(DsrConfig::combined(), 0), "base");
     for r in &result.reports {
-        assert_eq!(r.suppressed_inserts, 0);
         assert_eq!(r.failovers, 0);
     }
     for trace in &traces {
         assert!(
-            trace.rows.iter().all(|r| r.op != "suppress" && r.op != "failover"),
+            trace.rows.iter().all(|r| r.op != "failover"),
             "strategy ops must not leak into non-strategy configs"
         );
     }

@@ -99,11 +99,7 @@ fn drive(variant: usize, inputs: Vec<Input>) {
     let cfg = match variant {
         0 => DsrConfig::base(),
         1 => DsrConfig::combined(),
-        _ => DsrConfig {
-            suppression: true,
-            multipath: Some(MultipathConfig::default()),
-            ..DsrConfig::combined()
-        },
+        _ => DsrConfig { multipath: Some(MultipathConfig::default()), ..DsrConfig::combined() },
     };
     let me = NodeId::new(ME);
     let mut agent = DsrNode::new(me, cfg, RngFactory::new(7).stream("fuzz", 0));

@@ -391,23 +391,17 @@ fn cachetrace_is_pure_and_job_count_invariant() {
 // Strategy-matrix invariants (ISSUE 10)
 // ----------------------------------------------------------------------
 
-/// The two route-acquisition strategies (route suppression, multipath
-/// caching) — alone and stacked — stay conservation-clean
-/// at `--audit full` under random fault plans, and their campaigns
-/// are byte-identical at `--jobs 1` and `--jobs 4`. Full campaigns again,
-/// so eight cases.
+/// Multipath caching — alone and stacked on the paper's combined variant —
+/// stays conservation-clean at `--audit full` under random fault plans, and
+/// its campaigns are byte-identical at `--jobs 1` and `--jobs 4`. Full
+/// campaigns again, so eight cases.
 #[test]
 fn strategy_campaigns_are_conservation_clean_and_job_invariant() {
     use dsr_caching::dsr::MultipathConfig;
     cases("strategy_campaigns_are_conservation_clean_and_job_invariant", 0..8, |_, rng| {
-        let dsr = match rng.random_range(0..3u32) {
-            0 => DsrConfig::suppression(),
-            1 => DsrConfig::multipath(),
-            _ => DsrConfig {
-                suppression: true,
-                multipath: Some(MultipathConfig::default()),
-                ..DsrConfig::base()
-            },
+        let dsr = match rng.random_range(0..2u32) {
+            0 => DsrConfig::multipath(),
+            _ => DsrConfig { multipath: Some(MultipathConfig::default()), ..DsrConfig::combined() },
         };
         let scenario_seed = rng.random_range(0..1_000u64);
         let mut cfg = ScenarioConfig::tiny(0.0, 2.0, dsr, scenario_seed);
