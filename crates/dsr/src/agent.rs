@@ -35,8 +35,7 @@ use crate::cache::negative::NegativeCache;
 use crate::cache::path_cache::PathCache;
 use crate::cache::{CacheEvent, RemovedLink};
 use crate::config::{
-    DsrConfig, ExpiryPolicy, WiderErrorRebroadcast, ADAPTIVE_MIN_TIMEOUT, MAX_SALVAGE_COUNT,
-    RECOMPUTE_PERIOD,
+    DsrConfig, ExpiryPolicy, ADAPTIVE_MIN_TIMEOUT, MAX_SALVAGE_COUNT, RECOMPUTE_PERIOD,
 };
 use crate::request_table::{RequestTable, BROADCAST_JITTER, NONPROP_TIMEOUT};
 use crate::send_buffer::{PendingData, SendBuffer};
@@ -892,16 +891,9 @@ impl DsrNode {
                 if removed.contained {
                     self.pending_error = Some(err.broken);
                 }
-                // The re-broadcast predicate (the paper's default: cached
-                // the link AND used such a route in packets we forwarded).
-                let rebroadcast = match self.cfg.wider_error_rebroadcast {
-                    WiderErrorRebroadcast::CachedAndUsed => {
-                        removed.contained && removed.was_used_for_forwarding
-                    }
-                    WiderErrorRebroadcast::CachedOnly => removed.contained,
-                    WiderErrorRebroadcast::Flood => true,
-                };
-                if rebroadcast {
+                // The paper's gate: re-broadcast only if we cached the link
+                // AND used such a route in packets we forwarded.
+                if removed.contained && removed.was_used_for_forwarding {
                     cmds.push(Cmd::Event { event: DsrEvent::RouteErrorRebroadcast });
                     let jitter = self.jitter();
                     cmds.push(Cmd::Send {

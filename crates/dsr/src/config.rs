@@ -79,20 +79,6 @@ impl ExpiryPolicy {
     }
 }
 
-/// When does a node re-broadcast a wider route error it received?
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WiderErrorRebroadcast {
-    /// The paper's predicate: the node cached a route over the broken link
-    /// *and* used such a route in packets it forwarded.
-    #[default]
-    CachedAndUsed,
-    /// Re-broadcast whenever the node cached the broken link (drops the
-    /// usage condition — more cleanup, more overhead).
-    CachedOnly,
-    /// Unconditional flood (every first copy is repeated network-wide).
-    Flood,
-}
-
 /// Multipath caching parameters: retain up to `k` link-disjoint paths per
 /// destination and fail over to a survivor on a route error instead of
 /// launching a fresh discovery.
@@ -118,12 +104,11 @@ pub struct DsrConfig {
     pub cache_capacity: usize,
 
     // --- the paper's three techniques ----------------------------------
-    /// Wider error notification: broadcast route errors with conditional
-    /// re-broadcast instead of unicasting to the source only.
+    /// Wider error notification: broadcast route errors instead of
+    /// unicasting them to the source only; a node that receives one
+    /// re-broadcasts it if it cached the broken link and used a route over
+    /// it in packets it forwarded.
     pub wider_error_notification: bool,
-    /// Re-broadcast predicate used when wider error notification is on
-    /// (`ablation_wider_error` compares the options).
-    pub wider_error_rebroadcast: WiderErrorRebroadcast,
     /// Timer-based route expiry policy.
     pub expiry: ExpiryPolicy,
     /// Negative cache of recently broken links
@@ -142,7 +127,6 @@ impl DsrConfig {
         DsrConfig {
             cache_capacity: 64,
             wider_error_notification: false,
-            wider_error_rebroadcast: WiderErrorRebroadcast::CachedAndUsed,
             expiry: ExpiryPolicy::None,
             negative_cache: false,
             multipath: None,

@@ -33,7 +33,7 @@ pub use agent::{DsrEvent, DsrNode, DsrTimer};
 pub use cache::negative::NegativeCache;
 pub use cache::path_cache::{PathCache, PathEntry, RemovedLink};
 pub use cache::{CacheEvent, RouteCache};
-pub use config::{DsrConfig, ExpiryPolicy, MultipathConfig, WiderErrorRebroadcast};
+pub use config::{DsrConfig, ExpiryPolicy, MultipathConfig};
 pub use packet::{CacheHitKind, DropReason};
 pub use request_table::RequestTable;
 pub use send_buffer::{PendingData, SendBuffer};

@@ -364,7 +364,7 @@ fn wider_error_broadcasts_and_gates_rebroadcast() {
         hop: 2,
         gratuitous: false,
     };
-    cmds_of(|sink| relay.on_receive(n(1), Packet::Reply(rep), t(1.0), sink));
+    cmds_of(|sink| relay.on_receive(n(1), Packet::Reply(rep.clone()), t(1.0), sink));
     // Mark usage by forwarding a data packet across the link.
     let through = DataPacket {
         uid: 10,
@@ -376,16 +376,25 @@ fn wider_error_broadcasts_and_gates_rebroadcast() {
         hop: 0,
         salvage_count: 0,
     };
-    cmds_of(|sink| relay.on_receive(n(9), Packet::Data(through), t(1.1), sink));
+    cmds_of(|sink| relay.on_receive(n(9), Packet::Data(through.clone()), t(1.1), sink));
     let cmds = cmds_of(|sink| relay.on_receive(n(1), Packet::Error(err.clone()), t(1.3), sink));
     let rebroadcasts: Vec<_> = sends(&cmds)
         .into_iter()
         .filter(|(p, h)| matches!(p, Packet::Error(_)) && h.is_broadcast())
         .collect();
     assert_eq!(rebroadcasts.len(), 1, "relay must re-broadcast");
-    // A second copy of the same error is suppressed.
+    assert!(!relay.cache().contains_link(Link::new(n(1), n(2))));
+    // The relay re-learns 7-1-2-3 and forwards over it again, so a second
+    // copy of the same error would purge and re-broadcast if it were not
+    // remembered as seen.
+    let relearn = packet::RouteReply { uid: 13, ..rep };
+    cmds_of(|sink| relay.on_receive(n(1), Packet::Reply(relearn), t(1.31), sink));
+    let again = DataPacket { uid: 14, ..through };
+    cmds_of(|sink| relay.on_receive(n(9), Packet::Data(again), t(1.32), sink));
+    assert!(relay.cache().contains_link(Link::new(n(1), n(2))), "route re-learned");
     let cmds = cmds_of(|sink| relay.on_receive(n(2), Packet::Error(err.clone()), t(1.35), sink));
     assert!(sends(&cmds).is_empty(), "duplicate errors are not re-broadcast");
+    assert!(relay.cache().contains_link(Link::new(n(1), n(2))), "duplicates purge nothing");
 
     // A bystander that cached the link but never forwarded must stay quiet.
     let mut bystander = agent(8, cfg);

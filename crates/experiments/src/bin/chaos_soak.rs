@@ -1,8 +1,8 @@
 //! **Chaos soak** — long randomized fault campaigns at full audit.
 //!
-//! Each campaign draws a fresh fault plan (every kind: crashes, churn,
-//! regional blackouts, duty-cycled radios, corruption windows, link
-//! blackouts) from a dedicated deterministic RNG stream, then runs it
+//! Each campaign draws a fresh fault plan (crashes, churn, rectangle, disc
+//! and half-plane region blackouts, duty-cycled radios, corruption
+//! windows) from a dedicated deterministic RNG stream, then runs it
 //! across the mode's seeds on the parallel executor with the
 //! packet-conservation audit at `full`. Any violation fails the run,
 //! leaves a repro artifact under `results/forensics/` — with the run's

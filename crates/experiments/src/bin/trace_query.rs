@@ -16,8 +16,7 @@
 //! (stale-hit fraction), how long broken links linger before a purge
 //! (staleness latency p50/p99), what finally removes them (route errors,
 //! wider error propagation, MAC-layer feedback, negative-cache vetoes),
-//! and the strategy decisions themselves: non-optimal routes suppressed at
-//! insert/reply time and multipath failovers.
+//! and the one strategy decision traced: multipath failovers.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin trace_query -- <file|-> \
@@ -282,7 +281,6 @@ const WHY_COLUMNS: &[WhyColumn] = &[
     ("ins_reply", |r| r.inserts_of("reply").to_string()),
     ("ins_overheard", |r| r.inserts_of("overheard").to_string()),
     ("ins_gratuitous", |r| r.inserts_of("gratuitous").to_string()),
-    ("ins_salvage", |r| r.inserts_of("salvage").to_string()),
     ("hits", |r| r.hits().to_string()),
     ("stale_hit_pct", |r| pct(r.stale_hit_fraction() * 100.0)),
     ("stale_p50_ms", |r| fmt_ms(r.stale_latency_ns(0.5))),

@@ -9,7 +9,7 @@
 //! pause 0 / 3 pkt/s point and vary one design choice.
 
 use aodv::AodvConfig;
-use dsr::{DsrConfig, ExpiryPolicy, WiderErrorRebroadcast};
+use dsr::{DsrConfig, ExpiryPolicy};
 use metrics::{Kind, Report};
 use runner::ScenarioConfig;
 use sim_core::SimDuration;
@@ -251,41 +251,6 @@ pub static SPECS: &[Spec] = &[
             let dsr = DsrConfig { expiry, ..DsrConfig::base() };
             rows.push(Row::dsr(vec!["alpha=1.25 no-quiet-term".into()], paper_point(mode, dsr)));
             rows
-        },
-    },
-    Spec {
-        name: "ablation_wider_error",
-        title: "Ablation: wider-error re-broadcast predicate",
-        shape: "the paper gates re-broadcasts on \"cached the broken link and used such a \
-                route\"; re-broadcasting whenever the link was cached, or flooding, cleans \
-                more caches but pays for it in overhead, while the paper's gate gets most of \
-                the cleanup at a fraction of the broadcast cost.",
-        axes: &["predicate"],
-        columns: &[
-            "delivery_fraction",
-            "avg_delay_s",
-            "normalized_overhead",
-            "good_replies_pct",
-            "error_rebroadcasts",
-            "runs_failed",
-            "faults_injected",
-            "delay_p99_s",
-            "delay_jitter_s",
-            "stale_route_sends",
-            "cache_stale_hits",
-        ],
-        rows: |mode| {
-            [
-                ("cached+used (paper)", WiderErrorRebroadcast::CachedAndUsed),
-                ("cached only", WiderErrorRebroadcast::CachedOnly),
-                ("flood", WiderErrorRebroadcast::Flood),
-            ]
-            .into_iter()
-            .map(|(name, policy)| {
-                let dsr = DsrConfig { wider_error_rebroadcast: policy, ..DsrConfig::wider_error() };
-                Row::dsr(vec![name.into()], paper_point(mode, dsr))
-            })
-            .collect()
         },
     },
     Spec {

@@ -74,6 +74,15 @@ fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
             ),
         ),
         (
+            "wider_error_rebroadcast.txt",
+            text.replacen(
+                "dsr.wider_error_notification = false\ndsr.expiry = ",
+                "dsr.wider_error_notification = false\n\
+                 dsr.wider_error_rebroadcast = cached_and_used\ndsr.expiry = ",
+                1,
+            ),
+        ),
+        (
             "suppression.txt",
             text.replacen(
                 "dsr.negative_cache = false\n",

@@ -28,9 +28,9 @@
 //! * `op` — `insert`, `lookup`, `remove`, `expire`, `evict`, `refresh`,
 //!   `failover` (a multipath cache promoted a surviving alternate after a
 //!   link purge);
-//! * `kind` — the insert provenance (`reply`/`overheard`/`gratuitous`/
-//!   `salvage`), lookup purpose (`origination`/`salvage`/`reply`) or
-//!   removal cause (`rerr`/`wider`/`mac`/`neg-veto`);
+//! * `kind` — the insert provenance (`reply`/`overheard`/`gratuitous`),
+//!   lookup purpose (`origination`/`salvage`/`reply`) or removal cause
+//!   (`rerr`/`wider`/`mac`/`neg-veto`);
 //! * `dst` — the looked-up destination (lookup rows only);
 //! * `route` — the route as `0-1-2`, or the removed link as `a>b`;
 //! * `valid` — the oracle's verdict (`1` valid, `0` stale/broken, `-` on

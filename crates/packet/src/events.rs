@@ -110,10 +110,6 @@ pub enum CacheInsertProvenance {
     Overheard,
     /// Advertised by a gratuitous (shortcut) route reply.
     Gratuitous,
-    /// Reserved: installed while salvaging. The path-cache implementation
-    /// salvages from existing entries (a lookup, never an insert), so this
-    /// provenance is defined for the trace format but currently unused.
-    Salvage,
 }
 
 impl CacheInsertProvenance {
@@ -123,7 +119,6 @@ impl CacheInsertProvenance {
             CacheInsertProvenance::Reply => "reply",
             CacheInsertProvenance::Overheard => "overheard",
             CacheInsertProvenance::Gratuitous => "gratuitous",
-            CacheInsertProvenance::Salvage => "salvage",
         }
     }
 }

@@ -293,7 +293,6 @@ impl Generator {
                         CacheInsertProvenance::Reply,
                         CacheInsertProvenance::Overheard,
                         CacheInsertProvenance::Gratuitous,
-                        CacheInsertProvenance::Salvage,
                     ],
                 ),
                 changed: below(&mut self.rng, 2) == 0,

@@ -39,7 +39,7 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use dsr::{DsrConfig, ExpiryPolicy, MultipathConfig, WiderErrorRebroadcast};
+use dsr::{DsrConfig, ExpiryPolicy, MultipathConfig};
 use mac::MacConfig;
 use mobility::{Field, Point, WaypointConfig};
 use obs::text::{escape, fmt_f64, sanitize, unescape, KvBlock, ObsError, FORENSICS_HEADER};
@@ -212,7 +212,6 @@ stored_struct! {
     DsrConfig {
         ".cache_capacity" => cache_capacity,
         ".wider_error_notification" => wider_error_notification,
-        ".wider_error_rebroadcast" => wider_error_rebroadcast,
         ".expiry" => expiry,
         ".negative_cache" => negative_cache,
         ".multipath" => multipath,
@@ -239,11 +238,6 @@ stored_struct! {
 }
 
 stored_enum! {
-    WiderErrorRebroadcast at "" {
-        "cached_and_used" => CachedAndUsed {},
-        "cached_only" => CachedOnly {},
-        "flood" => Flood {},
-    }
     ExpiryPolicy at "" {
         "none" => None {},
         "static" => Static { ".timeout_ns" => timeout },
@@ -579,7 +573,7 @@ mod tests {
 
     /// One scenario of every serialized flavor: static and waypoint
     /// mobility, all seven fault kinds, every zone shape, each expiry
-    /// policy, each strategy block and every error-rebroadcast rule.
+    /// policy and each strategy block.
     fn flavors() -> Vec<ScenarioConfig> {
         let mut configs = vec![
             ScenarioConfig::static_line(4, 200.0, 2.0, DsrConfig::combined(), 9),
@@ -595,22 +589,10 @@ mod tests {
             ScenarioConfig::quick(
                 0.0,
                 3.0,
-                DsrConfig {
-                    wider_error_rebroadcast: WiderErrorRebroadcast::Flood,
-                    ..DsrConfig::static_expiry(SimDuration::from_secs(5.0))
-                },
+                DsrConfig::static_expiry(SimDuration::from_secs(5.0)),
                 23,
             ),
-            ScenarioConfig::static_line(
-                3,
-                150.0,
-                1.0,
-                DsrConfig {
-                    wider_error_rebroadcast: WiderErrorRebroadcast::CachedOnly,
-                    ..DsrConfig::wider_error()
-                },
-                29,
-            ),
+            ScenarioConfig::static_line(3, 150.0, 1.0, DsrConfig::wider_error(), 29),
         ];
         configs[0].faults = FaultPlan::none()
             .node_down(NodeId::new(2), SimTime::from_secs(5.0), SimDuration::from_secs(2.0))
@@ -687,20 +669,20 @@ mod tests {
     #[test]
     fn fingerprints_and_a_full_render_are_pinned() {
         const PINNED: [u64; 7] = [
-            0x22ba_2e9e_dfb9_9593,
-            0x7ca2_809a_5c34_bd3f,
-            0x6d4d_3c32_56cc_3c55,
-            0x4820_de1f_e953_c915,
-            0x89c1_a469_9fff_b5ca,
-            0x3c26_5630_247c_bd45,
-            0x73d8_b3ea_62d7_fc04,
+            0x7437_a99c_d5b2_c524,
+            0xe62e_34c8_dafd_908a,
+            0x9619_dcfc_ef8d_94aa,
+            0x0aa1_5cee_afe2_5ebc,
+            0x18d9_3524_8a9a_8b87,
+            0x9326_d5a9_fe7a_932c,
+            0x5081_25ef_2b12_7ad8,
         ];
         let got: Vec<u64> = flavors().iter().map(config_fingerprint).collect();
         let hex: Vec<String> = got.iter().map(|fp| format!("{fp:#018x}")).collect();
         assert_eq!(got, PINNED, "fingerprints moved: {hex:?}");
         let rendered = artifact(flavors().swap_remove(2)).render();
         let digest = fnv1a(rendered.as_bytes());
-        assert_eq!(digest, 0x07cc_cade_a30f_036c, "render digest moved: {digest:#018x}");
+        assert_eq!(digest, 0x22c6_b615_05ca_4905, "render digest moved: {digest:#018x}");
     }
 
     /// Each earlier writer's schema is refused, not translated: an artifact
@@ -725,6 +707,14 @@ mod tests {
             .replace("fault.1.zone.", "fault.1.");
         assert_ne!(link_blackout, rect);
         let cw_max = format!("{}", mac::config::CW_MAX);
+        // Where the writer before the rule's removal put it, between two
+        // lines that are adjacent only in a render without it.
+        let rebroadcast = current.replacen(
+            "dsr.wider_error_notification = false\ndsr.expiry = ",
+            "dsr.wider_error_notification = false\n\
+             dsr.wider_error_rebroadcast = cached_and_used\ndsr.expiry = ",
+            1,
+        );
         for (text, key, value) in [
             // A setting now fixed as a constant, at the value it still has.
             (with_line(&current, &format!("mac.cw_max = {cw_max}")), "mac.cw_max", cw_max.as_str()),
@@ -742,6 +732,7 @@ mod tests {
                 "path",
             ),
             (with_line(&current, "dsr.suppression = true"), "dsr.suppression", "true"),
+            (rebroadcast, "dsr.wider_error_rebroadcast", "cached_and_used"),
             (
                 with_line(&current, "dsr.suppression.stretch = 1.5"),
                 "dsr.suppression.stretch",

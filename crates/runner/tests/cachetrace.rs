@@ -231,19 +231,19 @@ fn rendered_traces_match_the_pinned_digests() {
         (
             "combined_clean",
             combined,
-            0x1c19_383c_3fb7_0e19,
+            0x1763_8c13_2713_7832,
             &["insert", "lookup", "remove", "expire", "refresh"],
         ),
         (
             "base_clean",
             ScenarioConfig::tiny(0.0, 2.0, DsrConfig::base(), 1),
-            0x7646_d6ec_3d55_756c,
+            0x9e6b_8393_a361_d8c0,
             &["insert", "lookup", "remove", "refresh"],
         ),
         (
             "combined_churn_blackout",
             faulted,
-            0xea87_b350_b093_cc0c,
+            0x53c9_27ee_632b_3ffa,
             &["insert", "lookup", "remove", "expire", "evict", "refresh"],
         ),
     ];
