@@ -214,7 +214,7 @@ impl AodvNode {
                 self.own_seq = self.own_seq.max(ts);
             }
             self.own_seq += 1;
-            self.reply(rreq.origin, self.id, self.own_seq, 0, false, from, now, cmds);
+            self.reply(rreq.origin, self.id, self.own_seq, 0, false, from, cmds);
             return;
         }
         if self.cfg.intermediate_replies {
@@ -223,7 +223,7 @@ impl AodvNode {
                 if fresh_enough {
                     let (seq, hops) = (entry.dst_seq, entry.hop_count);
                     self.table.add_precursor(rreq.target, from);
-                    self.reply(rreq.origin, rreq.target, seq, hops, true, from, now, cmds);
+                    self.reply(rreq.origin, rreq.target, seq, hops, true, from, cmds);
                     return; // quench the flood here
                 }
             }
@@ -250,7 +250,6 @@ impl AodvNode {
         hop_count: u8,
         from_cache: bool,
         reverse_hop: NodeId,
-        _now: SimTime,
         cmds: &mut Vec<Cmd>,
     ) {
         cmds.push(Cmd::Event { event: ProtocolEvent::ReplyOriginated { from_cache } });
@@ -376,7 +375,7 @@ impl AodvNode {
         });
     }
 
-    fn handle_rerr(&mut self, rerr: Rerr, from: NodeId, _now: SimTime, cmds: &mut Vec<Cmd>) {
+    fn handle_rerr(&mut self, rerr: Rerr, from: NodeId, cmds: &mut Vec<Cmd>) {
         // Invalidate affected routes that go through the sender; propagate
         // only what actually changed here.
         let mut propagate = std::mem::take(&mut self.rerr_buf);
@@ -471,7 +470,7 @@ impl RoutingAgent for AodvNode {
         match packet {
             AodvPacket::Rreq(rreq) => self.handle_rreq(rreq, from, now, cmds),
             AodvPacket::Rrep(rrep) => self.handle_rrep(rrep, from, now, cmds),
-            AodvPacket::Rerr(rerr) => self.handle_rerr(rerr, from, now, cmds),
+            AodvPacket::Rerr(rerr) => self.handle_rerr(rerr, from, cmds),
             AodvPacket::Data(data) => self.handle_data(data, from, now, cmds),
         }
     }

@@ -27,6 +27,8 @@
 //! assert!(report.delivery_fraction > 0.9);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod agent;
 pub mod packets;
 pub mod table;

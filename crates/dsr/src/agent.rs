@@ -341,11 +341,11 @@ impl RoutingAgent for DsrNode {
     }
 
     /// The MAC delivered a packet addressed to us (or broadcast).
-    fn on_receive(&mut self, from: NodeId, packet: Packet, now: SimTime, cmds: &mut Vec<Cmd>) {
+    fn on_receive(&mut self, _from: NodeId, packet: Packet, now: SimTime, cmds: &mut Vec<Cmd>) {
         match packet {
             Packet::Request(req) => self.handle_request(req, now, cmds),
             Packet::Reply(rep) => self.handle_reply(rep, now, cmds),
-            Packet::Error(err) => self.handle_error(err, from, now, cmds),
+            Packet::Error(err) => self.handle_error(err, now, cmds),
             Packet::Data(data) => self.handle_data(data, now, cmds),
         }
     }
@@ -474,21 +474,14 @@ impl DsrNode {
             return;
         }
         let request_id = self.requests.start(target);
-        self.send_request(target, request_id, 1, now, cmds);
+        self.send_request(target, request_id, 1, cmds);
         cmds.push(Cmd::SetTimer {
             timer: DsrTimer::RequestTimeout(target),
             at: now + NONPROP_TIMEOUT,
         });
     }
 
-    fn send_request(
-        &mut self,
-        target: NodeId,
-        request_id: u64,
-        ttl: u8,
-        _now: SimTime,
-        cmds: &mut Vec<Cmd>,
-    ) {
+    fn send_request(&mut self, target: NodeId, request_id: u64, ttl: u8, cmds: &mut Vec<Cmd>) {
         let piggyback = self.pending_error.take();
         let req = RouteRequest {
             uid: self.fresh_uid(),
@@ -517,7 +510,7 @@ impl DsrNode {
             return;
         }
         let (request_id, backoff) = self.requests.escalate(target);
-        self.send_request(target, request_id, FLOOD_TTL, now, cmds);
+        self.send_request(target, request_id, FLOOD_TTL, cmds);
         cmds.push(Cmd::SetTimer { timer: DsrTimer::RequestTimeout(target), at: now + backoff });
     }
 
@@ -550,7 +543,7 @@ impl DsrNode {
             // The destination answers every copy of the request, giving the
             // source a supply of alternate routes.
             let discovered = Route::from_slice(req.path.nodes()).expect("checked loop-free above");
-            self.send_reply(discovered, false, now, cmds);
+            self.send_reply(discovered, false, cmds);
             return;
         }
         if !self.requests.note_seen(req.origin, req.request_id) {
@@ -566,7 +559,7 @@ impl DsrNode {
                         kind: CacheHitKind::Reply,
                     },
                 });
-                self.send_reply(full, true, now, cmds);
+                self.send_reply(full, true, cmds);
                 return; // cached reply quenches the flood here
             }
         }
@@ -583,13 +576,7 @@ impl DsrNode {
         // TTL exhausted (non-propagating probe): quietly die here.
     }
 
-    fn send_reply(
-        &mut self,
-        discovered: Route,
-        from_cache: bool,
-        _now: SimTime,
-        cmds: &mut Vec<Cmd>,
-    ) {
+    fn send_reply(&mut self, discovered: Route, from_cache: bool, cmds: &mut Vec<Cmd>) {
         let reply_route =
             discovered.back_from(self.id).expect("replier is on the discovered route");
         cmds.push(Cmd::Event { event: DsrEvent::ReplyOriginated { from_cache } });
@@ -840,13 +827,7 @@ impl DsrNode {
         cmds.push(Cmd::Send { packet: Packet::Error(err), next_hop, jitter: SimDuration::ZERO });
     }
 
-    fn handle_error(
-        &mut self,
-        err: RouteErrorPkt,
-        _from: NodeId,
-        now: SimTime,
-        cmds: &mut Vec<Cmd>,
-    ) {
+    fn handle_error(&mut self, err: RouteErrorPkt, now: SimTime, cmds: &mut Vec<Cmd>) {
         match err.delivery {
             ErrorDelivery::Unicast { to, ref route, .. } => {
                 self.apply_link_break(err.broken, CacheRemovalCause::ErrorReceived, now, cmds);

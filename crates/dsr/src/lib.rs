@@ -21,6 +21,8 @@
 //! [`NegativeCache`], [`AdaptiveTimeout`], [`SendBuffer`], [`RequestTable`])
 //! are public for inspection, testing, and the benchmark ablations.
 
+#![warn(unreachable_pub)]
+
 pub mod adaptive;
 pub mod agent;
 pub mod cache;

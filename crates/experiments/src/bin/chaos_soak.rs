@@ -25,6 +25,8 @@
 //!   forensics are under `results/forensics/`;
 //! - `2` — bad command line.
 
+#![warn(unreachable_pub)]
+
 use std::time::Duration;
 
 use dsr::DsrConfig;

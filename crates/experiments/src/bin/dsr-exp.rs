@@ -9,6 +9,8 @@
 //! `fig2_mobility`, ...). A missing or unknown name exits with status 2 and
 //! lists the names; a bad flag exits 2 with the usage line.
 
+#![warn(unreachable_pub)]
+
 use experiments::{spec, ExpArgs};
 
 fn main() {

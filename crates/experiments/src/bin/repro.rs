@@ -16,6 +16,8 @@
 //! cargo run --release -p experiments --bin repro -- results/forensics/<artifact>.txt
 //! ```
 
+#![warn(unreachable_pub)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

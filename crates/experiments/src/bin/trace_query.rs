@@ -37,6 +37,8 @@
 //! Exit status: 0 when at least one line/row/trace matched, 1 when
 //! nothing matched, 2 on malformed input or arguments.
 
+#![warn(unreachable_pub)]
+
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

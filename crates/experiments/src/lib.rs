@@ -17,6 +17,8 @@
 //!   emit partial CSVs instead of dying with the first bad seed;
 //! - [`Table`] — aligned stdout tables plus CSV files under `results/`.
 
+#![warn(unreachable_pub)]
+
 pub mod spec;
 
 use std::fmt::Write as _;

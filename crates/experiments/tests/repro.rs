@@ -32,10 +32,10 @@ fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
     assert_eq!(repro(artifact), Some(0), "the recorded panic reproduces");
 
     let text = std::fs::read_to_string(artifact).expect("artifact text");
-    let line = text.lines().find(|l| l.starts_with("mac.data_rate_bps = ")).expect("rate key");
-    let crafted = dir.join("zero_rate.txt");
-    std::fs::write(&crafted, text.replace(line, "mac.data_rate_bps = 0")).expect("write");
-    assert_eq!(repro(&crafted), Some(2), "a zero data rate is refused at load");
+    let line = text.lines().find(|l| l.starts_with("traffic.packet_bytes = ")).expect("size key");
+    let crafted = dir.join("oversize_packet.txt");
+    std::fs::write(&crafted, text.replace(line, "traffic.packet_bytes = 65536")).expect("write");
+    assert_eq!(repro(&crafted), Some(2), "an oversize packet is refused at load");
 
     // An earlier writer's schema is refused, not translated.
     // 1023 is `mac::config::CW_MAX`: the value the retired key always held.
@@ -48,6 +48,24 @@ fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
             text.replacen("replayable = true\n", "replayable = true\npaired_arrivals = true\n", 1),
         ),
         ("link_blackout.txt", text.replacen("fault.0 = panic\n", "fault.0 = link_blackout\n", 1)),
+        // The airtime settings, where the writer before they became
+        // constants put them, each at the value it always held.
+        (
+            "retired_mac_plcp.txt",
+            text.replacen(
+                "dsr.negative_cache = false\nradio.",
+                "dsr.negative_cache = false\nmac.plcp_overhead_ns = 192000\nradio.",
+                1,
+            ),
+        ),
+        (
+            "retired_mac_rate.txt",
+            text.replacen(
+                "dsr.negative_cache = false\nradio.",
+                "dsr.negative_cache = false\nmac.data_rate_bps = 2000000.0\nradio.",
+                1,
+            ),
+        ),
         // Where the writer before the setting's removal put it.
         (
             "replies_from_cache.txt",

@@ -5,8 +5,8 @@
 //! limits, frame sizes and interface queue are the IEEE 802.11-1997 DSSS
 //! values (the queue is ns-2's CMU `PriQueue`), named once below. Every
 //! unicast uses RTS/CTS (ns-2's `RTSThreshold` of 0, which makes the
-//! paper's RTS/CTS overhead counts meaningful). [`MacConfig`] keeps the
-//! two values a frame's airtime is computed from.
+//! paper's RTS/CTS overhead counts meaningful). A frame's airtime follows
+//! from its size, the PLCP overhead and the 2 Mb/s data rate.
 
 use sim_core::SimDuration;
 
@@ -46,59 +46,50 @@ pub const DATA_HEADER_BYTES: usize = 28;
 /// Interface queue capacity in packets (ns-2 CMU `PriQueue`: 50).
 pub const QUEUE_CAPACITY: usize = 50;
 
-/// The PHY rate a frame's airtime is computed from;
-/// [`MacConfig::ieee80211_dsss`] is the 2 Mb/s DSSS PHY of the WaveLAN
-/// radio used in the paper.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MacConfig {
-    /// PLCP preamble + header, transmitted at 1 Mb/s (192 µs).
-    pub plcp_overhead: SimDuration,
-    /// MPDU bit-rate in bits per second (WaveLAN: 2 Mb/s).
-    pub data_rate_bps: f64,
+/// PLCP preamble + header, transmitted at 1 Mb/s (DSSS: 192 µs).
+pub const PLCP_OVERHEAD: SimDuration = SimDuration::from_micros_u64(192);
+
+/// MPDU bit-rate in bits per second (WaveLAN: 2 Mb/s).
+pub const DATA_RATE_BPS: f64 = 2.0e6;
+
+/// Airtime of a frame of `bytes` bytes: PLCP overhead plus the MPDU at
+/// the data rate.
+pub fn frame_duration(bytes: usize) -> SimDuration {
+    PLCP_OVERHEAD + SimDuration::from_secs(bytes as f64 * 8.0 / DATA_RATE_BPS)
 }
 
+/// Airtime of a CTS frame.
+pub fn cts_duration() -> SimDuration {
+    frame_duration(CTS_BYTES)
+}
+
+/// Airtime of an ACK frame.
+pub fn ack_duration() -> SimDuration {
+    frame_duration(ACK_BYTES)
+}
+
+/// How long an RTS sender waits for the CTS before declaring the attempt
+/// failed: SIFS + CTS airtime + 2 slots of grace (propagation and
+/// turnaround).
+pub fn cts_timeout() -> SimDuration {
+    SIFS + cts_duration() + SLOT * 2
+}
+
+/// How long a DATA sender waits for the ACK.
+pub fn ack_timeout() -> SimDuration {
+    SIFS + ack_duration() + SLOT * 2
+}
+
+/// The MAC as a scenario carries it. Every 802.11 value is a constant of
+/// this module, so it holds none; it names the airtime of a data frame for
+/// callers that hold a scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MacConfig;
+
 impl MacConfig {
-    /// The 802.11 DSSS / WaveLAN configuration used throughout the paper.
-    pub fn ieee80211_dsss() -> Self {
-        MacConfig { plcp_overhead: SimDuration::from_micros_u64(192), data_rate_bps: 2.0e6 }
-    }
-
-    /// Airtime of a frame of `bytes` bytes: PLCP overhead plus the MPDU at
-    /// the data rate.
-    pub fn frame_duration(&self, bytes: usize) -> SimDuration {
-        self.plcp_overhead + SimDuration::from_secs(bytes as f64 * 8.0 / self.data_rate_bps)
-    }
-
-    /// Airtime of an RTS frame.
-    pub fn rts_duration(&self) -> SimDuration {
-        self.frame_duration(RTS_BYTES)
-    }
-
-    /// Airtime of a CTS frame.
-    pub fn cts_duration(&self) -> SimDuration {
-        self.frame_duration(CTS_BYTES)
-    }
-
-    /// Airtime of an ACK frame.
-    pub fn ack_duration(&self) -> SimDuration {
-        self.frame_duration(ACK_BYTES)
-    }
-
     /// Airtime of a data frame with the given network-layer payload size.
     pub fn data_duration(&self, payload_bytes: usize) -> SimDuration {
-        self.frame_duration(DATA_HEADER_BYTES + payload_bytes)
-    }
-
-    /// How long an RTS sender waits for the CTS before declaring the
-    /// attempt failed: SIFS + CTS airtime + 2 slots of grace (propagation
-    /// and turnaround).
-    pub fn cts_timeout(&self) -> SimDuration {
-        SIFS + self.cts_duration() + SLOT * 2
-    }
-
-    /// How long a DATA sender waits for the ACK.
-    pub fn ack_timeout(&self) -> SimDuration {
-        SIFS + self.ack_duration() + SLOT * 2
+        frame_duration(DATA_HEADER_BYTES + payload_bytes)
     }
 }
 
@@ -113,24 +104,23 @@ mod tests {
 
     #[test]
     fn frame_duration_scales_with_bytes() {
-        let c = MacConfig::ieee80211_dsss();
         // 512-byte payload + 28-byte header at 2 Mb/s = 2160 µs + 192 µs PLCP.
-        let d = c.data_duration(512);
+        let d = MacConfig.data_duration(512);
         assert_eq!(d, SimDuration::from_micros_u64(192 + (512 + 28) * 4));
     }
 
     #[test]
     fn control_frames_are_short() {
-        let c = MacConfig::ieee80211_dsss();
-        assert!(c.rts_duration() < c.data_duration(512));
-        assert!(c.cts_duration() <= c.rts_duration());
-        assert_eq!(c.cts_duration(), c.ack_duration());
+        let rts = frame_duration(RTS_BYTES);
+        assert!(rts < MacConfig.data_duration(512));
+        assert!(cts_duration() <= rts);
+        assert_eq!(cts_duration(), ack_duration());
+        assert_eq!(cts_duration(), SimDuration::from_micros_u64(248));
     }
 
     #[test]
     fn timeouts_cover_the_response() {
-        let c = MacConfig::ieee80211_dsss();
-        assert!(c.cts_timeout() > SIFS + c.cts_duration());
-        assert!(c.ack_timeout() > SIFS + c.ack_duration());
+        assert!(cts_timeout() > SIFS + cts_duration());
+        assert!(ack_timeout() > SIFS + ack_duration());
     }
 }

@@ -31,8 +31,9 @@ use std::collections::VecDeque;
 use sim_core::{NodeId, SimDuration, SimRng, SimTime};
 
 use crate::config::{
-    MacConfig, ACK_BYTES, CTS_BYTES, CW_MAX, CW_MIN, DATA_HEADER_BYTES, DIFS, LONG_RETRY_LIMIT,
-    QUEUE_CAPACITY, RTS_BYTES, SHORT_RETRY_LIMIT, SIFS, SLOT,
+    ack_duration, ack_timeout, cts_duration, cts_timeout, frame_duration, MacConfig, ACK_BYTES,
+    CTS_BYTES, CW_MAX, CW_MIN, DATA_HEADER_BYTES, DIFS, LONG_RETRY_LIMIT, QUEUE_CAPACITY,
+    RTS_BYTES, SHORT_RETRY_LIMIT, SIFS, SLOT,
 };
 use crate::frame::{FrameKind, MacFrame};
 use crate::queue::{IfQueue, Priority, QueuedPacket};
@@ -161,8 +162,6 @@ const DEDUP_CACHE: usize = 64;
 
 /// Per-node IEEE 802.11 DCF MAC entity.
 pub struct Dcf<P> {
-    /// The PHY rate frame airtimes are computed from.
-    cfg: MacConfig,
     node: NodeId,
     queue: IfQueue<P>,
     state: MainState,
@@ -204,10 +203,11 @@ impl<P> std::fmt::Debug for Dcf<P> {
 impl<P: Clone> Dcf<P> {
     /// Creates the MAC entity for `node`. `rng` drives backoff draws and
     /// should come from a per-node stream (see `sim_core::RngFactory`).
-    pub fn new(node: NodeId, cfg: MacConfig, rng: SimRng) -> Self {
+    /// [`MacConfig`] holds no setting: the 802.11 timing is the constants
+    /// of [`crate::config`].
+    pub fn new(node: NodeId, _: MacConfig, rng: SimRng) -> Self {
         Dcf {
             cw: CW_MIN,
-            cfg,
             node,
             queue: IfQueue::new(QUEUE_CAPACITY),
             state: MainState::Idle,
@@ -581,8 +581,8 @@ impl<P: Clone> Dcf<P> {
             self.state = MainState::TxBroadcast;
             self.transmit(frame, now, cmds);
         } else {
-            let data_dur = self.cfg.data_duration(pkt.bytes);
-            let nav = SIFS * 3 + self.cfg.cts_duration() + data_dur + self.cfg.ack_duration();
+            let data_dur = frame_duration(DATA_HEADER_BYTES + pkt.bytes);
+            let nav = SIFS * 3 + cts_duration() + data_dur + ack_duration();
             let frame = MacFrame {
                 kind: FrameKind::Rts,
                 src: self.node,
@@ -610,7 +610,7 @@ impl<P: Clone> Dcf<P> {
     }
 
     fn transmit(&mut self, frame: MacFrame<P>, now: SimTime, cmds: &mut Vec<MacCommand<P>>) {
-        let duration = self.cfg.frame_duration(frame.bytes);
+        let duration = frame_duration(frame.bytes);
         self.radio_busy_until = now + duration;
         cmds.push(MacCommand::SetTimer { timer: MacTimer::TxEnd, at: now + duration });
         cmds.push(MacCommand::StartTx { frame, duration });
@@ -632,14 +632,14 @@ impl<P: Clone> Dcf<P> {
                 self.state = MainState::WaitCts;
                 cmds.push(MacCommand::SetTimer {
                     timer: MacTimer::CtsTimeout,
-                    at: now + self.cfg.cts_timeout(),
+                    at: now + cts_timeout(),
                 });
             }
             MainState::TxData => {
                 self.state = MainState::WaitAck;
                 cmds.push(MacCommand::SetTimer {
                     timer: MacTimer::AckTimeout,
-                    at: now + self.cfg.ack_timeout(),
+                    at: now + ack_timeout(),
                 });
             }
             MainState::TxBroadcast => {
@@ -680,7 +680,7 @@ impl<P: Clone> Dcf<P> {
         }
         let pkt = self.current.clone().expect("SIFS gap without a packet in service");
         let dst = pkt.dst;
-        let nav = SIFS + self.cfg.ack_duration();
+        let nav = SIFS + ack_duration();
         let frame = self.data_frame(pkt, dst, nav);
         self.state = MainState::TxData;
         self.transmit(frame, now, cmds);
@@ -792,7 +792,7 @@ impl<P: Clone> Dcf<P> {
             return;
         }
         // Remaining reservation after our CTS ends.
-        let nav = frame.nav.saturating_sub(SIFS + self.cfg.cts_duration());
+        let nav = frame.nav.saturating_sub(SIFS + cts_duration());
         let cts = MacFrame {
             kind: FrameKind::Cts,
             src: self.node,
@@ -852,11 +852,7 @@ mod tests {
     type TestDcf = Dcf<u32>;
 
     fn mk(node: u16) -> TestDcf {
-        Dcf::new(
-            NodeId::new(node),
-            MacConfig::ieee80211_dsss(),
-            RngFactory::new(7).stream("mac", u64::from(node)),
-        )
+        Dcf::new(NodeId::new(node), MacConfig, RngFactory::new(7).stream("mac", u64::from(node)))
     }
 
     fn t(s: f64) -> SimTime {
@@ -892,7 +888,6 @@ mod tests {
     #[test]
     fn unicast_exchange_with_rts_cts() {
         let mut mac = mk(0);
-        let cfg = MacConfig::ieee80211_dsss();
         let now = t(1.0);
 
         // Enqueue on idle medium: immediate access => Defer at now + DIFS.
@@ -914,7 +909,7 @@ mod tests {
 
         // CTS arrives: SIFS gap before data.
         let cts = control(FrameKind::Cts, 1, 0, SimDuration::ZERO);
-        let rx_at = tx_end + SIFS + cfg.cts_duration();
+        let rx_at = tx_end + SIFS + cts_duration();
         let cmds = mac.on_receive(cts, rx_at);
         let sifs_at = timer_at(&cmds, MacTimer::SifsData).expect("sifs gap armed");
         assert_eq!(sifs_at, rx_at + SIFS);
@@ -932,7 +927,7 @@ mod tests {
 
         // ACK arrives: exchange complete.
         let ack = control(FrameKind::Ack, 1, 0, SimDuration::ZERO);
-        let cmds = mac.on_receive(ack, data_end + SIFS + cfg.ack_duration());
+        let cmds = mac.on_receive(ack, data_end + SIFS + ack_duration());
         assert!(cmds
             .iter()
             .any(|c| matches!(c, MacCommand::TxOk { dst } if *dst == NodeId::new(1))));
@@ -1187,7 +1182,6 @@ mod tests {
     #[test]
     fn ack_timeouts_exhaust_into_link_failure() {
         let mut mac = mk(0);
-        let cfg = MacConfig::ieee80211_dsss();
         let cmds = mac.enqueue(3, NodeId::new(1), 512, Priority::Data, t(0.0));
         let mut defer_at = timer_at(&cmds, MacTimer::Defer).unwrap();
         for attempt in 1..=LONG_RETRY_LIMIT {
@@ -1196,7 +1190,7 @@ mod tests {
             let tx_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
             mac.on_timer(MacTimer::TxEnd, tx_end);
             let cts = control(FrameKind::Cts, 1, 0, SimDuration::ZERO);
-            let cmds = mac.on_receive(cts, tx_end + SIFS + cfg.cts_duration());
+            let cmds = mac.on_receive(cts, tx_end + SIFS + cts_duration());
             let cmds =
                 mac.on_timer(MacTimer::SifsData, timer_at(&cmds, MacTimer::SifsData).unwrap());
             assert_eq!(find_tx(&cmds).map(|f| f.kind), Some(FrameKind::Data));
@@ -1230,7 +1224,6 @@ mod tests {
     #[test]
     fn contention_window_resets_after_success() {
         let mut mac = mk(0);
-        let cfg = MacConfig::ieee80211_dsss();
         // Fail once to inflate the contention window...
         let cmds = mac.enqueue(1, NodeId::new(1), 512, Priority::Data, t(0.0));
         let defer_at = timer_at(&cmds, MacTimer::Defer).unwrap();
@@ -1246,13 +1239,13 @@ mod tests {
         let cmds = mac.on_timer(MacTimer::TxEnd, tx_end);
         let _ = timer_at(&cmds, MacTimer::CtsTimeout).unwrap();
         let cts = control(FrameKind::Cts, 1, 0, SimDuration::ZERO);
-        let cmds = mac.on_receive(cts, tx_end + SIFS + cfg.cts_duration());
+        let cmds = mac.on_receive(cts, tx_end + SIFS + cts_duration());
         let sifs_at = timer_at(&cmds, MacTimer::SifsData).unwrap();
         let cmds = mac.on_timer(MacTimer::SifsData, sifs_at);
         let data_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
         mac.on_timer(MacTimer::TxEnd, data_end);
         let ack = control(FrameKind::Ack, 1, 0, SimDuration::ZERO);
-        let cmds = mac.on_receive(ack, data_end + SIFS + cfg.ack_duration());
+        let cmds = mac.on_receive(ack, data_end + SIFS + ack_duration());
         assert!(cmds.iter().any(|c| matches!(c, MacCommand::TxOk { .. })));
         // A fresh packet on an idle medium must defer only DIFS (cw reset,
         // immediate access): the Defer must land exactly DIFS later.

@@ -9,6 +9,8 @@
 //! The machine is driven by a simulation driver through explicit inputs and
 //! [`MacCommand`] outputs; see the `dcf` module docs for the contract.
 
+#![warn(unreachable_pub)]
+
 pub mod config;
 pub mod dcf;
 pub mod frame;

@@ -18,6 +18,8 @@
 //! - *percentage of invalid cached routes* — cache hits whose route was
 //!   already physically broken when pulled from the cache.
 
+#![warn(unreachable_pub)]
+
 use mac::FrameKind;
 use packet::{CacheHitKind, DropReason};
 use sim_core::{SimTime, U64HashMap};

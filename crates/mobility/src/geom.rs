@@ -87,11 +87,6 @@ impl Field {
     pub fn contains(&self, p: Point) -> bool {
         (0.0..=self.width).contains(&p.x) && (0.0..=self.height).contains(&p.y)
     }
-
-    /// Field diagonal in meters — an upper bound on any node distance.
-    pub fn diagonal(&self) -> f64 {
-        Point::new(0.0, 0.0).distance(Point::new(self.width, self.height))
-    }
 }
 
 impl fmt::Display for Field {
@@ -142,12 +137,6 @@ mod tests {
         let f = Field::paper();
         assert_eq!(f.width, 2200.0);
         assert_eq!(f.height, 600.0);
-    }
-
-    #[test]
-    fn diagonal_bounds_distances() {
-        let f = Field::new(30.0, 40.0);
-        assert_eq!(f.diagonal(), 50.0);
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! assert!(scenario.field().contains(p));
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod geom;
 pub mod grid;
 pub mod model;

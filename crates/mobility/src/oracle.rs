@@ -73,12 +73,6 @@ impl LinkOracle {
         route.windows(2).all(|w| self.link_up(w[0], w[1], t))
     }
 
-    /// Index of the first broken hop of `route` at `t` (the link
-    /// `route[i] -> route[i + 1]`), or `None` if the route is fully up.
-    pub fn first_broken_hop(&self, route: &[NodeId], t: SimTime) -> Option<usize> {
-        route.windows(2).position(|w| !self.link_up(w[0], w[1], t))
-    }
-
     /// All neighbors of `node` at `t` (ground truth, index order).
     pub fn neighbors(&self, node: NodeId, t: SimTime) -> Vec<NodeId> {
         (0..self.model.num_nodes() as u16)
@@ -199,8 +193,6 @@ mod tests {
         assert!(o.route_valid(&good, t));
         let bad = [NodeId::new(0), NodeId::new(2), NodeId::new(3)];
         assert!(!o.route_valid(&bad, t));
-        assert_eq!(o.first_broken_hop(&bad, t), Some(0));
-        assert_eq!(o.first_broken_hop(&good, t), None);
     }
 
     #[test]

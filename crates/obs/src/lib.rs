@@ -24,6 +24,8 @@
 //! perturb the simulation. Wall-clock measurement never feeds back into
 //! simulated time.
 
+#![warn(unreachable_pub)]
+
 pub mod cachetrace;
 pub mod profile;
 pub mod query;
@@ -194,17 +196,6 @@ pub struct CampaignProgress {
 }
 
 impl CampaignProgress {
-    /// Creates a tracker for `total_runs` seeds with a 1 s print throttle.
-    pub fn new(total_runs: u64) -> Arc<Self> {
-        Self::with_throttle(total_runs, 1000)
-    }
-
-    /// Creates a tracker with a custom throttle (milliseconds); `0` prints
-    /// on every tick (used by tests).
-    pub fn with_throttle(total_runs: u64, throttle_ms: u64) -> Arc<Self> {
-        Self::with_workers_and_throttle(total_runs, 1, throttle_ms)
-    }
-
     /// Creates a tracker aggregating `workers` concurrent workers with a
     /// 1 s print throttle.
     pub fn with_workers(total_runs: u64, workers: usize) -> Arc<Self> {
@@ -230,11 +221,6 @@ impl CampaignProgress {
         })
     }
 
-    /// Number of worker cells this tracker aggregates.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Publishes worker `worker`'s state. Leaving a run (`Idle`, `Dead`)
     /// clears the worker's in-flight contribution.
     pub fn set_worker(&self, worker: usize, state: WorkerState) {
@@ -246,13 +232,6 @@ impl CampaignProgress {
         }
     }
 
-    /// Worker `worker`'s last published state.
-    pub fn worker_state(&self, worker: usize) -> WorkerState {
-        self.workers.get(worker).map_or(WorkerState::Idle, |cell| {
-            *cell.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-        })
-    }
-
     /// Records a finished run and the events it dispatched.
     pub fn run_finished(&self, ok: bool, events: u64) {
         self.done.fetch_add(1, Ordering::Relaxed);
@@ -260,15 +239,6 @@ impl CampaignProgress {
             self.failed.fetch_add(1, Ordering::Relaxed);
         }
         self.events_done.fetch_add(events, Ordering::Relaxed);
-    }
-
-    /// Formats a status line for a single-worker campaign's tick, or
-    /// `None` while throttled. Equivalent to [`heartbeat_line_for`] on
-    /// worker 0.
-    ///
-    /// [`heartbeat_line_for`]: CampaignProgress::heartbeat_line_for
-    pub fn heartbeat_line(&self, tick: HeartbeatTick) -> Option<String> {
-        self.heartbeat_line_for(0, tick)
     }
 
     /// Publishes worker `worker`'s tick and formats a pool-wide status
@@ -390,7 +360,7 @@ mod tests {
 
     #[test]
     fn heartbeat_reports_progress_and_throttles() {
-        let progress = CampaignProgress::with_throttle(4, 0);
+        let progress = CampaignProgress::with_workers_and_throttle(4, 1, 0);
         progress.run_finished(true, 1000);
         progress.run_finished(false, 500);
         let tick = HeartbeatTick {
@@ -398,29 +368,25 @@ mod tests {
             end: SimTime::from_secs(120.0),
             events: 250,
         };
-        let line = progress.heartbeat_line(tick).expect("zero throttle always prints");
+        let line = progress.heartbeat_line_for(0, tick).expect("zero throttle always prints");
         assert!(line.contains("2/4 seeds done (1 failed)"), "line: {line}");
         assert!(line.contains("events/s"), "line: {line}");
         assert!(line.contains("ETA"), "line: {line}");
 
         // A long throttle suppresses the second print.
-        let throttled = CampaignProgress::with_throttle(4, 3_600_000);
-        assert!(throttled.heartbeat_line(tick).is_some(), "first tick prints");
-        assert!(throttled.heartbeat_line(tick).is_none(), "second tick throttled");
+        let throttled = CampaignProgress::with_workers_and_throttle(4, 1, 3_600_000);
+        assert!(throttled.heartbeat_line_for(0, tick).is_some(), "first tick prints");
+        assert!(throttled.heartbeat_line_for(0, tick).is_none(), "second tick throttled");
     }
 
     #[test]
     fn pool_heartbeat_aggregates_worker_states_and_inflight_events() {
         let progress = CampaignProgress::with_workers_and_throttle(8, 4, 0);
-        assert_eq!(progress.workers(), 4);
         progress.run_finished(true, 10_000);
         progress.set_worker(0, WorkerState::Running { seed: 3 });
         progress.set_worker(2, WorkerState::Dead);
-        assert_eq!(progress.worker_state(0), WorkerState::Running { seed: 3 });
-        assert_eq!(progress.worker_state(3), WorkerState::Idle);
-        // Out-of-range workers are ignored, not a panic.
+        // Out-of-range workers are ignored, not a panic (one dead below).
         progress.set_worker(99, WorkerState::Dead);
-        assert_eq!(progress.worker_state(99), WorkerState::Idle);
 
         let tick = HeartbeatTick {
             now: SimTime::from_secs(30.0),
@@ -443,9 +409,9 @@ mod tests {
 
     #[test]
     fn single_worker_heartbeat_keeps_the_compact_format() {
-        let progress = CampaignProgress::with_throttle(4, 0);
+        let progress = CampaignProgress::with_workers_and_throttle(4, 1, 0);
         let tick = HeartbeatTick { now: SimTime::ZERO, end: SimTime::from_secs(1.0), events: 0 };
-        let line = progress.heartbeat_line(tick).expect("prints");
+        let line = progress.heartbeat_line_for(0, tick).expect("prints");
         assert!(!line.contains("running /"), "no worker segment for a pool of one: {line}");
     }
 

@@ -79,16 +79,6 @@ impl DataPacket {
         self.route.nodes()[self.hop + 1]
     }
 
-    /// The node currently holding the packet according to its header.
-    pub fn current_hop(&self) -> NodeId {
-        self.route.nodes()[self.hop]
-    }
-
-    /// Whether the current holder is the final destination.
-    pub fn at_destination(&self) -> bool {
-        self.hop + 1 == self.route.len()
-    }
-
     /// Wire size: IP header + source-route option + payload.
     pub fn wire_size(&self) -> usize {
         IP_HEADER_BYTES + sr_option_bytes(self.route.len()) + self.payload_bytes
@@ -156,11 +146,6 @@ impl RouteReply {
     pub fn next_hop(&self) -> NodeId {
         assert!(self.hop + 1 < self.route.len(), "reply already delivered");
         self.route.nodes()[self.hop + 1]
-    }
-
-    /// Whether the current holder is the reply's final recipient.
-    pub fn at_destination(&self) -> bool {
-        self.hop + 1 == self.route.len()
     }
 
     /// Wire size: IP header + reply option carrying the discovered route +
@@ -335,12 +320,8 @@ mod tests {
 
     #[test]
     fn data_hop_navigation() {
-        let p = data(&[0, 1, 2], 0);
-        assert_eq!(p.current_hop(), NodeId::new(0));
-        assert_eq!(p.next_hop(), NodeId::new(1));
-        assert!(!p.at_destination());
-        let last = data(&[0, 1, 2], 2);
-        assert!(last.at_destination());
+        assert_eq!(data(&[0, 1, 2], 0).next_hop(), NodeId::new(1));
+        assert_eq!(data(&[0, 1, 2], 1).next_hop(), NodeId::new(2));
     }
 
     #[test]
@@ -385,7 +366,6 @@ mod tests {
             gratuitous: false,
         };
         assert_eq!(reply.next_hop(), NodeId::new(1));
-        assert!(!reply.at_destination());
         assert_eq!(reply.wire_size(), 20 + 4 + 4 * 4 + (4 + 3 * 4));
     }
 

@@ -10,6 +10,8 @@
 //! MAC-layer frames (RTS/CTS/DATA/ACK) live in the `mac` crate; this crate
 //! covers everything the routing layer sees.
 
+#![warn(unreachable_pub)]
+
 pub mod agent;
 pub mod dsr;
 pub mod events;

@@ -19,13 +19,16 @@
 //! # Example
 //!
 //! ```
+//! use phy::propagation::{rx_power_w, CS_THRESHOLD_W};
 //! use phy::RadioConfig;
 //!
-//! let radio = RadioConfig::wavelan();
-//! assert!(radio.in_rx_range(240.0));
-//! assert!(!radio.in_rx_range(260.0));
-//! assert!(radio.in_cs_range(500.0)); // sensed, but not decodable
+//! let rx = RadioConfig::wavelan().rx_threshold_w;
+//! assert!(rx_power_w(240.0) >= rx);
+//! assert!(rx_power_w(260.0) < rx);
+//! assert!(rx_power_w(500.0) >= CS_THRESHOLD_W); // sensed, but not decodable
 //! ```
+
+#![warn(unreachable_pub)]
 
 #[cfg(test)]
 mod differential;

@@ -80,18 +80,6 @@ impl RadioConfig {
         RadioConfig { rx_threshold_w: 3.652e-10 }
     }
 
-    /// Whether a frame at `distance_m` can be received (power above the RX
-    /// threshold).
-    pub fn in_rx_range(&self, distance_m: f64) -> bool {
-        rx_power_w(distance_m) >= self.rx_threshold_w
-    }
-
-    /// Whether a transmission at `distance_m` is sensed at all (power above
-    /// the carrier-sense threshold).
-    pub fn in_cs_range(&self, distance_m: f64) -> bool {
-        rx_power_w(distance_m) >= CS_THRESHOLD_W
-    }
-
     /// The nominal reception range in meters, solved numerically from the
     /// RX threshold. For the WaveLAN defaults this is ~250 m.
     pub fn nominal_range_m(&self) -> f64 {
@@ -153,12 +141,12 @@ mod tests {
 
     #[test]
     fn range_predicates_agree_with_thresholds() {
-        let cfg = RadioConfig::wavelan();
-        assert!(cfg.in_rx_range(200.0));
-        assert!(!cfg.in_rx_range(300.0));
-        assert!(cfg.in_cs_range(300.0));
-        assert!(cfg.in_cs_range(500.0));
-        assert!(!cfg.in_cs_range(600.0));
+        let rx = RadioConfig::wavelan().rx_threshold_w;
+        assert!(rx_power_w(200.0) >= rx);
+        assert!(rx_power_w(300.0) < rx);
+        assert!(rx_power_w(300.0) >= CS_THRESHOLD_W);
+        assert!(rx_power_w(500.0) >= CS_THRESHOLD_W);
+        assert!(rx_power_w(600.0) < CS_THRESHOLD_W);
     }
 
     #[test]

@@ -129,7 +129,7 @@ fn joined(nodes: &[NodeId], sep: char) -> String {
 
 impl CacheStamper {
     /// A recorder for a run of `nodes` nodes.
-    pub fn new(buf: Arc<Mutex<CacheTraceBuf>>, nodes: usize) -> Self {
+    pub(crate) fn new(buf: Arc<Mutex<CacheTraceBuf>>, nodes: usize) -> Self {
         CacheStamper::with_cap(buf, nodes, CACHETRACE_MAX_ROWS)
     }
 
@@ -146,7 +146,13 @@ impl CacheStamper {
     /// rows, and a full buffer drops those too (see [`CacheTraceBuf`]). A
     /// kept row costs its four `String`s, each allocated once at its final
     /// size, and nothing else.
-    pub fn stamp(&mut self, oracle: &LinkOracle, now: SimTime, node: u16, decision: CacheDecision) {
+    pub(crate) fn stamp(
+        &mut self,
+        oracle: &LinkOracle,
+        now: SimTime,
+        node: u16,
+        decision: CacheDecision,
+    ) {
         let mut buf = self.buf.lock().unwrap_or_else(|p| p.into_inner());
         if buf.rows.len() >= self.cap {
             buf.dropped += 1;

@@ -252,7 +252,7 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// The DSR variant under test.
     pub dsr: DsrConfig,
-    /// The PHY rate MAC airtimes are computed from (802.11 DSSS).
+    /// The 802.11 DSSS MAC, whose timing is the constants of `mac::config`.
     pub mac: MacConfig,
     /// The radio's reception threshold (WaveLAN).
     pub radio: RadioConfig,
@@ -280,7 +280,7 @@ impl ScenarioConfig {
         ScenarioConfig {
             seed,
             dsr,
-            mac: MacConfig::ieee80211_dsss(),
+            mac: MacConfig,
             radio: RadioConfig::wavelan(),
             mobility: MobilitySpec::Waypoint(WaypointConfig::paper(SimDuration::from_secs(
                 pause_s,
@@ -338,7 +338,7 @@ impl ScenarioConfig {
         ScenarioConfig {
             seed,
             dsr,
-            mac: MacConfig::ieee80211_dsss(),
+            mac: MacConfig,
             radio: RadioConfig::wavelan(),
             mobility: MobilitySpec::Static(positions),
             traffic: TrafficConfig {

@@ -38,7 +38,7 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub fn new(nodes: usize, faults: usize, rng: SimRng) -> Self {
+    pub(crate) fn new(nodes: usize, faults: usize, rng: SimRng) -> Self {
         FaultState {
             node_down: vec![false; nodes],
             down_count: 0,
@@ -52,19 +52,19 @@ impl FaultState {
     }
 
     #[inline]
-    pub fn is_down(&self, node: usize) -> bool {
+    pub(crate) fn is_down(&self, node: usize) -> bool {
         self.node_down[node]
     }
 
     /// When down node `node` wakes: suspended timers re-arm for then.
-    pub fn up_at(&self, node: usize) -> SimTime {
+    pub(crate) fn up_at(&self, node: usize) -> SimTime {
         self.node_up_at[node]
     }
 
     /// Whether a receiver at `p` sits inside an open blackout window of
     /// `plan`.
     #[inline]
-    pub fn in_blackout(&self, plan: &[FaultEvent], p: Point) -> bool {
+    pub(crate) fn in_blackout(&self, plan: &[FaultEvent], p: Point) -> bool {
         if self.region_active == 0 {
             return false;
         }
@@ -78,13 +78,13 @@ impl FaultState {
     /// to back every arrival boundary with a real event so the window can
     /// gate it at dispatch time.
     #[inline]
-    pub fn suppression_active(&self) -> bool {
+    pub(crate) fn suppression_active(&self) -> bool {
         self.down_count > 0 || self.region_active > 0
     }
 
     /// Per-arrival corruption probability right now: the union of all open
     /// [`FaultEvent::FrameCorruption`] windows of `plan`.
-    pub fn corruption_prob(&self, plan: &[FaultEvent]) -> f64 {
+    pub(crate) fn corruption_prob(&self, plan: &[FaultEvent]) -> f64 {
         let mut p_ok = 1.0f64;
         for (idx, f) in plan.iter().enumerate() {
             if let FaultEvent::FrameCorruption { prob, .. } = f {
@@ -99,20 +99,20 @@ impl FaultState {
     /// Draws one arrival's corruption verdict. No draw is made outside
     /// corruption windows, so fault-free runs never touch the stream.
     #[inline]
-    pub fn draw_corrupted(&mut self, p_corrupt: f64) -> bool {
+    pub(crate) fn draw_corrupted(&mut self, p_corrupt: f64) -> bool {
         p_corrupt > 0.0 && sim_core::rng::uniform(&mut self.rng, 0.0, 1.0) < p_corrupt
     }
 
     /// `true` the first time fault `idx` fires, so the metrics count it
     /// once however often its activation event re-fires (a duty cycle, an
     /// [`FaultEvent::EventStorm`]).
-    pub fn count_once(&mut self, idx: usize) -> bool {
+    pub(crate) fn count_once(&mut self, idx: usize) -> bool {
         !std::mem::replace(&mut self.fired[idx], true)
     }
 
     /// Marks `node` down until at least `until`; an overlapping outage can
     /// only extend the wake-up.
-    pub fn take_down(&mut self, node: usize, until: SimTime) {
+    pub(crate) fn take_down(&mut self, node: usize, until: SimTime) {
         if !self.node_down[node] {
             self.node_down[node] = true;
             self.down_count += 1;
@@ -123,14 +123,14 @@ impl FaultState {
     }
 
     /// Records that `node` must reboot its protocol state when it wakes.
-    pub fn owe_churn_reset(&mut self, node: usize) {
+    pub(crate) fn owe_churn_reset(&mut self, node: usize) {
         self.churn_reset_pending[node] = true;
     }
 
     /// A wake-up event for `node` fired at `now`: brings the node up
     /// unless a later outage still holds it down. Returns whether the
     /// caller owes it a churn revival reset.
-    pub fn wake(&mut self, node: usize, now: SimTime) -> bool {
+    pub(crate) fn wake(&mut self, node: usize, now: SimTime) -> bool {
         if !self.node_down[node] || now < self.node_up_at[node] {
             return false;
         }
@@ -140,13 +140,13 @@ impl FaultState {
     }
 
     /// Opens window fault `idx`; `regional` windows suppress arrivals.
-    pub fn open_window(&mut self, idx: usize, regional: bool) {
+    pub(crate) fn open_window(&mut self, idx: usize, regional: bool) {
         self.active[idx] = true;
         self.region_active += u32::from(regional);
     }
 
     /// Closes window fault `idx`.
-    pub fn close_window(&mut self, idx: usize, regional: bool) {
+    pub(crate) fn close_window(&mut self, idx: usize, regional: bool) {
         self.active[idx] = false;
         self.region_active -= u32::from(regional);
     }

@@ -32,9 +32,9 @@
 //! "Auditing & forensics" section lists each schema and the commits that
 //! wrote it. Values the scenario's constructors would assert on (a zero
 //! cache capacity or multipath `k`, an adaptive `alpha` or a reception
-//! threshold that is not finite and positive, a data rate that is not a
-//! finite 1 b/s or more) are rejected the same way, so a crafted artifact
-//! fails to load instead of panicking its replay.
+//! threshold that is not finite and positive, a packet over 65 535
+//! bytes) are rejected the same way, so a crafted artifact fails to load
+//! instead of panicking its replay.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -53,14 +53,20 @@ use crate::config::{FaultEvent, FaultPlan, MobilitySpec, ScenarioConfig, Zone};
 /// How many trailing trace events a campaign run retains for artifacts.
 pub const TRACE_TAIL_CAPACITY: usize = 256;
 
+/// The largest `traffic.packet_bytes` an artifact may carry: its data
+/// frames last 262 ms, far inside the 4.29 s a transmission front's
+/// members reach (DESIGN §9).
+pub(crate) const MAX_PACKET_BYTES: usize = 65_535;
+
 // ----------------------------------------------------------------------
 // Scenario serialization
 // ----------------------------------------------------------------------
 
 /// A value written under one key — or, for a compound value, under keys
-/// that extend it (`mac` → `mac.slot_ns`, `fault.0` → `fault.0.at_ns`).
-/// Rendering and parsing go through the same impl, so the tables below
-/// name every key once, in the order the artifact lists them.
+/// that extend it (`traffic` → `traffic.num_flows`, `fault.0` →
+/// `fault.0.at_ns`). Rendering and parsing go through the same impl, so
+/// the tables below name every key once, in the order the artifact lists
+/// them.
 trait Stored: Sized {
     fn put(&self, kv: &mut KvBlock, key: &str);
     fn take(kv: &KvBlock, key: &str) -> Result<Self, ObsError>;
@@ -217,7 +223,6 @@ stored_struct! {
         ".multipath" => multipath,
     }
     MultipathConfig { ".k" => k }
-    MacConfig { ".plcp_overhead_ns" => plcp_overhead, ".data_rate_bps" => data_rate_bps }
     RadioConfig { ".rx_threshold_w" => rx_threshold_w }
     TrafficConfig {
         ".num_flows" => num_flows,
@@ -293,6 +298,14 @@ stored_enum! {
     }
 }
 
+/// The MAC holds no setting, and writes no key.
+impl Stored for MacConfig {
+    fn put(&self, _: &mut KvBlock, _: &str) {}
+    fn take(_: &KvBlock, _: &str) -> Result<Self, ObsError> {
+        Ok(MacConfig)
+    }
+}
+
 /// A strategy switch, written only when on (`key = true`): absent keys
 /// keep the config fingerprint of every scenario serialized before the
 /// strategy existed.
@@ -332,10 +345,9 @@ impl Stored for Option<MultipathConfig> {
 /// assertion when the run is built or a frame's airtime computed.
 fn check_scenario(cfg: &ScenarioConfig) -> Result<(), ObsError> {
     let bad = |key: &str, value: String| Err(ObsError::BadValue { key: key.to_string(), value });
-    // Under 1 b/s, one frame's airtime can overflow the clock.
-    let rate = cfg.mac.data_rate_bps;
-    if !(rate.is_finite() && rate >= 1.0) {
-        return bad("mac.data_rate_bps", fmt_f64(rate));
+    let packet_bytes = cfg.traffic.packet_bytes;
+    if packet_bytes > MAX_PACKET_BYTES {
+        return bad("traffic.packet_bytes", packet_bytes.to_string());
     }
     let threshold = cfg.radio.rx_threshold_w;
     if !(threshold.is_finite() && threshold > 0.0) {
@@ -669,20 +681,20 @@ mod tests {
     #[test]
     fn fingerprints_and_a_full_render_are_pinned() {
         const PINNED: [u64; 7] = [
-            0x7437_a99c_d5b2_c524,
-            0xe62e_34c8_dafd_908a,
-            0x9619_dcfc_ef8d_94aa,
-            0x0aa1_5cee_afe2_5ebc,
-            0x18d9_3524_8a9a_8b87,
-            0x9326_d5a9_fe7a_932c,
-            0x5081_25ef_2b12_7ad8,
+            0x2106_6836_cc16_8fe3,
+            0xaff3_1c98_18cd_83a1,
+            0x1288_48bd_9d12_8eeb,
+            0xe66d_c7d0_945a_2957,
+            0x60fc_3bd7_bcef_ebd0,
+            0x4019_93f1_442c_8a07,
+            0x539b_79e6_beb0_0383,
         ];
         let got: Vec<u64> = flavors().iter().map(config_fingerprint).collect();
         let hex: Vec<String> = got.iter().map(|fp| format!("{fp:#018x}")).collect();
         assert_eq!(got, PINNED, "fingerprints moved: {hex:?}");
         let rendered = artifact(flavors().swap_remove(2)).render();
         let digest = fnv1a(rendered.as_bytes());
-        assert_eq!(digest, 0x22c6_b615_05ca_4905, "render digest moved: {digest:#018x}");
+        assert_eq!(digest, 0xfb19_2a1c_3b2c_6c80, "render digest moved: {digest:#018x}");
     }
 
     /// Each earlier writer's schema is refused, not translated: an artifact
@@ -707,6 +719,13 @@ mod tests {
             .replace("fault.1.zone.", "fault.1.");
         assert_ne!(link_blackout, rect);
         let cw_max = format!("{}", mac::config::CW_MAX);
+        // The airtime settings, where the writer before they became
+        // constants put them: between two lines that are adjacent only in
+        // a render without them.
+        let last_dsr = "dsr.negative_cache = false\n";
+        let airtime = |lines: &str| {
+            current.replacen(&format!("{last_dsr}radio."), &format!("{last_dsr}{lines}radio."), 1)
+        };
         // Where the writer before the rule's removal put it, between two
         // lines that are adjacent only in a render without it.
         let rebroadcast = current.replacen(
@@ -719,6 +738,12 @@ mod tests {
             // A setting now fixed as a constant, at the value it still has.
             (with_line(&current, &format!("mac.cw_max = {cw_max}")), "mac.cw_max", cw_max.as_str()),
             (with_line(&current, "paired_arrivals = true"), "paired_arrivals", "true"),
+            (
+                airtime("mac.plcp_overhead_ns = 192000\nmac.data_rate_bps = 2000000.0\n"),
+                "mac.plcp_overhead_ns",
+                "192000",
+            ),
+            (airtime("mac.data_rate_bps = 2000000.0\n"), "mac.data_rate_bps", "2000000.0"),
             // Settings removed with the extensions that were their only users.
             (
                 with_line(&current, "dsr.replies_from_cache = true"),
@@ -851,10 +876,10 @@ mod tests {
             artifact(ScenarioConfig::quick(0.0, 1.0, DsrConfig::multipath(), 1)).render();
         for (text, key, value) in [
             (&faulted(), "dsr.cache_capacity", "0"),
-            (&faulted(), "mac.data_rate_bps", "0"),
-            (&faulted(), "mac.data_rate_bps", "-1"),
-            (&faulted(), "mac.data_rate_bps", "inf"),
-            (&faulted(), "mac.data_rate_bps", "1e-300"),
+            (&faulted(), "traffic.packet_bytes", "65536"),
+            (&faulted(), "traffic.packet_bytes", "1048576"),
+            (&faulted(), "traffic.packet_bytes", "4294967296"),
+            (&faulted(), "traffic.packet_bytes", "18446744073709551615"),
             (&faulted(), "radio.rx_threshold_w", "NaN"),
             (&faulted(), "radio.rx_threshold_w", "0"),
             (&with_line(&faulted(), "mac.queue_capacity = 0"), "mac.queue_capacity", "0"),

@@ -16,6 +16,8 @@
 //! assert!(report.delivery_fraction > 0.9);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod audit;
 mod cachestamp;
 pub mod campaign;

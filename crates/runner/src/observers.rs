@@ -89,7 +89,7 @@ pub(crate) struct ObsState {
 }
 
 impl ObsState {
-    pub fn new(sampler: Sampler, sink: ObsSink) -> Box<Self> {
+    pub(crate) fn new(sampler: Sampler, sink: ObsSink) -> Box<Self> {
         Box::new(ObsState {
             sampler,
             sink,
@@ -184,7 +184,7 @@ impl Observers {
     /// the run. Returns the profiler's start instant when this dispatch is
     /// one it times.
     #[inline]
-    pub fn begin_event(
+    pub(crate) fn begin_event(
         &mut self,
         at: SimTime,
         end: SimTime,
@@ -211,7 +211,7 @@ impl Observers {
 
     /// The dispatch `begin_event` announced has returned.
     #[inline]
-    pub fn end_event(&mut self, started: Option<Instant>, kind: usize) {
+    pub(crate) fn end_event(&mut self, started: Option<Instant>, kind: usize) {
         if let Some(o) = self.obs.as_mut() {
             o.kind_count[kind] += 1;
             if let Some(started) = started {
@@ -229,7 +229,7 @@ impl Observers {
     /// time, never the event time, so identical (config, seed) pairs
     /// produce byte-identical files.
     #[inline]
-    pub fn sample_due<A: RoutingAgent>(
+    pub(crate) fn sample_due<A: RoutingAgent>(
         &mut self,
         at: SimTime,
         events: u64,
@@ -249,7 +249,7 @@ impl Observers {
     /// set) with the tallies, each kind's wall time scaled up from its
     /// timed dispatches, and hands the finished observation to the obs
     /// sink.
-    pub fn finish(&mut self, mut profile: Profile) {
+    pub(crate) fn finish(&mut self, mut profile: Profile) {
         let Some(obs_state) = self.obs.take() else { return };
         let ObsState { sampler, mut sink, kind_count, kind_wall_ns, drops, traces, .. } =
             *obs_state;
@@ -273,7 +273,12 @@ impl Observers {
     // ------------------------------------------------------------------
 
     /// A MAC frame left `node`'s antenna.
-    pub fn on_mac_send<P: NetPacket>(&mut self, at: SimTime, node: u16, frame: &MacFrame<P>) {
+    pub(crate) fn on_mac_send<P: NetPacket>(
+        &mut self,
+        at: SimTime,
+        node: u16,
+        frame: &MacFrame<P>,
+    ) {
         self.tally_trace("mac_send");
         self.emit(at, node, || TraceKind::MacSend {
             frame: frame.kind.name(),
@@ -286,7 +291,7 @@ impl Observers {
 
     /// A routing agent announced a freshly originated data uid.
     #[inline]
-    pub fn on_originated(&mut self, uid: u64) {
+    pub(crate) fn on_originated(&mut self, uid: u64) {
         if self.audit.enabled() {
             self.audit.on_originated(uid);
         }
@@ -295,7 +300,7 @@ impl Observers {
     /// A data packet reached its destination application at `node`;
     /// `fresh` is the metrics layer's duplicate-suppression verdict.
     #[inline]
-    pub fn on_deliver(
+    pub(crate) fn on_deliver(
         &mut self,
         at: SimTime,
         node: u16,
@@ -313,7 +318,7 @@ impl Observers {
 
     /// The routing layer at `node` dropped `uid`.
     #[inline]
-    pub fn on_drop(&mut self, at: SimTime, node: u16, uid: u64, reason: DropReason) {
+    pub(crate) fn on_drop(&mut self, at: SimTime, node: u16, uid: u64, reason: DropReason) {
         if self.audit.enabled() {
             self.audit.on_dropped(uid, reason);
         }
@@ -326,7 +331,7 @@ impl Observers {
 
     /// A full interface queue rejected a packet.
     #[inline]
-    pub fn on_ifq_drop(&mut self, uid: u64, is_control: bool) {
+    pub(crate) fn on_ifq_drop(&mut self, uid: u64, is_control: bool) {
         if let Some(o) = self.obs.as_mut() {
             o.drops.record("IfqOverflow", 0);
         }
@@ -337,20 +342,20 @@ impl Observers {
 
     /// `node` started a route discovery round for `target`.
     #[inline]
-    pub fn on_discovery(&mut self, at: SimTime, node: u16, target: NodeId, flood: bool) {
+    pub(crate) fn on_discovery(&mut self, at: SimTime, node: u16, target: NodeId, flood: bool) {
         self.tally_trace("discovery");
         self.emit(at, node, || TraceKind::Discovery { target, flood });
     }
 
     /// Link-layer feedback at `node` declared the link to `to` broken.
     #[inline]
-    pub fn on_link_break(&mut self, at: SimTime, node: u16, to: NodeId) {
+    pub(crate) fn on_link_break(&mut self, at: SimTime, node: u16, to: NodeId) {
         self.tally_trace("link_break");
         self.emit(at, node, || TraceKind::LinkBreak { to });
     }
 
     #[inline]
-    pub fn on_failover(&mut self) {
+    pub(crate) fn on_failover(&mut self) {
         self.tally_trace("failover");
     }
 
@@ -358,7 +363,7 @@ impl Observers {
     /// stamper is installed, but an event can outlive the recorder in
     /// principle; dropping it is always safe.
     #[inline]
-    pub fn on_cache_decision(
+    pub(crate) fn on_cache_decision(
         &mut self,
         oracle: &LinkOracle,
         at: SimTime,

@@ -754,15 +754,16 @@ impl<A: RoutingAgent> Simulator<A> {
                         self.rx_states[rx as usize].finalize_lock(tx_id, end_seq, evented)
                     {
                         self.boundary_scheduled += 1;
-                        if self.fronts.push_decode(front, end, end_seq, rx) {
-                            self.front_members += 1;
-                        } else {
-                            // Due before a start the front still holds:
-                            // this one travels by itself.
-                            #[cfg(test)]
-                            dispatch_order::note_loose_decode();
-                            self.queue.schedule_at_seq(end, end_seq, Ev::Arrival { rx, tx_id });
-                        }
+                        // The shortest frame (248 µs) outlasts the longest
+                        // propagation delay (1.84 µs at 550 m), and the
+                        // longest fits a member's offset (DESIGN §9).
+                        let filed = self.fronts.push_decode(front, end, end_seq, rx);
+                        assert!(
+                            filed,
+                            "front refused a decode: a frame's airtime must exceed the \
+                             propagation spread and stay under u32::MAX ns"
+                        );
+                        self.front_members += 1;
                     }
                 }
             }

@@ -31,13 +31,13 @@ pub(super) struct Frames<P> {
 }
 
 impl<P> Frames<P> {
-    pub fn new() -> Self {
+    pub(super) fn new() -> Self {
         Frames { ring: VecDeque::new() }
     }
 
     /// Keeps `frame`, of transmission `tx_id`, until simulated time has
     /// passed `last_decode`. Transmissions arrive in tx-id order.
-    pub fn insert(&mut self, tx_id: TxId, last_decode: SimTime, frame: MacFrame<P>) {
+    pub(super) fn insert(&mut self, tx_id: TxId, last_decode: SimTime, frame: MacFrame<P>) {
         debug_assert!(
             self.ring.back().is_none_or(|last| last.tx_id + 1 == tx_id),
             "tx ids are handed out in sequence"
@@ -47,14 +47,14 @@ impl<P> Frames<P> {
 
     /// Releases, oldest first, every frame whose last decode lies before
     /// `now`. A frame behind an older one that is still live waits for it.
-    pub fn release_before(&mut self, now: SimTime) {
+    pub(super) fn release_before(&mut self, now: SimTime) {
         while self.ring.front().is_some_and(|slot| slot.last_decode < now) {
             self.ring.pop_front();
         }
     }
 
     /// The frame of transmission `tx_id`, or `None` once it is released.
-    pub fn get(&self, tx_id: TxId) -> Option<&MacFrame<P>> {
+    pub(super) fn get(&self, tx_id: TxId) -> Option<&MacFrame<P>> {
         let oldest = self.ring.front()?.tx_id;
         let slot = self.ring.get(usize::try_from(tx_id.checked_sub(oldest)?).ok()?)?;
         debug_assert_eq!(slot.tx_id, tx_id, "the ring holds consecutive tx ids");

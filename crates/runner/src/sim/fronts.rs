@@ -12,8 +12,8 @@
 //! else is due first; this module owns the blocks and their one
 //! invariant: **the members a block still holds are due in the order it
 //! hands them out**, so the key of the next one is the earliest of them
-//! all. A decode that would break that is refused and travels as a plain
-//! event instead.
+//! all. A decode that would break that is refused, and the driver panics:
+//! at the 802.11 timing every frame outlasts the propagation spread.
 
 use phy::TxId;
 use sim_core::{SimDuration, SimTime};
@@ -108,7 +108,7 @@ pub(super) struct Fronts {
 }
 
 impl Fronts {
-    pub fn new(nodes: usize) -> Self {
+    pub(super) fn new(nodes: usize) -> Self {
         let mut fronts = Fronts {
             heads: Vec::new(),
             members: Vec::new(),
@@ -168,7 +168,7 @@ impl Fronts {
     /// Adds a start boundary, `after` the transmission began, to the front
     /// being planned.
     #[inline]
-    pub fn stage(&mut self, after: SimDuration, seq: u64, rx: u16, kind: MemberKind) {
+    pub(super) fn stage(&mut self, after: SimDuration, seq: u64, rx: u16, kind: MemberKind) {
         let after_ns =
             u32::try_from(after.as_nanos()).expect("a frame reaches every receiver within 4.29 s");
         self.keys.push(u64::from(after_ns) << 32 | self.staged.len() as u64);
@@ -180,7 +180,7 @@ impl Fronts {
     /// returns the block and the key to file the front under — or `None`
     /// if the transmission has no evented boundary at all.
     #[inline]
-    pub fn seal(&mut self, tx_start: SimTime, tx_id: TxId) -> Option<(u32, SimTime, u64)> {
+    pub(super) fn seal(&mut self, tx_start: SimTime, tx_id: TxId) -> Option<(u32, SimTime, u64)> {
         if self.staged.is_empty() {
             return None;
         }
@@ -203,7 +203,7 @@ impl Fronts {
     /// back — once nothing is left; the first decode after the last start
     /// is an airtime away and not near.
     #[inline]
-    pub fn next_key(&mut self, idx: u32) -> Option<(SimTime, u64, bool)> {
+    pub(super) fn next_key(&mut self, idx: u32) -> Option<(SimTime, u64, bool)> {
         let (head, members) = self.block(idx);
         let mut near = true;
         if head.next == head.len {
@@ -222,7 +222,7 @@ impl Fronts {
     /// Hands out the next member and moves the cursor past it — before the
     /// dispatch, whose decode may take the vacated place.
     #[inline]
-    pub fn take(&mut self, idx: u32) -> Due {
+    pub(super) fn take(&mut self, idx: u32) -> Due {
         let (head, members) = self.block(idx);
         let member = members[usize::from(head.next)];
         head.next += 1;
@@ -240,10 +240,9 @@ impl Fronts {
     /// cursor and returns `true`, or returns `false` if the block cannot
     /// carry it in order — it would be due before a start still to come
     /// (airtime shorter than the propagation spread) or not after the
-    /// decode before it, or lies beyond a member's reach — and the driver
-    /// must schedule it by itself.
+    /// decode before it, or lies beyond a member's reach.
     #[inline]
-    pub fn push_decode(&mut self, idx: u32, end: SimTime, end_seq: u64, rx: u16) -> bool {
+    pub(super) fn push_decode(&mut self, idx: u32, end: SimTime, end_seq: u64, rx: u16) -> bool {
         let (head, members) = self.block(idx);
         let Some(after_ns) =
             end.checked_since(head.tx_start).and_then(|d| u32::try_from(d.as_nanos()).ok())
@@ -383,6 +382,28 @@ mod tests {
             drain(&mut fronts, idx, t0),
             [(900, 3, 3, b), (900, 10, 1, d), (1_000, 11, 2, d)]
         );
+    }
+
+    /// What the driver's panic on a refused decode rests on, from the
+    /// constants: the shortest frame on the air outlasts the propagation
+    /// delay to the farthest receiver that senses it, so no decode is due
+    /// before a start still to come; and a data frame of the largest
+    /// payload a scenario artifact may carry ends inside a member's offset.
+    #[test]
+    fn every_decode_fits_its_front_at_the_802_11_timing() {
+        use mac::config::{frame_duration, ACK_BYTES, CTS_BYTES, RTS_BYTES};
+        use mac::MacConfig;
+        use phy::propagation::propagation_delay_s;
+        use phy::RadioConfig;
+        let cs_range_m = RadioConfig::wavelan().carrier_sense_range_m();
+        let spread = SimDuration::from_secs(propagation_delay_s(cs_range_m));
+        let frames = [RTS_BYTES, CTS_BYTES, ACK_BYTES].map(frame_duration);
+        let shortest = frames.into_iter().min().expect("three frames");
+        assert_eq!(shortest, SimDuration::from_micros_u64(248));
+        assert!(spread < shortest, "{spread:?} at {cs_range_m} m");
+        assert!(spread < SimDuration::from_micros_u64(2), "{spread:?} at {cs_range_m} m");
+        let longest = MacConfig.data_duration(crate::forensics::MAX_PACKET_BYTES) + spread;
+        assert!(longest.as_nanos() < u64::from(u32::MAX), "{longest:?}");
     }
 
     #[test]

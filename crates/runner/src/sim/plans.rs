@@ -39,19 +39,19 @@ impl Link {
 
     /// The sensing node.
     #[inline]
-    pub fn rx(self) -> u16 {
+    pub(super) fn rx(self) -> u16 {
         self.rx
     }
 
     /// Received power in watts.
     #[inline]
-    pub fn power_w(self) -> f64 {
+    pub(super) fn power_w(self) -> f64 {
         self.power_w
     }
 
     /// How long after a transmission begins its first bit arrives.
     #[inline]
-    pub fn delay(self) -> SimDuration {
+    pub(super) fn delay(self) -> SimDuration {
         SimDuration::from_nanos(u64::from(self.delay_ns))
     }
 }
@@ -105,7 +105,7 @@ impl LinkPlans {
     /// carrier-sense range for the 3×3 neighborhood to cover every possible
     /// receiver (see `NeighborGrid`); the 0.1% margin absorbs the range
     /// solver's bisection tolerance at zero practical cost.
-    pub fn new(radio: &RadioConfig, positions: &[Point]) -> Self {
+    pub(super) fn new(radio: &RadioConfig, positions: &[Point]) -> Self {
         let mut plans = LinkPlans {
             grid: NeighborGrid::new(radio.carrier_sense_range_m() * 1.001),
             epoch: 0,
@@ -119,7 +119,7 @@ impl LinkPlans {
 
     /// The snapshot changed to `positions`: a new epoch. Every plan is
     /// void (the arena keeps its allocation) and the grid is rebuilt.
-    pub fn rebuild(&mut self, positions: &[Point]) {
+    pub(super) fn rebuild(&mut self, positions: &[Point]) {
         self.epoch += 1;
         self.links.clear();
         self.grid.rebuild(positions);
@@ -131,7 +131,7 @@ impl LinkPlans {
     /// planned now over `positions` — the snapshot of the last
     /// [`LinkPlans::rebuild`] — if `tx` has not transmitted in this epoch.
     #[inline]
-    pub fn links_of(&mut self, tx: NodeId, positions: &[Point]) -> &[Link] {
+    pub(super) fn links_of(&mut self, tx: NodeId, positions: &[Point]) -> &[Link] {
         if self.spans[tx.index()].epoch != self.epoch {
             self.plan(tx, positions);
         }

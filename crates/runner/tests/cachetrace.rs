@@ -231,19 +231,19 @@ fn rendered_traces_match_the_pinned_digests() {
         (
             "combined_clean",
             combined,
-            0x1763_8c13_2713_7832,
+            0x3c58_81dd_05ad_a275,
             &["insert", "lookup", "remove", "expire", "refresh"],
         ),
         (
             "base_clean",
             ScenarioConfig::tiny(0.0, 2.0, DsrConfig::base(), 1),
-            0x9e6b_8393_a361_d8c0,
+            0x3919_803c_4a80_9b1c,
             &["insert", "lookup", "remove", "refresh"],
         ),
         (
             "combined_churn_blackout",
             faulted,
-            0x53c9_27ee_632b_3ffa,
+            0x7f94_2d5e_2235_93e1,
             &["insert", "lookup", "remove", "expire", "evict", "refresh"],
         ),
     ];

@@ -29,6 +29,8 @@
 //! assert!(q.pop().is_none()); // the timeout was cancelled
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod event;
 pub mod growth;
 pub mod hash;

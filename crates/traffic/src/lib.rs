@@ -5,6 +5,8 @@
 //! sessions starting at random times near the beginning of the run and
 //! staying active until the end.
 
+#![warn(unreachable_pub)]
+
 use sim_core::rng::uniform;
 use sim_core::{NodeId, RngFactory, SimDuration, SimTime};
 
@@ -27,14 +29,6 @@ impl CbrFlow {
     /// Departure time of the `k`-th packet (0-based).
     pub fn send_time(&self, k: u64) -> SimTime {
         self.start + self.interval * k
-    }
-
-    /// How many packets this flow originates in `[0, until]`.
-    pub fn packets_until(&self, until: SimTime) -> u64 {
-        if until < self.start {
-            return 0;
-        }
-        (until - self.start).as_nanos() / self.interval.as_nanos() + 1
     }
 }
 
@@ -154,8 +148,6 @@ mod tests {
         };
         assert_eq!(f.send_time(0), SimTime::from_secs(2.0));
         assert_eq!(f.send_time(4), SimTime::from_secs(3.0));
-        assert_eq!(f.packets_until(SimTime::from_secs(3.0)), 5);
-        assert_eq!(f.packets_until(SimTime::from_secs(1.0)), 0);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   --series              print delivery per 10 s interval (from the obs time series)
 //! ```
 
+#![warn(unreachable_pub)]
+
 use dsr_caching::mobility::WaypointConfig;
 use dsr_caching::obs::TimeSeries;
 use dsr_caching::packet::RoutingAgent;

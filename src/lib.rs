@@ -29,6 +29,8 @@
 //! assert!(report.originated > 0);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub use aodv;
 pub use dsr;
 pub use mac;

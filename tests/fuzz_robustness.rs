@@ -89,8 +89,7 @@ fn chain(rng: &mut SimRng) -> ScenarioConfig {
 fn mac_never_panics_under_fuzz() {
     cases("mac_never_panics_under_fuzz", 0..64, |_, rng| {
         let me = NodeId::new(0);
-        let mut mac: Dcf<u32> =
-            Dcf::new(me, MacConfig::ieee80211_dsss(), RngFactory::new(1).stream("fuzz", 0));
+        let mut mac: Dcf<u32> = Dcf::new(me, MacConfig, RngFactory::new(1).stream("fuzz", 0));
         let mut now = SimTime::from_secs(1.0);
         let mut payload = 0u32;
         for step in 0..rng.random_range(1..120usize) {
