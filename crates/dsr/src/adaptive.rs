@@ -9,9 +9,12 @@
 //! The first term tracks route stability when breaks occur uniformly in
 //! time; the second corrects the estimate during quiet periods so `T` keeps
 //! growing when nothing is breaking (otherwise a burst of past breaks would
-//! keep expiring perfectly good routes forever).
+//! keep expiring perfectly good routes forever). `alpha` is
+//! [`ADAPTIVE_ALPHA`] and the floor [`ADAPTIVE_MIN_TIMEOUT`].
 
 use sim_core::{SimDuration, SimTime};
+
+use crate::config::{ADAPTIVE_ALPHA, ADAPTIVE_MIN_TIMEOUT};
 
 /// Per-node adaptive timeout estimator.
 ///
@@ -21,39 +24,26 @@ use sim_core::{SimDuration, SimTime};
 /// use dsr::AdaptiveTimeout;
 /// use sim_core::{SimDuration, SimTime};
 ///
-/// let mut est = AdaptiveTimeout::new(1.0, SimDuration::from_secs(1.0));
+/// let mut est = AdaptiveTimeout::new();
 /// est.observe_break(SimDuration::from_secs(4.0), SimTime::from_secs(10.0));
-/// // alpha * avg lifetime = 4 s; 2 s since the break => T = 4 s.
+/// // 1.25 * avg lifetime = 5 s; 2 s since the break => T = 5 s.
 /// let t = est.timeout(SimTime::from_secs(12.0));
-/// assert_eq!(t, SimDuration::from_secs(4.0));
+/// assert_eq!(t, SimDuration::from_secs(5.0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AdaptiveTimeout {
-    alpha: f64,
-    min_timeout: SimDuration,
     lifetime_sum: f64,
     lifetime_count: u64,
     last_break: SimTime,
 }
 
 impl AdaptiveTimeout {
-    /// Creates an estimator with the given `alpha` multiplier and floor.
+    /// Creates an estimator that has observed no break.
     ///
     /// Until the first observed break, "time since last link breakage" is
     /// measured from the start of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is not positive and finite.
-    pub fn new(alpha: f64, min_timeout: SimDuration) -> Self {
-        assert!(alpha.is_finite() && alpha > 0.0, "invalid alpha {alpha}");
-        AdaptiveTimeout {
-            alpha,
-            min_timeout,
-            lifetime_sum: 0.0,
-            lifetime_count: 0,
-            last_break: SimTime::ZERO,
-        }
+    pub fn new() -> Self {
+        AdaptiveTimeout::default()
     }
 
     /// Records that a cached route with the given `lifetime` (time since it
@@ -78,17 +68,12 @@ impl AdaptiveTimeout {
 
     /// The current timeout `T` at instant `now`.
     pub fn timeout(&self, now: SimTime) -> SimDuration {
-        self.timeout_with(now, true)
-    }
-
-    /// `T` with the *time since last break* correction term optionally
-    /// disabled (the `ablation_adaptive` experiment).
-    pub fn timeout_with(&self, now: SimTime, quiet_term: bool) -> SimDuration {
-        let since_break =
-            if quiet_term { now.saturating_since(self.last_break) } else { SimDuration::ZERO };
-        let scaled_avg =
-            self.average_lifetime().map(|avg| avg.mul_f64(self.alpha)).unwrap_or(SimDuration::ZERO);
-        scaled_avg.max(since_break).max(self.min_timeout)
+        let since_break = now.saturating_since(self.last_break);
+        let scaled_avg = self
+            .average_lifetime()
+            .map(|avg| avg.mul_f64(ADAPTIVE_ALPHA))
+            .unwrap_or(SimDuration::ZERO);
+        scaled_avg.max(since_break).max(ADAPTIVE_MIN_TIMEOUT)
     }
 }
 
@@ -106,20 +91,20 @@ mod tests {
 
     #[test]
     fn floor_applies_before_any_breaks() {
-        let est = AdaptiveTimeout::new(1.0, d(1.0));
+        let est = AdaptiveTimeout::new();
         assert_eq!(est.timeout(t(0.0)), d(1.0));
     }
 
     #[test]
     fn quiet_start_grows_with_time() {
         // No breaks yet: T = time since start.
-        let est = AdaptiveTimeout::new(1.0, d(1.0));
+        let est = AdaptiveTimeout::new();
         assert_eq!(est.timeout(t(42.0)), d(42.0));
     }
 
     #[test]
     fn average_lifetime_accumulates() {
-        let mut est = AdaptiveTimeout::new(1.0, d(1.0));
+        let mut est = AdaptiveTimeout::new();
         est.observe_break(d(2.0), t(1.0));
         est.observe_break(d(6.0), t(2.0));
         assert_eq!(est.average_lifetime(), Some(d(4.0)));
@@ -128,23 +113,24 @@ mod tests {
 
     #[test]
     fn alpha_scales_the_average_term() {
-        let mut est = AdaptiveTimeout::new(2.0, d(1.0));
-        est.observe_break(d(3.0), t(10.0));
-        // Right after the break: since_break ~ 0, so T = 2 * 3 = 6 s.
-        assert_eq!(est.timeout(t(10.0)), d(6.0));
+        let mut est = AdaptiveTimeout::new();
+        est.observe_break(d(4.0), t(10.0));
+        // Right after the break: since_break ~ 0, so T = alpha * 4 s.
+        assert_eq!(est.timeout(t(10.0)), d(4.0).mul_f64(ADAPTIVE_ALPHA));
     }
 
     #[test]
     fn quiet_period_term_takes_over() {
-        let mut est = AdaptiveTimeout::new(1.0, d(1.0));
+        let mut est = AdaptiveTimeout::new();
         est.observe_break(d(2.0), t(10.0));
-        // 2 s average, but 30 s of silence since: T tracks the silence.
+        // 2.5 s scaled average, but 30 s of silence since: T tracks the
+        // silence.
         assert_eq!(est.timeout(t(40.0)), d(30.0));
     }
 
     #[test]
     fn bursty_breaks_do_not_collapse_timeout_later() {
-        let mut est = AdaptiveTimeout::new(1.0, d(1.0));
+        let mut est = AdaptiveTimeout::new();
         for i in 0..5 {
             est.observe_break(d(0.5), t(5.0 + 0.1 * f64::from(i)));
         }
@@ -154,14 +140,10 @@ mod tests {
 
     #[test]
     fn min_timeout_floors_small_estimates() {
-        let mut est = AdaptiveTimeout::new(0.1, d(1.0));
-        est.observe_break(d(0.2), t(5.0));
-        assert_eq!(est.timeout(t(5.0)), d(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid alpha")]
-    fn non_positive_alpha_rejected() {
-        let _ = AdaptiveTimeout::new(0.0, d(1.0));
+        let mut est = AdaptiveTimeout::new();
+        // 1.25 * 0.6 s = 0.75 s, under the 1 s floor.
+        est.observe_break(d(0.6), t(5.0));
+        assert!(d(0.6).mul_f64(ADAPTIVE_ALPHA) < ADAPTIVE_MIN_TIMEOUT);
+        assert_eq!(est.timeout(t(5.0)), ADAPTIVE_MIN_TIMEOUT);
     }
 }

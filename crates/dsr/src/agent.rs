@@ -72,7 +72,8 @@ pub struct DsrNode {
     cfg: DsrConfig,
     cache: PathCache,
     negative: Option<NegativeCache>,
-    adaptive: AdaptiveTimeout,
+    /// The adaptive-timeout estimator, under [`ExpiryPolicy::Adaptive`] only.
+    adaptive: Option<AdaptiveTimeout>,
     send_buffer: SendBuffer,
     requests: RequestTable,
     /// Last broken link learned, awaiting piggybacking on the next request
@@ -144,7 +145,7 @@ impl DsrNode {
         match cfg.expiry {
             ExpiryPolicy::None => {}
             ExpiryPolicy::Static { timeout } => cache.set_read_expiry(Some(timeout)),
-            ExpiryPolicy::Adaptive { .. } => cache.set_read_expiry(Some(ADAPTIVE_MIN_TIMEOUT)),
+            ExpiryPolicy::Adaptive => cache.set_read_expiry(Some(ADAPTIVE_MIN_TIMEOUT)),
         }
         cache
     }
@@ -153,14 +154,8 @@ impl DsrNode {
         cfg.negative_cache.then(NegativeCache::default)
     }
 
-    fn build_adaptive(cfg: &DsrConfig) -> AdaptiveTimeout {
-        match cfg.expiry {
-            ExpiryPolicy::Adaptive { alpha, .. } => {
-                AdaptiveTimeout::new(alpha, ADAPTIVE_MIN_TIMEOUT)
-            }
-            // Unused estimator, still fed so ablations can inspect it.
-            _ => AdaptiveTimeout::new(1.0, ADAPTIVE_MIN_TIMEOUT),
-        }
+    fn build_adaptive(cfg: &DsrConfig) -> Option<AdaptiveTimeout> {
+        (cfg.expiry == ExpiryPolicy::Adaptive).then(AdaptiveTimeout::new)
     }
 
     /// This agent's node id.
@@ -178,9 +173,10 @@ impl DsrNode {
         self.negative.as_ref()
     }
 
-    /// Read access to the adaptive-timeout estimator.
-    pub fn adaptive(&self) -> &AdaptiveTimeout {
-        &self.adaptive
+    /// Read access to the adaptive-timeout estimator, under adaptive
+    /// expiry.
+    pub fn adaptive(&self) -> Option<&AdaptiveTimeout> {
+        self.adaptive.as_ref()
     }
 
     /// Packets currently waiting for a route.
@@ -855,10 +851,7 @@ impl DsrNode {
                     return;
                 }
                 self.note_error_seen(err.uid);
-                let adaptive = &mut self.adaptive;
-                let removed = self
-                    .cache
-                    .remove_link_with(err.broken, now, &mut |l| adaptive.observe_break(l, now));
+                let removed = self.purge_link(err.broken, now);
                 self.trace_remove(
                     err.broken,
                     CacheRemovalCause::WiderError,
@@ -913,13 +906,20 @@ impl DsrNode {
         now: SimTime,
         cmds: &mut Vec<Cmd>,
     ) {
-        let adaptive = &mut self.adaptive;
-        let removed =
-            self.cache.remove_link_with(link, now, &mut |l| adaptive.observe_break(l, now));
+        let removed = self.purge_link(link, now);
         self.trace_remove(link, cause, removed.contained, cmds);
         self.emit_failovers(&removed, cmds);
         if let Some(neg) = &mut self.negative {
             neg.insert(link, now);
+        }
+    }
+
+    /// Purges `link` from the route cache, feeding the lifetimes of the
+    /// routes it cuts to the adaptive-timeout estimator, if there is one.
+    fn purge_link(&mut self, link: Link, now: SimTime) -> RemovedLink {
+        match &mut self.adaptive {
+            Some(est) => self.cache.remove_link_with(link, now, |l| est.observe_break(l, now)),
+            None => self.cache.remove_link(link, now),
         }
     }
 
@@ -1142,20 +1142,16 @@ impl DsrNode {
         if let Some(neg) = &mut self.negative {
             neg.purge(now);
         }
-        match self.cfg.expiry {
-            ExpiryPolicy::None => {}
-            ExpiryPolicy::Static { timeout } => {
-                self.cache.expire(now, timeout);
-                self.drain_cache_events(cmds);
-            }
-            ExpiryPolicy::Adaptive { quiet_term, .. } => {
-                let timeout = self.adaptive.timeout_with(now, quiet_term);
-                self.cache.expire(now, timeout);
-                // Keep read-time expiry in lock-step with the sweep's
-                // freshly recomputed timeout.
-                self.cache.set_read_expiry(Some(timeout));
-                self.drain_cache_events(cmds);
-            }
+        if let Some(est) = &self.adaptive {
+            let timeout = est.timeout(now);
+            self.cache.expire(now, timeout);
+            // Keep read-time expiry in lock-step with the sweep's
+            // freshly recomputed timeout.
+            self.cache.set_read_expiry(Some(timeout));
+            self.drain_cache_events(cmds);
+        } else if let ExpiryPolicy::Static { timeout } = self.cfg.expiry {
+            self.cache.expire(now, timeout);
+            self.drain_cache_events(cmds);
         }
     }
 }
@@ -1220,7 +1216,7 @@ mod tests {
     /// added to it shows in every scenario's peak heap.
     #[test]
     fn node_layout_is_pinned() {
-        assert_eq!(std::mem::size_of::<DsrNode>(), 632);
+        assert_eq!(std::mem::size_of::<DsrNode>(), 624);
     }
 
     /// A request path that visits a node twice names no route. It must be

@@ -294,11 +294,6 @@ impl PathCache {
         }
     }
 
-    /// The owning node.
-    pub fn owner(&self) -> NodeId {
-        self.owner
-    }
-
     /// Number of cached paths.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -492,9 +492,12 @@ fn static_expiry_prunes_unused_routes_on_tick() {
     assert!(a.cache().find(n(2), t(7.0)).is_none(), "stale route expired");
 }
 
+/// Only adaptive expiry builds an estimator; the one it builds learns the
+/// lifetime of every route a break cuts.
 #[test]
 fn adaptive_estimator_feeds_on_breaks() {
     let mut a = agent(0, DsrConfig::adaptive_expiry());
+    let mut plain = agent(0, DsrConfig::base());
     let rep = packet::RouteReply {
         uid: 17,
         discovered: route(&[0, 1, 2]),
@@ -503,8 +506,6 @@ fn adaptive_estimator_feeds_on_breaks() {
         hop: 1,
         gratuitous: false,
     };
-    cmds_of(|sink| a.on_receive(n(1), Packet::Reply(rep), t(1.0), sink));
-    assert_eq!(a.adaptive().breaks_observed(), 0);
     let data = DataPacket {
         uid: 18,
         src: n(0),
@@ -515,10 +516,19 @@ fn adaptive_estimator_feeds_on_breaks() {
         hop: 0,
         salvage_count: 0,
     };
-    cmds_of(|sink| a.on_tx_failed(Packet::Data(data), n(1), t(4.0), sink));
-    assert!(a.adaptive().breaks_observed() >= 1);
+    for node in [&mut a, &mut plain] {
+        cmds_of(|sink| node.on_receive(n(1), Packet::Reply(rep.clone()), t(1.0), sink));
+    }
+    assert_eq!(a.adaptive().expect("adaptive expiry").breaks_observed(), 0);
+    for node in [&mut a, &mut plain] {
+        cmds_of(|sink| node.on_tx_failed(Packet::Data(data.clone()), n(1), t(4.0), sink));
+        assert!(node.cache().find(n(2), t(4.0)).is_none(), "the break purged the route");
+    }
+    assert!(plain.adaptive().is_none(), "no estimator without adaptive expiry");
+    let est = a.adaptive().expect("adaptive expiry");
+    assert!(est.breaks_observed() >= 1);
     // Lifetime observed = 4.0 - 1.0 = 3 s.
-    let avg = a.adaptive().average_lifetime().expect("a break was observed");
+    let avg = est.average_lifetime().expect("a break was observed");
     assert_eq!(avg, SimDuration::from_secs(3.0));
 }
 

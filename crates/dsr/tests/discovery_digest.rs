@@ -17,6 +17,7 @@ use packet::{
     AgentCommand, CacheDecision, DataPacket, ErrorDelivery, InlineRoute, Link, Packet, Route,
     RouteErrorPkt, RouteReply, RouteRequest, RoutingAgent,
 };
+use sim_core::hash::{fnv1a, FNV_OFFSET};
 use sim_core::testkit::{cases, Step};
 use sim_core::{NodeId, RngFactory, SimDuration, SimRng, SimTime};
 
@@ -26,13 +27,6 @@ type Cmd = AgentCommand<Packet, DsrTimer>;
 const ME: u16 = 7;
 /// Node ids are drawn from `0..NODES`.
 const NODES: u16 = 32;
-
-/// 64-bit FNV-1a, continued from `h`.
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The commands one agent input appends to an empty buffer.
 fn cmds_of(input: impl FnOnce(&mut Vec<Cmd>)) -> Vec<Cmd> {

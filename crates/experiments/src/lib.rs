@@ -586,7 +586,7 @@ mod tests {
             ("DSR-C_0123456789abcdef_seed1.cachetrace", true),
             ("DSR-C_fedcba9876543210_seed2.cachetrace", true),
             ("DSR_0123456789abcdef_seed1.cachetrace", true),
-            ("alpha_1_25_no-quiet-term_0123456789abcdef_seed3.cachetrace", true),
+            ("DSR-SE_5s__0123456789abcdef_seed3.cachetrace", true),
             // Another label, another kind of file, not a trace's name.
             ("DSR-WE_0123456789abcdef_seed1.cachetrace", false),
             ("DSR-C_0123456789abcdef_seed1.timeseries", false),
@@ -596,7 +596,7 @@ mod tests {
         for (name, _) in planted {
             std::fs::write(dir.join(name), "stale").expect("planted");
         }
-        let labels = ["DSR-C", "DSR", "alpha=1.25 no-quiet-term"].map(String::from);
+        let labels = ["DSR-C", "DSR", "DSR-SE(5s)"].map(String::from);
         let removed = clear_cache_traces(&dir, &labels).expect("cleared");
         for (name, goes) in planted {
             assert_eq!(!dir.join(name).exists(), goes, "{name}");
@@ -636,7 +636,7 @@ mod tests {
 
     #[test]
     fn table_rejects_a_cell_a_plain_csv_would_split() {
-        for bad in ["alpha=1.25, no quiet term", "say \"hi\"", "two\nlines"] {
+        for bad in ["DSR-SE(5s), k=2", "say \"hi\"", "two\nlines"] {
             let caught = std::panic::catch_unwind(|| {
                 Table::new("test", &["a", "b"]).row(vec!["1".into(), bad.into()])
             });

@@ -31,11 +31,23 @@ fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
     let [artifact] = artifacts.as_slice() else { panic!("one artifact: {artifacts:?}") };
     assert_eq!(repro(artifact), Some(0), "the recorded panic reproduces");
 
+    // Values the replay would panic on: an oversize packet, a rate that is
+    // not finite and positive, more flows than the 3 nodes form pairs.
     let text = std::fs::read_to_string(artifact).expect("artifact text");
-    let line = text.lines().find(|l| l.starts_with("traffic.packet_bytes = ")).expect("size key");
-    let crafted = dir.join("oversize_packet.txt");
-    std::fs::write(&crafted, text.replace(line, "traffic.packet_bytes = 65536")).expect("write");
-    assert_eq!(repro(&crafted), Some(2), "an oversize packet is refused at load");
+    for (i, (key, value)) in [
+        ("traffic.packet_bytes", "65536"),
+        ("traffic.rate_pps", "0.0"),
+        ("traffic.rate_pps", "NaN"),
+        ("traffic.num_flows", "7"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let line = text.lines().find(|l| l.starts_with(&format!("{key} = "))).expect("key");
+        let crafted = dir.join(format!("crafted_{i}.txt"));
+        std::fs::write(&crafted, text.replace(line, &format!("{key} = {value}"))).expect("write");
+        assert_eq!(repro(&crafted), Some(2), "{key} = {value} is refused at load");
+    }
 
     // An earlier writer's schema is refused, not translated.
     // 1023 is `mac::config::CW_MAX`: the value the retired key always held.
@@ -97,6 +109,23 @@ fn repro_exits_0_on_a_written_artifact_and_2_on_one_it_cannot_load() {
                 "dsr.wider_error_notification = false\ndsr.expiry = ",
                 "dsr.wider_error_notification = false\n\
                  dsr.wider_error_rebroadcast = cached_and_used\ndsr.expiry = ",
+                1,
+            ),
+        ),
+        // The adaptive policy's settings, before they became constants.
+        (
+            "adaptive_alpha.txt",
+            text.replacen(
+                "dsr.expiry = none\n",
+                "dsr.expiry = adaptive\ndsr.expiry.alpha = 1.25\ndsr.expiry.quiet_term = true\n",
+                1,
+            ),
+        ),
+        (
+            "adaptive_quiet_term.txt",
+            text.replacen(
+                "dsr.expiry = none\n",
+                "dsr.expiry = adaptive\ndsr.expiry.quiet_term = true\n",
                 1,
             ),
         ),

@@ -301,24 +301,11 @@ impl<P: Clone> Dcf<P> {
 
     /// The routing layer hands down a packet of `bytes` network-layer
     /// bytes for next hop `dst` (or broadcast).
-    pub fn enqueue(
-        &mut self,
-        payload: P,
-        dst: NodeId,
-        bytes: usize,
-        prio: Priority,
-        now: SimTime,
-    ) -> Vec<MacCommand<P>> {
-        let mut cmds = Vec::new();
-        self.enqueue_into(payload, dst, bytes, prio, now, &mut cmds);
-        cmds
-    }
-
-    /// Like [`Dcf::enqueue`], appending commands to a caller-owned buffer.
     ///
-    /// The `_into` input variants exist because the driver feeds the MAC
-    /// on the hottest event paths; pooling the command buffers removes one
-    /// heap allocation per MAC input (hundreds of millions per campaign).
+    /// Every input appends its commands to a caller-owned buffer: the
+    /// driver feeds the MAC on the hottest event paths, and pooling the
+    /// buffers saves one heap allocation per MAC input (hundreds of
+    /// millions per campaign).
     pub fn enqueue_into(
         &mut self,
         payload: P,
@@ -340,13 +327,6 @@ impl<P: Clone> Dcf<P> {
 
     /// The driver reports the physical carrier is busy until `busy_until`
     /// (from the PHY receiver state after an arrival started).
-    pub fn on_channel_busy(&mut self, now: SimTime, busy_until: SimTime) -> Vec<MacCommand<P>> {
-        let mut cmds = Vec::new();
-        self.on_channel_busy_into(now, busy_until, &mut cmds);
-        cmds
-    }
-
-    /// Like [`Dcf::on_channel_busy`], appending to a caller-owned buffer.
     pub fn on_channel_busy_into(
         &mut self,
         now: SimTime,
@@ -387,13 +367,6 @@ impl<P: Clone> Dcf<P> {
     }
 
     /// An intact frame arrived at our radio.
-    pub fn on_receive(&mut self, frame: MacFrame<P>, now: SimTime) -> Vec<MacCommand<P>> {
-        let mut cmds = Vec::new();
-        self.on_receive_into(frame, now, &mut cmds);
-        cmds
-    }
-
-    /// Like [`Dcf::on_receive`], appending to a caller-owned buffer.
     pub fn on_receive_into(
         &mut self,
         frame: MacFrame<P>,
@@ -455,13 +428,6 @@ impl<P: Clone> Dcf<P> {
     }
 
     /// A previously armed timer fired.
-    pub fn on_timer(&mut self, timer: MacTimer, now: SimTime) -> Vec<MacCommand<P>> {
-        let mut cmds = Vec::new();
-        self.on_timer_into(timer, now, &mut cmds);
-        cmds
-    }
-
-    /// Like [`Dcf::on_timer`], appending to a caller-owned buffer.
     pub fn on_timer_into(&mut self, timer: MacTimer, now: SimTime, cmds: &mut Vec<MacCommand<P>>) {
         match timer {
             MacTimer::Recheck => {
@@ -859,6 +825,13 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// The commands one MAC input appends to an empty buffer.
+    fn cmds_of(input: impl FnOnce(&mut Vec<MacCommand<u32>>)) -> Vec<MacCommand<u32>> {
+        let mut cmds = Vec::new();
+        input(&mut cmds);
+        cmds
+    }
+
     /// A control frame (RTS, CTS or ACK) of its standard size.
     fn control(kind: FrameKind, src: u16, dst: u16, nav: SimDuration) -> MacFrame<u32> {
         let bytes = match kind {
@@ -891,43 +864,43 @@ mod tests {
         let now = t(1.0);
 
         // Enqueue on idle medium: immediate access => Defer at now + DIFS.
-        let cmds = mac.enqueue(42, NodeId::new(1), 512, Priority::Data, now);
+        let cmds = cmds_of(|c| mac.enqueue_into(42, NodeId::new(1), 512, Priority::Data, now, c));
         let defer_at = timer_at(&cmds, MacTimer::Defer).expect("defer armed");
         assert_eq!(defer_at, now + DIFS);
 
         // Defer fires: RTS goes out.
-        let cmds = mac.on_timer(MacTimer::Defer, defer_at);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Defer, defer_at, c));
         let rts = find_tx(&cmds).expect("RTS transmitted");
         assert_eq!(rts.kind, FrameKind::Rts);
         assert_eq!(rts.dst, NodeId::new(1));
         let tx_end = timer_at(&cmds, MacTimer::TxEnd).expect("tx end armed");
 
         // RTS ends: CTS timeout armed.
-        let cmds = mac.on_timer(MacTimer::TxEnd, tx_end);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, tx_end, c));
         let cts_to = timer_at(&cmds, MacTimer::CtsTimeout).expect("cts timeout armed");
         assert!(cts_to > tx_end);
 
         // CTS arrives: SIFS gap before data.
         let cts = control(FrameKind::Cts, 1, 0, SimDuration::ZERO);
         let rx_at = tx_end + SIFS + cts_duration();
-        let cmds = mac.on_receive(cts, rx_at);
+        let cmds = cmds_of(|c| mac.on_receive_into(cts, rx_at, c));
         let sifs_at = timer_at(&cmds, MacTimer::SifsData).expect("sifs gap armed");
         assert_eq!(sifs_at, rx_at + SIFS);
 
         // SIFS gap ends: DATA goes out carrying the payload.
-        let cmds = mac.on_timer(MacTimer::SifsData, sifs_at);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::SifsData, sifs_at, c));
         let data = find_tx(&cmds).expect("DATA transmitted");
         assert_eq!(data.kind, FrameKind::Data);
         assert_eq!(data.payload, Some(42));
         let data_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
 
         // DATA ends: ACK timeout armed.
-        let cmds = mac.on_timer(MacTimer::TxEnd, data_end);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, data_end, c));
         assert!(timer_at(&cmds, MacTimer::AckTimeout).is_some());
 
         // ACK arrives: exchange complete.
         let ack = control(FrameKind::Ack, 1, 0, SimDuration::ZERO);
-        let cmds = mac.on_receive(ack, data_end + SIFS + ack_duration());
+        let cmds = cmds_of(|c| mac.on_receive_into(ack, data_end + SIFS + ack_duration(), c));
         assert!(cmds
             .iter()
             .any(|c| matches!(c, MacCommand::TxOk { dst } if *dst == NodeId::new(1))));
@@ -938,15 +911,15 @@ mod tests {
     fn cts_timeouts_exhaust_into_link_failure() {
         let mut mac = mk(0);
         let now = t(0.0);
-        let cmds = mac.enqueue(7, NodeId::new(1), 512, Priority::Data, now);
+        let cmds = cmds_of(|c| mac.enqueue_into(7, NodeId::new(1), 512, Priority::Data, now, c));
         let mut defer_at = timer_at(&cmds, MacTimer::Defer).unwrap();
         let mut failed = false;
         for _ in 0..10 {
-            let cmds = mac.on_timer(MacTimer::Defer, defer_at);
+            let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Defer, defer_at, c));
             let tx_end = timer_at(&cmds, MacTimer::TxEnd).expect("RTS sent");
-            let cmds = mac.on_timer(MacTimer::TxEnd, tx_end);
+            let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, tx_end, c));
             let cts_to = timer_at(&cmds, MacTimer::CtsTimeout).unwrap();
-            let cmds = mac.on_timer(MacTimer::CtsTimeout, cts_to);
+            let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::CtsTimeout, cts_to, c));
             if cmds.iter().any(
                 |c| matches!(c, MacCommand::TxFailed { payload: 7, dst } if *dst == NodeId::new(1)),
             ) {
@@ -963,14 +936,15 @@ mod tests {
     fn broadcast_skips_rts_and_ack() {
         let mut mac = mk(0);
         let now = t(0.0);
-        let cmds = mac.enqueue(9, NodeId::BROADCAST, 64, Priority::Control, now);
+        let cmds =
+            cmds_of(|c| mac.enqueue_into(9, NodeId::BROADCAST, 64, Priority::Control, now, c));
         let defer_at = timer_at(&cmds, MacTimer::Defer).unwrap();
-        let cmds = mac.on_timer(MacTimer::Defer, defer_at);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Defer, defer_at, c));
         let frame = find_tx(&cmds).expect("broadcast data sent");
         assert_eq!(frame.kind, FrameKind::Data);
         assert!(frame.is_broadcast());
         let tx_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
-        let cmds = mac.on_timer(MacTimer::TxEnd, tx_end);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, tx_end, c));
         assert!(timer_at(&cmds, MacTimer::AckTimeout).is_none());
         assert!(mac.is_idle());
     }
@@ -980,13 +954,13 @@ mod tests {
         let mut mac = mk(0);
         let now = t(0.0);
         let busy_till = t(0.010);
-        mac.on_channel_busy(now, busy_till);
-        let cmds = mac.enqueue(5, NodeId::new(1), 512, Priority::Data, now);
+        cmds_of(|c| mac.on_channel_busy_into(now, busy_till, c));
+        let cmds = cmds_of(|c| mac.enqueue_into(5, NodeId::new(1), 512, Priority::Data, now, c));
         // No Defer yet — a Recheck at the busy horizon instead.
         assert!(timer_at(&cmds, MacTimer::Defer).is_none());
         assert_eq!(timer_at(&cmds, MacTimer::Recheck), Some(busy_till));
         // At the horizon the channel is idle: contention begins.
-        let cmds = mac.on_timer(MacTimer::Recheck, busy_till);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Recheck, busy_till, c));
         assert!(timer_at(&cmds, MacTimer::Defer).is_some());
     }
 
@@ -995,15 +969,15 @@ mod tests {
         let mut mac = mk(0);
         let now = t(0.0);
         // Make the channel busy first so the packet draws a real backoff.
-        mac.on_channel_busy(now, t(0.001));
-        let cmds = mac.enqueue(5, NodeId::new(1), 512, Priority::Data, now);
+        cmds_of(|c| mac.on_channel_busy_into(now, t(0.001), c));
+        let cmds = cmds_of(|c| mac.enqueue_into(5, NodeId::new(1), 512, Priority::Data, now, c));
         assert_eq!(timer_at(&cmds, MacTimer::Recheck), Some(t(0.001)));
-        let cmds = mac.on_timer(MacTimer::Recheck, t(0.001));
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Recheck, t(0.001), c));
         let defer_at = timer_at(&cmds, MacTimer::Defer).expect("defer with backoff");
         assert!(defer_at >= t(0.001) + DIFS);
         // Channel turns busy mid-countdown: Defer cancelled, Recheck armed.
         let mid = t(0.001) + DIFS + SLOT;
-        let cmds = mac.on_channel_busy(mid, t(0.020));
+        let cmds = cmds_of(|c| mac.on_channel_busy_into(mid, t(0.020), c));
         assert!(cmds
             .iter()
             .any(|c| matches!(c, MacCommand::CancelTimer { timer: MacTimer::Defer })));
@@ -1015,9 +989,9 @@ mod tests {
         let mut mac = mk(1);
         let rts = control(FrameKind::Rts, 0, 1, SimDuration::from_micros_u64(3000));
         let now = t(0.5);
-        let cmds = mac.on_receive(rts, now);
+        let cmds = cmds_of(|c| mac.on_receive_into(rts, now, c));
         assert_eq!(timer_at(&cmds, MacTimer::SifsResponse), Some(now + SIFS));
-        let cmds = mac.on_timer(MacTimer::SifsResponse, now + SIFS);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::SifsResponse, now + SIFS, c));
         let cts = find_tx(&cmds).expect("CTS sent");
         assert_eq!(cts.kind, FrameKind::Cts);
         assert_eq!(cts.dst, NodeId::new(0));
@@ -1029,9 +1003,9 @@ mod tests {
         let mut mac = mk(1);
         // Overhear a frame reserving the medium.
         let other = control(FrameKind::Rts, 5, 6, SimDuration::from_millis(5.0));
-        mac.on_receive(other, t(0.0));
+        cmds_of(|c| mac.on_receive_into(other, t(0.0), c));
         let rts = control(FrameKind::Rts, 0, 1, SimDuration::from_millis(3.0));
-        let cmds = mac.on_receive(rts, t(0.001));
+        let cmds = cmds_of(|c| mac.on_receive_into(rts, t(0.001), c));
         assert!(
             timer_at(&cmds, MacTimer::SifsResponse).is_none(),
             "CTS must be withheld under NAV"
@@ -1050,16 +1024,16 @@ mod tests {
             seq: 3,
             payload: Some(77),
         };
-        let cmds = mac.on_receive(data.clone(), t(0.0));
+        let cmds = cmds_of(|c| mac.on_receive_into(data.clone(), t(0.0), c));
         assert!(cmds.iter().any(|c| matches!(c, MacCommand::Deliver { payload: 77, .. })));
         assert!(timer_at(&cmds, MacTimer::SifsResponse).is_some());
         // Drain the first ACK so the response queue is empty again.
-        let cmds = mac.on_timer(MacTimer::SifsResponse, t(0.0) + SIFS);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::SifsResponse, t(0.0) + SIFS, c));
         assert_eq!(find_tx(&cmds).map(|f| f.kind), Some(FrameKind::Ack));
         let end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
-        mac.on_timer(MacTimer::TxEnd, end);
+        cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, end, c));
         // Retransmission of the same (src, seq): ACK again, deliver nothing.
-        let cmds = mac.on_receive(data, t(0.01));
+        let cmds = cmds_of(|c| mac.on_receive_into(data, t(0.01), c));
         assert!(!cmds.iter().any(|c| matches!(c, MacCommand::Deliver { .. })));
         assert!(timer_at(&cmds, MacTimer::SifsResponse).is_some());
     }
@@ -1082,12 +1056,14 @@ mod tests {
         let mut at = 0.0;
         let mut receive = |mac: &mut TestDcf, seq: u64| {
             at += 0.01;
-            let cmds = mac.on_receive(data(seq), t(at));
+            let cmds = cmds_of(|c| mac.on_receive_into(data(seq), t(at), c));
             let ack_at = timer_at(&cmds, MacTimer::SifsResponse).expect("every unicast is acked");
             // Send the ACK so the response queue is empty again.
-            let sent = mac.on_timer(MacTimer::SifsResponse, ack_at);
+            let sent = cmds_of(|c| mac.on_timer_into(MacTimer::SifsResponse, ack_at, c));
             assert_eq!(find_tx(&sent).map(|f| f.kind), Some(FrameKind::Ack));
-            mac.on_timer(MacTimer::TxEnd, timer_at(&sent, MacTimer::TxEnd).unwrap());
+            cmds_of(|c| {
+                mac.on_timer_into(MacTimer::TxEnd, timer_at(&sent, MacTimer::TxEnd).unwrap(), c)
+            });
             cmds.iter().any(|c| matches!(c, MacCommand::Deliver { .. }))
         };
         for seq in 0..DEDUP_CACHE as u64 {
@@ -1114,7 +1090,7 @@ mod tests {
             seq: 0,
             payload: Some(11),
         };
-        let cmds = mac.on_receive(data, t(0.0));
+        let cmds = cmds_of(|c| mac.on_receive_into(data, t(0.0), c));
         assert!(cmds.iter().any(|c| matches!(c, MacCommand::Deliver { payload: 11, .. })));
         assert!(timer_at(&cmds, MacTimer::SifsResponse).is_none());
     }
@@ -1131,7 +1107,7 @@ mod tests {
             seq: 0,
             payload: Some(13),
         };
-        let cmds = mac.on_receive(data, t(0.0));
+        let cmds = cmds_of(|c| mac.on_receive_into(data, t(0.0), c));
         assert!(cmds.iter().any(|c| matches!(c, MacCommand::Snoop { .. })));
         assert!(!cmds.iter().any(|c| matches!(c, MacCommand::Deliver { .. })));
     }
@@ -1151,9 +1127,9 @@ mod tests {
         // Bystander and addressee, each fed both ways: same commands.
         for frame in [data, rts] {
             for node in [9, 1] {
-                let mut cmds = Vec::new();
-                mk(node).on_receive_ref_into(&frame, t(0.0), &mut cmds);
-                assert_eq!(cmds, mk(node).on_receive(frame.clone(), t(0.0)), "node {node}");
+                let cmds = cmds_of(|c| mk(node).on_receive_ref_into(&frame, t(0.0), c));
+                let owned = cmds_of(|c| mk(node).on_receive_into(frame.clone(), t(0.0), c));
+                assert_eq!(cmds, owned, "node {node}");
                 let snooped = cmds.last() == Some(&MacCommand::Snoop { from: NodeId::new(0) });
                 assert_eq!(snooped, node == 9 && frame.kind == FrameKind::Data, "node {node}");
             }
@@ -1164,15 +1140,17 @@ mod tests {
     fn queue_overflow_reports_drop() {
         let mut mac = mk(0);
         // Keep the channel busy so nothing dequeues.
-        mac.on_channel_busy(t(0.0), t(100.0));
+        cmds_of(|c| mac.on_channel_busy_into(t(0.0), t(100.0), c));
         let cap = QUEUE_CAPACITY;
         // The first admitted packet moves straight into service, so the
         // queue itself absorbs `cap` more before overflowing.
         for i in 0..=cap as u32 {
-            let cmds = mac.enqueue(i, NodeId::new(1), 64, Priority::Data, t(0.0));
+            let cmds =
+                cmds_of(|c| mac.enqueue_into(i, NodeId::new(1), 64, Priority::Data, t(0.0), c));
             assert!(!cmds.iter().any(|c| matches!(c, MacCommand::QueueDrop { .. })));
         }
-        let cmds = mac.enqueue(999, NodeId::new(1), 64, Priority::Data, t(0.0));
+        let cmds =
+            cmds_of(|c| mac.enqueue_into(999, NodeId::new(1), 64, Priority::Data, t(0.0), c));
         assert!(cmds.iter().any(|c| matches!(c, MacCommand::QueueDrop { payload: 999 })));
         assert_eq!(mac.queue_len(), cap);
     }
@@ -1182,21 +1160,28 @@ mod tests {
     #[test]
     fn ack_timeouts_exhaust_into_link_failure() {
         let mut mac = mk(0);
-        let cmds = mac.enqueue(3, NodeId::new(1), 512, Priority::Data, t(0.0));
+        let cmds = cmds_of(|c| mac.enqueue_into(3, NodeId::new(1), 512, Priority::Data, t(0.0), c));
         let mut defer_at = timer_at(&cmds, MacTimer::Defer).unwrap();
         for attempt in 1..=LONG_RETRY_LIMIT {
-            let cmds = mac.on_timer(MacTimer::Defer, defer_at);
+            let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Defer, defer_at, c));
             assert_eq!(find_tx(&cmds).map(|f| f.kind), Some(FrameKind::Rts));
             let tx_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
-            mac.on_timer(MacTimer::TxEnd, tx_end);
+            cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, tx_end, c));
             let cts = control(FrameKind::Cts, 1, 0, SimDuration::ZERO);
-            let cmds = mac.on_receive(cts, tx_end + SIFS + cts_duration());
-            let cmds =
-                mac.on_timer(MacTimer::SifsData, timer_at(&cmds, MacTimer::SifsData).unwrap());
+            let cmds = cmds_of(|c| mac.on_receive_into(cts, tx_end + SIFS + cts_duration(), c));
+            let cmds = cmds_of(|c| {
+                mac.on_timer_into(
+                    MacTimer::SifsData,
+                    timer_at(&cmds, MacTimer::SifsData).unwrap(),
+                    c,
+                )
+            });
             assert_eq!(find_tx(&cmds).map(|f| f.kind), Some(FrameKind::Data));
-            let cmds = mac.on_timer(MacTimer::TxEnd, timer_at(&cmds, MacTimer::TxEnd).unwrap());
+            let cmds = cmds_of(|c| {
+                mac.on_timer_into(MacTimer::TxEnd, timer_at(&cmds, MacTimer::TxEnd).unwrap(), c)
+            });
             let ack_to = timer_at(&cmds, MacTimer::AckTimeout).unwrap();
-            let cmds = mac.on_timer(MacTimer::AckTimeout, ack_to);
+            let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::AckTimeout, ack_to, c));
             let failed = cmds.iter().any(|c| matches!(c, MacCommand::TxFailed { payload: 3, .. }));
             assert_eq!(failed, attempt == LONG_RETRY_LIMIT, "attempt {attempt}");
             if !failed {
@@ -1211,13 +1196,13 @@ mod tests {
         let mut mac = mk(1);
         // Overheard reservation holds the NAV for 2 ms.
         let other = control(FrameKind::Rts, 5, 6, SimDuration::from_millis(2.0));
-        mac.on_receive(other, t(0.0));
+        cmds_of(|c| mac.on_receive_into(other, t(0.0), c));
         let make_rts = || control(FrameKind::Rts, 0, 1, SimDuration::from_millis(3.0));
         // During the NAV: silence.
-        let cmds = mac.on_receive(make_rts(), t(0.001));
+        let cmds = cmds_of(|c| mac.on_receive_into(make_rts(), t(0.001), c));
         assert!(timer_at(&cmds, MacTimer::SifsResponse).is_none());
         // After the NAV expires: CTS flows again.
-        let cmds = mac.on_receive(make_rts(), t(0.0025));
+        let cmds = cmds_of(|c| mac.on_receive_into(make_rts(), t(0.0025), c));
         assert!(timer_at(&cmds, MacTimer::SifsResponse).is_some());
     }
 
@@ -1225,32 +1210,32 @@ mod tests {
     fn contention_window_resets_after_success() {
         let mut mac = mk(0);
         // Fail once to inflate the contention window...
-        let cmds = mac.enqueue(1, NodeId::new(1), 512, Priority::Data, t(0.0));
+        let cmds = cmds_of(|c| mac.enqueue_into(1, NodeId::new(1), 512, Priority::Data, t(0.0), c));
         let defer_at = timer_at(&cmds, MacTimer::Defer).unwrap();
-        let cmds = mac.on_timer(MacTimer::Defer, defer_at);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Defer, defer_at, c));
         let tx_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
-        let cmds = mac.on_timer(MacTimer::TxEnd, tx_end);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, tx_end, c));
         let cts_to = timer_at(&cmds, MacTimer::CtsTimeout).unwrap();
-        let cmds = mac.on_timer(MacTimer::CtsTimeout, cts_to);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::CtsTimeout, cts_to, c));
         // ...then complete the exchange on the retry.
         let defer_at = timer_at(&cmds, MacTimer::Defer).expect("retry contends");
-        let cmds = mac.on_timer(MacTimer::Defer, defer_at);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Defer, defer_at, c));
         let tx_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
-        let cmds = mac.on_timer(MacTimer::TxEnd, tx_end);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, tx_end, c));
         let _ = timer_at(&cmds, MacTimer::CtsTimeout).unwrap();
         let cts = control(FrameKind::Cts, 1, 0, SimDuration::ZERO);
-        let cmds = mac.on_receive(cts, tx_end + SIFS + cts_duration());
+        let cmds = cmds_of(|c| mac.on_receive_into(cts, tx_end + SIFS + cts_duration(), c));
         let sifs_at = timer_at(&cmds, MacTimer::SifsData).unwrap();
-        let cmds = mac.on_timer(MacTimer::SifsData, sifs_at);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::SifsData, sifs_at, c));
         let data_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
-        mac.on_timer(MacTimer::TxEnd, data_end);
+        cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, data_end, c));
         let ack = control(FrameKind::Ack, 1, 0, SimDuration::ZERO);
-        let cmds = mac.on_receive(ack, data_end + SIFS + ack_duration());
+        let cmds = cmds_of(|c| mac.on_receive_into(ack, data_end + SIFS + ack_duration(), c));
         assert!(cmds.iter().any(|c| matches!(c, MacCommand::TxOk { .. })));
         // A fresh packet on an idle medium must defer only DIFS (cw reset,
         // immediate access): the Defer must land exactly DIFS later.
         let now = t(5.0);
-        let cmds = mac.enqueue(2, NodeId::new(1), 512, Priority::Data, now);
+        let cmds = cmds_of(|c| mac.enqueue_into(2, NodeId::new(1), 512, Priority::Data, now, c));
         assert_eq!(timer_at(&cmds, MacTimer::Defer), Some(now + DIFS));
     }
 
@@ -1266,33 +1251,33 @@ mod tests {
             seq: 0,
             payload: Some(1),
         };
-        let cmds = mac.on_receive(data, t(0.0));
+        let cmds = cmds_of(|c| mac.on_receive_into(data, t(0.0), c));
         assert!(timer_at(&cmds, MacTimer::SifsResponse).is_none(), "no ACK for others' frames");
     }
 
     #[test]
     fn control_packets_jump_data_queue() {
         let mut mac = mk(0);
-        mac.on_channel_busy(t(0.0), t(0.010));
-        mac.enqueue(1, NodeId::new(1), 512, Priority::Data, t(0.0));
-        mac.enqueue(2, NodeId::new(2), 512, Priority::Data, t(0.0));
-        mac.enqueue(3, NodeId::BROADCAST, 32, Priority::Control, t(0.0));
+        cmds_of(|c| mac.on_channel_busy_into(t(0.0), t(0.010), c));
+        cmds_of(|c| mac.enqueue_into(1, NodeId::new(1), 512, Priority::Data, t(0.0), c));
+        cmds_of(|c| mac.enqueue_into(2, NodeId::new(2), 512, Priority::Data, t(0.0), c));
+        cmds_of(|c| mac.enqueue_into(3, NodeId::BROADCAST, 32, Priority::Control, t(0.0), c));
         // First packet (payload 1) is already in service; when it completes
         // the control packet must come out before data packet 2.
-        let cmds = mac.on_timer(MacTimer::Recheck, t(0.010));
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Recheck, t(0.010), c));
         let defer_at = timer_at(&cmds, MacTimer::Defer).unwrap();
-        let cmds = mac.on_timer(MacTimer::Defer, defer_at);
+        let cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Defer, defer_at, c));
         assert_eq!(find_tx(&cmds).map(|f| f.dst), Some(NodeId::new(1)));
         // Fail packet 1 quickly via CTS timeouts.
         let tx_end = timer_at(&cmds, MacTimer::TxEnd).unwrap();
-        let mut cmds = mac.on_timer(MacTimer::TxEnd, tx_end);
+        let mut cmds = cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, tx_end, c));
         loop {
             if let Some(cts_to) = timer_at(&cmds, MacTimer::CtsTimeout) {
-                cmds = mac.on_timer(MacTimer::CtsTimeout, cts_to);
+                cmds = cmds_of(|c| mac.on_timer_into(MacTimer::CtsTimeout, cts_to, c));
             } else if let Some(d) = timer_at(&cmds, MacTimer::Defer) {
-                cmds = mac.on_timer(MacTimer::Defer, d);
+                cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Defer, d, c));
             } else if let Some(e) = timer_at(&cmds, MacTimer::TxEnd) {
-                cmds = mac.on_timer(MacTimer::TxEnd, e);
+                cmds = cmds_of(|c| mac.on_timer_into(MacTimer::TxEnd, e, c));
             } else {
                 break;
             }
@@ -1306,10 +1291,10 @@ mod tests {
             guard += 1;
             assert!(guard < 50, "control packet never served");
             let Some(d) = timer_at(&cmds, MacTimer::Defer) else {
-                cmds = mac.on_timer(MacTimer::Recheck, t(1.0));
+                cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Recheck, t(1.0), c));
                 continue;
             };
-            cmds = mac.on_timer(MacTimer::Defer, d);
+            cmds = cmds_of(|c| mac.on_timer_into(MacTimer::Defer, d, c));
             if let Some(f) = find_tx(&cmds) {
                 assert!(f.is_broadcast(), "expected control broadcast, got {:?}", f.kind);
                 break;
@@ -1343,7 +1328,8 @@ mod tests {
         let mut mac = mk(0);
         // Seed the buffer to prove `_into` appends rather than clears: the
         // driver drains between inputs, but the contract is append-only.
-        let mut cmds = mac.enqueue(77u32, NodeId::new(1), 512, Priority::Data, t(0.0));
+        let mut cmds =
+            cmds_of(|c| mac.enqueue_into(77u32, NodeId::new(1), 512, Priority::Data, t(0.0), c));
         let seeded = cmds.clone();
         assert!(!seeded.is_empty(), "enqueue on idle MAC must emit commands");
         mac.on_channel_busy_into(t(0.001), t(0.002), &mut cmds);
@@ -1356,11 +1342,11 @@ mod tests {
         let now = t(0.0);
         // One packet in service, two queued behind it, and a pending CTS
         // response (payload-free) from an RTS addressed to us.
-        mac.enqueue(1u32, NodeId::new(1), 512, Priority::Data, now);
-        mac.enqueue(2u32, NodeId::new(2), 512, Priority::Data, now);
-        mac.enqueue(3u32, NodeId::new(3), 512, Priority::Control, now);
+        cmds_of(|c| mac.enqueue_into(1u32, NodeId::new(1), 512, Priority::Data, now, c));
+        cmds_of(|c| mac.enqueue_into(2u32, NodeId::new(2), 512, Priority::Data, now, c));
+        cmds_of(|c| mac.enqueue_into(3u32, NodeId::new(3), 512, Priority::Control, now, c));
         let rts = control(FrameKind::Rts, 4, 0, SimDuration::from_micros_u64(500));
-        mac.on_receive(rts, t(0.0001));
+        cmds_of(|c| mac.on_receive_into(rts, t(0.0001), c));
         assert!(!mac.is_idle());
 
         let mut dropped = Vec::new();
@@ -1371,7 +1357,8 @@ mod tests {
         assert_eq!(mac.pending_payloads().count(), 0);
         // Horizons wiped: an enqueue at a fresh instant contends immediately
         // (DIFS only), proving no stale NAV/carrier state survived.
-        let cmds = mac.enqueue(9u32, NodeId::new(1), 512, Priority::Data, t(5.0));
+        let cmds =
+            cmds_of(|c| mac.enqueue_into(9u32, NodeId::new(1), 512, Priority::Data, t(5.0), c));
         let defer_at = timer_at(&cmds, MacTimer::Defer).expect("fresh contention");
         assert_eq!(defer_at, t(5.0) + DIFS);
     }

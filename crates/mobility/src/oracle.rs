@@ -80,11 +80,6 @@ impl LinkOracle {
             .filter(|&other| other != node && self.link_up(node, other, t))
             .collect()
     }
-
-    /// The underlying mobility model.
-    pub fn model(&self) -> &Arc<dyn MobilityModel> {
-        &self.model
-    }
 }
 
 /// Aggregate link-dynamics statistics for a scenario, obtained by sampling

@@ -31,10 +31,12 @@
 //! translated: an artifact is replayed by the build that wrote it. DESIGN's
 //! "Auditing & forensics" section lists each schema and the commits that
 //! wrote it. Values the scenario's constructors would assert on (a zero
-//! cache capacity or multipath `k`, an adaptive `alpha` or a reception
-//! threshold that is not finite and positive, a packet over 65 535
-//! bytes) are rejected the same way, so a crafted artifact fails to load
-//! instead of panicking its replay.
+//! cache capacity or multipath `k`, a packet rate or reception threshold
+//! that is not finite and positive, a packet over 65 535 bytes, a node
+//! count outside 2..=65 535, more flows than the nodes form ordered pairs,
+//! a waypoint speed range or duration its generator refuses) are rejected
+//! the same way, so a crafted artifact fails to load instead of panicking
+//! its replay.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -44,6 +46,7 @@ use mac::MacConfig;
 use mobility::{Field, Point, WaypointConfig};
 use obs::text::{escape, fmt_f64, sanitize, unescape, KvBlock, ObsError, FORENSICS_HEADER};
 use phy::RadioConfig;
+use sim_core::hash::{fnv1a, FNV_OFFSET};
 use sim_core::{NodeId, SimDuration, SimTime};
 use traffic::TrafficConfig;
 
@@ -246,7 +249,7 @@ stored_enum! {
     ExpiryPolicy at "" {
         "none" => None {},
         "static" => Static { ".timeout_ns" => timeout },
-        "adaptive" => Adaptive { ".alpha" => alpha, ".quiet_term" => quiet_term },
+        "adaptive" => Adaptive {},
     }
     FaultEvent at "" {
         "node_down" => NodeDown { ".node" => node, ".at_ns" => at, ".down_for_ns" => down_for },
@@ -345,9 +348,20 @@ impl Stored for Option<MultipathConfig> {
 /// assertion when the run is built or a frame's airtime computed.
 fn check_scenario(cfg: &ScenarioConfig) -> Result<(), ObsError> {
     let bad = |key: &str, value: String| Err(ObsError::BadValue { key: key.to_string(), value });
-    let packet_bytes = cfg.traffic.packet_bytes;
-    if packet_bytes > MAX_PACKET_BYTES {
-        return bad("traffic.packet_bytes", packet_bytes.to_string());
+    // Node ids are `u16`s below the broadcast address.
+    let nodes = cfg.num_nodes();
+    if !(2..=usize::from(u16::MAX)).contains(&nodes) {
+        return bad("mobility.num_nodes", nodes.to_string());
+    }
+    let traffic = &cfg.traffic;
+    if traffic.num_flows > nodes * (nodes - 1) {
+        return bad("traffic.num_flows", traffic.num_flows.to_string());
+    }
+    if !(traffic.rate_pps.is_finite() && traffic.rate_pps > 0.0) {
+        return bad("traffic.rate_pps", fmt_f64(traffic.rate_pps));
+    }
+    if traffic.packet_bytes > MAX_PACKET_BYTES {
+        return bad("traffic.packet_bytes", traffic.packet_bytes.to_string());
     }
     let threshold = cfg.radio.rx_threshold_w;
     if !(threshold.is_finite() && threshold > 0.0) {
@@ -360,12 +374,7 @@ fn check_scenario(cfg: &ScenarioConfig) -> Result<(), ObsError> {
     if dsr.multipath.is_some_and(|m| m.k == 0) {
         return bad("dsr.multipath.k", "0".to_string());
     }
-    match dsr.expiry {
-        ExpiryPolicy::Adaptive { alpha, .. } if !(alpha.is_finite() && alpha > 0.0) => {
-            bad("dsr.expiry.alpha", fmt_f64(alpha))
-        }
-        _ => Ok(()),
-    }
+    Ok(())
 }
 
 impl Stored for MobilitySpec {
@@ -388,11 +397,20 @@ impl Stored for MobilitySpec {
         match kv.require(key)? {
             "waypoint" => {
                 let w = WaypointConfig::take(kv, key)?;
-                // The check `Field::new` asserts, as an error instead.
+                // The checks `Field::new` and `RandomWaypoint::generate`
+                // assert, as errors instead.
                 let Field { width, height } = w.field;
                 if !(width.is_finite() && width > 0.0 && height.is_finite() && height > 0.0) {
                     let value = format!("{width}x{height}");
                     return Err(ObsError::BadValue { key: format!("{key}.field"), value });
+                }
+                if !(w.min_speed > 0.0 && w.min_speed <= w.max_speed) {
+                    let value = format!("{} (max_speed {})", w.min_speed, w.max_speed);
+                    return Err(ObsError::BadValue { key: format!("{key}.min_speed"), value });
+                }
+                if w.duration == SimDuration::ZERO {
+                    let (key, value) = (format!("{key}.duration_ns"), "0".to_string());
+                    return Err(ObsError::BadValue { key, value });
                 }
                 Ok(MobilitySpec::Waypoint(w))
             }
@@ -425,19 +443,6 @@ impl Stored for FaultPlan {
 // Fingerprints
 // ----------------------------------------------------------------------
 
-/// FNV-1a over a byte slice. Shared by [`config_fingerprint`] and the
-/// journal's per-record checksums ([`crate::journal`]).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// FNV-1a over the serialized scenario *excluding the seed*: two configs
 /// share a fingerprint iff they describe the same experiment point.
 /// Campaign journals key on `(fingerprint, seed)`.
@@ -451,7 +456,7 @@ pub fn config_fingerprint(cfg: &ScenarioConfig) -> u64 {
         buf.extend_from_slice(value.as_bytes());
         buf.push(b'\n');
     }
-    fnv1a(&buf)
+    fnv1a(FNV_OFFSET, &buf)
 }
 
 // ----------------------------------------------------------------------
@@ -681,11 +686,11 @@ mod tests {
     #[test]
     fn fingerprints_and_a_full_render_are_pinned() {
         const PINNED: [u64; 7] = [
-            0x2106_6836_cc16_8fe3,
-            0xaff3_1c98_18cd_83a1,
+            0x283d_e964_00b6_0c86,
+            0x075e_bec3_1d7e_bd54,
             0x1288_48bd_9d12_8eeb,
             0xe66d_c7d0_945a_2957,
-            0x60fc_3bd7_bcef_ebd0,
+            0x16da_26ea_1fa4_8a13,
             0x4019_93f1_442c_8a07,
             0x539b_79e6_beb0_0383,
         ];
@@ -693,7 +698,7 @@ mod tests {
         let hex: Vec<String> = got.iter().map(|fp| format!("{fp:#018x}")).collect();
         assert_eq!(got, PINNED, "fingerprints moved: {hex:?}");
         let rendered = artifact(flavors().swap_remove(2)).render();
-        let digest = fnv1a(rendered.as_bytes());
+        let digest = fnv1a(FNV_OFFSET, rendered.as_bytes());
         assert_eq!(digest, 0xfb19_2a1c_3b2c_6c80, "render digest moved: {digest:#018x}");
     }
 
@@ -728,6 +733,16 @@ mod tests {
         };
         // Where the writer before the rule's removal put it, between two
         // lines that are adjacent only in a render without it.
+        // The adaptive policy's settings, where the writer before they
+        // became constants put them, at the values they always held.
+        let adaptive = artifact(flavors().swap_remove(1)).render();
+        let expiry = |lines: &str| {
+            adaptive.replacen(
+                "dsr.expiry = adaptive\n",
+                &format!("dsr.expiry = adaptive\n{lines}"),
+                1,
+            )
+        };
         let rebroadcast = current.replacen(
             "dsr.wider_error_notification = false\ndsr.expiry = ",
             "dsr.wider_error_notification = false\n\
@@ -758,6 +773,12 @@ mod tests {
             ),
             (with_line(&current, "dsr.suppression = true"), "dsr.suppression", "true"),
             (rebroadcast, "dsr.wider_error_rebroadcast", "cached_and_used"),
+            (
+                expiry("dsr.expiry.alpha = 1.25\ndsr.expiry.quiet_term = true\n"),
+                "dsr.expiry.alpha",
+                "1.25",
+            ),
+            (expiry("dsr.expiry.quiet_term = true\n"), "dsr.expiry.quiet_term", "true"),
             (
                 with_line(&current, "dsr.suppression.stretch = 1.5"),
                 "dsr.suppression.stretch",
@@ -871,7 +892,6 @@ mod tests {
         assert!(matches!(ForensicArtifact::parse(&text), Err(ObsError::BadValue { .. })));
         let text = with_value(&faulted(), "fault.0.node", "65535");
         assert!(matches!(ForensicArtifact::parse(&text), Err(ObsError::BadValue { .. })));
-        let combined = artifact(ScenarioConfig::quick(0.0, 1.0, DsrConfig::combined(), 1)).render();
         let multipath =
             artifact(ScenarioConfig::quick(0.0, 1.0, DsrConfig::multipath(), 1)).render();
         for (text, key, value) in [
@@ -882,13 +902,23 @@ mod tests {
             (&faulted(), "traffic.packet_bytes", "18446744073709551615"),
             (&faulted(), "radio.rx_threshold_w", "NaN"),
             (&faulted(), "radio.rx_threshold_w", "0"),
+            (&faulted(), "traffic.rate_pps", "0"),
+            (&faulted(), "traffic.rate_pps", "-3"),
+            (&faulted(), "traffic.rate_pps", "NaN"),
+            (&faulted(), "traffic.rate_pps", "inf"),
+            // 3 nodes form 6 ordered pairs.
+            (&faulted(), "traffic.num_flows", "7"),
+            (&faulted(), "traffic.num_flows", "18446744073709551615"),
+            (&faulted(), "mobility.num_nodes", "1"),
+            (&waypoint, "mobility.num_nodes", "0"),
+            (&waypoint, "mobility.num_nodes", "65536"),
+            (&waypoint, "mobility.min_speed", "0.0"),
+            (&waypoint, "mobility.min_speed", "NaN"),
+            (&waypoint, "mobility.min_speed", "25.0"),
+            (&waypoint, "mobility.duration_ns", "0"),
             (&with_line(&faulted(), "mac.queue_capacity = 0"), "mac.queue_capacity", "0"),
             (&with_line(&faulted(), "radio.tx_power_w = NaN"), "radio.tx_power_w", "NaN"),
             (&multipath, "dsr.multipath.k", "0"),
-            (&combined, "dsr.expiry.alpha", "0.0"),
-            (&combined, "dsr.expiry.alpha", "-1.25"),
-            (&combined, "dsr.expiry.alpha", "NaN"),
-            (&combined, "dsr.expiry.alpha", "inf"),
         ] {
             match ForensicArtifact::parse(&with_value(text, key, value)) {
                 Err(ObsError::BadValue { key: bad, .. }) => assert_eq!(bad, key),

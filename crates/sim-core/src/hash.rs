@@ -9,6 +9,9 @@
 //! SipHash with a single Fibonacci multiply, which mixes low-entropy
 //! sequential keys into the high bits that hashbrown's control bytes and
 //! bucket index are derived from.
+//!
+//! [`fnv1a`] is the one byte fold behind every committed digest, config
+//! fingerprint and journal checksum.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -24,8 +27,16 @@ pub struct U64Hasher(u64);
 /// 2^64 / φ, the usual Fibonacci-hashing multiplier: odd, and empirically
 /// excellent at spreading consecutive integers across the whole range.
 const PHI: u64 = 0x9e37_79b9_7f4a_7c15;
-/// FNV-1a 64-bit prime, used only by the fallback byte path.
+/// FNV-1a's 64-bit offset basis: the state a fresh [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 64-bit FNV-1a of `bytes`, continued from the state `h` ([`FNV_OFFSET`]
+/// for a fresh digest).
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 impl U64Hasher {
     #[inline]
@@ -47,9 +58,7 @@ impl Hasher for U64Hasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.0 = fnv1a(self.0, bytes);
     }
 
     #[inline]
@@ -122,6 +131,14 @@ mod tests {
             top_bytes.insert((h.finish() >> 56) as u8);
         }
         assert!(top_bytes.len() > 128, "only {} distinct top bytes", top_bytes.len());
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"), fnv1a(FNV_OFFSET, b"foobar"));
     }
 
     #[test]

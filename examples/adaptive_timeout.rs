@@ -11,14 +11,17 @@
 //! cargo run --example adaptive_timeout
 //! ```
 
+use dsr_caching::dsr::config::{ADAPTIVE_ALPHA, ADAPTIVE_MIN_TIMEOUT};
 use dsr_caching::dsr::AdaptiveTimeout;
 use dsr_caching::prelude::*;
 
 fn main() {
-    let mut est = AdaptiveTimeout::new(1.25, SimDuration::from_secs(1.0));
+    let mut est = AdaptiveTimeout::new();
 
     println!(
-        "adaptive timeout: T = max(1.25 * avg_route_lifetime, time_since_last_break), floor 1 s\n"
+        "adaptive timeout: T = max({ADAPTIVE_ALPHA} * avg_route_lifetime, \
+         time_since_last_break), floor {} s\n",
+        ADAPTIVE_MIN_TIMEOUT.as_secs()
     );
     println!("{:>7}  {:>22}  {:>12}  {:>8}", "time(s)", "event", "avg_life(s)", "T(s)");
 
@@ -58,6 +61,6 @@ fn main() {
         "\nAfter the burst the average lifetime alone would keep T at ~{:.1} s and\n\
          expire perfectly good routes forever; the time-since-last-break term\n\
          lets T recover during stable periods.",
-        est.average_lifetime().expect("breaks were observed").as_secs() * 1.25
+        est.average_lifetime().expect("breaks were observed").as_secs() * ADAPTIVE_ALPHA
     );
 }

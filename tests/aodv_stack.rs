@@ -2,6 +2,7 @@
 //! same substrate and scenarios DSR runs on.
 
 use dsr_caching::prelude::*;
+use dsr_caching::sim_core::hash::{fnv1a, FNV_OFFSET};
 
 fn run_aodv(cfg: ScenarioConfig, aodv: AodvConfig) -> Report {
     let label = aodv.label();
@@ -67,8 +68,8 @@ fn aodv_dispatch_order_matches_the_pinned_digest() {
 
     fn fold(h: &Mutex<u64>, words: &[u64]) {
         let mut h = h.lock().expect("digest");
-        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
-            *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        for w in words {
+            *h = fnv1a(*h, &w.to_le_bytes());
         }
     }
 
@@ -77,7 +78,7 @@ fn aodv_dispatch_order_matches_the_pinned_digest() {
     let mut sim = Simulator::with_agents(cfg, aodv.label(), move |n, rng| {
         AodvNode::new(n, aodv.clone(), rng)
     });
-    let digest = Arc::new(Mutex::new(0xcbf2_9ce4_8422_2325u64));
+    let digest = Arc::new(Mutex::new(FNV_OFFSET));
     let pulses = Arc::new(Mutex::new(0u64));
     let (d, p) = (Arc::clone(&digest), Arc::clone(&pulses));
     sim.set_heartbeat(Box::new(move |tick| {

@@ -14,6 +14,7 @@ use dsr_caching::dsr::DsrNode;
 use dsr_caching::packet::{AgentCommand, AgentObservation, RoutingAgent};
 use dsr_caching::prelude::*;
 use dsr_caching::runner::CacheTraceBuf;
+use dsr_caching::sim_core::hash::{fnv1a, FNV_OFFSET};
 use dsr_caching::sim_core::SimRng;
 
 /// FNV-1a over everything written into it, with a count of the calls and
@@ -26,9 +27,7 @@ struct Tape {
 
 impl fmt::Write for Tape {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
+        self.hash = fnv1a(self.hash, s.as_bytes());
         Ok(())
     }
 }
@@ -134,7 +133,7 @@ fn record<A: RoutingAgent + 'static>(
 where
     A::Packet: fmt::Debug,
 {
-    let tape = Arc::new(Mutex::new(Tape { hash: 0xcbf2_9ce4_8422_2325, calls: 0, commands: 0 }));
+    let tape = Arc::new(Mutex::new(Tape { hash: FNV_OFFSET, calls: 0, commands: 0 }));
     let shared = Arc::clone(&tape);
     let mut sim = Simulator::with_agents(cfg, "recorded", move |node, rng| Recorded {
         inner: make(node, rng),

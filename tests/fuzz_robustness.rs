@@ -92,21 +92,24 @@ fn mac_never_panics_under_fuzz() {
         let mut mac: Dcf<u32> = Dcf::new(me, MacConfig, RngFactory::new(1).stream("fuzz", 0));
         let mut now = SimTime::from_secs(1.0);
         let mut payload = 0u32;
+        let mut cmds = Vec::new();
         for step in 0..rng.random_range(1..120usize) {
             let _at = Step(step);
             now += SimDuration::from_micros_u64(137);
-            let cmds = match rng.random_range(0..4u32) {
+            cmds.clear();
+            match rng.random_range(0..4u32) {
                 0 => {
                     payload += 1;
                     let dst = NodeId::new(rng.random_range(1..8u16));
                     let bytes = rng.random_range(64..1500usize);
                     let prio =
                         if rng.random_bool(0.5) { Priority::Control } else { Priority::Data };
-                    mac.enqueue(payload, dst, bytes, prio, now)
+                    mac.enqueue_into(payload, dst, bytes, prio, now, &mut cmds)
                 }
                 1 => {
                     let for_us = rng.random_range(1..5_000u64);
-                    mac.on_channel_busy(now, now + SimDuration::from_micros_u64(for_us))
+                    let until = now + SimDuration::from_micros_u64(for_us);
+                    mac.on_channel_busy_into(now, until, &mut cmds)
                 }
                 2 => {
                     let kind = [FrameKind::Rts, FrameKind::Cts, FrameKind::Ack, FrameKind::Data]
@@ -121,17 +124,17 @@ fn mac_never_panics_under_fuzz() {
                         seq: u64::from(src),
                         payload: matches!(kind, FrameKind::Data).then_some(7),
                     };
-                    mac.on_receive(frame, now)
+                    mac.on_receive_into(frame, now, &mut cmds)
                 }
-                _ => mac.on_timer(TIMERS[rng.random_range(0..TIMERS.len())], now),
-            };
+                _ => mac.on_timer_into(TIMERS[rng.random_range(0..TIMERS.len())], now, &mut cmds),
+            }
             // Emulate the driver's TxEnd bookkeeping: whenever a StartTx
             // happens, its TxEnd timer must eventually fire.
             for cmd in &cmds {
                 if let MacCommand::SetTimer { timer: MacTimer::TxEnd, at } = cmd {
                     let at = *at;
                     now = now.max(at);
-                    mac.on_timer(MacTimer::TxEnd, at);
+                    mac.on_timer_into(MacTimer::TxEnd, at, &mut Vec::new());
                     break;
                 }
             }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Net Rust: the lines of tracked Rust under crates/, src/, tests/ and
 # examples/ in the working tree and at a revision, and their difference.
-# This is the count ROADMAP item 18 and the CHANGES entries report.
+# This is the count ROADMAP item 19 and the CHANGES entries report.
 #
 #   tools/rust_lines.sh [<rev>]     (default HEAD; run from the repo)
 #
